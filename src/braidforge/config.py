@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, replace
 
-from .finite_groups import FiniteTarget, builtin_targets, load_table
+from .finite_groups import BUILTIN_TARGETS, FiniteTarget, load_table
 from .garside import GarsideCaps
 from .invariants import DEFAULT_GENERATOR_CAPS
 from .linking import DEFAULT_SIGN_CONVENTION, SIGN_CONVENTIONS
@@ -36,20 +36,30 @@ class Config:
         for cap in self.generator_caps.values():
             if cap <= 0:
                 raise ValueError("caps must be positive")
-        if self.garside_caps.summit_set <= 0 or self.garside_caps.word_search <= 0:
+        gc = self.garside_caps
+        cycling_ok = gc.cycling is None or gc.cycling > 0
+        if gc.summit_set <= 0 or gc.word_search <= 0 or not cycling_ok:
             raise ValueError("caps must be positive")
 
     def resolve_targets(self) -> list[FiniteTarget]:
-        known = builtin_targets()
+        """The configured targets; a table file shadows a built-in name.
+
+        Every table file is loaded and validated; built-in tables are
+        built only when named.
+        """
+        tables: dict[str, FiniteTarget] = {}
         for path in self.table_files:
             with open(path, encoding="utf-8") as fh:
                 name = os.path.splitext(os.path.basename(path))[0]
-                known[name] = load_table(fh.read(), name)
+                tables[name] = load_table(fh.read(), name)
         out = []
         for name in self.targets:
-            if name not in known:
+            if name in tables:
+                out.append(tables[name])
+            elif name in BUILTIN_TARGETS:
+                out.append(BUILTIN_TARGETS[name]())
+            else:
                 raise ValueError(f"unknown finite target {name!r}")
-            out.append(known[name])
         return out
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import permutations
+from typing import Callable
 
 
 @dataclass(frozen=True)
@@ -117,16 +118,20 @@ def quaternion_group() -> FiniteTarget:
     return _with_inverses("Q8", table)
 
 
+BUILTIN_TARGETS: dict[str, Callable[[], FiniteTarget]] = {
+    "S3": lambda: symmetric_group(3),
+    "S4": lambda: symmetric_group(4),
+    "S5": lambda: symmetric_group(5),
+    "D4": lambda: dihedral_group(4),
+    "D5": lambda: dihedral_group(5),
+    "D6": lambda: dihedral_group(6),
+    "Q8": quaternion_group,
+}
+
+
 def builtin_targets() -> dict[str, FiniteTarget]:
-    return {
-        "S3": symmetric_group(3),
-        "S4": symmetric_group(4),
-        "S5": symmetric_group(5),
-        "D4": dihedral_group(4),
-        "D5": dihedral_group(5),
-        "D6": dihedral_group(6),
-        "Q8": quaternion_group(),
-    }
+    """Every built-in target, each table built on this call."""
+    return {name: build() for name, build in BUILTIN_TARGETS.items()}
 
 
 def load_table(text: str, name: str = "custom") -> FiniteTarget:

@@ -1,17 +1,24 @@
 """Presentation-level isomorphism invariants.
 
-Abelianization is computed from the generator-by-relator exponent matrix
-via an exact integer Smith normal form. Homomorphism counts into small
-finite groups use pruned backtracking: braid and commutation relators
-become per-pair compatibility bitmasks that are intersected as images
-are assigned; longer relators are evaluated as soon as their support is
-complete. Exceeding a configured generator cap raises, never guesses.
+Abelianization and the column-lattice test read each relator's exponent
+sums sparsely. When every column of the generator-by-relator exponent
+matrix is zero or e_i - e_j, as it is for every presentation built from
+a linking graph, the matrix is a graph incidence matrix and so totally
+unimodular: union-find over the (+1, -1) pairs gives the abelianization
+Z^c (c components, every other invariant factor 1), and a vector lies
+in the column lattice iff it sums to zero on every component. Any other
+column shape falls back to an exact integer Smith normal form, computed
+once per matrix. Homomorphism counts into small finite groups use pruned
+backtracking: braid and commutation relators become per-pair
+compatibility bitmasks that are intersected as images are assigned;
+longer relators are evaluated as soon as their support is complete.
+Exceeding a configured generator cap raises, never guesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import ResourceCapError
 from .finite_groups import FiniteTarget
@@ -130,23 +137,71 @@ def smith_normal_form(
     return diag, u
 
 
-def exponent_matrix(p: Presentation) -> list[list[int]]:
-    """Rows = generators, columns = relators; entries are exponent sums."""
-    mat = [[0] * len(p.relators) for _ in range(p.n_generators)]
-    for j, r in enumerate(p.relators):
-        for x in r.word:
-            mat[abs(x) - 1][j] += 1 if x > 0 else -1
+def exponent_sums(word: GroupWord) -> dict[int, int]:
+    """Nonzero exponent sums of a word, keyed by 0-based generator."""
+    sums: dict[int, int] = {}
+    for x in word:
+        g = abs(x) - 1
+        sums[g] = sums.get(g, 0) + (1 if x > 0 else -1)
+    return {g: e for g, e in sums.items() if e}
+
+
+def exponent_columns(p: Presentation) -> list[dict[int, int]]:
+    """Sparse columns of the exponent matrix, one per relator."""
+    return [exponent_sums(r.word) for r in p.relators]
+
+
+def _dense(columns: list[dict[int, int]], rows: int) -> list[list[int]]:
+    mat = [[0] * len(columns) for _ in range(rows)]
+    for j, col in enumerate(columns):
+        for g, e in col.items():
+            mat[g][j] = e
     return mat
 
 
+def exponent_matrix(p: Presentation) -> list[list[int]]:
+    """Rows = generators, columns = relators; entries are exponent sums."""
+    return _dense(exponent_columns(p), p.n_generators)
+
+
+def _incidence_components(columns: list[dict[int, int]], rows: int) -> list[int] | None:
+    """Component label (0..c-1) per row if every column is zero or e_i - e_j.
+
+    None when some column has another shape, so the caller needs SNF.
+    """
+    parent = list(range(rows))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for col in columns:
+        if not col:
+            continue
+        if len(col) != 2:
+            return None
+        (a, ea), (b, eb) = col.items()
+        if ea + eb != 0 or abs(ea) != 1:
+            return None
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    labels: dict[int, int] = {}
+    return [labels.setdefault(find(g), len(labels)) for g in range(rows)]
+
+
 def abelianization(p: Presentation) -> Abelianization:
-    if p.n_generators == 0:
-        return Abelianization(())
-    if not p.relators:
-        return Abelianization((0,) * p.n_generators)
-    diag, _ = smith_normal_form(exponent_matrix(p))
+    k = p.n_generators
+    columns = exponent_columns(p)
+    component = _incidence_components(columns, k)
+    if component is not None:
+        c = len(set(component))
+        return Abelianization((1,) * (k - c) + (0,) * c)
+    diag, _ = smith_normal_form(_dense(columns, k))
     nonzero = sorted(d for d in diag if d != 0)
-    factors = tuple(nonzero) + (0,) * (p.n_generators - len(nonzero))
+    factors = tuple(nonzero) + (0,) * (k - len(nonzero))
     return Abelianization(factors)
 
 
@@ -155,24 +210,59 @@ def connected_components_abelian_rank(p: Presentation) -> int:
     return abelianization(p).rank
 
 
-def in_column_lattice(matrix: list[list[int]], vector: list[int]) -> bool:
-    """Exact test that vector lies in the integer span of matrix columns."""
-    if all(v == 0 for v in vector):
-        return True
-    if not matrix or not matrix[0]:
-        return False
-    diag, u = smith_normal_form(matrix, track_rows=True)
-    assert u is not None
-    rows = len(matrix)
-    uv = [sum(u[i][j] * vector[j] for j in range(rows)) for i in range(rows)]
-    for i in range(rows):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            if uv[i] != 0:
+class ColumnLattice:
+    """Integer span of an exponent matrix's columns, prepared for many tests.
+
+    The per-matrix work happens once here: component labels on the
+    incidence path, or the Smith normal form's diagonal and row transform
+    U otherwise (v is in the span iff d_i divides (Uv)_i, with d_i = 0
+    meaning (Uv)_i = 0).
+    """
+
+    __slots__ = ("component", "n_components", "diag", "u")
+
+    def __init__(self, columns: list[dict[int, int]], rows: int) -> None:
+        self.component = _incidence_components(columns, rows)
+        self.n_components = len(set(self.component or ()))
+        self.diag: list[int] = []
+        self.u: list[list[int]] = []
+        if self.component is None:
+            diag, u = smith_normal_form(_dense(columns, rows), track_rows=True)
+            self.diag = diag + [0] * (rows - len(diag))
+            self.u = u or []
+
+    @classmethod
+    def of_matrix(cls, matrix: list[list[int]]) -> ColumnLattice:
+        cols = len(matrix[0]) if matrix else 0
+        columns = [
+            {i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(cols)
+        ]
+        return cls(columns, len(matrix))
+
+    def contains(self, vector: list[int]) -> bool:
+        support = [(g, v) for g, v in enumerate(vector) if v]
+        if not support:
+            return True
+        if self.component is not None:
+            sums = [0] * self.n_components
+            for g, v in support:
+                sums[self.component[g]] += v
+            return not any(sums)
+        for d, row in zip(self.diag, self.u):
+            uv = sum(row[g] * v for g, v in support)
+            if (uv != 0) if d == 0 else (uv % d != 0):
                 return False
-        elif uv[i] % d != 0:
-            return False
-    return True
+        return True
+
+
+def in_column_lattice(lattice: ColumnLattice | list[list[int]], vector: list[int]) -> bool:
+    """Exact test that vector lies in the integer span of the matrix columns.
+
+    Pass a ColumnLattice to share the per-matrix work across many vectors.
+    """
+    if not isinstance(lattice, ColumnLattice):
+        lattice = ColumnLattice.of_matrix(lattice)
+    return lattice.contains(vector)
 
 
 def _pair_kind(r: Relator) -> tuple[int, int, str] | None:
@@ -186,17 +276,13 @@ def _pair_kind(r: Relator) -> tuple[int, int, str] | None:
     return None
 
 
-def evaluate_word(t: FiniteTarget, images: dict[int, int] | list[int], word: GroupWord) -> int:
-    """Image of a group word under generator images (1-based keys)."""
+def evaluate_word(t: FiniteTarget, images: Sequence[int], word: GroupWord) -> int:
+    """Image of a group word; images[g - 1] is the image of generator g."""
     acc = t.identity
     table = t.table
     inv = t.inverse
-    if isinstance(images, dict):
-        get = images.__getitem__
-    else:
-        get = lambda g: images[g - 1]  # noqa: E731
     for x in word:
-        g = get(abs(x))
+        g = images[abs(x) - 1]
         acc = table[acc][g if x > 0 else inv[g]]
     return acc
 
@@ -218,14 +304,15 @@ def _compat_masks(t: FiniteTarget) -> tuple[list[int], list[int]]:
     return braid, comm
 
 
-_MASK_CACHE: dict[tuple[str, int], tuple[list[int], list[int]]] = {}
+# Keyed by the table itself: two targets may share a name (load_table's
+# default "custom") and a size yet differ.
+_MASK_CACHE: dict[FiniteTarget, tuple[list[int], list[int]]] = {}
 
 
 def _cached_masks(t: FiniteTarget) -> tuple[list[int], list[int]]:
-    key = (t.name, t.size)
-    if key not in _MASK_CACHE:
-        _MASK_CACHE[key] = _compat_masks(t)
-    return _MASK_CACHE[key]
+    if t not in _MASK_CACHE:
+        _MASK_CACHE[t] = _compat_masks(t)
+    return _MASK_CACHE[t]
 
 
 def _iter_bits(mask: int) -> Iterator[int]:

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own code paths: the rewriting
 closure explores word moves directly, the hom-count oracle enumerates
-all assignments, and the brick oracle re-scans the word. They stay dumb
-so the fast implementations can be checked against them.
+all assignments, the brick oracle re-scans the word, and the lattice
+oracles always run the dense Smith normal form. They stay dumb so the
+fast implementations can be checked against them.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from itertools import product
 
 import pytest
 
+from braidforge.invariants import exponent_matrix, smith_normal_form
+from braidforge.presentations import Presentation
 from braidforge.words import BraidWord
 
 
@@ -86,6 +89,35 @@ def brute_hom_count(relator_words, k: int, target) -> int:
         if ok:
             count += 1
     return count
+
+
+def snf_abelianization(p: Presentation) -> tuple[int, ...]:
+    """Invariant factors from the dense exponent matrix's SNF diagonal."""
+    if p.n_generators == 0:
+        return ()
+    if not p.relators:
+        return (0,) * p.n_generators
+    diag, _ = smith_normal_form(exponent_matrix(p))
+    nonzero = sorted(d for d in diag if d != 0)
+    return tuple(nonzero) + (0,) * (p.n_generators - len(nonzero))
+
+
+def snf_membership(matrix: list[list[int]]):
+    """Predicate: is a vector in the column lattice, by the SNF row transform."""
+    rows = len(matrix)
+    if not matrix or not matrix[0]:
+        return lambda vector: not any(vector)
+    diag, u = smith_normal_form(matrix, track_rows=True)
+
+    def member(vector: list[int]) -> bool:
+        uv = [sum(u[i][j] * vector[j] for j in range(rows)) for i in range(rows)]
+        for i in range(rows):
+            d = diag[i] if i < len(diag) else 0
+            if (uv[i] != 0) if d == 0 else (uv[i] % d != 0):
+                return False
+        return True
+
+    return member
 
 
 def brick_pairs_oracle(w: BraidWord) -> list[tuple[int, int, int]]:

@@ -1,5 +1,6 @@
 import pytest
 
+from braidforge import finite_groups
 from braidforge.config import Config, apply_overrides, load_config_file
 from braidforge.garside import GarsideCaps
 
@@ -20,6 +21,11 @@ def test_validation():
         Config(generator_caps={"S3": 0})
     with pytest.raises(ValueError):
         Config(garside_caps=GarsideCaps(summit_set=-1))
+    for cycling in (0, -3):
+        with pytest.raises(ValueError):
+            Config(garside_caps=GarsideCaps(cycling=cycling))
+    assert Config(garside_caps=GarsideCaps(cycling=1)).garside_caps.cycling == 1
+    assert Config(garside_caps=GarsideCaps(cycling=None)).garside_caps.cycling is None
 
 
 def test_unknown_target_rejected():
@@ -53,3 +59,27 @@ def test_overrides_parsing(tmp_path):
 def test_resolve_builtins():
     names = [t.name for t in Config(targets=("S3", "D5", "Q8")).resolve_targets()]
     assert names == ["S3", "D5", "Q8"]
+
+
+def test_resolve_builds_only_named_builtins(monkeypatch):
+    built = []
+    for name, build in list(finite_groups.BUILTIN_TARGETS.items()):
+        monkeypatch.setitem(
+            finite_groups.BUILTIN_TARGETS, name,
+            lambda name=name, build=build: built.append(name) or build(),
+        )
+    assert [t.name for t in Config().resolve_targets()] == ["S3", "S4"]
+    assert built == ["S3", "S4"]
+
+
+def test_table_file_shadows_builtin_name(tmp_path):
+    # a file named S3 holding the cyclic group of order 2 replaces S3
+    path = tmp_path / "S3.txt"
+    path.write_text("2\n0 1\n1 0\n")
+    (t,) = Config(targets=("S3",), table_files=(str(path),)).resolve_targets()
+    assert (t.name, t.table) == ("S3", ((0, 1), (1, 0)))
+    # an unnamed table file is still validated
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2\n0 1\n0 1\n")
+    with pytest.raises(ValueError):
+        Config(targets=("S4",), table_files=(str(bad),)).resolve_targets()

@@ -4,7 +4,7 @@ import pytest
 
 from braidforge.bricks import build_bricks
 from braidforge.errors import ResourceCapError
-from braidforge.finite_groups import builtin_targets, direct_product
+from braidforge.finite_groups import builtin_targets, direct_product, load_table
 from braidforge.invariants import (
     abelianization,
     connected_components_abelian_rank,
@@ -193,6 +193,21 @@ def test_trivial_hom_always_exists(rng):
         p = presentation_for(" ".join(map(str, w.letters)), w.strands)
         if p.n_generators <= 8:
             assert hom_count(p, TARGETS["S3"]).count >= 1
+
+
+def _table_text(table):
+    return f"{len(table)}\n" + "\n".join(" ".join(map(str, row)) for row in table)
+
+
+def test_custom_tables_sharing_name_and_size():
+    # Both tables load under the default name "custom" with 8 elements;
+    # the compatibility masks of the first must not serve the second.
+    p = Presentation(3, (braid_relator(1, 2), comm_relator(1, 3), comm_relator(2, 3)))
+    d4 = load_table(_table_text(TARGETS["D4"].table))
+    z8 = load_table(_table_text([[(a + b) % 8 for b in range(8)] for a in range(8)]))
+    assert d4.name == z8.name == "custom" and d4.size == z8.size
+    assert hom_count(p, d4).count == brute_hom_count([r.word for r in p.relators], 3, d4)
+    assert hom_count(p, z8).count == 64
 
 
 def test_up_to_conjugacy():
