@@ -4,6 +4,7 @@ for positive braid words."""
 from .bricks import Brick, BrickDiagram, brick_count, build_bricks
 from .errors import (
     BraidForgeError,
+    GarsideInvariantError,
     LinkingStructureError,
     MoveError,
     NotAForestError,

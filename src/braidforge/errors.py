@@ -33,3 +33,11 @@ class NotAForestError(BraidForgeError, ValueError):
 
 class ResourceCapError(BraidForgeError):
     """A configured search limit was exceeded; never a wrong answer."""
+
+
+class GarsideInvariantError(BraidForgeError):
+    """A Garside invariant that an answer rests on failed to hold.
+
+    Raised instead of returning an answer that may be wrong; these
+    checks stay active under ``python -O``.
+    """

@@ -6,15 +6,21 @@ normal form of a positive word is Delta^k p1 ... pl with each factor a
 permutation braid that is neither trivial nor Delta, and every adjacent
 pair left-weighted: the finishing set of p_i contains the starting set
 of p_{i+1}. Two positive words represent the same braid exactly when
-their normal forms coincide.
+their normal forms coincide. The normal form is built one factor at a
+time, left-weighting pairs leftward from the end until one is already
+left-weighted.
 
 Conjugacy is decided through the super summit set: cycling raises the
 Delta exponent to its conjugacy-class maximum (the summit power),
 decycling lowers the canonical length, and the super summit set is the
-closure of the converged representative under conjugation by the
-nontrivial permutation braids. Conjugacy of positive words containing a
+closure of the converged representative under conjugation by minimal
+simple elements: for each member and each generator sigma_i, the least
+permutation braid above sigma_i that keeps the conjugate in the set
+(Franco and Gonzalez-Meneses). Conjugacy of positive words containing a
 half twist is also *realized* as an explicit sequence of word moves:
 braid relations, far commutativity and elementary conjugations only.
+Checks that an answer rests on raise GarsideInvariantError, so they
+hold under ``python -O``.
 """
 
 from __future__ import annotations
@@ -23,8 +29,21 @@ import json
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import MoveError, ResourceCapError, StrandMismatchError
-from .words import BraidWord, MoveKind, WordMove, apply_move, move_applies
+from .errors import (
+    GarsideInvariantError,
+    MoveError,
+    ResourceCapError,
+    StrandMismatchError,
+)
+from .words import (
+    BraidWord,
+    MoveKind,
+    WordMove,
+    apply_move,
+    inverse_move,
+    move_applies,
+    replay,
+)
 
 Perm = tuple[int, ...]
 
@@ -146,35 +165,65 @@ class NormalForm:
         )
 
 
+def _left_weight(
+    n: int, p: list[int], pi: list[int], q: list[int], qi: list[int]
+) -> bool:
+    """Left-weight the pair p | q in place; True iff any letter moved.
+
+    Each factor is held as its image list and its inverse. A letter
+    sigma_i with i in S(q) but not in F(p) moves from the front of q to
+    the end of p by swapping positions i-1, i of q and values i-1, i of
+    p: O(1) per letter. Descents change only next to the swap, so the
+    scan resumes one place to the left; on exit S(q) is a subset of F(p).
+    """
+    moved = False
+    i = 1
+    while i < n:
+        if q[i - 1] > q[i] and pi[i - 1] < pi[i]:
+            a, b = q[i - 1], q[i]
+            q[i - 1], q[i] = b, a
+            qi[a], qi[b] = i, i - 1
+            x, y = pi[i - 1], pi[i]
+            pi[i - 1], pi[i] = y, x
+            p[x], p[y] = i, i - 1
+            moved = True
+            if i > 1:
+                i -= 1
+        else:
+            i += 1
+    return moved
+
+
 def _normalize_factors(n: int, perms: list[Perm]) -> tuple[int, tuple[Perm, ...]]:
-    """Left-weight a factor sequence; returns (extracted delta power, factors)."""
-    ident = identity_perm(n)
-    delta = delta_perm(n)
-    factors = [p for p in perms if p != ident]
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(factors) - 1):
-            p, q = factors[j], factors[j + 1]
-            if p == delta or q == ident:
-                continue
-            missing = starting_set(q) - finishing_set(p)
-            while missing:
-                i = min(missing)
-                p = perm_mul(p, letter_perm(n, i))
-                q = perm_mul(letter_perm(n, i), q)
-                changed = True
-                if q == ident or p == delta:
-                    break
-                missing = starting_set(q) - finishing_set(p)
-            factors[j], factors[j + 1] = p, q
-        if ident in factors:
-            factors = [p for p in factors if p != ident]
+    """Left-weight a factor sequence; returns (extracted delta power, factors).
+
+    Factors are appended one at a time to a left-weighted prefix, and
+    pairs are left-weighted leftward from the end until a left factor is
+    left unchanged: the prefix before it is then still left-weighted.
+    Only the appended factor can be emptied, and any Delta factors end
+    up at the front.
+    """
+    ident = list(range(n))
+    fw: list[list[int]] = []
+    bw: list[list[int]] = []
+    for perm in perms:
+        q = list(perm)
+        qi = [0] * n
+        for x, y in enumerate(q):
+            qi[y] = x
+        fw.append(q)
+        bw.append(qi)
+        j = len(fw) - 1
+        while j and _left_weight(n, fw[j - 1], bw[j - 1], fw[j], bw[j]):
+            j -= 1
+        if fw[-1] == ident:
+            fw.pop()
+            bw.pop()
+    delta = list(range(n - 1, -1, -1))
     k = 0
-    while factors and factors[0] == delta:
+    while k < len(fw) and fw[k] == delta:
         k += 1
-        factors.pop(0)
-    return k, tuple(factors)
+    return k, tuple(tuple(f) for f in fw[k:])
 
 
 def normal_form(w: BraidWord) -> NormalForm:
@@ -318,29 +367,117 @@ def _summit_representative(
             return nf, ops
 
 
-def _nontrivial_perms(n: int) -> list[Perm]:
-    from itertools import permutations as iperm
+def perm_join(a: Perm, b: Perm) -> Perm:
+    """Least common multiple a v b of two permutation braids (prefix order).
 
+    Its position-inversion set {(i<j) : p[i] > p[j]} is the transitive
+    closure of the union of those of a and b. Rows are bitmasks of the
+    later positions, closed from the last position backwards.
+    """
+    n = len(a)
+    rows = [0] * n
+    for i in range(n - 2, -1, -1):
+        ai, bi = a[i], b[i]
+        row = 0
+        for j in range(i + 1, n):
+            if a[j] < ai or b[j] < bi:
+                row |= 1 << j
+        closed = row
+        while row:
+            low = row & -row
+            closed |= rows[low.bit_length() - 1]
+            row ^= low
+        rows[i] = closed
+    # p[i] counts the positions whose value lies below p[i]: the later
+    # ones in rows[i] and the earlier ones j whose row lacks i.
+    above = [0] * n
+    for row in rows:
+        while row:
+            low = row & -row
+            above[low.bit_length() - 1] += 1
+            row ^= low
+    return tuple(rows[i].bit_count() + i - above[i] for i in range(n))
+
+
+def _remainder(factors: list[Perm], t: Perm) -> Perm:
+    """The least simple r with t a prefix of factors[0]...factors[-1] * r.
+
+    Computed factor by factor as y \\ t = y^-1 (y v t).
+    """
+    n = len(t)
     ident = identity_perm(n)
-    return [p for p in iperm(range(n)) if p != ident]
+    for y in factors:
+        if t == ident:
+            break
+        t = perm_mul(perm_inv(y), perm_join(y, t))
+    return t
+
+
+def _inverse_factors(u: NormalForm) -> list[Perm]:
+    """The factors of u^-1 = Delta^-(p+r) * tau^(p+r)(x_r') ... tau^(p+1)(x_1'),
+    where u = Delta^p x_1...x_r and x' is the right complement of x."""
+    p = u.delta_power
+    return [
+        tau_pow(right_complement(x), p + j + 1)
+        for j, x in reversed(list(enumerate(u.factors)))
+    ]
+
+
+def _minimal_simple(u: NormalForm, back: list[Perm], i: int) -> Perm:
+    """The least simple c with sigma_i a prefix of c and u^c super summit.
+
+    u = Delta^p x_1...x_r lies in its super summit set and back is
+    _inverse_factors(u). inf(u^c) >= p iff tau^p(c) is a prefix of
+    x_1...x_r c, and sup(u^c) <= p + r iff tau^(p+r)(c) is a prefix of
+    back * c. While either fails, the missing remainder w is a prefix of
+    what the least c still lacks, so c grows to c w (Franco and
+    Gonzalez-Meneses, J. Algebra 266, 2003).
+    """
+    n, p, r = u.strands, u.delta_power, u.canonical_length
+    ident = identity_perm(n)
+    c = letter_perm(n, i)
+    while True:
+        w = _remainder([*u.factors, c], tau_pow(c, p))
+        if w == ident:
+            w = _remainder([*back, c], tau_pow(c, p + r))
+            if w == ident:
+                return c
+        cw = perm_mul(c, w)
+        if perm_length(cw) != perm_length(c) + perm_length(w):
+            raise GarsideInvariantError(
+                f"conjugator {c} extended by {w} is not a permutation braid"
+            )
+        c = cw
 
 
 def _summit_closure(
     rep: NormalForm, caps: GarsideCaps
 ) -> tuple[dict[tuple, NormalForm], dict[tuple, tuple[tuple, Perm] | None]]:
-    """BFS closure of the super summit set, recording conjugating parents."""
+    """BFS closure of the super summit set, recording conjugating parents.
+
+    Each member u is conjugated by the minimal simple element above each
+    generator sigma_i; these connect the whole super summit set, so at
+    most n - 1 conjugates are formed per member.
+    """
     n = rep.strands
-    simples = _nontrivial_perms(n)
     k_s, l_s = rep.delta_power, rep.canonical_length
     members = {rep.key(): rep}
     parents: dict[tuple, tuple[tuple, Perm] | None] = {rep.key(): None}
     queue = deque([rep])
     while queue:
         u = queue.popleft()
-        for c in simples:
+        back = _inverse_factors(u)
+        tried = set()
+        for i in range(1, n):
+            c = _minimal_simple(u, back, i)
+            if c in tried:
+                continue
+            tried.add(c)
             v = conjugate_nf(u, c)
             if v.delta_power != k_s or v.canonical_length != l_s:
-                continue
+                raise GarsideInvariantError(
+                    f"conjugating by {c} left the super summit set"
+                )
             if v.key() in members:
                 continue
             if len(members) >= caps.summit_set:
@@ -524,12 +661,16 @@ def _realize_summit_chain(
             )
             staged = BraidWord(cur.strands, rest.letters + tail)
             moves.extend(_equal_words_moves(cur, staged, caps))
+            cur = staged
             for _ in range(len(tail)):
                 m = WordMove(MoveKind.ELEM_CONJ_RIGHT, len(cur.letters))
                 cur = apply_move(cur, m)
                 moves.append(m)
             cur_nf = decycling(cur_nf)
-    assert cur_nf == rep
+    if cur_nf != rep:
+        raise GarsideInvariantError(
+            "realized cycling and decycling missed the summit representative"
+        )
     spelled = nf_word(rep)
     moves.extend(_equal_words_moves(cur, spelled, caps))
     return moves, spelled, rep
@@ -537,8 +678,6 @@ def _realize_summit_chain(
 
 def _invert_move_path(start: BraidWord, moves: list[WordMove]) -> list[WordMove]:
     """The inverse sequence, transforming replay(start, moves) back to start."""
-    from .words import inverse_move, replay  # local import to avoid cycle noise
-
     states = [start]
     for m in moves:
         states.append(apply_move(states[-1], m))
@@ -558,10 +697,9 @@ def conjugacy_move_sequence_detailed(
     summit set between the two representatives by permutation-braid
     conjugations (each hop split as Delta = gamma gamma' and shifted by
     elementary conjugations), and undo the second chain. Falls back to a
-    breadth-first search over all moves when the procedure is capped out.
+    breadth-first search over all moves when the procedure is capped out
+    or its moves do not replay from a to b.
     """
-    from .words import replay
-
     if a.strands != b.strands:
         raise StrandMismatchError(f"strand counts differ: {a.strands} vs {b.strands}")
     if a == b:
@@ -580,7 +718,8 @@ def conjugacy_move_sequence_detailed(
         moves_a, word_a, rep_a = _realize_summit_chain(a, caps)
         moves_b, word_b, rep_b = _realize_summit_chain(b, caps)
         members, parents = _summit_closure(rep_a, caps)
-        assert rep_b.key() in members, "conjugate words must share a summit set"
+        if rep_b.key() not in members:
+            raise GarsideInvariantError("conjugate words must share a summit set")
         # Path rep_b -> rep_a through recorded parents, then reverse it.
         hops: list[tuple[NormalForm, Perm]] = []
         key = rep_b.key()
@@ -593,7 +732,10 @@ def conjugacy_move_sequence_detailed(
         for target_nf, c in reversed(hops):
             step_moves, cur = _realize_step(cur, target_nf, c, caps)
             moves.extend(step_moves)
-        assert cur == word_b
+        if cur != word_b:
+            raise GarsideInvariantError(
+                "summit hops did not reach the second representative"
+            )
         moves.extend(_invert_move_path(b, moves_b))
         result = MoveSequenceResult(tuple(moves), "procedure-found")
     except ResourceCapError:
@@ -601,7 +743,11 @@ def conjugacy_move_sequence_detailed(
         if path is None:
             raise
         result = MoveSequenceResult(tuple(path), "search-found")
-    if replay(a, list(result.moves)) != b:
+    try:
+        replays = replay(a, list(result.moves)) == b
+    except MoveError:
+        replays = False
+    if not replays:
         path = _bfs_moves(a, b, conjugations=True, cap=caps.word_search)
         if path is None:
             raise ResourceCapError("move search exceeded the configured cap")

@@ -2,18 +2,32 @@
 
 These deliberately avoid the library's own code paths: the rewriting
 closure explores word moves directly, the hom-count oracle enumerates
-all assignments, the brick oracle re-scans the word, and the lattice
-oracles always run the dense Smith normal form. They stay dumb so the
-fast implementations can be checked against them.
+all assignments, the brick oracle re-scans the word, the lattice
+oracles always run the dense Smith normal form, the Garside oracles
+left-weight letter by letter in whole-list passes until nothing moves
+and close super summit sets under all n! - 1 permutation braids. They
+stay dumb so the fast implementations can be checked against them.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product
+from collections import deque
+from itertools import permutations, product
 
 import pytest
 
+from braidforge.garside import (
+    NormalForm,
+    delta_perm,
+    finishing_set,
+    identity_perm,
+    left_complement,
+    letter_perm,
+    perm_mul,
+    starting_set,
+    tau_pow,
+)
 from braidforge.invariants import exponent_matrix, smith_normal_form
 from braidforge.presentations import Presentation
 from braidforge.words import BraidWord
@@ -148,3 +162,85 @@ def random_word(rng: random.Random, max_strands: int = 4, max_len: int = 12) -> 
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240809)
+
+
+# -- Garside oracles ---------------------------------------------------------
+
+def oracle_normalize_factors(n: int, perms):
+    """Left-weight by whole-list passes, one letter at a time, until stable."""
+    ident = identity_perm(n)
+    delta = delta_perm(n)
+    factors = [p for p in perms if p != ident]
+    changed = True
+    while changed:
+        changed = False
+        for j in range(len(factors) - 1):
+            p, q = factors[j], factors[j + 1]
+            if p == delta or q == ident:
+                continue
+            missing = starting_set(q) - finishing_set(p)
+            while missing:
+                i = min(missing)
+                p = perm_mul(p, letter_perm(n, i))
+                q = perm_mul(letter_perm(n, i), q)
+                changed = True
+                if q == ident or p == delta:
+                    break
+                missing = starting_set(q) - finishing_set(p)
+            factors[j], factors[j + 1] = p, q
+        if ident in factors:
+            factors = [p for p in factors if p != ident]
+    k = 0
+    while factors and factors[0] == delta:
+        k += 1
+        factors.pop(0)
+    return k, tuple(factors)
+
+
+def oracle_normal_form(w: BraidWord) -> NormalForm:
+    n = w.strands
+    k, factors = oracle_normalize_factors(n, [letter_perm(n, i) for i in w.letters])
+    return NormalForm(n, k, factors)
+
+
+def oracle_conjugate_nf(nf: NormalForm, c) -> NormalForm:
+    """c^-1 nf c, with c^-1 = Delta^-1 c' and c' moved past Delta^k."""
+    n = nf.strands
+    seq = [tau_pow(left_complement(c), nf.delta_power), *nf.factors, c]
+    d, factors = oracle_normalize_factors(n, seq)
+    return NormalForm(n, nf.delta_power - 1 + d, factors)
+
+
+def oracle_cycling(nf: NormalForm) -> NormalForm:
+    if not nf.factors:
+        return nf
+    x = tau_pow(nf.factors[0], nf.delta_power)
+    d, factors = oracle_normalize_factors(nf.strands, [*nf.factors[1:], x])
+    return NormalForm(nf.strands, nf.delta_power + d, factors)
+
+
+def oracle_decycling(nf: NormalForm) -> NormalForm:
+    if not nf.factors:
+        return nf
+    x = tau_pow(nf.factors[-1], nf.delta_power)
+    d, factors = oracle_normalize_factors(nf.strands, [x, *nf.factors[:-1]])
+    return NormalForm(nf.strands, nf.delta_power + d, factors)
+
+
+def oracle_summit_closure(rep: NormalForm) -> set[tuple]:
+    """Keys of the closure of rep under all n! - 1 nontrivial permutation braids
+    that keep (delta power, canonical length)."""
+    n = rep.strands
+    ident = identity_perm(n)
+    simples = [p for p in permutations(range(n)) if p != ident]
+    shape = (rep.delta_power, rep.canonical_length)
+    seen = {rep.key()}
+    queue = deque([rep])
+    while queue:
+        u = queue.popleft()
+        for c in simples:
+            v = oracle_conjugate_nf(u, c)
+            if (v.delta_power, v.canonical_length) == shape and v.key() not in seen:
+                seen.add(v.key())
+                queue.append(v)
+    return seen
