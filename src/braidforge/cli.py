@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 domain error, 2 resource cap exceeded, 64 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -218,12 +219,18 @@ def _cmd_nf(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_conj(args, cfg: Config) -> int:
+def _word_pair(args) -> tuple[BraidWord, BraidWord]:
+    """Both words, on one strand count unless --strands gave it."""
     a = parse_word(args.word1, args.strands)
     b = parse_word(args.word2, args.strands)
     if args.strands is None:
         n = max(a.strands, b.strands)
         a, b = BraidWord(n, a.letters), BraidWord(n, b.letters)
+    return a, b
+
+
+def _cmd_conj(args, cfg: Config) -> int:
+    a, b = _word_pair(args)
     result = are_conjugate(a, b, cfg.garside_caps)
     _emit(
         json.dumps(
@@ -265,11 +272,7 @@ def _cmd_halftwist(args, cfg: Config) -> int:
 
 
 def _cmd_moveseq(args, cfg: Config) -> int:
-    a = parse_word(args.word1, args.strands)
-    b = parse_word(args.word2, args.strands)
-    if args.strands is None:
-        n = max(a.strands, b.strands)
-        a, b = BraidWord(n, a.letters), BraidWord(n, b.letters)
+    a, b = _word_pair(args)
     result = conjugacy_move_sequence_detailed(a, b, cfg.garside_caps)
     ok = replay(a, list(result.moves)) == b
     _emit(
@@ -316,11 +319,7 @@ def _cmd_invariants(args, cfg: Config) -> int:
 
 
 def _cmd_isocheck(args, cfg: Config) -> int:
-    a = parse_word(args.word1, args.strands)
-    b = parse_word(args.word2, args.strands)
-    if args.strands is None:
-        n = max(a.strands, b.strands)
-        a, b = BraidWord(n, a.letters), BraidWord(n, b.letters)
+    a, b = _word_pair(args)
     if args.moves:
         moves = _resolve_moves(a, _parse_move_script(args.moves))
         method = "given"
@@ -348,26 +347,23 @@ def _cmd_isocheck(args, cfg: Config) -> int:
     return 0 if report.consistent else 1
 
 
-def _graph_signature(w: BraidWord, cfg: Config):
-    return build_graph(build_bricks(w), cfg.sign_convention).combinatorial_signature()
-
-
 def _cmd_verify(args, cfg: Config) -> int:
     w = parse_word(args.word, args.strands)
     rng = random.Random(args.seed)
     targets = cfg.resolve_targets()
 
     def measure(word: BraidWord):
-        p = presentation_of(build_graph(build_bricks(word), cfg.sign_convention))
+        g = build_graph(build_bricks(word), cfg.sign_convention)
+        p = presentation_of(g)
         counts = {}
         for t in targets:
             try:
                 counts[t.name] = hom_count(p, t, cfg.generator_caps).count
             except ResourceCapError:
                 counts[t.name] = None
-        return abelianization(p).invariant_factors, counts
+        return g, abelianization(p).invariant_factors, counts
 
-    base_ab, base_counts = measure(w)
+    graph, base_ab, base_counts = measure(w)
     failures = []
     cur = w
     applied = 0
@@ -378,7 +374,7 @@ def _cmd_verify(args, cfg: Config) -> int:
         m = rng.choice(moves)
         nxt = apply_move(cur, m)
         applied += 1
-        ab, counts = measure(nxt)
+        nxt_graph, ab, counts = measure(nxt)
         if ab != base_ab:
             failures.append(
                 {
@@ -400,7 +396,7 @@ def _cmd_verify(args, cfg: Config) -> int:
                         }
                     )
         if m.kind in (MoveKind.FAR_COMM, MoveKind.MARKOV_STAB, MoveKind.MARKOV_DESTAB):
-            if _graph_signature(cur, cfg) != _graph_signature(nxt, cfg):
+            if graph.combinatorial_signature() != nxt_graph.combinatorial_signature():
                 failures.append(
                     {
                         "step": step,
@@ -409,7 +405,7 @@ def _cmd_verify(args, cfg: Config) -> int:
                         "detail": "linking graph changed under a neutral move",
                     }
                 )
-        cur = nxt
+        cur, graph = nxt, nxt_graph
     payload = {
         "word": _word_json(w),
         "seed": args.seed,
@@ -458,10 +454,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """One parser per process, built on first use."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         cfg = _config_from_args(args)
         return _COMMANDS[args.command](args, cfg)
     except UsageError as exc:

@@ -6,7 +6,11 @@ bottom generator conjugated by everything between them, all other bricks
 correspond rank by rank. For a braid relation at the top of the word,
 the top brick of column i shifts into column i+1 keeping its generator,
 and the brick below it maps to its counterpart conjugated by the shifted
-generator. Far commutativity and Markov moves relabel nothing.
+generator. Far commutativity and Markov moves relabel nothing. Every
+step is read off the two brick diagrams alone, and steps compose by
+substitution: an interior braid relation (its tail rotated to the top
+and back) or a move sequence builds presentations only for its first
+and last words, never for the words in between.
 
 check_map is a necessary-condition checker: images of relators must die
 in the abelianization (exact integer lattice test) and under every
@@ -25,6 +29,7 @@ after a failure, to word the violations.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bricks import BrickDiagram, build_bricks
 from .errors import MoveError, ResourceCapError
@@ -83,6 +88,9 @@ class GeneratorMap:
         return sorted(targets) == list(range(1, self.target.n_generators + 1))
 
 
+_Images = tuple[GroupWord, ...]
+
+
 def substitute(word: GroupWord, images: tuple[GroupWord, ...]) -> GroupWord:
     out: list[int] = []
     for x in word:
@@ -91,12 +99,18 @@ def substitute(word: GroupWord, images: tuple[GroupWord, ...]) -> GroupWord:
     return free_reduce(tuple(out))
 
 
+def _compose_images(first, second) -> tuple[_Images, _Images]:
+    """Images both ways of second after first (maps or brick-level steps)."""
+    return (
+        tuple(substitute(w, second.images) for w in first.images),
+        tuple(substitute(w, first.inverse_images) for w in second.inverse_images),
+    )
+
+
 def compose_maps(m1: GeneratorMap, m2: GeneratorMap) -> GeneratorMap:
     """m2 after m1; requires m1.target == m2.source structurally."""
-    images = tuple(substitute(w, m2.images) for w in m1.images)
-    inverse = tuple(substitute(w, m1.inverse_images) for w in m2.inverse_images)
     label = f"{m1.label};{m2.label}" if m1.label or m2.label else ""
-    return GeneratorMap(m1.source, m2.target, images, inverse, label)
+    return GeneratorMap(m1.source, m2.target, *_compose_images(m1, m2), label)
 
 
 def identity_map(p: Presentation) -> GeneratorMap:
@@ -104,209 +118,189 @@ def identity_map(p: Presentation) -> GeneratorMap:
     return GeneratorMap(p, p, gens, gens, "identity")
 
 
-def _rank_index(d: BrickDiagram) -> dict[tuple[int, int], int]:
-    """(column, bottom-up rank) -> brick id."""
-    out: dict[tuple[int, int], int] = {}
+class _Step(NamedTuple):
+    """Moves read at brick level: the last diagram and images both ways."""
+
+    target: BrickDiagram
+    images: _Images  # per source brick, word in target bricks
+    inverse_images: _Images  # per target brick, word in source bricks
+    label: str
+
+    def then(self, nxt: _Step) -> _Step:
+        return _Step(nxt.target, *_compose_images(self, nxt), f"{self.label};{nxt.label}")
+
+
+def _ranks(d: BrickDiagram) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
+    """(column, bottom-up rank) per brick, and the brick id of each."""
+    ranks: list[tuple[int, int]] = []
     counts: dict[int, int] = {}
     for b in d.bricks:
         counts[b.column] = counts.get(b.column, 0) + 1
-        out[(b.column, counts[b.column])] = b.id
-    return out
+        ranks.append((b.column, counts[b.column]))
+    return ranks, {cr: i for i, cr in enumerate(ranks, start=1)}
 
 
-def _presentations(w: BraidWord) -> tuple[BrickDiagram, Presentation]:
-    d = build_bricks(w)
-    return d, presentation_of(build_graph(d))
-
-
-def _relabel_map(
-    src: tuple[BrickDiagram, Presentation],
-    dst: tuple[BrickDiagram, Presentation],
-    label: str,
-) -> GeneratorMap:
+def _relabel_images(sd: BrickDiagram, dd: BrickDiagram) -> tuple[_Images, _Images]:
     """Rank-by-rank correspondence when the move leaves bricks in place."""
-    sd, sp = src
-    dd, dp = dst
-    dst_rank = _rank_index(dd)
+    s_ranks, s_id = _ranks(sd)
+    d_ranks, d_id = _ranks(dd)
+    return tuple((d_id[cr],) for cr in s_ranks), tuple((s_id[cr],) for cr in d_ranks)
+
+
+def _conj_right_images(sd: BrickDiagram, dd: BrickDiagram) -> tuple[_Images, _Images]:
+    """Images across moving the top letter to the bottom; a column with no
+    bricks leaves the graphs equal, and the map relabels."""
+    column = sd.word.letters[-1]
+    n = len(sd.by_column(column))
+    if n == 0:
+        return _relabel_images(sd, dd)
+    s_ranks, s_id = _ranks(sd)
+    d_ranks, d_id = _ranks(dd)
     images: list[GroupWord] = []
-    for b in sd.bricks:
-        col, rank = sd.column_rank(b.id)
-        images.append((dst_rank[(col, rank)],))
-    src_rank = _rank_index(sd)
+    for col, rank in s_ranks:
+        if col != column:
+            images.append((d_id[(col, rank)],))
+        elif rank < n:
+            images.append((d_id[(col, rank + 1)],))
+        else:
+            # top brick wraps to the bottom: T_n T_{n-1} .. T_2 T_1 T_2^-1 .. T_n^-1
+            down = tuple(d_id[(col, r)] for r in range(n, 1, -1))
+            images.append(down + (d_id[(col, 1)],) + tuple(-g for g in reversed(down)))
     inverse: list[GroupWord] = []
-    for b in dd.bricks:
-        col, rank = dd.column_rank(b.id)
-        inverse.append((src_rank[(col, rank)],))
-    return GeneratorMap(sp, dp, tuple(images), tuple(inverse), label)
+    for col, rank in d_ranks:
+        if col != column:
+            inverse.append((s_id[(col, rank)],))
+        elif rank > 1:
+            inverse.append((s_id[(col, rank - 1)],))
+        else:
+            # new bottom brick: S_1^-1 .. S_{n-1}^-1 S_n S_{n-1} .. S_1
+            up = tuple(s_id[(col, r)] for r in range(1, n))
+            inverse.append(tuple(-g for g in up) + (s_id[(col, n)],) + tuple(reversed(up)))
+    return tuple(images), tuple(inverse)
+
+
+def _braid_top_images(sd: BrickDiagram, dd: BrickDiagram) -> tuple[_Images, _Images]:
+    """Images across sigma_i sigma_{i+1} sigma_i -> sigma_{i+1} sigma_i sigma_{i+1} at the top."""
+    i = sd.word.letters[-1]
+    n = len(sd.by_column(i))
+    m = len(sd.by_column(i + 1))
+    s_ranks, s_id = _ranks(sd)
+    d_ranks, d_id = _ranks(dd)
+    shifted = d_id[(i + 1, m + 1)]  # the brick that crossed columns
+    top_src = s_id[(i, n)]
+    images: list[GroupWord] = []
+    for col, rank in s_ranks:
+        if col == i and rank == n:
+            images.append((shifted,))
+        elif col == i and rank == n - 1:
+            images.append((-shifted, d_id[(i, n - 1)], shifted))
+        else:
+            images.append((d_id[(col, rank)],))
+    inverse: list[GroupWord] = []
+    for b_id, (col, rank) in enumerate(d_ranks, start=1):
+        if b_id == shifted:
+            inverse.append((top_src,))
+        elif col == i and rank == n - 1:
+            inverse.append((top_src, s_id[(i, n - 1)], -top_src))
+        else:
+            inverse.append((s_id[(col, rank)],))
+    return tuple(images), tuple(inverse)
+
+
+def _braid_top_step(d: BrickDiagram, position: int) -> _Step:
+    w = d.word
+    if position != len(w.letters) - 2:
+        raise MoveError("braid_relation_map needs the relation at the top")
+    dd = build_bricks(apply_move(w, WordMove(MoveKind.BRAID_REL, position)))
+    if w.letters[position] == w.letters[position - 1] + 1:
+        return _Step(dd, *_braid_top_images(d, dd), "braidTop")
+    # Pattern sigma_{i+1} sigma_i sigma_{i+1}: the mirror move shifting a
+    # brick from column i+1 down to column i is the inverse situation.
+    images, inverse = _braid_top_images(dd, d)
+    return _Step(dd, inverse, images, "inverse(braidTop)")
+
+
+def _move_step(d: BrickDiagram, m: WordMove) -> _Step:
+    """One move at brick level; an elementary conjugation ignores m.position."""
+    w = d.word
+    if m.kind is MoveKind.ELEM_CONJ_RIGHT:
+        if not w.letters:
+            raise MoveError("elementary conjugation needs a nonempty word")
+        dd = build_bricks(apply_move(w, WordMove(m.kind, len(w.letters))))
+        return _Step(dd, *_conj_right_images(d, dd), "conjR")
+    if m.kind is MoveKind.ELEM_CONJ_LEFT:
+        # the right conjugation from the moved word, directions swapped
+        dd = build_bricks(apply_move(w, WordMove(m.kind, 1)))
+        images, inverse = _conj_right_images(dd, d)
+        return _Step(dd, inverse, images, "inverse(conjR)")
+    if m.kind in (MoveKind.FAR_COMM, MoveKind.MARKOV_STAB, MoveKind.MARKOV_DESTAB):
+        dd = build_bricks(apply_move(w, m))
+        return _Step(dd, *_relabel_images(d, dd), m.kind.value)
+    if m.kind is MoveKind.BRAID_REL:
+        n = len(w.letters)
+        tail = n - (m.position + 2)
+        if tail == 0:
+            return _braid_top_step(d, m.position)
+        if tail < 0:
+            raise MoveError(f"braid does not apply at position {m.position}")
+        # Rotate the tail to the front, apply at the top, rotate back.
+        moves = (
+            [WordMove(MoveKind.ELEM_CONJ_RIGHT, n)] * tail
+            + [WordMove(MoveKind.BRAID_REL, n - 2)]
+            + [WordMove(MoveKind.ELEM_CONJ_LEFT, 1)] * tail
+        )
+        step = _move_step(d, moves[0])
+        for mv in moves[1:]:
+            step = step.then(_move_step(step.target, mv))
+        return step._replace(label=f"braid@{m.position}")
+    raise MoveError(f"no generator map for move kind {m.kind}")
+
+
+def _end_map(source: BrickDiagram, step: _Step) -> GeneratorMap:
+    """The step's images between the presentations of its two end words."""
+    src, dst = (presentation_of(build_graph(d)) for d in (source, step.target))
+    return GeneratorMap(src, dst, step.images, step.inverse_images, step.label)
 
 
 def conjugation_map(w: BraidWord, end: str = "right") -> GeneratorMap:
-    """Generator map across an elementary conjugation at the given end.
-
-    With n bricks in the moved letter's column, the top source brick maps
-    to the new bottom target generator conjugated through the rest of the
-    column; n = 0 leaves the graphs equal and the map is the identity
-    relabeling.
-    """
+    """Generator map across an elementary conjugation at the given end."""
     if end not in ("left", "right"):
         raise ValueError("end must be 'left' or 'right'")
-    if end == "left":
-        moved = apply_move(w, WordMove(MoveKind.ELEM_CONJ_LEFT, 1))
-        return conjugation_map(moved, "right").inverted()
-
-    if not w.letters:
-        raise MoveError("elementary conjugation needs a nonempty word")
-    move = WordMove(MoveKind.ELEM_CONJ_RIGHT, len(w.letters))
-    w2 = apply_move(w, move)
-    column = w.letters[-1]
-    src = _presentations(w)
-    dst = _presentations(w2)
-    sd, sp = src
-    dd, dp = dst
-    n = len(sd.by_column(column))
-    if n == 0:
-        return _relabel_map(src, dst, "conjR")
-
-    src_rank = _rank_index(sd)
-    dst_rank = _rank_index(dd)
-
-    images: list[GroupWord] = [()] * sp.n_generators
-    for b in sd.bricks:
-        col, rank = sd.column_rank(b.id)
-        if col != column:
-            images[b.id - 1] = (dst_rank[(col, rank)],)
-        elif rank < n:
-            images[b.id - 1] = (dst_rank[(col, rank + 1)],)
-        else:
-            # top brick wraps to the bottom: T_n T_{n-1} .. T_2 T_1 T_2^-1 .. T_n^-1
-            down = [dst_rank[(col, r)] for r in range(n, 1, -1)]
-            core = (dst_rank[(col, 1)],)
-            word = tuple(down) + core + tuple(-g for g in reversed(down))
-            images[b.id - 1] = free_reduce(word)
-
-    inverse: list[GroupWord] = [()] * dp.n_generators
-    for b in dd.bricks:
-        col, rank = dd.column_rank(b.id)
-        if col != column:
-            inverse[b.id - 1] = (src_rank[(col, rank)],)
-        elif rank > 1:
-            inverse[b.id - 1] = (src_rank[(col, rank - 1)],)
-        else:
-            # new bottom brick: S_1^-1 .. S_{n-1}^-1 S_n S_{n-1} .. S_1
-            up = [src_rank[(col, r)] for r in range(1, n)]
-            core = (src_rank[(col, n)],)
-            word = tuple(-g for g in up) + core + tuple(reversed(up))
-            inverse[b.id - 1] = free_reduce(word)
-
-    return GeneratorMap(sp, dp, tuple(images), tuple(inverse), "conjR")
+    kind = MoveKind.ELEM_CONJ_LEFT if end == "left" else MoveKind.ELEM_CONJ_RIGHT
+    return move_map(w, WordMove(kind))
 
 
 def braid_relation_map(w: BraidWord, position: int | None = None) -> GeneratorMap:
     """Generator map across a braid relation at the top of the word.
 
-    The word must end with the pattern sigma_i sigma_{i+1} sigma_i (after
-    elementary conjugations have brought the relation to the top; interior
-    positions go through move_map).
+    The word must end with the pattern sigma_i sigma_{i+1} sigma_i or its
+    mirror (interior positions go through move_map).
     """
-    n_letters = len(w.letters)
     if position is None:
-        position = n_letters - 2
-    move = WordMove(MoveKind.BRAID_REL, position)
-    if position != n_letters - 2:
-        raise MoveError("braid_relation_map needs the relation at the top")
-    w2 = apply_move(w, move)  # validates the pattern
-    i = w.letters[position - 1]
-    j = w.letters[position]
-    if j != i + 1:
-        # Pattern sigma_{i+1} sigma_i sigma_{i+1}: the mirror move shifting a
-        # brick from column i+1 down to column i is the inverse situation.
-        return braid_relation_map(w2, position).inverted()
-
-    src = _presentations(w)
-    dst = _presentations(w2)
-    sd, sp = src
-    dd, dp = dst
-    n = len(sd.by_column(i))
-    src_rank = _rank_index(sd)
-    dst_rank = _rank_index(dd)
-    m = len(sd.by_column(i + 1))
-    shifted = dst_rank[(i + 1, m + 1)]  # the brick that crossed columns
-
-    images: list[GroupWord] = [()] * sp.n_generators
-    for b in sd.bricks:
-        col, rank = sd.column_rank(b.id)
-        if col == i and rank == n:
-            images[b.id - 1] = (shifted,)
-        elif col == i and rank == n - 1:
-            prime = dst_rank[(i, n - 1)]
-            images[b.id - 1] = (-shifted, prime, shifted)
-        else:
-            images[b.id - 1] = (dst_rank[(col, rank)],)
-
-    inverse: list[GroupWord] = [()] * dp.n_generators
-    top_src = src_rank[(i, n)]
-    for b in dd.bricks:
-        col, rank = dd.column_rank(b.id)
-        if b.id == shifted:
-            inverse[b.id - 1] = (top_src,)
-        elif col == i and rank == n - 1:
-            below = src_rank[(i, n - 1)]
-            inverse[b.id - 1] = (top_src, below, -top_src)
-        else:
-            inverse[b.id - 1] = (src_rank[(col, rank)],)
-
-    return GeneratorMap(sp, dp, tuple(images), tuple(inverse), "braidTop")
+        position = len(w.letters) - 2
+    d = build_bricks(w)
+    return _end_map(d, _braid_top_step(d, position))
 
 
 def move_map(w: BraidWord, m: WordMove) -> GeneratorMap:
     """The generator map across any single word move."""
-    if m.kind is MoveKind.ELEM_CONJ_RIGHT:
-        return conjugation_map(w, "right")
-    if m.kind is MoveKind.ELEM_CONJ_LEFT:
-        return conjugation_map(w, "left")
-    if m.kind in (MoveKind.FAR_COMM, MoveKind.MARKOV_STAB, MoveKind.MARKOV_DESTAB):
-        w2 = apply_move(w, m)
-        return _relabel_map(_presentations(w), _presentations(w2), m.kind.value)
-    if m.kind is MoveKind.BRAID_REL:
-        tail = len(w.letters) - (m.position + 2)
-        if tail == 0:
-            return braid_relation_map(w, m.position)
-        # Rotate the tail to the front, apply at the top, rotate back.
-        maps = []
-        cur = w
-        for _ in range(tail):
-            maps.append(conjugation_map(cur, "right"))
-            cur = apply_move(cur, WordMove(MoveKind.ELEM_CONJ_RIGHT, len(cur.letters)))
-        maps.append(braid_relation_map(cur))
-        cur = apply_move(cur, WordMove(MoveKind.BRAID_REL, len(cur.letters) - 2))
-        for _ in range(tail):
-            maps.append(conjugation_map(cur, "left"))
-            cur = apply_move(cur, WordMove(MoveKind.ELEM_CONJ_LEFT, 1))
-        composite = maps[0]
-        for nxt in maps[1:]:
-            composite = compose_maps(composite, nxt)
-        return GeneratorMap(
-            composite.source,
-            composite.target,
-            composite.images,
-            composite.inverse_images,
-            label=f"braid@{m.position}",
-        )
-    raise MoveError(f"no generator map for move kind {m.kind}")
+    d = build_bricks(w)
+    return _end_map(d, _move_step(d, m))
 
 
 def maps_along_moves(w: BraidWord, moves: list[WordMove]) -> GeneratorMap:
     """Composite generator map along a move sequence."""
-    cur = w
-    composite: GeneratorMap | None = None
+    source = build_bricks(w)
+    if not moves:
+        return identity_map(presentation_of(build_graph(source)))
+    step: _Step | None = None
+    d = source
     for m in moves:
-        step = move_map(cur, m)
-        composite = step if composite is None else compose_maps(composite, step)
-        cur = apply_move(cur, m)
-    if composite is None:
-        _, p = _presentations(w)
-        return identity_map(p)
-    return composite
+        nxt = _move_step(d, m)
+        apply_move(d.word, m)  # the step ignores a conjugation's position; replay does not
+        step = nxt if step is None else step.then(nxt)
+        d = nxt.target
+    return _end_map(source, step)
 
 
 # -- checking ----------------------------------------------------------------

@@ -77,17 +77,20 @@ class Presentation:
         return (self.n_generators, tuple(sorted(r.word for r in self.relators)))
 
 
+# For distinct generators i < j the pair relators are already freely
+# reduced, so their words are written out in closed form.
 def braid_relator(i: int, j: int, provenance: tuple = ()) -> Relator:
     i, j = min(i, j), max(i, j)
-    return Relator.from_equation(
-        RelatorKind.BRAID, (i, j, i), (j, i, j), provenance or ("edge", (i, j))
+    return Relator(
+        RelatorKind.BRAID, (i, j, i, -j, -i, -j), (i, j, i), (j, i, j),
+        provenance or ("edge", (i, j)),
     )
 
 
 def comm_relator(i: int, j: int, provenance: tuple = ()) -> Relator:
     i, j = min(i, j), max(i, j)
-    return Relator.from_equation(
-        RelatorKind.COMM, (i, j), (j, i), provenance or ("pair", (i, j))
+    return Relator(
+        RelatorKind.COMM, (i, j, -i, -j), (i, j), (j, i), provenance or ("pair", (i, j))
     )
 
 
@@ -141,18 +144,21 @@ def presentation_of(g: LinkingGraph) -> Presentation:
     return Presentation(k, tuple(relators))
 
 
+def _shifted_cycle_relator(r: Relator, shift: int) -> Relator:
+    """A cycle relator with its region's tuple rotated left by shift."""
+    # Recover the tuple from the stored equation: lhs starts with (i_n .. i_1).
+    n = (len(r.lhs) + 2) // 2
+    tup = tuple(reversed(r.lhs[:n]))
+    k = shift % n
+    return cycle_relator(tup[k:] + tup[:k], r.provenance)
+
+
 def cycle_relator_shift(p: Presentation, region_index: int, shift: int) -> GroupWord:
     """The cycle relator word with the region's tuple rotated left by shift."""
-    cycles = [r for r in p.relators if r.kind is RelatorKind.CYCLE]
+    cycles = p.by_kind(RelatorKind.CYCLE)
     if not 0 <= region_index < len(cycles):
         raise IndexError(f"presentation has {len(cycles)} cycle relators")
-    base = cycles[region_index]
-    # Recover the tuple from the stored equation: lhs starts with (i_n .. i_1).
-    n = (len(base.lhs) + 2) // 2
-    tup = tuple(reversed(base.lhs[:n]))
-    k = shift % n
-    shifted = tup[k:] + tup[:k]
-    return cycle_relator(shifted).word
+    return _shifted_cycle_relator(cycles[region_index], shift).word
 
 
 def shifted_cycle_presentation(
@@ -161,13 +167,8 @@ def shifted_cycle_presentation(
     """The presentation with one cycle relator replaced by a shifted version."""
     cycles = [i for i, r in enumerate(p.relators) if r.kind is RelatorKind.CYCLE]
     target = cycles[region_index]
-    base = p.relators[target]
-    n = (len(base.lhs) + 2) // 2
-    tup = tuple(reversed(base.lhs[:n]))
-    k = shift % n
-    new = cycle_relator(tup[k:] + tup[:k], base.provenance)
     relators = list(p.relators)
-    relators[target] = new
+    relators[target] = _shifted_cycle_relator(p.relators[target], shift)
     return Presentation(p.n_generators, tuple(relators))
 
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 
+import braidforge
+from braidforge import cli
 from braidforge.cli import main
 
 SCHEMA = json.loads(
@@ -248,3 +254,30 @@ def test_custom_table_file(capsys, tmp_path):
     assert code == 0
     data = json.loads(out)
     assert "C6" in data["hom_counts"]
+
+
+def test_main_called_twice_prints_what_fresh_calls_print(capsys, monkeypatch):
+    # the parser is built once per process; no call may leak into the next
+    monkeypatch.delenv("BRAIDFORGE_CONFIG", raising=False)
+    commands = [
+        ["summit", "1 2 1 2 2 1", "--full"],
+        ["summit", "1 2 1 2 2 1"],
+        ["summit", "1 2 1", "--moves", "3"],
+        ["isocheck", "1 2 1 1 2 1", "1 1 2 1 1 2", "--moves", "conjR"],
+        ["isocheck", "1 2 1 1 2 1", "1 1 2 1 1 2"],
+        ["verify", "2 1 2 2 1", "--moves", "12", "--seed", "3"],
+        ["nosuchcommand"],
+    ]
+    env = {k: v for k, v in os.environ.items() if k != "BRAIDFORGE_CONFIG"}
+    env["PYTHONPATH"] = str(Path(braidforge.__file__).resolve().parents[1])
+    code = "import sys; from braidforge.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv in commands:
+        fresh = subprocess.run(
+            [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True
+        )
+        got = main(list(argv))
+        captured = capsys.readouterr()
+        assert (got, captured.out, captured.err) == (
+            fresh.returncode, fresh.stdout, fresh.stderr
+        ), argv
+    assert cli._parser() is cli._parser()

@@ -8,6 +8,7 @@ from braidforge.presentations import (
     Presentation,
     RelatorKind,
     braid_relator,
+    comm_relator,
     concat,
     cycle_commutation_word,
     cycle_equation,
@@ -174,3 +175,39 @@ def test_relators_freely_reduced(rng):
         for r in p.relators:
             assert free_reduce(r.word) == r.word
             assert r.word != ()
+
+
+def test_pair_relators_closed_form():
+    # the closed-form words are the freely reduced lhs * rhs^-1
+    for i in range(1, 13):
+        for j in range(1, 13):
+            if i == j:
+                continue
+            lo, hi = min(i, j), max(i, j)
+            for make, kind, prov in (
+                (braid_relator, RelatorKind.BRAID, "edge"),
+                (comm_relator, RelatorKind.COMM, "pair"),
+            ):
+                r = make(i, j)
+                assert r.word == concat(r.lhs, invert_word(r.rhs))
+                assert r.kind is kind
+                assert r.provenance == (prov, (lo, hi))
+                assert make(i, j, ("region", 3)).provenance == ("region", 3)
+            assert braid_relator(i, j).lhs == (lo, hi, lo)
+            assert braid_relator(i, j).rhs == (hi, lo, hi)
+            assert comm_relator(i, j).lhs == (lo, hi)
+            assert comm_relator(i, j).rhs == (hi, lo)
+
+
+def test_cycle_shift_helpers_agree(rng):
+    # both read the region tuple back from the stored equation
+    for _ in range(40):
+        p = presentation_of(build_graph(build_bricks(random_word(rng, max_len=16))))
+        cycles = p.by_kind(RelatorKind.CYCLE)
+        for idx, r in enumerate(cycles):
+            for shift in range(-1, len(r.lhs) // 2 + 2):
+                shifted = shifted_cycle_presentation(p, idx, shift)
+                new = shifted.by_kind(RelatorKind.CYCLE)[idx]
+                assert new.word == cycle_relator_shift(p, idx, shift)
+                assert new.provenance == r.provenance
+                assert shifted.relators[: p.relators.index(r)] == p.relators[: p.relators.index(r)]
