@@ -38,7 +38,6 @@ from .invariants import (
     Abelianization,
     HomCount,
     abelianization,
-    connected_components_abelian_rank,
     enumerate_homs,
     hom_count,
     hom_count_up_to_conjugacy,
@@ -61,7 +60,6 @@ from .linking import (
     Region,
     Side,
     build_graph,
-    faces,
     graphs_isomorphic_as_trees,
 )
 from .presentations import (

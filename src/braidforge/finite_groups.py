@@ -3,12 +3,14 @@
 Built-in targets are the symmetric groups S3..S5, the dihedral groups of
 the square, pentagon and hexagon, and the quaternion group. Custom
 targets load from a table file: first line |G|, then |G| rows of |G|
-indices, identity at index 0. Tables are validated on load.
+indices, identity at index 0. Tables are validated on load. Built-in
+tables are immutable and built once per process, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import permutations
 from typing import Callable
 
@@ -68,6 +70,7 @@ def validate_target(t: FiniteTarget) -> None:
                     raise ValueError(f"{t.name}: associativity fails at {a},{b},{c}")
 
 
+@cache
 def symmetric_group(m: int) -> FiniteTarget:
     elems = sorted(permutations(range(m)))  # identity is lex-first
     index = {e: i for i, e in enumerate(elems)}
@@ -77,6 +80,7 @@ def symmetric_group(m: int) -> FiniteTarget:
     return _with_inverses(f"S{m}", table)
 
 
+@cache
 def dihedral_group(m: int) -> FiniteTarget:
     # Element f*m+a encodes s^f r^a; r^a s = s r^-a.
     def mul(x: int, y: int) -> int:
@@ -90,6 +94,7 @@ def dihedral_group(m: int) -> FiniteTarget:
     return _with_inverses(f"D{m}", table)
 
 
+@cache
 def quaternion_group() -> FiniteTarget:
     # 0..7 = 1, -1, i, -i, j, -j, k, -k
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
@@ -130,7 +135,7 @@ BUILTIN_TARGETS: dict[str, Callable[[], FiniteTarget]] = {
 
 
 def builtin_targets() -> dict[str, FiniteTarget]:
-    """Every built-in target, each table built on this call."""
+    """Every built-in target (each table built on its first use)."""
     return {name: build() for name, build in BUILTIN_TARGETS.items()}
 
 

@@ -1,17 +1,20 @@
 """Presentation-level isomorphism invariants.
 
 Abelianization and the column-lattice test read each relator's exponent
-sums sparsely. When every column of the generator-by-relator exponent
-matrix is zero or e_i - e_j, as it is for every presentation built from
-a linking graph, the matrix is a graph incidence matrix and so totally
-unimodular: union-find over the (+1, -1) pairs gives the abelianization
-Z^c (c components, every other invariant factor 1), and a vector lies
-in the column lattice iff it sums to zero on every component. Any other
-column shape falls back to an exact integer Smith normal form, computed
-once per matrix. Homomorphism counts into small finite groups use pruned
-backtracking: braid and commutation relators become per-pair
-compatibility bitmasks that are intersected as images are assigned;
-longer relators are evaluated as soon as their support is complete.
+sums sparsely: off the pair table, a braid relator on i < j has the
+column e_i - e_j and a commutation relator none, so only the cycle
+relators are summed. When every column of the generator-by-relator
+exponent matrix is zero or e_i - e_j, as it is for every presentation
+built from a linking graph, the matrix is a graph incidence matrix and
+so totally unimodular: union-find over the (+1, -1) pairs gives the
+abelianization Z^c (c components, every other invariant factor 1), and
+a vector lies in the column lattice iff it sums to zero on every
+component. Any other column shape falls back to an exact integer Smith
+normal form, computed once per matrix. Homomorphism counts into small
+finite groups use pruned backtracking: the pair table becomes per-pair compatibility bitmasks
+(every relator on a pair applies, so a pair carrying both kinds gets
+both masks) that are intersected as images are assigned; longer
+relators are evaluated as soon as their support is complete.
 Exceeding a configured generator cap raises, never guesses.
 """
 
@@ -22,7 +25,7 @@ from typing import Iterator, Sequence
 
 from .errors import ResourceCapError
 from .finite_groups import FiniteTarget
-from .presentations import GroupWord, Presentation, Relator, RelatorKind
+from .presentations import GroupWord, Presentation, RelatorKind, exponent_sums
 
 DEFAULT_GENERATOR_CAPS = {"S3": 14, "S4": 10, "S5": 8, "*": 10}
 
@@ -137,17 +140,8 @@ def smith_normal_form(
     return diag, u
 
 
-def exponent_sums(word: GroupWord) -> dict[int, int]:
-    """Nonzero exponent sums of a word, keyed by 0-based generator."""
-    sums: dict[int, int] = {}
-    for x in word:
-        g = abs(x) - 1
-        sums[g] = sums.get(g, 0) + (1 if x > 0 else -1)
-    return {g: e for g, e in sums.items() if e}
-
-
 def exponent_columns(p: Presentation) -> list[dict[int, int]]:
-    """Sparse columns of the exponent matrix, one per relator."""
+    """Sparse columns of the exponent matrix, one per relator (spells every relator)."""
     return [exponent_sums(r.word) for r in p.relators]
 
 
@@ -194,7 +188,7 @@ def _incidence_components(columns: list[dict[int, int]], rows: int) -> list[int]
 
 def abelianization(p: Presentation) -> Abelianization:
     k = p.n_generators
-    columns = exponent_columns(p)
+    columns = [column for _, column in p.columns()]
     component = _incidence_components(columns, k)
     if component is not None:
         c = len(set(component))
@@ -203,11 +197,6 @@ def abelianization(p: Presentation) -> Abelianization:
     nonzero = sorted(d for d in diag if d != 0)
     factors = tuple(nonzero) + (0,) * (k - len(nonzero))
     return Abelianization(factors)
-
-
-def connected_components_abelian_rank(p: Presentation) -> int:
-    """Rank of the free part of the abelianization."""
-    return abelianization(p).rank
 
 
 class ColumnLattice:
@@ -263,17 +252,6 @@ def in_column_lattice(lattice: ColumnLattice | list[list[int]], vector: list[int
     if not isinstance(lattice, ColumnLattice):
         lattice = ColumnLattice.of_matrix(lattice)
     return lattice.contains(vector)
-
-
-def _pair_kind(r: Relator) -> tuple[int, int, str] | None:
-    """(i, j, 'braid'|'comm') if the relator is a standard pair relator."""
-    if r.kind is RelatorKind.BRAID and len(r.lhs) == 3:
-        i, j = r.lhs[0], r.lhs[1]
-        return min(i, j), max(i, j), "braid"
-    if r.kind is RelatorKind.COMM and len(r.lhs) == 2:
-        i, j = r.lhs[0], r.lhs[1]
-        return min(i, j), max(i, j), "comm"
-    return None
 
 
 def evaluate_word(t: FiniteTarget, images: Sequence[int], word: GroupWord) -> int:
@@ -344,32 +322,32 @@ def _assignments(
     full = (1 << t.size) - 1
 
     participation = [0] * (k + 1)
-    pair: dict[tuple[int, int], str] = {}
+    # Mask table per pair; a second relator on a pair intersects with the first.
+    pair: dict[tuple[int, int], list[int]] = {}
+    for i, j, kind in p.pair_table():
+        mask = braid_mask if kind is RelatorKind.BRAID else comm_mask
+        prior = pair.get((i, j))
+        pair[(i, j)] = mask if prior is None else [a & b for a, b in zip(prior, mask)]
+        participation[i] += 1
+        participation[j] += 1
     general: list[tuple[set[int], GroupWord]] = []
-    for r in p.relators:
-        pk = _pair_kind(r)
-        if pk is not None:
-            i, j, kind = pk
-            pair[(i, j)] = kind
-            participation[i] += 1
-            participation[j] += 1
-        else:
-            support = {abs(x) for x in r.word}
-            if not support:
-                continue
-            for g in support:
-                participation[g] += len(r.word)
-            general.append((support, r.word))
+    for r in p.cycles:
+        support = {abs(x) for x in r.word}
+        if not support:
+            continue
+        for g in support:
+            participation[g] += len(r.word)
+        general.append((support, r.word))
 
     order = sorted(range(1, k + 1), key=lambda g: (-participation[g], g))
     pos = {g: i for i, g in enumerate(order)}
 
-    # pair_rel[step][earlier_step] = 'braid' | 'comm' | None
-    pair_rel: list[list[str | None]] = [[None] * k for _ in range(k)]
-    for (i, j), kind in pair.items():
+    # pair_rel[step][earlier_step] = mask table of the pair, or None
+    pair_rel: list[list[list[int] | None]] = [[None] * k for _ in range(k)]
+    for (i, j), masks in pair.items():
         si, sj = pos[i], pos[j]
         lo, hi = min(si, sj), max(si, sj)
-        pair_rel[hi][lo] = kind
+        pair_rel[hi][lo] = masks
     general_at: list[list[GroupWord]] = [[] for _ in range(k)]
     for support, word in general:
         last = max(pos[g] for g in support)
@@ -394,11 +372,10 @@ def _assignments(
         g = order[step]
         allowed = full
         for earlier in range(step):
-            rel = pair_rel[step][earlier]
-            if rel is None:
+            masks = pair_rel[step][earlier]
+            if masks is None:
                 continue
-            img = images[order[earlier]]
-            allowed &= braid_mask[img] if rel == "braid" else comm_mask[img]
+            allowed &= masks[images[order[earlier]]]
             if not allowed:
                 return
         for val in _iter_bits(allowed):

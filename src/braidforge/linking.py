@@ -308,11 +308,6 @@ def _extract_regions(
     return regions
 
 
-def faces(g: LinkingGraph) -> list[Region]:
-    """The bounded faces; equals Euler count E - V + C for these graphs."""
-    return list(g.regions)
-
-
 def is_forest(g: LinkingGraph) -> bool:
     n = len(g.diagram.bricks)
     return len(g.edges) == n - _connected_components(n, g.edges)

@@ -3,9 +3,12 @@
 Generators are the bricks (1-based ids). Every linked pair contributes a
 braid relator, every unlinked pair a commutation relator (including
 diagonals of regions), and every bounded region a cycle relator read
-along the region's stored cyclic order. Relator words are kept as
-LHS * RHS^-1, freely reduced; relator equality means equality of those
-words.
+along the region's stored cyclic order. Only the cycle relators carry
+information beyond the edge set, so a presentation holds its pair
+relators as a table (the linked pairs; every other pair commutes) and
+builds the k(k-1)/2 pair relator objects only when a consumer asks for
+words. Relator words are kept as LHS * RHS^-1, freely reduced; relator
+equality means equality of those words.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Iterator
 
 from .linking import LinkingGraph
 
@@ -61,10 +65,118 @@ class Relator:
         return Relator(kind, concat(lhs, invert_word(rhs)), lhs, rhs, provenance)
 
 
-@dataclass(frozen=True)
+def exponent_sums(word: GroupWord) -> dict[int, int]:
+    """Nonzero exponent sums of a word, keyed by 0-based generator."""
+    sums: dict[int, int] = {}
+    for x in word:
+        g = abs(x) - 1
+        sums[g] = sums.get(g, 0) + (1 if x > 0 else -1)
+    return {g: e for g, e in sums.items() if e}
+
+
+def _pair_of(r: Relator) -> tuple[int, int] | None:
+    """(i, j) with i <= j if the relator is a standard braid or commutation relator."""
+    if (r.kind is RelatorKind.BRAID and len(r.lhs) == 3) or (
+        r.kind is RelatorKind.COMM and len(r.lhs) == 2
+    ):
+        i, j = r.lhs[0], r.lhs[1]
+        return min(i, j), max(i, j)
+    return None
+
+
 class Presentation:
-    n_generators: int
-    relators: tuple[Relator, ...]
+    """Generators 1..n_generators, pair relators as a table, and the rest.
+
+    ``braid_pairs`` and ``comm_pairs`` list, in lex order, the pairs
+    i < j that carry a braid or a commutation relator; ``cycles`` holds
+    every other relator. A presentation read off a linking graph is
+    built by ``from_table`` and has ``comm_pairs`` None: every pair not
+    linked commutes, so its pair relators are implied by the braid pairs
+    and spelled only when ``relators`` is first read (braid pairs, then
+    commutation pairs, each in lex order, then the cycles).
+    ``Presentation(n, relators)`` keeps the relators as given and reads
+    the table off them; a pair may then carry both kinds.
+    """
+
+    __slots__ = ("n_generators", "braid_pairs", "comm_pairs", "cycles", "_relators")
+
+    def __init__(self, n_generators: int, relators: tuple[Relator, ...]) -> None:
+        braid: set[tuple[int, int]] = set()
+        comm: set[tuple[int, int]] = set()
+        cycles = []
+        for r in relators:
+            pair = _pair_of(r)
+            if pair is None:
+                cycles.append(r)
+            else:
+                (braid if r.kind is RelatorKind.BRAID else comm).add(pair)
+        self.n_generators = n_generators
+        self.braid_pairs: tuple[tuple[int, int], ...] = tuple(sorted(braid))
+        self.comm_pairs: tuple[tuple[int, int], ...] | None = tuple(sorted(comm))
+        self.cycles: tuple[Relator, ...] = tuple(cycles)
+        self._relators: tuple[Relator, ...] | None = tuple(relators)
+
+    @classmethod
+    def from_table(
+        cls,
+        n_generators: int,
+        braid_pairs: Iterable[tuple[int, int]],
+        cycles: tuple[Relator, ...],
+    ) -> Presentation:
+        """Braid relators on braid_pairs (i < j), commutation on every other
+        pair, and the cycle relators of regions (three or more vertices)."""
+        p = cls.__new__(cls)
+        p.n_generators = n_generators
+        p.braid_pairs = tuple(sorted(braid_pairs))
+        p.comm_pairs = None
+        p.cycles = tuple(cycles)
+        p._relators = None
+        return p
+
+    def pair_table(self) -> Iterator[tuple[int, int, RelatorKind]]:
+        """(i, j, BRAID | COMM) per pair relator; lex order on a full table."""
+        if self.comm_pairs is None:
+            linked = set(self.braid_pairs)
+            k = self.n_generators
+            for i in range(1, k + 1):
+                for j in range(i + 1, k + 1):
+                    kind = RelatorKind.BRAID if (i, j) in linked else RelatorKind.COMM
+                    yield i, j, kind
+            return
+        for i, j in self.braid_pairs:
+            yield i, j, RelatorKind.BRAID
+        for i, j in self.comm_pairs:
+            yield i, j, RelatorKind.COMM
+
+    @property
+    def relators(self) -> tuple[Relator, ...]:
+        if self._relators is None:
+            self._relators = (
+                tuple(braid_relator(i, j) for i, j in self.braid_pairs)
+                + tuple(
+                    comm_relator(i, j)
+                    for i, j, kind in self.pair_table()
+                    if kind is RelatorKind.COMM
+                )
+                + self.cycles
+            )
+        return self._relators
+
+    def columns(self) -> list[tuple[int, dict[int, int]]]:
+        """(index in relators, exponent sums) of each relator whose sums are not all zero.
+
+        On a full table a braid relator on i < j has the column e_i - e_j
+        and a commutation relator none, so only the cycles are summed.
+        """
+        if self.comm_pairs is not None:
+            return [(i, s) for i, r in enumerate(self.relators) if (s := exponent_sums(r.word))]
+        k = self.n_generators
+        out = [(t, {i - 1: 1, j - 1: -1}) for t, (i, j) in enumerate(self.braid_pairs)]
+        start = k * (k - 1) // 2
+        out += [
+            (start + t, s) for t, r in enumerate(self.cycles) if (s := exponent_sums(r.word))
+        ]
+        return out
 
     def relator_words(self) -> tuple[GroupWord, ...]:
         return tuple(r.word for r in self.relators)
@@ -75,6 +187,18 @@ class Presentation:
     def key(self) -> tuple:
         """Hashable identity: generator count plus relator words."""
         return (self.n_generators, tuple(sorted(r.word for r in self.relators)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Presentation):
+            return NotImplemented
+        return (self.n_generators, self.relators) == (other.n_generators, other.relators)
+
+    def __hash__(self) -> int:
+        # equal relator tuples give equal tables and cycles
+        return hash((self.n_generators, self.cycles))
+
+    def __repr__(self) -> str:
+        return f"Presentation(n_generators={self.n_generators}, relators={self.relators!r})"
 
 
 # For distinct generators i < j the pair relators are already freely
@@ -128,20 +252,36 @@ def cycle_commutation_word(cycle: tuple[int, ...]) -> GroupWord:
 
 def presentation_of(g: LinkingGraph) -> Presentation:
     """Braid relator per edge, commutation per non-edge, cycle per region."""
-    k = len(g.diagram.bricks)
-    linked = {(e.a, e.b) for e in g.edges}
-    relators = []
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            if (i, j) in linked:
-                relators.append(braid_relator(i, j))
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            if (i, j) not in linked:
-                relators.append(comm_relator(i, j))
-    for idx, region in enumerate(g.regions):
-        relators.append(cycle_relator(region.vertices, ("region", idx)))
-    return Presentation(k, tuple(relators))
+    cycles = tuple(
+        cycle_relator(region.vertices, ("region", idx))
+        for idx, region in enumerate(g.regions)
+    )
+    return Presentation.from_table(
+        len(g.diagram.bricks), ((e.a, e.b) for e in g.edges), cycles
+    )
+
+
+def relabels_onto(src: Presentation, dst: Presentation, sigma: list[int]) -> bool:
+    """Whether renaming generator g to sigma[g - 1], a bijection, carries
+    the relator words of src exactly onto those of dst.
+
+    Two full pair tables need no pair relator spelled: pair words have 6
+    (braid) or 4 (commutation) letters and cycle words at least 8, and a
+    renamed pair word is canonical only when sigma keeps the pair's
+    order. As every pair carries a relator, sigma must be the identity,
+    with equal braid pairs and equal cycle words.
+    """
+    if src.comm_pairs is None and dst.comm_pairs is None:
+        return (
+            all(s == g for g, s in enumerate(sigma, start=1))
+            and src.braid_pairs == dst.braid_pairs
+            and {r.word for r in src.cycles} == {r.word for r in dst.cycles}
+        )
+    renamed = {
+        free_reduce(tuple(sigma[x - 1] if x > 0 else -sigma[-x - 1] for x in r.word))
+        for r in src.relators
+    }
+    return renamed == {r.word for r in dst.relators}
 
 
 def _shifted_cycle_relator(r: Relator, shift: int) -> Relator:

@@ -1,0 +1,117 @@
+"""Write cli_golden.json: seeded braidforge commands with their exit code and stdout.
+
+Run from the repository root, with the version whose output is the
+reference:
+
+    PYTHONPATH=src python tests/data/make_cli_golden.py
+
+tests/test_cli_golden.py replays every command in-process and requires
+the same exit code and byte-identical stdout.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import random
+from pathlib import Path
+
+from braidforge.cli import main
+from braidforge.words import BraidWord, MoveKind, WordMove, apply_move, enumerate_moves
+
+OUT = Path(__file__).with_name("cli_golden.json")
+
+
+def text(letters) -> str:
+    return " ".join(map(str, letters))
+
+
+def random_letters(rng: random.Random, strands: int, length: int) -> tuple[int, ...]:
+    return tuple(rng.randint(1, strands - 1) for _ in range(length))
+
+
+def commands() -> list[list[str]]:
+    rng = random.Random(20261018)
+    cmds: list[list[str]] = []
+    fixed = [("1 2 1 1 2 1", 3), ("1 1 1", 2), ("1", 2), ("1 3", 4), ("1 2 1 2 2 1", 3)]
+    for word, n in fixed:
+        for fmt in ("plain", "gap-style", "json"):
+            cmds.append(["present", word, "--strands", str(n), "--format", fmt])
+    for _ in range(8):
+        n = rng.randint(3, 6)
+        word = text(random_letters(rng, n, rng.randint(6, 22)))
+        for fmt in ("plain", "gap-style", "json"):
+            cmds.append(["present", word, "--strands", str(n), "--format", fmt])
+    cmds.append(["present", "1 2 1 1 2 1", "--sign-convention", "right-positive"])
+
+    for i in range(14):
+        n = rng.randint(3, 5)
+        word = text(random_letters(rng, n, rng.randint(4, 18)))
+        cmd = ["invariants", word, "--strands", str(n)]
+        if i % 2:
+            cmd.append("--up-to-conjugacy")
+        if i % 5 == 0:
+            cmd += ["--targets", "S3,S4,S5,D4,D5,D6,Q8"]
+        cmds.append(cmd)
+    cmds.append(["invariants", "1 2 1 1 2 1 2 1 1 2", "--caps.generators", "S3=3"])
+
+    # isocheck along move scripts; every interior braid relation in the words
+    # below is exercised, with a conjugation or far commutation after some.
+    isochecks = 0
+    while isochecks < 24:
+        n = rng.randint(3, 5)
+        w = BraidWord(n, random_letters(rng, n, rng.randint(5, 14)))
+        interior = [
+            m for m in enumerate_moves(w)
+            if m.kind is MoveKind.BRAID_REL and m.position + 2 < len(w.letters)
+        ]
+        if not interior:
+            continue
+        m = rng.choice(interior)
+        moves = [m]
+        v = apply_move(w, m)
+        if isochecks % 3 == 1:
+            moves.append(WordMove(MoveKind.ELEM_CONJ_RIGHT, len(v.letters)))
+        elif isochecks % 3 == 2:
+            far = [x for x in enumerate_moves(v) if x.kind is MoveKind.FAR_COMM]
+            if far:
+                moves.append(rng.choice(far))
+        script = ", ".join(
+            mv.kind.value + (f"@{mv.position}" if mv.kind is not MoveKind.ELEM_CONJ_RIGHT else "")
+            for mv in moves
+        )
+        for mv in moves[1:]:
+            v = apply_move(v, mv)
+        cmds.append(["isocheck", text(w.letters), text(v.letters), "--strands", str(n),
+                     "--moves", script])
+        isochecks += 1
+    # relabeling maps (far commutation, conjugation of a lone letter), a found
+    # sequence, and a script that does not reach the second word
+    cmds += [
+        ["isocheck", "1 3 2 1 2", "3 1 2 1 2", "--strands", "4", "--moves", "farcomm@1"],
+        ["isocheck", "1 1 2 1 1 3", "3 1 1 2 1 1", "--strands", "4", "--moves", "conjR"],
+        ["isocheck", "1 2 1 1 2 1", "1 1 2 1 1 2", "--moves", "conjR"],
+        ["isocheck", "1 2 1 1 2 1", "1 1 2 1 1 2"],
+        ["isocheck", "1 2 2 1 2 1 1", "2 1 2 1 1 1 2", "--moves", "conjL, conjL"],
+        ["isocheck", "1 2 1 1 2 1", "2 1 2 1 2 1", "--moves", "conjR"],
+    ]
+    for seed, (n, length) in enumerate([(3, 8), (4, 10), (4, 12), (5, 9)]):
+        word = text(random_letters(rng, n, length))
+        cmds.append(["verify", word, "--strands", str(n), "--moves", "15", "--seed", str(seed)])
+    return cmds
+
+
+def record(argv: list[str]) -> dict:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return {"argv": argv, "exit": code, "stdout": buf.getvalue()}
+
+
+if __name__ == "__main__":
+    os.environ.pop("BRAIDFORGE_CONFIG", None)
+    entries = [record(argv) for argv in commands()]
+    OUT.write_text(json.dumps(entries, indent=0) + "\n", encoding="utf-8")
+    print(f"{len(entries)} commands, {OUT.stat().st_size} bytes -> {OUT}")

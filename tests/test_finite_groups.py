@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import braidforge
 from braidforge.finite_groups import (
     builtin_targets,
     dihedral_group,
@@ -75,3 +81,19 @@ def test_direct_product():
     prod = direct_product(s3, q8)
     validate_target(prod)
     assert prod.size == 48
+
+
+def test_builtin_tables_built_once_on_first_use():
+    env = dict(os.environ, PYTHONPATH=str(Path(braidforge.__file__).resolve().parents[1]))
+    code = (
+        "import braidforge.cli, braidforge.finite_groups as f;"
+        "print(f.symmetric_group.cache_info().currsize, f.dihedral_group.cache_info().currsize,"
+        " f.quaternion_group.cache_info().currsize)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["0", "0", "0"]  # nothing is built at import
+    assert symmetric_group(4) is symmetric_group(4)
+    assert builtin_targets()["D5"] is dihedral_group(5)
+    assert quaternion_group() is builtin_targets()["Q8"]

@@ -7,7 +7,6 @@ from braidforge.errors import ResourceCapError
 from braidforge.finite_groups import builtin_targets, direct_product, load_table
 from braidforge.invariants import (
     abelianization,
-    connected_components_abelian_rank,
     enumerate_homs,
     exponent_matrix,
     hom_count,
@@ -15,6 +14,7 @@ from braidforge.invariants import (
     in_column_lattice,
     smith_normal_form,
 )
+from braidforge.isomaps import GeneratorMap, check_map
 from braidforge.linking import build_graph
 from braidforge.presentations import (
     Presentation,
@@ -114,11 +114,11 @@ def test_abelianization_examples():
 
 
 def test_rank_examples():
-    assert connected_components_abelian_rank(presentation_for("1", strands=2)) == 0
+    assert abelianization(presentation_for("1", strands=2)).rank == 0
     for n in range(2, 7):
         word = " ".join(["1"] * n)
-        assert connected_components_abelian_rank(presentation_for(word, strands=2)) == 1
-    assert connected_components_abelian_rank(presentation_for("1 2 2 1")) == 2
+        assert abelianization(presentation_for(word, strands=2)).rank == 1
+    assert abelianization(presentation_for("1 2 2 1")).rank == 2
 
 
 def test_rank_positive_with_bricks(rng):
@@ -126,7 +126,7 @@ def test_rank_positive_with_bricks(rng):
         w = random_word(rng)
         p = presentation_for(" ".join(map(str, w.letters)), w.strands)
         if p.n_generators:
-            assert connected_components_abelian_rank(p) >= 1
+            assert abelianization(p).rank >= 1
 
 
 def test_hom_count_free_generator():
@@ -139,6 +139,24 @@ def test_hom_count_braid_pair_frozen():
     p = Presentation(2, (braid_relator(1, 2),))
     assert hom_count(p, TARGETS["S3"]).count == 12
     assert brute_hom_count([r.word for r in p.relators], 2, TARGETS["S3"]) == 12
+
+
+def test_every_relator_on_a_pair_applies():
+    # a braid and a commutation relator on one pair force s1 = s2
+    s3 = TARGETS["S3"]
+    both = (braid_relator(1, 2), comm_relator(1, 2))
+    assert brute_hom_count([r.word for r in both], 2, s3) == 6
+    for relators in (both, both[::-1]):
+        p = Presentation(2, relators)
+        assert hom_count(p, s3).count == 6
+        assert sorted(enumerate_homs(p, s3)) == [(g, g) for g in range(6)]
+    # s1 -> s1, s2 -> s1 s2 s1^-1 is no relabeling, so check_map counts homs
+    m = GeneratorMap(
+        Presentation(2, both), Presentation(2, both[::-1]),
+        ((1,), (1, 2, -1)), ((1,), (-1, 2, 1)),
+    )
+    report = check_map(m, [s3])
+    assert report.consistent and report.hom_counts == {"S3": (6, 6)}
 
 
 def test_hom_count_matches_brute_force(rng):

@@ -1,4 +1,6 @@
+import networkx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidforge.bricks import build_bricks
 from braidforge.errors import NotAForestError
@@ -7,11 +9,10 @@ from braidforge.linking import (
     Side,
     build_graph,
     embedding_is_plane,
-    faces,
     graphs_isomorphic_as_trees,
     is_forest,
 )
-from braidforge.words import MoveKind, apply_move, enumerate_moves, parse_word
+from braidforge.words import BraidWord, MoveKind, apply_move, enumerate_moves, parse_word
 
 from conftest import linked_oracle, random_word
 
@@ -149,8 +150,29 @@ def test_neutral_moves_keep_graph(rng):
 
 
 def test_faces_returns_regions():
+    # the bounded faces are the regions: Euler count E - V + C
     g = graph_of("1 2 1 1 2 1")
-    assert faces(g) == list(g.regions)
+    assert len(g.regions) == len(g.edges) - len(g.diagram.bricks) + 1
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.integers(2, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.integers(1, n - 1), min_size=0, max_size=40)
+        )
+    )
+)
+def test_planar_and_euler_against_networkx(case):
+    n, letters = case
+    g = build_graph(build_bricks(BraidWord(n, tuple(letters))))
+    nxg = networkx.Graph()
+    nxg.add_nodes_from(b.id for b in g.diagram.bricks)
+    nxg.add_edges_from((e.a, e.b) for e in g.edges)
+    planar, _ = networkx.check_planarity(nxg)
+    assert planar
+    components = networkx.number_connected_components(nxg)
+    assert len(g.regions) == len(g.edges) - len(g.diagram.bricks) + components
 
 
 def test_tree_isomorphism_examples():
