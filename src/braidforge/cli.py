@@ -298,11 +298,11 @@ def _cmd_invariants(args, cfg: Config) -> int:
     skipped = []
     for t in cfg.resolve_targets():
         try:
-            counts[t.name] = hom_count(p, t, cfg.generator_caps).count
             if args.up_to_conjugacy:
                 conj_counts[t.name] = hom_count_up_to_conjugacy(
                     p, t, cfg.generator_caps
                 ).count
+            counts[t.name] = hom_count(p, t, cfg.generator_caps).count
         except ResourceCapError:
             skipped.append(t.name)
     payload = {

@@ -22,6 +22,13 @@ class FiniteTarget:
     identity: int = 0
     inverse: tuple[int, ...] = field(default=(), compare=False)
 
+    def __post_init__(self) -> None:
+        # caches key on targets: the table (14 400 entries for S5) is hashed once
+        object.__setattr__(self, "_hash", hash((self.name, self.table, self.identity)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def size(self) -> int:
         return len(self.table)

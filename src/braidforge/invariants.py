@@ -15,16 +15,23 @@ finite groups use pruned backtracking: the pair table becomes per-pair compatibi
 (every relator on a pair applies, so a pair carrying both kinds gets
 both masks) that are intersected as images are assigned; longer
 relators are evaluated as soon as their support is complete.
-Exceeding a configured generator cap raises, never guesses.
+Exceeding a configured generator cap raises, never guesses: the cap test
+runs before any cache lookup. Hom data is memoized per process for the
+CACHE_SIZE most recent presentation contents (generator count, pair
+table, cycle words; never a spelled relator tuple), per target object:
+the hom list, a streamed count (a count never lists the homs), and one
+hom per orbit under conjugation in the target.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import ResourceCapError
 from .finite_groups import FiniteTarget
+from .linking import CACHE_SIZE
 from .presentations import GroupWord, Presentation, RelatorKind, exponent_sums
 
 DEFAULT_GENERATOR_CAPS = {"S3": 14, "S4": 10, "S5": 8, "*": 10}
@@ -288,9 +295,10 @@ _MASK_CACHE: dict[FiniteTarget, tuple[list[int], list[int]]] = {}
 
 
 def _cached_masks(t: FiniteTarget) -> tuple[list[int], list[int]]:
-    if t not in _MASK_CACHE:
-        _MASK_CACHE[t] = _compat_masks(t)
-    return _MASK_CACHE[t]
+    masks = _MASK_CACHE.get(t)
+    if masks is None:
+        masks = _MASK_CACHE[t] = _compat_masks(t)
+    return masks
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -305,16 +313,9 @@ def generator_cap(t: FiniteTarget, caps: dict[str, int] | None = None) -> int:
     return caps.get(t.name, caps.get("*", DEFAULT_GENERATOR_CAPS["*"]))
 
 
-def _assignments(
-    p: Presentation, t: FiniteTarget, caps: dict[str, int] | None = None
-) -> Iterator[tuple[int, ...]]:
+def _assignments(p: Presentation, t: FiniteTarget) -> Iterator[tuple[int, ...]]:
     """All relator-satisfying generator images, as tuples indexed by generator."""
     k = p.n_generators
-    cap = generator_cap(t, caps)
-    if k > cap:
-        raise ResourceCapError(
-            f"{k} generators exceed the cap {cap} for target {t.name}"
-        )
     if k == 0:
         yield ()
         return
@@ -391,31 +392,68 @@ def _assignments(
     yield from dfs(0)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
+def _memo(content: tuple) -> dict:
+    """Hom data of one presentation content, by (target, "homs" | "count" | "orbits")."""
+    return {}
+
+
+def _hom_memo(p: Presentation, t: FiniteTarget, caps: dict[str, int] | None) -> dict:
+    """The memo of p's content (generator count, pair table, cycle words),
+    after the cap test, so that a cap raises whatever is cached."""
+    k = p.n_generators
+    cap = generator_cap(t, caps)
+    if k > cap:
+        raise ResourceCapError(f"{k} generators exceed the cap {cap} for target {t.name}")
+    return _memo((k, p.braid_pairs, p.comm_pairs, tuple(r.word for r in p.cycles)))
+
+
 def hom_count(
     p: Presentation, t: FiniteTarget, caps: dict[str, int] | None = None
 ) -> HomCount:
-    """Exact number of homomorphisms into the target."""
-    total = sum(1 for _ in _assignments(p, t, caps))
-    return HomCount(t.name, total)
+    """Exact number of homomorphisms into the target: the length of a cached
+    hom list, or else a streamed count, of which only the integer is kept."""
+    memo = _hom_memo(p, t, caps)
+    homs = memo.get((t, "homs"))
+    count = len(homs) if homs is not None else memo.get((t, "count"))
+    if count is None:
+        count = memo[t, "count"] = sum(1 for _ in _assignments(p, t))
+    return HomCount(t.name, count)
 
 
 def enumerate_homs(
     p: Presentation, t: FiniteTarget, caps: dict[str, int] | None = None
 ) -> list[tuple[int, ...]]:
-    return list(_assignments(p, t, caps))
+    """Every homomorphism as generator images, in search order; a fresh list."""
+    memo = _hom_memo(p, t, caps)
+    homs = memo.get((t, "homs"))
+    if homs is None:
+        homs = memo[t, "homs"] = tuple(_assignments(p, t))
+    return list(homs)
+
+
+def hom_orbits(
+    p: Presentation, t: FiniteTarget, caps: dict[str, int] | None = None
+) -> tuple[tuple[tuple[int, ...], ...], frozenset]:
+    """One homomorphism per orbit under conjugation in the target (the first
+    of each in search order), and the set of all of them."""
+    memo = _hom_memo(p, t, caps)
+    orbits = memo.get((t, "orbits"))
+    if orbits is None:
+        homs = enumerate_homs(p, t, caps)
+        n, table, inv = t.size, t.table, t.inverse
+        inner = {tuple(table[table[inv[c]][x]][c] for x in range(n)) for c in range(n)}
+        reps, seen = [], set()
+        for h in homs:
+            if h not in seen:
+                reps.append(h)
+                seen.update(tuple(a[x] for x in h) for a in inner)
+        orbits = memo[t, "orbits"] = (tuple(reps), frozenset(homs))
+    return orbits
 
 
 def hom_count_up_to_conjugacy(
     p: Presentation, t: FiniteTarget, caps: dict[str, int] | None = None
 ) -> HomCount:
     """Number of homomorphisms up to simultaneous target conjugacy."""
-    homs = set(enumerate_homs(p, t, caps))
-    orbits = 0
-    while homs:
-        h = homs.pop()
-        orbits += 1
-        for c in range(t.size):
-            ci = t.inv(c)
-            conj = tuple(t.mul(t.mul(ci, x), c) for x in h)
-            homs.discard(conj)
-    return HomCount(t.name, orbits)
+    return HomCount(t.name, len(hom_orbits(p, t, caps)[0]))

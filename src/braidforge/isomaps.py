@@ -25,7 +25,9 @@ through φ⁻¹ into the target hom set, and both round trips must fix
 every hom. As the hom sets are
 complete, that is exactly the relator-by-relator condition, at a cost
 of |homs|·k instead of |homs|·|relators|; the per-relator loop runs only
-after a failure, to word the violations.
+after a failure, to word the violations. Both conditions commute with
+conjugation in the target and hom sets are closed under it, so one hom
+per orbit is pulled back, exactly.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .invariants import (
     ColumnLattice,
     enumerate_homs,
     evaluate_word,
+    hom_orbits,
     in_column_lattice,
 )
 from .linking import build_graph
@@ -370,22 +373,20 @@ def _pull_back(
     return tuple(evaluate_word(t, hom, w) for w in images)
 
 
-def _pullback_holds(
-    m: GeneratorMap,
-    t: FiniteTarget,
-    src_homs: list[tuple[int, ...]],
-    dst_homs: list[tuple[int, ...]],
-) -> bool:
+def _pullback_holds(m: GeneratorMap, t: FiniteTarget, src: tuple, dst: tuple) -> bool:
     """Both hom sets pull back into each other, and both round trips fix them.
 
-    Since each list holds every homomorphism, this is exactly the condition
+    Since each set holds every homomorphism, this is exactly the condition
     that every relator image and round-trip word dies under every hom.
+    Conjugating h by c conjugates its pullback by c, hom sets are closed
+    under conjugation, and a round trip fixes h iff it fixes the conjugate,
+    so one hom per orbit (src and dst are hom_orbits results) decides.
     """
-    for homs, other, there, back in (
-        (dst_homs, set(src_homs), m.images, m.inverse_images),
-        (src_homs, set(dst_homs), m.inverse_images, m.images),
+    for (reps, _), (_, other), there, back in (
+        (dst, src, m.images, m.inverse_images),
+        (src, dst, m.inverse_images, m.images),
     ):
-        for h in homs:
+        for h in reps:
             pulled = _pull_back(t, h, there)
             if pulled not in other or _pull_back(t, pulled, back) != h:
                 return False
@@ -421,55 +422,41 @@ def check_map(
     dst_lattice = ColumnLattice([column for _, column in dst_columns], k_dst)
     image_sums = [exponent_sums(w) for w in m.images]
     inverse_sums = [exponent_sums(w) for w in m.inverse_images]
-
-    for idx, column in src_columns:
-        if not in_column_lattice(dst_lattice, _image_vector(column, image_sums, k_dst)):
-            r = m.source.relators[idx]
+    relator_tests = [
+        ("forward", m.source, idx, _image_vector(column, image_sums, k_dst), dst_lattice, m.apply)
+        for idx, column in src_columns
+    ] + [
+        ("backward", m.target, idx, _image_vector(column, inverse_sums, k_src), src_lattice,
+         m.apply_inverse)
+        for idx, column in dst_columns
+    ]
+    for direction, p, idx, vector, lattice, apply in relator_tests:
+        if not in_column_lattice(lattice, vector):
+            r = p.relators[idx]
             violations.append(
                 Violation(
-                    "forward",
+                    direction,
                     f"relator {idx} ({r.kind.value})",
                     "abelianization",
-                    f"image {_word_str(m.apply(r.word))} survives abelianization",
+                    f"image {_word_str(apply(r.word))} survives abelianization",
                 )
             )
-    for idx, column in dst_columns:
-        if not in_column_lattice(src_lattice, _image_vector(column, inverse_sums, k_src)):
-            r = m.target.relators[idx]
-            violations.append(
-                Violation(
-                    "backward",
-                    f"relator {idx} ({r.kind.value})",
-                    "abelianization",
-                    f"image {_word_str(m.apply_inverse(r.word))} survives abelianization",
+    roundtrip_src = [concat(m.apply_inverse(m.apply((g,))), (-g,)) for g in range(1, k_src + 1)]
+    roundtrip_dst = [concat(m.apply(m.apply_inverse((g,))), (-g,)) for g in range(1, k_dst + 1)]
+    for direction, words, lattice, k in (
+        ("roundtrip-source", roundtrip_src, src_lattice, k_src),
+        ("roundtrip-target", roundtrip_dst, dst_lattice, k_dst),
+    ):
+        for g, word in enumerate(words, start=1):
+            if not in_column_lattice(lattice, _exp_vector(word, k)):
+                violations.append(
+                    Violation(
+                        direction,
+                        f"s{g}",
+                        "abelianization",
+                        f"round trip {_word_str(word)} survives abelianization",
+                    )
                 )
-            )
-    roundtrip_src = []
-    for g in range(1, k_src + 1):
-        word = concat(m.apply_inverse(m.apply((g,))), (-g,))
-        roundtrip_src.append(word)
-        if not in_column_lattice(src_lattice, _exp_vector(word, k_src)):
-            violations.append(
-                Violation(
-                    "roundtrip-source",
-                    f"s{g}",
-                    "abelianization",
-                    f"round trip {_word_str(word)} survives abelianization",
-                )
-            )
-    roundtrip_dst = []
-    for g in range(1, k_dst + 1):
-        word = concat(m.apply(m.apply_inverse((g,))), (-g,))
-        roundtrip_dst.append(word)
-        if not in_column_lattice(dst_lattice, _exp_vector(word, k_dst)):
-            violations.append(
-                Violation(
-                    "roundtrip-target",
-                    f"s{g}",
-                    "abelianization",
-                    f"round trip {_word_str(word)} survives abelianization",
-                )
-            )
 
     # Finite quotient checks: the hom-set pullback decides; only when it
     # fails does the per-relator loop run, to word the violations.
@@ -492,56 +479,31 @@ def check_map(
                     f"{len(src_homs)} source vs {len(dst_homs)} target homomorphisms",
                 )
             )
-        if _pullback_holds(m, t, src_homs, dst_homs):
+        if _pullback_holds(m, t, hom_orbits(m.source, t, caps), hom_orbits(m.target, t, caps)):
             continue
-        for idx, r in enumerate(m.source.relators):
-            image = m.apply(r.word)
-            for hom in dst_homs:
-                if evaluate_word(t, hom, image) != t.identity:
-                    violations.append(
-                        Violation(
-                            "forward",
-                            f"relator {idx} ({r.kind.value})",
-                            t.name,
-                            f"image {_word_str(image)} not trivial under "
-                            f"homomorphism {hom}",
-                        )
-                    )
-                    break
-        for idx, r in enumerate(m.target.relators):
-            image = m.apply_inverse(r.word)
-            for hom in src_homs:
-                if evaluate_word(t, hom, image) != t.identity:
-                    violations.append(
-                        Violation(
-                            "backward",
-                            f"relator {idx} ({r.kind.value})",
-                            t.name,
-                            f"image {_word_str(image)} not trivial under "
-                            f"homomorphism {hom}",
-                        )
-                    )
-                    break
-        for g, word in enumerate(roundtrip_src, start=1):
-            for hom in src_homs:
-                if evaluate_word(t, hom, word) != t.identity:
-                    violations.append(
-                        Violation(
-                            "roundtrip-source", f"s{g}", t.name,
-                            f"round trip {_word_str(word)} not trivial",
-                        )
-                    )
-                    break
-        for g, word in enumerate(roundtrip_dst, start=1):
-            for hom in dst_homs:
-                if evaluate_word(t, hom, word) != t.identity:
-                    violations.append(
-                        Violation(
-                            "roundtrip-target", f"s{g}", t.name,
-                            f"round trip {_word_str(word)} not trivial",
-                        )
-                    )
-                    break
+        cases = [
+            ("forward", f"relator {idx} ({r.kind.value})", m.apply(r.word), dst_homs)
+            for idx, r in enumerate(m.source.relators)
+        ] + [
+            ("backward", f"relator {idx} ({r.kind.value})", m.apply_inverse(r.word), src_homs)
+            for idx, r in enumerate(m.target.relators)
+        ] + [
+            ("roundtrip-source", f"s{g}", word, src_homs)
+            for g, word in enumerate(roundtrip_src, start=1)
+        ] + [
+            ("roundtrip-target", f"s{g}", word, dst_homs)
+            for g, word in enumerate(roundtrip_dst, start=1)
+        ]
+        for direction, item, word, homs in cases:
+            hom = next((h for h in homs if evaluate_word(t, h, word) != t.identity), None)
+            if hom is None:
+                continue
+            detail = (
+                f"round trip {_word_str(word)} not trivial"
+                if direction.startswith("roundtrip")
+                else f"image {_word_str(word)} not trivial under homomorphism {hom}"
+            )
+            violations.append(Violation(direction, item, t.name, detail))
 
     return CheckReport(
         not violations,

@@ -15,7 +15,9 @@ right of the anchor column is negative (drawn shaded) and its vertex
 cycle is recorded clockwise; left-side regions are positive and
 counterclockwise. ``right-positive`` flips the sign labels only; the
 recorded cycles, and hence all derived relators, do not depend on the
-convention. Cycles start at their smallest brick id.
+convention. Cycles start at their smallest brick id. Each process keeps
+the CACHE_SIZE most recent graphs, keyed on the brick diagram and the
+convention; a cached graph is immutable (read-only positions).
 """
 
 from __future__ import annotations
@@ -24,12 +26,17 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 from .bricks import BrickDiagram
 from .errors import LinkingStructureError, NotAForestError
 
 SIGN_CONVENTIONS = ("left-positive", "right-positive")
 DEFAULT_SIGN_CONVENTION = "left-positive"
+# Entries of each per-process analysis cache: linking graphs here, hom sets in invariants.
+CACHE_SIZE = 64
 
 
 class EdgeKind(Enum):
@@ -75,7 +82,7 @@ class Region:
 class LinkingGraph:
     diagram: BrickDiagram
     edges: tuple[LinkEdge, ...]
-    positions: dict[int, tuple[float, float]]
+    positions: Mapping[int, tuple[float, float]]
     regions: tuple[Region, ...]
     sign_convention: str = DEFAULT_SIGN_CONVENTION
 
@@ -172,7 +179,7 @@ def _build_edges(d: BrickDiagram) -> tuple[LinkEdge, ...]:
 
 
 def _trace_faces(
-    positions: dict[int, tuple[float, float]], edges: tuple[LinkEdge, ...]
+    positions: Mapping[int, tuple[float, float]], edges: tuple[LinkEdge, ...]
 ) -> list[tuple[list[int], float]]:
     """All face walks of the straight-line embedding with signed areas.
 
@@ -239,10 +246,20 @@ def _connected_components(n_vertices: int, edges: tuple[LinkEdge, ...]) -> int:
 def build_graph(
     d: BrickDiagram, sign_convention: str = DEFAULT_SIGN_CONVENTION
 ) -> LinkingGraph:
-    """Edges, plane positions and signed bounded regions of a brick diagram."""
+    """Edges, plane positions and signed bounded regions of a brick diagram.
+
+    The graph is shared with every caller passing an equal diagram and
+    convention while it is among the CACHE_SIZE most recent; it is
+    immutable, positions being a read-only mapping.
+    """
     if sign_convention not in SIGN_CONVENTIONS:
         raise ValueError(f"unknown sign convention {sign_convention!r}")
-    positions = {b.id: (float(b.column), b.midpoint) for b in d.bricks}
+    return _graph(d, sign_convention)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _graph(d: BrickDiagram, sign_convention: str) -> LinkingGraph:
+    positions = MappingProxyType({b.id: (float(b.column), b.midpoint) for b in d.bricks})
     edges = _build_edges(d)
     regions = _extract_regions(d, positions, edges, sign_convention)
     return LinkingGraph(d, edges, positions, tuple(regions), sign_convention)
@@ -250,7 +267,7 @@ def build_graph(
 
 def _extract_regions(
     d: BrickDiagram,
-    positions: dict[int, tuple[float, float]],
+    positions: Mapping[int, tuple[float, float]],
     edges: tuple[LinkEdge, ...],
     sign_convention: str,
 ) -> list[Region]:

@@ -1,0 +1,351 @@
+"""The per-process analysis caches: graphs per brick diagram, hom data per
+presentation content and finite target, and the orbit-reduced pullback.
+
+Every cached answer is compared with the uncached search (_assignments),
+the orbit pullback with the full one it replaced, and the orbit count
+with Burnside's lemma. Along move sequences, including the conjugacy
+moves between words whose class contains a half twist, the invariants of
+the paper's main theorem stay fixed; each of those words goes through the
+caches, so this also tests them end to end.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from braidforge import invariants
+from braidforge.bricks import build_bricks
+from braidforge.errors import ResourceCapError
+from braidforge.finite_groups import builtin_targets, load_table, symmetric_group
+from braidforge.garside import conjugacy_move_sequence_detailed, delta_word
+from braidforge.invariants import (
+    _assignments,
+    _cached_masks,
+    _compat_masks,
+    abelianization,
+    enumerate_homs,
+    evaluate_word,
+    hom_count,
+    hom_count_up_to_conjugacy,
+    hom_orbits,
+)
+from braidforge.isomaps import GeneratorMap, _pullback_holds, check_map, move_map
+from braidforge.linking import build_graph
+from braidforge.presentations import (
+    Presentation,
+    braid_relator,
+    comm_relator,
+    cycle_relator,
+    presentation_of,
+)
+from braidforge.words import BraidWord, MoveKind, apply_move, enumerate_moves
+
+from conftest import brute_hom_count
+from test_check_map_reference import corrupted, presentation_for
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
+TARGETS = builtin_targets()
+S3, S4, D4 = TARGETS["S3"], TARGETS["S4"], TARGETS["D4"]
+
+words = st.integers(2, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(1, n - 1), min_size=0, max_size=24),
+        st.integers(0, 2**32),
+    )
+)
+
+
+def presentation(n, letters):
+    return presentation_of(build_graph(build_bricks(BraidWord(n, tuple(letters)))))
+
+
+def full_pullback_holds(m, t, src_homs, dst_homs):
+    """The pullback over every homomorphism, as check_map decided before orbits."""
+    for homs, other, there, back in (
+        (dst_homs, set(src_homs), m.images, m.inverse_images),
+        (src_homs, set(dst_homs), m.inverse_images, m.images),
+    ):
+        for h in homs:
+            pulled = tuple(evaluate_word(t, h, w) for w in there)
+            if pulled not in other or tuple(evaluate_word(t, pulled, w) for w in back) != h:
+                return False
+    return True
+
+
+def burnside_orbits(t, homs):
+    """(1/|G|) * sum over c of the homs that conjugation by c fixes."""
+    fixed = 0
+    for c in range(t.size):
+        ci = t.inv(c)
+        fixed += sum(all(t.mul(t.mul(c, x), ci) == x for x in h) for h in homs)
+    assert fixed % t.size == 0
+    return fixed // t.size
+
+
+@SETTINGS
+@given(words)
+def test_cached_answers_equal_the_uncached_search(case):
+    n, letters, _ = case
+    invariants._memo.cache_clear()
+    p = presentation(n, letters)
+    for t in (S3, S4):
+        if p.n_generators > invariants.generator_cap(t):
+            for call in (hom_count, enumerate_homs, hom_orbits):
+                with pytest.raises(ResourceCapError):
+                    call(p, t)
+            continue
+        want = list(_assignments(p, t))
+        # streamed count first, then the list, then both from the cache
+        assert hom_count(p, t).count == len(want)
+        assert enumerate_homs(p, t) == want
+        assert enumerate_homs(presentation(n, letters), t) == want
+        assert hom_count(p, t).count == len(want)
+        reps, members = hom_orbits(p, t)
+        assert members == frozenset(want)
+        assert set(reps) <= members and len(set(reps)) == len(reps)
+
+
+def test_each_hom_set_searched_once_and_counts_keep_no_list(monkeypatch):
+    searches = []
+
+    def counted(p, t):
+        searches.append(t.name)
+        return _assignments(p, t)
+
+    monkeypatch.setattr(invariants, "_assignments", counted)
+    invariants._memo.cache_clear()
+    p = presentation(3, (1, 2, 1, 1, 2, 1, 2))
+    want = hom_count(p, S3).count
+    assert searches == ["S3"]
+    assert hom_count(presentation(3, (1, 2, 1, 1, 2, 1, 2)), S3).count == want
+    assert searches == ["S3"]
+    # the streamed count kept no list, so the first listing searches again
+    assert len(enumerate_homs(p, S3)) == want
+    assert searches == ["S3", "S3"]
+    hom_orbits(p, S3), hom_count_up_to_conjugacy(p, S3), enumerate_homs(p, S3)
+    assert hom_count(p, S3).count == want and searches == ["S3", "S3"]
+
+
+def test_presentations_differing_in_commutation_pairs_or_cycles_are_kept_apart():
+    braid, comm = braid_relator(1, 2), comm_relator(1, 2)
+    base = presentation(3, (1, 2, 1, 1, 2, 1))
+    recycled = Presentation.from_table(4, base.braid_pairs, (cycle_relator((1, 3, 2, 4)),))
+    cases = [Presentation(2, relators) for relators in ((braid,), (braid, comm), (comm,))]
+    for t in (S3, S4):
+        counts = []
+        for p in cases + [base, recycled]:
+            want = brute_hom_count([r.word for r in p.relators], p.n_generators, t)
+            assert hom_count(p, t).count == want == len(enumerate_homs(p, t))
+            counts.append(want)
+        assert len(set(counts[:3])) == 3 and counts[3] != counts[4]
+
+
+@SETTINGS
+@given(words)
+def test_orbit_count_is_burnsides(case):
+    n, letters, _ = case
+    p = presentation(n, letters)
+    for t in (S3, S4, D4):
+        if p.n_generators > invariants.generator_cap(t):
+            continue
+        homs = enumerate_homs(p, t)
+        assert hom_count_up_to_conjugacy(p, t).count == burnside_orbits(t, homs)
+
+
+@SETTINGS
+@given(words)
+def test_orbit_pullback_matches_full_pullback(case):
+    n, letters, seed = case
+    rng = random.Random(seed)
+    w = BraidWord(n, tuple(letters))
+    for move in enumerate_moves(w):
+        phi = move_map(w, move)
+        for m in (phi, corrupted(phi, rng)):
+            for t in (S3, S4):
+                cap = invariants.generator_cap(t)
+                if max(m.source.n_generators, m.target.n_generators) > cap:
+                    continue
+                full = full_pullback_holds(
+                    m, t, enumerate_homs(m.source, t), enumerate_homs(m.target, t)
+                )
+                orbit = _pullback_holds(m, t, hom_orbits(m.source, t), hom_orbits(m.target, t))
+                assert orbit == full
+                if m is phi:
+                    assert orbit
+
+
+def test_orbit_pullback_on_hand_corrupted_maps():
+    P = presentation_for(BraidWord(3, (1, 2, 1, 1, 2, 1)))
+    Q = presentation_for(BraidWord(3, (1, 1, 2, 1, 1, 2)))
+    inverse = ((1,), (2,), (3,), (-2, -3, 4, 3, 2))
+    for images in (((1,), (2,), (3,), (3, 2, 4, -2, -3, 1)), ((-1,), (2,), (3,), (3, 2, 4, -2, -3))):
+        m = GeneratorMap(P, Q, images, inverse)
+        for t in (S3, S4):
+            full = full_pullback_holds(m, t, enumerate_homs(P, t), enumerate_homs(Q, t))
+            assert not full
+            assert _pullback_holds(m, t, hom_orbits(P, t), hom_orbits(Q, t)) == full
+
+
+def test_mutating_returned_homs_or_graph_changes_no_later_answer():
+    w = BraidWord(3, (1, 2, 1, 1, 2, 1))
+    p = presentation(3, w.letters)
+    want = list(_assignments(p, S3))
+    homs = enumerate_homs(p, S3)
+    homs.clear()
+    homs.append((0, 0, 0, 0))
+    assert enumerate_homs(p, S3) == want
+    assert hom_count(p, S3).count == len(want)
+    g = build_graph(build_bricks(w))
+    with pytest.raises(TypeError):
+        g.positions[1] = (9.0, 9.0)
+    with pytest.raises(AttributeError):
+        g.edges = ()
+    again = build_graph(build_bricks(w))
+    first = g.diagram.brick(1)
+    assert again is g and again.positions[1] == (1.0, first.midpoint)
+
+
+def test_cap_raises_after_counting_under_lifted_caps():
+    w = BraidWord(3, (1, 2) * 9)
+    p = presentation(3, w.letters)
+    assert p.n_generators > invariants.generator_cap(S3)
+    lifted = {"S3": 100, "*": 100}
+    count = hom_count(p, S3, lifted).count
+    assert enumerate_homs(p, S3, lifted) and hom_orbits(p, S3, lifted)
+    assert hom_count(p, S3, lifted).count == count
+    for call in (hom_count, enumerate_homs, hom_orbits, hom_count_up_to_conjugacy):
+        with pytest.raises(ResourceCapError):
+            call(p, S3)
+    report = check_map(move_map(w, enumerate_moves(w)[0]), [S3])
+    assert report.skipped_targets == ("S3",) and report.checked_targets == ()
+
+
+def test_tables_sharing_a_name_never_share_hom_data():
+    s3 = symmetric_group(3)
+    rows = "\n".join(" ".join(map(str, row)) for row in s3.table)
+    first = load_table(f"6\n{rows}")
+    second = load_table("6\n" + "\n".join(
+        " ".join(str((a + b) % 6) for b in range(6)) for a in range(6)
+    ))
+    assert first.name == second.name and first.size == second.size
+    assert first != second
+    assert first == load_table(f"6\n{rows}") and hash(first) == hash(load_table(f"6\n{rows}"))
+    assert _cached_masks(first) == _compat_masks(first)
+    assert _cached_masks(second) == _compat_masks(second)
+    assert _cached_masks(first) != _cached_masks(second)
+    for letters in ((1, 1, 1), (1, 2, 1, 1, 2, 1), (1, 1, 2, 2, 1, 1)):
+        p = presentation(3, letters)
+        for t in (first, second, first):
+            want = brute_hom_count([r.word for r in p.relators], p.n_generators, t)
+            assert hom_count(p, t).count == want
+            assert len(enumerate_homs(p, t)) == want
+            assert len(hom_orbits(p, t)[1]) == want
+        assert hom_count(p, first).count != hom_count(p, second).count
+
+
+def invariants_of(w: BraidWord, caps=None):
+    p = presentation_of(build_graph(build_bricks(w)))
+    counts = []
+    for t in (S3, S4):
+        try:
+            counts.append(hom_count(p, t, caps).count)
+        except ResourceCapError:
+            counts.append(None)
+    return abelianization(p), counts
+
+
+def assert_same_invariants(base, other):
+    (ab, counts), (ab2, counts2) = base, other
+    assert ab == ab2
+    for a, b in zip(counts, counts2):
+        if a is not None and b is not None:
+            assert a == b
+
+
+@SETTINGS
+@given(words)
+def test_invariants_fixed_along_random_moves(case):
+    n, letters, seed = case
+    rng = random.Random(seed)
+    w = BraidWord(n, tuple(letters[:14]))
+    base = invariants_of(w)
+    for _ in range(12):
+        moves = enumerate_moves(w)
+        if not moves:
+            break
+        w = apply_move(w, rng.choice(moves))
+        assert_same_invariants(base, invariants_of(w))
+
+
+WALK_KINDS = (MoveKind.BRAID_REL, MoveKind.FAR_COMM, MoveKind.ELEM_CONJ_LEFT, MoveKind.ELEM_CONJ_RIGHT)
+
+
+@SETTINGS
+@given(st.integers(3, 4), st.integers(0, 2**32))
+def test_invariants_fixed_along_conjugacy_moves(n, seed):
+    rng = random.Random(seed)
+    tail = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 5)))
+    a = b = BraidWord(n, delta_word(n) + tail)
+    for _ in range(rng.randint(1, 10)):
+        b = apply_move(b, rng.choice([m for m in enumerate_moves(b) if m.kind in WALK_KINDS]))
+    result = conjugacy_move_sequence_detailed(a, b)
+    base = invariants_of(a)
+    w = a
+    for m in result.moves:
+        w = apply_move(w, m)
+        assert_same_invariants(base, invariants_of(w))
+    assert w == b
+
+
+ANSWERS = """
+import json
+from braidforge.bricks import build_bricks
+from braidforge.finite_groups import builtin_targets
+from braidforge.invariants import enumerate_homs, hom_count, hom_count_up_to_conjugacy
+from braidforge.isomaps import check_map, move_map
+from braidforge.linking import build_graph
+from braidforge.presentations import (
+    Presentation,
+    braid_relator,
+    comm_relator,
+    cycle_relator,
+    presentation_of,
+)
+from braidforge.words import BraidWord, enumerate_moves
+targets = [builtin_targets()[name] for name in ("S3", "S4")]
+out = []
+for n, letters in ((3, (1, 2, 1, 1, 2, 1)), (4, (1, 2, 3, 2, 1, 2, 3)), (3, (1, 1, 2, 2) * 3)):
+    w = BraidWord(n, letters)
+    for _ in range(2):
+        p = presentation_of(build_graph(build_bricks(w)))
+        for t in targets:
+            try:
+                out.append([hom_count(p, t).count, hom_count_up_to_conjugacy(p, t).count,
+                            enumerate_homs(p, t)[:5]])
+            except Exception as exc:
+                out.append(type(exc).__name__)
+        out += [check_map(move_map(w, m), targets).to_dict() for m in enumerate_moves(w)]
+print(json.dumps(out))
+"""
+
+
+def test_optimized_interpreter_gives_the_same_answers():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("BRAIDFORGE_CONFIG", None)
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-c", ANSWERS],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        ).stdout
+        for flags in ([], ["-O"])
+    ]
+    assert runs[0] == runs[1]
+    assert len(json.loads(runs[0])) > 12
