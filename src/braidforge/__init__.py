@@ -5,7 +5,6 @@ from .bricks import Brick, BrickDiagram, brick_count, build_bricks
 from .errors import (
     BraidForgeError,
     GarsideInvariantError,
-    LinkingStructureError,
     MoveError,
     NotAForestError,
     ResourceCapError,

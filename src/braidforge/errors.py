@@ -19,14 +19,6 @@ class StrandMismatchError(BraidForgeError, ValueError):
     """Operation on words with different strand counts."""
 
 
-class LinkingStructureError(BraidForgeError):
-    """A linking-graph region violates the expected boundary structure.
-
-    Raised instead of proceeding silently; the message reports the
-    offending face so it can be inspected.
-    """
-
-
 class NotAForestError(BraidForgeError, ValueError):
     """Tree comparison was asked of a graph containing a cycle."""
 

@@ -1,37 +1,43 @@
 """Signed plane linking graphs of brick diagrams.
 
 Vertices are bricks, placed at (column, interval midpoint). Two bricks
-are linked either vertically (same column, shared middle crossing) or
-laterally (adjacent columns, strictly alternating boundary crossings);
-nested or disjoint intervals carry no edge. The straight-line embedding
-at these positions is plane, and its bounded faces are the regions.
+are linked either vertically (consecutive bricks of one column, sharing
+their middle crossing) or laterally (adjacent columns, strictly
+alternating boundary crossings); nested or disjoint intervals carry no
+edge. The straight-line embedding at these positions is plane, and its
+bounded faces are the regions.
 
-Every bounded region is bounded by vertical edges of one common column
-(the anchor) and exactly two lateral edges reaching into the same
-neighbouring column; that neighbouring side fixes the region's reading
-direction and, through a configurable convention, its sign. With the
-default ``left-positive`` convention a region whose lateral edges point
-right of the anchor column is negative (drawn shaded) and its vertex
-cycle is recorded clockwise; left-side regions are positive and
-counterclockwise. ``right-positive`` flips the sign labels only; the
-recorded cycles, and hence all derived relators, do not depend on the
-convention. Cycles start at their smallest brick id. Each process keeps
-the CACHE_SIZE most recent graphs, keyed on the brick diagram and the
-convention; a cached graph is immutable (read-only positions).
+Lateral edges and regions are read off one adjacent column pair at a
+time. A bridging brick of the pair is a brick of either column with at
+least one crossing of the other column strictly inside it. Sorted by
+their lower crossings, consecutive bridging bricks are exactly the
+pair's lateral edges, a zigzag path between the two columns, and there
+is one region per three consecutive bridging bricks x, y, z: the
+vertical chain from x up to z in x's column (the anchor) closed through
+y, its cycle being its ids in increasing order. That is the anchor
+chain bottom to top with y first when y lies left of the anchor
+(counterclockwise) and last when y lies right (clockwise). The side of
+y fixes, through a configurable convention, the region's sign. With the
+default ``left-positive`` convention right-side regions are negative
+(drawn shaded) and left-side regions positive; ``right-positive`` flips
+the sign labels only, so cycles, and hence all derived relators, do not
+depend on the convention. Each process keeps the CACHE_SIZE most recent
+graphs, keyed on the brick diagram and the convention; a cached graph
+is immutable (read-only positions).
 """
 
 from __future__ import annotations
 
 import json
-import math
+from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .bricks import BrickDiagram
-from .errors import LinkingStructureError, NotAForestError
+from .bricks import Brick, BrickDiagram
+from .errors import NotAForestError
 
 SIGN_CONVENTIONS = ("left-positive", "right-positive")
 DEFAULT_SIGN_CONVENTION = "left-positive"
@@ -157,90 +163,42 @@ class LinkingGraph:
         )
 
 
-def _intervals_alternate(p: int, q: int, r: int, s: int) -> bool:
-    """Strict interleaving of [p,q] and [r,s] (endpoints all distinct)."""
-    return (p < r < q < s) or (r < p < s < q)
+def _bridging(bricks: list[Brick], others: tuple[int, ...]) -> list[Brick]:
+    """The bricks with at least one of the sorted positions ``others`` strictly inside."""
+    return [b for b in bricks if bisect(others, b.lo) != bisect(others, b.hi)]
 
 
-def _build_edges(d: BrickDiagram) -> tuple[LinkEdge, ...]:
-    edges = []
-    bricks = d.bricks
-    for i, b in enumerate(bricks):
-        for c in bricks[i + 1 :]:
-            if b.column == c.column:
-                if b.hi == c.lo or c.hi == b.lo:
-                    edges.append(LinkEdge(b.id, c.id, EdgeKind.VERTICAL))
-            elif abs(b.column - c.column) == 1:
-                if _intervals_alternate(b.lo, b.hi, c.lo, c.hi):
-                    lower, upper = (b, c) if b.midpoint < c.midpoint else (c, b)
-                    side = Side.RIGHT if upper.column == lower.column + 1 else Side.LEFT
-                    edges.append(LinkEdge(b.id, c.id, EdgeKind.LATERAL, side))
-    return tuple(edges)
-
-
-def _trace_faces(
-    positions: Mapping[int, tuple[float, float]], edges: tuple[LinkEdge, ...]
-) -> list[tuple[list[int], float]]:
-    """All face walks of the straight-line embedding with signed areas.
-
-    Uses the rotation system (darts sorted counterclockwise at each
-    vertex); the successor of dart (u, v) is the dart before (v, u) in
-    the rotation at v, which walks each face with its interior on the
-    left. Bounded faces come out with positive area; bridges are walked
-    twice and contribute zero.
-    """
-    rot: dict[int, list[tuple[int, int]]] = {}
-    for e in edges:
-        rot.setdefault(e.a, []).append((e.a, e.b))
-        rot.setdefault(e.b, []).append((e.b, e.a))
-    for v, darts in rot.items():
-        x0, y0 = positions[v]
-        darts.sort(key=lambda d: math.atan2(positions[d[1]][1] - y0, positions[d[1]][0] - x0))
-    index = {
-        (v, d): i for v, darts in rot.items() for i, d in enumerate(darts)
-    }
-
-    def successor(dart: tuple[int, int]) -> tuple[int, int]:
-        u, v = dart
-        darts = rot[v]
-        i = index[(v, (v, u))]
-        return darts[(i - 1) % len(darts)]
-
-    faces = []
-    seen: set[tuple[int, int]] = set()
-    for v in sorted(rot):
-        for start in rot[v]:
-            if start in seen:
-                continue
-            walk = []
-            area2 = 0.0
-            dart = start
-            while True:
-                seen.add(dart)
-                walk.append(dart[0])
-                (x1, y1), (x2, y2) = positions[dart[0]], positions[dart[1]]
-                area2 += x1 * y2 - x2 * y1
-                dart = successor(dart)
-                if dart == start:
-                    break
-            faces.append((walk, area2 / 2.0))
-    return faces
-
-
-def _connected_components(n_vertices: int, edges: tuple[LinkEdge, ...]) -> int:
-    parent = list(range(n_vertices + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edges:
-        ra, rb = find(e.a), find(e.b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in range(1, n_vertices + 1)})
+def _sweep(
+    d: BrickDiagram, sign_convention: str
+) -> tuple[tuple[LinkEdge, ...], tuple[Region, ...]]:
+    """Edges and regions, read off one adjacent column pair at a time."""
+    columns: dict[int, list[Brick]] = {c: [] for c in range(1, d.word.strands)}
+    for b in d.bricks:
+        columns[b.column].append(b)
+    edges = [
+        LinkEdge(b.id, c.id, EdgeKind.VERTICAL)
+        for bricks in columns.values()
+        for b, c in zip(bricks, bricks[1:])
+    ]
+    plus_side = Side.LEFT if sign_convention == "left-positive" else Side.RIGHT
+    regions = []
+    for c in range(1, d.word.strands - 1):
+        bridging = sorted(
+            _bridging(columns[c], d.word.occurrences(c + 1))
+            + _bridging(columns[c + 1], d.word.occurrences(c)),
+            key=lambda b: b.lo,
+        )
+        for lower, upper in zip(bridging, bridging[1:]):
+            side = Side.RIGHT if upper.column > lower.column else Side.LEFT
+            a, b = sorted((lower.id, upper.id))
+            edges.append(LinkEdge(a, b, EdgeKind.LATERAL, side))
+        for x, y, z in zip(bridging, bridging[1:], bridging[2:]):
+            side = Side.RIGHT if y.column > x.column else Side.LEFT
+            vertices = tuple(sorted([*range(x.id, z.id + 1), y.id]))
+            regions.append(Region(vertices, 1 if side is plus_side else -1, x.column, side))
+    edges.sort(key=lambda e: (e.a, e.b))
+    regions.sort(key=lambda r: r.vertices)
+    return tuple(edges), tuple(regions)
 
 
 def build_graph(
@@ -260,74 +218,13 @@ def build_graph(
 @lru_cache(maxsize=CACHE_SIZE)
 def _graph(d: BrickDiagram, sign_convention: str) -> LinkingGraph:
     positions = MappingProxyType({b.id: (float(b.column), b.midpoint) for b in d.bricks})
-    edges = _build_edges(d)
-    regions = _extract_regions(d, positions, edges, sign_convention)
-    return LinkingGraph(d, edges, positions, tuple(regions), sign_convention)
-
-
-def _extract_regions(
-    d: BrickDiagram,
-    positions: Mapping[int, tuple[float, float]],
-    edges: tuple[LinkEdge, ...],
-    sign_convention: str,
-) -> list[Region]:
-    edge_lookup = {(e.a, e.b): e for e in edges}
-    edge_lookup.update({(e.b, e.a): e for e in edges})
-    regions = []
-    for walk, area in _trace_faces(positions, edges):
-        if area <= 1e-9:
-            continue
-        if len(set(walk)) != len(walk):
-            raise LinkingStructureError(
-                f"bounded face walk revisits a vertex: {walk}"
-            )
-        boundary = [
-            edge_lookup[(walk[i], walk[(i + 1) % len(walk)])] for i in range(len(walk))
-        ]
-        verticals = [e for e in boundary if e.kind is EdgeKind.VERTICAL]
-        laterals = [e for e in boundary if e.kind is EdgeKind.LATERAL]
-        if not verticals or len(laterals) != 2:
-            raise LinkingStructureError(
-                f"face {walk} has {len(verticals)} vertical and "
-                f"{len(laterals)} lateral edges"
-            )
-        anchor_cols = {d.brick(e.a).column for e in verticals}
-        if len(anchor_cols) != 1:
-            raise LinkingStructureError(
-                f"face {walk} has vertical edges in columns {sorted(anchor_cols)}"
-            )
-        anchor = anchor_cols.pop()
-        off_cols = set()
-        for e in laterals:
-            cols = {d.brick(e.a).column, d.brick(e.b).column}
-            if anchor not in cols:
-                raise LinkingStructureError(
-                    f"face {walk}: lateral edge {e.a}-{e.b} misses anchor column"
-                )
-            off_cols.update(cols - {anchor})
-        if len(off_cols) != 1:
-            raise LinkingStructureError(
-                f"face {walk}: lateral edges straddle columns {sorted(off_cols)}"
-            )
-        side = Side.RIGHT if off_cols.pop() == anchor + 1 else Side.LEFT
-
-        # Traversal is counterclockwise; right-side regions read clockwise.
-        cycle = list(walk)
-        if side is Side.RIGHT:
-            cycle = [cycle[0]] + cycle[1:][::-1]
-        start = cycle.index(min(cycle))
-        cycle = cycle[start:] + cycle[:start]
-
-        plus_side = Side.LEFT if sign_convention == "left-positive" else Side.RIGHT
-        sign = 1 if side is plus_side else -1
-        regions.append(Region(tuple(cycle), sign, anchor, side))
-    regions.sort(key=lambda r: r.vertices)
-    return regions
+    edges, regions = _sweep(d, sign_convention)
+    return LinkingGraph(d, edges, positions, regions, sign_convention)
 
 
 def is_forest(g: LinkingGraph) -> bool:
-    n = len(g.diagram.bricks)
-    return len(g.edges) == n - _connected_components(n, g.edges)
+    # A plane graph has E - V + C bounded faces, so it is a forest when it has none.
+    return not g.regions
 
 
 def _canonical_rooted(adj: dict[int, set[int]], root: int, parent: int) -> str:

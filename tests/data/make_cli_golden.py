@@ -100,6 +100,20 @@ def commands() -> list[list[str]]:
     for seed, (n, length) in enumerate([(3, 8), (4, 10), (4, 12), (5, 9)]):
         word = text(random_letters(rng, n, length))
         cmds.append(["verify", word, "--strands", str(n), "--moves", "15", "--seed", str(seed)])
+
+    # edges, regions and positions as printed by graph, bricks and render
+    drawn = []
+    for _ in range(8):
+        n = rng.randint(3, 6)
+        drawn.append((text(random_letters(rng, n, rng.randint(6, 40))), n))
+    for word, n in fixed + drawn:
+        base = [word, "--strands", str(n)]
+        for convention in ("left-positive", "right-positive"):
+            for fmt in ("json", "dot", "svg"):
+                cmds.append(["graph", *base, "--format", fmt, "--sign-convention", convention])
+        cmds.append(["bricks", *base, "--format", "json"])
+        cmds.append(["render", *base, "--what", "both"])
+        cmds.append(["render", *base, "--dot"])
     return cmds
 
 
