@@ -10,24 +10,35 @@ so totally unimodular: union-find over the (+1, -1) pairs gives the
 abelianization Z^c (c components, every other invariant factor 1), and
 a vector lies in the column lattice iff it sums to zero on every
 component. Any other column shape falls back to an exact integer Smith
-normal form, computed once per matrix. Homomorphism counts into small
-finite groups use pruned backtracking: the pair table becomes per-pair compatibility bitmasks
-(every relator on a pair applies, so a pair carrying both kinds gets
-both masks) that are intersected as images are assigned; longer
-relators are evaluated as soon as their support is complete.
-Exceeding a configured generator cap raises, never guesses: the cap test
-runs before any cache lookup. Hom data is memoized per process for the
-CACHE_SIZE most recent presentation contents (generator count, pair
-table, cycle words; never a spelled relator tuple), per target object:
-the hom list, a streamed count (a count never lists the homs), and one
-hom per orbit under conjugation in the target.
+normal form, computed once per matrix.
+
+Homomorphisms into small finite groups are found by one orbit search per
+presentation content and target: pruned backtracking in which the pair
+table becomes per-pair compatibility bitmasks (every relator on a pair
+applies, so a pair carrying both kinds gets both masks) intersected as
+images are assigned, longer relators are evaluated as soon as their
+support is complete, and an orderly rule (Read 1978; McKay 1998) keeps
+only the least member of each orbit under simultaneous conjugation in
+the target. Per target element v, cent[v] is the mask of conjugators
+fixing v and lower[v] of those sending it to a smaller index; the search
+carries stab, the centralizer of the images so far, tries v only if
+stab & lower[v] == 0, and descends with stab & cent[v]. A leaf's orbit
+has |G| / |stab| members. The count, the orbit count and the orbit
+representatives are read off that one result; the full hom list is
+expanded from it only on request. Exceeding a configured generator cap
+raises, never guesses: the cap test runs before any cache lookup. Search
+results are memoized per process for the CACHE_SIZE most recent
+presentation contents (generator count, pair table, cycle words; never
+a spelled relator tuple), per target table.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence
+from functools import cache, lru_cache
+from itertools import combinations
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import ResourceCapError
 from .finite_groups import FiniteTarget
@@ -272,33 +283,47 @@ def evaluate_word(t: FiniteTarget, images: Sequence[int], word: GroupWord) -> in
     return acc
 
 
-def _compat_masks(t: FiniteTarget) -> tuple[list[int], list[int]]:
-    n = t.size
+class _Tables(NamedTuple):
+    """Per-table bitmasks over element indices, for the hom search.
+
+    braid[g] / comm[g]: the h with which g satisfies the braid /
+    commutation relation; cent[v]: the conjugators c with c v c^-1 = v;
+    lower[v]: the conjugators sending v to a smaller index; conj[c]: the
+    map x -> c x c^-1. least maps a conjugator mask stab to the values v
+    with stab & lower[v] == 0, filled as searches meet each stab.
+    """
+
+    braid: list[int]
+    comm: list[int]
+    cent: list[int]
+    lower: list[int]
+    conj: list[tuple[int, ...]]
+    least: dict[int, int]
+
+
+# Keyed by the table itself: two targets may share a name (load_table's
+# default "custom") and a size yet differ.
+@cache
+def _target_tables(t: FiniteTarget) -> _Tables:
+    n, mul, inv = t.size, t.mul, t.inv
     braid, comm = [], []
     for g in range(n):
         bm = cm = 0
         for h in range(n):
-            gh = t.mul(g, h)
-            hg = t.mul(h, g)
-            if t.mul(gh, g) == t.mul(hg, h):
+            gh = mul(g, h)
+            hg = mul(h, g)
+            if mul(gh, g) == mul(hg, h):
                 bm |= 1 << h
             if gh == hg:
                 cm |= 1 << h
         braid.append(bm)
         comm.append(cm)
-    return braid, comm
-
-
-# Keyed by the table itself: two targets may share a name (load_table's
-# default "custom") and a size yet differ.
-_MASK_CACHE: dict[FiniteTarget, tuple[list[int], list[int]]] = {}
-
-
-def _cached_masks(t: FiniteTarget) -> tuple[list[int], list[int]]:
-    masks = _MASK_CACHE.get(t)
-    if masks is None:
-        masks = _MASK_CACHE[t] = _compat_masks(t)
-    return masks
+    conj = [tuple(mul(mul(c, x), inv(c)) for x in range(n)) for c in range(n)]
+    cent, lower = [], []
+    for v in range(n):
+        cent.append(sum(1 << c for c in range(n) if conj[c][v] == v))
+        lower.append(sum(1 << c for c in range(n) if conj[c][v] < v))
+    return _Tables(braid, comm, cent, lower, conj, {})
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -313,20 +338,41 @@ def generator_cap(t: FiniteTarget, caps: dict[str, int] | None = None) -> int:
     return caps.get(t.name, caps.get("*", DEFAULT_GENERATOR_CAPS["*"]))
 
 
-def _assignments(p: Presentation, t: FiniteTarget) -> Iterator[tuple[int, ...]]:
-    """All relator-satisfying generator images, as tuples indexed by generator."""
+class _Orbits(NamedTuple):
+    """The orbit search's result: the generators in assignment order, one
+    hom per orbit (the least in search order), the centralizer mask of its
+    image, its orbit size, and the number of homs."""
+
+    order: tuple[int, ...]
+    reps: tuple[tuple[int, ...], ...]
+    cents: tuple[int, ...]
+    sizes: tuple[int, ...]
+    count: int
+
+
+def _assignments(p: Presentation, t: FiniteTarget) -> _Orbits:
+    """One relator-satisfying assignment per orbit under simultaneous
+    conjugation in the target, found by an orderly search.
+
+    Generators are assigned in order of falling relator participation,
+    values in increasing index, so the search order is the lexicographic
+    order of image tuples read in that generator order. stab is the
+    centralizer of the images assigned so far; a value v is tried only if
+    no conjugator in stab sends it lower (stab & lower[v] == 0), which
+    keeps exactly the least member of each orbit. At a leaf stab is the
+    centralizer of the whole image, so the orbit has |G| / |stab| members.
+    """
     k = p.n_generators
-    if k == 0:
-        yield ()
-        return
-    braid_mask, comm_mask = _cached_masks(t)
-    full = (1 << t.size) - 1
+    n = t.size
+    tables = _target_tables(t)
+    cent, lower, least = tables.cent, tables.lower, tables.least
+    full = (1 << n) - 1
 
     participation = [0] * (k + 1)
     # Mask table per pair; a second relator on a pair intersects with the first.
     pair: dict[tuple[int, int], list[int]] = {}
     for i, j, kind in p.pair_table():
-        mask = braid_mask if kind is RelatorKind.BRAID else comm_mask
+        mask = tables.braid if kind is RelatorKind.BRAID else tables.comm
         prior = pair.get((i, j))
         pair[(i, j)] = mask if prior is None else [a & b for a, b in zip(prior, mask)]
         participation[i] += 1
@@ -358,6 +404,9 @@ def _assignments(p: Presentation, t: FiniteTarget) -> Iterator[tuple[int, ...]]:
     table = t.table
     inv = t.inverse
     ident = t.identity
+    reps: list[tuple[int, ...]] = []
+    cents: list[int] = []
+    sizes: list[int] = []
 
     def eval_general(word: GroupWord) -> int:
         acc = ident
@@ -366,12 +415,16 @@ def _assignments(p: Presentation, t: FiniteTarget) -> Iterator[tuple[int, ...]]:
             acc = table[acc][g if x > 0 else inv[g]]
         return acc
 
-    def dfs(step: int) -> Iterator[tuple[int, ...]]:
+    def dfs(step: int, stab: int) -> None:
         if step == k:
-            yield tuple(images[1 : k + 1])
+            reps.append(tuple(images[1 : k + 1]))
+            cents.append(stab)
+            sizes.append(n // stab.bit_count())
             return
         g = order[step]
-        allowed = full
+        allowed = least.get(stab)
+        if allowed is None:
+            allowed = least[stab] = sum(1 << v for v in range(n) if not stab & lower[v])
         for earlier in range(step):
             masks = pair_rel[step][earlier]
             if masks is None:
@@ -381,79 +434,114 @@ def _assignments(p: Presentation, t: FiniteTarget) -> Iterator[tuple[int, ...]]:
                 return
         for val in _iter_bits(allowed):
             images[g] = val
-            ok = True
-            for word in general_at[step]:
-                if eval_general(word) != ident:
-                    ok = False
-                    break
-            if ok:
-                yield from dfs(step + 1)
+            if all(eval_general(word) == ident for word in general_at[step]):
+                dfs(step + 1, stab & cent[val])
 
-    yield from dfs(0)
+    dfs(0, full)
+    return _Orbits(tuple(order), tuple(reps), tuple(cents), tuple(sizes), sum(sizes))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _memo(content: tuple) -> dict:
-    """Hom data of one presentation content, by (target, "homs" | "count" | "orbits")."""
+    """Orbit search results of one presentation content, by target."""
     return {}
 
 
-def _hom_memo(p: Presentation, t: FiniteTarget, caps: dict[str, int] | None) -> dict:
-    """The memo of p's content (generator count, pair table, cycle words),
-    after the cap test, so that a cap raises whatever is cached."""
+def _orbits(p: Presentation, t: FiniteTarget, caps: dict[str, int] | None) -> _Orbits:
+    """The one orbit search for p's content (generator count, pair table,
+    cycle words) and t, after the cap test, so that a cap raises whatever
+    is cached."""
     k = p.n_generators
     cap = generator_cap(t, caps)
     if k > cap:
         raise ResourceCapError(f"{k} generators exceed the cap {cap} for target {t.name}")
-    return _memo((k, p.braid_pairs, p.comm_pairs, tuple(r.word for r in p.cycles)))
+    memo = _memo((k, p.braid_pairs, p.comm_pairs, tuple(r.word for r in p.cycles)))
+    found = memo.get(t)
+    if found is None:
+        found = memo[t] = _assignments(p, t)
+    return found
 
 
 def hom_count(
     p: Presentation, t: FiniteTarget, caps: dict[str, int] | None = None
 ) -> HomCount:
-    """Exact number of homomorphisms into the target: the length of a cached
-    hom list, or else a streamed count, of which only the integer is kept."""
-    memo = _hom_memo(p, t, caps)
-    homs = memo.get((t, "homs"))
-    count = len(homs) if homs is not None else memo.get((t, "count"))
-    if count is None:
-        count = memo[t, "count"] = sum(1 for _ in _assignments(p, t))
-    return HomCount(t.name, count)
+    """Exact number of homomorphisms into the target: the orbit sizes of the
+    orbit search summed; no hom beyond one per orbit is ever built."""
+    return HomCount(t.name, _orbits(p, t, caps).count)
 
 
 def enumerate_homs(
     p: Presentation, t: FiniteTarget, caps: dict[str, int] | None = None
 ) -> list[tuple[int, ...]]:
-    """Every homomorphism as generator images, in search order; a fresh list."""
-    memo = _hom_memo(p, t, caps)
-    homs = memo.get((t, "homs"))
-    if homs is None:
-        homs = memo[t, "homs"] = tuple(_assignments(p, t))
-    return list(homs)
+    """Every homomorphism as generator images, in search order; a fresh list.
+
+    Expanded on request from the orbit search: each representative's
+    conjugates, sorted into the order an unpruned search would list them.
+    """
+    found = _orbits(p, t, caps)
+    conj, mul = _target_tables(t).conj, t.mul
+    transversals: dict[int, list[int]] = {}
+    members = []
+    # conjugates in search order (generators permuted), sorted, put back
+    order = [g - 1 for g in found.order]
+    for h, cent in zip(found.reps, found.cents):
+        cosets = transversals.get(cent)
+        if cosets is None:
+            # one conjugator per left coset of the centralizer: no repeats
+            cosets = transversals[cent] = []
+            seen = 0
+            for c in range(t.size):
+                if not seen >> c & 1:
+                    cosets.append(c)
+                    seen |= sum(1 << mul(c, z) for z in _iter_bits(cent))
+        ordered = [h[g] for g in order]
+        members += [tuple(map(conj[c].__getitem__, ordered)) for c in cosets]
+    back = sorted(range(len(order)), key=order.__getitem__)
+    return [tuple(h[i] for i in back) for h in sorted(members)]
 
 
 def hom_orbits(
     p: Presentation, t: FiniteTarget, caps: dict[str, int] | None = None
-) -> tuple[tuple[tuple[int, ...], ...], frozenset]:
-    """One homomorphism per orbit under conjugation in the target (the first
-    of each in search order), and the set of all of them."""
-    memo = _hom_memo(p, t, caps)
-    orbits = memo.get((t, "orbits"))
-    if orbits is None:
-        homs = enumerate_homs(p, t, caps)
-        n, table, inv = t.size, t.table, t.inverse
-        inner = {tuple(table[table[inv[c]][x]][c] for x in range(n)) for c in range(n)}
-        reps, seen = [], set()
-        for h in homs:
-            if h not in seen:
-                reps.append(h)
-                seen.update(tuple(a[x] for x in h) for a in inner)
-        orbits = memo[t, "orbits"] = (tuple(reps), frozenset(homs))
-    return orbits
+) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """One homomorphism per orbit under conjugation in the target, the first
+    of each in search order, and the orbit sizes: the orbit search's own
+    result, in the order it found them."""
+    found = _orbits(p, t, caps)
+    return found.reps, found.sizes
 
 
 def hom_count_up_to_conjugacy(
     p: Presentation, t: FiniteTarget, caps: dict[str, int] | None = None
 ) -> HomCount:
-    """Number of homomorphisms up to simultaneous target conjugacy."""
-    return HomCount(t.name, len(hom_orbits(p, t, caps)[0]))
+    """Number of homomorphisms up to simultaneous target conjugacy: the
+    number of orbit search representatives."""
+    return HomCount(t.name, len(_orbits(p, t, caps).reps))
+
+
+def is_hom(p: Presentation, t: FiniteTarget, images: tuple[int, ...]) -> bool:
+    """Whether the generator images satisfy every relator: pair masks for
+    the pair table, evaluation for the cycle words.
+
+    When every pair off the braid pairs commutes (comm_pairs None), the
+    commutation relators hold iff every non-commuting pair of generators
+    is a braid pair: the non-commuting pairs, counted by image value, are
+    as many as the non-commuting braid pairs.
+    """
+    tables = _target_tables(t)
+    braid, comm = tables.braid, tables.comm
+    braided = [(images[i - 1], images[j - 1]) for i, j in p.braid_pairs]
+    if not all(braid[a] >> b & 1 for a, b in braided):
+        return False
+    if p.comm_pairs is not None:
+        if not all(comm[images[i - 1]] >> images[j - 1] & 1 for i, j in p.comm_pairs):
+            return False
+    else:
+        by_value = Counter(images)
+        apart = sum(
+            by_value[a] * by_value[b]
+            for a, b in combinations(by_value, 2)
+            if not comm[a] >> b & 1
+        )
+        if apart != sum(not comm[a] >> b & 1 for a, b in braided):
+            return False
+    return all(evaluate_word(t, images, r.word) == t.identity for r in p.cycles)

@@ -19,15 +19,15 @@ along with the round-trip words. Reports say "consistent", never
 "isomorphic". The lattice of each presentation is prepared once per
 check from its nonzero exponent columns: braid pairs in closed form and
 cycle relators, never the commutation relators. Each finite target is
-decided by pulling the hom sets back through the map: every target hom
-h must give h∘φ in the source hom set, every source hom must pull back
-through φ⁻¹ into the target hom set, and both round trips must fix
-every hom. As the hom sets are
-complete, that is exactly the relator-by-relator condition, at a cost
-of |homs|·k instead of |homs|·|relators|; the per-relator loop runs only
-after a failure, to word the violations. Both conditions commute with
-conjugation in the target and hom sets are closed under it, so one hom
-per orbit is pulled back, exactly.
+decided by pulling homs back through the map: for every target hom h,
+h∘φ must satisfy the source relators (pair masks and cycle words), for
+every source hom the pullback through φ⁻¹ must satisfy the target
+relators, and both round trips must fix every hom. That is exactly the
+relator-by-relator condition. Both conditions commute with conjugation
+in the target and hom sets are closed under it, so one hom per orbit,
+as the orbit search gives them, is pulled back, exactly. The full hom
+lists and the per-relator loop are built only after a failure, to word
+the violations.
 """
 
 from __future__ import annotations
@@ -42,8 +42,10 @@ from .invariants import (
     ColumnLattice,
     enumerate_homs,
     evaluate_word,
+    hom_count,
     hom_orbits,
     in_column_lattice,
+    is_hom,
 )
 from .linking import build_graph
 from .presentations import (
@@ -380,15 +382,16 @@ def _pullback_holds(m: GeneratorMap, t: FiniteTarget, src: tuple, dst: tuple) ->
     that every relator image and round-trip word dies under every hom.
     Conjugating h by c conjugates its pullback by c, hom sets are closed
     under conjugation, and a round trip fixes h iff it fixes the conjugate,
-    so one hom per orbit (src and dst are hom_orbits results) decides.
+    so one hom per orbit (src and dst are hom_orbits results) decides; a
+    pulled-back hom is tested against the relators, not looked up.
     """
-    for (reps, _), (_, other), there, back in (
-        (dst, src, m.images, m.inverse_images),
-        (src, dst, m.inverse_images, m.images),
+    for (reps, _), p, there, back in (
+        (dst, m.source, m.images, m.inverse_images),
+        (src, m.target, m.inverse_images, m.images),
     ):
         for h in reps:
             pulled = _pull_back(t, h, there)
-            if pulled not in other or _pull_back(t, pulled, back) != h:
+            if not is_hom(p, t, pulled) or _pull_back(t, pulled, back) != h:
                 return False
     return True
 
@@ -462,25 +465,27 @@ def check_map(
     # fails does the per-relator loop run, to word the violations.
     for t in targets:
         try:
-            src_homs = enumerate_homs(m.source, t, caps)
-            dst_homs = enumerate_homs(m.target, t, caps)
+            n_src = hom_count(m.source, t, caps).count
+            n_dst = hom_count(m.target, t, caps).count
         except ResourceCapError:
             skipped.append(t.name)
             continue
         checked.append(t.name)
-        hom_counts[t.name] = (len(src_homs), len(dst_homs))
-        if len(src_homs) != len(dst_homs):
+        hom_counts[t.name] = (n_src, n_dst)
+        if n_src != n_dst:
             # no isomorphism can exist between the presented groups
             violations.append(
                 Violation(
                     "counts",
                     "hom-count",
                     t.name,
-                    f"{len(src_homs)} source vs {len(dst_homs)} target homomorphisms",
+                    f"{n_src} source vs {n_dst} target homomorphisms",
                 )
             )
         if _pullback_holds(m, t, hom_orbits(m.source, t, caps), hom_orbits(m.target, t, caps)):
             continue
+        src_homs = enumerate_homs(m.source, t, caps)
+        dst_homs = enumerate_homs(m.target, t, caps)
         cases = [
             ("forward", f"relator {idx} ({r.kind.value})", m.apply(r.word), dst_homs)
             for idx, r in enumerate(m.source.relators)

@@ -1,12 +1,12 @@
 """The per-process analysis caches: graphs per brick diagram, hom data per
 presentation content and finite target, and the orbit-reduced pullback.
 
-Every cached answer is compared with the uncached search (_assignments),
-the orbit pullback with the full one it replaced, and the orbit count
-with Burnside's lemma. Along move sequences, including the conjugacy
-moves between words whose class contains a half twist, the invariants of
-the paper's main theorem stay fixed; each of those words goes through the
-caches, so this also tests them end to end.
+Every cached answer is compared with the uncached orbit search
+(_assignments), the orbit pullback with the full one it replaced, and
+the orbit count with Burnside's lemma. Along move sequences, including
+the conjugacy moves between words whose class contains a half twist,
+the invariants of the paper's main theorem stay fixed; each of those
+words goes through the caches, so this also tests them end to end.
 """
 
 import json
@@ -19,15 +19,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidforge import invariants
+from braidforge import invariants, isomaps
 from braidforge.bricks import build_bricks
 from braidforge.errors import ResourceCapError
-from braidforge.finite_groups import builtin_targets, load_table, symmetric_group
+from braidforge.finite_groups import _with_inverses, builtin_targets, load_table, symmetric_group
 from braidforge.garside import conjugacy_move_sequence_detailed, delta_word
 from braidforge.invariants import (
     _assignments,
-    _cached_masks,
-    _compat_masks,
+    _target_tables,
     abelianization,
     enumerate_homs,
     evaluate_word,
@@ -80,6 +79,30 @@ def full_pullback_holds(m, t, src_homs, dst_homs):
     return True
 
 
+def relabeled(t, name, perm):
+    """The table of t with element x renamed perm[x]: identity moves off 0."""
+    n = t.size
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[perm[a]][perm[b]] = perm[t.mul(a, b)]
+    return _with_inverses(name, table, identity=perm[t.identity])
+
+
+def conjugates(t, h):
+    """The orbit of h under simultaneous conjugation in t."""
+    return {tuple(t.mul(t.mul(c, x), t.inv(c)) for x in h) for c in range(t.size)}
+
+
+def first_of_each_orbit(t, homs):
+    reps, seen = [], set()
+    for h in homs:
+        if h not in seen:
+            reps.append(h)
+            seen |= conjugates(t, h)
+    return reps
+
+
 def burnside_orbits(t, homs):
     """(1/|G|) * sum over c of the homs that conjugation by c fixes."""
     fixed = 0
@@ -102,15 +125,18 @@ def test_cached_answers_equal_the_uncached_search(case):
                 with pytest.raises(ResourceCapError):
                     call(p, t)
             continue
-        want = list(_assignments(p, t))
-        # streamed count first, then the list, then both from the cache
-        assert hom_count(p, t).count == len(want)
-        assert enumerate_homs(p, t) == want
-        assert enumerate_homs(presentation(n, letters), t) == want
-        assert hom_count(p, t).count == len(want)
-        reps, members = hom_orbits(p, t)
-        assert members == frozenset(want)
-        assert set(reps) <= members and len(set(reps)) == len(reps)
+        want = _assignments(p, t)
+        # the count first, then the list, then the orbits, all from one search
+        assert hom_count(p, t).count == want.count
+        homs = enumerate_homs(p, t)
+        assert enumerate_homs(presentation(n, letters), t) == homs
+        assert hom_count(p, t).count == want.count == len(homs) == len(set(homs))
+        assert set(homs) == set().union(*(conjugates(t, h) for h in want.reps))
+        assert hom_orbits(p, t) == (want.reps, want.sizes)
+        assert list(want.reps) == first_of_each_orbit(t, homs)
+        assert list(want.sizes) == [len(conjugates(t, h)) for h in want.reps]
+        assert hom_count_up_to_conjugacy(p, t).count == len(want.reps)
+        assert all(evaluate_word(t, h, r.word) == t.identity for h in homs for r in p.relators)
 
 
 def test_each_hom_set_searched_once_and_counts_keep_no_list(monkeypatch):
@@ -126,12 +152,41 @@ def test_each_hom_set_searched_once_and_counts_keep_no_list(monkeypatch):
     want = hom_count(p, S3).count
     assert searches == ["S3"]
     assert hom_count(presentation(3, (1, 2, 1, 1, 2, 1, 2)), S3).count == want
+    up_to = hom_count_up_to_conjugacy(p, S3).count
+    reps, sizes = hom_orbits(p, S3)
+    assert len(enumerate_homs(p, S3)) == want == sum(sizes)
+    # the search kept one hom per orbit, never the list
+    assert len(reps) == up_to < want
     assert searches == ["S3"]
-    # the streamed count kept no list, so the first listing searches again
-    assert len(enumerate_homs(p, S3)) == want
-    assert searches == ["S3", "S3"]
-    hom_orbits(p, S3), hom_count_up_to_conjugacy(p, S3), enumerate_homs(p, S3)
-    assert hom_count(p, S3).count == want and searches == ["S3", "S3"]
+    # a listing first, for another target: still one search
+    assert len(enumerate_homs(p, S4)) == hom_count(p, S4).count
+    hom_orbits(p, S4), hom_count_up_to_conjugacy(p, S4), enumerate_homs(p, S3)
+    assert searches == ["S3", "S4"]
+
+
+def test_check_map_lists_homs_only_after_a_failed_pullback(monkeypatch):
+    listings = []
+
+    def counted(p, t, caps=None):
+        listings.append(t.name)
+        return enumerate_homs(p, t, caps)
+
+    monkeypatch.setattr(isomaps, "enumerate_homs", counted)
+    w = BraidWord(3, (1, 2, 1, 1, 2, 1))
+    rng = random.Random(3)
+    failed = 0
+    for move in enumerate_moves(w):
+        phi = move_map(w, move)
+        assert check_map(phi, [S3, S4]).consistent
+        assert listings == []
+        bad = corrupted(phi, rng)
+        orbits = hom_orbits(bad.source, S3), hom_orbits(bad.target, S3)
+        fails = not _pullback_holds(bad, S3, *orbits)
+        check_map(bad, [S3])
+        assert listings == (["S3", "S3"] if fails else [])
+        failed += fails
+        listings.clear()
+    assert failed
 
 
 def test_presentations_differing_in_commutation_pairs_or_cycles_are_kept_apart():
@@ -197,7 +252,7 @@ def test_orbit_pullback_on_hand_corrupted_maps():
 def test_mutating_returned_homs_or_graph_changes_no_later_answer():
     w = BraidWord(3, (1, 2, 1, 1, 2, 1))
     p = presentation(3, w.letters)
-    want = list(_assignments(p, S3))
+    want = enumerate_homs(p, S3)
     homs = enumerate_homs(p, S3)
     homs.clear()
     homs.append((0, 0, 0, 0))
@@ -238,17 +293,25 @@ def test_tables_sharing_a_name_never_share_hom_data():
     assert first.name == second.name and first.size == second.size
     assert first != second
     assert first == load_table(f"6\n{rows}") and hash(first) == hash(load_table(f"6\n{rows}"))
-    assert _cached_masks(first) == _compat_masks(first)
-    assert _cached_masks(second) == _compat_masks(second)
-    assert _cached_masks(first) != _cached_masks(second)
+    # S3 again under the same name, its identity moved off index 0
+    third = relabeled(s3, first.name, [3, 5, 0, 4, 1, 2])
+    assert third.identity != 0 and len({first, second, third}) == 3
+    for t in (first, second, third):
+        # the cached tables are those of this table, computed afresh
+        assert _target_tables(t) is _target_tables(t)
+        assert _target_tables(t)[:5] == _target_tables.__wrapped__(t)[:5]
+    assert len({str(_target_tables(t)[:5]) for t in (first, second, third)}) == 3
     for letters in ((1, 1, 1), (1, 2, 1, 1, 2, 1), (1, 1, 2, 2, 1, 1)):
         p = presentation(3, letters)
-        for t in (first, second, first):
+        for t in (first, second, third, first):
             want = brute_hom_count([r.word for r in p.relators], p.n_generators, t)
-            assert hom_count(p, t).count == want
-            assert len(enumerate_homs(p, t)) == want
-            assert len(hom_orbits(p, t)[1]) == want
+            homs = enumerate_homs(p, t)
+            assert hom_count(p, t).count == want == len(homs) == sum(hom_orbits(p, t)[1])
+            reps = first_of_each_orbit(t, homs)
+            assert list(hom_orbits(p, t)[0]) == reps
+            assert hom_count_up_to_conjugacy(p, t).count == burnside_orbits(t, homs) == len(reps)
         assert hom_count(p, first).count != hom_count(p, second).count
+        assert hom_count(p, first).count == hom_count(p, third).count
 
 
 def invariants_of(w: BraidWord, caps=None):

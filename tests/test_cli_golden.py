@@ -2,8 +2,9 @@
 
 tests/data/cli_golden.json holds seeded ``present`` (all three formats),
 ``invariants`` (with --up-to-conjugacy and extra targets), ``isocheck``
-(interior braid relations, relabeling maps, a found sequence) and
-``verify`` commands; tests/data/make_cli_golden.py regenerates it.
+(interior braid relations, relabeling maps, a found sequence),
+``verify``, ``graph`` (every format and sign convention), ``bricks`` and
+``render`` commands; tests/data/make_cli_golden.py regenerates it.
 """
 
 import json
