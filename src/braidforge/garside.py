@@ -319,19 +319,15 @@ def decycling(nf: NormalForm) -> NormalForm:
     return NormalForm(n, nf.delta_power + d, factors)
 
 
-def _summit_representative(
-    nf: NormalForm, caps: GarsideCaps, budget_length: int | None = None
-) -> tuple[NormalForm, list[str]]:
+def _summit_representative(nf: NormalForm, caps: GarsideCaps) -> tuple[NormalForm, list[str]]:
     """Converge to the super summit set; returns the committed operation log.
 
     Cycling is iterated until the Delta power stops improving over one
     orbit, then decycling until the canonical length stops improving;
     orbit repetition without improvement is the stopping criterion.
     """
-    word_length = budget_length if budget_length is not None else (
-        abs(nf.delta_power) * nf.strands * (nf.strands - 1) // 2
-        + sum(perm_length(p) for p in nf.factors)
-    )
+    half_twist = nf.strands * (nf.strands - 1) // 2
+    word_length = abs(nf.delta_power) * half_twist + sum(map(perm_length, nf.factors))
     limit = caps.cycling_limit(max(word_length, 1), nf.strands)
     steps = 0
     ops: list[str] = []
@@ -523,7 +519,7 @@ def contains_half_twist(w: BraidWord, caps: GarsideCaps = DEFAULT_CAPS) -> bool:
     nf = normal_form(w)
     if nf.delta_power >= 1:
         return True
-    rep, _ = _summit_representative(nf, caps, budget_length=len(w.letters))
+    rep, _ = _summit_representative(nf, caps)
     return rep.delta_power >= 1
 
 
@@ -635,7 +631,7 @@ def _realize_summit_chain(
 ) -> tuple[list[WordMove], BraidWord, NormalForm]:
     """Word moves carrying w into the super summit set (spelled canonically)."""
     nf = normal_form(w)
-    rep, ops = _summit_representative(nf, caps, budget_length=len(w.letters))
+    rep, ops = _summit_representative(nf, caps)
     canonical = nf_word(nf)
     moves = _equal_words_moves(w, canonical, caps)
     cur = canonical

@@ -25,9 +25,11 @@ every source hom the pullback through φ⁻¹ must satisfy the target
 relators, and both round trips must fix every hom. That is exactly the
 relator-by-relator condition. Both conditions commute with conjugation
 in the target and hom sets are closed under it, so one hom per orbit,
-as the orbit search gives them, is pulled back, exactly. The full hom
-lists and the per-relator loop are built only after a failure, to word
-the violations.
+as the orbit search gives them, is pulled back, exactly. After a failure
+the same representatives word the violations: a relator or round trip
+fails under a hom iff under each of its conjugates, so the first failing
+representative is the first failing hom. The abelianization is read off
+the maps' exponent-sum tables; a word is spelled only for a violation.
 """
 
 from __future__ import annotations
@@ -40,9 +42,7 @@ from .errors import MoveError, ResourceCapError
 from .finite_groups import FiniteTarget
 from .invariants import (
     ColumnLattice,
-    enumerate_homs,
     evaluate_word,
-    hom_count,
     hom_orbits,
     in_column_lattice,
     is_hom,
@@ -87,12 +87,13 @@ class GeneratorMap:
         )
 
     def is_relabeling(self) -> bool:
-        """True when both directions are bijective single-generator maps."""
-        fwd = [w for w in self.images]
-        if any(len(w) != 1 or w[0] < 0 for w in fwd):
-            return False
-        targets = [w[0] for w in fwd]
-        return sorted(targets) == list(range(1, self.target.n_generators + 1))
+        """True when both directions are bijective single-generator maps,
+        each the inverse of the other."""
+        k = self.target.n_generators  # inverse_images holds one word per target generator
+        return len(self.images) == k and all(
+            len(w) == 1 and 0 < w[0] <= k and self.inverse_images[w[0] - 1] == (g,)
+            for g, w in enumerate(self.images, start=1)
+        )
 
 
 _Images = tuple[GroupWord, ...]
@@ -352,13 +353,6 @@ def _word_str(word: GroupWord) -> str:
     return " ".join(f"s{x}" if x > 0 else f"s{-x}^-1" for x in word) or "1"
 
 
-def _exp_vector(word: GroupWord, k: int) -> list[int]:
-    v = [0] * k
-    for x in word:
-        v[abs(x) - 1] += 1 if x > 0 else -1
-    return v
-
-
 def _image_vector(column: dict[int, int], image_sums: list[dict[int, int]], k: int) -> list[int]:
     """Exponent vector of a word's image, from the word's exponent sums."""
     v = [0] * k
@@ -383,7 +377,8 @@ def _pullback_holds(m: GeneratorMap, t: FiniteTarget, src: tuple, dst: tuple) ->
     Conjugating h by c conjugates its pullback by c, hom sets are closed
     under conjugation, and a round trip fixes h iff it fixes the conjugate,
     so one hom per orbit (src and dst are hom_orbits results) decides; a
-    pulled-back hom is tested against the relators, not looked up.
+    pulled-back hom is tested against the relators, not looked up. When
+    this fails, the same representatives word the violations.
     """
     for (reps, _), p, there, back in (
         (dst, m.source, m.images, m.inverse_images),
@@ -396,81 +391,109 @@ def _pullback_holds(m: GeneratorMap, t: FiniteTarget, src: tuple, dst: tuple) ->
     return True
 
 
+def _violation(m: GeneratorMap, direction: str, i: int, target: str, fails: str) -> Violation:
+    """Check i of a kind, its word spelled: relator i's image (forward,
+    backward) or the round trip at generator i + 1."""
+    if direction in ("forward", "backward"):
+        p, apply = (m.source, m.apply) if direction == "forward" else (m.target, m.apply_inverse)
+        r = p.relators[i]
+        detail = f"image {_word_str(apply(r.word))} {fails}"
+        return Violation(direction, f"relator {i} ({r.kind.value})", target, detail)
+    there, back = m.apply, m.apply_inverse
+    if direction == "roundtrip-target":
+        there, back = back, there
+    g = i + 1
+    detail = f"round trip {_word_str(concat(back(there((g,))), (-g,)))} {fails}"
+    return Violation(direction, f"s{g}", target, detail)
+
+
+def _finite_violations(
+    m: GeneratorMap, t: FiniteTarget, src_reps: tuple, dst_reps: tuple
+) -> list[Violation]:
+    """The violations under t, worded from the orbit representatives.
+
+    A relator or round trip fails under h iff it fails under every
+    conjugate of h, and each representative is the least member of its
+    orbit in the order enumerate_homs lists homs, so the first failing
+    representative is the first failing hom.
+    """
+    # each representative with its pullback through the map, pulled once
+    fwd = [(h, _pull_back(t, h, m.images)) for h in dst_reps]
+    bwd = [(h, _pull_back(t, h, m.inverse_images)) for h in src_reps]
+    violations = []
+    for direction, p, pulls in (("forward", m.source, fwd), ("backward", m.target, bwd)):
+        for i, r in enumerate(p.relators):
+            bad = (h for h, pulled in pulls if evaluate_word(t, pulled, r.word) != t.identity)
+            h = next(bad, None)
+            if h is not None:
+                fails = f"not trivial under homomorphism {h}"
+                violations.append(_violation(m, direction, i, t.name, fails))
+    for direction, pulls, back in (
+        ("roundtrip-source", bwd, m.images),
+        ("roundtrip-target", fwd, m.inverse_images),
+    ):
+        moved: set[int] = set()
+        for h, pulled in pulls:
+            trip = _pull_back(t, pulled, back)
+            moved.update(i for i, (a, b) in enumerate(zip(h, trip)) if a != b)
+        violations += [_violation(m, direction, i, t.name, "not trivial") for i in sorted(moved)]
+    return violations
+
+
 def check_map(
     m: GeneratorMap,
     targets: list[FiniteTarget],
     caps: dict[str, int] | None = None,
 ) -> CheckReport:
-    """Verify the map against every relator in quotients and abelianization."""
-    violations: list[Violation] = []
-    checked: list[str] = []
-    skipped: list[str] = []
-    hom_counts: dict[str, tuple[int, int]] = {}
+    """Verify the map against every relator in quotients and abelianization.
 
+    The map is read through its exponent-sum tables and its hom pullbacks
+    alone; a word is spelled only for the text of a violation.
+    """
     # Exact shortcut: a generator bijection is consistent iff it carries
     # the relator set onto the other relator set.
-    if m.is_relabeling() and m.inverted().is_relabeling() and relabels_onto(
-        m.source, m.target, [w[0] for w in m.images]
-    ):
+    if m.is_relabeling() and relabels_onto(m.source, m.target, [w[0] for w in m.images]):
         return CheckReport(True, (), (), (), {}, method="relabeling")
 
-    # Exact abelianization checks, on the relators with a nonzero
-    # exponent column (a zero column's image is zero). A relator image's
-    # exponent vector is the linear image of the relator's exponent sums;
-    # the image word itself is spelled out only to report a violation.
+    # Exact abelianization checks. With A and B the exponent-sum tables of
+    # the images and the inverse images, relator r's image has the vector
+    # A·c_r (c_r its exponent column; a zero column's image is zero) and
+    # the round trip at g has B·A·e_g - e_g, A·e_g being A's column g.
+    violations: list[Violation] = []
     k_src, k_dst = m.source.n_generators, m.target.n_generators
-    src_columns = m.source.columns()
-    dst_columns = m.target.columns()
+    src_columns, dst_columns = m.source.columns(), m.target.columns()
     src_lattice = ColumnLattice([column for _, column in src_columns], k_src)
     dst_lattice = ColumnLattice([column for _, column in dst_columns], k_dst)
     image_sums = [exponent_sums(w) for w in m.images]
     inverse_sums = [exponent_sums(w) for w in m.inverse_images]
-    relator_tests = [
-        ("forward", m.source, idx, _image_vector(column, image_sums, k_dst), dst_lattice, m.apply)
-        for idx, column in src_columns
-    ] + [
-        ("backward", m.target, idx, _image_vector(column, inverse_sums, k_src), src_lattice,
-         m.apply_inverse)
-        for idx, column in dst_columns
-    ]
-    for direction, p, idx, vector, lattice, apply in relator_tests:
-        if not in_column_lattice(lattice, vector):
-            r = p.relators[idx]
-            violations.append(
-                Violation(
-                    direction,
-                    f"relator {idx} ({r.kind.value})",
-                    "abelianization",
-                    f"image {_word_str(apply(r.word))} survives abelianization",
-                )
-            )
-    roundtrip_src = [concat(m.apply_inverse(m.apply((g,))), (-g,)) for g in range(1, k_src + 1)]
-    roundtrip_dst = [concat(m.apply(m.apply_inverse((g,))), (-g,)) for g in range(1, k_dst + 1)]
-    for direction, words, lattice, k in (
-        ("roundtrip-source", roundtrip_src, src_lattice, k_src),
-        ("roundtrip-target", roundtrip_dst, dst_lattice, k_dst),
+    for direction, columns, sums, lattice, k in (
+        ("forward", src_columns, image_sums, dst_lattice, k_dst),
+        ("backward", dst_columns, inverse_sums, src_lattice, k_src),
+        ("roundtrip-source", enumerate(image_sums), inverse_sums, src_lattice, k_src),
+        ("roundtrip-target", enumerate(inverse_sums), image_sums, dst_lattice, k_dst),
     ):
-        for g, word in enumerate(words, start=1):
-            if not in_column_lattice(lattice, _exp_vector(word, k)):
+        for i, column in columns:
+            vector = _image_vector(column, sums, k)
+            if direction.startswith("roundtrip"):
+                vector[i] -= 1
+            if not in_column_lattice(lattice, vector):
                 violations.append(
-                    Violation(
-                        direction,
-                        f"s{g}",
-                        "abelianization",
-                        f"round trip {_word_str(word)} survives abelianization",
-                    )
+                    _violation(m, direction, i, "abelianization", "survives abelianization")
                 )
 
-    # Finite quotient checks: the hom-set pullback decides; only when it
-    # fails does the per-relator loop run, to word the violations.
+    # Finite quotient checks: one hom per conjugation orbit decides, and
+    # on a failure the same representatives word the violations.
+    checked: list[str] = []
+    skipped: list[str] = []
+    hom_counts: dict[str, tuple[int, int]] = {}
     for t in targets:
         try:
-            n_src = hom_count(m.source, t, caps).count
-            n_dst = hom_count(m.target, t, caps).count
+            src, dst = hom_orbits(m.source, t, caps), hom_orbits(m.target, t, caps)
         except ResourceCapError:
             skipped.append(t.name)
             continue
         checked.append(t.name)
+        n_src, n_dst = sum(src[1]), sum(dst[1])
         hom_counts[t.name] = (n_src, n_dst)
         if n_src != n_dst:
             # no isomorphism can exist between the presented groups
@@ -482,33 +505,8 @@ def check_map(
                     f"{n_src} source vs {n_dst} target homomorphisms",
                 )
             )
-        if _pullback_holds(m, t, hom_orbits(m.source, t, caps), hom_orbits(m.target, t, caps)):
-            continue
-        src_homs = enumerate_homs(m.source, t, caps)
-        dst_homs = enumerate_homs(m.target, t, caps)
-        cases = [
-            ("forward", f"relator {idx} ({r.kind.value})", m.apply(r.word), dst_homs)
-            for idx, r in enumerate(m.source.relators)
-        ] + [
-            ("backward", f"relator {idx} ({r.kind.value})", m.apply_inverse(r.word), src_homs)
-            for idx, r in enumerate(m.target.relators)
-        ] + [
-            ("roundtrip-source", f"s{g}", word, src_homs)
-            for g, word in enumerate(roundtrip_src, start=1)
-        ] + [
-            ("roundtrip-target", f"s{g}", word, dst_homs)
-            for g, word in enumerate(roundtrip_dst, start=1)
-        ]
-        for direction, item, word, homs in cases:
-            hom = next((h for h in homs if evaluate_word(t, h, word) != t.identity), None)
-            if hom is None:
-                continue
-            detail = (
-                f"round trip {_word_str(word)} not trivial"
-                if direction.startswith("roundtrip")
-                else f"image {_word_str(word)} not trivial under homomorphism {hom}"
-            )
-            violations.append(Violation(direction, item, t.name, detail))
+        if not _pullback_holds(m, t, src, dst):
+            violations += _finite_violations(m, t, src[0], dst[0])
 
     return CheckReport(
         not violations,

@@ -26,10 +26,6 @@ class MoveKind(Enum):
     MARKOV_DESTAB = "destab"
 
 
-# Deterministic ordering used by enumerate_moves.
-_KIND_ORDER = {kind: i for i, kind in enumerate(MoveKind)}
-
-
 @dataclass(frozen=True)
 class BraidWord:
     """A positive word over sigma_1..sigma_{N-1} with strand count N."""
@@ -200,7 +196,6 @@ def enumerate_moves(w: BraidWord) -> list[WordMove]:
     destab = WordMove(MoveKind.MARKOV_DESTAB, n)
     if move_applies(w, destab):
         moves.append(destab)
-    moves.sort(key=lambda m: (_KIND_ORDER[m.kind], m.position))
     return moves
 
 

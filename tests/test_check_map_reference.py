@@ -15,6 +15,7 @@ from braidforge.bricks import build_bricks
 from braidforge.errors import ResourceCapError
 from braidforge.finite_groups import builtin_targets
 from braidforge.invariants import enumerate_homs, exponent_matrix
+from braidforge import isomaps
 from braidforge.isomaps import (
     CheckReport,
     GeneratorMap,
@@ -152,7 +153,14 @@ def corrupted(m: GeneratorMap, rng: random.Random) -> GeneratorMap:
     return GeneratorMap(m.source, m.target, tuple(images), tuple(inverse), m.label)
 
 
-WORDS = ["1 2 1 1 2 1", "1 1 2 1 1 2", "1 2 3 2 1 2 3", "2 1 2 1 1 3 2"]
+WORDS = [
+    "1 2 1 1 2 1",
+    "1 1 2 1 1 2",
+    "1 2 3 2 1 2 3",
+    "2 1 2 1 1 3 2",
+    "1 2 3 4 3 2 1 4 3 2",  # five strands, a braid relation five letters from the top
+    "2 3 2 1 2 1 3 1",  # braid relations at positions 1, 3 and 4
+]
 
 
 @pytest.mark.parametrize("text", WORDS)
@@ -165,6 +173,24 @@ def test_identical_report_on_every_move(text):
         bad = corrupted(phi, rng)
         report = check_map(bad, CHECK_TARGETS)
         assert report == reference_check_map(bad, CHECK_TARGETS)
+
+
+def test_consistent_maps_are_checked_without_spelling(monkeypatch):
+    spelled = []
+    real = isomaps.substitute
+    monkeypatch.setattr(isomaps, "substitute", lambda *args: spelled.append(1) or real(*args))
+    checked = 0
+    for text in WORDS:
+        w = parse_word(text)
+        for move in enumerate_moves(w):
+            phi = move_map(w, move)
+            spelled.clear()
+            report = check_map(phi, CHECK_TARGETS)
+            assert report.consistent
+            if report.method != "relabeling":
+                assert spelled == []
+                checked += 1
+    assert checked
 
 
 def test_identical_report_on_corrupted_map():

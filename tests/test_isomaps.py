@@ -115,6 +115,17 @@ def test_identity_map_consistent():
     assert report.method == "relabeling"
 
 
+def test_relabeling_shortcut_needs_inverse_images_to_invert():
+    # both directions relabel, but the round trip swaps s1 and s2
+    P = presentation_for(parse_word("1 1 1"))
+    m = GeneratorMap(P, P, ((1,), (2,)), ((2,), (1,)))
+    assert not m.is_relabeling()
+    report = check_map(m, [TARGETS["S3"]])
+    assert not report.consistent
+    assert report.method == "quotients"
+    assert any(v.direction.startswith("roundtrip") for v in report.violations)
+
+
 def test_braid_relation_map_requires_top():
     with pytest.raises(MoveError):
         braid_relation_map(BraidWord(3, (1, 2, 1, 1)), 1)

@@ -88,8 +88,8 @@ def test_moves_that_do_not_replay_fall_back_to_search(monkeypatch):
 def test_guard_realized_chain_reaches_representative(monkeypatch):
     real = garside._summit_representative
 
-    def wrong_power(nf, caps, budget_length=None):
-        rep, ops = real(nf, caps, budget_length)
+    def wrong_power(nf, caps):
+        rep, ops = real(nf, caps)
         return NormalForm(rep.strands, rep.delta_power + 1, rep.factors), ops
 
     monkeypatch.setattr(garside, "_summit_representative", wrong_power)
