@@ -9,7 +9,10 @@ as presentation generator indices.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 from .words import BraidWord
 
@@ -44,13 +47,24 @@ class BrickDiagram:
     def brick(self, brick_id: int) -> Brick:
         return self.bricks[brick_id - 1]
 
+    @cached_property
+    def ranks(self) -> tuple[tuple[int, int], ...]:
+        """(column, 1-based rank within that column) per brick, in id order."""
+        out = []
+        counts: dict[int, int] = {}
+        for b in self.bricks:
+            counts[b.column] = counts.get(b.column, 0) + 1
+            out.append((b.column, counts[b.column]))
+        return tuple(out)
+
+    @cached_property
+    def brick_at(self) -> Mapping[tuple[int, int], int]:
+        """The brick id at each (column, rank); read-only."""
+        return MappingProxyType({cr: i for i, cr in enumerate(self.ranks, start=1)})
+
     def column_rank(self, brick_id: int) -> tuple[int, int]:
         """(column, 1-based rank within that column) of a brick."""
-        b = self.brick(brick_id)
-        rank = sum(
-            1 for c in self.bricks if c.column == b.column and c.lo <= b.lo
-        )
-        return b.column, rank
+        return self.ranks[brick_id - 1]
 
     def to_json(self) -> str:
         return json.dumps(

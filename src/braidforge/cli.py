@@ -59,7 +59,11 @@ def _parse_move_script(text: str) -> list[tuple[MoveKind, int | None]]:
         name, _, pos = token.partition("@")
         if name not in _MOVE_TOKENS:
             raise UsageError(f"unknown move token {name!r}")
-        moves.append((_MOVE_TOKENS[name], int(pos) if pos else None))
+        try:
+            position = int(pos) if pos else None
+        except ValueError:
+            raise UsageError(f"bad move position in {token!r}") from None
+        moves.append((_MOVE_TOKENS[name], position))
     return moves
 
 

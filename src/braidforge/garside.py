@@ -19,6 +19,10 @@ permutation braid above sigma_i that keeps the conjugate in the set
 (Franco and Gonzalez-Meneses). Conjugacy of positive words containing a
 half twist is also *realized* as an explicit sequence of word moves:
 braid relations, far commutativity and elementary conjugations only.
+The realization shares one decision with are_conjugate: each normal
+form, summit representative with its operation log, and the one
+closure are built once per call, and the parents of the closure that
+decides conjugacy supply the summit hops.
 Checks that an answer rests on raise GarsideInvariantError, so they
 hold under ``python -O``.
 """
@@ -40,8 +44,8 @@ from .words import (
     MoveKind,
     WordMove,
     apply_move,
+    enumerate_moves,
     inverse_move,
-    move_applies,
     replay,
 )
 
@@ -319,7 +323,11 @@ def decycling(nf: NormalForm) -> NormalForm:
     return NormalForm(n, nf.delta_power + d, factors)
 
 
-def _summit_representative(nf: NormalForm, caps: GarsideCaps) -> tuple[NormalForm, list[str]]:
+# A summit representative and the cycle/decycle log that reached it.
+_Converged = tuple[NormalForm, list[str]]
+
+
+def _summit_representative(nf: NormalForm, caps: GarsideCaps) -> _Converged:
     """Converge to the super summit set; returns the committed operation log.
 
     Cycling is iterated until the Delta power stops improving over one
@@ -446,6 +454,17 @@ def _minimal_simple(u: NormalForm, back: list[Perm], i: int) -> Perm:
         c = cw
 
 
+def _walk_back(parents: dict, key) -> list[tuple]:
+    """(key, label) per edge of the recorded path from the root to key,
+    root first; parents maps each key to (parent key, label) or None."""
+    path = []
+    while parents[key] is not None:
+        prev, label = parents[key]
+        path.append((key, label))
+        key = prev
+    return path[::-1]
+
+
 def _summit_closure(
     rep: NormalForm, caps: GarsideCaps
 ) -> tuple[dict[tuple, NormalForm], dict[tuple, tuple[tuple, Perm] | None]]:
@@ -493,6 +512,30 @@ def summit(nf: NormalForm, caps: GarsideCaps = DEFAULT_CAPS) -> SummitData:
     return SummitData(rep.delta_power, frozenset(members.values()))
 
 
+def _conjugacy(
+    nfa: NormalForm, nfb: NormalForm, caps: GarsideCaps
+) -> tuple[_Converged, _Converged, list[tuple[NormalForm, Perm]]] | None:
+    """Decide conjugacy of two braids with different normal forms.
+
+    Returns None when they are not conjugate. Otherwise returns each
+    summit representative with its operation log, and the hops from the
+    first representative to the second: (member, conjugator) pairs read
+    off the parents of the one super summit closure that decided it.
+    """
+    rep_a, ops_a = _summit_representative(nfa, caps)
+    rep_b, ops_b = _summit_representative(nfb, caps)
+    if (rep_a.delta_power, rep_a.canonical_length) != (
+        rep_b.delta_power,
+        rep_b.canonical_length,
+    ):
+        return None
+    members, parents = _summit_closure(rep_a, caps)
+    if rep_b.key() not in members:
+        return None
+    hops = [(members[key], c) for key, c in _walk_back(parents, rep_b.key())]
+    return (rep_a, ops_a), (rep_b, ops_b), hops
+
+
 def are_conjugate(
     a: BraidWord, b: BraidWord, caps: GarsideCaps = DEFAULT_CAPS
 ) -> bool:
@@ -501,17 +544,7 @@ def are_conjugate(
     if len(a.letters) != len(b.letters):
         return False  # conjugation preserves positive word length
     nfa, nfb = normal_form(a), normal_form(b)
-    if nfa == nfb:
-        return True
-    rep_a, _ = _summit_representative(nfa, caps)
-    rep_b, _ = _summit_representative(nfb, caps)
-    if (rep_a.delta_power, rep_a.canonical_length) != (
-        rep_b.delta_power,
-        rep_b.canonical_length,
-    ):
-        return False
-    members, _ = _summit_closure(rep_a, caps)
-    return rep_b.key() in members
+    return nfa == nfb or _conjugacy(nfa, nfb, caps) is not None
 
 
 def contains_half_twist(w: BraidWord, caps: GarsideCaps = DEFAULT_CAPS) -> bool:
@@ -531,54 +564,36 @@ class MoveSequenceResult:
     method: str  # "procedure-found" | "search-found"
 
 
-def _word_move_neighbors(w: BraidWord, conjugations: bool) -> list[tuple[WordMove, BraidWord]]:
-    out = []
-    n = len(w.letters)
-    for p in range(1, n - 1):
-        m = WordMove(MoveKind.BRAID_REL, p)
-        if move_applies(w, m):
-            out.append((m, apply_move(w, m)))
-    for p in range(1, n):
-        m = WordMove(MoveKind.FAR_COMM, p)
-        if move_applies(w, m):
-            out.append((m, apply_move(w, m)))
-    if conjugations and n >= 1:
-        for m in (
-            WordMove(MoveKind.ELEM_CONJ_LEFT, 1),
-            WordMove(MoveKind.ELEM_CONJ_RIGHT, n),
-        ):
-            out.append((m, apply_move(w, m)))
-    return out
+_EQUAL_WORD_KINDS = frozenset({MoveKind.BRAID_REL, MoveKind.FAR_COMM})
+_CONJUGACY_KINDS = _EQUAL_WORD_KINDS | {MoveKind.ELEM_CONJ_LEFT, MoveKind.ELEM_CONJ_RIGHT}
 
 
 def _bfs_moves(
     a: BraidWord, b: BraidWord, conjugations: bool, cap: int
 ) -> list[WordMove] | None:
-    """Breadth-first search for a move path from a to b; None if capped out."""
+    """Breadth-first search for a move path from a to b; None if capped out.
+    Neighbours are the enumerate_moves of the allowed kinds, in its order."""
     if a == b:
         return []
-    start = a.letters
+    kinds = _CONJUGACY_KINDS if conjugations else _EQUAL_WORD_KINDS
     goal = b.letters
     parents: dict[tuple[int, ...], tuple[tuple[int, ...], WordMove] | None] = {
-        start: None
+        a.letters: None
     }
     queue = deque([a])
     while queue:
         u = queue.popleft()
-        for m, v in _word_move_neighbors(u, conjugations):
+        for m in enumerate_moves(u):
+            if m.kind not in kinds:
+                continue
+            v = apply_move(u, m)
             if v.letters in parents:
                 continue
             if len(parents) >= cap:
                 return None
             parents[v.letters] = (u.letters, m)
             if v.letters == goal:
-                moves = []
-                cur = v.letters
-                while parents[cur] is not None:
-                    prev, mv = parents[cur]  # type: ignore[misc]
-                    moves.append(mv)
-                    cur = prev
-                return list(reversed(moves))
+                return [m for _, m in _walk_back(parents, goal)]
             queue.append(v)
     return None
 
@@ -593,10 +608,18 @@ def _equal_words_moves(a: BraidWord, b: BraidWord, caps: GarsideCaps) -> list[Wo
     return path
 
 
-def _rotate_left_moves(w: BraidWord, count: int) -> tuple[list[WordMove], BraidWord]:
-    moves = []
-    for _ in range(count):
-        m = WordMove(MoveKind.ELEM_CONJ_LEFT, 1)
+def _stage_and_conjugate(
+    cur: BraidWord, moved: tuple[int, ...], rest: tuple[int, ...], kind: MoveKind,
+    caps: GarsideCaps,
+) -> tuple[list[WordMove], BraidWord]:
+    """Respell cur as moved + rest (conjL) or rest + moved (conjR) by
+    equal-word moves, then carry the moved letters to the other end by
+    len(moved) elementary conjugations of that kind."""
+    left = kind is MoveKind.ELEM_CONJ_LEFT
+    w = BraidWord(cur.strands, moved + rest if left else rest + moved)
+    moves = _equal_words_moves(cur, w, caps)
+    m = WordMove(kind, 1 if left else len(w.letters))
+    for _ in moved:
         w = apply_move(w, m)
         moves.append(m)
     return moves, w
@@ -614,62 +637,42 @@ def _realize_step(
     nf = normal_form(cur)
     if nf.delta_power < 1:
         raise MoveError("realization step needs a positive half twist")
-    g_word = perm_word(conj)
-    gp_word = perm_word(right_complement(conj))
-    rest = nf_word(NormalForm(nf.strands, nf.delta_power - 1, nf.factors))
-    staged = BraidWord(cur.strands, g_word + gp_word + rest.letters)
-    moves = _equal_words_moves(cur, staged, caps)
-    conj_moves, shifted = _rotate_left_moves(staged, len(g_word))
-    moves.extend(conj_moves)
+    rest = nf_word(NormalForm(nf.strands, nf.delta_power - 1, nf.factors)).letters
+    moves, shifted = _stage_and_conjugate(
+        cur, perm_word(conj), perm_word(right_complement(conj)) + rest,
+        MoveKind.ELEM_CONJ_LEFT, caps,
+    )
     spelled = nf_word(target_nf)
     moves.extend(_equal_words_moves(shifted, spelled, caps))
     return moves, spelled
 
 
 def _realize_summit_chain(
-    w: BraidWord, caps: GarsideCaps
-) -> tuple[list[WordMove], BraidWord, NormalForm]:
-    """Word moves carrying w into the super summit set (spelled canonically)."""
-    nf = normal_form(w)
-    rep, ops = _summit_representative(nf, caps)
-    canonical = nf_word(nf)
-    moves = _equal_words_moves(w, canonical, caps)
-    cur = canonical
-    cur_nf = nf
+    w: BraidWord, nf: NormalForm, rep: NormalForm, ops: list[str], caps: GarsideCaps
+) -> tuple[list[WordMove], BraidWord]:
+    """Word moves carrying w, whose normal form is nf, along the operation
+    log ops to its summit representative rep (spelled canonically)."""
+    cur = nf_word(nf)
+    moves = _equal_words_moves(w, cur, caps)
     for op in ops:
-        if not cur_nf.factors:
+        if not nf.factors:
             break
+        k, factors = nf.delta_power, nf.factors
         if op == "cycle":
-            x = tau_pow(cur_nf.factors[0], cur_nf.delta_power)
-            head = perm_word(x)
-            rest = nf_word(
-                NormalForm(cur_nf.strands, cur_nf.delta_power, cur_nf.factors[1:])
-            )
-            staged = BraidWord(cur.strands, head + rest.letters)
-            moves.extend(_equal_words_moves(cur, staged, caps))
-            shift_moves, cur = _rotate_left_moves(staged, len(head))
-            moves.extend(shift_moves)
-            cur_nf = cycling(cur_nf)
+            moved, kept, kind = tau_pow(factors[0], k), factors[1:], MoveKind.ELEM_CONJ_LEFT
         else:
-            tail = perm_word(cur_nf.factors[-1])
-            rest = nf_word(
-                NormalForm(cur_nf.strands, cur_nf.delta_power, cur_nf.factors[:-1])
-            )
-            staged = BraidWord(cur.strands, rest.letters + tail)
-            moves.extend(_equal_words_moves(cur, staged, caps))
-            cur = staged
-            for _ in range(len(tail)):
-                m = WordMove(MoveKind.ELEM_CONJ_RIGHT, len(cur.letters))
-                cur = apply_move(cur, m)
-                moves.append(m)
-            cur_nf = decycling(cur_nf)
-    if cur_nf != rep:
+            moved, kept, kind = factors[-1], factors[:-1], MoveKind.ELEM_CONJ_RIGHT
+        rest = nf_word(NormalForm(nf.strands, k, kept)).letters
+        step, cur = _stage_and_conjugate(cur, perm_word(moved), rest, kind, caps)
+        moves.extend(step)
+        nf = cycling(nf) if op == "cycle" else decycling(nf)
+    if nf != rep:
         raise GarsideInvariantError(
             "realized cycling and decycling missed the summit representative"
         )
     spelled = nf_word(rep)
     moves.extend(_equal_words_moves(cur, spelled, caps))
-    return moves, spelled, rep
+    return moves, spelled
 
 
 def _invert_move_path(start: BraidWord, moves: list[WordMove]) -> list[WordMove]:
@@ -692,40 +695,33 @@ def conjugacy_move_sequence_detailed(
     summit set by cycling and decycling realized at word level, walk the
     summit set between the two representatives by permutation-braid
     conjugations (each hop split as Delta = gamma gamma' and shifted by
-    elementary conjugations), and undo the second chain. Falls back to a
-    breadth-first search over all moves when the procedure is capped out
-    or its moves do not replay from a to b.
+    elementary conjugations), and undo the second chain. The conjugacy
+    decision is the one are_conjugate makes, and its closure supplies
+    the hops. Falls back to a breadth-first search over all moves when
+    the realization is capped out or its moves do not replay from a to b.
     """
     if a.strands != b.strands:
         raise StrandMismatchError(f"strand counts differ: {a.strands} vs {b.strands}")
     if a == b:
         return MoveSequenceResult((), "procedure-found")
-    if words_equal_as_braids(a, b):
+    nfa, nfb = normal_form(a), normal_form(b)
+    if nfa == nfb:
         return MoveSequenceResult(
             tuple(_equal_words_moves(a, b, caps)), "procedure-found"
         )
-    if not are_conjugate(a, b, caps):
+    decided = len(a.letters) == len(b.letters) and _conjugacy(nfa, nfb, caps)
+    if not decided:
         raise MoveError("words are not conjugate")
-    if not contains_half_twist(a, caps):
+    (rep_a, ops_a), (rep_b, ops_b), hops = decided
+    # cycling and decycling never lower inf, so this is the summit power
+    if rep_a.delta_power < 1:
         raise MoveError(
             "conjugate words without a half twist: move realization not guaranteed"
         )
     try:
-        moves_a, word_a, rep_a = _realize_summit_chain(a, caps)
-        moves_b, word_b, rep_b = _realize_summit_chain(b, caps)
-        members, parents = _summit_closure(rep_a, caps)
-        if rep_b.key() not in members:
-            raise GarsideInvariantError("conjugate words must share a summit set")
-        # Path rep_b -> rep_a through recorded parents, then reverse it.
-        hops: list[tuple[NormalForm, Perm]] = []
-        key = rep_b.key()
-        while parents[key] is not None:
-            parent_key, c = parents[key]  # type: ignore[misc]
-            hops.append((members[key], c))
-            key = parent_key
-        moves = list(moves_a)
-        cur = word_a
-        for target_nf, c in reversed(hops):
+        moves, cur = _realize_summit_chain(a, nfa, rep_a, ops_a, caps)
+        moves_b, word_b = _realize_summit_chain(b, nfb, rep_b, ops_b, caps)
+        for target_nf, c in hops:
             step_moves, cur = _realize_step(cur, target_nf, c, caps)
             moves.extend(step_moves)
         if cur != word_b:

@@ -138,21 +138,12 @@ class _Step(NamedTuple):
         return _Step(nxt.target, *_compose_images(self, nxt), f"{self.label};{nxt.label}")
 
 
-def _ranks(d: BrickDiagram) -> tuple[list[tuple[int, int]], dict[tuple[int, int], int]]:
-    """(column, bottom-up rank) per brick, and the brick id of each."""
-    ranks: list[tuple[int, int]] = []
-    counts: dict[int, int] = {}
-    for b in d.bricks:
-        counts[b.column] = counts.get(b.column, 0) + 1
-        ranks.append((b.column, counts[b.column]))
-    return ranks, {cr: i for i, cr in enumerate(ranks, start=1)}
-
-
 def _relabel_images(sd: BrickDiagram, dd: BrickDiagram) -> tuple[_Images, _Images]:
     """Rank-by-rank correspondence when the move leaves bricks in place."""
-    s_ranks, s_id = _ranks(sd)
-    d_ranks, d_id = _ranks(dd)
-    return tuple((d_id[cr],) for cr in s_ranks), tuple((s_id[cr],) for cr in d_ranks)
+    return (
+        tuple((dd.brick_at[cr],) for cr in sd.ranks),
+        tuple((sd.brick_at[cr],) for cr in dd.ranks),
+    )
 
 
 def _conj_right_images(sd: BrickDiagram, dd: BrickDiagram) -> tuple[_Images, _Images]:
@@ -162,8 +153,8 @@ def _conj_right_images(sd: BrickDiagram, dd: BrickDiagram) -> tuple[_Images, _Im
     n = len(sd.by_column(column))
     if n == 0:
         return _relabel_images(sd, dd)
-    s_ranks, s_id = _ranks(sd)
-    d_ranks, d_id = _ranks(dd)
+    s_ranks, s_id = sd.ranks, sd.brick_at
+    d_ranks, d_id = dd.ranks, dd.brick_at
     images: list[GroupWord] = []
     for col, rank in s_ranks:
         if col != column:
@@ -192,8 +183,8 @@ def _braid_top_images(sd: BrickDiagram, dd: BrickDiagram) -> tuple[_Images, _Ima
     i = sd.word.letters[-1]
     n = len(sd.by_column(i))
     m = len(sd.by_column(i + 1))
-    s_ranks, s_id = _ranks(sd)
-    d_ranks, d_id = _ranks(dd)
+    s_ranks, s_id = sd.ranks, sd.brick_at
+    d_ranks, d_id = dd.ranks, dd.brick_at
     shifted = d_id[(i + 1, m + 1)]  # the brick that crossed columns
     top_src = s_id[(i, n)]
     images: list[GroupWord] = []

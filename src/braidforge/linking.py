@@ -110,9 +110,8 @@ class LinkingGraph:
         Far commutativity and Markov moves leave this unchanged even though
         brick footprints shift.
         """
-        verts = tuple(
-            (b.id,) + self.diagram.column_rank(b.id) for b in self.diagram.bricks
-        )
+        d = self.diagram
+        verts = tuple((b.id,) + cr for b, cr in zip(d.bricks, d.ranks))
         edges = tuple(
             (e.a, e.b, e.kind.value, e.side.value if e.side else None)
             for e in self.edges

@@ -114,6 +114,50 @@ def commands() -> list[list[str]]:
         cmds.append(["bricks", *base, "--format", "json"])
         cmds.append(["render", *base, "--what", "both"])
         cmds.append(["render", *base, "--dot"])
+
+    # Garside: normal forms, summit sets and half twists of seeded words,
+    # conjugacy of walked and of fresh pairs, and conjugacy realized as moves
+    # (moveseq, isocheck without --moves) on half-twist pairs, walked by the
+    # moves that keep the conjugacy class
+    walk_kinds = (MoveKind.BRAID_REL, MoveKind.FAR_COMM,
+                  MoveKind.ELEM_CONJ_LEFT, MoveKind.ELEM_CONJ_RIGHT)
+
+    def walked(w: BraidWord, steps: int) -> BraidWord:
+        for _ in range(steps):
+            w = apply_move(w, rng.choice([m for m in enumerate_moves(w) if m.kind in walk_kinds]))
+        return w
+
+    for _ in range(6):
+        n = rng.randint(3, 5)
+        w = BraidWord(n, random_letters(rng, n, rng.randint(4, 14)))
+        base = [text(w.letters), "--strands", str(n)]
+        cmds.append(["nf", *base, "--format", "plain"])
+        cmds.append(["nf", *base, "--format", "json"])
+        cmds.append(["summit", *base, "--full"])
+        cmds.append(["halftwist", *base])
+        other = walked(w, rng.randint(1, 10))
+        cmds.append(["conj", *base[:1], text(other.letters), *base[1:]])
+        fresh = random_letters(rng, n, len(w.letters))
+        cmds.append(["conj", *base[:1], text(fresh), *base[1:]])
+    for i in range(6):
+        n = rng.randint(3, 4)
+        half = "1 2 1" if n == 3 else "1 2 3 1 2 1"
+        w = BraidWord(n, tuple(map(int, half.split())) + random_letters(rng, n, rng.randint(0, 4)))
+        pair = [text(w.letters), text(walked(w, rng.randint(1, 10)).letters), "--strands", str(n)]
+        cmds.append(["moveseq" if i % 2 else "isocheck", *pair])
+    cmds += [
+        # a summit hop between the two representatives
+        ["moveseq", "1 2 1 2 2 1", "1 2 2 2 1 2"],
+        ["isocheck", "1 2 1 2 2 1", "1 2 2 2 1 2"],
+        ["moveseq", "1 2 1 1 1", "1 2 1 2 2"],
+        # four strands: the searches order braid relations before far commutations
+        ["moveseq", "1 2 3 1 2 1 2 2", "1 2 1 3 1 1 2 1"],
+        ["isocheck", "1 2 3 1 2 1 2", "1 1 2 1 1 2 3"],
+        # not conjugate, and conjugate without a half twist: both exit 1
+        ["moveseq", "1 2 1 1 2 1", "1 2 1 2 2 2"],
+        ["moveseq", "1 1", "2 2", "--strands", "3"],
+        ["isocheck", "1 1", "2 2", "--strands", "3"],
+    ]
     return cmds
 
 

@@ -6,6 +6,7 @@ from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import pytest
 
 import braidforge
 from braidforge import cli
@@ -216,6 +217,14 @@ def test_unknown_subcommand_usage_error(capsys):
 def test_usage_error_isocheck_bad_token(capsys):
     code, _ = run(capsys, "isocheck", "1 2 1", "1 2 1", "--moves", "zap@1")
     assert code == 64
+
+
+@pytest.mark.parametrize("script", ["conjR@x", "braid@1.5"])
+def test_usage_error_isocheck_bad_position(capsys, script):
+    code = main(["isocheck", "1 2 1 2", "2 1 2 2", "--moves", script])
+    out, err = capsys.readouterr()
+    assert (code, out) == (64, "")
+    assert repr(script) in err
 
 
 def test_sign_convention_flag(capsys):

@@ -2,9 +2,14 @@
 
 tests/data/cli_golden.json holds seeded ``present`` (all three formats),
 ``invariants`` (with --up-to-conjugacy and extra targets), ``isocheck``
-(interior braid relations, relabeling maps, a found sequence),
-``verify``, ``graph`` (every format and sign convention), ``bricks`` and
-``render`` commands; tests/data/make_cli_golden.py regenerates it.
+(interior braid relations, relabeling maps, found sequences),
+``verify``, ``graph`` (every format and sign convention), ``bricks``,
+``render``, ``nf`` (plain and json), ``conj`` (conjugate and fresh
+pairs), ``summit --full``, ``halftwist`` and ``moveseq`` commands. The
+found sequences (``moveseq`` and ``isocheck`` without --moves) cover
+half-twist pairs, one needing a summit hop, and two exits 1: a
+non-conjugate pair and a pair without a half twist.
+tests/data/make_cli_golden.py regenerates it.
 """
 
 import json

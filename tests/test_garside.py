@@ -314,7 +314,11 @@ def test_move_sequence_worked_pair():
 
 
 def test_move_sequence_not_conjugate():
-    with pytest.raises(MoveError):
+    # sigma_1^2 is a pure braid and sigma_1 sigma_2 is not: same length,
+    # not conjugate. The conjugacy test comes before the half-twist test.
+    with pytest.raises(MoveError, match="not conjugate"):
+        conjugacy_move_sequence(BraidWord(3, (1, 1)), BraidWord(3, (1, 2)))
+    with pytest.raises(MoveError, match="half twist"):
         conjugacy_move_sequence(BraidWord(3, (1, 1)), BraidWord(3, (2, 2)))
 
 

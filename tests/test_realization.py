@@ -85,27 +85,28 @@ def test_moves_that_do_not_replay_fall_back_to_search(monkeypatch):
     assert replay(HOP_A, list(result.moves)) == HOP_B
 
 
-def test_guard_realized_chain_reaches_representative(monkeypatch):
-    real = garside._summit_representative
-
-    def wrong_power(nf, caps):
-        rep, ops = real(nf, caps)
-        return NormalForm(rep.strands, rep.delta_power + 1, rep.factors), ops
-
-    monkeypatch.setattr(garside, "_summit_representative", wrong_power)
+def test_guard_realized_chain_reaches_representative():
+    nf = garside.normal_form(HOP_A)
+    rep, ops = garside._summit_representative(nf, garside.DEFAULT_CAPS)
+    wrong = NormalForm(rep.strands, rep.delta_power + 1, rep.factors)
     with pytest.raises(GarsideInvariantError, match="summit representative"):
-        garside._realize_summit_chain(HOP_A, garside.DEFAULT_CAPS)
+        garside._realize_summit_chain(HOP_A, nf, wrong, ops, garside.DEFAULT_CAPS)
 
 
-def test_guard_second_representative_in_summit_set(monkeypatch):
-    # The first closure decides conjugacy; the one the hops walk is cut short.
-    real = garside._summit_closure
-    closures = iter([real, lambda rep, caps: ({rep.key(): rep}, {rep.key(): None})])
-    monkeypatch.setattr(
-        garside, "_summit_closure", lambda rep, caps: next(closures)(rep, caps)
-    )
-    with pytest.raises(GarsideInvariantError, match="share a summit set"):
-        conjugacy_move_sequence_detailed(HOP_A, HOP_B)
+def test_one_closure_and_two_representatives_per_realization(monkeypatch):
+    calls = {"_summit_closure": 0, "_summit_representative": 0}
+    for name in calls:
+        real = getattr(garside, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(garside, name, counted)
+    result = conjugacy_move_sequence_detailed(HOP_A, HOP_B)
+    assert result.method == "procedure-found"
+    assert replay(HOP_A, list(result.moves)) == HOP_B
+    assert calls == {"_summit_closure": 1, "_summit_representative": 2}
 
 
 def test_guard_hops_reach_second_representative(monkeypatch):
