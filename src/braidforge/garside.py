@@ -626,15 +626,15 @@ def _stage_and_conjugate(
 
 
 def _realize_step(
-    cur: BraidWord, target_nf: NormalForm, conj: Perm, caps: GarsideCaps
+    cur: BraidWord, nf: NormalForm, target_nf: NormalForm, conj: Perm, caps: GarsideCaps
 ) -> tuple[list[WordMove], BraidWord]:
-    """Moves realizing cur -> word(target_nf) where target = conj^-1 cur conj.
+    """Moves realizing cur, whose normal form is nf, -> word(target_nf)
+    where target = conj^-1 cur conj.
 
     Requires the current braid to contain Delta: rewrite cur to
     (conj)(conj')(rest), shift conj to the back by elementary
     conjugations, then rewrite to the canonical spelling of the target.
     """
-    nf = normal_form(cur)
     if nf.delta_power < 1:
         raise MoveError("realization step needs a positive half twist")
     rest = nf_word(NormalForm(nf.strands, nf.delta_power - 1, nf.factors)).letters
@@ -721,9 +721,11 @@ def conjugacy_move_sequence_detailed(
     try:
         moves, cur = _realize_summit_chain(a, nfa, rep_a, ops_a, caps)
         moves_b, word_b = _realize_summit_chain(b, nfb, rep_b, ops_b, caps)
+        nf = rep_a  # the normal form of cur, the canonical spelling of rep_a
         for target_nf, c in hops:
-            step_moves, cur = _realize_step(cur, target_nf, c, caps)
+            step_moves, cur = _realize_step(cur, nf, target_nf, c, caps)
             moves.extend(step_moves)
+            nf = target_nf
         if cur != word_b:
             raise GarsideInvariantError(
                 "summit hops did not reach the second representative"

@@ -7,10 +7,16 @@ correspond rank by rank. For a braid relation at the top of the word,
 the top brick of column i shifts into column i+1 keeping its generator,
 and the brick below it maps to its counterpart conjugated by the shifted
 generator. Far commutativity and Markov moves relabel nothing. Every
-step is read off the two brick diagrams alone, and steps compose by
-substitution: an interior braid relation (its tail rotated to the top
-and back) or a move sequence builds presentations only for its first
-and last words, never for the words in between.
+map is read off the brick diagrams of its first and last words, and
+only those two get presentations.
+
+An interior braid relation has the map of the chain that rotates its
+tail to the top, applies the relation there and rotates back, folded in
+one pass: rotations of columns other than the relation's two cancel, and
+each of the rest costs one conjugation by its column's product (see
+_rotate), never a recomposition of the whole map. Maps along move
+sequences compose in one fold, forward images right to left and inverse
+images left to right, so each step maps only its own short images.
 
 check_map is a necessary-condition checker: images of relators must die
 in the abelianization (exact integer lattice test) and under every
@@ -35,7 +41,7 @@ the maps' exponent-sum tables; a word is spelled only for a violation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .bricks import BrickDiagram, build_bricks
 from .errors import MoveError, ResourceCapError
@@ -58,7 +64,7 @@ from .presentations import (
     presentation_of,
     relabels_onto,
 )
-from .words import BraidWord, MoveKind, WordMove, apply_move
+from .words import BraidWord, MoveKind, WordMove, apply_move, move_applies
 
 
 @dataclass(frozen=True)
@@ -107,80 +113,108 @@ def substitute(word: GroupWord, images: tuple[GroupWord, ...]) -> GroupWord:
     return free_reduce(tuple(out))
 
 
-def _compose_images(first, second) -> tuple[_Images, _Images]:
-    """Images both ways of second after first (maps or brick-level steps)."""
-    return (
-        tuple(substitute(w, second.images) for w in first.images),
-        tuple(substitute(w, first.inverse_images) for w in second.inverse_images),
+def _through(words: _Images, images: _Images) -> _Images:
+    """Each word with images substituted; images are freely reduced, so a
+    one-letter word's image is passed on by reference."""
+    return tuple(
+        images[w[0] - 1] if len(w) == 1 and w[0] > 0 else substitute(w, images) for w in words
     )
+
+
+def _fold(steps: list[tuple[_Images, _Images]]) -> tuple[_Images, _Images]:
+    """Images both ways of a chain of maps, each given as (images, inverse
+    images) and applied first to last.
+
+    Forward images fold right to left and inverse images left to right, so
+    each step maps only its own images, mostly single letters, through
+    what has accumulated; an accumulated image is copied, never mapped
+    letter by letter again.
+    """
+    images = steps[-1][0]
+    for step_images, _ in reversed(steps[:-1]):
+        images = _through(step_images, images)
+    inverse = steps[0][1]
+    for _, step_inverse in steps[1:]:
+        inverse = _through(step_inverse, inverse)
+    return images, inverse
 
 
 def compose_maps(m1: GeneratorMap, m2: GeneratorMap) -> GeneratorMap:
     """m2 after m1; requires m1.target == m2.source structurally."""
     label = f"{m1.label};{m2.label}" if m1.label or m2.label else ""
-    return GeneratorMap(m1.source, m2.target, *_compose_images(m1, m2), label)
+    images, inverse = _fold([(m.images, m.inverse_images) for m in (m1, m2)])
+    return GeneratorMap(m1.source, m2.target, images, inverse, label)
+
+
+def _identity(k: int) -> _Images:
+    return tuple((g,) for g in range(1, k + 1))
 
 
 def identity_map(p: Presentation) -> GeneratorMap:
-    gens = tuple((i,) for i in range(1, p.n_generators + 1))
+    gens = _identity(p.n_generators)
     return GeneratorMap(p, p, gens, gens, "identity")
 
 
 class _Step(NamedTuple):
-    """Moves read at brick level: the last diagram and images both ways."""
+    """A move read at brick level: the last diagram and images both ways."""
 
     target: BrickDiagram
     images: _Images  # per source brick, word in target bricks
     inverse_images: _Images  # per target brick, word in source bricks
     label: str
 
-    def then(self, nxt: _Step) -> _Step:
-        return _Step(nxt.target, *_compose_images(self, nxt), f"{self.label};{nxt.label}")
 
+def _rotate(
+    acc: list[GroupWord], d: BrickDiagram, columns: Iterable[int], top_wraps: bool
+) -> None:
+    """Substitute acc, in place, into the images of rotations moving a
+    letter of each of the columns in turn between the ends of d's word:
+    each a conjR's images when top_wraps, its inverse images otherwise.
 
-def _relabel_images(sd: BrickDiagram, dd: BrickDiagram) -> tuple[_Images, _Images]:
-    """Rank-by-rank correspondence when the move leaves bricks in place."""
-    return (
-        tuple((dd.brick_at[cr],) for cr in sd.ranks),
-        tuple((sd.brick_at[cr],) for cr in dd.ranks),
-    )
-
-
-def _conj_right_images(sd: BrickDiagram, dd: BrickDiagram) -> tuple[_Images, _Images]:
-    """Images across moving the top letter to the bottom; a column with no
-    bricks leaves the graphs equal, and the map relabels."""
-    column = sd.word.letters[-1]
-    n = len(sd.by_column(column))
-    if n == 0:
-        return _relabel_images(sd, dd)
-    s_ranks, s_id = sd.ranks, sd.brick_at
-    d_ranks, d_id = dd.ranks, dd.brick_at
-    images: list[GroupWord] = []
-    for col, rank in s_ranks:
-        if col != column:
-            images.append((d_id[(col, rank)],))
-        elif rank < n:
-            images.append((d_id[(col, rank + 1)],))
+    A rotation keeps every column's brick count, so all words on the way
+    number their bricks alike. With x_1 .. x_n the column's images in acc,
+    bottom to top, a conjR moves the column's bricks up one rank, the top
+    one wrapping to the bottom: its images are x_2 .. x_n and
+    x_n .. x_2 x_1 x_2^-1 .. x_n^-1 = P x_1 P^-1, with P = x_n .. x_1;
+    its inverse images are P^-1 x_n P and x_1 .. x_{n-1}. Both keep P, so
+    P is reduced once per column and each rotation costs one conjugation.
+    A column with at most one brick rotates as the identity.
+    """
+    blocks: dict[int, tuple[int, int, GroupWord]] = {}
+    for c in columns:
+        if c not in blocks:
+            ids = [b.id for b in d.by_column(c)]
+            lo, hi = (ids[0], ids[-1]) if ids else (0, 0)
+            blocks[c] = lo, hi, free_reduce(tuple(x for g in ids[::-1] for x in acc[g - 1]))
+        lo, hi, p = blocks[c]
+        if hi <= lo:
+            continue
+        if top_wraps:
+            x = acc[lo - 1]
+            acc[lo - 1 : hi - 1] = acc[lo:hi]
+            acc[hi - 1] = free_reduce(p + x + invert_word(p))
         else:
-            # top brick wraps to the bottom: T_n T_{n-1} .. T_2 T_1 T_2^-1 .. T_n^-1
-            down = tuple(d_id[(col, r)] for r in range(n, 1, -1))
-            images.append(down + (d_id[(col, 1)],) + tuple(-g for g in reversed(down)))
-    inverse: list[GroupWord] = []
-    for col, rank in d_ranks:
-        if col != column:
-            inverse.append((s_id[(col, rank)],))
-        elif rank > 1:
-            inverse.append((s_id[(col, rank - 1)],))
-        else:
-            # new bottom brick: S_1^-1 .. S_{n-1}^-1 S_n S_{n-1} .. S_1
-            up = tuple(s_id[(col, r)] for r in range(1, n))
-            inverse.append(tuple(-g for g in up) + (s_id[(col, n)],) + tuple(reversed(up)))
+            x = acc[hi - 1]
+            acc[lo:hi] = acc[lo - 1 : hi - 1]
+            acc[lo - 1] = free_reduce(invert_word(p) + x + p)
+
+
+def _conj_images(d: BrickDiagram, column: int) -> tuple[_Images, _Images]:
+    """Images both ways across moving a letter of the column from the top
+    of d's word to the bottom."""
+    ident = _identity(len(d.bricks))
+    images, inverse = list(ident), list(ident)
+    _rotate(images, d, [column], top_wraps=True)
+    _rotate(inverse, d, [column], top_wraps=False)
     return tuple(images), tuple(inverse)
 
 
-def _braid_top_images(sd: BrickDiagram, dd: BrickDiagram) -> tuple[_Images, _Images]:
-    """Images across sigma_i sigma_{i+1} sigma_i -> sigma_{i+1} sigma_i sigma_{i+1} at the top."""
-    i = sd.word.letters[-1]
+def _braid_top_images(
+    sd: BrickDiagram, dd: BrickDiagram, i: int
+) -> tuple[_Images, _Images]:
+    """Images across sigma_i sigma_{i+1} sigma_i -> sigma_{i+1} sigma_i sigma_{i+1}
+    at the top, read off column counts alone: sd and dd may be any
+    rotations of the words before and after the move."""
     n = len(sd.by_column(i))
     m = len(sd.by_column(i + 1))
     s_ranks, s_id = sd.ranks, sd.brick_at
@@ -206,17 +240,60 @@ def _braid_top_images(sd: BrickDiagram, dd: BrickDiagram) -> tuple[_Images, _Ima
     return tuple(images), tuple(inverse)
 
 
+def _braid_images(
+    sd: BrickDiagram, dd: BrickDiagram, i: int, j: int
+) -> tuple[_Images, _Images]:
+    """Images across sigma_i sigma_j sigma_i -> sigma_j sigma_i sigma_j.
+    For j = i - 1 the mirror move, shifting a brick from column i down to
+    column j, is the inverse situation."""
+    if j == i + 1:
+        return _braid_top_images(sd, dd, i)
+    images, inverse = _braid_top_images(dd, sd, j)
+    return inverse, images
+
+
 def _braid_top_step(d: BrickDiagram, position: int) -> _Step:
     w = d.word
     if position != len(w.letters) - 2:
         raise MoveError("braid_relation_map needs the relation at the top")
     dd = build_bricks(apply_move(w, WordMove(MoveKind.BRAID_REL, position)))
-    if w.letters[position] == w.letters[position - 1] + 1:
-        return _Step(dd, *_braid_top_images(d, dd), "braidTop")
-    # Pattern sigma_{i+1} sigma_i sigma_{i+1}: the mirror move shifting a
-    # brick from column i+1 down to column i is the inverse situation.
-    images, inverse = _braid_top_images(dd, d)
-    return _Step(dd, inverse, images, "inverse(braidTop)")
+    i, j = w.letters[position - 1], w.letters[position]
+    label = "braidTop" if j == i + 1 else "inverse(braidTop)"
+    return _Step(dd, *_braid_images(d, dd, i, j), label)
+
+
+def _interior_braid_step(d: BrickDiagram, position: int, tail: int) -> _Step:
+    """A braid relation with tail letters above it: the map of the chain
+    of tail conjR moves bringing it to the top, the braid move there, and
+    tail conjL moves bringing the letters back.
+
+    Rotations of columns other than the relation's two commute with the
+    braid move and with each other and cancel in pairs (their bricks keep
+    their ids across the braid move), so only the two columns rotate.
+    Only d and the destination get diagrams: each half of the chain
+    numbers its bricks as its end word does.
+    """
+    w = d.word
+    m = WordMove(MoveKind.BRAID_REL, position)
+    if not move_applies(w, m):
+        # the chain's error: the relation fails at the top of the rotated word
+        raise MoveError(f"braid does not apply at position {len(w.letters) - 2}")
+    dd = build_bricks(apply_move(w, m))
+    pair = w.letters[position - 1 : position + 1]
+    rotated = [c for c in w.letters[-tail:] if c in pair]
+    braid_images, braid_inverse = _braid_images(d, dd, *pair)
+    # forward images fold right to left: the conjL moves, last first, the
+    # braid move, then the conjR moves, last first
+    images = list(_identity(len(d.bricks)))
+    _rotate(images, dd, reversed(rotated), top_wraps=False)
+    images = list(_through(braid_images, images))
+    _rotate(images, d, rotated, top_wraps=True)
+    # inverse images fold left to right
+    inverse = list(_identity(len(d.bricks)))
+    _rotate(inverse, d, reversed(rotated), top_wraps=False)
+    inverse = list(_through(braid_inverse, inverse))
+    _rotate(inverse, dd, rotated, top_wraps=True)
+    return _Step(dd, tuple(images), tuple(inverse), f"braid@{position}")
 
 
 def _move_step(d: BrickDiagram, m: WordMove) -> _Step:
@@ -226,32 +303,24 @@ def _move_step(d: BrickDiagram, m: WordMove) -> _Step:
         if not w.letters:
             raise MoveError("elementary conjugation needs a nonempty word")
         dd = build_bricks(apply_move(w, WordMove(m.kind, len(w.letters))))
-        return _Step(dd, *_conj_right_images(d, dd), "conjR")
+        return _Step(dd, *_conj_images(d, w.letters[-1]), "conjR")
     if m.kind is MoveKind.ELEM_CONJ_LEFT:
         # the right conjugation from the moved word, directions swapped
         dd = build_bricks(apply_move(w, WordMove(m.kind, 1)))
-        images, inverse = _conj_right_images(dd, d)
+        images, inverse = _conj_images(d, w.letters[0])
         return _Step(dd, inverse, images, "inverse(conjR)")
     if m.kind in (MoveKind.FAR_COMM, MoveKind.MARKOV_STAB, MoveKind.MARKOV_DESTAB):
+        # every column keeps its bricks in order, so ids are unchanged
         dd = build_bricks(apply_move(w, m))
-        return _Step(dd, *_relabel_images(d, dd), m.kind.value)
+        ident = _identity(len(d.bricks))
+        return _Step(dd, ident, ident, m.kind.value)
     if m.kind is MoveKind.BRAID_REL:
-        n = len(w.letters)
-        tail = n - (m.position + 2)
+        tail = len(w.letters) - (m.position + 2)
         if tail == 0:
             return _braid_top_step(d, m.position)
-        if tail < 0:
+        if tail < 0 or m.position < 1:
             raise MoveError(f"braid does not apply at position {m.position}")
-        # Rotate the tail to the front, apply at the top, rotate back.
-        moves = (
-            [WordMove(MoveKind.ELEM_CONJ_RIGHT, n)] * tail
-            + [WordMove(MoveKind.BRAID_REL, n - 2)]
-            + [WordMove(MoveKind.ELEM_CONJ_LEFT, 1)] * tail
-        )
-        step = _move_step(d, moves[0])
-        for mv in moves[1:]:
-            step = step.then(_move_step(step.target, mv))
-        return step._replace(label=f"braid@{m.position}")
+        return _interior_braid_step(d, m.position, tail)
     raise MoveError(f"no generator map for move kind {m.kind}")
 
 
@@ -292,14 +361,14 @@ def maps_along_moves(w: BraidWord, moves: list[WordMove]) -> GeneratorMap:
     source = build_bricks(w)
     if not moves:
         return identity_map(presentation_of(build_graph(source)))
-    step: _Step | None = None
+    steps: list[_Step] = []
     d = source
     for m in moves:
-        nxt = _move_step(d, m)
+        steps.append(_move_step(d, m))
         apply_move(d.word, m)  # the step ignores a conjugation's position; replay does not
-        step = nxt if step is None else step.then(nxt)
-        d = nxt.target
-    return _end_map(source, step)
+        d = steps[-1].target
+    images, inverse = _fold([(s.images, s.inverse_images) for s in steps])
+    return _end_map(source, _Step(d, images, inverse, ";".join(s.label for s in steps)))
 
 
 # -- checking ----------------------------------------------------------------

@@ -232,9 +232,14 @@ def cycle_equation(cycle: tuple[int, ...]) -> tuple[GroupWord, GroupWord]:
 
 
 def cycle_relator(cycle: tuple[int, ...], provenance: tuple = ()) -> Relator:
+    """The relator lhs * rhs^-1 of a cycle of distinct generators.
+
+    The word is already freely reduced: both sides are positive, and lhs
+    ends with i_3 while rhs^-1 starts with i_2^-1.
+    """
     lhs, rhs = cycle_equation(cycle)
-    return Relator.from_equation(
-        RelatorKind.CYCLE, lhs, rhs, provenance or ("region", cycle)
+    return Relator(
+        RelatorKind.CYCLE, lhs + invert_word(rhs), lhs, rhs, provenance or ("region", cycle)
     )
 
 

@@ -436,3 +436,51 @@ def test_two_presentations_per_sequence(presentation_calls):
         presentation_calls.clear()
         call()
         assert len(presentation_calls) == 2
+
+
+# -- the fold's cases -------------------------------------------------------------
+
+def test_interior_braid_relations_fold_cases():
+    cases = [
+        # tails with letters of columns other than the relation's two, one
+        # of them (4 below, 1 and 5 further up) with a single occurrence
+        (BraidWord(6, (1, 2, 3, 2, 5, 1, 4, 5, 2, 3, 1, 3)), 2),
+        (BraidWord(5, (3, 4, 3, 1, 2, 1, 2, 4, 1)), 1),
+        # the tail holds every occurrence of column 2 outside the relation,
+        # and then of column 1, so rotations wrap those columns fully
+        (BraidWord(4, (1, 2, 1, 2, 3, 2, 2)), 1),
+        (BraidWord(4, (3, 1, 2, 1, 1, 3, 1)), 2),
+        # the mirrored pattern, with and without other columns in the tail
+        (BraidWord(4, (2, 1, 2, 2, 1, 1, 2)), 1),
+        (BraidWord(6, (4, 3, 4, 1, 5, 3, 4, 1, 4)), 1),
+        # position 1 with the longest tail
+        (BraidWord(4, (1, 2, 1) + (3, 2, 1, 2, 3, 1, 1, 2, 3, 3, 2, 1, 2)), 1),
+        (BraidWord(5, (4, 3, 4) + (1, 3, 4, 2, 4, 3, 3, 1, 4, 3, 2, 4)), 1),
+    ]
+    for w, p in cases:
+        m = WordMove(MoveKind.BRAID_REL, p)
+        assert len(w.letters) - (p + 2) > 0
+        assert_same_map(move_map(w, m), reference_move_map(w, m))
+    malformed = [
+        (BraidWord(4, (1, 2, 3, 1, 1)), 1),  # outer letters differ
+        (BraidWord(4, (1, 3, 1, 2, 2)), 1),  # inner letter two columns away
+        (BraidWord(3, (2, 2, 2, 1)), 1),  # a repeated letter
+        (BraidWord(5, (4, 1, 2, 4, 3, 4)), 2),
+    ]
+    for w, p in malformed:
+        m = WordMove(MoveKind.BRAID_REL, p)
+        with pytest.raises(Exception) as want:
+            reference_move_map(w, m)
+        with pytest.raises(want.type) as got:
+            move_map(w, m)
+        assert str(got.value) == str(want.value)
+
+
+def test_braid_relation_before_the_start_is_rejected():
+    # Positions below 1 rotated the word past its first letters, and the
+    # reference read a relation wrapping around the end of the word.
+    w = BraidWord(3, (2, 1, 2, 1))
+    assert reference_move_map(w, WordMove(MoveKind.BRAID_REL, 0)).label == "braid@0"
+    for p in (0, -1):
+        with pytest.raises(MoveError, match=f"braid does not apply at position {p}"):
+            move_map(w, WordMove(MoveKind.BRAID_REL, p))

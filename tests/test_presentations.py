@@ -59,6 +59,18 @@ def test_cycle_relator_abelianizes_to_two_generators():
         assert exponents == {cycle[-1]: 1, cycle[1]: -1}
 
 
+def test_cycle_relator_words_need_no_reduction(rng):
+    # cycle_relator spells lhs * rhs^-1 without reducing it
+    regions = 0
+    for _ in range(150):
+        g = build_graph(build_bricks(random_word(rng, max_strands=8, max_len=40)))
+        for region in g.regions:
+            r = cycle_relator(region.vertices)
+            assert r.word == concat(r.lhs, invert_word(r.rhs))
+            regions += 1
+    assert regions > 500
+
+
 def test_standard_braid_presentation():
     for n in range(2, 7):
         p = presentation_for(" ".join("1" * (n)), strands=2)

@@ -110,7 +110,7 @@ def test_one_closure_and_two_representatives_per_realization(monkeypatch):
 
 
 def test_guard_hops_reach_second_representative(monkeypatch):
-    monkeypatch.setattr(garside, "_realize_step", lambda cur, target, c, caps: ([], cur))
+    monkeypatch.setattr(garside, "_realize_step", lambda cur, nf, target, c, caps: ([], cur))
     with pytest.raises(GarsideInvariantError, match="second representative"):
         conjugacy_move_sequence_detailed(HOP_A, HOP_B)
 
