@@ -83,15 +83,13 @@ class BrickDiagram:
 
 def build_bricks(w: BraidWord) -> BrickDiagram:
     """One brick per adjacent pair of same-index crossings, in canonical order."""
-    bricks = []
-    next_id = 1
-    for column in range(1, w.strands):
-        occ = w.occurrences(column)
+    bricks: list[Brick] = []
+    for column, occ in w.occurrences_by_letter().items():
         for lo, hi in zip(occ, occ[1:]):
-            bricks.append(Brick(next_id, column, lo, hi))
-            next_id += 1
+            bricks.append(Brick(len(bricks) + 1, column, lo, hi))
     return BrickDiagram(w, tuple(bricks))
 
 
 def brick_count(w: BraidWord) -> int:
-    return sum(max(0, len(w.occurrences(c)) - 1) for c in range(1, w.strands))
+    # each letter that occurs has one brick fewer than occurrences
+    return len(w.letters) - len(set(w.letters))

@@ -415,29 +415,40 @@ def _assignments(p: Presentation, t: FiniteTarget) -> _Orbits:
             acc = table[acc][g if x > 0 else inv[g]]
         return acc
 
-    def dfs(step: int, stab: int) -> None:
+    # Depth-first with an explicit stack, so word length is not bounded by
+    # the recursion limit: per assigned step, its stab and its values left.
+    stack: list[tuple[int, Iterator[int]]] = []
+
+    def descend(stab: int) -> None:
+        """Record a leaf, or push the values to try for the next generator."""
+        step = len(stack)
         if step == k:
             reps.append(tuple(images[1 : k + 1]))
             cents.append(stab)
             sizes.append(n // stab.bit_count())
             return
-        g = order[step]
         allowed = least.get(stab)
         if allowed is None:
             allowed = least[stab] = sum(1 << v for v in range(n) if not stab & lower[v])
         for earlier in range(step):
             masks = pair_rel[step][earlier]
-            if masks is None:
-                continue
-            allowed &= masks[images[order[earlier]]]
-            if not allowed:
-                return
-        for val in _iter_bits(allowed):
-            images[g] = val
-            if all(eval_general(word) == ident for word in general_at[step]):
-                dfs(step + 1, stab & cent[val])
+            if masks is not None:
+                allowed &= masks[images[order[earlier]]]
+                if not allowed:
+                    break
+        stack.append((stab, _iter_bits(allowed)))
 
-    dfs(0, full)
+    descend(full)
+    while stack:
+        step = len(stack) - 1
+        stab, values = stack[-1]
+        val = next(values, None)
+        if val is None:
+            stack.pop()
+        else:
+            images[order[step]] = val
+            if all(eval_general(word) == ident for word in general_at[step]):
+                descend(stab & cent[val])
     return _Orbits(tuple(order), tuple(reps), tuple(cents), tuple(sizes), sum(sizes))
 
 

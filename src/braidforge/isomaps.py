@@ -1,22 +1,25 @@
 """Explicit generator maps across word moves, and their machine checks.
 
-For an elementary conjugation moving a letter of column i, the top brick
-of that column wraps around to the bottom; its generator maps to the new
-bottom generator conjugated by everything between them, all other bricks
-correspond rank by rank. For a braid relation at the top of the word,
-the top brick of column i shifts into column i+1 keeping its generator,
-and the brick below it maps to its counterpart conjugated by the shifted
-generator. Far commutativity and Markov moves relabel nothing. Every
-map is read off the brick diagrams of its first and last words, and
-only those two get presentations.
+Every map is built by maps_along_moves (move_map is a sequence of one
+move): each move becomes one step read off brick diagrams and checked
+as apply_move checks it, the steps compose in one fold, forward images
+right to left and inverse images left to right, so each step maps only
+its own short images, and only the first and last words get
+presentations. For an elementary conjugation moving a letter of column
+i, the top brick of that column wraps around to the bottom; its
+generator maps to the new bottom generator conjugated by everything
+between them, all other bricks correspond rank by rank. For a braid
+relation at the top of the word, the top brick of column i shifts into
+column i+1 keeping its generator, and the brick below it maps to its
+counterpart conjugated by the shifted generator. Far commutativity and
+Markov moves relabel nothing.
 
-An interior braid relation has the map of the chain that rotates its
-tail to the top, applies the relation there and rotates back, folded in
-one pass: rotations of columns other than the relation's two cancel, and
-each of the rest costs one conjugation by its column's product (see
-_rotate), never a recomposition of the whole map. Maps along move
-sequences compose in one fold, forward images right to left and inverse
-images left to right, so each step maps only its own short images.
+A braid relation at any height has the map of the chain that rotates
+the letters above it to the top, applies the relation there and
+rotates back, folded in one pass: rotations of columns other than the
+relation's two cancel, and each of the rest costs one conjugation by
+its column's product (see _rotate), never a recomposition of the whole
+map. At the top nothing rotates.
 
 check_map is a necessary-condition checker: images of relators must die
 in the abelianization (exact integer lattice test) and under every
@@ -31,11 +34,13 @@ every source hom the pullback through φ⁻¹ must satisfy the target
 relators, and both round trips must fix every hom. That is exactly the
 relator-by-relator condition. Both conditions commute with conjugation
 in the target and hom sets are closed under it, so one hom per orbit,
-as the orbit search gives them, is pulled back, exactly. After a failure
-the same representatives word the violations: a relator or round trip
-fails under a hom iff under each of its conjugates, so the first failing
-representative is the first failing hom. The abelianization is read off
-the maps' exponent-sum tables; a word is spelled only for a violation.
+as the orbit search gives them, decides, exactly. Each representative
+is pulled back once and its pullback back once more for the round trip;
+the decision and, when it fails, the wording of the violations read
+those same lists. A relator or round trip fails under a hom iff under
+each of its conjugates, so the first failing representative is the
+first failing hom. The abelianization is read off the maps'
+exponent-sum tables; a word is spelled only for a violation.
 """
 
 from __future__ import annotations
@@ -240,32 +245,11 @@ def _braid_top_images(
     return tuple(images), tuple(inverse)
 
 
-def _braid_images(
-    sd: BrickDiagram, dd: BrickDiagram, i: int, j: int
-) -> tuple[_Images, _Images]:
-    """Images across sigma_i sigma_j sigma_i -> sigma_j sigma_i sigma_j.
-    For j = i - 1 the mirror move, shifting a brick from column i down to
-    column j, is the inverse situation."""
-    if j == i + 1:
-        return _braid_top_images(sd, dd, i)
-    images, inverse = _braid_top_images(dd, sd, j)
-    return inverse, images
-
-
-def _braid_top_step(d: BrickDiagram, position: int) -> _Step:
-    w = d.word
-    if position != len(w.letters) - 2:
-        raise MoveError("braid_relation_map needs the relation at the top")
-    dd = build_bricks(apply_move(w, WordMove(MoveKind.BRAID_REL, position)))
-    i, j = w.letters[position - 1], w.letters[position]
-    label = "braidTop" if j == i + 1 else "inverse(braidTop)"
-    return _Step(dd, *_braid_images(d, dd, i, j), label)
-
-
-def _interior_braid_step(d: BrickDiagram, position: int, tail: int) -> _Step:
-    """A braid relation with tail letters above it: the map of the chain
-    of tail conjR moves bringing it to the top, the braid move there, and
-    tail conjL moves bringing the letters back.
+def _braid_step(d: BrickDiagram, position: int) -> _Step:
+    """A braid relation with the word's tail letters above it: the map of
+    the chain of tail conjR moves bringing it to the top, the braid move
+    there, and tail conjL moves bringing the letters back. At the top the
+    tail is empty and the chain is the braid move alone.
 
     Rotations of columns other than the relation's two commute with the
     braid move and with each other and cancel in pairs (their bricks keep
@@ -274,14 +258,22 @@ def _interior_braid_step(d: BrickDiagram, position: int, tail: int) -> _Step:
     numbers its bricks as its end word does.
     """
     w = d.word
+    top = len(w.letters) - 2
     m = WordMove(MoveKind.BRAID_REL, position)
-    if not move_applies(w, m):
+    if 1 <= position < top and not move_applies(w, m):
         # the chain's error: the relation fails at the top of the rotated word
-        raise MoveError(f"braid does not apply at position {len(w.letters) - 2}")
+        raise MoveError(f"braid does not apply at position {top}")
     dd = build_bricks(apply_move(w, m))
-    pair = w.letters[position - 1 : position + 1]
-    rotated = [c for c in w.letters[-tail:] if c in pair]
-    braid_images, braid_inverse = _braid_images(d, dd, *pair)
+    i, j = w.letters[position - 1 : position + 1]
+    if j == i + 1:
+        braid_images, braid_inverse = _braid_top_images(d, dd, i)
+        top_label = "braidTop"
+    else:
+        # the mirror move, shifting a brick from column i down to column j,
+        # is the inverse situation
+        braid_inverse, braid_images = _braid_top_images(dd, d, j)
+        top_label = "inverse(braidTop)"
+    rotated = [c for c in w.letters[position + 2 :] if c in (i, j)]
     # forward images fold right to left: the conjL moves, last first, the
     # braid move, then the conjR moves, last first
     images = list(_identity(len(d.bricks)))
@@ -293,20 +285,21 @@ def _interior_braid_step(d: BrickDiagram, position: int, tail: int) -> _Step:
     _rotate(inverse, d, reversed(rotated), top_wraps=False)
     inverse = list(_through(braid_inverse, inverse))
     _rotate(inverse, dd, rotated, top_wraps=True)
-    return _Step(dd, tuple(images), tuple(inverse), f"braid@{position}")
+    label = f"braid@{position}" if position < top else top_label
+    return _Step(dd, tuple(images), tuple(inverse), label)
 
 
 def _move_step(d: BrickDiagram, m: WordMove) -> _Step:
-    """One move at brick level; an elementary conjugation ignores m.position."""
+    """One move at brick level, validated as apply_move validates it."""
     w = d.word
     if m.kind is MoveKind.ELEM_CONJ_RIGHT:
         if not w.letters:
             raise MoveError("elementary conjugation needs a nonempty word")
-        dd = build_bricks(apply_move(w, WordMove(m.kind, len(w.letters))))
+        dd = build_bricks(apply_move(w, m))
         return _Step(dd, *_conj_images(d, w.letters[-1]), "conjR")
     if m.kind is MoveKind.ELEM_CONJ_LEFT:
         # the right conjugation from the moved word, directions swapped
-        dd = build_bricks(apply_move(w, WordMove(m.kind, 1)))
+        dd = build_bricks(apply_move(w, m))
         images, inverse = _conj_images(d, w.letters[0])
         return _Step(dd, inverse, images, "inverse(conjR)")
     if m.kind in (MoveKind.FAR_COMM, MoveKind.MARKOV_STAB, MoveKind.MARKOV_DESTAB):
@@ -315,27 +308,17 @@ def _move_step(d: BrickDiagram, m: WordMove) -> _Step:
         ident = _identity(len(d.bricks))
         return _Step(dd, ident, ident, m.kind.value)
     if m.kind is MoveKind.BRAID_REL:
-        tail = len(w.letters) - (m.position + 2)
-        if tail == 0:
-            return _braid_top_step(d, m.position)
-        if tail < 0 or m.position < 1:
-            raise MoveError(f"braid does not apply at position {m.position}")
-        return _interior_braid_step(d, m.position, tail)
+        return _braid_step(d, m.position)
     raise MoveError(f"no generator map for move kind {m.kind}")
-
-
-def _end_map(source: BrickDiagram, step: _Step) -> GeneratorMap:
-    """The step's images between the presentations of its two end words."""
-    src, dst = (presentation_of(build_graph(d)) for d in (source, step.target))
-    return GeneratorMap(src, dst, step.images, step.inverse_images, step.label)
 
 
 def conjugation_map(w: BraidWord, end: str = "right") -> GeneratorMap:
     """Generator map across an elementary conjugation at the given end."""
     if end not in ("left", "right"):
         raise ValueError("end must be 'left' or 'right'")
-    kind = MoveKind.ELEM_CONJ_LEFT if end == "left" else MoveKind.ELEM_CONJ_RIGHT
-    return move_map(w, WordMove(kind))
+    if end == "left":
+        return move_map(w, WordMove(MoveKind.ELEM_CONJ_LEFT, 1))
+    return move_map(w, WordMove(MoveKind.ELEM_CONJ_RIGHT, len(w.letters)))
 
 
 def braid_relation_map(w: BraidWord, position: int | None = None) -> GeneratorMap:
@@ -344,31 +327,31 @@ def braid_relation_map(w: BraidWord, position: int | None = None) -> GeneratorMa
     The word must end with the pattern sigma_i sigma_{i+1} sigma_i or its
     mirror (interior positions go through move_map).
     """
-    if position is None:
-        position = len(w.letters) - 2
-    d = build_bricks(w)
-    return _end_map(d, _braid_top_step(d, position))
+    top = len(w.letters) - 2
+    if position not in (None, top):
+        raise MoveError("braid_relation_map needs the relation at the top")
+    return move_map(w, WordMove(MoveKind.BRAID_REL, top))
 
 
 def move_map(w: BraidWord, m: WordMove) -> GeneratorMap:
     """The generator map across any single word move."""
-    d = build_bricks(w)
-    return _end_map(d, _move_step(d, m))
+    return maps_along_moves(w, [m])
 
 
 def maps_along_moves(w: BraidWord, moves: list[WordMove]) -> GeneratorMap:
-    """Composite generator map along a move sequence."""
-    source = build_bricks(w)
+    """Composite generator map along a move sequence, the one place a map
+    is built from moves: each step is read off brick diagrams and checked
+    as apply_move checks it, and only the end words get presentations."""
+    source = d = build_bricks(w)
     if not moves:
         return identity_map(presentation_of(build_graph(source)))
     steps: list[_Step] = []
-    d = source
     for m in moves:
         steps.append(_move_step(d, m))
-        apply_move(d.word, m)  # the step ignores a conjugation's position; replay does not
         d = steps[-1].target
     images, inverse = _fold([(s.images, s.inverse_images) for s in steps])
-    return _end_map(source, _Step(d, images, inverse, ";".join(s.label for s in steps)))
+    src, dst = (presentation_of(build_graph(e)) for e in (source, d))
+    return GeneratorMap(src, dst, images, inverse, ";".join(s.label for s in steps))
 
 
 # -- checking ----------------------------------------------------------------
@@ -429,28 +412,6 @@ def _pull_back(
     return tuple(evaluate_word(t, hom, w) for w in images)
 
 
-def _pullback_holds(m: GeneratorMap, t: FiniteTarget, src: tuple, dst: tuple) -> bool:
-    """Both hom sets pull back into each other, and both round trips fix them.
-
-    Since each set holds every homomorphism, this is exactly the condition
-    that every relator image and round-trip word dies under every hom.
-    Conjugating h by c conjugates its pullback by c, hom sets are closed
-    under conjugation, and a round trip fixes h iff it fixes the conjugate,
-    so one hom per orbit (src and dst are hom_orbits results) decides; a
-    pulled-back hom is tested against the relators, not looked up. When
-    this fails, the same representatives word the violations.
-    """
-    for (reps, _), p, there, back in (
-        (dst, m.source, m.images, m.inverse_images),
-        (src, m.target, m.inverse_images, m.images),
-    ):
-        for h in reps:
-            pulled = _pull_back(t, h, there)
-            if not is_hom(p, t, pulled) or _pull_back(t, pulled, back) != h:
-                return False
-    return True
-
-
 def _violation(m: GeneratorMap, direction: str, i: int, target: str, fails: str) -> Violation:
     """Check i of a kind, its word spelled: relator i's image (forward,
     backward) or the round trip at generator i + 1."""
@@ -470,32 +431,38 @@ def _violation(m: GeneratorMap, direction: str, i: int, target: str, fails: str)
 def _finite_violations(
     m: GeneratorMap, t: FiniteTarget, src_reps: tuple, dst_reps: tuple
 ) -> list[Violation]:
-    """The violations under t, worded from the orbit representatives.
+    """The violations under t, from one pass over the orbit representatives.
 
-    A relator or round trip fails under h iff it fails under every
-    conjugate of h, and each representative is the least member of its
-    orbit in the order enumerate_homs lists homs, so the first failing
+    Each representative h is pulled back through the map once and that
+    pullback back again once. Every pullback a hom and every round trip
+    h again is exactly the relator-by-relator condition, since both hom
+    sets hold every homomorphism; the lists word the violations only when
+    it fails. A relator or round trip fails under h iff it fails under
+    every conjugate of h, and each representative is the least member of
+    its orbit in the order enumerate_homs lists homs, so the first failing
     representative is the first failing hom.
     """
-    # each representative with its pullback through the map, pulled once
-    fwd = [(h, _pull_back(t, h, m.images)) for h in dst_reps]
-    bwd = [(h, _pull_back(t, h, m.inverse_images)) for h in src_reps]
+    pulls = []  # per direction: each h, its pullback q, and q's pullback (the round trip)
+    for reps, there, back in (
+        (dst_reps, m.images, m.inverse_images),
+        (src_reps, m.inverse_images, m.images),
+    ):
+        pulled = [_pull_back(t, h, there) for h in reps]
+        pulls.append([(h, q, _pull_back(t, q, back)) for h, q in zip(reps, pulled)])
+    fwd, bwd = pulls
+    kinds = (("forward", m.source, fwd), ("backward", m.target, bwd))
+    if all(is_hom(p, t, q) and trip == h for _, p, ps in kinds for h, q, trip in ps):
+        return []
     violations = []
-    for direction, p, pulls in (("forward", m.source, fwd), ("backward", m.target, bwd)):
+    for direction, p, ps in kinds:
         for i, r in enumerate(p.relators):
-            bad = (h for h, pulled in pulls if evaluate_word(t, pulled, r.word) != t.identity)
+            bad = (h for h, q, _ in ps if evaluate_word(t, q, r.word) != t.identity)
             h = next(bad, None)
             if h is not None:
                 fails = f"not trivial under homomorphism {h}"
                 violations.append(_violation(m, direction, i, t.name, fails))
-    for direction, pulls, back in (
-        ("roundtrip-source", bwd, m.images),
-        ("roundtrip-target", fwd, m.inverse_images),
-    ):
-        moved: set[int] = set()
-        for h, pulled in pulls:
-            trip = _pull_back(t, pulled, back)
-            moved.update(i for i, (a, b) in enumerate(zip(h, trip)) if a != b)
+    for direction, ps in (("roundtrip-source", bwd), ("roundtrip-target", fwd)):
+        moved = {i for h, _, trip in ps for i, (a, b) in enumerate(zip(h, trip)) if a != b}
         violations += [_violation(m, direction, i, t.name, "not trivial") for i in sorted(moved)]
     return violations
 
@@ -541,8 +508,8 @@ def check_map(
                     _violation(m, direction, i, "abelianization", "survives abelianization")
                 )
 
-    # Finite quotient checks: one hom per conjugation orbit decides, and
-    # on a failure the same representatives word the violations.
+    # Finite quotient checks: one hom per conjugation orbit, pulled back
+    # once each way, decides and words the violations.
     checked: list[str] = []
     skipped: list[str] = []
     hom_counts: dict[str, tuple[int, int]] = {}
@@ -565,8 +532,7 @@ def check_map(
                     f"{n_src} source vs {n_dst} target homomorphisms",
                 )
             )
-        if not _pullback_holds(m, t, src, dst):
-            violations += _finite_violations(m, t, src[0], dst[0])
+        violations += _finite_violations(m, t, src[0], dst[0])
 
     return CheckReport(
         not violations,

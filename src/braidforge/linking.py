@@ -162,7 +162,7 @@ class LinkingGraph:
         )
 
 
-def _bridging(bricks: list[Brick], others: tuple[int, ...]) -> list[Brick]:
+def _bridging(bricks: list[Brick], others: list[int]) -> list[Brick]:
     """The bricks with at least one of the sorted positions ``others`` strictly inside."""
     return [b for b in bricks if bisect(others, b.lo) != bisect(others, b.hi)]
 
@@ -171,7 +171,10 @@ def _sweep(
     d: BrickDiagram, sign_convention: str
 ) -> tuple[tuple[LinkEdge, ...], tuple[Region, ...]]:
     """Edges and regions, read off one adjacent column pair at a time."""
-    columns: dict[int, list[Brick]] = {c: [] for c in range(1, d.word.strands)}
+    # only the columns that occur, and only adjacent pairs of them: the
+    # cost follows the word, not the strand count
+    occ = d.word.occurrences_by_letter()
+    columns: dict[int, list[Brick]] = {c: [] for c in occ}
     for b in d.bricks:
         columns[b.column].append(b)
     edges = [
@@ -181,10 +184,11 @@ def _sweep(
     ]
     plus_side = Side.LEFT if sign_convention == "left-positive" else Side.RIGHT
     regions = []
-    for c in range(1, d.word.strands - 1):
+    for c in occ:
+        if c + 1 not in occ:
+            continue
         bridging = sorted(
-            _bridging(columns[c], d.word.occurrences(c + 1))
-            + _bridging(columns[c + 1], d.word.occurrences(c)),
+            _bridging(columns[c], occ[c + 1]) + _bridging(columns[c + 1], occ[c]),
             key=lambda b: b.lo,
         )
         for lower, upper in zip(bridging, bridging[1:]):
@@ -226,11 +230,20 @@ def is_forest(g: LinkingGraph) -> bool:
     return not g.regions
 
 
-def _canonical_rooted(adj: dict[int, set[int]], root: int, parent: int) -> str:
-    subs = sorted(
-        _canonical_rooted(adj, c, root) for c in adj[root] if c != parent
-    )
-    return "(" + "".join(subs) + ")"
+def _canonical_rooted(adj: dict[int, set[int]], root: int) -> str:
+    """The tree's nested-parenthesis code from root: each vertex wraps its
+    children's codes, sorted, computed children first without recursion."""
+    parent = {root: -1}
+    order = [root]
+    for v in order:  # breadth first, growing as it goes
+        for c in adj[v]:
+            if c != parent[v]:
+                parent[c] = v
+                order.append(c)
+    code: dict[int, str] = {}
+    for v in reversed(order):
+        code[v] = "(" + "".join(sorted(code[c] for c in adj[v] if c != parent[v])) + ")"
+    return code[root]
 
 
 def _tree_center(adj: dict[int, set[int]], nodes: list[int]) -> list[int]:
@@ -270,7 +283,7 @@ def _forest_signature(g: LinkingGraph) -> tuple[str, ...]:
                     seen.add(w)
                     stack.append(w)
         centers = _tree_center(adj, nodes)
-        comps.append(min(_canonical_rooted(adj, c, -1) for c in centers))
+        comps.append(min(_canonical_rooted(adj, c) for c in centers))
     return tuple(sorted(comps))
 
 
