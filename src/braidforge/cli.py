@@ -1,6 +1,10 @@
 """Command-line frontend.
 
-Exit codes: 0 success, 1 domain error, 2 resource cap exceeded, 64 usage.
+``main`` parses the arguments, builds the configuration (the config
+file's settings, then every flag given a non-empty value, each stored
+under its ``config.SETTINGS`` key), reads the command's word or words
+once and passes them to the command. Exit codes: 0 success, 1 domain
+error, 2 resource cap exceeded, 64 usage.
 """
 
 from __future__ import annotations
@@ -10,11 +14,10 @@ import functools
 import json
 import random
 import sys
-from dataclasses import replace
 
 from . import render as render_mod
 from .bricks import build_bricks
-from .config import Config, apply_overrides, config_from_env
+from .config import SETTINGS, Config, apply_overrides, config_from_env
 from .errors import BraidForgeError, ResourceCapError
 from .garside import (
     conjugacy_move_sequence_detailed,
@@ -88,8 +91,8 @@ def _resolve_moves(
     return out
 
 
-def _moves_json(moves) -> list[dict]:
-    return [{"kind": m.kind.value, "position": m.position} for m in moves]
+def _move_json(m: WordMove) -> dict:
+    return {"kind": m.kind.value, "position": m.position}
 
 
 def _word_json(w: BraidWord) -> dict:
@@ -98,15 +101,18 @@ def _word_json(w: BraidWord) -> dict:
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--strands", type=int, default=None, help="explicit strand count")
-    p.add_argument("--format", default=None, help="output format")
+    # every flag but --strands and --seed stores under its config.SETTINGS key
+    p.add_argument("--format", help="output format")
     p.add_argument("--sign-convention", choices=["left-positive", "right-positive"])
-    p.add_argument("--targets", default=None, help="comma list of finite targets")
-    p.add_argument("--tables", default=None, help="comma list of table files")
+    p.add_argument("--targets", help="comma list of finite targets")
+    p.add_argument(
+        "--tables", dest="table_files", metavar="TABLES", help="comma list of table files"
+    )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--caps.generators", dest="caps_generators", default=None)
-    p.add_argument("--caps.summit-set", dest="caps_summit", type=int, default=None)
-    p.add_argument("--caps.cycling", dest="caps_cycling", type=int, default=None)
-    p.add_argument("--caps.word-search", dest="caps_word_search", type=int, default=None)
+    p.add_argument("--caps.generators", metavar="CAPS_GENERATORS")
+    p.add_argument("--caps.summit-set", metavar="CAPS_SUMMIT", type=int)
+    p.add_argument("--caps.cycling", metavar="CAPS_CYCLING", type=int)
+    p.add_argument("--caps.word-search", metavar="CAPS_WORD_SEARCH", type=int)
 
 
 def build_parser() -> _Parser:
@@ -120,12 +126,9 @@ def build_parser() -> _Parser:
         _common_flags(p)
         return p
 
-    add("parse", 1)
-    add("bricks", 1)
-    add("graph", 1)
-    add("present", 1)
-    add("nf", 1)
-    p = add("conj", 2)
+    for name in ("parse", "bricks", "graph", "present", "nf"):
+        add(name, 1)
+    add("conj", 2)
     p = add("summit", 1)
     p.add_argument("--full", action="store_true", help="list summit set members")
     add("halftwist", 1)
@@ -144,26 +147,9 @@ def build_parser() -> _Parser:
 
 
 def _config_from_args(args: argparse.Namespace) -> Config:
-    cfg = config_from_env()
-    values: dict[str, str] = {}
-    if args.sign_convention:
-        values["sign_convention"] = args.sign_convention
-    if args.targets:
-        values["targets"] = args.targets
-    if args.caps_generators:
-        values["caps.generators"] = args.caps_generators
-    if args.caps_summit is not None:
-        values["caps.summit_set"] = str(args.caps_summit)
-    if args.caps_cycling is not None:
-        values["caps.cycling"] = str(args.caps_cycling)
-    if args.caps_word_search is not None:
-        values["caps.word_search"] = str(args.caps_word_search)
-    if args.tables:
-        values["table_files"] = args.tables
-    cfg = apply_overrides(cfg, values)
-    if args.format:
-        cfg = replace(cfg, format=args.format)
-    return cfg
+    """The environment's config under every setting flag given a non-empty value."""
+    values = {k: str(v) for k in SETTINGS if (v := getattr(args, k)) not in (None, "")}
+    return apply_overrides(config_from_env(), values)
 
 
 def _emit(text: str) -> None:
@@ -172,17 +158,12 @@ def _emit(text: str) -> None:
         sys.stdout.write("\n")
 
 
-def _cmd_parse(args, cfg: Config) -> int:
-    w = parse_word(args.word, args.strands)
-    if cfg.format == "plain":
-        _emit(str(w))
-    else:
-        _emit(w.to_json())
+def _cmd_parse(args, cfg: Config, w: BraidWord) -> int:
+    _emit(str(w) if cfg.format == "plain" else w.to_json())
     return 0
 
 
-def _cmd_bricks(args, cfg: Config) -> int:
-    w = parse_word(args.word, args.strands)
+def _cmd_bricks(args, cfg: Config, w: BraidWord) -> int:
     d = build_bricks(w)
     if cfg.format == "plain":
         lines = [f"{b.id}: column {b.column}, positions {b.lo}..{b.hi}" for b in d.bricks]
@@ -192,8 +173,7 @@ def _cmd_bricks(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_graph(args, cfg: Config) -> int:
-    w = parse_word(args.word, args.strands)
+def _cmd_graph(args, cfg: Config, w: BraidWord) -> int:
     g = build_graph(build_bricks(w), cfg.sign_convention)
     if cfg.format == "dot":
         _emit(render_mod.render_graph_dot(g))
@@ -204,16 +184,14 @@ def _cmd_graph(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_present(args, cfg: Config) -> int:
-    w = parse_word(args.word, args.strands)
+def _cmd_present(args, cfg: Config, w: BraidWord) -> int:
     p = presentation_of(build_graph(build_bricks(w), cfg.sign_convention))
     fmt = cfg.format if cfg.format in ("plain", "gap-style", "json") else "json"
     _emit(serialize(p, fmt))
     return 0
 
 
-def _cmd_nf(args, cfg: Config) -> int:
-    w = parse_word(args.word, args.strands)
+def _cmd_nf(args, cfg: Config, w: BraidWord) -> int:
     nf = normal_form(w)
     if cfg.format == "plain":
         factors = " ".join(str([x + 1 for x in p]) for p in nf.factors)
@@ -223,18 +201,7 @@ def _cmd_nf(args, cfg: Config) -> int:
     return 0
 
 
-def _word_pair(args) -> tuple[BraidWord, BraidWord]:
-    """Both words, on one strand count unless --strands gave it."""
-    a = parse_word(args.word1, args.strands)
-    b = parse_word(args.word2, args.strands)
-    if args.strands is None:
-        n = max(a.strands, b.strands)
-        a, b = BraidWord(n, a.letters), BraidWord(n, b.letters)
-    return a, b
-
-
-def _cmd_conj(args, cfg: Config) -> int:
-    a, b = _word_pair(args)
+def _cmd_conj(args, cfg: Config, a: BraidWord, b: BraidWord) -> int:
     result = are_conjugate(a, b, cfg.garside_caps)
     _emit(
         json.dumps(
@@ -244,8 +211,7 @@ def _cmd_conj(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_summit(args, cfg: Config) -> int:
-    w = parse_word(args.word, args.strands)
+def _cmd_summit(args, cfg: Config, w: BraidWord) -> int:
     data = summit(normal_form(w), cfg.garside_caps)
     payload = {
         "word": _word_json(w),
@@ -262,8 +228,7 @@ def _cmd_summit(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_halftwist(args, cfg: Config) -> int:
-    w = parse_word(args.word, args.strands)
+def _cmd_halftwist(args, cfg: Config, w: BraidWord) -> int:
     _emit(
         json.dumps(
             {
@@ -275,8 +240,7 @@ def _cmd_halftwist(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_moveseq(args, cfg: Config) -> int:
-    a, b = _word_pair(args)
+def _cmd_moveseq(args, cfg: Config, a: BraidWord, b: BraidWord) -> int:
     result = conjugacy_move_sequence_detailed(a, b, cfg.garside_caps)
     ok = replay(a, list(result.moves)) == b
     _emit(
@@ -285,7 +249,7 @@ def _cmd_moveseq(args, cfg: Config) -> int:
                 "source": _word_json(a),
                 "target": _word_json(b),
                 "method": result.method,
-                "moves": _moves_json(result.moves),
+                "moves": [_move_json(m) for m in result.moves],
                 "replay_ok": ok,
             }
         )
@@ -293,37 +257,39 @@ def _cmd_moveseq(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_invariants(args, cfg: Config) -> int:
-    w = parse_word(args.word, args.strands)
+def _hom_counts(p, targets, caps: dict[str, int], count) -> dict[str, int | None]:
+    """count(p, t, caps).count per target name; None where a cap stops it."""
+    out: dict[str, int | None] = {}
+    for t in targets:
+        try:
+            out[t.name] = count(p, t, caps).count
+        except ResourceCapError:
+            out[t.name] = None
+    return out
+
+
+def _cmd_invariants(args, cfg: Config, w: BraidWord) -> int:
     p = presentation_of(build_graph(build_bricks(w), cfg.sign_convention))
     ab = abelianization(p)
-    counts: dict[str, int] = {}
-    conj_counts: dict[str, int] = {}
-    skipped = []
-    for t in cfg.resolve_targets():
-        try:
-            if args.up_to_conjugacy:
-                conj_counts[t.name] = hom_count_up_to_conjugacy(
-                    p, t, cfg.generator_caps
-                ).count
-            counts[t.name] = hom_count(p, t, cfg.generator_caps).count
-        except ResourceCapError:
-            skipped.append(t.name)
+    targets = cfg.resolve_targets()
+    counts = _hom_counts(p, targets, cfg.generator_caps, hom_count)
     payload = {
         "word": _word_json(w),
         "abelianization": list(ab.invariant_factors),
         "rank": ab.rank,
-        "hom_counts": counts,
-        "skipped_targets": skipped,
+        "hom_counts": {name: c for name, c in counts.items() if c is not None},
+        "skipped_targets": [t.name for t in targets if counts[t.name] is None],
     }
     if args.up_to_conjugacy:
-        payload["hom_counts_up_to_conjugacy"] = conj_counts
+        conj = _hom_counts(p, targets, cfg.generator_caps, hom_count_up_to_conjugacy)
+        payload["hom_counts_up_to_conjugacy"] = {
+            name: c for name, c in conj.items() if c is not None
+        }
     _emit(json.dumps(payload))
     return 0
 
 
-def _cmd_isocheck(args, cfg: Config) -> int:
-    a, b = _word_pair(args)
+def _cmd_isocheck(args, cfg: Config, a: BraidWord, b: BraidWord) -> int:
     if args.moves:
         moves = _resolve_moves(a, _parse_move_script(args.moves))
         method = "given"
@@ -341,7 +307,7 @@ def _cmd_isocheck(args, cfg: Config) -> int:
                 "source": _word_json(a),
                 "target": _word_json(b),
                 "method": method,
-                "moves": _moves_json(moves),
+                "moves": [_move_json(m) for m in moves],
                 "images": [list(w) for w in gmap.images],
                 "inverse_images": [list(w) for w in gmap.inverse_images],
                 "report": report.to_dict(),
@@ -351,20 +317,17 @@ def _cmd_isocheck(args, cfg: Config) -> int:
     return 0 if report.consistent else 1
 
 
-def _cmd_verify(args, cfg: Config) -> int:
-    w = parse_word(args.word, args.strands)
+_NEUTRAL = (MoveKind.FAR_COMM, MoveKind.MARKOV_STAB, MoveKind.MARKOV_DESTAB)
+
+
+def _cmd_verify(args, cfg: Config, w: BraidWord) -> int:
     rng = random.Random(args.seed)
     targets = cfg.resolve_targets()
 
     def measure(word: BraidWord):
         g = build_graph(build_bricks(word), cfg.sign_convention)
         p = presentation_of(g)
-        counts = {}
-        for t in targets:
-            try:
-                counts[t.name] = hom_count(p, t, cfg.generator_caps).count
-            except ResourceCapError:
-                counts[t.name] = None
+        counts = _hom_counts(p, targets, cfg.generator_caps, hom_count)
         return g, abelianization(p).invariant_factors, counts
 
     graph, base_ab, base_counts = measure(w)
@@ -379,36 +342,21 @@ def _cmd_verify(args, cfg: Config) -> int:
         nxt = apply_move(cur, m)
         applied += 1
         nxt_graph, ab, counts = measure(nxt)
+        found = []  # (check, detail) per failed check
         if ab != base_ab:
-            failures.append(
-                {
-                    "step": step,
-                    "move": {"kind": m.kind.value, "position": m.position},
-                    "check": "abelianization",
-                    "detail": f"{base_ab} became {ab}",
-                }
-            )
+            found.append(("abelianization", f"{base_ab} became {ab}"))
         for name, count in counts.items():
-            if count is not None and base_counts.get(name) is not None:
-                if count != base_counts[name]:
-                    failures.append(
-                        {
-                            "step": step,
-                            "move": {"kind": m.kind.value, "position": m.position},
-                            "check": f"hom_count:{name}",
-                            "detail": f"{base_counts[name]} became {count}",
-                        }
-                    )
-        if m.kind in (MoveKind.FAR_COMM, MoveKind.MARKOV_STAB, MoveKind.MARKOV_DESTAB):
-            if graph.combinatorial_signature() != nxt_graph.combinatorial_signature():
-                failures.append(
-                    {
-                        "step": step,
-                        "move": {"kind": m.kind.value, "position": m.position},
-                        "check": "graph-signature",
-                        "detail": "linking graph changed under a neutral move",
-                    }
-                )
+            base = base_counts[name]
+            if count is not None and base is not None and count != base:
+                found.append((f"hom_count:{name}", f"{base} became {count}"))
+        if m.kind in _NEUTRAL and (
+            graph.combinatorial_signature() != nxt_graph.combinatorial_signature()
+        ):
+            found.append(("graph-signature", "linking graph changed under a neutral move"))
+        failures += [
+            {"step": step, "move": _move_json(m), "check": check, "detail": detail}
+            for check, detail in found
+        ]
         cur, graph = nxt, nxt_graph
     payload = {
         "word": _word_json(w),
@@ -423,13 +371,9 @@ def _cmd_verify(args, cfg: Config) -> int:
     return 0 if not failures else 1
 
 
-def _cmd_render(args, cfg: Config) -> int:
-    w = parse_word(args.word, args.strands)
+def _cmd_render(args, cfg: Config, w: BraidWord) -> int:
     g = build_graph(build_bricks(w), cfg.sign_convention)
-    fmt = "svg"
     if args.dot or cfg.format == "dot":
-        fmt = "dot"
-    if fmt == "dot":
         _emit(render_mod.render_graph_dot(g))
         return 0
     if args.what == "bricks":
@@ -468,7 +412,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
         cfg = _config_from_args(args)
-        return _COMMANDS[args.command](args, cfg)
+        texts = [args.word] if "word" in args else [args.word1, args.word2]
+        words = [parse_word(text, args.strands) for text in texts]
+        # two words share the larger strand count unless --strands gave it
+        n = max(w.strands for w in words)
+        words = [w if w.strands == n else BraidWord(n, w.letters) for w in words]
+        return _COMMANDS[args.command](args, cfg, *words)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64

@@ -1,13 +1,18 @@
 """Runtime configuration: sign convention, targets, caps, output format.
 
-A config file named by the BRAIDFORGE_CONFIG environment variable is a
-plain key=value file ('#' comments allowed); command-line flags override
-it. Generator caps are per finite target, with '*' as the fallback.
+``SETTINGS`` declares each setting once: its key, the ``Config`` or
+``GarsideCaps`` field it sets and the parser of its text. A config file
+named by the BRAIDFORGE_CONFIG environment variable is a plain key=value
+file of those keys ('#' comments and blank lines allowed; any other line
+must set a known key). Command-line flags store their values under the
+same keys and override the file. Generator caps are per finite target,
+with '*' as the fallback.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .finite_groups import BUILTIN_TARGETS, FiniteTarget, load_table
@@ -74,50 +79,53 @@ def _parse_generator_caps(text: str) -> dict[str, int]:
     return caps
 
 
+def _names(text: str) -> tuple[str, ...]:
+    return tuple(t.strip() for t in text.split(",") if t.strip())
+
+
+# key: (the class whose field it sets, that field, the parser of its text)
+SETTINGS: dict[str, tuple[type, str, Callable[[str], object]]] = {
+    "sign_convention": (Config, "sign_convention", str),
+    "targets": (Config, "targets", _names),
+    "format": (Config, "format", str),
+    "caps.generators": (Config, "generator_caps", _parse_generator_caps),
+    "caps.summit_set": (GarsideCaps, "summit_set", int),
+    "caps.cycling": (GarsideCaps, "cycling", int),
+    "caps.word_search": (GarsideCaps, "word_search", int),
+    "table_files": (Config, "table_files", _names),
+}
+
+
 def load_config_file(path: str) -> dict[str, str]:
+    """The file's key=value lines; a line that is not blank, a '#' comment
+    or a known key=value raises ValueError."""
     values: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key, eq, value = line.partition("=")
+            key = key.strip()
+            if not eq:
+                raise ValueError(f"{path}, line {number}: expected key=value, got {line!r}")
+            if key not in SETTINGS:
+                raise ValueError(f"{path}, line {number}: unknown config key {key!r}")
+            values[key] = value.strip()
     return values
 
 
 def config_from_env() -> Config:
     path = os.environ.get(ENV_VAR)
-    cfg = Config()
-    if not path:
-        return cfg
-    values = load_config_file(path)
-    return apply_overrides(cfg, values)
+    return apply_overrides(Config(), load_config_file(path)) if path else Config()
 
 
 def apply_overrides(cfg: Config, values: dict[str, str]) -> Config:
-    updates: dict = {}
-    if "sign_convention" in values:
-        updates["sign_convention"] = values["sign_convention"]
-    if "targets" in values:
-        updates["targets"] = tuple(
-            t.strip() for t in values["targets"].split(",") if t.strip()
-        )
-    if "format" in values:
-        updates["format"] = values["format"]
-    if "caps.generators" in values:
-        updates["generator_caps"] = _parse_generator_caps(values["caps.generators"])
-    garside_updates: dict = {}
-    if "caps.summit_set" in values:
-        garside_updates["summit_set"] = int(values["caps.summit_set"])
-    if "caps.cycling" in values:
-        garside_updates["cycling"] = int(values["caps.cycling"])
-    if "caps.word_search" in values:
-        garside_updates["word_search"] = int(values["caps.word_search"])
-    if garside_updates:
-        updates["garside_caps"] = replace(cfg.garside_caps, **garside_updates)
-    if "table_files" in values:
-        updates["table_files"] = tuple(
-            t.strip() for t in values["table_files"].split(",") if t.strip()
-        )
-    return replace(cfg, **updates)
+    """cfg with every SETTINGS key in values parsed into its field."""
+    updates: dict[type, dict] = {Config: {}, GarsideCaps: {}}
+    for key, (owner, name, parse) in SETTINGS.items():
+        if key in values:
+            updates[owner][name] = parse(values[key])
+    if updates[GarsideCaps]:
+        updates[Config]["garside_caps"] = replace(cfg.garside_caps, **updates[GarsideCaps])
+    return replace(cfg, **updates[Config])

@@ -145,7 +145,9 @@ def _fold(steps: list[tuple[_Images, _Images]]) -> tuple[_Images, _Images]:
 
 
 def compose_maps(m1: GeneratorMap, m2: GeneratorMap) -> GeneratorMap:
-    """m2 after m1; requires m1.target == m2.source structurally."""
+    """m2 after m1; ValueError unless m1.target == m2.source."""
+    if m1.target != m2.source:
+        raise ValueError(f"the target of {m1.label!r} is not the source of {m2.label!r}")
     label = f"{m1.label};{m2.label}" if m1.label or m2.label else ""
     images, inverse = _fold([(m.images, m.inverse_images) for m in (m1, m2)])
     return GeneratorMap(m1.source, m2.target, images, inverse, label)

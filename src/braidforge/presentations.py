@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .linking import LinkingGraph
 
@@ -298,22 +298,31 @@ def _shifted_cycle_relator(r: Relator, shift: int) -> Relator:
     return cycle_relator(tup[k:] + tup[:k], r.provenance)
 
 
+def _cycle_slot(relators: Sequence[Relator], region_index: int) -> int:
+    """Where in relators the region_index-th cycle relator sits."""
+    slots = [i for i, r in enumerate(relators) if r.kind is RelatorKind.CYCLE]
+    if not 0 <= region_index < len(slots):
+        raise IndexError(f"presentation has {len(slots)} cycle relators")
+    return slots[region_index]
+
+
 def cycle_relator_shift(p: Presentation, region_index: int, shift: int) -> GroupWord:
     """The cycle relator word with the region's tuple rotated left by shift."""
-    cycles = p.by_kind(RelatorKind.CYCLE)
-    if not 0 <= region_index < len(cycles):
-        raise IndexError(f"presentation has {len(cycles)} cycle relators")
-    return _shifted_cycle_relator(cycles[region_index], shift).word
+    r = p.cycles[_cycle_slot(p.cycles, region_index)]
+    return _shifted_cycle_relator(r, shift).word
 
 
 def shifted_cycle_presentation(
     p: Presentation, region_index: int, shift: int
 ) -> Presentation:
-    """The presentation with one cycle relator replaced by a shifted version."""
-    cycles = [i for i, r in enumerate(p.relators) if r.kind is RelatorKind.CYCLE]
-    target = cycles[region_index]
-    relators = list(p.relators)
-    relators[target] = _shifted_cycle_relator(p.relators[target], shift)
+    """The presentation with one cycle relator replaced by a shifted version;
+    a pair table stays a pair table."""
+    table = p.comm_pairs is None
+    relators = list(p.cycles if table else p.relators)
+    slot = _cycle_slot(relators, region_index)
+    relators[slot] = _shifted_cycle_relator(relators[slot], shift)
+    if table:
+        return Presentation.from_table(p.n_generators, p.braid_pairs, tuple(relators))
     return Presentation(p.n_generators, tuple(relators))
 
 

@@ -1,0 +1,106 @@
+"""compose_maps needs maps that meet; cycle shifts check their region.
+
+compose_maps(m1, m2) raises ValueError unless m1's target presentation
+is m2's source. cycle_relator_shift and shifted_cycle_presentation take
+the same region indices, 0 up to the number of cycle relators, and a
+shifted pair table stays a pair table.
+"""
+
+import random
+
+import pytest
+
+from braidforge.bricks import build_bricks
+from braidforge.isomaps import compose_maps, maps_along_moves, move_map
+from braidforge.linking import build_graph
+from braidforge.presentations import (
+    Presentation,
+    RelatorKind,
+    cycle_relator_shift,
+    presentation_of,
+    shifted_cycle_presentation,
+)
+from braidforge.words import (
+    BraidWord,
+    MoveKind,
+    WordMove,
+    apply_move,
+    enumerate_moves,
+    parse_word,
+)
+
+def presentation(w: BraidWord) -> Presentation:
+    return presentation_of(build_graph(build_bricks(w)))
+
+
+def test_compose_rejects_maps_that_do_not_meet():
+    braid = move_map(parse_word("1 2 1 1 2 2 1"), WordMove(MoveKind.BRAID_REL, 1))
+    conj_w = parse_word("1 1 2 2 1 1 2")
+    conj = move_map(conj_w, WordMove(MoveKind.ELEM_CONJ_RIGHT, len(conj_w)))
+    # same generator count, other relators
+    assert braid.target.n_generators == conj.source.n_generators
+    assert braid.target != conj.source
+    with pytest.raises(ValueError, match="the target of 'braid@1' is not the source of"):
+        compose_maps(braid, conj)
+
+
+def test_compose_rejects_other_generator_counts():
+    first = move_map(parse_word("1 2 1 1"), WordMove(MoveKind.BRAID_REL, 1))
+    other = parse_word("1 1 1 2 2 2 1")
+    second = move_map(other, WordMove(MoveKind.ELEM_CONJ_LEFT, 1))
+    assert first.target.n_generators != second.source.n_generators
+    with pytest.raises(ValueError):
+        compose_maps(first, second)
+
+
+def test_composed_one_move_maps_equal_maps_along_moves():
+    rng = random.Random(20261018)
+    for _ in range(30):
+        n = rng.randint(3, 4)
+        w = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(3, 9))))
+        moves, cur = [], w
+        for _ in range(rng.randint(1, 4)):
+            m = rng.choice(enumerate_moves(cur))
+            moves.append(m)
+            cur = apply_move(cur, m)
+        composed, cur = move_map(w, moves[0]), apply_move(w, moves[0])
+        for m in moves[1:]:
+            composed = compose_maps(composed, move_map(cur, m))
+            cur = apply_move(cur, m)
+        assert composed == maps_along_moves(w, moves)
+
+
+@pytest.mark.parametrize("index", [-1, 2, 5])
+def test_cycle_shifts_check_the_region_index(index):
+    p = presentation(parse_word("1 2 1 1 2 1 1 2"))
+    assert len(p.by_kind(RelatorKind.CYCLE)) == 2
+    for shift in (cycle_relator_shift, shifted_cycle_presentation):
+        with pytest.raises(IndexError, match="presentation has 2 cycle relators"):
+            shift(p, index, 1)
+
+
+def test_shifted_pair_table_stays_a_table():
+    rng = random.Random(20261019)
+    for _ in range(60):
+        n = rng.randint(3, 5)
+        w = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(4, 16))))
+        p = presentation(w)
+        cycles = p.by_kind(RelatorKind.CYCLE)
+        for idx, r in enumerate(cycles):
+            for shift in range(len(r.lhs) // 2 + 1):
+                shifted = shifted_cycle_presentation(p, idx, shift)
+                assert shifted.comm_pairs is None
+                # what replacing the relator in the spelled-out tuple gives
+                explicit = Presentation(
+                    p.n_generators,
+                    tuple(
+                        s if s is not r else shifted.by_kind(RelatorKind.CYCLE)[idx]
+                        for s in p.relators
+                    ),
+                )
+                assert shifted == explicit
+                assert shifted.relators == explicit.relators
+                assert shifted.by_kind(RelatorKind.CYCLE)[idx].word == cycle_relator_shift(
+                    p, idx, shift
+                )
+                assert shifted_cycle_presentation(explicit, idx, 0) == explicit
