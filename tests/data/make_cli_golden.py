@@ -158,6 +158,15 @@ def commands() -> list[list[str]]:
         ["moveseq", "1 1", "2 2", "--strands", "3"],
         ["isocheck", "1 1", "2 2", "--strands", "3"],
     ]
+
+    # brick numbering as printed by parse, plain bricks and the drawings;
+    # appended last so the entries above keep their random stream
+    for word, n in fixed:
+        base = [word, "--strands", str(n)]
+        cmds.append(["parse", *base])
+        cmds.append(["bricks", *base, "--format", "plain"])
+        cmds.append(["render", *base, "--what", "bricks"])
+        cmds.append(["render", *base, "--what", "graph"])
     return cmds
 
 
