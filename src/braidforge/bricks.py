@@ -3,7 +3,8 @@
 A brick lives between two consecutive occurrences of the same letter
 within a column. Bricks are numbered canonically: column-major
 ascending, bottom to top within a column; ids are 1-based so they double
-as presentation generator indices.
+as presentation generator indices. So each column's bricks are one id
+range, ``BrickDiagram.column_ids``: the one per-column index.
 """
 
 from __future__ import annotations
@@ -40,31 +41,27 @@ class BrickDiagram:
     word: BraidWord
     bricks: tuple[Brick, ...]
 
+    @cached_property
+    def column_ids(self) -> Mapping[int, range]:
+        """The id range of each column that has bricks, bottom to top; read-only."""
+        ids: dict[int, range] = {}
+        for b in self.bricks:
+            first = ids[b.column].start if b.column in ids else b.id
+            ids[b.column] = range(first, b.id + 1)
+        return MappingProxyType(ids)
+
     def by_column(self, column: int) -> tuple[Brick, ...]:
         """Bricks of one column, bottom to top."""
-        return tuple(b for b in self.bricks if b.column == column)
+        ids = self.column_ids.get(column, range(1, 1))
+        return self.bricks[ids.start - 1 : ids.stop - 1]
 
     def brick(self, brick_id: int) -> Brick:
         return self.bricks[brick_id - 1]
 
-    @cached_property
-    def ranks(self) -> tuple[tuple[int, int], ...]:
-        """(column, 1-based rank within that column) per brick, in id order."""
-        out = []
-        counts: dict[int, int] = {}
-        for b in self.bricks:
-            counts[b.column] = counts.get(b.column, 0) + 1
-            out.append((b.column, counts[b.column]))
-        return tuple(out)
-
-    @cached_property
-    def brick_at(self) -> Mapping[tuple[int, int], int]:
-        """The brick id at each (column, rank); read-only."""
-        return MappingProxyType({cr: i for i, cr in enumerate(self.ranks, start=1)})
-
     def column_rank(self, brick_id: int) -> tuple[int, int]:
         """(column, 1-based rank within that column) of a brick."""
-        return self.ranks[brick_id - 1]
+        column = self.bricks[brick_id - 1].column
+        return column, brick_id - self.column_ids[column].start + 1
 
     def to_json(self) -> str:
         return json.dumps(

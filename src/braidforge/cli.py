@@ -321,6 +321,8 @@ _NEUTRAL = (MoveKind.FAR_COMM, MoveKind.MARKOV_STAB, MoveKind.MARKOV_DESTAB)
 
 
 def _cmd_verify(args, cfg: Config, w: BraidWord) -> int:
+    if args.n_moves < 0:
+        raise UsageError(f"--moves must be at least 0, got {args.n_moves}")
     rng = random.Random(args.seed)
     targets = cfg.resolve_targets()
 

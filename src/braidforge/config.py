@@ -117,15 +117,20 @@ def load_config_file(path: str) -> dict[str, str]:
 
 def config_from_env() -> Config:
     path = os.environ.get(ENV_VAR)
-    return apply_overrides(Config(), load_config_file(path)) if path else Config()
+    return apply_overrides(Config(), load_config_file(path), path) if path else Config()
 
 
-def apply_overrides(cfg: Config, values: dict[str, str]) -> Config:
-    """cfg with every SETTINGS key in values parsed into its field."""
+def apply_overrides(cfg: Config, values: dict[str, str], source: str = "") -> Config:
+    """cfg with every SETTINGS key in values parsed into its field; a value
+    that does not parse raises ValueError naming its key and the file it
+    came from, source, if given."""
     updates: dict[type, dict] = {Config: {}, GarsideCaps: {}}
     for key, (owner, name, parse) in SETTINGS.items():
         if key in values:
-            updates[owner][name] = parse(values[key])
+            try:
+                updates[owner][name] = parse(values[key])
+            except ValueError as exc:
+                raise ValueError(f"{source + ', ' if source else ''}{key}: {exc}") from None
     if updates[GarsideCaps]:
         updates[Config]["garside_caps"] = replace(cfg.garside_caps, **updates[GarsideCaps])
     return replace(cfg, **updates[Config])

@@ -8,11 +8,12 @@ its own short images, and only the first and last words get
 presentations. For an elementary conjugation moving a letter of column
 i, the top brick of that column wraps around to the bottom; its
 generator maps to the new bottom generator conjugated by everything
-between them, all other bricks correspond rank by rank. For a braid
-relation at the top of the word, the top brick of column i shifts into
-column i+1 keeping its generator, and the brick below it maps to its
-counterpart conjugated by the shifted generator. Far commutativity and
-Markov moves relabel nothing.
+between them, all other bricks correspond rank by rank. A braid
+relation at the top of the word carries one brick across, the top of
+column i to the top of column i+1, shifts column i+1's ids down by one
+and conjugates one image, the brick's below it: arithmetic on two ids,
+each column's bricks being one id range (BrickDiagram.column_ids). Far
+commutativity and Markov moves relabel nothing.
 
 A braid relation at any height has the map of the chain that rotates
 the letters above it to the top, applies the relation there and
@@ -187,15 +188,15 @@ def _rotate(
     P is reduced once per column and each rotation costs one conjugation.
     A column with at most one brick rotates as the identity.
     """
-    blocks: dict[int, tuple[int, int, GroupWord]] = {}
+    products: dict[int, GroupWord] = {}
     for c in columns:
-        if c not in blocks:
-            ids = [b.id for b in d.by_column(c)]
-            lo, hi = (ids[0], ids[-1]) if ids else (0, 0)
-            blocks[c] = lo, hi, free_reduce(tuple(x for g in ids[::-1] for x in acc[g - 1]))
-        lo, hi, p = blocks[c]
-        if hi <= lo:
+        ids = d.column_ids.get(c, range(0))
+        if len(ids) < 2:
             continue
+        lo, hi = ids[0], ids[-1]
+        if c not in products:
+            products[c] = free_reduce(tuple(x for g in reversed(ids) for x in acc[g - 1]))
+        p = products[c]
         if top_wraps:
             x = acc[lo - 1]
             acc[lo - 1 : hi - 1] = acc[lo:hi]
@@ -220,30 +221,19 @@ def _braid_top_images(
     sd: BrickDiagram, dd: BrickDiagram, i: int
 ) -> tuple[_Images, _Images]:
     """Images across sigma_i sigma_{i+1} sigma_i -> sigma_{i+1} sigma_i sigma_{i+1}
-    at the top, read off column counts alone: sd and dd may be any
-    rotations of the words before and after the move."""
-    n = len(sd.by_column(i))
-    m = len(sd.by_column(i + 1))
-    s_ranks, s_id = sd.ranks, sd.brick_at
-    d_ranks, d_id = dd.ranks, dd.brick_at
-    shifted = d_id[(i + 1, m + 1)]  # the brick that crossed columns
-    top_src = s_id[(i, n)]
-    images: list[GroupWord] = []
-    for col, rank in s_ranks:
-        if col == i and rank == n:
-            images.append((shifted,))
-        elif col == i and rank == n - 1:
-            images.append((-shifted, d_id[(i, n - 1)], shifted))
-        else:
-            images.append((d_id[(col, rank)],))
-    inverse: list[GroupWord] = []
-    for b_id, (col, rank) in enumerate(d_ranks, start=1):
-        if b_id == shifted:
-            inverse.append((top_src,))
-        elif col == i and rank == n - 1:
-            inverse.append((top_src, s_id[(i, n - 1)], -top_src))
-        else:
-            inverse.append((s_id[(col, rank)],))
+    at the top, read off column ranges alone: sd and dd may be any
+    rotations of the words before and after the move. Brick top, the last
+    of column i, becomes shifted, the last of column i+1; the ids between
+    close up by one, and the brick below top, if in column i, is conjugated.
+    """
+    top = sd.column_ids[i][-1]
+    shifted = dd.column_ids[i + 1][-1]
+    ident = _identity(len(sd.bricks))
+    images = [*ident[: top - 1], (shifted,), *ident[top - 1 : shifted - 1], *ident[shifted:]]
+    inverse = [*ident[: top - 1], *ident[top:shifted], (top,), *ident[shifted:]]
+    if top - 1 in sd.column_ids[i]:
+        images[top - 2] = (-shifted, top - 1, shifted)
+        inverse[top - 2] = (top, top - 1, -top)
     return tuple(images), tuple(inverse)
 
 

@@ -2,7 +2,8 @@
 
 Vertices are bricks, placed at (column, interval midpoint). Two bricks
 are linked either vertically (consecutive bricks of one column, sharing
-their middle crossing) or laterally (adjacent columns, strictly
+their middle crossing: consecutive ids of the column's id range
+``BrickDiagram.column_ids``) or laterally (adjacent columns, strictly
 alternating boundary crossings); nested or disjoint intervals carry no
 edge. The straight-line embedding at these positions is plane, and its
 bounded faces are the regions.
@@ -13,9 +14,9 @@ least one crossing of the other column strictly inside it. Sorted by
 their lower crossings, consecutive bridging bricks are exactly the
 pair's lateral edges, a zigzag path between the two columns, and there
 is one region per three consecutive bridging bricks x, y, z: the
-vertical chain from x up to z in x's column (the anchor) closed through
-y, its cycle being its ids in increasing order. That is the anchor
-chain bottom to top with y first when y lies left of the anchor
+vertical chain from x up to z in x's column (the anchor, ids x..z)
+closed through y, its cycle being its ids in increasing order. That is
+the anchor chain bottom to top with y first when y lies left of the anchor
 (counterclockwise) and last when y lies right (clockwise). The side of
 y fixes, through a configurable convention, the region's sign. With the
 default ``left-positive`` convention right-side regions are negative
@@ -111,7 +112,7 @@ class LinkingGraph:
         brick footprints shift.
         """
         d = self.diagram
-        verts = tuple((b.id,) + cr for b, cr in zip(d.bricks, d.ranks))
+        verts = tuple((b.id,) + d.column_rank(b.id) for b in d.bricks)
         edges = tuple(
             (e.a, e.b, e.kind.value, e.side.value if e.side else None)
             for e in self.edges
@@ -162,7 +163,7 @@ class LinkingGraph:
         )
 
 
-def _bridging(bricks: list[Brick], others: list[int]) -> list[Brick]:
+def _bridging(bricks: tuple[Brick, ...], others: list[int]) -> list[Brick]:
     """The bricks with at least one of the sorted positions ``others`` strictly inside."""
     return [b for b in bricks if bisect(others, b.lo) != bisect(others, b.hi)]
 
@@ -174,21 +175,15 @@ def _sweep(
     # only the columns that occur, and only adjacent pairs of them: the
     # cost follows the word, not the strand count
     occ = d.word.occurrences_by_letter()
-    columns: dict[int, list[Brick]] = {c: [] for c in occ}
-    for b in d.bricks:
-        columns[b.column].append(b)
-    edges = [
-        LinkEdge(b.id, c.id, EdgeKind.VERTICAL)
-        for bricks in columns.values()
-        for b, c in zip(bricks, bricks[1:])
-    ]
+    vertical = (a for ids in d.column_ids.values() for a in ids[:-1])
+    edges = [LinkEdge(a, a + 1, EdgeKind.VERTICAL) for a in vertical]
     plus_side = Side.LEFT if sign_convention == "left-positive" else Side.RIGHT
     regions = []
     for c in occ:
         if c + 1 not in occ:
             continue
         bridging = sorted(
-            _bridging(columns[c], occ[c + 1]) + _bridging(columns[c + 1], occ[c]),
+            _bridging(d.by_column(c), occ[c + 1]) + _bridging(d.by_column(c + 1), occ[c]),
             key=lambda b: b.lo,
         )
         for lower, upper in zip(bridging, bridging[1:]):

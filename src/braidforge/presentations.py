@@ -74,13 +74,14 @@ def exponent_sums(word: GroupWord) -> dict[int, int]:
     return {g: e for g, e in sums.items() if e}
 
 
-def _pair_of(r: Relator) -> tuple[int, int] | None:
-    """(i, j) with i <= j if the relator is a standard braid or commutation relator."""
-    if (r.kind is RelatorKind.BRAID and len(r.lhs) == 3) or (
-        r.kind is RelatorKind.COMM and len(r.lhs) == 2
-    ):
-        i, j = r.lhs[0], r.lhs[1]
-        return min(i, j), max(i, j)
+def _pair_of(r: Relator) -> tuple[RelatorKind, tuple[int, int]] | None:
+    """The kind and pair i < j whose braid or commutation relator has r's
+    word; the word decides, not the kind or equation r was built with."""
+    w = r.word
+    if len(w) in (4, 6) and 0 < w[0] < w[1]:
+        for pair in (braid_relator(w[0], w[1]), comm_relator(w[0], w[1])):
+            if w == pair.word:
+                return pair.kind, (w[0], w[1])
     return None
 
 
@@ -95,7 +96,8 @@ class Presentation:
     and spelled only when ``relators`` is first read (braid pairs, then
     commutation pairs, each in lex order, then the cycles).
     ``Presentation(n, relators)`` keeps the relators as given and reads
-    the table off them; a pair may then carry both kinds.
+    the table off their words, whatever kind they were built with; a
+    pair may then carry both kinds.
     """
 
     __slots__ = ("n_generators", "braid_pairs", "comm_pairs", "cycles", "_relators")
@@ -109,7 +111,7 @@ class Presentation:
             if pair is None:
                 cycles.append(r)
             else:
-                (braid if r.kind is RelatorKind.BRAID else comm).add(pair)
+                (braid if pair[0] is RelatorKind.BRAID else comm).add(pair[1])
         self.n_generators = n_generators
         self.braid_pairs: tuple[tuple[int, int], ...] = tuple(sorted(braid))
         self.comm_pairs: tuple[tuple[int, int], ...] | None = tuple(sorted(comm))

@@ -32,7 +32,7 @@ CASES = [
     ),
     (
         ["invariants", "1 2 1", "--caps.generators", "S3"],
-        1, "", "error: invalid literal for int() with base 10: ''\n",
+        1, "", "error: caps.generators: invalid literal for int() with base 10: ''\n",
     ),
     (
         ["invariants", "1 1 1", "--targets", "C6", "--tables", "no-such-table.txt"],

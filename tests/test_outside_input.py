@@ -1,0 +1,111 @@
+"""Input from outside the library: relators built by hand, settings that do
+not parse, negative move counts, and the ``python -m braidforge`` entry.
+
+A hand-built presentation reads its pair table off its relator words, so
+a relator's kind or equation cannot impose a relation its word does not
+state. A setting that does not parse names its key, and its file when it
+came from BRAIDFORGE_CONFIG.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from braidforge.cli import main
+from braidforge.config import Config, apply_overrides
+from braidforge.finite_groups import symmetric_group
+from braidforge.invariants import enumerate_homs, hom_count, is_hom
+from braidforge.presentations import (
+    Presentation,
+    Relator,
+    RelatorKind,
+    braid_relator,
+    comm_relator,
+)
+
+from conftest import brute_hom_count
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "k, relator, expected",
+    [
+        # lhs = rhs: the word is empty and the group free of rank 2
+        (2, Relator.from_equation(RelatorKind.BRAID, (1, 2, 1), (1, 2, 1), ()), 36),
+        # a braid-shaped equation that is not the braid relation
+        (3, Relator.from_equation(RelatorKind.BRAID, (1, 2, 3), (3, 2, 1), ()), 108),
+        # a commutation-shaped equation that is not the commutator
+        (3, Relator.from_equation(RelatorKind.COMM, (1, 2), (3, 1), ()), 36),
+        # the braid relation spelled as a cycle still is the braid relation
+        (2, Relator(RelatorKind.CYCLE, braid_relator(1, 2).word, (), (), ()), 12),
+    ],
+)
+def test_hand_built_pair_table_reads_words(k, relator, expected):
+    p = Presentation(k, (relator,))
+    s3 = symmetric_group(3)
+    assert hom_count(p, s3).count == brute_hom_count([relator.word], k, s3) == expected
+    homs = enumerate_homs(p, s3)
+    assert len(homs) == expected
+    assert all(is_hom(p, s3, h) for h in homs)
+
+
+def test_hand_built_table_keeps_standard_pair_relators():
+    p = Presentation(3, (braid_relator(1, 2), comm_relator(3, 1), comm_relator(2, 3)))
+    assert (p.braid_pairs, p.comm_pairs, p.cycles) == (((1, 2),), ((1, 3), (2, 3)), ())
+    s3 = symmetric_group(3)
+    assert hom_count(p, s3).count == brute_hom_count(p.relator_words(), 3, s3)
+
+
+def test_unparsable_flag_names_its_key(capsys, monkeypatch):
+    monkeypatch.delenv("BRAIDFORGE_CONFIG", raising=False)
+    code, out, err = run(capsys, "summit", "1 2 1", "--caps.generators", "S4=many")
+    assert (code, out) == (1, "")
+    assert err == "error: caps.generators: invalid literal for int() with base 10: 'many'\n"
+
+
+def test_unparsable_config_value_names_key_and_file(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "braidforge.conf"
+    path.write_text("targets=S3\ncaps.summit_set=x\n")
+    monkeypatch.setenv("BRAIDFORGE_CONFIG", str(path))
+    code, out, err = run(capsys, "summit", "1 2 1 2 2 1")
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}, caps.summit_set: invalid literal for int() with base 10: 'x'\n"
+
+
+def test_apply_overrides_names_key_and_source():
+    with pytest.raises(ValueError, match=r"^caps\.cycling: "):
+        apply_overrides(Config(), {"caps.cycling": "often"})
+    with pytest.raises(ValueError, match=r"^my\.conf, caps\.word_search: "):
+        apply_overrides(Config(), {"caps.word_search": ""}, "my.conf")
+
+
+def test_verify_rejects_negative_move_count(capsys, monkeypatch):
+    monkeypatch.delenv("BRAIDFORGE_CONFIG", raising=False)
+    code, out, err = run(capsys, "verify", "--moves", "-5", "1 2 1")
+    assert (code, out) == (64, "")
+    assert err == "usage error: --moves must be at least 0, got -5\n"
+    code, out, _ = run(capsys, "verify", "--moves", "0", "1 2 1")
+    assert code == 0
+    assert '"requested_moves": 0, "applied_moves": 0, "stable": true' in out
+
+
+def test_module_entry_point():
+    env = {k: v for k, v in os.environ.items() if k != "BRAIDFORGE_CONFIG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "braidforge", "parse", "1 2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, '{"strands": 3, "letters": [1, 2]}\n', ""
+    )
