@@ -130,7 +130,8 @@ def apply_overrides(cfg: Config, values: dict[str, str], source: str = "") -> Co
             try:
                 updates[owner][name] = parse(values[key])
             except ValueError as exc:
-                raise ValueError(f"{source + ', ' if source else ''}{key}: {exc}") from None
+                where = f"{source}, {key}" if source else key
+                raise ValueError(f"{where}: {exc}") from None
     if updates[GarsideCaps]:
         updates[Config]["garside_caps"] = replace(cfg.garside_caps, **updates[GarsideCaps])
     return replace(cfg, **updates[Config])
