@@ -19,6 +19,7 @@ import random
 from pathlib import Path
 
 from braidforge.cli import main
+from braidforge.garside import delta_word
 from braidforge.words import BraidWord, MoveKind, WordMove, apply_move, enumerate_moves
 
 OUT = Path(__file__).with_name("cli_golden.json")
@@ -167,6 +168,34 @@ def commands() -> list[list[str]]:
         cmds.append(["bricks", *base, "--format", "plain"])
         cmds.append(["render", *base, "--what", "bricks"])
         cmds.append(["render", *base, "--what", "graph"])
+
+    # Garside at benchmark sizes: long normal forms on 6-10 strands, the
+    # summit set shapes and conjugacy pairs the benchmark draws, found
+    # sequences of walked 4-strand half-twist words, and one capped search
+    for _ in range(5):
+        n = rng.randint(6, 10)
+        base = [text(random_letters(rng, n, rng.randint(100, 500))), "--strands", str(n)]
+        cmds.append(["nf", *base, "--format", "plain"])
+        cmds.append(["nf", *base, "--format", "json"])
+    shapes = [
+        (6, delta_word(6) + random_letters(rng, 6, 1)),
+        (5, delta_word(5) + random_letters(rng, 5, 3)),
+        (4, random_letters(rng, 4, rng.randint(10, 12))),
+        (4, random_letters(rng, 4, rng.randint(10, 12))),
+    ]
+    for n, letters in shapes:
+        w = BraidWord(n, letters)
+        base = [text(letters), "--strands", str(n)]
+        cmds.append(["summit", *base, "--full"])
+        cmds.append(["conj", text(letters), text(walked(w, rng.randint(5, 15)).letters),
+                     "--strands", str(n)])
+        cmds.append(["conj", text(letters), text(random_letters(rng, n, len(letters))),
+                     "--strands", str(n)])
+    for i in range(6):
+        w = BraidWord(4, delta_word(4) + random_letters(rng, 4, rng.randint(0, 6)))
+        pair = [text(w.letters), text(walked(w, rng.randint(5, 10)).letters), "--strands", "4"]
+        cmds.append(["moveseq" if i % 2 else "isocheck", *pair])
+    cmds.append(["moveseq", "1 2 3 1 2 1 2 2", "1 2 1 3 1 1 2 1", "--caps.word-search", "5"])
     return cmds
 
 

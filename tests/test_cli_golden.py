@@ -8,7 +8,10 @@ tests/data/cli_golden.json holds seeded ``present`` (all three formats),
 pairs), ``summit --full``, ``halftwist`` and ``moveseq`` commands. The
 found sequences (``moveseq`` and ``isocheck`` without --moves) cover
 half-twist pairs, one needing a summit hop, and two exits 1: a
-non-conjugate pair and a pair without a half twist.
+non-conjugate pair and a pair without a half twist. The last entries
+pin Garside output at the benchmark's sizes: normal forms of 100-500
+letters on 6-10 strands, six- and five-strand half-twist summit sets,
+walked 4-strand found sequences and one capped search.
 tests/data/make_cli_golden.py regenerates it.
 """
 
