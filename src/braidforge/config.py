@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .finite_groups import BUILTIN_TARGETS, FiniteTarget, load_table
 from .garside import GarsideCaps
@@ -38,13 +38,13 @@ class Config:
     def __post_init__(self) -> None:
         if self.sign_convention not in SIGN_CONVENTIONS:
             raise ValueError(f"unknown sign convention {self.sign_convention!r}")
-        for cap in self.generator_caps.values():
+        for target, cap in self.generator_caps.items():
             if cap <= 0:
-                raise ValueError("caps must be positive")
-        gc = self.garside_caps
-        cycling_ok = gc.cycling is None or gc.cycling > 0
-        if gc.summit_set <= 0 or gc.word_search <= 0 or not cycling_ok:
-            raise ValueError("caps must be positive")
+                raise ValueError(f"caps.generators: {target} must be positive, got {cap}")
+        for f in fields(self.garside_caps):
+            cap = getattr(self.garside_caps, f.name)
+            if cap is not None and cap <= 0:
+                raise ValueError(f"caps.{f.name}: must be positive, got {cap}")
 
     def resolve_targets(self) -> list[FiniteTarget]:
         """The configured targets; a table file shadows a built-in name.
@@ -122,16 +122,20 @@ def config_from_env() -> Config:
 
 def apply_overrides(cfg: Config, values: dict[str, str], source: str = "") -> Config:
     """cfg with every SETTINGS key in values parsed into its field; a value
-    that does not parse raises ValueError naming its key and the file it
-    came from, source, if given."""
+    that does not parse, or a cap that is not positive, raises ValueError
+    naming its key and the file it came from, source, if given."""
     updates: dict[type, dict] = {Config: {}, GarsideCaps: {}}
-    for key, (owner, name, parse) in SETTINGS.items():
-        if key in values:
-            try:
-                updates[owner][name] = parse(values[key])
-            except ValueError as exc:
-                where = f"{source}, {key}" if source else key
-                raise ValueError(f"{where}: {exc}") from None
-    if updates[GarsideCaps]:
-        updates[Config]["garside_caps"] = replace(cfg.garside_caps, **updates[GarsideCaps])
-    return replace(cfg, **updates[Config])
+    try:
+        for key, (owner, name, parse) in SETTINGS.items():
+            if key in values:
+                try:
+                    updates[owner][name] = parse(values[key])
+                except ValueError as exc:
+                    raise ValueError(f"{key}: {exc}") from None
+        if updates[GarsideCaps]:
+            updates[Config]["garside_caps"] = replace(cfg.garside_caps, **updates[GarsideCaps])
+        return replace(cfg, **updates[Config])
+    except ValueError as exc:
+        if not source:
+            raise
+        raise ValueError(f"{source}, {exc}") from None

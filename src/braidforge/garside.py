@@ -6,9 +6,10 @@ normal form of a positive word is Delta^k p1 ... pl with each factor a
 permutation braid that is neither trivial nor Delta, and every adjacent
 pair left-weighted: the finishing set of p_i contains the starting set
 of p_{i+1}. Two positive words represent the same braid exactly when
-their normal forms coincide. The normal form is built one factor at a
-time, left-weighting pairs leftward from the end until one is already
-left-weighted.
+their normal forms coincide. A word is read as its maximal runs of
+letters that stay simple, one permutation braid each, and the form is
+built one factor at a time, left-weighting pairs leftward from the end
+until one is already left-weighted.
 
 Conjugacy is decided through the super summit set: cycling raises the
 Delta exponent to its conjugacy-class maximum (the summit power),
@@ -16,9 +17,12 @@ decycling lowers the canonical length, and the super summit set is the
 closure of the converged representative under conjugation by minimal
 simple elements: for each member and each generator sigma_i, the least
 permutation braid above sigma_i that keeps the conjugate in the set
-(Franco and Gonzalez-Meneses). Conjugacy of positive words containing a
-half twist is also *realized* as an explicit sequence of word moves:
-braid relations, far commutativity and elementary conjugations only.
+(Franco and Gonzalez-Meneses), grown by division steps y \\ t that a
+bounded memo shares across calls. Conjugacy of positive words containing
+a half twist is also *realized* as an explicit sequence of word moves:
+braid relations, far commutativity and elementary conjugations only;
+its breadth-first searches walk letter tuples whose neighbours
+words.rewrite_sites lists.
 The realization shares one decision with are_conjugate: each normal
 form, summit representative with its operation log, and the one
 closure are built once per call, and the parents of the closure that
@@ -32,6 +36,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     GarsideInvariantError,
@@ -44,9 +49,10 @@ from .words import (
     MoveKind,
     WordMove,
     apply_move,
-    enumerate_moves,
     inverse_move,
     replay,
+    rewrite_sites,
+    rewritten,
 )
 
 Perm = tuple[int, ...]
@@ -231,10 +237,25 @@ def _normalize_factors(n: int, perms: list[Perm]) -> tuple[int, tuple[Perm, ...]
 
 
 def normal_form(w: BraidWord) -> NormalForm:
-    """Left normal form of a positive word."""
+    """Left normal form of a positive word, from its maximal simple runs.
+
+    A run held as image list p and inverse pi stays simple under sigma_i
+    iff pi[i-1] < pi[i] (i is not in its finishing set), and then grows
+    by swapping values i-1, i of p as _left_weight does.
+    """
     n = w.strands
-    perms = [letter_perm(n, i) for i in w.letters]
-    k, factors = _normalize_factors(n, perms)
+    runs: list[Perm] = []
+    p, pi = list(range(n)), list(range(n))
+    for i in w.letters:
+        if pi[i - 1] > pi[i]:
+            runs.append(tuple(p))
+            p, pi = list(range(n)), list(range(n))
+        x, y = pi[i - 1], pi[i]
+        pi[i - 1], pi[i] = y, x
+        p[x], p[y] = i, i - 1
+    if w.letters:
+        runs.append(tuple(p))
+    k, factors = _normalize_factors(n, runs)
     return NormalForm(n, k, factors)
 
 
@@ -403,17 +424,25 @@ def perm_join(a: Perm, b: Perm) -> Perm:
     return tuple(rows[i].bit_count() + i - above[i] for i in range(n))
 
 
-def _remainder(factors: list[Perm], t: Perm) -> Perm:
-    """The least simple r with t a prefix of factors[0]...factors[-1] * r.
+# Bound on the memo of division steps. A closure meets few distinct
+# (factor, remainder) pairs: about a thousand over a benchmark run.
+DIVISION_MEMO = 4096
 
-    Computed factor by factor as y \\ t = y^-1 (y v t).
-    """
-    n = len(t)
-    ident = identity_perm(n)
+
+@lru_cache(maxsize=DIVISION_MEMO)
+def _under(y: Perm, t: Perm) -> Perm:
+    """y \\ t = y^-1 (y v t), the least simple r with t a prefix of y r."""
+    return perm_mul(perm_inv(y), perm_join(y, t))
+
+
+def _remainder(factors: list[Perm], t: Perm) -> Perm:
+    """The least simple r with t a prefix of factors[0]...factors[-1] * r,
+    divided through the factors one memoized step at a time."""
+    ident = identity_perm(len(t))
     for y in factors:
         if t == ident:
             break
-        t = perm_mul(perm_inv(y), perm_join(y, t))
+        t = _under(y, t)
     return t
 
 
@@ -564,36 +593,30 @@ class MoveSequenceResult:
     method: str  # "procedure-found" | "search-found"
 
 
-_EQUAL_WORD_KINDS = frozenset({MoveKind.BRAID_REL, MoveKind.FAR_COMM})
-_CONJUGACY_KINDS = _EQUAL_WORD_KINDS | {MoveKind.ELEM_CONJ_LEFT, MoveKind.ELEM_CONJ_RIGHT}
-
-
 def _bfs_moves(
     a: BraidWord, b: BraidWord, conjugations: bool, cap: int
 ) -> list[WordMove] | None:
     """Breadth-first search for a move path from a to b; None if capped out.
-    Neighbours are the enumerate_moves of the allowed kinds, in its order."""
+    States are letter tuples and neighbours their words.rewrite_sites, in
+    its order; moves are built only for the path returned."""
     if a == b:
         return []
-    kinds = _CONJUGACY_KINDS if conjugations else _EQUAL_WORD_KINDS
     goal = b.letters
-    parents: dict[tuple[int, ...], tuple[tuple[int, ...], WordMove] | None] = {
+    parents: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[MoveKind, int]] | None] = {
         a.letters: None
     }
-    queue = deque([a])
+    queue = deque([a.letters])
     while queue:
         u = queue.popleft()
-        for m in enumerate_moves(u):
-            if m.kind not in kinds:
-                continue
-            v = apply_move(u, m)
-            if v.letters in parents:
+        for kind, p in rewrite_sites(u, conjugations):
+            v = rewritten(u, kind, p)
+            if v in parents:
                 continue
             if len(parents) >= cap:
                 return None
-            parents[v.letters] = (u.letters, m)
-            if v.letters == goal:
-                return [m for _, m in _walk_back(parents, goal)]
+            parents[v] = (u, (kind, p))
+            if v == goal:
+                return [WordMove(*site) for _, site in _walk_back(parents, goal)]
             queue.append(v)
     return None
 

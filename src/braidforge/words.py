@@ -4,13 +4,15 @@ A word is a finite sequence of generator indices 1..N-1 on N strands,
 stored left to right; position 1 is the leftmost letter and the end of
 the sequence is the top of the braid. Moves are the positive braid
 relation, far commutativity, elementary conjugation at either end, and
-positive Markov (de)stabilization. All values are immutable.
+positive Markov (de)stabilization. All values are immutable. The sites of
+the moves that keep the strand count are defined once, in rewrite_sites.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -118,14 +120,8 @@ def serialize_word(w: BraidWord) -> str:
 def move_applies(w: BraidWord, m: WordMove) -> bool:
     """Whether the move is valid on this word at its position."""
     n, letters, p = len(w.letters), w.letters, m.position
-    if m.kind is MoveKind.BRAID_REL:
-        return (
-            1 <= p <= n - 2
-            and letters[p - 1] == letters[p + 1]
-            and abs(letters[p - 1] - letters[p]) == 1
-        )
-    if m.kind is MoveKind.FAR_COMM:
-        return 1 <= p <= n - 1 and abs(letters[p - 1] - letters[p]) >= 2
+    if m.kind in (MoveKind.BRAID_REL, MoveKind.FAR_COMM):
+        return (m.kind, p) in rewrite_sites(letters)
     if m.kind is MoveKind.ELEM_CONJ_LEFT:
         return n >= 1 and p == 1
     if m.kind is MoveKind.ELEM_CONJ_RIGHT:
@@ -149,24 +145,11 @@ def apply_move(w: BraidWord, m: WordMove) -> BraidWord:
     """Apply a move; raises MoveError if it does not apply."""
     if not move_applies(w, m):
         raise MoveError(f"{m.kind.value} does not apply at position {m.position}")
-    letters, p = w.letters, m.position
-    if m.kind is MoveKind.BRAID_REL:
-        i, j = letters[p - 1], letters[p]
-        return BraidWord(w.strands, letters[: p - 1] + (j, i, j) + letters[p + 2 :])
-    if m.kind is MoveKind.FAR_COMM:
-        return BraidWord(
-            w.strands,
-            letters[: p - 1] + (letters[p], letters[p - 1]) + letters[p + 1 :],
-        )
-    if m.kind is MoveKind.ELEM_CONJ_LEFT:
-        return BraidWord(w.strands, letters[1:] + letters[:1])
-    if m.kind is MoveKind.ELEM_CONJ_RIGHT:
-        return BraidWord(w.strands, letters[-1:] + letters[:-1])
     if m.kind is MoveKind.MARKOV_STAB:
-        return BraidWord(w.strands + 1, letters + (w.strands,))
+        return BraidWord(w.strands + 1, w.letters + (w.strands,))
     if m.kind is MoveKind.MARKOV_DESTAB:
-        return BraidWord(w.strands - 1, letters[:-1])
-    raise MoveError(f"unknown move kind {m.kind}")
+        return BraidWord(w.strands - 1, w.letters[:-1])
+    return BraidWord(w.strands, rewritten(w.letters, m.kind, m.position))
 
 
 def inverse_move(w: BraidWord, m: WordMove) -> WordMove:
@@ -185,21 +168,44 @@ def inverse_move(w: BraidWord, m: WordMove) -> WordMove:
     return WordMove(MoveKind.MARKOV_STAB, n)
 
 
+def rewrite_sites(
+    letters: tuple[int, ...], conjugations: bool = False
+) -> Iterator[tuple[MoveKind, int]]:
+    """(kind, position) of every braid relation, then every far
+    commutation, each by increasing position, then with conjugations
+    the two elementary conjugations of a nonempty word: the moves that
+    keep the strand count, in enumerate_moves order."""
+    n = len(letters)
+    for p in range(1, n - 1):
+        i = letters[p - 1]
+        if i == letters[p + 1] and abs(i - letters[p]) == 1:
+            yield MoveKind.BRAID_REL, p
+    for p in range(1, n):
+        if abs(letters[p - 1] - letters[p]) >= 2:
+            yield MoveKind.FAR_COMM, p
+    if conjugations and n:
+        yield MoveKind.ELEM_CONJ_LEFT, 1
+        yield MoveKind.ELEM_CONJ_RIGHT, n
+
+
+def rewritten(letters: tuple[int, ...], kind: MoveKind, p: int) -> tuple[int, ...]:
+    """The letters after a move of rewrite_sites at position p."""
+    if kind is MoveKind.BRAID_REL:
+        i, j = letters[p - 1], letters[p]
+        return letters[: p - 1] + (j, i, j) + letters[p + 2 :]
+    if kind is MoveKind.FAR_COMM:
+        return letters[: p - 1] + (letters[p], letters[p - 1]) + letters[p + 1 :]
+    if kind is MoveKind.ELEM_CONJ_LEFT:
+        return letters[1:] + letters[:1]
+    if kind is MoveKind.ELEM_CONJ_RIGHT:
+        return letters[-1:] + letters[:-1]
+    raise MoveError(f"{kind.value} changes the strand count")
+
+
 def enumerate_moves(w: BraidWord) -> list[WordMove]:
     """All valid moves, ordered by kind then position."""
     n = len(w.letters)
-    moves = []
-    for p in range(1, n - 1):
-        m = WordMove(MoveKind.BRAID_REL, p)
-        if move_applies(w, m):
-            moves.append(m)
-    for p in range(1, n):
-        m = WordMove(MoveKind.FAR_COMM, p)
-        if move_applies(w, m):
-            moves.append(m)
-    if n >= 1:
-        moves.append(WordMove(MoveKind.ELEM_CONJ_LEFT, 1))
-        moves.append(WordMove(MoveKind.ELEM_CONJ_RIGHT, n))
+    moves = [WordMove(kind, p) for kind, p in rewrite_sites(w.letters, True)]
     moves.append(WordMove(MoveKind.MARKOV_STAB, n + 1))
     destab = WordMove(MoveKind.MARKOV_DESTAB, n)
     if move_applies(w, destab):

@@ -25,7 +25,7 @@ CASES = [
     ),
     # the word is read before the targets
     (["invariants", "1 y", "--targets", "NOPE"], 1, "", "error: cannot parse letter 'y'\n"),
-    (["summit", "1 2 1", "--caps.summit-set", "0"], 1, "", "error: caps must be positive\n"),
+    (["summit", "1 2 1", "--caps.summit-set", "0"], 1, "", "error: caps.summit_set: must be positive, got 0\n"),
     (
         ["summit", "1 2 1", "--caps.cycling", "x"],
         64, "", "usage error: argument --caps.cycling: invalid int value: 'x'\n",

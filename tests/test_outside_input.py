@@ -3,8 +3,8 @@ not parse, negative move counts, and the ``python -m braidforge`` entry.
 
 A hand-built presentation reads its pair table off its relator words, so
 a relator's kind or equation cannot impose a relation its word does not
-state. A setting that does not parse names its key, and its file when it
-came from BRAIDFORGE_CONFIG.
+state. A setting that does not parse, or a cap that is not positive,
+names its key, and its file when it came from BRAIDFORGE_CONFIG.
 """
 
 import os
@@ -87,6 +87,38 @@ def test_apply_overrides_names_key_and_source():
         apply_overrides(Config(), {"caps.cycling": "often"})
     with pytest.raises(ValueError, match=r"^my\.conf, caps\.word_search: "):
         apply_overrides(Config(), {"caps.word_search": ""}, "my.conf")
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--caps.summit-set", "0", "caps.summit_set: must be positive, got 0"),
+        ("--caps.cycling", "-3", "caps.cycling: must be positive, got -3"),
+        ("--caps.word-search", "0", "caps.word_search: must be positive, got 0"),
+        ("--caps.generators", "S3=0", "caps.generators: S3 must be positive, got 0"),
+        ("--caps.generators", "S4=5,*=-1", "caps.generators: * must be positive, got -1"),
+    ],
+)
+def test_cap_that_is_not_positive_names_its_key(capsys, monkeypatch, flag, value, message):
+    monkeypatch.delenv("BRAIDFORGE_CONFIG", raising=False)
+    code, out, err = run(capsys, "summit", "1 2 1", flag, value)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_config_cap_that_is_not_positive_names_key_and_file(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "braidforge.conf"
+    path.write_text("targets=S3\ncaps.cycling=0\n")
+    monkeypatch.setenv("BRAIDFORGE_CONFIG", str(path))
+    code, out, err = run(capsys, "summit", "1 2 1 2 2 1")
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}, caps.cycling: must be positive, got 0\n"
+
+
+def test_apply_overrides_names_cap_and_source():
+    with pytest.raises(ValueError, match=r"^caps\.summit_set: must be positive, got 0$"):
+        apply_overrides(Config(), {"caps.summit_set": "0"})
+    with pytest.raises(ValueError, match=r"^my\.conf, caps\.generators: S3 must be positive"):
+        apply_overrides(Config(), {"caps.generators": "S3=0"}, "my.conf")
 
 
 def test_verify_rejects_negative_move_count(capsys, monkeypatch):
