@@ -3,9 +3,10 @@
 Minimal simple elements are checked over all of S_n at five strands and
 at the six-strand "half twist plus one letter" shape the benchmark's
 summit sets use; normal forms built from runs of simple letters against
-the letter-by-letter oracle on 6-10-strand words of 100-500 letters;
-and the memo of division steps for its bound and for answers that do
-not depend on what it holds.
+the letter-by-letter oracle on 6-10-strand words of 100-500 letters
+(tests/test_garside_oracles.py covers short words); and the memo of
+division steps for its bound and for answers that do not depend on what
+it holds.
 """
 
 import random
@@ -70,17 +71,6 @@ def test_normal_form_matches_oracle_at_benchmark_sizes():
         letters = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(100, 500)))
         w = BraidWord(n, letters)
         assert normal_form(w) == oracle_normal_form(w)
-
-
-def test_normal_form_of_runs_matches_oracle_on_short_words(rng):
-    # Runs that fill up to a half twist, runs of one letter, and the empty word.
-    for n in (2, 3, 4, 6):
-        words = [(), delta_word(n), delta_word(n) * 2, (1,) * 5, (n - 1, n - 1)]
-        words += [tuple(rng.randint(1, n - 1) for _ in range(rng.randint(1, 30)))
-                  for _ in range(20)]
-        for letters in words:
-            w = BraidWord(n, letters)
-            assert normal_form(w) == oracle_normal_form(w)
 
 
 def test_division_memo_is_bounded():
