@@ -7,6 +7,7 @@ from .errors import (
     GarsideInvariantError,
     MoveError,
     NotAForestError,
+    PresentationError,
     ResourceCapError,
     StrandMismatchError,
     WordError,
@@ -40,7 +41,6 @@ from .invariants import (
     enumerate_homs,
     hom_count,
     hom_count_up_to_conjugacy,
-    smith_normal_form,
 )
 from .isomaps import (
     CheckReport,

@@ -23,6 +23,12 @@ class NotAForestError(BraidForgeError, ValueError):
     """Tree comparison was asked of a graph containing a cycle."""
 
 
+class PresentationError(BraidForgeError, ValueError):
+    """A hand-built presentation that no braid word yields: a letter
+    outside the generators, or an exponent column other than zero or
+    e_i - e_j."""
+
+
 class ResourceCapError(BraidForgeError):
     """A configured search limit was exceeded; never a wrong answer."""
 

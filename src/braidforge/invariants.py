@@ -1,16 +1,16 @@
 """Presentation-level isomorphism invariants.
 
 Abelianization and the column-lattice test read each relator's exponent
-sums sparsely: off the pair table, a braid relator on i < j has the
-column e_i - e_j and a commutation relator none, so only the cycle
-relators are summed. When every column of the generator-by-relator
-exponent matrix is zero or e_i - e_j, as it is for every presentation
-built from a linking graph, the matrix is a graph incidence matrix and
-so totally unimodular: union-find over the (+1, -1) pairs gives the
+sums sparsely (``Presentation.columns``): off the pair table, a braid
+relator on i < j has the column e_i - e_j and a commutation relator
+none, so only the cycle relators are summed. Every relator a linking
+graph yields has exponent sums zero or e_i - e_j, so the
+generator-by-relator exponent matrix is a graph incidence matrix and
+totally unimodular: union-find over the (+1, -1) pairs gives the
 abelianization Z^c (c components, every other invariant factor 1), and
 a vector lies in the column lattice iff it sums to zero on every
-component. Any other column shape falls back to an exact integer Smith
-normal form, computed once per matrix.
+component. A hand-built presentation with any other column shape has
+no such reading and raises PresentationError.
 
 Homomorphisms into small finite groups are found by one orbit search per
 presentation content and target: pruned backtracking in which the pair
@@ -40,10 +40,10 @@ from functools import cache, lru_cache
 from itertools import combinations
 from typing import Iterator, NamedTuple, Sequence
 
-from .errors import ResourceCapError
+from .errors import PresentationError, ResourceCapError
 from .finite_groups import FiniteTarget
 from .linking import CACHE_SIZE
-from .presentations import GroupWord, Presentation, RelatorKind, exponent_sums
+from .presentations import GroupWord, Presentation, RelatorKind
 
 DEFAULT_GENERATOR_CAPS = {"S3": 14, "S4": 10, "S5": 8, "*": 10}
 
@@ -74,202 +74,61 @@ class HomCount:
     count: int
 
 
-def smith_normal_form(
-    matrix: list[list[int]], track_rows: bool = False
-) -> tuple[list[int], list[list[int]] | None]:
-    """Diagonal of the Smith normal form; optionally the row transform U.
+class ColumnLattice:
+    """Integer span of a presentation's exponent columns, prepared for many tests.
 
-    With track_rows, returns (diag, U) where U @ M @ V = D for some
-    unimodular V; U suffices to test membership in the column lattice.
+    The columns must form a graph incidence matrix: every one listed by
+    ``Presentation.columns`` (pass it when already read) is e_i - e_j, and
+    any other shape raises PresentationError naming its relator. Then a
+    vector lies in the span iff it sums to zero on every component, so
+    the per-presentation work is one union-find, done here: ``component``
+    labels each generator 0..n_components-1.
     """
-    a = [row[:] for row in matrix]
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)] if track_rows else None
 
-    def row_op(i: int, j: int, q: int) -> None:
-        # row_i -= q * row_j
-        ai, aj = a[i], a[j]
-        for c in range(cols):
-            ai[c] -= q * aj[c]
-        if u is not None:
-            ui, uj = u[i], u[j]
-            for c in range(rows):
-                ui[c] -= q * uj[c]
+    __slots__ = ("component", "n_components")
 
-    def swap_rows(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
+    def __init__(
+        self, p: Presentation, columns: list[tuple[int, dict[int, int]]] | None = None
+    ) -> None:
+        parent = list(range(p.n_generators))
 
-    def swap_cols(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
 
-    def negate_row(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < rows and t < cols:
-        # Pivot: smallest nonzero magnitude in the remaining block.
-        pivot = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-        if a[t][t] < 0:
-            negate_row(t)
-        dirty = False
-        for i in range(t + 1, rows):
-            if a[i][t] != 0:
-                q = a[i][t] // a[t][t]
-                row_op(i, t, q)
-                if a[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if a[t][j] != 0:
-                q = a[t][j] // a[t][t]
-                for i2 in range(rows):
-                    a[i2][j] -= q * a[i2][t]
-                if a[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # Divisibility: pull a bad row up and redo this pivot.
-        bad = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a[i][j] % a[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            row_op(t, bad, -1)  # row_t += row_bad
-            continue
-        t += 1
-    diag = [abs(a[i][i]) for i in range(min(rows, cols))]
-    return diag, u
-
-
-def exponent_columns(p: Presentation) -> list[dict[int, int]]:
-    """Sparse columns of the exponent matrix, one per relator (spells every relator)."""
-    return [exponent_sums(r.word) for r in p.relators]
-
-
-def _dense(columns: list[dict[int, int]], rows: int) -> list[list[int]]:
-    mat = [[0] * len(columns) for _ in range(rows)]
-    for j, col in enumerate(columns):
-        for g, e in col.items():
-            mat[g][j] = e
-    return mat
-
-
-def exponent_matrix(p: Presentation) -> list[list[int]]:
-    """Rows = generators, columns = relators; entries are exponent sums."""
-    return _dense(exponent_columns(p), p.n_generators)
-
-
-def _incidence_components(columns: list[dict[int, int]], rows: int) -> list[int] | None:
-    """Component label (0..c-1) per row if every column is zero or e_i - e_j.
-
-    None when some column has another shape, so the caller needs SNF.
-    """
-    parent = list(range(rows))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for col in columns:
-        if not col:
-            continue
-        if len(col) != 2:
-            return None
-        (a, ea), (b, eb) = col.items()
-        if ea + eb != 0 or abs(ea) != 1:
-            return None
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    labels: dict[int, int] = {}
-    return [labels.setdefault(find(g), len(labels)) for g in range(rows)]
+        for index, col in p.columns() if columns is None else columns:
+            # a column of any other length fails the test as (0, 0), (0, 0)
+            (a, ea), (b, eb) = col.items() if len(col) == 2 else ((0, 0), (0, 0))
+            if ea + eb or abs(ea) != 1:
+                sums = " ".join(f"s{g + 1}^{e}" for g, e in sorted(col.items()))
+                raise PresentationError(
+                    f"relator {index} has exponent sums {sums}, not zero or e_i - e_j"
+                )
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+        labels: dict[int, int] = {}
+        self.component = [labels.setdefault(find(g), len(labels)) for g in range(p.n_generators)]
+        self.n_components = len(labels)
 
 
 def abelianization(p: Presentation) -> Abelianization:
+    """Z^c, c the number of components of the exponent columns' graph."""
     k = p.n_generators
-    columns = [column for _, column in p.columns()]
-    component = _incidence_components(columns, k)
-    if component is not None:
-        c = len(set(component))
-        return Abelianization((1,) * (k - c) + (0,) * c)
-    diag, _ = smith_normal_form(_dense(columns, k))
-    nonzero = sorted(d for d in diag if d != 0)
-    factors = tuple(nonzero) + (0,) * (k - len(nonzero))
-    return Abelianization(factors)
+    c = ColumnLattice(p).n_components
+    return Abelianization((1,) * (k - c) + (0,) * c)
 
 
-class ColumnLattice:
-    """Integer span of an exponent matrix's columns, prepared for many tests.
-
-    The per-matrix work happens once here: component labels on the
-    incidence path, or the Smith normal form's diagonal and row transform
-    U otherwise (v is in the span iff d_i divides (Uv)_i, with d_i = 0
-    meaning (Uv)_i = 0).
-    """
-
-    __slots__ = ("component", "n_components", "diag", "u")
-
-    def __init__(self, columns: list[dict[int, int]], rows: int) -> None:
-        self.component = _incidence_components(columns, rows)
-        self.n_components = len(set(self.component or ()))
-        self.diag: list[int] = []
-        self.u: list[list[int]] = []
-        if self.component is None:
-            diag, u = smith_normal_form(_dense(columns, rows), track_rows=True)
-            self.diag = diag + [0] * (rows - len(diag))
-            self.u = u or []
-
-    @classmethod
-    def of_matrix(cls, matrix: list[list[int]]) -> ColumnLattice:
-        cols = len(matrix[0]) if matrix else 0
-        columns = [
-            {i: row[j] for i, row in enumerate(matrix) if row[j]} for j in range(cols)
-        ]
-        return cls(columns, len(matrix))
-
-    def contains(self, vector: list[int]) -> bool:
-        support = [(g, v) for g, v in enumerate(vector) if v]
-        if not support:
-            return True
-        if self.component is not None:
-            sums = [0] * self.n_components
-            for g, v in support:
-                sums[self.component[g]] += v
-            return not any(sums)
-        for d, row in zip(self.diag, self.u):
-            uv = sum(row[g] * v for g, v in support)
-            if (uv != 0) if d == 0 else (uv % d != 0):
-                return False
-        return True
-
-
-def in_column_lattice(lattice: ColumnLattice | list[list[int]], vector: list[int]) -> bool:
-    """Exact test that vector lies in the integer span of the matrix columns.
-
-    Pass a ColumnLattice to share the per-matrix work across many vectors.
-    """
-    if not isinstance(lattice, ColumnLattice):
-        lattice = ColumnLattice.of_matrix(lattice)
-    return lattice.contains(vector)
+def in_column_lattice(lattice: ColumnLattice, vector: list[int]) -> bool:
+    """Exact test that vector lies in the integer span of the lattice's columns."""
+    sums = [0] * lattice.n_components
+    component = lattice.component
+    for g, v in enumerate(vector):
+        if v:
+            sums[component[g]] += v
+    return not any(sums)
 
 
 def evaluate_word(t: FiniteTarget, images: Sequence[int], word: GroupWord) -> int:

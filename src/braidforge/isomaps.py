@@ -481,8 +481,8 @@ def check_map(
     violations: list[Violation] = []
     k_src, k_dst = m.source.n_generators, m.target.n_generators
     src_columns, dst_columns = m.source.columns(), m.target.columns()
-    src_lattice = ColumnLattice([column for _, column in src_columns], k_src)
-    dst_lattice = ColumnLattice([column for _, column in dst_columns], k_dst)
+    src_lattice = ColumnLattice(m.source, src_columns)
+    dst_lattice = ColumnLattice(m.target, dst_columns)
     image_sums = [exponent_sums(w) for w in m.images]
     inverse_sums = [exponent_sums(w) for w in m.inverse_images]
     for direction, columns, sums, lattice, k in (

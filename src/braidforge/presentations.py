@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
 
+from .errors import PresentationError
 from .linking import LinkingGraph
 
 # A group word is a tuple of signed 1-based generator indices.
@@ -97,7 +98,8 @@ class Presentation:
     commutation pairs, each in lex order, then the cycles).
     ``Presentation(n, relators)`` keeps the relators as given and reads
     the table off their words, whatever kind they were built with; a
-    pair may then carry both kinds.
+    pair may then carry both kinds. A letter of a relator's word or
+    equation that names no generator raises PresentationError.
     """
 
     __slots__ = ("n_generators", "braid_pairs", "comm_pairs", "cycles", "_relators")
@@ -106,7 +108,13 @@ class Presentation:
         braid: set[tuple[int, int]] = set()
         comm: set[tuple[int, int]] = set()
         cycles = []
-        for r in relators:
+        for index, r in enumerate(relators):
+            bad = [x for x in (*r.word, *r.lhs, *r.rhs) if not 0 < abs(x) <= n_generators]
+            if bad:
+                raise PresentationError(
+                    f"relator {index} has the letter {bad[0]}; "
+                    f"the generators are 1..{n_generators}"
+                )
             pair = _pair_of(r)
             if pair is None:
                 cycles.append(r)

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: the rewriting
 closure explores word moves directly, the hom-count oracle enumerates
 all assignments, the brick oracle re-scans the word, the lattice
-oracles always run the dense Smith normal form, the Garside oracles
+oracles take sympy's Smith normal decomposition of the dense exponent
+matrix spelled from the relator words, the Garside oracles
 left-weight letter by letter in whole-list passes until nothing moves
 and close super summit sets under all n! - 1 permutation braids. They
 stay dumb so the fast implementations can be checked against them.
@@ -13,9 +14,12 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from functools import cache
 from itertools import permutations, product
 
 import pytest
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_decomp
 
 from braidforge.garside import (
     NormalForm,
@@ -28,7 +32,6 @@ from braidforge.garside import (
     starting_set,
     tau_pow,
 )
-from braidforge.invariants import exponent_matrix, smith_normal_form
 from braidforge.presentations import Presentation
 from braidforge.words import BraidWord
 
@@ -105,29 +108,52 @@ def brute_hom_count(relator_words, k: int, target) -> int:
     return count
 
 
+def exponent_matrix(p: Presentation) -> list[list[int]]:
+    """Rows = generators, columns = relators; entries are the exponent
+    sums of each relator word."""
+    matrix = [[0] * len(p.relators) for _ in range(p.n_generators)]
+    for j, r in enumerate(p.relators):
+        for x in r.word:
+            matrix[abs(x) - 1][j] += 1 if x > 0 else -1
+    return matrix
+
+
+def _smith(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Invariant diagonal d (one entry per row, 0 past the rank) and row
+    transform S of the matrix's Smith normal form S M T = D.
+
+    Zero and repeated columns span nothing new, so each distinct set of
+    nonzero columns is decomposed once and shared by both oracles.
+    """
+    columns = frozenset(col for col in zip(*matrix) if any(col))
+    return _smith_of_columns(len(matrix), tuple(sorted(columns)))
+
+
+@cache
+def _smith_of_columns(rows: int, columns: tuple[tuple[int, ...], ...]):
+    if not columns:
+        return [0] * rows, [[int(i == j) for j in range(rows)] for i in range(rows)]
+    d, s, _ = smith_normal_decomp(Matrix(columns).T, domain=ZZ)
+    diag = [abs(int(d[i, i])) if i < len(columns) else 0 for i in range(rows)]
+    return diag, [[int(x) for x in s.row(i)] for i in range(rows)]
+
+
 def snf_abelianization(p: Presentation) -> tuple[int, ...]:
-    """Invariant factors from the dense exponent matrix's SNF diagonal."""
-    if p.n_generators == 0:
-        return ()
-    if not p.relators:
-        return (0,) * p.n_generators
-    diag, _ = smith_normal_form(exponent_matrix(p))
+    """Invariant factors from the Smith normal form of the exponent matrix."""
+    diag, _ = _smith(exponent_matrix(p))
     nonzero = sorted(d for d in diag if d != 0)
     return tuple(nonzero) + (0,) * (p.n_generators - len(nonzero))
 
 
 def snf_membership(matrix: list[list[int]]):
-    """Predicate: is a vector in the column lattice, by the SNF row transform."""
-    rows = len(matrix)
-    if not matrix or not matrix[0]:
-        return lambda vector: not any(vector)
-    diag, u = smith_normal_form(matrix, track_rows=True)
+    """Predicate: is a vector in the column lattice, by the SNF row transform
+    (v is in the span iff d_i divides (Sv)_i, with d_i = 0 meaning (Sv)_i = 0)."""
+    diag, s = _smith(matrix)
 
     def member(vector: list[int]) -> bool:
-        uv = [sum(u[i][j] * vector[j] for j in range(rows)) for i in range(rows)]
-        for i in range(rows):
-            d = diag[i] if i < len(diag) else 0
-            if (uv[i] != 0) if d == 0 else (uv[i] % d != 0):
+        for d, row in zip(diag, s):
+            sv = sum(a * b for a, b in zip(row, vector))
+            if (sv != 0) if d == 0 else (sv % d != 0):
                 return False
         return True
 

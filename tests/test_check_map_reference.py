@@ -1,10 +1,12 @@
 """check_map against the per-relator reference it replaced.
 
 reference_check_map evaluates every relator image and round-trip word
-under every homomorphism, and tests every exponent vector with the dense
-SNF lattice oracle. check_map decides the finite targets by hom-set
-pullback and the abelianization on the incidence path; the two must give
-identical reports, violations and their wording included.
+under every homomorphism, and tests every exponent vector with the
+conftest lattice oracle (sympy's Smith normal decomposition of the dense
+exponent matrix). check_map decides the finite targets by hom-set
+pullback and the abelianization by sums over the components of the
+exponent columns; the two must give identical reports, violations and
+their wording included.
 """
 
 import random
@@ -14,7 +16,7 @@ import pytest
 from braidforge.bricks import build_bricks
 from braidforge.errors import ResourceCapError
 from braidforge.finite_groups import builtin_targets
-from braidforge.invariants import enumerate_homs, exponent_matrix
+from braidforge.invariants import enumerate_homs
 from braidforge import isomaps
 from braidforge.isomaps import (
     CheckReport,
@@ -27,7 +29,7 @@ from braidforge.linking import build_graph
 from braidforge.presentations import concat, presentation_of
 from braidforge.words import BraidWord, enumerate_moves, parse_word
 
-from conftest import snf_membership
+from conftest import exponent_matrix, snf_membership
 
 TARGETS = builtin_targets()
 CHECK_TARGETS = [TARGETS["S3"], TARGETS["S4"]]

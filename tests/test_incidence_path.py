@@ -1,26 +1,25 @@
-"""Differential checks of the incidence fast path against Smith normal form.
+"""Differential checks of the component path against Smith normal form,
+and of what a presentation no braid word yields does instead.
 
-The references (conftest) are the general SNF computations: the
-abelianization from the dense exponent matrix's SNF diagonal, and
-lattice membership from the SNF row transform. The SNF itself is
-checked against sympy.
+The references (conftest) take sympy's Smith normal decomposition of the
+dense exponent matrix spelled from the relator words: the abelianization
+from its diagonal, and lattice membership from its row transform.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import Matrix, ZZ
-from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from braidforge.bricks import build_bricks
-from braidforge.invariants import (
-    ColumnLattice,
-    abelianization,
-    exponent_columns,
-    exponent_matrix,
-    in_column_lattice,
-    smith_normal_form,
-)
+from braidforge.errors import PresentationError
+from braidforge.finite_groups import builtin_targets
+from braidforge.invariants import ColumnLattice, abelianization, in_column_lattice
+from braidforge.isomaps import GeneratorMap, check_map
 from braidforge.linking import build_graph
 from braidforge.presentations import (
     Presentation,
@@ -33,7 +32,7 @@ from braidforge.presentations import (
 )
 from braidforge.words import BraidWord
 
-from conftest import snf_abelianization, snf_membership
+from conftest import exponent_matrix, snf_abelianization, snf_membership
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -86,8 +85,7 @@ def test_fast_path_agrees_with_snf(case):
     base = presentation_of(build_graph(build_bricks(BraidWord(n, tuple(letters)))))
     for p in variants(base):
         assert abelianization(p).invariant_factors == snf_abelianization(p)
-        lattice = ColumnLattice(exponent_columns(p), p.n_generators)
-        assert lattice.component is not None  # linking-graph presentations are incidence
+        lattice = ColumnLattice(p)
         if not p.relators:
             continue
         member = snf_membership(exponent_matrix(p))
@@ -95,72 +93,50 @@ def test_fast_path_agrees_with_snf(case):
             assert in_column_lattice(lattice, v) == member(v), v
 
 
-def test_non_incidence_columns_take_snf_path():
-    # Columns e1 - e2, 0, 2*e1 and e2 + e3: Z^3 modulo them is Z/2.
-    p = Presentation(
-        3,
-        (
-            braid_relator(1, 2),
-            comm_relator(2, 3),
-            Relator.from_equation(RelatorKind.CYCLE, (1, 1), (), ("power", 1)),
-            Relator.from_equation(RelatorKind.CYCLE, (2, 3), (), ("sum", 2)),
-        ),
+def test_non_incidence_columns_raise():
+    # Columns 2*e1 and e2 + e3 belong to no graph's incidence matrix.
+    power = Relator.from_equation(RelatorKind.CYCLE, (1, 1), (), ("power", 1))
+    total = Relator.from_equation(RelatorKind.CYCLE, (2, 3), (), ("sum", 2))
+    pairs = (braid_relator(1, 2), comm_relator(2, 3))
+    target = Presentation(3, pairs)
+    for relators, message in (
+        (pairs + (power,), r"relator 2 has exponent sums s1\^2,"),
+        (pairs + (comm_relator(1, 3), total), r"relator 3 has exponent sums s2\^1 s3\^1,"),
+    ):
+        p = Presentation(3, relators)
+        # s2 -> s1 s2 s1^-1 keeps check_map off the relabeling shortcut
+        m = GeneratorMap(p, target, ((1,), (1, 2, -1), (3,)), ((1,), (-1, 2, 1), (3,)))
+        for call in (
+            lambda: abelianization(p),
+            lambda: ColumnLattice(p),
+            lambda: check_map(m, [builtin_targets()["S3"]]),
+        ):
+            with pytest.raises(PresentationError, match=message):
+                call()
+    # Other shapes that are not e_i - e_j, given as columns.
+    for column in ({0: 1, 1: 1}, {0: 1, 1: -1, 2: 1}, {0: -2, 1: 2}, {2: 1}):
+        with pytest.raises(PresentationError, match="relator 5 "):
+            ColumnLattice(target, [(5, column)])
+
+
+def test_presentation_errors_hold_under_optimize_flag():
+    script = (
+        "from braidforge.errors import PresentationError\n"
+        "from braidforge.invariants import abelianization\n"
+        "from braidforge.presentations import Presentation, Relator, RelatorKind\n"
+        "assert False, 'asserts must be stripped'\n"
+        "power = Relator.from_equation(RelatorKind.CYCLE, (1, 1), (), ())\n"
+        "for build in (lambda: abelianization(Presentation(1, (power,))),\n"
+        "              lambda: Presentation(1, (Relator(RelatorKind.CYCLE, (0, 1), (0,), (1,), ()),))):\n"
+        "    try:\n"
+        "        build()\n"
+        "    except PresentationError as e:\n"
+        "        print(str(e).split(' has ')[0])\n"
     )
-    lattice = ColumnLattice(exponent_columns(p), p.n_generators)
-    assert lattice.component is None
-    assert abelianization(p).invariant_factors == snf_abelianization(p) == (1, 1, 2)
-    member = snf_membership(exponent_matrix(p))
-    for v in ([2, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 1], [0, 0, 1], [0, 0, 0]):
-        assert in_column_lattice(lattice, v) == member(v), v
-    assert [in_column_lattice(lattice, v) for v in ([1, 0, 0], [1, 1, 0])] == [False, True]
-    # Other shapes that are not e_i - e_j.
-    for columns in ([{0: 1, 1: 1}], [{0: 1, 1: -1, 2: 1}], [{0: -2, 1: 2}], [{2: 1}]):
-        assert ColumnLattice(columns, 3).component is None
-
-
-@SETTINGS
-@given(
-    st.integers(1, 5).flatmap(
-        lambda rows: st.lists(
-            st.lists(st.integers(-6, 6), min_size=rows, max_size=rows), min_size=1, max_size=6
-        )
-    ),
-    st.lists(st.integers(-6, 6), min_size=5, max_size=5),
-)
-def test_column_lattice_agrees_with_snf_on_any_matrix(columns, vector):
-    rows = len(columns[0])
-    matrix = [[col[i] for col in columns] for i in range(rows)]
-    v = vector[:rows]
-    assert in_column_lattice(matrix, v) == snf_membership(matrix)(v)
-
-
-@SETTINGS
-@given(
-    st.integers(1, 5).flatmap(
-        lambda cols: st.lists(
-            st.lists(st.integers(-9, 9), min_size=cols, max_size=cols), min_size=1, max_size=5
-        )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("BRAIDFORGE_CONFIG", None)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
     )
-)
-def test_smith_normal_form_agrees_with_sympy(matrix):
-    diag, _ = smith_normal_form(matrix)
-    expected = sympy_snf(Matrix(matrix), domain=ZZ)
-    assert diag == [abs(expected[i, i]) for i in range(len(diag))]
-
-
-def test_smith_normal_form_agrees_with_sympy_on_exponent_matrices():
-    rng = random.Random(5)
-    for _ in range(10):
-        n = rng.randint(3, 5)
-        w = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(2, 9))))
-        p = presentation_of(build_graph(build_bricks(w)))
-        if not p.relators:
-            continue
-        matrix = exponent_matrix(p)
-        diag, _ = smith_normal_form(matrix)
-        expected = sympy_snf(Matrix(matrix), domain=ZZ)
-        assert diag == [abs(expected[i, i]) for i in range(len(diag))]
-        assert exponent_columns(p) == [
-            {i: matrix[i][j] for i in range(p.n_generators) if matrix[i][j]}
-            for j in range(len(p.relators))
-        ]
+    assert out.stdout.splitlines() == ["relator 0", "relator 0"]

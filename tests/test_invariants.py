@@ -1,108 +1,33 @@
-import math
-
 import pytest
 
 from braidforge.bricks import build_bricks
-from braidforge.errors import ResourceCapError
+from braidforge.errors import PresentationError, ResourceCapError
 from braidforge.finite_groups import builtin_targets, direct_product, load_table
 from braidforge.invariants import (
     abelianization,
     enumerate_homs,
-    exponent_matrix,
     hom_count,
     hom_count_up_to_conjugacy,
-    in_column_lattice,
-    smith_normal_form,
 )
 from braidforge.isomaps import GeneratorMap, check_map
 from braidforge.linking import build_graph
 from braidforge.presentations import (
     Presentation,
+    Relator,
+    RelatorKind,
     braid_relator,
     comm_relator,
     presentation_of,
 )
 from braidforge.words import parse_word
 
-from conftest import brute_hom_count, random_word
+from conftest import brute_hom_count, exponent_matrix, random_word
 
 TARGETS = builtin_targets()
 
 
 def presentation_for(text, strands=None):
     return presentation_of(build_graph(build_bricks(parse_word(text, strands))))
-
-
-def _gcd_of_minors(matrix, k):
-    from itertools import combinations
-
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    if k == 0:
-        return 1
-    g = 0
-    for rs in combinations(range(rows), k):
-        for cs in combinations(range(cols), k):
-            sub = [[matrix[r][c] for c in cs] for r in rs]
-            g = math.gcd(g, _int_det(sub))
-    return g
-
-
-def _int_det(m):
-    # Bareiss elimination, exact
-    n = len(m)
-    a = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            for r in range(i + 1, n):
-                if a[r][i] != 0:
-                    a[i], a[r] = a[r], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(i + 1, n):
-            for c in range(i + 1, n):
-                a[r][c] = (a[r][c] * a[i][i] - a[r][i] * a[i][c]) // prev
-        prev = a[i][i]
-    return sign * a[n - 1][n - 1]
-
-
-def test_snf_against_determinantal_divisors(rng):
-    # invariant factors equal quotients of gcds of k x k minors
-    for _ in range(40):
-        rows = rng.randint(1, 4)
-        cols = rng.randint(1, 5)
-        matrix = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        diag, _ = smith_normal_form(matrix)
-        prev = 1
-        expected = []
-        for k in range(1, min(rows, cols) + 1):
-            g = _gcd_of_minors(matrix, k)
-            if g == 0:
-                expected.append(0)
-            else:
-                expected.append(g // prev)
-                prev = g
-        # truncate at the first zero (rank reached)
-        for i, d in enumerate(expected):
-            if d == 0:
-                expected = expected[:i] + [0] * (len(expected) - i)
-                break
-        assert [abs(d) for d in diag] == expected
-
-
-def test_snf_divisibility_chain(rng):
-    for _ in range(40):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        matrix = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
-        diag, _ = smith_normal_form(matrix)
-        nonzero = [d for d in diag if d != 0]
-        for a, b in zip(nonzero, nonzero[1:]):
-            assert b % a == 0
 
 
 def test_abelianization_examples():
@@ -127,6 +52,26 @@ def test_rank_positive_with_bricks(rng):
         p = presentation_for(" ".join(map(str, w.letters)), w.strands)
         if p.n_generators:
             assert abelianization(p).rank >= 1
+
+
+@pytest.mark.parametrize(
+    "relator, letter",
+    [
+        (Relator(RelatorKind.CYCLE, (0, 1, 0, -1), (0, 1), (1, 0), ()), 0),
+        (Relator.from_equation(RelatorKind.CYCLE, (1, 3, 2), (2, 1, 3), ()), 3),
+        (braid_relator(1, 3), 3),
+    ],
+    ids=["letter-0", "generator-3", "braid-relator-1-3"],
+)
+@pytest.mark.parametrize(
+    "invariant",
+    [abelianization, lambda p: hom_count(p, TARGETS["S3"])],
+    ids=["abelianization", "hom_count"],
+)
+def test_letters_outside_the_generators_raise(relator, letter, invariant):
+    # Letter 0 would index the last generator, and 3 none of two.
+    with pytest.raises(PresentationError, match=f"relator 1 has the letter -?{letter};"):
+        invariant(Presentation(2, (comm_relator(1, 2), relator)))
 
 
 def test_hom_count_free_generator():
@@ -254,52 +199,6 @@ def test_generator_cap():
     with pytest.raises(ResourceCapError):
         hom_count(small, TARGETS["S4"], {"S4": 2, "*": 2})
     assert hom_count(small, TARGETS["S4"], {"*": 3}).count > 0
-
-
-def test_in_column_lattice():
-    matrix = [[2, 0], [0, 3]]
-    assert in_column_lattice(matrix, [4, 3])
-    assert not in_column_lattice(matrix, [1, 0])
-    assert in_column_lattice([[0]], [0])
-    assert not in_column_lattice([[0]], [1])
-
-
-def _random_unimodular(rng, n):
-    # product of elementary row operations
-    m = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(3 * n):
-        i, j = rng.sample(range(n), 2)
-        q = rng.randint(-2, 2)
-        for c in range(n):
-            m[i][c] += q * m[j][c]
-    return m
-
-
-def _matmul(a, b):
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
-
-
-def test_in_column_lattice_randomized(rng):
-    # build M = P D Q with known diagonal D and unimodular P, Q; then
-    # v = P w lies in the column lattice exactly when d_i | w_i throughout
-    for _ in range(30):
-        n = rng.randint(2, 4)
-        diag = [rng.choice([0, 1, 2, 3, 4]) for _ in range(n)]
-        d = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        p = _random_unimodular(rng, n)
-        q = _random_unimodular(rng, n)
-        m = _matmul(_matmul(p, d), q)
-        for _ in range(6):
-            w = [rng.randint(-6, 6) for _ in range(n)]
-            v = [sum(p[i][k] * w[k] for k in range(n)) for i in range(n)]
-            expected = all(
-                (w[i] == 0) if diag[i] == 0 else (w[i] % diag[i] == 0)
-                for i in range(n)
-            )
-            assert in_column_lattice(m, v) == expected, (diag, w)
 
 
 def test_exponent_matrix_shape():
