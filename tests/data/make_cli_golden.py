@@ -196,6 +196,36 @@ def commands() -> list[list[str]]:
         pair = [text(w.letters), text(walked(w, rng.randint(5, 10)).letters), "--strands", "4"]
         cmds.append(["moveseq" if i % 2 else "isocheck", *pair])
     cmds.append(["moveseq", "1 2 3 1 2 1 2 2", "1 2 1 3 1 1 2 1", "--caps.word-search", "5"])
+
+    # The move-invariance benchmark's sizes: verify --moves 20 on 3-4-strand
+    # words of 13-16 letters, one move of each kind on words of 6-24
+    # letters (a stabilization undone by a destabilization, as isocheck's
+    # two words share one strand count), and invariants of 60-100 letters
+    for seed in range(4):
+        n = 3 + seed % 2
+        word = text(random_letters(rng, n, rng.randint(13, 16)))
+        cmds.append(["verify", "--moves", "20", "--seed", str(seed), word, "--strands", str(n)])
+    kinds = (MoveKind.BRAID_REL, MoveKind.ELEM_CONJ_LEFT, MoveKind.ELEM_CONJ_RIGHT,
+             MoveKind.FAR_COMM, MoveKind.MARKOV_STAB)
+    for i in range(15):
+        kind = kinds[i % 5]
+        n = 4 if kind is MoveKind.FAR_COMM else 3 + i % 2
+        length = 6 + 18 * i // 14
+        while True:
+            w = BraidWord(n, random_letters(rng, n, length))
+            sites = [m for m in enumerate_moves(w) if m.kind is kind]
+            if sites:
+                break
+        m = rng.choice(sites)
+        if kind is MoveKind.MARKOV_STAB:
+            script, v = "stab, destab", w
+        else:
+            script, v = f"{kind.value}@{m.position}", apply_move(w, m)
+        cmds.append(["isocheck", text(w.letters), text(v.letters), "--strands", str(n),
+                     "--moves", script])
+    for j, length in enumerate((60, 70, 80, 90, 100)):
+        n = 3 + j
+        cmds.append(["invariants", text(random_letters(rng, n, length)), "--strands", str(n)])
     return cmds
 
 

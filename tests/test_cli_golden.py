@@ -11,7 +11,10 @@ half-twist pairs, one needing a summit hop, and two exits 1: a
 non-conjugate pair and a pair without a half twist. The last entries
 pin Garside output at the benchmark's sizes: normal forms of 100-500
 letters on 6-10 strands, six- and five-strand half-twist summit sets,
-walked 4-strand found sequences and one capped search.
+walked 4-strand found sequences and one capped search. After them come
+the move-invariance benchmark's sizes: ``verify --moves 20`` on words of
+13-16 letters, one-move ``isocheck`` scripts of every kind on words of
+6-24 letters, and ``invariants`` of 60-100-letter words.
 tests/data/make_cli_golden.py regenerates it.
 """
 
