@@ -4,7 +4,8 @@ A brick lives between two consecutive occurrences of the same letter
 within a column. Bricks are numbered canonically: column-major
 ascending, bottom to top within a column; ids are 1-based so they double
 as presentation generator indices. So each column's bricks are one id
-range, ``BrickDiagram.column_ids``: the one per-column index.
+range, ``BrickDiagram.column_ids``: the one per-column index. Each
+process keeps the diagrams of its CACHE_SIZE most recent words.
 """
 
 from __future__ import annotations
@@ -12,10 +13,13 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 from .words import BraidWord
+
+# Entries of each per-process cache: diagrams here, graphs in linking, hom sets in invariants.
+CACHE_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -40,6 +44,9 @@ class Brick:
 class BrickDiagram:
     word: BraidWord
     bricks: tuple[Brick, ...]
+
+    def __hash__(self) -> int:  # the word decides the bricks
+        return hash(self.word)
 
     @cached_property
     def column_ids(self) -> Mapping[int, range]:
@@ -79,7 +86,13 @@ class BrickDiagram:
 
 
 def build_bricks(w: BraidWord) -> BrickDiagram:
-    """One brick per adjacent pair of same-index crossings, in canonical order."""
+    """One brick per adjacent pair of same-index crossings, in canonical order;
+    shared by every caller passing an equal word while it is recent."""
+    return _bricks(w)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _bricks(w: BraidWord) -> BrickDiagram:
     bricks: list[Brick] = []
     for column, occ in w.occurrences_by_letter().items():
         for lo, hi in zip(occ, occ[1:]):

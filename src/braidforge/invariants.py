@@ -9,8 +9,10 @@ generator-by-relator exponent matrix is a graph incidence matrix and
 totally unimodular: union-find over the (+1, -1) pairs gives the
 abelianization Z^c (c components, every other invariant factor 1), and
 a vector lies in the column lattice iff it sums to zero on every
-component. A hand-built presentation with any other column shape has
-no such reading and raises PresentationError.
+component (vectors are sparse: generator -> coefficient). The
+union-find runs once per presentation and is kept on it. A hand-built
+presentation with any other column shape has no such reading and
+raises PresentationError on every call.
 
 Homomorphisms into small finite groups are found by one orbit search per
 presentation content and target: pruned backtracking in which the pair
@@ -38,11 +40,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
+from .bricks import CACHE_SIZE
 from .errors import PresentationError, ResourceCapError
 from .finite_groups import FiniteTarget
-from .linking import CACHE_SIZE
 from .presentations import GroupWord, Presentation, RelatorKind
 
 DEFAULT_GENERATOR_CAPS = {"S3": 14, "S4": 10, "S5": 8, "*": 10}
@@ -78,18 +80,16 @@ class ColumnLattice:
     """Integer span of a presentation's exponent columns, prepared for many tests.
 
     The columns must form a graph incidence matrix: every one listed by
-    ``Presentation.columns`` (pass it when already read) is e_i - e_j, and
-    any other shape raises PresentationError naming its relator. Then a
-    vector lies in the span iff it sums to zero on every component, so
-    the per-presentation work is one union-find, done here: ``component``
-    labels each generator 0..n_components-1.
+    ``Presentation.columns`` is e_i - e_j, and any other shape raises
+    PresentationError naming its relator. Then a vector lies in the span
+    iff it sums to zero on every component, so the per-presentation work
+    is one union-find, done here: ``component`` labels each generator
+    0..n_components-1. ``ColumnLattice.of`` keeps it on the presentation.
     """
 
     __slots__ = ("component", "n_components")
 
-    def __init__(
-        self, p: Presentation, columns: list[tuple[int, dict[int, int]]] | None = None
-    ) -> None:
+    def __init__(self, p: Presentation) -> None:
         parent = list(range(p.n_generators))
 
         def find(x: int) -> int:
@@ -98,7 +98,7 @@ class ColumnLattice:
                 x = parent[x]
             return x
 
-        for index, col in p.columns() if columns is None else columns:
+        for index, col in p.columns():
             # a column of any other length fails the test as (0, 0), (0, 0)
             (a, ea), (b, eb) = col.items() if len(col) == 2 else ((0, 0), (0, 0))
             if ea + eb or abs(ea) != 1:
@@ -113,21 +113,28 @@ class ColumnLattice:
         self.component = [labels.setdefault(find(g), len(labels)) for g in range(p.n_generators)]
         self.n_components = len(labels)
 
+    @classmethod
+    def of(cls, p: Presentation) -> ColumnLattice:
+        """p's lattice, built on first use and kept on p."""
+        if p._lattice is None:
+            p._lattice = cls(p)
+        return p._lattice
+
 
 def abelianization(p: Presentation) -> Abelianization:
     """Z^c, c the number of components of the exponent columns' graph."""
     k = p.n_generators
-    c = ColumnLattice(p).n_components
+    c = ColumnLattice.of(p).n_components
     return Abelianization((1,) * (k - c) + (0,) * c)
 
 
-def in_column_lattice(lattice: ColumnLattice, vector: list[int]) -> bool:
-    """Exact test that vector lies in the integer span of the lattice's columns."""
+def in_column_lattice(lattice: ColumnLattice, vector: Mapping[int, int]) -> bool:
+    """Exact test that vector, coefficients by 0-based generator (absent
+    ones zero), lies in the integer span of the lattice's columns."""
     sums = [0] * lattice.n_components
     component = lattice.component
-    for g, v in enumerate(vector):
-        if v:
-            sums[component[g]] += v
+    for g, v in vector.items():
+        sums[component[g]] += v
     return not any(sums)
 
 

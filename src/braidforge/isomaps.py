@@ -26,9 +26,9 @@ check_map is a necessary-condition checker: images of relators must die
 in the abelianization (exact integer lattice test) and under every
 homomorphism into the configured finite targets, in both directions,
 along with the round-trip words. Reports say "consistent", never
-"isomorphic". The lattice of each presentation is prepared once per
-check from its nonzero exponent columns: braid pairs in closed form and
-cycle relators, never the commutation relators. Each finite target is
+"isomorphic". The lattice of each presentation is prepared once, from
+its nonzero exponent columns: braid pairs in closed form and cycle
+relators, never the commutation relators. Each finite target is
 decided by pulling homs back through the map: for every target hom h,
 h∘φ must satisfy the source relators (pair masks and cycle words), for
 every source hom the pullback through φ⁻¹ must satisfy the target
@@ -41,13 +41,15 @@ the decision and, when it fails, the wording of the violations read
 those same lists. A relator or round trip fails under a hom iff under
 each of its conjugates, so the first failing representative is the
 first failing hom. The abelianization is read off the maps'
-exponent-sum tables; a word is spelled only for a violation.
+exponent-sum tables; a word is spelled only for a violation, and a
+presentation's relators at most once per check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from functools import cache
+from typing import Callable, Iterable, NamedTuple
 
 from .bricks import BrickDiagram, build_bricks
 from .errors import MoveError, ResourceCapError
@@ -63,6 +65,7 @@ from .linking import build_graph
 from .presentations import (
     GroupWord,
     Presentation,
+    Relator,
     concat,
     exponent_sums,
     free_reduce,
@@ -388,13 +391,17 @@ def _word_str(word: GroupWord) -> str:
     return " ".join(f"s{x}" if x > 0 else f"s{-x}^-1" for x in word) or "1"
 
 
-def _image_vector(column: dict[int, int], image_sums: list[dict[int, int]], k: int) -> list[int]:
-    """Exponent vector of a word's image, from the word's exponent sums."""
-    v = [0] * k
+def _image_vector(column: dict[int, int], image_sums: list[dict[int, int]]) -> dict[int, int]:
+    """Exponent vector of a word's image, by generator, from the word's exponent sums."""
+    v: dict[int, int] = {}
     for g, e in column.items():
         for h, f in image_sums[g].items():
-            v[h] += e * f
+            v[h] = v.get(h, 0) + e * f
     return v
+
+
+# p -> p.relators, read at most once per check: a table spells them on each read
+_Spelled = Callable[[Presentation], tuple[Relator, ...]]
 
 
 def _pull_back(
@@ -404,12 +411,14 @@ def _pull_back(
     return tuple(evaluate_word(t, hom, w) for w in images)
 
 
-def _violation(m: GeneratorMap, direction: str, i: int, target: str, fails: str) -> Violation:
+def _violation(
+    m: GeneratorMap, direction: str, i: int, target: str, fails: str, relators: _Spelled
+) -> Violation:
     """Check i of a kind, its word spelled: relator i's image (forward,
     backward) or the round trip at generator i + 1."""
     if direction in ("forward", "backward"):
         p, apply = (m.source, m.apply) if direction == "forward" else (m.target, m.apply_inverse)
-        r = p.relators[i]
+        r = relators(p)[i]
         detail = f"image {_word_str(apply(r.word))} {fails}"
         return Violation(direction, f"relator {i} ({r.kind.value})", target, detail)
     there, back = m.apply, m.apply_inverse
@@ -421,7 +430,7 @@ def _violation(m: GeneratorMap, direction: str, i: int, target: str, fails: str)
 
 
 def _finite_violations(
-    m: GeneratorMap, t: FiniteTarget, src_reps: tuple, dst_reps: tuple
+    m: GeneratorMap, t: FiniteTarget, src_reps: tuple, dst_reps: tuple, relators: _Spelled
 ) -> list[Violation]:
     """The violations under t, from one pass over the orbit representatives.
 
@@ -432,7 +441,8 @@ def _finite_violations(
     it fails. A relator or round trip fails under h iff it fails under
     every conjugate of h, and each representative is the least member of
     its orbit in the order enumerate_homs lists homs, so the first failing
-    representative is the first failing hom.
+    representative is the first failing hom. relators, shared by one
+    check's targets, spells each presentation once.
     """
     pulls = []  # per direction: each h, its pullback q, and q's pullback (the round trip)
     for reps, there, back in (
@@ -447,15 +457,17 @@ def _finite_violations(
         return []
     violations = []
     for direction, p, ps in kinds:
-        for i, r in enumerate(p.relators):
+        for i, r in enumerate(relators(p)):
             bad = (h for h, q, _ in ps if evaluate_word(t, q, r.word) != t.identity)
             h = next(bad, None)
             if h is not None:
                 fails = f"not trivial under homomorphism {h}"
-                violations.append(_violation(m, direction, i, t.name, fails))
+                violations.append(_violation(m, direction, i, t.name, fails, relators))
     for direction, ps in (("roundtrip-source", bwd), ("roundtrip-target", fwd)):
         moved = {i for h, _, trip in ps for i, (a, b) in enumerate(zip(h, trip)) if a != b}
-        violations += [_violation(m, direction, i, t.name, "not trivial") for i in sorted(moved)]
+        violations += [
+            _violation(m, direction, i, t.name, "not trivial", relators) for i in sorted(moved)
+        ]
     return violations
 
 
@@ -479,26 +491,23 @@ def check_map(
     # A·c_r (c_r its exponent column; a zero column's image is zero) and
     # the round trip at g has B·A·e_g - e_g, A·e_g being A's column g.
     violations: list[Violation] = []
-    k_src, k_dst = m.source.n_generators, m.target.n_generators
-    src_columns, dst_columns = m.source.columns(), m.target.columns()
-    src_lattice = ColumnLattice(m.source, src_columns)
-    dst_lattice = ColumnLattice(m.target, dst_columns)
+    relators = cache(lambda p: p.relators)
+    src_lattice, dst_lattice = ColumnLattice.of(m.source), ColumnLattice.of(m.target)
     image_sums = [exponent_sums(w) for w in m.images]
     inverse_sums = [exponent_sums(w) for w in m.inverse_images]
-    for direction, columns, sums, lattice, k in (
-        ("forward", src_columns, image_sums, dst_lattice, k_dst),
-        ("backward", dst_columns, inverse_sums, src_lattice, k_src),
-        ("roundtrip-source", enumerate(image_sums), inverse_sums, src_lattice, k_src),
-        ("roundtrip-target", enumerate(inverse_sums), image_sums, dst_lattice, k_dst),
+    for direction, columns, sums, lattice in (
+        ("forward", m.source.columns(), image_sums, dst_lattice),
+        ("backward", m.target.columns(), inverse_sums, src_lattice),
+        ("roundtrip-source", enumerate(image_sums), inverse_sums, src_lattice),
+        ("roundtrip-target", enumerate(inverse_sums), image_sums, dst_lattice),
     ):
         for i, column in columns:
-            vector = _image_vector(column, sums, k)
+            vector = _image_vector(column, sums)
             if direction.startswith("roundtrip"):
-                vector[i] -= 1
+                vector[i] = vector.get(i, 0) - 1
             if not in_column_lattice(lattice, vector):
-                violations.append(
-                    _violation(m, direction, i, "abelianization", "survives abelianization")
-                )
+                fails = "survives abelianization"
+                violations.append(_violation(m, direction, i, "abelianization", fails, relators))
 
     # Finite quotient checks: one hom per conjugation orbit, pulled back
     # once each way, decides and words the violations.
@@ -524,7 +533,7 @@ def check_map(
                     f"{n_src} source vs {n_dst} target homomorphisms",
                 )
             )
-        violations += _finite_violations(m, t, src[0], dst[0])
+        violations += _finite_violations(m, t, src[0], dst[0], relators)
 
     return CheckReport(
         not violations,

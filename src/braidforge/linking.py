@@ -24,26 +24,25 @@ default ``left-positive`` convention right-side regions are negative
 the sign labels only, so cycles, and hence all derived relators, do not
 depend on the convention. Each process keeps the CACHE_SIZE most recent
 graphs, keyed on the brick diagram and the convention; a cached graph
-is immutable (read-only positions).
+is immutable (read-only positions) and carries its presentation once
+presentations.presentation_of has built it.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping
 
-from .bricks import Brick, BrickDiagram
+from .bricks import CACHE_SIZE, Brick, BrickDiagram
 from .errors import NotAForestError
 
 SIGN_CONVENTIONS = ("left-positive", "right-positive")
 DEFAULT_SIGN_CONVENTION = "left-positive"
-# Entries of each per-process analysis cache: linking graphs here, hom sets in invariants.
-CACHE_SIZE = 64
 
 
 class EdgeKind(Enum):
@@ -92,6 +91,8 @@ class LinkingGraph:
     positions: Mapping[int, tuple[float, float]]
     regions: tuple[Region, ...]
     sign_convention: str = DEFAULT_SIGN_CONVENTION
+    # set once by presentations.presentation_of; no part of the graph's value
+    _presentation: object = field(default=None, init=False, repr=False, compare=False)
 
     def neighbors(self, brick_id: int) -> list[int]:
         out = [e.b for e in self.edges if e.a == brick_id]

@@ -6,9 +6,10 @@ diagonals of regions), and every bounded region a cycle relator read
 along the region's stored cyclic order. Only the cycle relators carry
 information beyond the edge set, so a presentation holds its pair
 relators as a table (the linked pairs; every other pair commutes) and
-builds the k(k-1)/2 pair relator objects only when a consumer asks for
-words. Relator words are kept as LHS * RHS^-1, freely reduced; relator
-equality means equality of those words.
+spells the k(k-1)/2 pair relator objects on each read of ``relators``,
+never storing them. A graph's presentation is built once and kept on
+the (immutable) graph. Relator words are kept as LHS * RHS^-1, freely
+reduced; relator equality means equality of those words.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ def concat(*words: GroupWord) -> GroupWord:
     return free_reduce(tuple(x for w in words for x in w))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Relator:
     """A relator with its display equation and provenance."""
 
@@ -94,15 +95,16 @@ class Presentation:
     every other relator. A presentation read off a linking graph is
     built by ``from_table`` and has ``comm_pairs`` None: every pair not
     linked commutes, so its pair relators are implied by the braid pairs
-    and spelled only when ``relators`` is first read (braid pairs, then
-    commutation pairs, each in lex order, then the cycles).
+    and spelled on each read of ``relators``, never stored (braid pairs,
+    then commutation pairs, each in lex order, then the cycles).
     ``Presentation(n, relators)`` keeps the relators as given and reads
     the table off their words, whatever kind they were built with; a
     pair may then carry both kinds. A letter of a relator's word or
     equation that names no generator raises PresentationError.
+    ``_lattice`` holds the column lattice once invariants has built it.
     """
 
-    __slots__ = ("n_generators", "braid_pairs", "comm_pairs", "cycles", "_relators")
+    __slots__ = ("n_generators", "braid_pairs", "comm_pairs", "cycles", "_relators", "_lattice")
 
     def __init__(self, n_generators: int, relators: tuple[Relator, ...]) -> None:
         braid: set[tuple[int, int]] = set()
@@ -125,6 +127,7 @@ class Presentation:
         self.comm_pairs: tuple[tuple[int, int], ...] | None = tuple(sorted(comm))
         self.cycles: tuple[Relator, ...] = tuple(cycles)
         self._relators: tuple[Relator, ...] | None = tuple(relators)
+        self._lattice = None
 
     @classmethod
     def from_table(
@@ -140,7 +143,7 @@ class Presentation:
         p.braid_pairs = tuple(sorted(braid_pairs))
         p.comm_pairs = None
         p.cycles = tuple(cycles)
-        p._relators = None
+        p._relators = p._lattice = None
         return p
 
     def pair_table(self) -> Iterator[tuple[int, int, RelatorKind]]:
@@ -160,17 +163,15 @@ class Presentation:
 
     @property
     def relators(self) -> tuple[Relator, ...]:
-        if self._relators is None:
-            self._relators = (
-                tuple(braid_relator(i, j) for i, j in self.braid_pairs)
-                + tuple(
-                    comm_relator(i, j)
-                    for i, j, kind in self.pair_table()
-                    if kind is RelatorKind.COMM
-                )
-                + self.cycles
+        if self._relators is not None:
+            return self._relators
+        return (
+            tuple(braid_relator(i, j) for i, j in self.braid_pairs)
+            + tuple(
+                comm_relator(i, j) for i, j, kind in self.pair_table() if kind is RelatorKind.COMM
             )
-        return self._relators
+            + self.cycles
+        )
 
     def columns(self) -> list[tuple[int, dict[int, int]]]:
         """(index in relators, exponent sums) of each relator whose sums are not all zero.
@@ -201,6 +202,10 @@ class Presentation:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Presentation):
             return NotImplemented
+        if self.comm_pairs is None and other.comm_pairs is None:  # tables: spell nothing
+            return (self.n_generators, self.braid_pairs, self.cycles) == (
+                other.n_generators, other.braid_pairs, other.cycles
+            )
         return (self.n_generators, self.relators) == (other.n_generators, other.relators)
 
     def __hash__(self) -> int:
@@ -222,10 +227,9 @@ def braid_relator(i: int, j: int, provenance: tuple = ()) -> Relator:
 
 
 def comm_relator(i: int, j: int, provenance: tuple = ()) -> Relator:
-    i, j = min(i, j), max(i, j)
-    return Relator(
-        RelatorKind.COMM, (i, j, -i, -j), (i, j), (j, i), provenance or ("pair", (i, j))
-    )
+    pair = min(i, j), max(i, j)
+    i, j = pair
+    return Relator(RelatorKind.COMM, (i, j, -i, -j), pair, (j, i), provenance or ("pair", pair))
 
 
 def cycle_equation(cycle: tuple[int, ...]) -> tuple[GroupWord, GroupWord]:
@@ -266,14 +270,16 @@ def cycle_commutation_word(cycle: tuple[int, ...]) -> GroupWord:
 
 
 def presentation_of(g: LinkingGraph) -> Presentation:
-    """Braid relator per edge, commutation per non-edge, cycle per region."""
-    cycles = tuple(
-        cycle_relator(region.vertices, ("region", idx))
-        for idx, region in enumerate(g.regions)
-    )
-    return Presentation.from_table(
-        len(g.diagram.bricks), ((e.a, e.b) for e in g.edges), cycles
-    )
+    """Braid relator per edge, commutation per non-edge, cycle per region;
+    built on the first call and kept on the graph for every later one."""
+    if g._presentation is None:
+        cycles = tuple(
+            cycle_relator(region.vertices, ("region", idx))
+            for idx, region in enumerate(g.regions)
+        )
+        p = Presentation.from_table(len(g.diagram.bricks), ((e.a, e.b) for e in g.edges), cycles)
+        object.__setattr__(g, "_presentation", p)
+    return g._presentation
 
 
 def relabels_onto(src: Presentation, dst: Presentation, sigma: list[int]) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Mapping
 from functools import cache
 from itertools import permutations, product
 
@@ -110,9 +111,11 @@ def brute_hom_count(relator_words, k: int, target) -> int:
 
 def exponent_matrix(p: Presentation) -> list[list[int]]:
     """Rows = generators, columns = relators; entries are the exponent
-    sums of each relator word."""
-    matrix = [[0] * len(p.relators) for _ in range(p.n_generators)]
-    for j, r in enumerate(p.relators):
+    sums of each relator word. A pair table spells its relators on each
+    read, so they are read once."""
+    relators = p.relators
+    matrix = [[0] * len(relators) for _ in range(p.n_generators)]
+    for j, r in enumerate(relators):
         for x in r.word:
             matrix[abs(x) - 1][j] += 1 if x > 0 else -1
     return matrix
@@ -146,11 +149,14 @@ def snf_abelianization(p: Presentation) -> tuple[int, ...]:
 
 
 def snf_membership(matrix: list[list[int]]):
-    """Predicate: is a vector in the column lattice, by the SNF row transform
-    (v is in the span iff d_i divides (Sv)_i, with d_i = 0 meaning (Sv)_i = 0)."""
+    """Predicate: is a vector (a list, or a mapping from 0-based generator to
+    coefficient) in the column lattice, by the SNF row transform (v is in
+    the span iff d_i divides (Sv)_i, with d_i = 0 meaning (Sv)_i = 0)."""
     diag, s = _smith(matrix)
 
-    def member(vector: list[int]) -> bool:
+    def member(vector: list[int] | Mapping[int, int]) -> bool:
+        if isinstance(vector, Mapping):
+            vector = [vector.get(g, 0) for g in range(len(matrix))]
         for d, row in zip(diag, s):
             sv = sum(a * b for a, b in zip(row, vector))
             if (sv != 0) if d == 0 else (sv % d != 0):

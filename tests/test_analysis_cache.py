@@ -1,5 +1,7 @@
-"""The per-process analysis caches: graphs per brick diagram, hom data per
-presentation content and finite target, and the orbit-reduced pullback.
+"""The per-process analysis caches: brick diagrams per word, graphs per
+brick diagram, a presentation per graph, a column lattice per
+presentation, hom data per presentation content and finite target, and
+the orbit-reduced pullback.
 
 Every cached answer is compared with the uncached orbit search
 (_assignments), the orbit pullback with the full one it replaced, and
@@ -7,11 +9,18 @@ the orbit count with Burnside's lemma. Along move sequences, including
 the conjugacy moves between words whose class contains a half twist,
 the invariants of the paper's main theorem stay fixed; each of those
 words goes through the caches, so this also tests them end to end.
+Answers along move chains are the same with every cache warm and with
+every cache cleared, a presentation that fails its lattice fails again,
+and no cache keeps a table's spelled pair relators alive.
 """
 
+import contextlib
+import gc
+import io
 import json
 import os
 import random
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -19,12 +28,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidforge import invariants, isomaps
+from braidforge import bricks, cli, invariants, isomaps, linking
 from braidforge.bricks import build_bricks
-from braidforge.errors import ResourceCapError
+from braidforge.errors import PresentationError, ResourceCapError
 from braidforge.finite_groups import _with_inverses, builtin_targets, load_table, symmetric_group
 from braidforge.garside import conjugacy_move_sequence_detailed, delta_word
 from braidforge.invariants import (
+    ColumnLattice,
     _assignments,
     _target_tables,
     abelianization,
@@ -38,15 +48,18 @@ from braidforge.isomaps import GeneratorMap, _finite_violations, check_map, move
 from braidforge.linking import build_graph
 from braidforge.presentations import (
     Presentation,
+    Relator,
+    RelatorKind,
     braid_relator,
     comm_relator,
     cycle_relator,
     presentation_of,
+    shifted_cycle_presentation,
 )
-from braidforge.words import BraidWord, MoveKind, apply_move, enumerate_moves
+from braidforge.words import BraidWord, MoveKind, apply_move, enumerate_moves, parse_word
 
 from conftest import brute_hom_count
-from test_check_map_reference import corrupted, presentation_for
+from test_check_map_reference import WORDS, corrupted, presentation_for, reference_check_map
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
@@ -82,7 +95,7 @@ def full_pullback_holds(m, t, src_homs, dst_homs):
 def orbit_pullback_holds(m, t):
     """The library's decision: one pass over the orbit representatives."""
     src, dst = hom_orbits(m.source, t)[0], hom_orbits(m.target, t)[0]
-    return not _finite_violations(m, t, src, dst)
+    return not _finite_violations(m, t, src, dst, lambda p: p.relators)
 
 
 def relabeled(t, name, perm):
@@ -419,3 +432,163 @@ def test_optimized_interpreter_gives_the_same_answers():
     ]
     assert runs[0] == runs[1]
     assert len(json.loads(runs[0])) > 12
+
+
+def clear_caches():
+    """Every per-process analysis cache, emptied."""
+    for cached in (bricks._bricks, linking._graph, invariants._memo, _target_tables):
+        cached.cache_clear()
+
+
+def test_equal_words_share_bricks_and_graphs_share_presentations():
+    w = BraidWord(3, (1, 2, 1, 1, 2, 1))
+    d = build_bricks(w)
+    assert build_bricks(BraidWord(3, (1, 2, 1, 1, 2, 1))) is d
+    assert hash(d) == hash(w) and d == bricks._bricks.__wrapped__(w)
+    g = build_graph(d)
+    assert presentation_of(g) is presentation_of(g)
+    assert presentation_of(build_graph(build_bricks(BraidWord(3, w.letters)))) is presentation_of(g)
+    assert presentation_of(build_graph(d, "right-positive")) == presentation_of(g)
+
+
+def test_lattice_union_find_runs_once_per_presentation(monkeypatch):
+    built = []
+    real = ColumnLattice.__init__
+
+    def counted(self, p):
+        built.append(id(p))
+        real(self, p)
+
+    monkeypatch.setattr(ColumnLattice, "__init__", counted)
+    clear_caches()
+    held = []  # every presentation checked stays alive, so no id is reused
+    for _ in range(2):
+        for text in WORDS[:3]:
+            w = parse_word(text)
+            held.append(presentation_for(w))
+            abelianization(held[-1])
+            for move in enumerate_moves(w):
+                m = move_map(w, move)
+                held += [m.source, m.target]
+                report = check_map(m, [S3, S4])
+                assert report.consistent
+                abelianization(m.target)
+                if report.method != "relabeling":
+                    assert id(m.source) in built and id(m.target) in built
+    # the second pass met the same presentations and built nothing
+    assert len(built) == len(set(built)) == len({id(p) for p in held}) > 10
+
+
+def chain_answers(w, moves, targets):
+    """Reports of the maps along moves, and each word's invariants."""
+    out = []
+    for m in moves:
+        phi = move_map(w, m)
+        q = presentation_for(apply_move(w, m))
+        counts = []
+        for t in targets:
+            try:
+                counts.append(hom_count(q, t).count)
+            except ResourceCapError:
+                counts.append(None)
+        out.append((check_map(phi, targets).to_dict(), abelianization(q), counts))
+        w = apply_move(w, m)
+    return out
+
+
+@SETTINGS
+@given(words)
+def test_answers_along_move_chains_agree_warm_and_cold(case):
+    n, letters, seed = case
+    rng = random.Random(seed)
+    w = v = BraidWord(n, tuple(letters[:12]))
+    moves = []
+    for _ in range(6):
+        moves.append(rng.choice(enumerate_moves(v)))
+        v = apply_move(v, moves[-1])
+    warm = chain_answers(w, moves, [S3, S4])
+    assert chain_answers(w, moves, [S3, S4]) == warm
+    cold = []
+    for m in moves:
+        clear_caches()
+        cold += chain_answers(w, [m], [S3, S4])
+        w = apply_move(w, m)
+    assert cold == warm
+
+
+def test_a_failed_lattice_is_not_kept():
+    power = Relator.from_equation(RelatorKind.CYCLE, (1, 1), (), ("power", 1))
+    p = Presentation(3, (braid_relator(1, 2), comm_relator(2, 3), power))
+    for _ in range(2):
+        for call in (abelianization, ColumnLattice.of):
+            with pytest.raises(PresentationError, match=r"relator 2 has exponent sums s1\^2,"):
+                call(p)
+    assert p._lattice is None
+
+
+@SETTINGS
+@given(words, words)
+def test_equality_and_hash_follow_the_relator_tuples(first, second):
+    found = []
+    for n, letters, _ in (first, second):
+        p = presentation(n, letters)
+        table = Presentation.from_table(p.n_generators, p.braid_pairs, p.cycles)
+        found += [p, table, Presentation(p.n_generators, p.relators)]
+        if p.cycles:
+            found.append(shifted_cycle_presentation(p, 0, 1))
+    for a in found:
+        for b in found:
+            same = (a.n_generators, a.relators) == (b.n_generators, b.relators)
+            assert (a == b) == same == (b == a)
+            if same:
+                assert hash(a) == hash(b)
+
+
+def test_relators_spelled_once_per_presentation_per_check(monkeypatch):
+    rng = random.Random(17)
+    maps = []
+    for text in WORDS:
+        w = parse_word(text)
+        for move in enumerate_moves(w):
+            for _ in range(4):
+                maps.append(corrupted(move_map(w, move), rng))
+    many = [m for m in maps if len(check_map(m, [S3, S4]).violations) >= 20]
+    assert len(many) >= 3
+    reads = Counter()
+    spelled = Presentation.relators
+    monkeypatch.setattr(
+        Presentation, "relators", property(lambda p: reads.update([id(p)]) or spelled.fget(p))
+    )
+    reports = []
+    for m in many:
+        reads.clear()
+        reports.append(check_map(m, [S3, S4]))
+        assert set(reads) <= {id(m.source), id(m.target)}
+        assert max(reads.values()) == 1
+    monkeypatch.undo()
+    assert reports == [reference_check_map(m, [S3, S4]) for m in many]
+
+
+def test_invariants_commands_keep_no_spelled_pair_relator(capsys):
+    """The benchmark's present oracle, in process: 70 distinct 100-letter
+    words through ``invariants``, each presentation's relators read once.
+    Relators other tests left alive are set aside; none may be new."""
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, Relator) and o.kind is RelatorKind.COMM]
+    rng = random.Random(20261018)
+    seen = set()
+    while len(seen) < 70:
+        letters = tuple(rng.randint(1, 5) for _ in range(100))
+        if letters in seen:
+            continue
+        seen.add(letters)
+        assert cli.main(["invariants", " ".join(map(str, letters)), "--strands", "6"]) == 0
+        assert json.loads(capsys.readouterr().out)["skipped_targets"] == ["S3", "S4"]
+        assert len(presentation_for(BraidWord(6, letters)).relators) > 4000
+    gc.collect()
+    kept = {id(o) for o in before}
+    alive = [
+        o for o in gc.get_objects()
+        if isinstance(o, Relator) and o.kind is RelatorKind.COMM and id(o) not in kept
+    ]
+    assert alive == []

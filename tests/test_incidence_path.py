@@ -37,8 +37,9 @@ from conftest import exponent_matrix, snf_abelianization, snf_membership
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
 
-def probe_vectors(p: Presentation, rng: random.Random) -> list[list[int]]:
-    """Random vectors, most outside the lattice, and integer column combinations."""
+def probe_vectors(p: Presentation, rng: random.Random) -> list[dict[int, int]]:
+    """Random vectors, most outside the lattice, and integer column combinations,
+    as in_column_lattice takes them: coefficients by 0-based generator."""
     k = p.n_generators
     matrix = exponent_matrix(p)
     out = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(6)]
@@ -46,7 +47,7 @@ def probe_vectors(p: Presentation, rng: random.Random) -> list[list[int]]:
     for _ in range(6):
         v = [0] * k
         for _ in range(rng.randint(1, 4)):
-            j = rng.randrange(len(p.relators))
+            j = rng.randrange(len(matrix[0]))
             q = rng.randint(-3, 3)
             for i in range(k):
                 v[i] += q * matrix[i][j]
@@ -55,7 +56,7 @@ def probe_vectors(p: Presentation, rng: random.Random) -> list[list[int]]:
         w = list(v)
         w[rng.randrange(k)] += 1
         out.append(w)
-    return out
+    return [dict(enumerate(v)) for v in out]
 
 
 words = st.tuples(st.integers(3, 6), st.integers(1, 30)).flatmap(
@@ -113,10 +114,11 @@ def test_non_incidence_columns_raise():
         ):
             with pytest.raises(PresentationError, match=message):
                 call()
-    # Other shapes that are not e_i - e_j, given as columns.
-    for column in ({0: 1, 1: 1}, {0: 1, 1: -1, 2: 1}, {0: -2, 1: 2}, {2: 1}):
-        with pytest.raises(PresentationError, match="relator 5 "):
-            ColumnLattice(target, [(5, column)])
+    # Other shapes that are not e_i - e_j: e1 + e2, e1 - e2 + e3, 2 e2 - 2 e1, e3.
+    for word in ((1, 2), (1, -2, 3), (-1, -1, 2, 2), (3,)):
+        shape = Relator.from_equation(RelatorKind.CYCLE, word, (), ("shape", 3))
+        with pytest.raises(PresentationError, match="relator 3 "):
+            ColumnLattice(Presentation(3, pairs + (comm_relator(1, 3), shape)))
 
 
 def test_presentation_errors_hold_under_optimize_flag():
