@@ -37,12 +37,13 @@ relator-by-relator condition. Both conditions commute with conjugation
 in the target and hom sets are closed under it, so one hom per orbit,
 as the orbit search gives them, decides, exactly. Each representative
 is pulled back once and its pullback back once more for the round trip;
-the decision and, when it fails, the wording of the violations read
-those same lists. A relator or round trip fails under a hom iff under
-each of its conjugates, so the first failing representative is the
-first failing hom. The abelianization is read off the maps'
-exponent-sum tables; a word is spelled only for a violation, and a
-presentation's relators at most once per check.
+with equal hom counts the target's representatives decide alone, and a
+failing decision words its violations from those same lists. A relator
+or round trip fails under a hom iff under each of its conjugates, so
+the first failing representative is the first failing hom. The
+abelianization is read off the maps' exponent-sum tables; a word is
+spelled only for a violation, and a presentation's relators at most
+once per check.
 """
 
 from __future__ import annotations
@@ -430,31 +431,34 @@ def _violation(
 
 
 def _finite_violations(
-    m: GeneratorMap, t: FiniteTarget, src_reps: tuple, dst_reps: tuple, relators: _Spelled
+    m: GeneratorMap, t: FiniteTarget, src: tuple, dst: tuple, relators: _Spelled
 ) -> list[Violation]:
-    """The violations under t, from one pass over the orbit representatives.
+    """The violations under t, from one pass over the orbit representatives
+    of hom_orbits' src and dst.
 
     Each representative h is pulled back through the map once and that
     pullback back again once. Every pullback a hom and every round trip
     h again is exactly the relator-by-relator condition, since both hom
     sets hold every homomorphism; the lists word the violations only when
-    it fails. A relator or round trip fails under h iff it fails under
-    every conjugate of h, and each representative is the least member of
-    its orbit in the order enumerate_homs lists homs, so the first failing
-    representative is the first failing hom. relators, shared by one
-    check's targets, spells each presentation once.
+    it fails. With equal hom counts the forward half decides alone: if
+    every target hom h pulls back to a source hom and round-trips, h ->
+    h∘φ is injective between two sets of one size, so every source hom
+    is some h∘φ, whose pullback h and round trip h∘φ hold. Each
+    representative is the least of its orbit in enumerate_homs' order.
+    relators, shared by one check's targets, spells each presentation once.
     """
-    pulls = []  # per direction: each h, its pullback q, and q's pullback (the round trip)
-    for reps, there, back in (
-        (dst_reps, m.images, m.inverse_images),
-        (src_reps, m.inverse_images, m.images),
+    pulls, holds = [], True  # per direction: each h, its pullback q, and the round trip
+    for (reps, _), p, there, back in (
+        (dst, m.source, m.images, m.inverse_images),
+        (src, m.target, m.inverse_images, m.images),
     ):
         pulled = [_pull_back(t, h, there) for h in reps]
         pulls.append([(h, q, _pull_back(t, q, back)) for h, q in zip(reps, pulled)])
+        holds = holds and all(is_hom(p, t, q) and trip == h for h, q, trip in pulls[-1])
+        if holds and (len(pulls) == 2 or sum(src[1]) == sum(dst[1])):
+            return []
     fwd, bwd = pulls
     kinds = (("forward", m.source, fwd), ("backward", m.target, bwd))
-    if all(is_hom(p, t, q) and trip == h for _, p, ps in kinds for h, q, trip in ps):
-        return []
     violations = []
     for direction, p, ps in kinds:
         for i, r in enumerate(relators(p)):
@@ -533,7 +537,7 @@ def check_map(
                     f"{n_src} source vs {n_dst} target homomorphisms",
                 )
             )
-        violations += _finite_violations(m, t, src[0], dst[0], relators)
+        violations += _finite_violations(m, t, src, dst, relators)
 
     return CheckReport(
         not violations,

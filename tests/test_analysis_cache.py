@@ -94,7 +94,7 @@ def full_pullback_holds(m, t, src_homs, dst_homs):
 
 def orbit_pullback_holds(m, t):
     """The library's decision: one pass over the orbit representatives."""
-    src, dst = hom_orbits(m.source, t)[0], hom_orbits(m.target, t)[0]
+    src, dst = hom_orbits(m.source, t), hom_orbits(m.target, t)
     return not _finite_violations(m, t, src, dst, lambda p: p.relators)
 
 

@@ -26,7 +26,7 @@ from braidforge.isomaps import (
     move_map,
 )
 from braidforge.linking import build_graph
-from braidforge.presentations import concat, presentation_of
+from braidforge.presentations import Presentation, braid_relator, concat, presentation_of
 from braidforge.words import BraidWord, enumerate_moves, parse_word
 
 from conftest import exponent_matrix, snf_membership
@@ -214,3 +214,15 @@ def test_identical_report_on_corrupted_map():
             report = check_map(m, targets)
             assert not report.consistent
             assert report == reference_check_map(m, targets)
+
+
+def test_identical_report_when_only_the_forward_pullback_holds():
+    # Every hom of Q pulls back to one of the free group P and returns, but
+    # P has more homs, so the backward half fails and must still be worded.
+    P = Presentation(2, ())
+    Q = Presentation(2, (braid_relator(1, 2),))
+    m = GeneratorMap(P, Q, ((1,), (2,)), ((1,), (2,)))
+    for targets in ([TARGETS["S3"]], CHECK_TARGETS):
+        report = check_map(m, targets)
+        assert any(v.direction == "backward" and v.target == "S3" for v in report.violations)
+        assert report == reference_check_map(m, targets)

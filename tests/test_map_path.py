@@ -4,7 +4,9 @@ move_map, conjugation_map and braid_relation_map all build their maps
 through maps_along_moves, so a move is validated the same way whichever
 entry point takes it; check_map pulls each orbit representative back
 through the map once and its pullback back once for the round trip,
-and both the decision and the violations read those pullbacks.
+and both the decision and the violations read those pullbacks. With
+equal hom counts a passing forward half (the target's representatives)
+decides alone.
 """
 
 import pytest
@@ -43,7 +45,8 @@ def test_each_representative_pulled_back_twice(pullbacks):
     reps = len(hom_orbits(phi.source, S3)[0]) + len(hom_orbits(phi.target, S3)[0])
     assert reps == 6
     assert check_map(phi, [S3]).consistent
-    assert len(pullbacks) == 2 * reps
+    # equal counts: the target's 3 representatives, there and back, decide
+    assert len(pullbacks) == 2 * len(hom_orbits(phi.target, S3)[0]) == reps
     # one image disturbed: the decision fails, and the violations are
     # worded from the same pullbacks, not from a second pass
     images = (phi.images[0] + (1,),) + phi.images[1:]
