@@ -514,7 +514,7 @@ def check_map(
                 violations.append(_violation(m, direction, i, "abelianization", fails, relators))
 
     # Finite quotient checks: one hom per conjugation orbit, pulled back
-    # once each way, decides and words the violations.
+    # once (the target's alone when counts agree), decides and words them.
     checked: list[str] = []
     skipped: list[str] = []
     hom_counts: dict[str, tuple[int, int]] = {}
