@@ -226,6 +226,14 @@ def commands() -> list[list[str]]:
     for j, length in enumerate((60, 70, 80, 90, 100)):
         n = 3 + j
         cmds.append(["invariants", text(random_letters(rng, n, length)), "--strands", str(n)])
+
+    # Hom counts with the generator caps lifted: 3-4-strand words of 30-60
+    # letters, whose 28-58 generators the default caps would skip
+    for i in range(6):
+        n = 3 + i % 2
+        word = text(random_letters(rng, n, rng.randint(30, 60)))
+        cmds.append(["invariants", word, "--strands", str(n), "--up-to-conjugacy",
+                     "--caps.generators", "S3=60,S4=60"])
     return cmds
 
 

@@ -14,7 +14,9 @@ letters on 6-10 strands, six- and five-strand half-twist summit sets,
 walked 4-strand found sequences and one capped search. After them come
 the move-invariance benchmark's sizes: ``verify --moves 20`` on words of
 13-16 letters, one-move ``isocheck`` scripts of every kind on words of
-6-24 letters, and ``invariants`` of 60-100-letter words.
+6-24 letters, and ``invariants`` of 60-100-letter words. Last come
+``invariants --up-to-conjugacy`` hom counts with the generator caps
+lifted on 3-4-strand words of 30-60 letters.
 tests/data/make_cli_golden.py regenerates it.
 """
 
