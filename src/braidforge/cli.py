@@ -416,9 +416,11 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _config_from_args(args)
         texts = [args.word] if "word" in args else [args.word1, args.word2]
         words = [parse_word(text, args.strands) for text in texts]
-        # two words share the larger strand count unless --strands gave it
-        n = max(w.strands for w in words)
-        words = [w if w.strands == n else BraidWord(n, w.letters) for w in words]
+        # two words share the larger strand count unless --strands gave it;
+        # a move script keeps each word's own, as a Markov move changes it
+        if args.command != "isocheck" or not args.moves:
+            n = max(w.strands for w in words)
+            words = [w if w.strands == n else BraidWord(n, w.letters) for w in words]
         return _COMMANDS[args.command](args, cfg, *words)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

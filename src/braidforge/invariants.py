@@ -1,9 +1,9 @@
 """Presentation-level isomorphism invariants.
 
 Abelianization and the column-lattice test read each relator's exponent
-sums sparsely (``Presentation.columns``): off the pair table, a braid
-relator on i < j has the column e_i - e_j and a commutation relator
-none, so only the cycle relators are summed. Every relator a linking
+sums sparsely: a braid relator on i < j has the column e_i - e_j and a
+commutation relator none, so the braid pairs are read as they stand and
+only the cycle relators are summed. Every relator a linking
 graph yields has exponent sums zero or e_i - e_j, so the
 generator-by-relator exponent matrix is a graph incidence matrix and
 totally unimodular: union-find over the (+1, -1) pairs gives the
@@ -15,23 +15,28 @@ presentation with any other column shape has no such reading and
 raises PresentationError on every call.
 
 Homomorphisms into small finite groups are found by one orbit search per
-presentation content and target: pruned backtracking in which the pair
-table becomes per-pair compatibility bitmasks (every relator on a pair
-applies, so a pair carrying both kinds gets both masks) intersected as
-images are assigned, longer relators are evaluated as soon as their
-support is complete, and an orderly rule (Read 1978; McKay 1998) keeps
-only the least member of each orbit under simultaneous conjugation in
-the target. Per target element v, cent[v] is the mask of conjugators
-fixing v and lower[v] of those sending it to a smaller index; the search
-carries stab, the centralizer of the images so far, tries v only if
-stab & lower[v] == 0, and descends with stab & cent[v]. A leaf's orbit
-has |G| / |stab| members. The count, the orbit count and the orbit
-representatives are read off that one result; the full hom list is
-expanded from it only on request. Exceeding a configured generator cap
-raises, never guesses: the cap test runs before any cache lookup. Search
-results are memoized per process for the CACHE_SIZE most recent
-presentation contents (generator count, pair table, cycle words; never
-a spelled relator tuple), per target table.
+presentation content and target: pruned backtracking over the
+generators in id order, in which each pair relator becomes a
+compatibility bitmask intersected when its larger generator is assigned
+(a pair carrying both kinds gets both masks), each cycle relator is
+evaluated when its largest generator is assigned, and an orderly rule
+(Read 1978; McKay 1998) keeps only the least member of each orbit under
+simultaneous conjugation in the target. Per target element v, cent[v]
+is the mask of conjugators fixing v and lower[v] of those sending it to
+a smaller index; the search carries stab, the centralizer of the images
+so far, tries v only if stab & lower[v] == 0, and descends with stab &
+cent[v]. A leaf's orbit has |G| / |stab| members. The count, the orbit
+count and the orbit representatives are read off that one result; the
+full hom list is expanded from it only on request, in lexicographic
+order of image tuples. Id order is what keeps the search narrow: brick
+ids run column by column and each region's bricks lie in two adjacent
+columns, so a cycle relator is tested soon after its first generator is
+assigned and a dead branch is cut near the top (variable order sets the
+width of a backtracking search: Freuder 1982; Dechter 2003). Exceeding
+a configured generator cap raises, never guesses: the cap test runs
+before any cache lookup. Search results are memoized per process for
+the CACHE_SIZE most recent presentation contents (generator count, pair
+table, cycle words; never a spelled relator tuple), per target table.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 from .bricks import CACHE_SIZE
 from .errors import PresentationError, ResourceCapError
 from .finite_groups import FiniteTarget
-from .presentations import GroupWord, Presentation, RelatorKind
+from .presentations import GroupWord, Presentation, RelatorKind, exponent_sums
 
 DEFAULT_GENERATOR_CAPS = {"S3": 14, "S4": 10, "S5": 8, "*": 10}
 
@@ -79,12 +84,15 @@ class HomCount:
 class ColumnLattice:
     """Integer span of a presentation's exponent columns, prepared for many tests.
 
-    The columns must form a graph incidence matrix: every one listed by
-    ``Presentation.columns`` is e_i - e_j, and any other shape raises
-    PresentationError naming its relator. Then a vector lies in the span
-    iff it sums to zero on every component, so the per-presentation work
-    is one union-find, done here: ``component`` labels each generator
-    0..n_components-1. ``ColumnLattice.of`` keeps it on the presentation.
+    The columns must form a graph incidence matrix. A braid relator on
+    i < j has the column e_i - e_j and a commutation relator none, by
+    construction, so the braid pairs are joined as they stand and only
+    the cycle relators are summed; a cycle column other than zero or
+    e_i - e_j raises PresentationError naming its relator. Then a vector
+    lies in the span iff it sums to zero on every component, so the
+    per-presentation work is one union-find, done here: ``component``
+    labels each generator 0..n_components-1. ``ColumnLattice.of`` keeps
+    it on the presentation.
     """
 
     __slots__ = ("component", "n_components")
@@ -98,17 +106,26 @@ class ColumnLattice:
                 x = parent[x]
             return x
 
-        for index, col in p.columns():
+        def join(a: int, b: int) -> None:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+
+        for i, j in p.braid_pairs:
+            join(i - 1, j - 1)
+        for r in p.cycles:
+            col = exponent_sums(r.word)
+            if not col:
+                continue
             # a column of any other length fails the test as (0, 0), (0, 0)
             (a, ea), (b, eb) = col.items() if len(col) == 2 else ((0, 0), (0, 0))
             if ea + eb or abs(ea) != 1:
                 sums = " ".join(f"s{g + 1}^{e}" for g, e in sorted(col.items()))
                 raise PresentationError(
-                    f"relator {index} has exponent sums {sums}, not zero or e_i - e_j"
+                    f"relator {p.relators.index(r)} has exponent sums {sums}, "
+                    "not zero or e_i - e_j"
                 )
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+            join(a, b)
         labels: dict[int, int] = {}
         self.component = [labels.setdefault(find(g), len(labels)) for g in range(p.n_generators)]
         self.n_components = len(labels)
@@ -205,11 +222,10 @@ def generator_cap(t: FiniteTarget, caps: dict[str, int] | None = None) -> int:
 
 
 class _Orbits(NamedTuple):
-    """The orbit search's result: the generators in assignment order, one
-    hom per orbit (the least in search order), the centralizer mask of its
+    """The orbit search's result: one hom per orbit (the least in
+    lexicographic order of image tuples), the centralizer mask of its
     image, its orbit size, and the number of homs."""
 
-    order: tuple[int, ...]
     reps: tuple[tuple[int, ...], ...]
     cents: tuple[int, ...]
     sizes: tuple[int, ...]
@@ -220,91 +236,60 @@ def _assignments(p: Presentation, t: FiniteTarget) -> _Orbits:
     """One relator-satisfying assignment per orbit under simultaneous
     conjugation in the target, found by an orderly search.
 
-    Generators are assigned in order of falling relator participation,
-    values in increasing index, so the search order is the lexicographic
-    order of image tuples read in that generator order. stab is the
-    centralizer of the images assigned so far; a value v is tried only if
-    no conjugator in stab sends it lower (stab & lower[v] == 0), which
-    keeps exactly the least member of each orbit. At a leaf stab is the
-    centralizer of the whole image, so the orbit has |G| / |stab| members.
+    Generators are assigned in id order, values in increasing index, so
+    the search order is the lexicographic order of image tuples. Brick
+    ids run column by column and each region's bricks lie in two adjacent
+    columns, so a cycle relator, tested when its largest generator is
+    assigned, closes soon after it opens and the search prunes near the
+    top. stab is the centralizer of the images assigned so far; a value v
+    is tried only if no conjugator in stab sends it lower (stab &
+    lower[v] == 0), which keeps exactly the least member of each orbit.
+    At a leaf stab is the centralizer of the whole image, so the orbit
+    has |G| / |stab| members.
     """
     k = p.n_generators
     n = t.size
     tables = _target_tables(t)
     cent, lower, least = tables.cent, tables.lower, tables.least
-    full = (1 << n) - 1
-
-    participation = [0] * (k + 1)
-    # Mask table per pair; a second relator on a pair intersects with the first.
-    pair: dict[tuple[int, int], list[int]] = {}
+    # links[j - 1]: (i - 1, mask table) per pair relator on i < j, so a
+    # pair carrying both kinds is tested against both masks;
+    # closing[g - 1]: the cycle words whose largest generator is g.
+    links: list[list[tuple[int, list[int]]]] = [[] for _ in range(k)]
     for i, j, kind in p.pair_table():
-        mask = tables.braid if kind is RelatorKind.BRAID else tables.comm
-        prior = pair.get((i, j))
-        pair[(i, j)] = mask if prior is None else [a & b for a, b in zip(prior, mask)]
-        participation[i] += 1
-        participation[j] += 1
-    general: list[tuple[set[int], GroupWord]] = []
+        links[j - 1].append((i - 1, tables.braid if kind is RelatorKind.BRAID else tables.comm))
+    closing: list[list[GroupWord]] = [[] for _ in range(k)]
     for r in p.cycles:
-        support = {abs(x) for x in r.word}
-        if not support:
-            continue
-        for g in support:
-            participation[g] += len(r.word)
-        general.append((support, r.word))
+        if r.word:
+            closing[max(map(abs, r.word)) - 1].append(r.word)
 
-    order = sorted(range(1, k + 1), key=lambda g: (-participation[g], g))
-    pos = {g: i for i, g in enumerate(order)}
-
-    # pair_rel[step][earlier_step] = mask table of the pair, or None
-    pair_rel: list[list[list[int] | None]] = [[None] * k for _ in range(k)]
-    for (i, j), masks in pair.items():
-        si, sj = pos[i], pos[j]
-        lo, hi = min(si, sj), max(si, sj)
-        pair_rel[hi][lo] = masks
-    general_at: list[list[GroupWord]] = [[] for _ in range(k)]
-    for support, word in general:
-        last = max(pos[g] for g in support)
-        general_at[last].append(word)
-
-    images = [0] * (k + 1)  # 1-based by generator id
-    table = t.table
-    inv = t.inverse
+    images = [0] * k
     ident = t.identity
     reps: list[tuple[int, ...]] = []
     cents: list[int] = []
     sizes: list[int] = []
 
-    def eval_general(word: GroupWord) -> int:
-        acc = ident
-        for x in word:
-            g = images[abs(x)]
-            acc = table[acc][g if x > 0 else inv[g]]
-        return acc
-
     # Depth-first with an explicit stack, so word length is not bounded by
-    # the recursion limit: per assigned step, its stab and its values left.
+    # the recursion limit: per assigned generator, its stab and its values left.
     stack: list[tuple[int, Iterator[int]]] = []
 
     def descend(stab: int) -> None:
         """Record a leaf, or push the values to try for the next generator."""
         step = len(stack)
         if step == k:
-            reps.append(tuple(images[1 : k + 1]))
+            reps.append(tuple(images))
             cents.append(stab)
             sizes.append(n // stab.bit_count())
             return
         allowed = least.get(stab)
         if allowed is None:
             allowed = least[stab] = sum(1 << v for v in range(n) if not stab & lower[v])
-        for earlier in range(step):
-            masks = pair_rel[step][earlier]
-            if masks is not None:
-                allowed &= masks[images[order[earlier]]]
-                if not allowed:
-                    break
+        for i, masks in links[step]:
+            allowed &= masks[images[i]]
+            if not allowed:
+                break
         stack.append((stab, _iter_bits(allowed)))
 
-    descend(full)
+    descend((1 << n) - 1)
     while stack:
         step = len(stack) - 1
         stab, values = stack[-1]
@@ -312,10 +297,10 @@ def _assignments(p: Presentation, t: FiniteTarget) -> _Orbits:
         if val is None:
             stack.pop()
         else:
-            images[order[step]] = val
-            if all(eval_general(word) == ident for word in general_at[step]):
+            images[step] = val
+            if all(evaluate_word(t, images, word) == ident for word in closing[step]):
                 descend(stab & cent[val])
-    return _Orbits(tuple(order), tuple(reps), tuple(cents), tuple(sizes), sum(sizes))
+    return _Orbits(tuple(reps), tuple(cents), tuple(sizes), sum(sizes))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -350,17 +335,16 @@ def hom_count(
 def enumerate_homs(
     p: Presentation, t: FiniteTarget, caps: dict[str, int] | None = None
 ) -> list[tuple[int, ...]]:
-    """Every homomorphism as generator images, in search order; a fresh list.
+    """Every homomorphism as generator images, in lexicographic order of
+    image tuples (the search order); a fresh list.
 
     Expanded on request from the orbit search: each representative's
-    conjugates, sorted into the order an unpruned search would list them.
+    conjugates, sorted.
     """
     found = _orbits(p, t, caps)
     conj, mul = _target_tables(t).conj, t.mul
     transversals: dict[int, list[int]] = {}
     members = []
-    # conjugates in search order (generators permuted), sorted, put back
-    order = [g - 1 for g in found.order]
     for h, cent in zip(found.reps, found.cents):
         cosets = transversals.get(cent)
         if cosets is None:
@@ -371,18 +355,16 @@ def enumerate_homs(
                 if not seen >> c & 1:
                     cosets.append(c)
                     seen |= sum(1 << mul(c, z) for z in _iter_bits(cent))
-        ordered = [h[g] for g in order]
-        members += [tuple(map(conj[c].__getitem__, ordered)) for c in cosets]
-    back = sorted(range(len(order)), key=order.__getitem__)
-    return [tuple(h[i] for i in back) for h in sorted(members)]
+        members += [tuple(map(conj[c].__getitem__, h)) for c in cosets]
+    return sorted(members)
 
 
 def hom_orbits(
     p: Presentation, t: FiniteTarget, caps: dict[str, int] | None = None
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """One homomorphism per orbit under conjugation in the target, the first
-    of each in search order, and the orbit sizes: the orbit search's own
-    result, in the order it found them."""
+    """One homomorphism per orbit under conjugation in the target, the least
+    of each in lexicographic order of image tuples, and the orbit sizes:
+    the orbit search's own result, in the order it found them."""
     found = _orbits(p, t, caps)
     return found.reps, found.sizes
 

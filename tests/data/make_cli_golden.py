@@ -199,8 +199,8 @@ def commands() -> list[list[str]]:
 
     # The move-invariance benchmark's sizes: verify --moves 20 on 3-4-strand
     # words of 13-16 letters, one move of each kind on words of 6-24
-    # letters (a stabilization undone by a destabilization, as isocheck's
-    # two words share one strand count), and invariants of 60-100 letters
+    # letters (a stabilization undone by a destabilization), and invariants
+    # of 60-100 letters
     for seed in range(4):
         n = 3 + seed % 2
         word = text(random_letters(rng, n, rng.randint(13, 16)))
@@ -234,6 +234,13 @@ def commands() -> list[list[str]]:
         word = text(random_letters(rng, n, rng.randint(30, 60)))
         cmds.append(["invariants", word, "--strands", str(n), "--up-to-conjugacy",
                      "--caps.generators", "S3=60,S4=60"])
+
+    # a Markov stabilization and its inverse: with --moves each word keeps
+    # its own strand count
+    cmds += [
+        ["isocheck", "1 2 1 1 2", "1 2 1 1 2 3", "--moves", "stab"],
+        ["isocheck", "1 2 1 1 2 3", "1 2 1 1 2", "--moves", "destab"],
+    ]
     return cmds
 
 

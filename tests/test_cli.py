@@ -128,6 +128,24 @@ def test_isocheck_with_script(capsys):
     assert data["report"]["consistent"] is True
 
 
+@pytest.mark.parametrize(
+    "a, b, script, strands",
+    [
+        ("1 2 1 1 2", "1 2 1 1 2 3", "stab", (3, 4)),
+        ("1 2 1 1 2 3", "1 2 1 1 2", "destab", (4, 3)),
+        ("1 2 1 1 2 1", "1 1 2 1 1 2 3", "conjR, stab", (3, 4)),
+    ],
+)
+def test_isocheck_across_a_markov_move(capsys, a, b, script, strands):
+    # with --moves each word keeps the strand count it parses to
+    code, out = run(capsys, "isocheck", a, b, "--moves", script)
+    assert code == 0
+    data = json.loads(out)
+    validate(data, "isocheck")
+    assert (data["source"]["strands"], data["target"]["strands"]) == strands
+    assert data["report"]["consistent"] is True
+
+
 def test_isocheck_finds_moves(capsys):
     code, out = run(capsys, "isocheck", "1 2 1 2 2 1", "1 2 2 2 1 2")
     assert code == 0

@@ -16,7 +16,9 @@ the move-invariance benchmark's sizes: ``verify --moves 20`` on words of
 13-16 letters, one-move ``isocheck`` scripts of every kind on words of
 6-24 letters, and ``invariants`` of 60-100-letter words. Last come
 ``invariants --up-to-conjugacy`` hom counts with the generator caps
-lifted on 3-4-strand words of 30-60 letters.
+lifted on 3-4-strand words of 30-60 letters, and ``isocheck`` across a
+Markov stabilization and a destabilization, each word at its own strand
+count.
 tests/data/make_cli_golden.py regenerates it.
 """
 

@@ -8,6 +8,7 @@ library free of direct self-calls, so depth never tracks input size.
 
 import ast
 import json
+import random
 import time
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from braidforge.invariants import hom_count
 from braidforge.linking import build_graph, graphs_isomorphic_as_trees
 from braidforge.presentations import presentation_of
 from braidforge.words import BraidWord, parse_word
+
+from test_orbit_search_reference import reference_assignments
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "braidforge"
 S3 = builtin_targets()["S3"]
@@ -39,6 +42,28 @@ def test_hom_search_on_a_long_word_is_exact(capsys):
     )
     assert code == 0
     assert json.loads(capsys.readouterr().out)["hom_counts"] == {"S3": 6}
+
+
+_rng = random.Random(12)
+HUNDRED_LETTERS = [
+    BraidWord(n, tuple(_rng.randint(1, n - 1) for _ in range(100))) for n in (3, 4, 3, 4)
+]
+
+
+@pytest.mark.parametrize(
+    "word", HUNDRED_LETTERS, ids=[f"{i}-{w.strands}" for i, w in enumerate(HUNDRED_LETTERS)]
+)
+@pytest.mark.parametrize("name", ["S3", "S4"])
+def test_hom_search_with_caps_lifted_follows_the_columns(word, name):
+    # generators in brick-id order close each region's cycle relator soon
+    # after it opens, so about 100 generators take milliseconds, not seconds
+    p = presentation_of(build_graph(build_bricks(word)))
+    t = builtin_targets()[name]
+    invariants._memo.cache_clear()
+    start = time.perf_counter()
+    count = hom_count(p, t, {name: 1000}).count
+    assert time.perf_counter() - start < 1.0
+    assert count == len(list(reference_assignments(p, t)))
 
 
 def test_forest_signature_of_a_long_path():

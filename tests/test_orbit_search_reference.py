@@ -93,24 +93,19 @@ def reference_assignments(p, t):
     braid_mask, comm_mask = _compat_masks(t)
     full = (1 << t.size) - 1
 
-    participation = [0] * (k + 1)
     pair = {}
     for i, j, kind in p.pair_table():
         mask = braid_mask if kind is RelatorKind.BRAID else comm_mask
         prior = pair.get((i, j))
         pair[(i, j)] = mask if prior is None else [a & b for a, b in zip(prior, mask)]
-        participation[i] += 1
-        participation[j] += 1
     general = []
     for r in p.cycles:
         support = {abs(x) for x in r.word}
         if not support:
             continue
-        for g in support:
-            participation[g] += len(r.word)
         general.append((support, r.word))
 
-    order = sorted(range(1, k + 1), key=lambda g: (-participation[g], g))
+    order = list(range(1, k + 1))
     pos = {g: i for i, g in enumerate(order)}
 
     pair_rel = [[None] * k for _ in range(k)]
