@@ -1,18 +1,18 @@
 """Presentation-level isomorphism invariants.
 
-Abelianization and the column-lattice test read each relator's exponent
-sums sparsely: a braid relator on i < j has the column e_i - e_j and a
+The column lattice is the one reader of a presentation's exponent
+columns: a braid relator on i < j has the column e_i - e_j and a
 commutation relator none, so the braid pairs are read as they stand and
-only the cycle relators are summed. Every relator a linking
-graph yields has exponent sums zero or e_i - e_j, so the
-generator-by-relator exponent matrix is a graph incidence matrix and
-totally unimodular: union-find over the (+1, -1) pairs gives the
-abelianization Z^c (c components, every other invariant factor 1), and
-a vector lies in the column lattice iff it sums to zero on every
-component (vectors are sparse: generator -> coefficient). The
-union-find runs once per presentation and is kept on it. A hand-built
-presentation with any other column shape has no such reading and
-raises PresentationError on every call.
+only the cycle relators are summed, once, with each nonzero cycle column
+kept as the pair it joins. Every relator a linking graph yields has
+exponent sums zero or e_i - e_j, so the generator-by-relator exponent
+matrix is a graph incidence matrix and totally unimodular: union-find
+over the (+1, -1) pairs gives the abelianization Z^c (c components,
+every other invariant factor 1), and a vector lies in the column
+lattice iff it sums to zero on every component (vectors are sparse:
+generator -> coefficient). The lattice is built once per presentation
+and kept on it. A hand-built presentation with any other column shape
+has no such reading and raises PresentationError on every call.
 
 Homomorphisms into small finite groups are found by one orbit search per
 presentation content and target: pruned backtracking over the
@@ -57,7 +57,8 @@ DEFAULT_GENERATOR_CAPS = {"S3": 14, "S4": 10, "S5": 8, "*": 10}
 
 @dataclass(frozen=True)
 class Abelianization:
-    """Invariant factors d1 | d2 | ... with 0 marking free factors."""
+    """Z^c over k generators, always as invariant factors (1,) * (k - c) +
+    (0,) * c: an incidence matrix leaves no torsion."""
 
     invariant_factors: tuple[int, ...]
 
@@ -66,13 +67,7 @@ class Abelianization:
         return sum(1 for d in self.invariant_factors if d == 0)
 
     def __str__(self) -> str:
-        torsion = [d for d in self.invariant_factors if d > 1]
-        parts = [f"Z/{d}" for d in torsion]
-        if self.rank == 1:
-            parts.append("Z")
-        elif self.rank > 1:
-            parts.append(f"Z^{self.rank}")
-        return " x ".join(parts) if parts else "1"
+        return {0: "1", 1: "Z"}.get(self.rank, f"Z^{self.rank}")
 
 
 @dataclass(frozen=True)
@@ -88,14 +83,14 @@ class ColumnLattice:
     i < j has the column e_i - e_j and a commutation relator none, by
     construction, so the braid pairs are joined as they stand and only
     the cycle relators are summed; a cycle column other than zero or
-    e_i - e_j raises PresentationError naming its relator. Then a vector
-    lies in the span iff it sums to zero on every component, so the
-    per-presentation work is one union-find, done here: ``component``
-    labels each generator 0..n_components-1. ``ColumnLattice.of`` keeps
-    it on the presentation.
+    e_i - e_j raises PresentationError naming its relator, and the rest
+    are kept as ``cycle_columns``. A vector lies in the span iff it sums
+    to zero on every component, so the per-presentation work is one
+    union-find, done here: ``component`` labels each generator
+    0..n_components-1. ``ColumnLattice.of`` keeps it on the presentation.
     """
 
-    __slots__ = ("component", "n_components")
+    __slots__ = ("component", "n_components", "cycle_columns")
 
     def __init__(self, p: Presentation) -> None:
         parent = list(range(p.n_generators))
@@ -113,7 +108,14 @@ class ColumnLattice:
 
         for i, j in p.braid_pairs:
             join(i - 1, j - 1)
-        for r in p.cycles:
+        # the cycles follow every pair relator in p.relators
+        k = p.n_generators
+        if p.comm_pairs is None:
+            start = k * (k - 1) // 2
+        else:
+            start = len(p.braid_pairs) + len(p.comm_pairs)
+        columns = []
+        for t, r in enumerate(p.cycles, start):
             col = exponent_sums(r.word)
             if not col:
                 continue
@@ -122,13 +124,15 @@ class ColumnLattice:
             if ea + eb or abs(ea) != 1:
                 sums = " ".join(f"s{g + 1}^{e}" for g, e in sorted(col.items()))
                 raise PresentationError(
-                    f"relator {p.relators.index(r)} has exponent sums {sums}, "
-                    "not zero or e_i - e_j"
+                    f"relator {t} has exponent sums {sums}, not zero or e_i - e_j"
                 )
+            columns.append((t, a, b) if ea > 0 else (t, b, a))
             join(a, b)
         labels: dict[int, int] = {}
-        self.component = [labels.setdefault(find(g), len(labels)) for g in range(p.n_generators)]
+        self.component = [labels.setdefault(find(g), len(labels)) for g in range(k)]
         self.n_components = len(labels)
+        # (index in relators, a, b): the column e_a - e_b, 0-based generators
+        self.cycle_columns: tuple[tuple[int, int, int], ...] = tuple(columns)
 
     @classmethod
     def of(cls, p: Presentation) -> ColumnLattice:
@@ -136,6 +140,14 @@ class ColumnLattice:
         if p._lattice is None:
             p._lattice = cls(p)
         return p._lattice
+
+
+def exponent_columns(p: Presentation) -> Iterator[tuple[int, int, int]]:
+    """(index in p.relators, a, b) per nonzero exponent column e_a - e_b of
+    p: the braid pairs' in closed form, then the cycles' off p's lattice."""
+    for t, (i, j) in enumerate(p.braid_pairs):
+        yield t, i - 1, j - 1
+    yield from ColumnLattice.of(p).cycle_columns
 
 
 def abelianization(p: Presentation) -> Abelianization:

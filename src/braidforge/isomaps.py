@@ -26,9 +26,10 @@ check_map is a necessary-condition checker: images of relators must die
 in the abelianization (exact integer lattice test) and under every
 homomorphism into the configured finite targets, in both directions,
 along with the round-trip words. Reports say "consistent", never
-"isomorphic". The lattice of each presentation is prepared once, from
-its nonzero exponent columns: braid pairs in closed form and cycle
-relators, never the commutation relators. Each finite target is
+"isomorphic". The exponent columns are read off each presentation's
+column lattice, prepared once: each nonzero column is e_a - e_b, so its
+image's exponent vector is a difference of two images' exponent sums,
+and a commutation relator has none. Each finite target is
 decided by pulling homs back through the map: for every target hom h,
 h∘φ must satisfy the source relators (pair masks and cycle words), for
 every source hom the pullback through φ⁻¹ must satisfy the target
@@ -58,6 +59,7 @@ from .finite_groups import FiniteTarget
 from .invariants import (
     ColumnLattice,
     evaluate_word,
+    exponent_columns,
     hom_orbits,
     in_column_lattice,
     is_hom,
@@ -392,15 +394,6 @@ def _word_str(word: GroupWord) -> str:
     return " ".join(f"s{x}" if x > 0 else f"s{-x}^-1" for x in word) or "1"
 
 
-def _image_vector(column: dict[int, int], image_sums: list[dict[int, int]]) -> dict[int, int]:
-    """Exponent vector of a word's image, by generator, from the word's exponent sums."""
-    v: dict[int, int] = {}
-    for g, e in column.items():
-        for h, f in image_sums[g].items():
-            v[h] = v.get(h, 0) + e * f
-    return v
-
-
 # p -> p.relators, read at most once per check: a table spells them on each read
 _Spelled = Callable[[Presentation], tuple[Relator, ...]]
 
@@ -492,26 +485,35 @@ def check_map(
 
     # Exact abelianization checks. With A and B the exponent-sum tables of
     # the images and the inverse images, relator r's image has the vector
-    # A·c_r (c_r its exponent column; a zero column's image is zero) and
-    # the round trip at g has B·A·e_g - e_g, A·e_g being A's column g.
+    # A·c_r = A·e_a - A·e_b (c_r its nonzero exponent column, e_a - e_b)
+    # and the round trip at g has B·A·e_g - e_g, A·e_g being A's column g.
     violations: list[Violation] = []
     relators = cache(lambda p: p.relators)
     src_lattice, dst_lattice = ColumnLattice.of(m.source), ColumnLattice.of(m.target)
     image_sums = [exponent_sums(w) for w in m.images]
     inverse_sums = [exponent_sums(w) for w in m.inverse_images]
-    for direction, columns, sums, lattice in (
-        ("forward", m.source.columns(), image_sums, dst_lattice),
-        ("backward", m.target.columns(), inverse_sums, src_lattice),
-        ("roundtrip-source", enumerate(image_sums), inverse_sums, src_lattice),
-        ("roundtrip-target", enumerate(inverse_sums), image_sums, dst_lattice),
+    fails = "survives abelianization"
+    for direction, p, sums, lattice in (
+        ("forward", m.source, image_sums, dst_lattice),
+        ("backward", m.target, inverse_sums, src_lattice),
     ):
-        for i, column in columns:
-            vector = _image_vector(column, sums)
-            if direction.startswith("roundtrip"):
-                vector[i] = vector.get(i, 0) - 1
+        for i, a, b in exponent_columns(p):
+            vector = dict(sums[a])
+            for h, f in sums[b].items():
+                vector[h] = vector.get(h, 0) - f
             if not in_column_lattice(lattice, vector):
-                fails = "survives abelianization"
                 violations.append(_violation(m, direction, i, "abelianization", fails, relators))
+    for direction, there, back, lattice in (
+        ("roundtrip-source", image_sums, inverse_sums, src_lattice),
+        ("roundtrip-target", inverse_sums, image_sums, dst_lattice),
+    ):
+        for g, column in enumerate(there):
+            vector = {g: -1}
+            for h, e in column.items():
+                for x, f in back[h].items():
+                    vector[x] = vector.get(x, 0) + e * f
+            if not in_column_lattice(lattice, vector):
+                violations.append(_violation(m, direction, g, "abelianization", fails, relators))
 
     # Finite quotient checks: one hom per conjugation orbit, pulled back
     # once (the target's alone when counts agree), decides and words them.

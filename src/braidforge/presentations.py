@@ -4,9 +4,9 @@ Generators are the bricks (1-based ids). Every linked pair contributes a
 braid relator, every unlinked pair a commutation relator (including
 diagonals of regions), and every bounded region a cycle relator read
 along the region's stored cyclic order. Only the cycle relators carry
-information beyond the edge set, so a presentation holds its pair
-relators as a table (the linked pairs; every other pair commutes) and
-spells the k(k-1)/2 pair relator objects on each read of ``relators``,
+information beyond the edge set, so every presentation, read off a
+graph or built from relators, is stored as a pair table and its cycle
+relators, and spells its pair relators on each read of ``relators``,
 never storing them. A graph's presentation is built once and kept on
 the (immutable) graph. Relator words are kept as LHS * RHS^-1, freely
 reduced; relator equality means equality of those words.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import PresentationError
 from .linking import LinkingGraph
@@ -76,14 +76,15 @@ def exponent_sums(word: GroupWord) -> dict[int, int]:
     return {g: e for g, e in sums.items() if e}
 
 
-def _pair_of(r: Relator) -> tuple[RelatorKind, tuple[int, int]] | None:
-    """The kind and pair i < j whose braid or commutation relator has r's
-    word; the word decides, not the kind or equation r was built with."""
-    w = r.word
+def _pair_of(w: GroupWord) -> tuple[RelatorKind, tuple[int, int]] | None:
+    """The kind and pair i < j whose braid or commutation relator has the
+    word w; the word decides, not the kind or equation it was built with."""
     if len(w) in (4, 6) and 0 < w[0] < w[1]:
-        for pair in (braid_relator(w[0], w[1]), comm_relator(w[0], w[1])):
-            if w == pair.word:
-                return pair.kind, (w[0], w[1])
+        i, j = w[0], w[1]
+        if w == (i, j, i, -j, -i, -j):
+            return RelatorKind.BRAID, (i, j)
+        if w == (i, j, -i, -j):
+            return RelatorKind.COMM, (i, j)
     return None
 
 
@@ -91,20 +92,19 @@ class Presentation:
     """Generators 1..n_generators, pair relators as a table, and the rest.
 
     ``braid_pairs`` and ``comm_pairs`` list, in lex order, the pairs
-    i < j that carry a braid or a commutation relator; ``cycles`` holds
-    every other relator. A presentation read off a linking graph is
-    built by ``from_table`` and has ``comm_pairs`` None: every pair not
-    linked commutes, so its pair relators are implied by the braid pairs
-    and spelled on each read of ``relators``, never stored (braid pairs,
-    then commutation pairs, each in lex order, then the cycles).
-    ``Presentation(n, relators)`` keeps the relators as given and reads
-    the table off their words, whatever kind they were built with; a
-    pair may then carry both kinds. A letter of a relator's word or
-    equation that names no generator raises PresentationError.
-    ``_lattice`` holds the column lattice once invariants has built it.
+    i < j that carry a braid or a commutation relator; ``comm_pairs`` is
+    None when that is every other pair and no more, as on every graph's
+    presentation. ``cycles`` holds every other relator, in the order
+    given. ``relators`` spells braid pairs, then commutation pairs, each
+    in lex order, then the cycles. ``Presentation(n, relators)`` reads
+    the table off the words, whatever kind they were built with, so the
+    order, repeats and provenance of pair relators are not kept; a pair
+    may carry both kinds. A letter of a relator's word or equation that
+    names no generator raises PresentationError. ``_lattice`` holds the
+    column lattice once invariants has built it.
     """
 
-    __slots__ = ("n_generators", "braid_pairs", "comm_pairs", "cycles", "_relators", "_lattice")
+    __slots__ = ("n_generators", "braid_pairs", "comm_pairs", "cycles", "_lattice")
 
     def __init__(self, n_generators: int, relators: tuple[Relator, ...]) -> None:
         braid: set[tuple[int, int]] = set()
@@ -117,16 +117,17 @@ class Presentation:
                     f"relator {index} has the letter {bad[0]}; "
                     f"the generators are 1..{n_generators}"
                 )
-            pair = _pair_of(r)
+            pair = _pair_of(r.word)
             if pair is None:
                 cycles.append(r)
             else:
                 (braid if pair[0] is RelatorKind.BRAID else comm).add(pair[1])
+        k = n_generators
+        full = not braid & comm and len(braid) + len(comm) == k * (k - 1) // 2
         self.n_generators = n_generators
         self.braid_pairs: tuple[tuple[int, int], ...] = tuple(sorted(braid))
-        self.comm_pairs: tuple[tuple[int, int], ...] | None = tuple(sorted(comm))
+        self.comm_pairs: tuple[tuple[int, int], ...] | None = None if full else tuple(sorted(comm))
         self.cycles: tuple[Relator, ...] = tuple(cycles)
-        self._relators: tuple[Relator, ...] | None = tuple(relators)
         self._lattice = None
 
     @classmethod
@@ -135,19 +136,20 @@ class Presentation:
         n_generators: int,
         braid_pairs: Iterable[tuple[int, int]],
         cycles: tuple[Relator, ...],
+        comm_pairs: tuple[tuple[int, int], ...] | None = None,
     ) -> Presentation:
-        """Braid relators on braid_pairs (i < j), commutation on every other
-        pair, and the cycle relators of regions (three or more vertices)."""
+        """Braid relators on braid_pairs (i < j), commutation on comm_pairs
+        (lex order; None for every other pair), and the cycle relators."""
         p = cls.__new__(cls)
         p.n_generators = n_generators
         p.braid_pairs = tuple(sorted(braid_pairs))
-        p.comm_pairs = None
+        p.comm_pairs = comm_pairs
         p.cycles = tuple(cycles)
-        p._relators = p._lattice = None
+        p._lattice = None
         return p
 
     def pair_table(self) -> Iterator[tuple[int, int, RelatorKind]]:
-        """(i, j, BRAID | COMM) per pair relator; lex order on a full table."""
+        """(i, j, BRAID | COMM) per pair relator; lex order when comm_pairs is None."""
         if self.comm_pairs is None:
             linked = set(self.braid_pairs)
             k = self.n_generators
@@ -163,8 +165,6 @@ class Presentation:
 
     @property
     def relators(self) -> tuple[Relator, ...]:
-        if self._relators is not None:
-            return self._relators
         return (
             tuple(braid_relator(i, j) for i, j in self.braid_pairs)
             + tuple(
@@ -172,22 +172,6 @@ class Presentation:
             )
             + self.cycles
         )
-
-    def columns(self) -> list[tuple[int, dict[int, int]]]:
-        """(index in relators, exponent sums) of each relator whose sums are not all zero.
-
-        On a full table a braid relator on i < j has the column e_i - e_j
-        and a commutation relator none, so only the cycles are summed.
-        """
-        if self.comm_pairs is not None:
-            return [(i, s) for i, r in enumerate(self.relators) if (s := exponent_sums(r.word))]
-        k = self.n_generators
-        out = [(t, {i - 1: 1, j - 1: -1}) for t, (i, j) in enumerate(self.braid_pairs)]
-        start = k * (k - 1) // 2
-        out += [
-            (start + t, s) for t, r in enumerate(self.cycles) if (s := exponent_sums(r.word))
-        ]
-        return out
 
     def relator_words(self) -> tuple[GroupWord, ...]:
         return tuple(r.word for r in self.relators)
@@ -202,14 +186,11 @@ class Presentation:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Presentation):
             return NotImplemented
-        if self.comm_pairs is None and other.comm_pairs is None:  # tables: spell nothing
-            return (self.n_generators, self.braid_pairs, self.cycles) == (
-                other.n_generators, other.braid_pairs, other.cycles
-            )
-        return (self.n_generators, self.relators) == (other.n_generators, other.relators)
+        return (self.n_generators, self.braid_pairs, self.comm_pairs, self.cycles) == (
+            other.n_generators, other.braid_pairs, other.comm_pairs, other.cycles
+        )
 
     def __hash__(self) -> int:
-        # equal relator tuples give equal tables and cycles
         return hash((self.n_generators, self.cycles))
 
     def __repr__(self) -> str:
@@ -286,13 +267,16 @@ def relabels_onto(src: Presentation, dst: Presentation, sigma: list[int]) -> boo
     """Whether renaming generator g to sigma[g - 1], a bijection, carries
     the relator words of src exactly onto those of dst.
 
-    Two full pair tables need no pair relator spelled: pair words have 6
-    (braid) or 4 (commutation) letters and cycle words at least 8, and a
-    renamed pair word is canonical only when sigma keeps the pair's
-    order. As every pair carries a relator, sigma must be the identity,
-    with equal braid pairs and equal cycle words.
+    Two full pair tables need no pair relator spelled when no cycle word
+    has the 6 (braid) or 4 (commutation) letters of a pair word, as on a
+    graph, whose cycle words have at least 8: a renamed pair word is then
+    a pair word, canonical only when sigma keeps the pair's order. As
+    every pair carries a relator, sigma must be the identity, with equal
+    braid pairs and equal cycle words.
     """
-    if src.comm_pairs is None and dst.comm_pairs is None:
+    if src.comm_pairs is None and dst.comm_pairs is None and not any(
+        len(r.word) in (4, 6) for r in src.cycles + dst.cycles
+    ):
         return (
             all(s == g for g, s in enumerate(sigma, start=1))
             and src.braid_pairs == dst.braid_pairs
@@ -314,9 +298,9 @@ def _shifted_cycle_relator(r: Relator, shift: int) -> Relator:
     return cycle_relator(tup[k:] + tup[:k], r.provenance)
 
 
-def _cycle_slot(relators: Sequence[Relator], region_index: int) -> int:
-    """Where in relators the region_index-th cycle relator sits."""
-    slots = [i for i, r in enumerate(relators) if r.kind is RelatorKind.CYCLE]
+def _cycle_slot(p: Presentation, region_index: int) -> int:
+    """Where in p.cycles the region_index-th cycle relator sits."""
+    slots = [i for i, r in enumerate(p.cycles) if r.kind is RelatorKind.CYCLE]
     if not 0 <= region_index < len(slots):
         raise IndexError(f"presentation has {len(slots)} cycle relators")
     return slots[region_index]
@@ -324,7 +308,7 @@ def _cycle_slot(relators: Sequence[Relator], region_index: int) -> int:
 
 def cycle_relator_shift(p: Presentation, region_index: int, shift: int) -> GroupWord:
     """The cycle relator word with the region's tuple rotated left by shift."""
-    r = p.cycles[_cycle_slot(p.cycles, region_index)]
+    r = p.cycles[_cycle_slot(p, region_index)]
     return _shifted_cycle_relator(r, shift).word
 
 
@@ -332,14 +316,11 @@ def shifted_cycle_presentation(
     p: Presentation, region_index: int, shift: int
 ) -> Presentation:
     """The presentation with one cycle relator replaced by a shifted version;
-    a pair table stays a pair table."""
-    table = p.comm_pairs is None
-    relators = list(p.cycles if table else p.relators)
-    slot = _cycle_slot(relators, region_index)
-    relators[slot] = _shifted_cycle_relator(relators[slot], shift)
-    if table:
-        return Presentation.from_table(p.n_generators, p.braid_pairs, tuple(relators))
-    return Presentation(p.n_generators, tuple(relators))
+    the pair table is kept."""
+    cycles = list(p.cycles)
+    slot = _cycle_slot(p, region_index)
+    cycles[slot] = _shifted_cycle_relator(cycles[slot], shift)
+    return Presentation.from_table(p.n_generators, p.braid_pairs, tuple(cycles), p.comm_pairs)
 
 
 def _word_plain(word: GroupWord) -> str:

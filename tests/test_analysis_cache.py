@@ -223,6 +223,26 @@ def test_presentations_differing_in_commutation_pairs_or_cycles_are_kept_apart()
         assert len(set(counts[:3])) == 3 and counts[3] != counts[4]
 
 
+def test_shuffled_and_repeated_relators_give_the_graph_presentation(monkeypatch):
+    p = presentation(4, (1, 2, 1, 3, 2, 1, 2, 3, 2, 1))
+    relators = p.relators
+    pairs = list(relators[: len(relators) - len(p.cycles)])
+    random.Random(5).shuffle(pairs)
+    hand = Presentation(p.n_generators, (*pairs, pairs[0], *p.cycles))
+    assert len(p.cycles) >= 2 and hand is not p
+    assert hand == p and hash(hand) == hash(p) and hand.relators == relators
+    searches = []
+
+    def counted(q, t):
+        searches.append(t.name)
+        return _assignments(q, t)
+
+    monkeypatch.setattr(invariants, "_assignments", counted)
+    invariants._memo.cache_clear()
+    want = hom_orbits(p, S3)
+    assert hom_orbits(hand, S3) == want and searches == ["S3"]
+
+
 @SETTINGS
 @given(words)
 def test_orbit_count_is_burnsides(case):

@@ -18,12 +18,14 @@ from braidforge.cli import main
 from braidforge.config import Config, apply_overrides
 from braidforge.finite_groups import symmetric_group
 from braidforge.invariants import enumerate_homs, hom_count, is_hom
+from braidforge.isomaps import GeneratorMap, check_map
 from braidforge.presentations import (
     Presentation,
     Relator,
     RelatorKind,
     braid_relator,
     comm_relator,
+    relabels_onto,
 )
 
 from conftest import brute_hom_count
@@ -61,9 +63,20 @@ def test_hand_built_pair_table_reads_words(k, relator, expected):
 
 def test_hand_built_table_keeps_standard_pair_relators():
     p = Presentation(3, (braid_relator(1, 2), comm_relator(3, 1), comm_relator(2, 3)))
-    assert (p.braid_pairs, p.comm_pairs, p.cycles) == (((1, 2),), ((1, 3), (2, 3)), ())
+    assert (p.braid_pairs, p.comm_pairs, p.cycles) == (((1, 2),), None, ())
     s3 = symmetric_group(3)
     assert hom_count(p, s3).count == brute_hom_count(p.relator_words(), 3, s3)
+
+
+def test_relabeling_a_full_table_onto_a_pair_shaped_cycle():
+    # (2, 1, -2, -1) is no canonical pair word, so it stays a cycle; the
+    # swap carries it onto the commutator of 1 and 2, and that onto it
+    w = Relator(RelatorKind.CYCLE, (2, 1, -2, -1), (2, 1), (1, 2), ())
+    p = Presentation(2, (comm_relator(1, 2), w))
+    assert (p.comm_pairs, p.cycles) == (None, (w,))
+    assert relabels_onto(p, p, [2, 1])
+    swap = GeneratorMap(p, p, ((2,), (1,)), ((2,), (1,)))
+    assert check_map(swap, [symmetric_group(3)]).method == "relabeling"
 
 
 def test_unparsable_flag_names_its_key(capsys, monkeypatch):
