@@ -241,6 +241,32 @@ def commands() -> list[list[str]]:
         ["isocheck", "1 2 1 1 2", "1 2 1 1 2 3", "--moves", "stab"],
         ["isocheck", "1 2 1 1 2 3", "1 2 1 1 2", "--moves", "destab"],
     ]
+
+    # Move maps checked against D4, D6 and Q8 as well, with the generator
+    # caps raised so that no target is skipped: two one-move scripts of
+    # each kind on 3-4-strand words of 6-16 letters, and two found
+    # sequences of walked half-twist words
+    wide = ["--targets", "S3,S4,D4,D6,Q8", "--caps.generators", "S3=16,S4=16,*=16"]
+    for i in range(10):
+        kind = kinds[i % 5]
+        n = 4 if kind is MoveKind.FAR_COMM else 3 + i % 2
+        length = 6 + 10 * i // 9
+        while True:
+            w = BraidWord(n, random_letters(rng, n, length))
+            sites = [m for m in enumerate_moves(w) if m.kind is kind]
+            if sites:
+                break
+        m = rng.choice(sites)
+        if kind is MoveKind.MARKOV_STAB:
+            script, v = "stab, destab", w
+        else:
+            script, v = f"{kind.value}@{m.position}", apply_move(w, m)
+        cmds.append(["isocheck", text(w.letters), text(v.letters), "--strands", str(n),
+                     "--moves", script, *wide])
+    for _ in range(2):
+        w = BraidWord(3, (1, 2, 1) + random_letters(rng, 3, rng.randint(3, 6)))
+        pair = [text(w.letters), text(walked(w, rng.randint(5, 10)).letters), "--strands", "3"]
+        cmds.append(["isocheck", *pair, *wide])
     return cmds
 
 

@@ -18,7 +18,9 @@ the move-invariance benchmark's sizes: ``verify --moves 20`` on words of
 ``invariants --up-to-conjugacy`` hom counts with the generator caps
 lifted on 3-4-strand words of 30-60 letters, and ``isocheck`` across a
 Markov stabilization and a destabilization, each word at its own strand
-count.
+count. The very last entries check move maps against S3, S4, D4, D6 and
+Q8 with the generator caps raised: two one-move scripts of each kind on
+words of 6-16 letters, and two found sequences.
 tests/data/make_cli_golden.py regenerates it.
 """
 
