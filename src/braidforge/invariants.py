@@ -26,25 +26,25 @@ is the mask of conjugators fixing v and lower[v] of those sending it to
 a smaller index; the search carries stab, the centralizer of the images
 so far, tries v only if stab & lower[v] == 0, and descends with stab &
 cent[v]. A leaf's orbit has |G| / |stab| members. The count, the orbit
-count and the orbit representatives are read off that one result; the
-full hom list is expanded from it only on request, in lexicographic
-order of image tuples. Id order is what keeps the search narrow: brick
-ids run column by column and each region's bricks lie in two adjacent
+count and the orbit representatives are read off that one result, and
+images are a hom iff their least conjugate (least_conjugate) is one of
+those representatives. The full hom list is expanded only on request,
+every representative by every conjugator, in lexicographic order of
+image tuples. Id order is what keeps the search narrow: brick ids run
+column by column and each region's bricks lie in two adjacent
 columns, so a cycle relator is tested soon after its first generator is
 assigned and a dead branch is cut near the top (variable order sets the
 width of a backtracking search: Freuder 1982; Dechter 2003). Exceeding
 a configured generator cap raises, never guesses: the cap test runs
 before any cache lookup. Search results are memoized per process for
-the CACHE_SIZE most recent presentation contents (generator count, pair
-table, cycle words; never a spelled relator tuple), per target table.
+the CACHE_SIZE most recent presentations, per target table; equal
+presentations (generator count, pair table, cycle words) share them.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from itertools import combinations
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .bricks import CACHE_SIZE
@@ -234,12 +234,10 @@ def generator_cap(t: FiniteTarget, caps: dict[str, int] | None = None) -> int:
 
 
 class _Orbits(NamedTuple):
-    """The orbit search's result: one hom per orbit (the least in
-    lexicographic order of image tuples), the centralizer mask of its
-    image, its orbit size, and the number of homs."""
+    """The orbit search's result: one hom per orbit, the least in
+    lexicographic order of image tuples, its orbit size, and the hom count."""
 
     reps: tuple[tuple[int, ...], ...]
-    cents: tuple[int, ...]
     sizes: tuple[int, ...]
     count: int
 
@@ -277,7 +275,6 @@ def _assignments(p: Presentation, t: FiniteTarget) -> _Orbits:
     images = [0] * k
     ident = t.identity
     reps: list[tuple[int, ...]] = []
-    cents: list[int] = []
     sizes: list[int] = []
 
     # Depth-first with an explicit stack, so word length is not bounded by
@@ -289,7 +286,6 @@ def _assignments(p: Presentation, t: FiniteTarget) -> _Orbits:
         step = len(stack)
         if step == k:
             reps.append(tuple(images))
-            cents.append(stab)
             sizes.append(n // stab.bit_count())
             return
         allowed = least.get(stab)
@@ -312,24 +308,23 @@ def _assignments(p: Presentation, t: FiniteTarget) -> _Orbits:
             images[step] = val
             if all(evaluate_word(t, images, word) == ident for word in closing[step]):
                 descend(stab & cent[val])
-    return _Orbits(tuple(reps), tuple(cents), tuple(sizes), sum(sizes))
+    return _Orbits(tuple(reps), tuple(sizes), sum(sizes))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _memo(content: tuple) -> dict:
-    """Orbit search results of one presentation content, by target."""
+def _memo(p: Presentation) -> dict:
+    """Orbit search results of one presentation (and those equal to it), by target."""
     return {}
 
 
 def _orbits(p: Presentation, t: FiniteTarget, caps: dict[str, int] | None) -> _Orbits:
-    """The one orbit search for p's content (generator count, pair table,
-    cycle words) and t, after the cap test, so that a cap raises whatever
-    is cached."""
+    """The one orbit search for p and t, after the cap test, so that a cap
+    raises whatever is cached."""
     k = p.n_generators
     cap = generator_cap(t, caps)
     if k > cap:
         raise ResourceCapError(f"{k} generators exceed the cap {cap} for target {t.name}")
-    memo = _memo((k, p.braid_pairs, p.comm_pairs, tuple(r.word for r in p.cycles)))
+    memo = _memo(p)
     found = memo.get(t)
     if found is None:
         found = memo[t] = _assignments(p, t)
@@ -350,25 +345,11 @@ def enumerate_homs(
     """Every homomorphism as generator images, in lexicographic order of
     image tuples (the search order); a fresh list.
 
-    Expanded on request from the orbit search: each representative's
-    conjugates, sorted.
+    Expanded on request from the orbit search: every representative
+    under every conjugator, sorted.
     """
-    found = _orbits(p, t, caps)
-    conj, mul = _target_tables(t).conj, t.mul
-    transversals: dict[int, list[int]] = {}
-    members = []
-    for h, cent in zip(found.reps, found.cents):
-        cosets = transversals.get(cent)
-        if cosets is None:
-            # one conjugator per left coset of the centralizer: no repeats
-            cosets = transversals[cent] = []
-            seen = 0
-            for c in range(t.size):
-                if not seen >> c & 1:
-                    cosets.append(c)
-                    seen |= sum(1 << mul(c, z) for z in _iter_bits(cent))
-        members += [tuple(map(conj[c].__getitem__, h)) for c in cosets]
-    return sorted(members)
+    conj = _target_tables(t).conj
+    return sorted({tuple(map(c.__getitem__, h)) for h in _orbits(p, t, caps).reps for c in conj})
 
 
 def hom_orbits(
@@ -389,30 +370,8 @@ def hom_count_up_to_conjugacy(
     return HomCount(t.name, len(_orbits(p, t, caps).reps))
 
 
-def is_hom(p: Presentation, t: FiniteTarget, images: tuple[int, ...]) -> bool:
-    """Whether the generator images satisfy every relator: pair masks for
-    the pair table, evaluation for the cycle words.
-
-    When every pair off the braid pairs commutes (comm_pairs None), the
-    commutation relators hold iff every non-commuting pair of generators
-    is a braid pair: the non-commuting pairs, counted by image value, are
-    as many as the non-commuting braid pairs.
-    """
-    tables = _target_tables(t)
-    braid, comm = tables.braid, tables.comm
-    braided = [(images[i - 1], images[j - 1]) for i, j in p.braid_pairs]
-    if not all(braid[a] >> b & 1 for a, b in braided):
-        return False
-    if p.comm_pairs is not None:
-        if not all(comm[images[i - 1]] >> images[j - 1] & 1 for i, j in p.comm_pairs):
-            return False
-    else:
-        by_value = Counter(images)
-        apart = sum(
-            by_value[a] * by_value[b]
-            for a, b in combinations(by_value, 2)
-            if not comm[a] >> b & 1
-        )
-        if apart != sum(not comm[a] >> b & 1 for a, b in braided):
-            return False
-    return all(evaluate_word(t, images, r.word) == t.identity for r in p.cycles)
+def least_conjugate(t: FiniteTarget, images: tuple[int, ...]) -> tuple[int, ...]:
+    """The least of the images' conjugates in t, in lexicographic order of
+    image tuples: the images satisfy p's relators iff it is one of
+    hom_orbits(p, t)'s representatives, the least member of each orbit."""
+    return min(tuple(map(c.__getitem__, images)) for c in _target_tables(t).conj)

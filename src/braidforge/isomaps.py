@@ -29,14 +29,14 @@ along with the round-trip words. Reports say "consistent", never
 "isomorphic". The exponent columns are read off each presentation's
 column lattice, prepared once: each nonzero column is e_a - e_b, so its
 image's exponent vector is a difference of two images' exponent sums,
-and a commutation relator has none. Each finite target is
-decided by pulling homs back through the map: for every target hom h,
-h∘φ must satisfy the source relators (pair masks and cycle words), for
-every source hom the pullback through φ⁻¹ must satisfy the target
-relators, and both round trips must fix every hom. That is exactly the
-relator-by-relator condition. Both conditions commute with conjugation
-in the target and hom sets are closed under it, so one hom per orbit,
-as the orbit search gives them, decides, exactly. Each representative
+and a commutation relator has none. Each finite target is decided by
+pulling homs back through the map: for every target hom h, h∘φ must be
+a source hom (its least conjugate is a representative of the source's
+orbit search), for every source hom the pullback through φ⁻¹ must be a
+target hom, and both round trips must fix every hom. That is exactly
+the relator-by-relator condition. Both conditions commute with
+conjugation in the target and hom sets are closed under it, so one hom
+per orbit, as the orbit search gives them, decides, exactly. Each representative
 is pulled back once and its pullback back once more for the round trip;
 with equal hom counts the target's representatives decide alone, and a
 failing decision words its violations from those same lists. A relator
@@ -62,7 +62,7 @@ from .invariants import (
     exponent_columns,
     hom_orbits,
     in_column_lattice,
-    is_hom,
+    least_conjugate,
 )
 from .linking import build_graph
 from .presentations import (
@@ -81,13 +81,28 @@ from .words import BraidWord, MoveKind, WordMove, apply_move, move_applies
 
 @dataclass(frozen=True)
 class GeneratorMap:
-    """Generator images of a map between two presentations, both directions."""
+    """Generator images of a map between two presentations, both directions;
+    ValueError unless each generator has one image, in the other side's."""
 
     source: Presentation
     target: Presentation
     images: tuple[GroupWord, ...]  # per source generator, word in target gens
     inverse_images: tuple[GroupWord, ...]  # per target generator, word in source gens
     label: str = ""
+
+    def __post_init__(self) -> None:
+        n_src, n_dst = self.source.n_generators, self.target.n_generators
+        for direction, words, n, k in (
+            ("image", self.images, n_src, n_dst),
+            ("inverse image", self.inverse_images, n_dst, n_src),
+        ):
+            if len(words) != n:
+                raise ValueError(f"{direction}s: {len(words)} for {n} generators")
+            for g, w in enumerate(words, start=1):
+                # min and max over abs keep an 800-letter map's check in C
+                if w and not 0 < min(map(abs, w)) <= max(map(abs, w)) <= k:
+                    bad = next(x for x in w if not 0 < abs(x) <= k)
+                    raise ValueError(f"{direction} of s{g}: the letter {bad} is not in 1..{k}")
 
     def apply(self, word: GroupWord) -> GroupWord:
         return substitute(word, self.images)
@@ -107,9 +122,8 @@ class GeneratorMap:
     def is_relabeling(self) -> bool:
         """True when both directions are bijective single-generator maps,
         each the inverse of the other."""
-        k = self.target.n_generators  # inverse_images holds one word per target generator
-        return len(self.images) == k and all(
-            len(w) == 1 and 0 < w[0] <= k and self.inverse_images[w[0] - 1] == (g,)
+        return self.source.n_generators == self.target.n_generators and all(
+            len(w) == 1 and w[0] > 0 and self.inverse_images[w[0] - 1] == (g,)
             for g, w in enumerate(self.images, start=1)
         )
 
@@ -430,24 +444,28 @@ def _finite_violations(
     of hom_orbits' src and dst.
 
     Each representative h is pulled back through the map once and that
-    pullback back again once. Every pullback a hom and every round trip
-    h again is exactly the relator-by-relator condition, since both hom
-    sets hold every homomorphism; the lists word the violations only when
-    it fails. With equal hom counts the forward half decides alone: if
-    every target hom h pulls back to a source hom and round-trips, h ->
-    h∘φ is injective between two sets of one size, so every source hom
-    is some h∘φ, whose pullback h and round trip h∘φ hold. Each
-    representative is the least of its orbit in enumerate_homs' order.
-    relators, shared by one check's targets, spells each presentation once.
+    pullback back again once; a pullback is a hom iff its least conjugate
+    is a representative, and most pullbacks are representatives already.
+    Every pullback a hom and every round trip h again is exactly the
+    relator-by-relator condition, since both hom sets hold every
+    homomorphism; the lists word the violations only when it fails. With
+    equal hom counts the forward half decides alone: if every target hom
+    h pulls back to a source hom and round-trips, h -> h∘φ is injective
+    between two sets of one size, so every source hom is some h∘φ, whose
+    pullback h and round trip h∘φ hold. Each representative is the least
+    of its orbit in enumerate_homs' order. relators, shared by one
+    check's targets, spells each presentation once.
     """
     pulls, holds = [], True  # per direction: each h, its pullback q, and the round trip
-    for (reps, _), p, there, back in (
-        (dst, m.source, m.images, m.inverse_images),
-        (src, m.target, m.inverse_images, m.images),
+    for (reps, _), homs, there, back in (
+        (dst, set(src[0]), m.images, m.inverse_images),
+        (src, set(dst[0]), m.inverse_images, m.images),
     ):
         pulled = [_pull_back(t, h, there) for h in reps]
         pulls.append([(h, q, _pull_back(t, q, back)) for h, q in zip(reps, pulled)])
-        holds = holds and all(is_hom(p, t, q) and trip == h for h, q, trip in pulls[-1])
+        holds = holds and all(
+            (q in homs or least_conjugate(t, q) in homs) and trip == h for h, q, trip in pulls[-1]
+        )
         if holds and (len(pulls) == 2 or sum(src[1]) == sum(dst[1])):
             return []
     fwd, bwd = pulls

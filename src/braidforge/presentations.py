@@ -99,9 +99,11 @@ class Presentation:
     in lex order, then the cycles. ``Presentation(n, relators)`` reads
     the table off the words, whatever kind they were built with, so the
     order, repeats and provenance of pair relators are not kept; a pair
-    may carry both kinds. A letter of a relator's word or equation that
-    names no generator raises PresentationError. ``_lattice`` holds the
-    column lattice once invariants has built it.
+    may carry both kinds. Equal generator counts, pair tables and cycle
+    words make equal presentations, whatever the cycles' equations and
+    provenance. A letter of a relator's word or equation that names no
+    generator raises PresentationError. ``_lattice`` holds the column
+    lattice once invariants has built it.
     """
 
     __slots__ = ("n_generators", "braid_pairs", "comm_pairs", "cycles", "_lattice")
@@ -183,15 +185,17 @@ class Presentation:
         """Hashable identity: generator count plus relator words."""
         return (self.n_generators, tuple(sorted(r.word for r in self.relators)))
 
+    def _content(self) -> tuple:
+        cycle_words = tuple(r.word for r in self.cycles)
+        return self.n_generators, self.braid_pairs, self.comm_pairs, cycle_words
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Presentation):
             return NotImplemented
-        return (self.n_generators, self.braid_pairs, self.comm_pairs, self.cycles) == (
-            other.n_generators, other.braid_pairs, other.comm_pairs, other.cycles
-        )
+        return self._content() == other._content()
 
     def __hash__(self) -> int:
-        return hash((self.n_generators, self.cycles))
+        return hash(self._content())
 
     def __repr__(self) -> str:
         return f"Presentation(n_generators={self.n_generators}, relators={self.relators!r})"

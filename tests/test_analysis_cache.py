@@ -1,7 +1,7 @@
 """The per-process analysis caches: brick diagrams per word, graphs per
 brick diagram, a presentation per graph, a column lattice per
-presentation, hom data per presentation content and finite target, and
-the orbit-reduced pullback.
+presentation, hom data per presentation and finite target (equal
+presentations share it), and the orbit-reduced pullback.
 
 Every cached answer is compared with the uncached orbit search
 (_assignments), the orbit pullback with the full one it replaced, and
@@ -241,6 +241,30 @@ def test_shuffled_and_repeated_relators_give_the_graph_presentation(monkeypatch)
     invariants._memo.cache_clear()
     want = hom_orbits(p, S3)
     assert hom_orbits(hand, S3) == want and searches == ["S3"]
+
+
+def test_cycles_rebuilt_from_their_vertices_give_an_equal_presentation(monkeypatch):
+    # the graph's cycles carry ("region", index) as provenance, the rebuilt
+    # ones ("region", vertices): same words, so the same presentation
+    g = build_graph(build_bricks(BraidWord(4, (1, 2, 1, 3, 2, 1, 2, 3, 2, 1))))
+    p = presentation_of(g)
+    cycles = tuple(cycle_relator(region.vertices) for region in g.regions)
+    rebuilt = Presentation.from_table(p.n_generators, p.braid_pairs, cycles)
+    assert len(cycles) >= 2 and rebuilt.cycles != p.cycles
+    assert rebuilt == p and hash(rebuilt) == hash(p)
+    searches = []
+
+    def counted(q, t):
+        searches.append(t.name)
+        return _assignments(q, t)
+
+    monkeypatch.setattr(invariants, "_assignments", counted)
+    invariants._memo.cache_clear()
+    assert hom_orbits(rebuilt, S3) == hom_orbits(p, S3) and searches == ["S3"]
+    # another word, or another pair table, is another presentation
+    reworded = cycles[:-1] + (cycle_relator(g.regions[-1].vertices[::-1]),)
+    assert Presentation.from_table(p.n_generators, p.braid_pairs, reworded) != p
+    assert Presentation.from_table(p.n_generators, p.braid_pairs[1:], cycles) != p
 
 
 @SETTINGS

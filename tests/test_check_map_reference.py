@@ -6,7 +6,9 @@ conftest lattice oracle (sympy's Smith normal decomposition of the dense
 exponent matrix). check_map decides the finite targets by hom-set
 pullback and the abelianization by sums over the components of the
 exponent columns; the two must give identical reports, violations and
-their wording included.
+their wording included. A pullback that is not itself an orbit
+representative is decided by its least conjugate, and that path is
+taken, both ways, on a seeded corpus of move maps and corrupted copies.
 """
 
 import random
@@ -16,7 +18,7 @@ import pytest
 from braidforge.bricks import build_bricks
 from braidforge.errors import ResourceCapError
 from braidforge.finite_groups import builtin_targets
-from braidforge.invariants import enumerate_homs
+from braidforge.invariants import enumerate_homs, hom_orbits
 from braidforge import isomaps
 from braidforge.isomaps import (
     CheckReport,
@@ -226,3 +228,37 @@ def test_identical_report_when_only_the_forward_pullback_holds():
         report = check_map(m, targets)
         assert any(v.direction == "backward" and v.target == "S3" for v in report.violations)
         assert report == reference_check_map(m, targets)
+
+
+def test_pullbacks_off_the_representatives_go_through_least_conjugate(monkeypatch):
+    calls = []
+    real = isomaps.least_conjugate
+
+    def spied(t, images):
+        least = real(t, images)
+        calls.append((t, least))
+        return least
+
+    monkeypatch.setattr(isomaps, "least_conjugate", spied)
+    targets = [*CHECK_TARGETS, TARGETS["D4"], TARGETS["Q8"]]
+    rng = random.Random(20261018)
+    held = failed = 0
+    for _ in range(20):
+        n = rng.randint(3, 4)
+        w = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(6, 10))))
+        for move in rng.sample(enumerate_moves(w), 2):
+            phi = move_map(w, move)
+            for m in (phi, corrupted(phi, rng)):
+                calls.clear()
+                report = check_map(m, targets)
+                assert report == reference_check_map(m, targets)
+                for t, least in calls:
+                    reps = {h for p in (m.source, m.target) for h in hom_orbits(p, t)[0]}
+                    if least in reps:
+                        held += 1
+                        continue
+                    # a hom of neither side: the check fails under t
+                    assert m is not phi
+                    assert any(v.target == t.name for v in report.violations)
+                    failed += 1
+    assert held and failed

@@ -1,7 +1,11 @@
-"""compose_maps needs maps that meet; cycle shifts check their region.
+"""Maps have their shape and compose_maps needs maps that meet; cycle
+shifts check their region.
 
-compose_maps(m1, m2) raises ValueError unless m1's target presentation
-is m2's source. cycle_relator_shift and shifted_cycle_presentation take
+A GeneratorMap raises ValueError unless it has one image per source
+generator and one inverse image per target generator, each naming only
+the other side's generators. compose_maps(m1, m2) raises ValueError
+unless m1's target presentation is m2's source. cycle_relator_shift and
+shifted_cycle_presentation take
 the same region indices, 0 up to the number of cycle relators, and a
 shifted pair table stays a pair table.
 """
@@ -11,11 +15,12 @@ import random
 import pytest
 
 from braidforge.bricks import build_bricks
-from braidforge.isomaps import compose_maps, maps_along_moves, move_map
+from braidforge.isomaps import GeneratorMap, compose_maps, maps_along_moves, move_map
 from braidforge.linking import build_graph
 from braidforge.presentations import (
     Presentation,
     RelatorKind,
+    braid_relator,
     cycle_relator_shift,
     presentation_of,
     shifted_cycle_presentation,
@@ -31,6 +36,22 @@ from braidforge.words import (
 
 def presentation(w: BraidWord) -> Presentation:
     return presentation_of(build_graph(build_bricks(w)))
+
+
+@pytest.mark.parametrize(
+    "images, inverse, message",
+    [
+        (((1,), (5,)), ((1,), (2,)), r"^image of s2: the letter 5 is not in 1\.\.2$"),
+        (((1,), (2,)), ((2, -3, 1), (2,)), r"^inverse image of s1: the letter -3 "),
+        (((1, 0), (2,)), ((1,), (2,)), r"^image of s1: the letter 0 "),
+        (((1,),), ((1,), (2,)), r"^images: 1 for 2 generators$"),
+        (((1,), (2,)), ((1,), (2,), (1,)), r"^inverse images: 3 for 2 generators$"),
+    ],
+)
+def test_maps_name_the_image_that_does_not_fit(images, inverse, message):
+    p = Presentation(2, (braid_relator(1, 2),))
+    with pytest.raises(ValueError, match=message):
+        GeneratorMap(p, p, images, inverse)
 
 
 def test_compose_rejects_maps_that_do_not_meet():

@@ -7,9 +7,10 @@ per orbit; on linking-graph presentations and on explicit relator lists
 (torsion words included) it must give the same listing, in the same
 order, the same representatives, in the same order, hom_count equal to
 the listing's length, Burnside's orbit count, and, where the targets
-are small enough to try every assignment, the brute-force count. is_hom,
-which check_map applies to pulled-back homs, must agree with evaluating
-every relator, on homs and on assignments one image away from them. An
+are small enough to try every assignment, the brute-force count. The
+hom test check_map applies to pulled-back images, least_conjugate in the
+set of representatives, must agree with evaluating every relator, on
+homs and on assignments one image away from them. An
 explicit presentation may leave most assignments free, so it is tried
 only on the targets small enough for a brute-force count.
 """
@@ -29,7 +30,7 @@ from braidforge.invariants import (
     hom_count,
     hom_count_up_to_conjugacy,
     hom_orbits,
-    is_hom,
+    least_conjugate,
 )
 from braidforge.presentations import (
     Presentation,
@@ -193,12 +194,14 @@ def assert_matches_reference(p, brute_only=False):
         words = [r.word for r in p.relators]
         if small:
             assert brute_hom_count(words, p.n_generators, t) == len(want)
-        # the relator test that check_map applies to pulled-back homs
+        # the hom test that check_map applies to pulled-back images
+        found = set(reps)
         for h in want[:3]:
+            assert least_conjugate(t, h) in found
             for g in range(len(h)):
                 other = h[:g] + ((h[g] + 1) % t.size,) + h[g + 1 :]
                 dies = all(evaluate_word(t, other, w) == t.identity for w in words)
-                assert is_hom(p, t, h) and is_hom(p, t, other) == dies
+                assert (least_conjugate(t, other) in found) == dies
 
 
 def test_shifted_table_is_s3_with_identity_off_zero():
