@@ -47,6 +47,7 @@ def presentation(w: BraidWord) -> Presentation:
         (((1,),), ((1,), (2,)), r"^images: 1 for 2 generators$"),
         (((1,), (2,)), ((1,), (2,), (1,)), r"^inverse images: 3 for 2 generators$"),
     ],
+    ids=["letter-past-k", "inverse-letter", "letter-zero", "too-few", "too-many"],
 )
 def test_maps_name_the_image_that_does_not_fit(images, inverse, message):
     p = Presentation(2, (braid_relator(1, 2),))

@@ -10,7 +10,8 @@ the listing's length, Burnside's orbit count, and, where the targets
 are small enough to try every assignment, the brute-force count. The
 hom test check_map applies to pulled-back images, least_conjugate in the
 set of representatives, must agree with evaluating every relator, on
-homs and on assignments one image away from them. An
+homs and on assignments one image away from them, on every target (a
+table whose identity is not 0 and a direct product among them). An
 explicit presentation may leave most assignments free, so it is tried
 only on the targets small enough for a brute-force count.
 """
