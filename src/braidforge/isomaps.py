@@ -36,15 +36,15 @@ orbit search), for every source hom the pullback through φ⁻¹ must be a
 target hom, and both round trips must fix every hom. That is exactly
 the relator-by-relator condition. Both conditions commute with
 conjugation in the target and hom sets are closed under it, so one hom
-per orbit, as the orbit search gives them, decides, exactly. Each representative
-is pulled back once and its pullback back once more for the round trip;
-with equal hom counts the target's representatives decide alone, and a
-failing decision words its violations from those same lists. A relator
-or round trip fails under a hom iff under each of its conjugates, so
-the first failing representative is the first failing hom. The
-abelianization is read off the maps' exponent-sum tables; a word is
-spelled only for a violation, and a presentation's relators at most
-once per check.
+per orbit, as the orbit search gives them, decides, exactly. Each
+representative is pulled back once and its pullback back once more for
+the round trip; with equal hom counts the target's representatives
+decide alone, and a failing decision words its violations from those
+same lists. A relator or round trip fails under a hom iff under each of
+its conjugates, so the first failing representative is the first
+failing hom. The abelianization is read off the maps' exponent-sum
+tables; a word is spelled only for a violation, and a presentation's
+relators at most once per check.
 """
 
 from __future__ import annotations
