@@ -30,7 +30,8 @@ class PresentationError(BraidForgeError, ValueError):
 
 
 class ResourceCapError(BraidForgeError):
-    """A configured search limit was exceeded; never a wrong answer."""
+    """A limit was exceeded, a configured cap or a fixed budget such as
+    isomaps.IMAGE_LETTERS; never a wrong answer."""
 
 
 class GarsideInvariantError(BraidForgeError):

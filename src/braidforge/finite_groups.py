@@ -103,30 +103,21 @@ def dihedral_group(m: int) -> FiniteTarget:
 
 @cache
 def quaternion_group() -> FiniteTarget:
-    # 0..7 = 1, -1, i, -i, j, -j, k, -k
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    base = {
-        ("1", "1"): "1", ("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-        ("i", "j"): "k", ("j", "i"): "-k",
-        ("j", "k"): "i", ("k", "j"): "-i",
-        ("k", "i"): "j", ("i", "k"): "-j",
-    }
+    # 0..7 = 1, -1, i, -i, j, -j, k, -k, as coefficients on (1, i, j, k)
+    units = [tuple(s * (a == u) for a in range(4)) for u in range(4) for s in (1, -1)]
 
-    def mul_names(x: str, y: str) -> str:
-        sx, ux = (x[1:], -1) if x.startswith("-") else (x, 1)
-        sy, uy = (y[1:], -1) if y.startswith("-") else (y, 1)
-        if sx == "1":
-            prod, sign = sy, 1
-        elif sy == "1":
-            prod, sign = sx, 1
-        else:
-            prod = base[(sx, sy)]
-            prod, sign = (prod[1:], -1) if prod.startswith("-") else (prod, 1)
-        sign *= ux * uy
-        return prod if sign == 1 else ("-" + prod if not prod.startswith("-") else prod[1:])
+    def hamilton(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        )
 
-    index = {n: i for i, n in enumerate(names)}
-    table = [[index[mul_names(x, y)] for y in names] for x in names]
+    index = {q: i for i, q in enumerate(units)}
+    table = [[index[hamilton(p, q)] for q in units] for p in units]
     return _with_inverses("Q8", table)
 
 

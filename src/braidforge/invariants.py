@@ -3,16 +3,16 @@
 The column lattice is the one reader of a presentation's exponent
 columns: a braid relator on i < j has the column e_i - e_j and a
 commutation relator none, so the braid pairs are read as they stand and
-only the cycle relators are summed, once, with each nonzero cycle column
-kept as the pair it joins. Every relator a linking graph yields has
-exponent sums zero or e_i - e_j, so the generator-by-relator exponent
-matrix is a graph incidence matrix and totally unimodular: union-find
-over the (+1, -1) pairs gives the abelianization Z^c (c components,
-every other invariant factor 1), and a vector lies in the column
-lattice iff it sums to zero on every component (vectors are sparse:
-generator -> coefficient). The lattice is built once per presentation
-and kept on it. A hand-built presentation with any other column shape
-has no such reading and raises PresentationError on every call.
+only the cycle relators are summed, once. Every relator a linking graph
+yields has exponent sums zero or e_i - e_j, so the generator-by-relator
+exponent matrix is a graph incidence matrix and totally unimodular:
+union-find over the (+1, -1) pairs gives the abelianization Z^c (c
+components, every other invariant factor 1), and a vector's image in
+Z^c is its sum on each component (ColumnLattice.project), zero iff the
+vector lies in the column lattice (vectors are sparse: generator ->
+coefficient). The lattice is built once per presentation and kept on
+it. A hand-built presentation with any other column shape has no such
+reading and raises PresentationError on every call.
 
 Homomorphisms into small finite groups are found by one orbit search per
 presentation content and target: pruned backtracking over the
@@ -77,20 +77,21 @@ class HomCount:
 
 
 class ColumnLattice:
-    """Integer span of a presentation's exponent columns, prepared for many tests.
+    """Integer span of a presentation's exponent columns, as the components
+    of the graph they join.
 
     The columns must form a graph incidence matrix. A braid relator on
     i < j has the column e_i - e_j and a commutation relator none, by
     construction, so the braid pairs are joined as they stand and only
     the cycle relators are summed; a cycle column other than zero or
-    e_i - e_j raises PresentationError naming its relator, and the rest
-    are kept as ``cycle_columns``. A vector lies in the span iff it sums
-    to zero on every component, so the per-presentation work is one
-    union-find, done here: ``component`` labels each generator
-    0..n_components-1. ``ColumnLattice.of`` keeps it on the presentation.
+    e_i - e_j raises PresentationError naming its relator. The span is
+    the kernel of project, the map onto Z^c, so the per-presentation
+    work is one union-find, done here: ``component`` labels each
+    generator 0..n_components-1. ``ColumnLattice.of`` keeps it on the
+    presentation.
     """
 
-    __slots__ = ("component", "n_components", "cycle_columns")
+    __slots__ = ("component", "n_components")
 
     def __init__(self, p: Presentation) -> None:
         parent = list(range(p.n_generators))
@@ -108,14 +109,7 @@ class ColumnLattice:
 
         for i, j in p.braid_pairs:
             join(i - 1, j - 1)
-        # the cycles follow every pair relator in p.relators
-        k = p.n_generators
-        if p.comm_pairs is None:
-            start = k * (k - 1) // 2
-        else:
-            start = len(p.braid_pairs) + len(p.comm_pairs)
-        columns = []
-        for t, r in enumerate(p.cycles, start):
+        for c, r in enumerate(p.cycles):
             col = exponent_sums(r.word)
             if not col:
                 continue
@@ -123,16 +117,15 @@ class ColumnLattice:
             (a, ea), (b, eb) = col.items() if len(col) == 2 else ((0, 0), (0, 0))
             if ea + eb or abs(ea) != 1:
                 sums = " ".join(f"s{g + 1}^{e}" for g, e in sorted(col.items()))
+                # the cycles follow every pair relator in p.relators
+                t = len(p.relators) - len(p.cycles) + c
                 raise PresentationError(
                     f"relator {t} has exponent sums {sums}, not zero or e_i - e_j"
                 )
-            columns.append((t, a, b) if ea > 0 else (t, b, a))
             join(a, b)
         labels: dict[int, int] = {}
-        self.component = [labels.setdefault(find(g), len(labels)) for g in range(k)]
+        self.component = [labels.setdefault(find(g), len(labels)) for g in range(p.n_generators)]
         self.n_components = len(labels)
-        # (index in relators, a, b): the column e_a - e_b, 0-based generators
-        self.cycle_columns: tuple[tuple[int, int, int], ...] = tuple(columns)
 
     @classmethod
     def of(cls, p: Presentation) -> ColumnLattice:
@@ -141,13 +134,15 @@ class ColumnLattice:
             p._lattice = cls(p)
         return p._lattice
 
-
-def exponent_columns(p: Presentation) -> Iterator[tuple[int, int, int]]:
-    """(index in p.relators, a, b) per nonzero exponent column e_a - e_b of
-    p: the braid pairs' in closed form, then the cycles' off p's lattice."""
-    for t, (i, j) in enumerate(p.braid_pairs):
-        yield t, i - 1, j - 1
-    yield from ColumnLattice.of(p).cycle_columns
+    def project(self, vector: Mapping[int, int]) -> tuple[int, ...]:
+        """The vector's image in Z^c, coefficients by 0-based generator
+        (absent ones zero) summed per component: zero iff the vector lies
+        in the span."""
+        sums = [0] * self.n_components
+        component = self.component
+        for g, v in vector.items():
+            sums[component[g]] += v
+        return tuple(sums)
 
 
 def abelianization(p: Presentation) -> Abelianization:
@@ -155,16 +150,6 @@ def abelianization(p: Presentation) -> Abelianization:
     k = p.n_generators
     c = ColumnLattice.of(p).n_components
     return Abelianization((1,) * (k - c) + (0,) * c)
-
-
-def in_column_lattice(lattice: ColumnLattice, vector: Mapping[int, int]) -> bool:
-    """Exact test that vector, coefficients by 0-based generator (absent
-    ones zero), lies in the integer span of the lattice's columns."""
-    sums = [0] * lattice.n_components
-    component = lattice.component
-    for g, v in vector.items():
-        sums[component[g]] += v
-    return not any(sums)
 
 
 def evaluate_word(t: FiniteTarget, images: Sequence[int], word: GroupWord) -> int:

@@ -26,25 +26,27 @@ check_map is a necessary-condition checker: images of relators must die
 in the abelianization (exact integer lattice test) and under every
 homomorphism into the configured finite targets, in both directions,
 along with the round-trip words. Reports say "consistent", never
-"isomorphic". The exponent columns are read off each presentation's
-column lattice, prepared once: each nonzero column is e_a - e_b, so its
-image's exponent vector is a difference of two images' exponent sums,
-and a commutation relator has none. Each finite target is decided by
-pulling homs back through the map: for every target hom h, h∘φ must be
-a source hom (its least conjugate is a representative of the source's
-orbit search), for every source hom the pullback through φ⁻¹ must be a
-target hom, and both round trips must fix every hom. That is exactly
-the relator-by-relator condition. Both conditions commute with
-conjugation in the target and hom sets are closed under it, so one hom
-per orbit, as the orbit search gives them, decides, exactly. Each
-representative is pulled back once and its pullback back once more for
-the round trip; with equal hom counts the target's representatives
-decide alone, and a failing decision words its violations from those
-same lists. A relator or round trip fails under a hom iff under each of
-its conjugates, so the first failing representative is the first
-failing hom. The abelianization is read off the maps' exponent-sum
-tables; a word is spelled only for a violation, and a presentation's
-relators at most once per check.
+"isomorphic". The abelianization is decided in each side's Z^c, read off
+its column lattice (a component label per generator): each generator's
+image is summed per component of the other side, one pullback per
+generator, and a relator's nonzero column, e_a - e_b, joins a and b
+within one component, so every relator's image dies iff the pullbacks
+are constant on each component. Each finite target is decided by pulling
+homs back through the map: for every target hom h, h∘φ must be a source
+hom (its least conjugate is a representative of the source's orbit
+search), for every source hom the pullback through φ⁻¹ must be a target
+hom, and both round trips must fix every hom. That is exactly the
+relator-by-relator condition. Both conditions commute with conjugation
+in the target and hom sets are closed under it, so one hom per orbit, as
+the orbit search gives them, decides, exactly. Each representative is
+pulled back once and its pullback back once more for the round trip;
+with equal hom counts the target's representatives decide alone, and a
+failing decision words its violations from those same lists. A relator
+or round trip fails under a hom iff under each of its conjugates, so the
+first failing representative is the first failing hom. A word is spelled
+only for a violation, and a presentation's relators at most once per
+check. Folding a chain of steps refuses, with ResourceCapError, images
+totalling more than IMAGE_LETTERS letters in either direction.
 """
 
 from __future__ import annotations
@@ -56,14 +58,7 @@ from typing import Callable, Iterable, NamedTuple
 from .bricks import BrickDiagram, build_bricks
 from .errors import MoveError, ResourceCapError
 from .finite_groups import FiniteTarget
-from .invariants import (
-    ColumnLattice,
-    evaluate_word,
-    exponent_columns,
-    hom_orbits,
-    in_column_lattice,
-    least_conjugate,
-)
+from .invariants import ColumnLattice, evaluate_word, hom_orbits, least_conjugate
 from .linking import build_graph
 from .presentations import (
     GroupWord,
@@ -147,21 +142,36 @@ def _through(words: _Images, images: _Images) -> _Images:
     )
 
 
+# Letters one direction's images may total: freely reduced images are
+# unique, so past this a map is refused, never spelled shorter.
+IMAGE_LETTERS = 1 << 21
+
+
+def _budgeted(images: _Images, direction: str) -> _Images:
+    total = sum(map(len, images))
+    if total > IMAGE_LETTERS:
+        raise ResourceCapError(
+            f"{direction} total {total} letters, over the budget of {IMAGE_LETTERS}"
+        )
+    return images
+
+
 def _fold(steps: list[tuple[_Images, _Images]]) -> tuple[_Images, _Images]:
     """Images both ways of a chain of maps, each given as (images, inverse
-    images) and applied first to last.
+    images) and applied first to last; ResourceCapError once either
+    direction totals more than IMAGE_LETTERS letters.
 
     Forward images fold right to left and inverse images left to right, so
     each step maps only its own images, mostly single letters, through
     what has accumulated; an accumulated image is copied, never mapped
     letter by letter again.
     """
-    images = steps[-1][0]
+    images = _budgeted(steps[-1][0], "images")
     for step_images, _ in reversed(steps[:-1]):
-        images = _through(step_images, images)
-    inverse = steps[0][1]
+        images = _budgeted(_through(step_images, images), "images")
+    inverse = _budgeted(steps[0][1], "inverse images")
     for _, step_inverse in steps[1:]:
-        inverse = _through(step_inverse, inverse)
+        inverse = _budgeted(_through(step_inverse, inverse), "inverse images")
     return images, inverse
 
 
@@ -501,36 +511,42 @@ def check_map(
     if m.is_relabeling() and relabels_onto(m.source, m.target, [w[0] for w in m.images]):
         return CheckReport(True, (), (), (), {}, method="relabeling")
 
-    # Exact abelianization checks. With A and B the exponent-sum tables of
-    # the images and the inverse images, relator r's image has the vector
-    # A·c_r = A·e_a - A·e_b (c_r its nonzero exponent column, e_a - e_b)
-    # and the round trip at g has B·A·e_g - e_g, A·e_g being A's column g.
+    # Exact abelianization checks in each side's Z^c. With A and B the
+    # exponent-sum tables of the images and the inverse images, fwd[g] is
+    # A's column g summed per target component and bwd[h] B's column h per
+    # source component. A relator's nonzero column is e_a - e_b with a and
+    # b in one component, so every relator's image dies iff fwd is
+    # constant on each source component, and a failing one is a column
+    # joining a and b with fwd[a] != fwd[b]. The round trip at g dies iff
+    # sum_h A[g][h]·bwd[h] is g's own component unit. Backward mirrors both.
     violations: list[Violation] = []
     relators = cache(lambda p: p.relators)
     src_lattice, dst_lattice = ColumnLattice.of(m.source), ColumnLattice.of(m.target)
     image_sums = [exponent_sums(w) for w in m.images]
     inverse_sums = [exponent_sums(w) for w in m.inverse_images]
+    fwd = [dst_lattice.project(a) for a in image_sums]
+    bwd = [src_lattice.project(b) for b in inverse_sums]
     fails = "survives abelianization"
-    for direction, p, sums, lattice in (
-        ("forward", m.source, image_sums, dst_lattice),
-        ("backward", m.target, inverse_sums, src_lattice),
+    for direction, p, lattice, pulled in (
+        ("forward", m.source, src_lattice, fwd),
+        ("backward", m.target, dst_lattice, bwd),
     ):
-        for i, a, b in exponent_columns(p):
-            vector = dict(sums[a])
-            for h, f in sums[b].items():
-                vector[h] = vector.get(h, 0) - f
-            if not in_column_lattice(lattice, vector):
+        if len(set(zip(lattice.component, pulled))) == lattice.n_components:
+            continue
+        for i, r in enumerate(relators(p)):
+            if len({pulled[g] for g in exponent_sums(r.word)}) > 1:
                 violations.append(_violation(m, direction, i, "abelianization", fails, relators))
-    for direction, there, back, lattice in (
-        ("roundtrip-source", image_sums, inverse_sums, src_lattice),
-        ("roundtrip-target", inverse_sums, image_sums, dst_lattice),
+    for direction, lattice, sums, pulled in (
+        ("roundtrip-source", src_lattice, image_sums, bwd),
+        ("roundtrip-target", dst_lattice, inverse_sums, fwd),
     ):
-        for g, column in enumerate(there):
-            vector = {g: -1}
-            for h, e in column.items():
-                for x, f in back[h].items():
-                    vector[x] = vector.get(x, 0) + e * f
-            if not in_column_lattice(lattice, vector):
+        for g, row in enumerate(sums):
+            trip = [0] * lattice.n_components
+            trip[lattice.component[g]] = -1
+            for h, e in row.items():
+                for x, f in enumerate(pulled[h]):
+                    trip[x] += e * f
+            if any(trip):
                 violations.append(_violation(m, direction, g, "abelianization", fails, relators))
 
     # Finite quotient checks: one hom per conjugation orbit, pulled back

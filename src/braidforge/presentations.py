@@ -181,10 +181,6 @@ class Presentation:
     def by_kind(self, kind: RelatorKind) -> tuple[Relator, ...]:
         return tuple(r for r in self.relators if r.kind is kind)
 
-    def key(self) -> tuple:
-        """Hashable identity: generator count plus relator words."""
-        return (self.n_generators, tuple(sorted(r.word for r in self.relators)))
-
     def _content(self) -> tuple:
         cycle_words = tuple(r.word for r in self.cycles)
         return self.n_generators, self.braid_pairs, self.comm_pairs, cycle_words

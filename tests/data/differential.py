@@ -1,0 +1,130 @@
+"""Differential run: the CLI of a git revision against the working tree.
+
+Run from anywhere in the repository, with the revision to compare:
+
+    python tests/data/differential.py REV [--seed N]
+
+REV is exported with ``git archive`` into a temporary directory (local,
+no network). The corpus is every argv of cli_golden.json plus seeded
+commands: ``isocheck --moves`` scripts of 1-5 moves checked against
+S3, S4, D4, D6 and Q8, ``invariants --up-to-conjugacy`` and
+``verify --moves 20``, over 1,000 commands in all. Each tree runs the
+whole corpus in one child interpreter, in-process through
+``braidforge.cli.main``, under its own address-space limit. Every argv
+whose exit code, stdout or stderr differ is printed, and the exit code
+is 1 if any do, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+GOLDEN = Path(__file__).with_name("cli_golden.json")
+TARGETS = "S3,S4,D4,D6,Q8"
+ADDRESS_SPACE = 1536 << 20
+
+# Runs in each child: the argv list on stdin, [exit, stdout, stderr] per
+# argv on stdout. An exception that escapes main is recorded by its type.
+CHILD = """
+import contextlib, io, json, os, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[1]), int(sys.argv[1])))
+from braidforge.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except BaseException as exc:
+            code = f"raised {type(exc).__name__}"
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
+
+
+def corpus(seed: int) -> list[list[str]]:
+    """Every golden argv, then the seeded commands."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from braidforge.words import BraidWord, MoveKind, apply_move, enumerate_moves
+
+    MARKOV = (MoveKind.MARKOV_STAB, MoveKind.MARKOV_DESTAB)
+
+    def text(letters) -> str:
+        return " ".join(map(str, letters))
+
+    def word(rng: random.Random, lo: int, hi: int) -> BraidWord:
+        n = rng.randint(3, 5)
+        return BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(lo, hi))))
+
+    cmds = [entry["argv"] for entry in json.loads(GOLDEN.read_text(encoding="utf-8"))]
+    rng = random.Random(seed)
+    for _ in range(420):
+        w = word(rng, 4, 12)
+        moves, v = [], w
+        for _ in range(rng.randint(1, 5)):
+            # a Markov move would change the strand count --strands gives
+            m = rng.choice([m for m in enumerate_moves(v) if m.kind not in MARKOV])
+            moves.append(m)
+            v = apply_move(v, m)
+        script = ", ".join(f"{m.kind.value}@{m.position}" for m in moves)
+        cmds.append(["isocheck", text(w.letters), text(v.letters), "--strands", str(w.strands),
+                     "--moves", script, "--targets", TARGETS])
+    for _ in range(160):
+        w = word(rng, 1, 16)
+        cmds.append(["invariants", text(w.letters), "--strands", str(w.strands),
+                     "--up-to-conjugacy"])
+    for i in range(120):
+        w = word(rng, 6, 16)
+        cmds.append(["verify", text(w.letters), "--strands", str(w.strands),
+                     "--moves", "20", "--seed", str(i)])
+    return cmds
+
+
+def run_tree(tree: Path, cmds: list[list[str]]) -> list[list]:
+    env = {k: v for k, v in os.environ.items() if k != "BRAIDFORGE_CONFIG"}
+    env["PYTHONPATH"] = str(tree / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, str(ADDRESS_SPACE)],
+        input=json.dumps(cmds), capture_output=True, text=True, env=env, cwd=tree, check=True,
+    )
+    return json.loads(done.stdout)
+
+
+def export(rev: str, into: Path) -> None:
+    archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait():
+        raise SystemExit(f"git archive {rev} failed")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("rev", help="git revision to compare the working tree against")
+    parser.add_argument("--seed", type=int, default=20261019)
+    args = parser.parse_args()
+    cmds = corpus(args.seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        export(args.rev, Path(tmp))
+        before = run_tree(Path(tmp), cmds)
+    after = run_tree(ROOT, cmds)
+    differ = 0
+    for argv, old, new in zip(cmds, before, after):
+        if old != new:
+            differ += 1
+            fields = [name for name, a, b in zip(("exit", "stdout", "stderr"), old, new) if a != b]
+            print(json.dumps({"argv": argv, "differ": fields, "rev": old, "tree": new}))
+    print(f"{len(cmds)} commands, {differ} differ ({args.rev} against the working tree)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

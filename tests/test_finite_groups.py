@@ -43,6 +43,28 @@ def test_quaternion_structure():
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
 
 
+def test_quaternion_table_matches_complex_matrices():
+    # 1, i, j, k as 2x2 complex matrices; the table lists 1, -1, i, -i, j, -j, k, -k
+    one = ((1, 0), (0, 1))
+    i = ((1j, 0), (0, -1j))
+    j = ((0, 1), (-1, 0))
+    k = ((0, 1j), (1j, 0))
+
+    def neg(a):
+        return tuple(tuple(-x for x in row) for row in a)
+
+    def matmul(a, b):
+        return tuple(
+            tuple(sum(a[r][t] * b[t][c] for t in range(2)) for c in range(2)) for r in range(2)
+        )
+
+    elements = [m for u in (one, i, j, k) for m in (u, neg(u))]
+    index = {m: n for n, m in enumerate(elements)}
+    assert len(index) == 8
+    table = tuple(tuple(index[matmul(a, b)] for b in elements) for a in elements)
+    assert quaternion_group().table == table
+
+
 def test_dihedral_structure():
     d5 = dihedral_group(5)
     orders = sorted(_element_order(d5, a) for a in range(10))

@@ -129,4 +129,4 @@ def test_sweep_matches_face_tracer(case):
         assert g.edges == edges
         assert g.regions == regions
         reference = LinkingGraph(d, edges, g.positions, regions, convention)
-        assert presentation_of(g).key() == presentation_of(reference).key()
+        assert presentation_of(g) == presentation_of(reference)

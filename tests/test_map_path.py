@@ -6,8 +6,12 @@ entry point takes it; check_map pulls each orbit representative back
 through the map once and its pullback back once for the round trip,
 and both the decision and the violations read those pullbacks. With
 equal hom counts a passing forward half (the target's representatives)
-decides alone.
+decides alone. The abelianization is decided by per-component sums, so
+a consistent map is checked without reading either side's relators, and
+a failing one reads each side's at most once.
 """
+
+import random
 
 import pytest
 
@@ -22,7 +26,15 @@ from braidforge.isomaps import (
     maps_along_moves,
     move_map,
 )
-from braidforge.words import BraidWord, MoveKind, WordMove, apply_move, parse_word
+from braidforge.presentations import Presentation
+from braidforge.words import (
+    BraidWord,
+    MoveKind,
+    WordMove,
+    apply_move,
+    enumerate_moves,
+    parse_word,
+)
 
 S3 = builtin_targets()["S3"]
 
@@ -84,3 +96,30 @@ def test_braid_relation_map_is_move_map_at_the_top(text):
     )
     assert got.label in ("braidTop", "inverse(braidTop)")
     assert got.source == want.source and got.target == want.target
+
+
+def test_relators_are_read_only_for_violations(monkeypatch):
+    reads = []
+    spelled = Presentation.relators.fget
+    monkeypatch.setattr(Presentation, "relators", property(lambda p: reads.append(p) or spelled(p)))
+    targets = [S3, builtin_targets()["S4"]]
+    rng = random.Random(20261019)
+    consistent = failing = 0
+    for _ in range(20):
+        n = rng.randint(3, 5)
+        w = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(6, 14))))
+        for move in enumerate_moves(w):
+            phi = move_map(w, move)
+            if phi.is_relabeling():
+                continue
+            reads.clear()
+            assert check_map(phi, targets).consistent
+            assert reads == []
+            consistent += 1
+            images = (phi.images[0] + (1,),) + phi.images[1:]
+            bad = GeneratorMap(phi.source, phi.target, images, phi.inverse_images, phi.label)
+            reads.clear()
+            assert not check_map(bad, targets).consistent
+            assert len(reads) == len(set(map(id, reads))) <= 2
+            failing += 1
+    assert consistent > 50 and failing == consistent

@@ -5,17 +5,26 @@ too slow to serve as a reference at these lengths, so these tests check
 what any correct map satisfies: the images both ways invert each other
 exactly in the free group, every brick of a column other than the
 relation's two maps to itself both ways, and the map is read off a
-constant number of brick diagrams however long its tail.
+constant number of brick diagrams however long its tail. Images past
+isomaps.IMAGE_LETTERS letters in either direction are refused with
+ResourceCapError, in bounded memory, and an 800-letter single braid
+move stays inside that budget.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from braidforge import isomaps
 from braidforge.bricks import build_bricks
-from braidforge.isomaps import move_map, substitute
-from braidforge.words import BraidWord, MoveKind, WordMove
+from braidforge.errors import ResourceCapError
+from braidforge.finite_groups import builtin_targets
+from braidforge.isomaps import check_map, maps_along_moves, move_map, substitute
+from braidforge.words import BraidWord, MoveKind, WordMove, apply_move, enumerate_moves
 
 
 def _long_interior_cases(seed: int, count: int) -> list[tuple[BraidWord, int]]:
@@ -71,3 +80,61 @@ def test_long_interior_braid_map(case, diagrams_built):
 def test_long_cases_cover_both_patterns_and_long_tails():
     assert {w.letters[p] > w.letters[p - 1] for w, p in CASES} == {True, False}
     assert max(len(w) - (p + 2) for w, p in CASES) == 197
+
+
+def test_fold_refuses_images_past_the_budget(monkeypatch):
+    rng = random.Random(2026)
+    w = BraidWord(4, tuple(rng.randint(1, 3) for _ in range(14)))
+    moves, cur = [], w
+    for _ in range(12):
+        moves.append(rng.choice(enumerate_moves(cur)))
+        cur = apply_move(cur, moves[-1])
+    totals = []
+    budgeted = isomaps._budgeted
+
+    def recorded(images, direction):
+        totals.append(sum(map(len, images)))
+        return budgeted(images, direction)
+
+    monkeypatch.setattr(isomaps, "_budgeted", recorded)
+    phi = maps_along_moves(w, moves)
+    # the step images the fold starts from and every step's result
+    assert len(totals) == 2 * len(moves)
+    monkeypatch.setattr(isomaps, "IMAGE_LETTERS", max(totals))
+    assert maps_along_moves(w, moves) == phi
+    monkeypatch.setattr(isomaps, "IMAGE_LETTERS", max(totals) - 1)
+    with pytest.raises(ResourceCapError, match=f"over the budget of {max(totals) - 1}$"):
+        maps_along_moves(w, moves)
+    # one move's own images are checked too
+    letters = sum(map(len, move_map(w, moves[0]).images))
+    monkeypatch.setattr(isomaps, "IMAGE_LETTERS", letters - 1)
+    with pytest.raises(ResourceCapError):
+        move_map(w, moves[0])
+
+
+def test_800_letter_braid_move_maps_and_checks_inside_the_budget():
+    rng = random.Random(1)
+    letters = [rng.randint(1, 3) for _ in range(800)]
+    letters[0:3] = (1, 2, 1)
+    phi = move_map(BraidWord(4, tuple(letters)), WordMove(MoveKind.BRAID_REL, 1))
+    for images in (phi.images, phi.inverse_images):
+        assert 400_000 < sum(map(len, images)) <= isomaps.IMAGE_LETTERS
+    targets = [builtin_targets()[name] for name in ("S3", "S4")]
+    assert check_map(phi, targets).consistent
+
+
+def test_image_budget_refuses_a_long_found_sequence_in_bounded_memory():
+    # 60 realized moves: the images grow past 14 million letters unchecked
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1200 << 20, 1200 << 20))\n"
+        "from braidforge.cli import main\n"
+        "sys.exit(main(['isocheck', '1 2 3 1 2 1 1 1 1 2 2', '2 3 2 1 2 1 1 1 2 2 1']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("BRAIDFORGE_CONFIG", None)
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("resource cap exceeded: ")

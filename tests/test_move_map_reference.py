@@ -291,8 +291,8 @@ def assert_same_map(got: GeneratorMap, want: GeneratorMap) -> None:
     assert got.images == want.images
     assert got.inverse_images == want.inverse_images
     assert got.label == want.label
-    assert got.source.key() == want.source.key()
-    assert got.target.key() == want.target.key()
+    assert got.source == want.source
+    assert got.target == want.target
 
 
 # -- differential tests ---------------------------------------------------------
