@@ -17,16 +17,23 @@ decycling lowers the canonical length, and the super summit set is the
 closure of the converged representative under conjugation by minimal
 simple elements: for each member and each generator sigma_i, the least
 permutation braid above sigma_i that keeps the conjugate in the set
-(Franco and Gonzalez-Meneses), grown by division steps y \\ t that a
-bounded memo shares across calls. Conjugacy of positive words containing
-a half twist is also *realized* as an explicit sequence of word moves:
-braid relations, far commutativity and elementary conjugations only;
-its breadth-first searches walk letter tuples whose neighbours
-words.rewrite_sites lists.
+(Franco and Gonzalez-Meneses), grown by division steps y \\ t. Every
+permutation-braid primitive that the closure repeats (division steps,
+tau, complements, lengths, the identity, Delta and letter permutations)
+is memoized per distinct input, each memo bounded by PERM_MEMO entries.
+Deciding conjugacy first compares the cycle types of the two braids'
+permutations, which conjugation preserves, and only equal types are
+converged; the deciding closure stops as soon as it discovers the
+second representative, and is skipped when both representatives agree.
+Conjugacy of positive words containing a half twist is also *realized*
+as an explicit sequence of word moves: braid relations, far
+commutativity and elementary conjugations only; its breadth-first
+searches walk letter tuples whose neighbours words.rewrite_sites lists.
 The realization shares one decision with are_conjugate: each normal
 form, summit representative with its operation log, and the one
 closure are built once per call, and the parents of the closure that
-decides conjugacy supply the summit hops.
+decides conjugacy supply the summit hops: breadth-first order and
+first-discovery parents are those of the full closure.
 Checks that an answer rests on raise GarsideInvariantError, so they
 hold under ``python -O``.
 """
@@ -60,14 +67,23 @@ Perm = tuple[int, ...]
 
 # -- permutation braid primitives -------------------------------------------
 
+# Bound on each memo of permutation-braid work below. The closures meet
+# few distinct inputs: at most n! permutations per primitive, and about
+# a thousand (factor, remainder) division steps over a benchmark run.
+PERM_MEMO = 4096
+
+
+@lru_cache(maxsize=PERM_MEMO)
 def identity_perm(n: int) -> Perm:
     return tuple(range(n))
 
 
+@lru_cache(maxsize=PERM_MEMO)
 def delta_perm(n: int) -> Perm:
     return tuple(range(n - 1, -1, -1))
 
 
+@lru_cache(maxsize=PERM_MEMO)
 def letter_perm(n: int, i: int) -> Perm:
     """The transposition of strands i, i+1 (letters are 1-based)."""
     p = list(range(n))
@@ -87,22 +103,14 @@ def perm_inv(p: Perm) -> Perm:
     return tuple(out)
 
 
+@lru_cache(maxsize=PERM_MEMO)
 def perm_length(p: Perm) -> int:
     """Inversion count = positive word length of the permutation braid."""
     n = len(p)
     return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
 
 
-def starting_set(p: Perm) -> frozenset[int]:
-    """Letters i with a reduced word for p beginning sigma_i."""
-    return frozenset(i for i in range(1, len(p)) if p[i - 1] > p[i])
-
-
-def finishing_set(p: Perm) -> frozenset[int]:
-    """Letters i with a reduced word for p ending sigma_i."""
-    return starting_set(perm_inv(p))
-
-
+@lru_cache(maxsize=PERM_MEMO)
 def tau(p: Perm) -> Perm:
     """Conjugation by Delta: tau(sigma_i) = sigma_{n-i}."""
     n = len(p)
@@ -113,6 +121,7 @@ def tau_pow(p: Perm, k: int) -> Perm:
     return tau(p) if k % 2 else p
 
 
+@lru_cache(maxsize=PERM_MEMO)
 def left_complement(c: Perm) -> Perm:
     """c' with c' * c = Delta."""
     ci = perm_inv(c)
@@ -120,6 +129,7 @@ def left_complement(c: Perm) -> Perm:
     return tuple(ci[w0[x]] for x in range(len(c)))
 
 
+@lru_cache(maxsize=PERM_MEMO)
 def right_complement(c: Perm) -> Perm:
     """c' with c * c' = Delta."""
     ci = perm_inv(c)
@@ -257,17 +267,6 @@ def normal_form(w: BraidWord) -> NormalForm:
         runs.append(tuple(p))
     k, factors = _normalize_factors(n, runs)
     return NormalForm(n, k, factors)
-
-
-def is_left_weighted(nf: NormalForm) -> bool:
-    n = nf.strands
-    ident, delta = identity_perm(n), delta_perm(n)
-    if any(p in (ident, delta) for p in nf.factors):
-        return False
-    return all(
-        starting_set(nf.factors[i + 1]) <= finishing_set(nf.factors[i])
-        for i in range(len(nf.factors) - 1)
-    )
 
 
 def nf_word(nf: NormalForm) -> BraidWord:
@@ -424,12 +423,7 @@ def perm_join(a: Perm, b: Perm) -> Perm:
     return tuple(rows[i].bit_count() + i - above[i] for i in range(n))
 
 
-# Bound on the memo of division steps. A closure meets few distinct
-# (factor, remainder) pairs: about a thousand over a benchmark run.
-DIVISION_MEMO = 4096
-
-
-@lru_cache(maxsize=DIVISION_MEMO)
+@lru_cache(maxsize=PERM_MEMO)
 def _under(y: Perm, t: Perm) -> Perm:
     """y \\ t = y^-1 (y v t), the least simple r with t a prefix of y r."""
     return perm_mul(perm_inv(y), perm_join(y, t))
@@ -495,13 +489,15 @@ def _walk_back(parents: dict, key) -> list[tuple]:
 
 
 def _summit_closure(
-    rep: NormalForm, caps: GarsideCaps
+    rep: NormalForm, caps: GarsideCaps, goal: tuple | None = None
 ) -> tuple[dict[tuple, NormalForm], dict[tuple, tuple[tuple, Perm] | None]]:
     """BFS closure of the super summit set, recording conjugating parents.
 
     Each member u is conjugated by the minimal simple element above each
     generator sigma_i; these connect the whole super summit set, so at
-    most n - 1 conjugates are formed per member.
+    most n - 1 conjugates are formed per member. Given a goal key, the
+    search stops as soon as that member is discovered: the members and
+    first-discovery parents so far are those of the full closure.
     """
     n = rep.strands
     k_s, l_s = rep.delta_power, rep.canonical_length
@@ -530,6 +526,8 @@ def _summit_closure(
                 )
             members[v.key()] = v
             parents[v.key()] = (u.key(), c)
+            if v.key() == goal:
+                return members, parents
             queue.append(v)
     return members, parents
 
@@ -541,16 +539,41 @@ def summit(nf: NormalForm, caps: GarsideCaps = DEFAULT_CAPS) -> SummitData:
     return SummitData(rep.delta_power, frozenset(members.values()))
 
 
+def _cycle_type(nf: NormalForm) -> tuple[int, ...]:
+    """Sorted cycle lengths of the braid's permutation. Conjugate braids
+    have conjugate permutations, so this is a conjugacy invariant."""
+    n = nf.strands
+    p = delta_perm(n) if nf.delta_power % 2 else identity_perm(n)
+    for f in nf.factors:
+        p = perm_mul(p, f)
+    seen = [False] * n
+    lengths = []
+    for x in range(n):
+        size = 0
+        while not seen[x]:
+            seen[x] = True
+            x = p[x]
+            size += 1
+        if size:
+            lengths.append(size)
+    return tuple(sorted(lengths))
+
+
 def _conjugacy(
     nfa: NormalForm, nfb: NormalForm, caps: GarsideCaps
 ) -> tuple[_Converged, _Converged, list[tuple[NormalForm, Perm]]] | None:
     """Decide conjugacy of two braids with different normal forms.
 
-    Returns None when they are not conjugate. Otherwise returns each
-    summit representative with its operation log, and the hops from the
-    first representative to the second: (member, conjugator) pairs read
-    off the parents of the one super summit closure that decided it.
+    Returns None when they are not conjugate: when their permutations'
+    cycle types differ, or their summit representatives' shapes, or the
+    second representative is not in the first's super summit set.
+    Otherwise returns each summit representative with its operation log,
+    and the hops from the first representative to the second:
+    (member, conjugator) pairs read off the parents of the closure that
+    decided it, stopped once it discovered the second representative.
     """
+    if _cycle_type(nfa) != _cycle_type(nfb):
+        return None
     rep_a, ops_a = _summit_representative(nfa, caps)
     rep_b, ops_b = _summit_representative(nfb, caps)
     if (rep_a.delta_power, rep_a.canonical_length) != (
@@ -558,7 +581,9 @@ def _conjugacy(
         rep_b.canonical_length,
     ):
         return None
-    members, parents = _summit_closure(rep_a, caps)
+    if rep_a == rep_b:
+        return (rep_a, ops_a), (rep_b, ops_b), []
+    members, parents = _summit_closure(rep_a, caps, rep_b.key())
     if rep_b.key() not in members:
         return None
     hops = [(members[key], c) for key, c in _walk_back(parents, rep_b.key())]

@@ -46,7 +46,8 @@ or round trip fails under a hom iff under each of its conjugates, so the
 first failing representative is the first failing hom. A word is spelled
 only for a violation, and a presentation's relators at most once per
 check. Folding a chain of steps refuses, with ResourceCapError, images
-totalling more than IMAGE_LETTERS letters in either direction.
+totalling more than IMAGE_LETTERS letters in either direction, and a
+braid step is refused as soon as its rotations' running total does.
 """
 
 from __future__ import annotations
@@ -142,17 +143,21 @@ def _through(words: _Images, images: _Images) -> _Images:
     )
 
 
-# Letters one direction's images may total: freely reduced images are
-# unique, so past this a map is refused, never spelled shorter.
+# Letters one direction's images may total, kept or while a braid step
+# rotates them: freely reduced images are unique, so past this a map is
+# refused, never spelled shorter.
 IMAGE_LETTERS = 1 << 21
 
 
-def _budgeted(images: _Images, direction: str) -> _Images:
-    total = sum(map(len, images))
-    if total > IMAGE_LETTERS:
+def _charge(letters: int, what: str) -> None:
+    if letters > IMAGE_LETTERS:
         raise ResourceCapError(
-            f"{direction} total {total} letters, over the budget of {IMAGE_LETTERS}"
+            f"{what} total {letters} letters, over the budget of {IMAGE_LETTERS}"
         )
+
+
+def _budgeted(images: _Images, direction: str) -> _Images:
+    _charge(sum(map(len, images)), direction)
     return images
 
 
@@ -203,11 +208,14 @@ class _Step(NamedTuple):
 
 
 def _rotate(
-    acc: list[GroupWord], d: BrickDiagram, columns: Iterable[int], top_wraps: bool
+    acc: list[GroupWord], d: BrickDiagram, columns: Iterable[int], top_wraps: bool,
+    letters: int,
 ) -> None:
     """Substitute acc, in place, into the images of rotations moving a
     letter of each of the columns in turn between the ends of d's word:
     each a conjR's images when top_wraps, its inverse images otherwise.
+    letters is acc's total length, kept per rotation: ResourceCapError as
+    soon as it passes IMAGE_LETTERS, before the rest is spelled.
 
     A rotation keeps every column's brick count, so all words on the way
     number their bricks alike. With x_1 .. x_n the column's images in acc,
@@ -230,11 +238,13 @@ def _rotate(
         if top_wraps:
             x = acc[lo - 1]
             acc[lo - 1 : hi - 1] = acc[lo:hi]
-            acc[hi - 1] = free_reduce(p + x + invert_word(p))
+            acc[hi - 1] = y = free_reduce(p + x + invert_word(p))
         else:
             x = acc[hi - 1]
             acc[lo:hi] = acc[lo - 1 : hi - 1]
-            acc[lo - 1] = free_reduce(invert_word(p) + x + p)
+            acc[lo - 1] = y = free_reduce(invert_word(p) + x + p)
+        letters += len(y) - len(x)
+        _charge(letters, "rotated images")
 
 
 def _conj_images(d: BrickDiagram, column: int) -> tuple[_Images, _Images]:
@@ -242,8 +252,8 @@ def _conj_images(d: BrickDiagram, column: int) -> tuple[_Images, _Images]:
     of d's word to the bottom."""
     ident = _identity(len(d.bricks))
     images, inverse = list(ident), list(ident)
-    _rotate(images, d, [column], top_wraps=True)
-    _rotate(inverse, d, [column], top_wraps=False)
+    _rotate(images, d, [column], top_wraps=True, letters=len(images))
+    _rotate(inverse, d, [column], top_wraps=False, letters=len(inverse))
     return tuple(images), tuple(inverse)
 
 
@@ -299,14 +309,14 @@ def _braid_step(d: BrickDiagram, position: int) -> _Step:
     # forward images fold right to left: the conjL moves, last first, the
     # braid move, then the conjR moves, last first
     images = list(_identity(len(d.bricks)))
-    _rotate(images, dd, reversed(rotated), top_wraps=False)
+    _rotate(images, dd, reversed(rotated), top_wraps=False, letters=len(images))
     images = list(_through(braid_images, images))
-    _rotate(images, d, rotated, top_wraps=True)
+    _rotate(images, d, rotated, top_wraps=True, letters=sum(map(len, images)))
     # inverse images fold left to right
     inverse = list(_identity(len(d.bricks)))
-    _rotate(inverse, d, reversed(rotated), top_wraps=False)
+    _rotate(inverse, d, reversed(rotated), top_wraps=False, letters=len(inverse))
     inverse = list(_through(braid_inverse, inverse))
-    _rotate(inverse, dd, rotated, top_wraps=True)
+    _rotate(inverse, dd, rotated, top_wraps=True, letters=sum(map(len, inverse)))
     label = f"braid@{position}" if position < top else top_label
     return _Step(dd, tuple(images), tuple(inverse), label)
 

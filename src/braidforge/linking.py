@@ -289,31 +289,3 @@ def graphs_isomorphic_as_trees(g1: LinkingGraph, g2: LinkingGraph) -> bool:
         if not is_forest(g):
             raise NotAForestError("input linking graph contains a cycle")
     return _forest_signature(g1) == _forest_signature(g2)
-
-
-def segments_properly_cross(
-    p1: tuple[float, float],
-    p2: tuple[float, float],
-    q1: tuple[float, float],
-    q2: tuple[float, float],
-) -> bool:
-    """Interior intersection test, used to check the embedding is plane."""
-
-    def orient(a, b, c):
-        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-        return 0 if abs(v) < 1e-12 else (1 if v > 0 else -1)
-
-    if len({p1, p2} & {q1, q2}) > 0:
-        return False
-    d1, d2 = orient(p1, p2, q1), orient(p1, p2, q2)
-    d3, d4 = orient(q1, q2, p1), orient(q1, q2, p2)
-    return d1 * d2 < 0 and d3 * d4 < 0
-
-
-def embedding_is_plane(g: LinkingGraph) -> bool:
-    segs = [(g.positions[e.a], g.positions[e.b]) for e in g.edges]
-    for i in range(len(segs)):
-        for j in range(i + 1, len(segs)):
-            if segments_properly_cross(*segs[i], *segs[j]):
-                return False
-    return True

@@ -175,12 +175,6 @@ class Presentation:
             + self.cycles
         )
 
-    def relator_words(self) -> tuple[GroupWord, ...]:
-        return tuple(r.word for r in self.relators)
-
-    def by_kind(self, kind: RelatorKind) -> tuple[Relator, ...]:
-        return tuple(r for r in self.relators if r.kind is kind)
-
     def _content(self) -> tuple:
         cycle_words = tuple(r.word for r in self.cycles)
         return self.n_generators, self.braid_pairs, self.comm_pairs, cycle_words
@@ -236,18 +230,6 @@ def cycle_relator(cycle: tuple[int, ...], provenance: tuple = ()) -> Relator:
     return Relator(
         RelatorKind.CYCLE, lhs + invert_word(rhs), lhs, rhs, provenance or ("region", cycle)
     )
-
-
-def cycle_commutation_word(cycle: tuple[int, ...]) -> GroupWord:
-    """The commutation form equivalent to the cycle relation.
-
-    [i1, C] with C = i_n ... i_3 i_2 i_3^-1 ... i_n^-1; equivalent to the
-    cycle relator in the presence of the braid and commutation relators.
-    """
-    tail = tuple(reversed(cycle[2:]))  # (i_n, ..., i_3)
-    conj = concat(tail, (cycle[1],), invert_word(tail))
-    first = (cycle[0],)
-    return concat(first, conj, invert_word(first), invert_word(conj))
 
 
 def presentation_of(g: LinkingGraph) -> Presentation:

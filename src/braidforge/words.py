@@ -71,11 +71,6 @@ class BraidWord:
     def to_json(self) -> str:
         return json.dumps({"strands": self.strands, "letters": list(self.letters)})
 
-    @classmethod
-    def from_json(cls, text: str) -> BraidWord:
-        data = json.loads(text)
-        return cls(int(data["strands"]), tuple(int(i) for i in data["letters"]))
-
 
 @dataclass(frozen=True)
 class WordMove:

@@ -24,16 +24,16 @@ from sympy.matrices.normalforms import smith_normal_decomp
 
 from braidforge.garside import (
     NormalForm,
+    Perm,
     delta_perm,
-    finishing_set,
     identity_perm,
     left_complement,
     letter_perm,
+    perm_inv,
     perm_mul,
-    starting_set,
     tau_pow,
 )
-from braidforge.presentations import Presentation
+from braidforge.presentations import GroupWord, Presentation, Relator, RelatorKind
 from braidforge.words import BraidWord
 
 
@@ -196,7 +196,25 @@ def rng() -> random.Random:
     return random.Random(20240809)
 
 
+def relator_words(p: Presentation) -> tuple[GroupWord, ...]:
+    return tuple(r.word for r in p.relators)
+
+
+def by_kind(p: Presentation, kind: RelatorKind) -> tuple[Relator, ...]:
+    return tuple(r for r in p.relators if r.kind is kind)
+
+
 # -- Garside oracles ---------------------------------------------------------
+
+def starting_set(p: Perm) -> frozenset[int]:
+    """Letters i with a reduced word for p beginning sigma_i."""
+    return frozenset(i for i in range(1, len(p)) if p[i - 1] > p[i])
+
+
+def finishing_set(p: Perm) -> frozenset[int]:
+    """Letters i with a reduced word for p ending sigma_i."""
+    return starting_set(perm_inv(p))
+
 
 def oracle_normalize_factors(n: int, perms):
     """Left-weight by whole-list passes, one letter at a time, until stable."""

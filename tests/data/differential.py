@@ -7,8 +7,11 @@ Run from anywhere in the repository, with the revision to compare:
 REV is exported with ``git archive`` into a temporary directory (local,
 no network). The corpus is every argv of cli_golden.json plus seeded
 commands: ``isocheck --moves`` scripts of 1-5 moves checked against
-S3, S4, D4, D6 and Q8, ``invariants --up-to-conjugacy`` and
-``verify --moves 20``, over 1,000 commands in all. Each tree runs the
+S3, S4, D4, D6 and Q8, ``invariants --up-to-conjugacy``,
+``verify --moves 20``, and the Garside commands ``conj``, ``moveseq``,
+``summit --full`` and ``halftwist`` on 3-6-strand words with and without
+a half twist, paired with walked conjugates or random words; over 1,300
+commands in all. Each tree runs the
 whole corpus in one child interpreter, in-process through
 ``braidforge.cli.main``, under its own address-space limit. Every argv
 whose exit code, stdout or stderr differ is printed, and the exit code
@@ -85,6 +88,31 @@ def corpus(seed: int) -> list[list[str]]:
         w = word(rng, 6, 16)
         cmds.append(["verify", text(w.letters), "--strands", str(w.strands),
                      "--moves", "20", "--seed", str(i)])
+
+    def garside_word(n: int, twist: bool) -> BraidWord:
+        # a half twist and a short tail, or a plain word of 4-12 letters
+        length = rng.randint(0, 8 - n) if twist else rng.randint(4, 12)
+        tail = tuple(rng.randint(1, n - 1) for _ in range(length))
+        half = tuple(i for top in range(n - 1, 0, -1) for i in range(1, top + 1))
+        return BraidWord(n, half + tail if twist else tail)
+
+    def walked(w: BraidWord) -> BraidWord:
+        for _ in range(rng.randint(1, 12)):
+            w = apply_move(w, rng.choice([m for m in enumerate_moves(w) if m.kind not in MARKOV]))
+        return w
+
+    for i in range(320):
+        command = ("conj", "moveseq", "summit", "halftwist")[i % 4]
+        n = rng.randint(3, 5) if command == "moveseq" else rng.randint(3, 6)
+        a = garside_word(n, twist=rng.random() < 0.7)
+        if command in ("summit", "halftwist"):
+            words = [walked(a)]
+        elif rng.random() < 0.7:
+            words = [a, walked(a)]
+        else:
+            words = [a, BraidWord(n, tuple(rng.randint(1, n - 1) for _ in a.letters))]
+        extra = ["--full"] if command == "summit" else []
+        cmds.append([command, *(text(w.letters) for w in words), "--strands", str(n), *extra])
     return cmds
 
 

@@ -38,7 +38,7 @@ from braidforge.words import (
     replay,
 )
 
-from conftest import brute_hom_count, rewriting_class
+from conftest import brute_hom_count, by_kind, relator_words, rewriting_class
 
 TARGETS = builtin_targets()
 S3, S4 = TARGETS["S3"], TARGETS["S4"]
@@ -76,8 +76,8 @@ def test_criterion_1_worked_example_presentations():
         _equation_word((3, 4, 3), (4, 3, 4)),
         _equation_word((4, 3, 2, 1, 4, 3), (3, 2, 1, 4, 3, 2)),
     }
-    assert set(pa.relator_words()) == expected_r | expected_ra
-    cycle = pa.by_kind(RelatorKind.CYCLE)[0]
+    assert set(relator_words(pa)) == expected_r | expected_ra
+    cycle = by_kind(pa, RelatorKind.CYCLE)[0]
     assert (cycle.lhs, cycle.rhs) == ((4, 3, 2, 1, 4, 3), (3, 2, 1, 4, 3, 2))
 
     pb = presentation_for("1 1 2 1 1 2")
@@ -86,7 +86,7 @@ def test_criterion_1_worked_example_presentations():
         _equation_word((2, 4, 2), (4, 2, 4)),
         _equation_word((3, 4), (4, 3)),
     }
-    assert set(pb.relator_words()) == expected_r | expected_rb
+    assert set(relator_words(pb)) == expected_r | expected_rb
     _report("criterion 1 (worked-example presentations)", started, 1.0)
 
 
@@ -107,10 +107,10 @@ def test_criterion_3_braid_group_recovery():
     for n in range(2, 7):
         p = presentation_for(" ".join(["1"] * n), strands=2)
         assert p.n_generators == n - 1
-        assert p.by_kind(RelatorKind.CYCLE) == ()
-        braid_pairs = {r.lhs[:2] for r in p.by_kind(RelatorKind.BRAID)}
+        assert by_kind(p, RelatorKind.CYCLE) == ()
+        braid_pairs = {r.lhs[:2] for r in by_kind(p, RelatorKind.BRAID)}
         assert braid_pairs == {(i, i + 1) for i in range(1, n - 1)}
-        comm_pairs = {r.lhs for r in p.by_kind(RelatorKind.COMM)}
+        comm_pairs = {r.lhs for r in by_kind(p, RelatorKind.COMM)}
         assert comm_pairs == {
             (i, j)
             for i in range(1, n)
@@ -169,10 +169,10 @@ def test_criterion_5_and_6_invariance_suite():
             except ResourceCapError:
                 pass
 
-        by_kind: dict[MoveKind, list] = {}
+        moves_by_kind: dict[MoveKind, list] = {}
         for m in enumerate_moves(w):
-            by_kind.setdefault(m.kind, []).append(m)
-        for kind, moves in sorted(by_kind.items(), key=lambda kv: kv[0].value):
+            moves_by_kind.setdefault(m.kind, []).append(m)
+        for kind, moves in sorted(moves_by_kind.items(), key=lambda kv: kv[0].value):
             m = rng.choice(moves)
             v = apply_move(w, m)
             q = presentation_of(build_graph(build_bricks(v)))
@@ -190,7 +190,7 @@ def test_criterion_5_and_6_invariance_suite():
 
         # criterion 6: every cyclic shift of each cycle relator preserves
         # the abelianization and the S3 hom-count
-        cycles = p.by_kind(RelatorKind.CYCLE)
+        cycles = by_kind(p, RelatorKind.CYCLE)
         if cycles and "S3" in base_counts:
             for idx, relator in enumerate(cycles):
                 n_cycle = (len(relator.lhs) + 2) // 2

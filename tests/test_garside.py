@@ -13,9 +13,7 @@ from braidforge.garside import (
     decycling,
     delta_perm,
     delta_word,
-    finishing_set,
     identity_perm,
-    is_left_weighted,
     left_complement,
     letter_perm,
     nf_word,
@@ -25,14 +23,30 @@ from braidforge.garside import (
     perm_mul,
     perm_word,
     right_complement,
-    starting_set,
     summit,
     tau,
     words_equal_as_braids,
 )
 from braidforge.words import BraidWord, MoveKind, apply_move, enumerate_moves, replay
 
-from conftest import conjugacy_word_class, random_word, rewriting_class
+from conftest import (
+    conjugacy_word_class,
+    finishing_set,
+    random_word,
+    rewriting_class,
+    starting_set,
+)
+
+
+def is_left_weighted(nf: NormalForm) -> bool:
+    n = nf.strands
+    ident, delta = identity_perm(n), delta_perm(n)
+    if any(p in (ident, delta) for p in nf.factors):
+        return False
+    return all(
+        starting_set(nf.factors[i + 1]) <= finishing_set(nf.factors[i])
+        for i in range(len(nf.factors) - 1)
+    )
 
 
 # -- permutation primitives ---------------------------------------------------

@@ -7,8 +7,8 @@ from braidforge.errors import NotAForestError
 from braidforge.linking import (
     EdgeKind,
     Side,
+    LinkingGraph,
     build_graph,
-    embedding_is_plane,
     graphs_isomorphic_as_trees,
     is_forest,
 )
@@ -80,6 +80,34 @@ def test_edges_match_brute_force_predicates(rng):
             for b2 in bricks[i + 1 :]:
                 expected = linked_oracle(w, b1, b2)
                 assert ((b1.id, b2.id) in have) == expected
+
+
+def segments_properly_cross(
+    p1: tuple[float, float],
+    p2: tuple[float, float],
+    q1: tuple[float, float],
+    q2: tuple[float, float],
+) -> bool:
+    """Interior intersection test, used to check the embedding is plane."""
+
+    def orient(a, b, c):
+        v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        return 0 if abs(v) < 1e-12 else (1 if v > 0 else -1)
+
+    if len({p1, p2} & {q1, q2}) > 0:
+        return False
+    d1, d2 = orient(p1, p2, q1), orient(p1, p2, q2)
+    d3, d4 = orient(q1, q2, p1), orient(q1, q2, p2)
+    return d1 * d2 < 0 and d3 * d4 < 0
+
+
+def embedding_is_plane(g: LinkingGraph) -> bool:
+    segs = [(g.positions[e.a], g.positions[e.b]) for e in g.edges]
+    for i in range(len(segs)):
+        for j in range(i + 1, len(segs)):
+            if segments_properly_cross(*segs[i], *segs[j]):
+                return False
+    return True
 
 
 def test_embedding_is_plane(rng):

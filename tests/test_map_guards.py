@@ -34,6 +34,9 @@ from braidforge.words import (
     parse_word,
 )
 
+from conftest import by_kind
+
+
 def presentation(w: BraidWord) -> Presentation:
     return presentation_of(build_graph(build_bricks(w)))
 
@@ -95,7 +98,7 @@ def test_composed_one_move_maps_equal_maps_along_moves():
 @pytest.mark.parametrize("index", [-1, 2, 5])
 def test_cycle_shifts_check_the_region_index(index):
     p = presentation(parse_word("1 2 1 1 2 1 1 2"))
-    assert len(p.by_kind(RelatorKind.CYCLE)) == 2
+    assert len(by_kind(p, RelatorKind.CYCLE)) == 2
     for shift in (cycle_relator_shift, shifted_cycle_presentation):
         with pytest.raises(IndexError, match="presentation has 2 cycle relators"):
             shift(p, index, 1)
@@ -107,7 +110,7 @@ def test_shifted_pair_table_stays_a_table():
         n = rng.randint(3, 5)
         w = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(4, 16))))
         p = presentation(w)
-        cycles = p.by_kind(RelatorKind.CYCLE)
+        cycles = by_kind(p, RelatorKind.CYCLE)
         for idx, r in enumerate(cycles):
             for shift in range(len(r.lhs) // 2 + 1):
                 shifted = shifted_cycle_presentation(p, idx, shift)
@@ -116,13 +119,13 @@ def test_shifted_pair_table_stays_a_table():
                 explicit = Presentation(
                     p.n_generators,
                     tuple(
-                        s if s is not r else shifted.by_kind(RelatorKind.CYCLE)[idx]
+                        s if s is not r else by_kind(shifted, RelatorKind.CYCLE)[idx]
                         for s in p.relators
                     ),
                 )
                 assert shifted == explicit
                 assert shifted.relators == explicit.relators
-                assert shifted.by_kind(RelatorKind.CYCLE)[idx].word == cycle_relator_shift(
+                assert by_kind(shifted, RelatorKind.CYCLE)[idx].word == cycle_relator_shift(
                     p, idx, shift
                 )
                 assert shifted_cycle_presentation(explicit, idx, 0) == explicit

@@ -7,10 +7,12 @@ exactly in the free group, every brick of a column other than the
 relation's two maps to itself both ways, and the map is read off a
 constant number of brick diagrams however long its tail. Images past
 isomaps.IMAGE_LETTERS letters in either direction are refused with
-ResourceCapError, in bounded memory, and an 800-letter single braid
-move stays inside that budget.
+ResourceCapError, in bounded memory: a single braid move as its
+rotations build them, before they are spelled in full. An 800-letter
+single braid move stays inside that budget.
 """
 
+import json
 import os
 import random
 import subprocess
@@ -89,21 +91,28 @@ def test_fold_refuses_images_past_the_budget(monkeypatch):
     for _ in range(12):
         moves.append(rng.choice(enumerate_moves(cur)))
         cur = apply_move(cur, moves[-1])
-    totals = []
-    budgeted = isomaps._budgeted
+    totals, charged = [], []
+    budgeted, charge = isomaps._budgeted, isomaps._charge
 
     def recorded(images, direction):
         totals.append(sum(map(len, images)))
         return budgeted(images, direction)
 
+    def counted(letters, what):
+        charged.append(letters)
+        return charge(letters, what)
+
     monkeypatch.setattr(isomaps, "_budgeted", recorded)
+    monkeypatch.setattr(isomaps, "_charge", counted)
     phi = maps_along_moves(w, moves)
     # the step images the fold starts from and every step's result
     assert len(totals) == 2 * len(moves)
-    monkeypatch.setattr(isomaps, "IMAGE_LETTERS", max(totals))
+    # those totals, and every rotation's as a braid step's images are built
+    assert set(totals) <= set(charged) and len(charged) > len(totals)
+    monkeypatch.setattr(isomaps, "IMAGE_LETTERS", max(charged))
     assert maps_along_moves(w, moves) == phi
-    monkeypatch.setattr(isomaps, "IMAGE_LETTERS", max(totals) - 1)
-    with pytest.raises(ResourceCapError, match=f"over the budget of {max(totals) - 1}$"):
+    monkeypatch.setattr(isomaps, "IMAGE_LETTERS", max(charged) - 1)
+    with pytest.raises(ResourceCapError, match=f"over the budget of {max(charged) - 1}$"):
         maps_along_moves(w, moves)
     # one move's own images are checked too
     letters = sum(map(len, move_map(w, moves[0]).images))
@@ -121,6 +130,39 @@ def test_800_letter_braid_move_maps_and_checks_inside_the_budget():
         assert 400_000 < sum(map(len, images)) <= isomaps.IMAGE_LETTERS
     targets = [builtin_targets()[name] for name in ("S3", "S4")]
     assert check_map(phi, targets).consistent
+
+
+def _isocheck_under_rlimit(argv: list[str], timeout: float) -> subprocess.CompletedProcess:
+    script = (
+        "import json, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1200 << 20, 1200 << 20))\n"
+        "from braidforge.cli import main\n"
+        "sys.exit(main(json.loads(sys.argv[1])))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("BRAIDFORGE_CONFIG", None)
+    return subprocess.run(
+        [sys.executable, "-c", script, json.dumps(["isocheck", *argv])],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize("length", [800, 3000])
+def test_single_braid_move_is_refused_while_its_images_are_built(length):
+    # 3,000 letters: 7.5 million letters per direction if spelled in full
+    rng = random.Random(1)
+    letters = [rng.randint(1, 3) for _ in range(length)]
+    letters[0:3] = (1, 2, 1)
+    w = BraidWord(4, tuple(letters))
+    v = apply_move(w, WordMove(MoveKind.BRAID_REL, 1))
+    argv = [" ".join(map(str, x.letters)) for x in (w, v)]
+    done = _isocheck_under_rlimit([*argv, "--strands", "4", "--moves", "braid@1"], timeout=4)
+    if length == 800:
+        assert done.returncode == 0
+        assert json.loads(done.stdout)["report"]["consistent"]
+    else:
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("resource cap exceeded: rotated images total ")
 
 
 def test_image_budget_refuses_a_long_found_sequence_in_bounded_memory():

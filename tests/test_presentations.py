@@ -5,12 +5,12 @@ from braidforge.finite_groups import builtin_targets
 from braidforge.invariants import enumerate_homs, evaluate_word
 from braidforge.linking import build_graph
 from braidforge.presentations import (
+    GroupWord,
     Presentation,
     RelatorKind,
     braid_relator,
     comm_relator,
     concat,
-    cycle_commutation_word,
     cycle_equation,
     cycle_relator,
     cycle_relator_shift,
@@ -22,9 +22,21 @@ from braidforge.presentations import (
 )
 from braidforge.words import parse_word
 
-from conftest import random_word
+from conftest import by_kind, random_word
 
 TARGETS = builtin_targets()
+
+
+def cycle_commutation_word(cycle: tuple[int, ...]) -> GroupWord:
+    """The commutation form equivalent to the cycle relation.
+
+    [i1, C] with C = i_n ... i_3 i_2 i_3^-1 ... i_n^-1; equivalent to the
+    cycle relator in the presence of the braid and commutation relators.
+    """
+    tail = tuple(reversed(cycle[2:]))  # (i_n, ..., i_3)
+    conj = concat(tail, (cycle[1],), invert_word(tail))
+    first = (cycle[0],)
+    return concat(first, conj, invert_word(first), invert_word(conj))
 
 
 def presentation_for(text, strands=None):
@@ -75,9 +87,9 @@ def test_standard_braid_presentation():
     for n in range(2, 7):
         p = presentation_for(" ".join("1" * (n)), strands=2)
         assert p.n_generators == n - 1
-        braid = p.by_kind(RelatorKind.BRAID)
-        comm = p.by_kind(RelatorKind.COMM)
-        assert p.by_kind(RelatorKind.CYCLE) == ()
+        braid = by_kind(p, RelatorKind.BRAID)
+        comm = by_kind(p, RelatorKind.COMM)
+        assert by_kind(p, RelatorKind.CYCLE) == ()
         assert {tuple(r.lhs[:2]) for r in braid} == {
             (i, i + 1) for i in range(1, n - 1)
         }
@@ -87,22 +99,22 @@ def test_standard_braid_presentation():
 def test_worked_example_presentations():
     pa = presentation_for("1 2 1 1 2 1")
     assert pa.n_generators == 4
-    braid_pairs = {r.lhs[:2] for r in pa.by_kind(RelatorKind.BRAID)}
-    comm_pairs = {r.lhs for r in pa.by_kind(RelatorKind.COMM)}
+    braid_pairs = {r.lhs[:2] for r in by_kind(pa, RelatorKind.BRAID)}
+    comm_pairs = {r.lhs for r in by_kind(pa, RelatorKind.COMM)}
     assert braid_pairs == {(1, 2), (2, 3), (1, 4), (3, 4)}
     assert comm_pairs == {(1, 3), (2, 4)}
-    cycles = pa.by_kind(RelatorKind.CYCLE)
+    cycles = by_kind(pa, RelatorKind.CYCLE)
     assert len(cycles) == 1
     assert cycles[0].lhs == (4, 3, 2, 1, 4, 3)
     assert cycles[0].rhs == (3, 2, 1, 4, 3, 2)
 
     pb = presentation_for("1 1 2 1 1 2")
     assert pb.n_generators == 4
-    assert {r.lhs[:2] for r in pb.by_kind(RelatorKind.BRAID)} == {
+    assert {r.lhs[:2] for r in by_kind(pb, RelatorKind.BRAID)} == {
         (1, 2), (2, 3), (2, 4),
     }
-    assert {r.lhs for r in pb.by_kind(RelatorKind.COMM)} == {(1, 3), (1, 4), (3, 4)}
-    assert pb.by_kind(RelatorKind.CYCLE) == ()
+    assert {r.lhs for r in by_kind(pb, RelatorKind.COMM)} == {(1, 3), (1, 4), (3, 4)}
+    assert by_kind(pb, RelatorKind.CYCLE) == ()
 
 
 def test_relator_counts(rng):
@@ -111,9 +123,9 @@ def test_relator_counts(rng):
         g = build_graph(build_bricks(w))
         p = presentation_of(g)
         k = p.n_generators
-        assert len(p.by_kind(RelatorKind.BRAID)) == len(g.edges)
-        assert len(p.by_kind(RelatorKind.COMM)) == k * (k - 1) // 2 - len(g.edges)
-        assert len(p.by_kind(RelatorKind.CYCLE)) == len(g.regions)
+        assert len(by_kind(p, RelatorKind.BRAID)) == len(g.edges)
+        assert len(by_kind(p, RelatorKind.COMM)) == k * (k - 1) // 2 - len(g.edges)
+        assert len(by_kind(p, RelatorKind.CYCLE)) == len(g.regions)
 
 
 def test_trivial_presentation():
@@ -124,10 +136,10 @@ def test_trivial_presentation():
 
 def test_cycle_shift_examples():
     pa = presentation_for("1 2 1 1 2 1")
-    assert cycle_relator_shift(pa, 0, 0) == pa.by_kind(RelatorKind.CYCLE)[0].word
-    assert cycle_relator_shift(pa, 0, 4) == pa.by_kind(RelatorKind.CYCLE)[0].word
+    assert cycle_relator_shift(pa, 0, 0) == by_kind(pa, RelatorKind.CYCLE)[0].word
+    assert cycle_relator_shift(pa, 0, 4) == by_kind(pa, RelatorKind.CYCLE)[0].word
     shifted = shifted_cycle_presentation(pa, 0, 1)
-    new_cycle = shifted.by_kind(RelatorKind.CYCLE)[0]
+    new_cycle = by_kind(shifted, RelatorKind.CYCLE)[0]
     assert new_cycle.lhs == (1, 4, 3, 2, 1, 4)
     assert new_cycle.rhs == (4, 3, 2, 1, 4, 3)
     with pytest.raises(IndexError):
@@ -138,7 +150,7 @@ def test_cycle_equivalent_to_commutation_in_quotients():
     # with braid+commutation relators present, the cycle relator and its
     # commutation form cut out the same homomorphisms
     pa = presentation_for("1 2 1 1 2 1")
-    cycles = pa.by_kind(RelatorKind.CYCLE)
+    cycles = by_kind(pa, RelatorKind.CYCLE)
     base = Presentation(
         pa.n_generators,
         tuple(r for r in pa.relators if r.kind is not RelatorKind.CYCLE),
@@ -215,11 +227,11 @@ def test_cycle_shift_helpers_agree(rng):
     # both read the region tuple back from the stored equation
     for _ in range(40):
         p = presentation_of(build_graph(build_bricks(random_word(rng, max_len=16))))
-        cycles = p.by_kind(RelatorKind.CYCLE)
+        cycles = by_kind(p, RelatorKind.CYCLE)
         for idx, r in enumerate(cycles):
             for shift in range(-1, len(r.lhs) // 2 + 2):
                 shifted = shifted_cycle_presentation(p, idx, shift)
-                new = shifted.by_kind(RelatorKind.CYCLE)[idx]
+                new = by_kind(shifted, RelatorKind.CYCLE)[idx]
                 assert new.word == cycle_relator_shift(p, idx, shift)
                 assert new.provenance == r.provenance
                 assert shifted.relators[: p.relators.index(r)] == p.relators[: p.relators.index(r)]
