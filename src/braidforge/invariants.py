@@ -118,7 +118,7 @@ class ColumnLattice:
             if ea + eb or abs(ea) != 1:
                 sums = " ".join(f"s{g + 1}^{e}" for g, e in sorted(col.items()))
                 # the cycles follow every pair relator in p.relators
-                t = len(p.relators) - len(p.cycles) + c
+                t = sum(1 for _ in p.pair_table()) + c
                 raise PresentationError(
                     f"relator {t} has exponent sums {sums}, not zero or e_i - e_j"
                 )

@@ -65,6 +65,7 @@ from .presentations import (
     GroupWord,
     Presentation,
     Relator,
+    _word_plain,
     concat,
     exponent_sums,
     free_reduce,
@@ -424,10 +425,6 @@ class CheckReport:
         }
 
 
-def _word_str(word: GroupWord) -> str:
-    return " ".join(f"s{x}" if x > 0 else f"s{-x}^-1" for x in word) or "1"
-
-
 # p -> p.relators, read at most once per check: a table spells them on each read
 _Spelled = Callable[[Presentation], tuple[Relator, ...]]
 
@@ -447,13 +444,13 @@ def _violation(
     if direction in ("forward", "backward"):
         p, apply = (m.source, m.apply) if direction == "forward" else (m.target, m.apply_inverse)
         r = relators(p)[i]
-        detail = f"image {_word_str(apply(r.word))} {fails}"
+        detail = f"image {_word_plain(apply(r.word))} {fails}"
         return Violation(direction, f"relator {i} ({r.kind.value})", target, detail)
     there, back = m.apply, m.apply_inverse
     if direction == "roundtrip-target":
         there, back = back, there
     g = i + 1
-    detail = f"round trip {_word_str(concat(back(there((g,))), (-g,)))} {fails}"
+    detail = f"round trip {_word_plain(concat(back(there((g,))), (-g,)))} {fails}"
     return Violation(direction, f"s{g}", target, detail)
 
 

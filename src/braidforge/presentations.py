@@ -9,13 +9,14 @@ graph or built from relators, is stored as a pair table and its cycle
 relators, and spells its pair relators on each read of ``relators``,
 never storing them. A graph's presentation is built once and kept on
 the (immutable) graph. Relator words are kept as LHS * RHS^-1, freely
-reduced; relator equality means equality of those words.
+reduced; relator equality means equality of those words, and the word
+alone decides a relator's kind and the region a cycle shift rotates.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -88,6 +89,15 @@ def _pair_of(w: GroupWord) -> tuple[RelatorKind, tuple[int, int]] | None:
     return None
 
 
+def _region_of(w: GroupWord) -> tuple[int, ...] | None:
+    """The cycle of distinct generators (i_1, ..., i_n) whose cycle
+    relator has the word w, read off its first n of 4n - 4 letters."""
+    cycle = tuple(reversed(w[: len(w) // 4 + 1]))
+    if len(w) % 4 or len(set(cycle)) < len(cycle) or min(cycle, default=0) < 1:
+        return None
+    return cycle if cycle_relator(cycle).word == w else None
+
+
 class Presentation:
     """Generators 1..n_generators, pair relators as a table, and the rest.
 
@@ -99,11 +109,13 @@ class Presentation:
     in lex order, then the cycles. ``Presentation(n, relators)`` reads
     the table off the words, whatever kind they were built with, so the
     order, repeats and provenance of pair relators are not kept; a pair
-    may carry both kinds. Equal generator counts, pair tables and cycle
-    words make equal presentations, whatever the cycles' equations and
-    provenance. A letter of a relator's word or equation that names no
-    generator raises PresentationError. ``_lattice`` holds the column
-    lattice once invariants has built it.
+    may carry both kinds. Every other relator is kept with kind CYCLE,
+    so each kind a presentation hands out is the one its word has. Equal
+    generator counts, pair tables and cycle words make equal
+    presentations, whatever the cycles' equations and provenance. A
+    letter of a relator's word or equation that names no generator
+    raises PresentationError. ``_lattice`` holds the column lattice once
+    invariants has built it.
     """
 
     __slots__ = ("n_generators", "braid_pairs", "comm_pairs", "cycles", "_lattice")
@@ -121,7 +133,7 @@ class Presentation:
                 )
             pair = _pair_of(r.word)
             if pair is None:
-                cycles.append(r)
+                cycles.append(replace(r, kind=RelatorKind.CYCLE))
             else:
                 (braid if pair[0] is RelatorKind.BRAID else comm).add(pair[1])
         k = n_generators
@@ -247,23 +259,9 @@ def presentation_of(g: LinkingGraph) -> Presentation:
 
 def relabels_onto(src: Presentation, dst: Presentation, sigma: list[int]) -> bool:
     """Whether renaming generator g to sigma[g - 1], a bijection, carries
-    the relator words of src exactly onto those of dst.
-
-    Two full pair tables need no pair relator spelled when no cycle word
-    has the 6 (braid) or 4 (commutation) letters of a pair word, as on a
-    graph, whose cycle words have at least 8: a renamed pair word is then
-    a pair word, canonical only when sigma keeps the pair's order. As
-    every pair carries a relator, sigma must be the identity, with equal
-    braid pairs and equal cycle words.
-    """
-    if src.comm_pairs is None and dst.comm_pairs is None and not any(
-        len(r.word) in (4, 6) for r in src.cycles + dst.cycles
-    ):
-        return (
-            all(s == g for g, s in enumerate(sigma, start=1))
-            and src.braid_pairs == dst.braid_pairs
-            and {r.word for r in src.cycles} == {r.word for r in dst.cycles}
-        )
+    the relator words of src exactly onto those of dst."""
+    if src == dst and all(s == g for g, s in enumerate(sigma, start=1)):
+        return True
     renamed = {
         free_reduce(tuple(sigma[x - 1] if x > 0 else -sigma[-x - 1] for x in r.word))
         for r in src.relators
@@ -271,42 +269,32 @@ def relabels_onto(src: Presentation, dst: Presentation, sigma: list[int]) -> boo
     return renamed == {r.word for r in dst.relators}
 
 
-def _shifted_cycle_relator(r: Relator, shift: int) -> Relator:
-    """A cycle relator with its region's tuple rotated left by shift."""
-    # Recover the tuple from the stored equation: lhs starts with (i_n .. i_1).
-    n = (len(r.lhs) + 2) // 2
-    tup = tuple(reversed(r.lhs[:n]))
-    k = shift % n
-    return cycle_relator(tup[k:] + tup[:k], r.provenance)
-
-
-def _cycle_slot(p: Presentation, region_index: int) -> int:
-    """Where in p.cycles the region_index-th cycle relator sits."""
-    slots = [i for i, r in enumerate(p.cycles) if r.kind is RelatorKind.CYCLE]
-    if not 0 <= region_index < len(slots):
-        raise IndexError(f"presentation has {len(slots)} cycle relators")
-    return slots[region_index]
-
-
 def cycle_relator_shift(p: Presentation, region_index: int, shift: int) -> GroupWord:
     """The cycle relator word with the region's tuple rotated left by shift."""
-    r = p.cycles[_cycle_slot(p, region_index)]
-    return _shifted_cycle_relator(r, shift).word
+    return shifted_cycle_presentation(p, region_index, shift).cycles[region_index].word
 
 
 def shifted_cycle_presentation(
     p: Presentation, region_index: int, shift: int
 ) -> Presentation:
-    """The presentation with one cycle relator replaced by a shifted version;
-    the pair table is kept."""
+    """The presentation with p.cycles[region_index] replaced by the cycle
+    relator of its region's tuple rotated left by shift; the pair table is
+    kept. A word that is no region's cycle relator raises PresentationError."""
+    if not 0 <= region_index < len(p.cycles):
+        raise IndexError(f"presentation has {len(p.cycles)} cycle relators")
     cycles = list(p.cycles)
-    slot = _cycle_slot(p, region_index)
-    cycles[slot] = _shifted_cycle_relator(cycles[slot], shift)
+    r = cycles[region_index]
+    cycle = _region_of(r.word)
+    if cycle is None:
+        t = sum(1 for _ in p.pair_table()) + region_index
+        raise PresentationError(f"relator {t} is not the cycle relator of a region")
+    k = shift % len(cycle)
+    cycles[region_index] = cycle_relator(cycle[k:] + cycle[:k], r.provenance)
     return Presentation.from_table(p.n_generators, p.braid_pairs, tuple(cycles), p.comm_pairs)
 
 
 def _word_plain(word: GroupWord) -> str:
-    return " ".join(f"s{x}" if x > 0 else f"s{-x}^-1" for x in word)
+    return " ".join(f"s{x}" if x > 0 else f"s{-x}^-1" for x in word) or "1"
 
 
 def _relator_plain(r: Relator) -> str:

@@ -27,6 +27,7 @@ from braidforge.presentations import (
     RelatorKind,
     braid_relator,
     comm_relator,
+    cycle_relator,
     presentation_of,
     shifted_cycle_presentation,
 )
@@ -119,6 +120,23 @@ def test_non_incidence_columns_raise():
         shape = Relator.from_equation(RelatorKind.CYCLE, word, (), ("shape", 3))
         with pytest.raises(PresentationError, match="relator 3 "):
             ColumnLattice(Presentation(3, pairs + (comm_relator(1, 3), shape)))
+
+
+@pytest.mark.parametrize("k", [3, 40])
+def test_bad_column_index_counts_the_pair_table(monkeypatch, k):
+    # the cycles follow k(k-1)/2 pair relators on a full table; the index
+    # of the bad one is counted off the table, spelling no relator
+    power = Relator.from_equation(RelatorKind.CYCLE, (1, 1), (), ())
+    cycles = (cycle_relator((1, 2, 3)), power)
+    p = Presentation.from_table(k, [(i, i + 1) for i in range(1, k)], cycles)
+
+    def spelled(self):
+        raise AssertionError("relators spelled")
+
+    monkeypatch.setattr(Presentation, "relators", property(spelled))
+    index = k * (k - 1) // 2 + 1
+    with pytest.raises(PresentationError, match=rf"^relator {index} has exponent sums s1\^2,"):
+        abelianization(p)
 
 
 def test_presentation_errors_hold_under_optimize_flag():

@@ -6,8 +6,10 @@ generator and one inverse image per target generator, each naming only
 the other side's generators. compose_maps(m1, m2) raises ValueError
 unless m1's target presentation is m2's source. cycle_relator_shift and
 shifted_cycle_presentation take
-the same region indices, 0 up to the number of cycle relators, and a
-shifted pair table stays a pair table.
+the same region indices, 0 up to the number of cycle relators, read the
+region off the relator's word, raising PresentationError for a word that
+is no region's cycle relator, and a shifted pair table stays a pair
+table.
 """
 
 import random
@@ -15,12 +17,16 @@ import random
 import pytest
 
 from braidforge.bricks import build_bricks
+from braidforge.errors import PresentationError
 from braidforge.isomaps import GeneratorMap, compose_maps, maps_along_moves, move_map
 from braidforge.linking import build_graph
 from braidforge.presentations import (
     Presentation,
+    Relator,
     RelatorKind,
     braid_relator,
+    comm_relator,
+    cycle_relator,
     cycle_relator_shift,
     presentation_of,
     shifted_cycle_presentation,
@@ -102,6 +108,25 @@ def test_cycle_shifts_check_the_region_index(index):
     for shift in (cycle_relator_shift, shifted_cycle_presentation):
         with pytest.raises(IndexError, match="presentation has 2 cycle relators"):
             shift(p, index, 1)
+
+
+def test_cycle_shifts_read_the_region_off_the_word():
+    # s1^3 is no region's cycle relator: rotating its equation would give
+    # another group's relator, so the shift raises, naming the relator
+    power = Relator.from_equation(RelatorKind.CYCLE, (1, 1, 1), (), ())
+    p = Presentation(3, (power,))
+    for shift in (cycle_relator_shift, shifted_cycle_presentation):
+        with pytest.raises(PresentationError, match="^relator 0 is not the cycle relator of"):
+            shift(p, 0, 1)
+    # a region's word is one whatever its kind; indices count every cycle
+    # relator, and the error counts the three pair relators before them
+    region = Relator(RelatorKind.BRAID, cycle_relator((1, 3, 2)).word, (), (), ())
+    pairs = (braid_relator(1, 2), comm_relator(1, 3), comm_relator(2, 3))
+    q = Presentation(3, pairs + (power, region))
+    assert cycle_relator_shift(q, 1, 1) == cycle_relator((3, 2, 1)).word
+    assert shifted_cycle_presentation(q, 1, 3) == q
+    with pytest.raises(PresentationError, match="^relator 3 is not the cycle relator of"):
+        cycle_relator_shift(q, 0, 1)
 
 
 def test_shifted_pair_table_stays_a_table():

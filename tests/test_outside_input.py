@@ -7,6 +7,7 @@ state. A setting that does not parse, or a cap that is not positive,
 names its key, and its file when it came from BRAIDFORGE_CONFIG.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from braidforge.presentations import (
     braid_relator,
     comm_relator,
     relabels_onto,
+    serialize,
 )
 
 from conftest import brute_hom_count, relator_words
@@ -59,6 +61,28 @@ def test_hand_built_pair_table_reads_words(k, relator, expected):
     homs = enumerate_homs(p, s3)
     assert len(homs) == expected
     assert all(evaluate_word(s3, h, relator.word) == s3.identity for h in homs)
+
+
+@pytest.mark.parametrize(
+    "relator, plain",
+    [
+        # a commutation-shaped equation that is not the commutator
+        (Relator.from_equation(RelatorKind.COMM, (1, 2), (3, 1), ()), "s1 s2 = s3 s1"),
+        # a commutation kind with three letters on the left
+        (Relator.from_equation(RelatorKind.COMM, (1, 2, 3), (3, 1), ()), "s1 s2 s3 = s3 s1"),
+        # an empty side prints as the identity
+        (Relator.from_equation(RelatorKind.BRAID, (1, 1), (), ()), "s1 s1 = 1"),
+        # the commutator's word files it as its pair, whatever its kind
+        (Relator.from_equation(RelatorKind.CYCLE, (1, 3), (3, 1), ()), "[s1,s3] = 1"),
+    ],
+    ids=["comm-equation", "comm-three-letters", "empty-side", "cycle-commutator"],
+)
+def test_hand_built_relators_print_what_their_words_say(relator, plain):
+    p = Presentation(3, (relator,))
+    assert serialize(p, "plain") == f"<s1,s2,s3 | {plain}>"
+    [r] = json.loads(serialize(p, "json"))["relators"]
+    assert r["word"] == list(relator.word)
+    assert r["kind"] == ("comm" if plain.startswith("[") else "cycle")
 
 
 def test_hand_built_table_keeps_standard_pair_relators():

@@ -6,8 +6,10 @@ off the table. The table must spell the same relators, its lattice's
 components must be those of the graph the eager relators' exponent
 columns join, its abelianization and hom sets must be those of the eager relator
 words, and check_map's relabeling shortcut on two tables must give the
-verdict of the relator word-set comparison. The eager relators are never
-made into a Presentation: that would be a table too.
+verdict of the relator word-set comparison, on graphs and on hand-built
+relators. A hand-built presentation hands out each relator with the kind
+its word has. The eager relators are never made into a Presentation:
+that would be a table too.
 """
 
 import random
@@ -22,10 +24,15 @@ from braidforge.invariants import ColumnLattice, abelianization, enumerate_homs
 from braidforge.isomaps import GeneratorMap, check_map
 from braidforge.linking import build_graph
 from braidforge.presentations import (
+    Presentation,
+    Relator,
+    RelatorKind,
+    _pair_of,
     braid_relator,
     comm_relator,
     cycle_relator,
     exponent_sums,
+    free_reduce,
     presentation_of,
     relabels_onto,
     shifted_cycle_presentation,
@@ -175,3 +182,67 @@ def test_relabeling_shortcut_matches_word_sets(case):
         assert relabels_onto(p, shifted, identity) == _word_sets_agree(
             reference_relators(g), shifted.relators, identity
         )
+
+
+def hand_built(rng: random.Random, k: int) -> list:
+    """Relators on generators 1..k as a caller might pass them: a full or
+    partial pair table with pairs shuffled and repeated, given as either
+    kind or equation, and cycles of 4 letters (a commutator with its
+    letters swapped), 6 (a braid word likewise), 8 and more, and others."""
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    if rng.random() < 0.5:
+        pairs = rng.sample(pairs, rng.randint(0, len(pairs)))
+    relators = [rng.choice((braid_relator, comm_relator))(*rng.sample(pair, 2)) for pair in pairs]
+    relators += rng.sample(relators, min(2, len(relators)))
+    for _ in range(rng.randint(0, 3)):
+        i, j = sorted(rng.sample(range(1, k + 1), 2))
+        n = rng.randint(3, k) if k > 2 else 2
+        word = rng.choice([
+            (j, i, -j, -i),
+            (j, i, j, -i, -j, -i),
+            cycle_relator(tuple(rng.sample(range(1, k + 1), n))).word,
+            free_reduce(tuple(rng.choice((1, -1)) * rng.randint(1, k) for _ in range(5))),
+        ])
+        kind = rng.choice(list(RelatorKind))
+        relators.append(Relator(kind, word, word, (), ()))
+    relators += rng.sample(relators, min(1, len(relators)))
+    rng.shuffle(relators)
+    return relators
+
+
+def _renamed(relators: list, perm: list) -> list:
+    rename = [0, *perm]
+    words = (tuple(rename[x] if x > 0 else -rename[-x] for x in r.word) for r in relators)
+    return [Relator.from_equation(r.kind, w, (), ()) for r, w in zip(relators, words)]
+
+
+@SETTINGS
+@given(st.integers(2, 5), st.integers(0, 2**32))
+def test_hand_built_relators_keep_the_kind_their_word_has(k, seed):
+    relators = hand_built(random.Random(seed), k)
+    p = Presentation(k, relators)
+    for r in p.relators:
+        pair = _pair_of(r.word)
+        assert r.kind is (RelatorKind.CYCLE if pair is None else pair[0])
+    assert {r.word for r in p.relators} == {r.word for r in relators}
+
+
+@SETTINGS
+@given(st.integers(2, 5), st.integers(0, 2**32))
+def test_relabeling_hand_built_tables_matches_word_sets(k, seed):
+    rng = random.Random(seed)
+    src = hand_built(rng, k)
+    identity = list(range(1, k + 1))
+    perm = rng.sample(identity, k)
+    shuffled = rng.sample(src, len(src))
+    others = [
+        shuffled,  # cycles given in another order
+        shuffled[1:],  # one relator fewer, unless it was repeated
+        _renamed(src, perm),
+        hand_built(rng, k),
+    ]
+    p = Presentation(k, src)
+    for dst in others:
+        q = Presentation(k, dst)
+        for sigma in (identity, perm, rng.sample(identity, k)):
+            assert relabels_onto(p, q, sigma) == _word_sets_agree(src, dst, sigma)
