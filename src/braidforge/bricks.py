@@ -4,16 +4,20 @@ A brick lives between two consecutive occurrences of the same letter
 within a column. Bricks are numbered canonically: column-major
 ascending, bottom to top within a column; ids are 1-based so they double
 as presentation generator indices. So each column's bricks are one id
-range, ``BrickDiagram.column_ids``: the one per-column index. Each
-process keeps the diagrams of its CACHE_SIZE most recent words.
+range, ``BrickDiagram.column_ids``: the one per-column index. A diagram
+is its word read once, into each letter's occurrences and the id
+ranges; the ``Brick`` objects are spelled from those on first read of
+``bricks`` and kept. Each process keeps the diagrams of its CACHE_SIZE
+most recent words.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import repeat
 from types import MappingProxyType
 
 from .words import BraidWord
@@ -42,20 +46,31 @@ class Brick:
 
 @dataclass(frozen=True)
 class BrickDiagram:
+    """A word, the 1-based positions of each letter that occurs (in
+    letter order, read-only) and the id range of each column that has
+    bricks, bottom to top (read-only); equal words make equal diagrams."""
+
     word: BraidWord
-    bricks: tuple[Brick, ...]
+    occurrences: Mapping[int, tuple[int, ...]] = field(compare=False, repr=False)
+    column_ids: Mapping[int, range] = field(compare=False, repr=False)
 
     def __hash__(self) -> int:  # the word decides the bricks
         return hash(self.word)
 
+    @property
+    def n_bricks(self) -> int:
+        # each letter that occurs has one brick fewer than occurrences
+        return len(self.word.letters) - len(self.occurrences)
+
+    def spans(self) -> Iterator[tuple[int, int, int, int]]:
+        """(id, column, lo, hi) per brick, in id order, read off the occurrences."""
+        for column, ids in self.column_ids.items():
+            occ = self.occurrences[column]
+            yield from zip(ids, repeat(column), occ, occ[1:])
+
     @cached_property
-    def column_ids(self) -> Mapping[int, range]:
-        """The id range of each column that has bricks, bottom to top; read-only."""
-        ids: dict[int, range] = {}
-        for b in self.bricks:
-            first = ids[b.column].start if b.column in ids else b.id
-            ids[b.column] = range(first, b.id + 1)
-        return MappingProxyType(ids)
+    def bricks(self) -> tuple[Brick, ...]:
+        return tuple(Brick(*span) for span in self.spans())
 
     def by_column(self, column: int) -> tuple[Brick, ...]:
         """Bricks of one column, bottom to top."""
@@ -78,8 +93,7 @@ class BrickDiagram:
                     "letters": list(self.word.letters),
                 },
                 "bricks": [
-                    {"id": b.id, "column": b.column, "lo": b.lo, "hi": b.hi}
-                    for b in self.bricks
+                    {"id": b, "column": c, "lo": lo, "hi": hi} for b, c, lo, hi in self.spans()
                 ],
             }
         )
@@ -93,11 +107,14 @@ def build_bricks(w: BraidWord) -> BrickDiagram:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _bricks(w: BraidWord) -> BrickDiagram:
-    bricks: list[Brick] = []
-    for column, occ in w.occurrences_by_letter().items():
-        for lo, hi in zip(occ, occ[1:]):
-            bricks.append(Brick(len(bricks) + 1, column, lo, hi))
-    return BrickDiagram(w, tuple(bricks))
+    occ = w.occurrences_by_letter()
+    ids: dict[int, range] = {}
+    first = 1
+    for column, positions in occ.items():
+        if len(positions) > 1:
+            ids[column] = range(first, first + len(positions) - 1)
+            first = ids[column].stop
+    return BrickDiagram(w, MappingProxyType(occ), MappingProxyType(ids))
 
 
 def brick_count(w: BraidWord) -> int:

@@ -2,15 +2,16 @@
 
 The column lattice is the one reader of a presentation's exponent
 columns: a braid relator on i < j has the column e_i - e_j and a
-commutation relator none, so the braid pairs are read as they stand and
-only the cycle relators are summed, once. Every relator a linking graph
-yields has exponent sums zero or e_i - e_j, so the generator-by-relator
-exponent matrix is a graph incidence matrix and totally unimodular:
-union-find over the (+1, -1) pairs gives the abelianization Z^c (c
-components, every other invariant factor 1), and a vector's image in
-Z^c is its sum on each component (ColumnLattice.project), zero iff the
-vector lies in the column lattice (vectors are sparse: generator ->
-coefficient). The lattice is built once per presentation and kept on
+commutation relator none, so the braid pairs are read as they stand. A
+region's cycle (i_1, ..., i_n) has the column e_{i_n} - e_{i_2}, read
+off its vertex tuple, so only cycles given as words are summed, once.
+Every relator a linking graph yields has exponent sums zero or
+e_i - e_j, so the generator-by-relator exponent matrix is a graph
+incidence matrix and totally unimodular: union-find over the (+1, -1)
+pairs gives the abelianization Z^c (c components, every other invariant
+factor 1), and a vector's image in Z^c is its sum on each component
+(ColumnLattice.project), zero iff the vector lies in the column lattice
+(vectors are sparse: generator -> coefficient). The lattice is built once per presentation and kept on
 it. A hand-built presentation with any other column shape has no such
 reading and raises PresentationError on every call.
 
@@ -82,9 +83,11 @@ class ColumnLattice:
 
     The columns must form a graph incidence matrix. A braid relator on
     i < j has the column e_i - e_j and a commutation relator none, by
-    construction, so the braid pairs are joined as they stand and only
-    the cycle relators are summed; a cycle column other than zero or
-    e_i - e_j raises PresentationError naming its relator. The span is
+    construction, and a region (i_1, ..., i_n) the column
+    e_{i_n} - e_{i_2}, so the braid pairs and the regions are joined as
+    they stand and only cycles given as words are summed; a summed
+    column other than zero or e_i - e_j raises PresentationError naming
+    its relator. The span is
     the kernel of project, the map onto Z^c, so the per-presentation
     work is one union-find, done here: ``component`` labels each
     generator 0..n_components-1. ``ColumnLattice.of`` keeps it on the
@@ -109,8 +112,11 @@ class ColumnLattice:
 
         for i, j in p.braid_pairs:
             join(i - 1, j - 1)
-        for c, r in enumerate(p.cycles):
-            col = exponent_sums(r.word)
+        regions = p.region_cycles
+        for cycle in regions or ():
+            join(cycle[-1] - 1, cycle[1] - 1)
+        for c, word in enumerate(p.cycle_words if regions is None else ()):
+            col = exponent_sums(word)
             if not col:
                 continue
             # a column of any other length fails the test as (0, 0), (0, 0)
@@ -253,9 +259,9 @@ def _assignments(p: Presentation, t: FiniteTarget) -> _Orbits:
     for i, j, kind in p.pair_table():
         links[j - 1].append((i - 1, tables.braid if kind is RelatorKind.BRAID else tables.comm))
     closing: list[list[GroupWord]] = [[] for _ in range(k)]
-    for r in p.cycles:
-        if r.word:
-            closing[max(map(abs, r.word)) - 1].append(r.word)
+    for word in p.cycle_words:
+        if word:
+            closing[max(map(abs, word)) - 1].append(word)
 
     images = [0] * k
     ident = t.identity

@@ -251,7 +251,7 @@ def _rotate(
 def _conj_images(d: BrickDiagram, column: int) -> tuple[_Images, _Images]:
     """Images both ways across moving a letter of the column from the top
     of d's word to the bottom."""
-    ident = _identity(len(d.bricks))
+    ident = _identity(d.n_bricks)
     images, inverse = list(ident), list(ident)
     _rotate(images, d, [column], top_wraps=True, letters=len(images))
     _rotate(inverse, d, [column], top_wraps=False, letters=len(inverse))
@@ -269,7 +269,7 @@ def _braid_top_images(
     """
     top = sd.column_ids[i][-1]
     shifted = dd.column_ids[i + 1][-1]
-    ident = _identity(len(sd.bricks))
+    ident = _identity(sd.n_bricks)
     images = [*ident[: top - 1], (shifted,), *ident[top - 1 : shifted - 1], *ident[shifted:]]
     inverse = [*ident[: top - 1], *ident[top:shifted], (top,), *ident[shifted:]]
     if top - 1 in sd.column_ids[i]:
@@ -309,12 +309,12 @@ def _braid_step(d: BrickDiagram, position: int) -> _Step:
     rotated = [c for c in w.letters[position + 2 :] if c in (i, j)]
     # forward images fold right to left: the conjL moves, last first, the
     # braid move, then the conjR moves, last first
-    images = list(_identity(len(d.bricks)))
+    images = list(_identity(d.n_bricks))
     _rotate(images, dd, reversed(rotated), top_wraps=False, letters=len(images))
     images = list(_through(braid_images, images))
     _rotate(images, d, rotated, top_wraps=True, letters=sum(map(len, images)))
     # inverse images fold left to right
-    inverse = list(_identity(len(d.bricks)))
+    inverse = list(_identity(d.n_bricks))
     _rotate(inverse, d, reversed(rotated), top_wraps=False, letters=len(inverse))
     inverse = list(_through(braid_inverse, inverse))
     _rotate(inverse, dd, rotated, top_wraps=True, letters=sum(map(len, inverse)))
@@ -338,7 +338,7 @@ def _move_step(d: BrickDiagram, m: WordMove) -> _Step:
     if m.kind in (MoveKind.FAR_COMM, MoveKind.MARKOV_STAB, MoveKind.MARKOV_DESTAB):
         # every column keeps its bricks in order, so ids are unchanged
         dd = build_bricks(apply_move(w, m))
-        ident = _identity(len(d.bricks))
+        ident = _identity(d.n_bricks)
         return _Step(dd, ident, ident, m.kind.value)
     if m.kind is MoveKind.BRAID_REL:
         return _braid_step(d, m.position)

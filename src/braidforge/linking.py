@@ -9,36 +9,38 @@ edge. The straight-line embedding at these positions is plane, and its
 bounded faces are the regions.
 
 Lateral edges and regions are read off one adjacent column pair at a
-time. A bridging brick of the pair is a brick of either column with at
-least one crossing of the other column strictly inside it. Sorted by
-their lower crossings, consecutive bridging bricks are exactly the
+time, its two columns' occurrences merged into alternating runs. The
+bricks starting at the last letter of each run but the final two are
+the pair's bridging bricks: those with a crossing of the other column
+strictly inside. In run order, consecutive bridging bricks are the
 pair's lateral edges, a zigzag path between the two columns, and there
 is one region per three consecutive bridging bricks x, y, z: the
-vertical chain from x up to z in x's column (the anchor, ids x..z)
-closed through y, its cycle being its ids in increasing order. That is
-the anchor chain bottom to top with y first when y lies left of the anchor
-(counterclockwise) and last when y lies right (clockwise). The side of
-y fixes, through a configurable convention, the region's sign. With the
-default ``left-positive`` convention right-side regions are negative
-(drawn shaded) and left-side regions positive; ``right-positive`` flips
-the sign labels only, so cycles, and hence all derived relators, do not
-depend on the convention. Each process keeps the CACHE_SIZE most recent
-graphs, keyed on the brick diagram and the convention; a cached graph
-is immutable (read-only positions) and carries its presentation once
-presentations.presentation_of has built it.
+vertical chain x..z in x's column (the anchor) closed through y, its
+cycle (y, x..z) when y lies left of the anchor (counterclockwise) and
+(x..z, y) when y lies right (clockwise). The side of y fixes, through a
+configurable convention, the region's sign. With the default
+``left-positive`` convention right-side regions are negative (drawn
+shaded) and left-side regions positive; ``right-positive`` flips the
+sign labels only, so cycles, and hence all derived relators, do not
+depend on the convention. A graph stores its edges and regions in
+compact form (``raw_edges``, ``raw_regions``) and spells ``edges``,
+``regions`` and ``positions`` on first read. Each process keeps the
+CACHE_SIZE most recent graphs, keyed on the brick diagram and the
+convention; a cached graph is immutable (read-only positions) and
+carries its presentation once presentations.presentation_of has built
+it.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .bricks import CACHE_SIZE, Brick, BrickDiagram
+from .bricks import CACHE_SIZE, BrickDiagram
 from .errors import NotAForestError
 
 SIGN_CONVENTIONS = ("left-positive", "right-positive")
@@ -84,19 +86,76 @@ class Region:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
+RawEdge = tuple[int, int, Side | None]
+RawRegion = tuple[tuple[int, ...], Side, int]
+
+
+def _sign(side: Side, sign_convention: str) -> int:
+    return 1 if (side is Side.LEFT) == (sign_convention == "left-positive") else -1
+
+
+@dataclass(frozen=True, init=False)
 class LinkingGraph:
+    """A diagram's edges and regions in compact form, and their views.
+
+    ``LinkingGraph(diagram, edges, positions, regions, convention)``
+    builds a graph from its views and keeps them as given. Graphs are
+    equal when their diagrams, compact forms and conventions are.
+    """
+
     diagram: BrickDiagram
-    edges: tuple[LinkEdge, ...]
-    positions: Mapping[int, tuple[float, float]]
-    regions: tuple[Region, ...]
+    raw_edges: tuple[RawEdge, ...]  # (a, b, side) per edge, side None when vertical
+    raw_regions: tuple[RawRegion, ...]  # (cycle, side, anchor column) per region
     sign_convention: str = DEFAULT_SIGN_CONVENTION
     # set once by presentations.presentation_of; no part of the graph's value
-    _presentation: object = field(default=None, init=False, repr=False, compare=False)
+    _presentation: object = field(default=None, repr=False, compare=False)
+
+    def __init__(
+        self, diagram: BrickDiagram, edges: Iterable[LinkEdge],
+        positions: Mapping[int, tuple[float, float]], regions: Iterable[Region],
+        sign_convention: str = DEFAULT_SIGN_CONVENTION,
+    ) -> None:
+        edges, regions = tuple(edges), tuple(regions)
+        raw_edges = tuple((e.a, e.b, e.side) for e in edges)
+        raw_regions = tuple((r.vertices, r.side, r.anchor_column) for r in regions)
+        self.__dict__.update(
+            diagram=diagram, raw_edges=raw_edges, raw_regions=raw_regions,
+            sign_convention=sign_convention, edges=edges, regions=regions,
+            positions=MappingProxyType(dict(positions)),
+        )
+
+    @classmethod
+    def _compact(cls, diagram: BrickDiagram, sign_convention: str) -> LinkingGraph:
+        g = cls.__new__(cls)
+        raw_edges, raw_regions = _sweep(diagram)
+        g.__dict__.update(
+            diagram=diagram, raw_edges=raw_edges, raw_regions=raw_regions,
+            sign_convention=sign_convention,
+        )
+        return g
+
+    @cached_property
+    def edges(self) -> tuple[LinkEdge, ...]:
+        return tuple(
+            LinkEdge(a, b, EdgeKind.LATERAL if side else EdgeKind.VERTICAL, side)
+            for a, b, side in self.raw_edges
+        )
+
+    @cached_property
+    def regions(self) -> tuple[Region, ...]:
+        return tuple(
+            Region(cycle, _sign(side, self.sign_convention), anchor, side)
+            for cycle, side, anchor in self.raw_regions
+        )
+
+    @cached_property
+    def positions(self) -> Mapping[int, tuple[float, float]]:
+        spans = self.diagram.spans()
+        return MappingProxyType({b: (float(c), (lo + hi) / 2.0) for b, c, lo, hi in spans})
 
     def neighbors(self, brick_id: int) -> list[int]:
-        out = [e.b for e in self.edges if e.a == brick_id]
-        out += [e.a for e in self.edges if e.b == brick_id]
+        out = [b for a, b, _ in self.raw_edges if a == brick_id]
+        out += [a for a, b, _ in self.raw_edges if b == brick_id]
         return sorted(out)
 
     def edge_between(self, a: int, b: int) -> LinkEdge | None:
@@ -107,96 +166,87 @@ class LinkingGraph:
         return None
 
     def combinatorial_signature(self) -> tuple:
-        """Labeled structure (ids, columns, edges, signed regions), footprint-free.
+        """Labeled structure (ids, columns, edges, signed regions), footprint-free,
+        read off the compact form.
 
         Far commutativity and Markov moves leave this unchanged even though
         brick footprints shift.
         """
-        d = self.diagram
-        verts = tuple((b.id,) + d.column_rank(b.id) for b in d.bricks)
+        verts = tuple(
+            (b, column, rank)
+            for column, ids in self.diagram.column_ids.items()
+            for rank, b in enumerate(ids, start=1)
+        )
         edges = tuple(
-            (e.a, e.b, e.kind.value, e.side.value if e.side else None)
-            for e in self.edges
+            (a, b, EdgeKind.LATERAL.value, side.value) if side
+            else (a, b, EdgeKind.VERTICAL.value, None)
+            for a, b, side in self.raw_edges
         )
         regions = tuple(
-            (r.vertices, r.sign, r.anchor_column, r.side.value) for r in self.regions
+            (cycle, _sign(side, self.sign_convention), anchor, side.value)
+            for cycle, side, anchor in self.raw_regions
         )
         return (verts, edges, regions)
 
     def to_json(self) -> str:
+        word, pos = self.diagram.word, self.positions
+        _, edges, regions = self.combinatorial_signature()
         return json.dumps(
             {
-                "word": {
-                    "strands": self.diagram.word.strands,
-                    "letters": list(self.diagram.word.letters),
-                },
+                "word": {"strands": word.strands, "letters": list(word.letters)},
                 "sign_convention": self.sign_convention,
                 "vertices": [
-                    {
-                        "id": b.id,
-                        "column": b.column,
-                        "lo": b.lo,
-                        "hi": b.hi,
-                        "x": self.positions[b.id][0],
-                        "y": self.positions[b.id][1],
-                    }
-                    for b in self.diagram.bricks
+                    {"id": b, "column": c, "lo": lo, "hi": hi, "x": pos[b][0], "y": pos[b][1]}
+                    for b, c, lo, hi in self.diagram.spans()
                 ],
-                "edges": [
-                    {
-                        "a": e.a,
-                        "b": e.b,
-                        "kind": e.kind.value,
-                        "side": e.side.value if e.side else None,
-                    }
-                    for e in self.edges
-                ],
+                "edges": [{"a": a, "b": b, "kind": k, "side": s} for a, b, k, s in edges],
                 "regions": [
-                    {
-                        "vertices": list(r.vertices),
-                        "sign": r.sign,
-                        "anchor_column": r.anchor_column,
-                        "side": r.side.value,
-                    }
-                    for r in self.regions
+                    {"vertices": list(cycle), "sign": sign, "anchor_column": anchor, "side": side}
+                    for cycle, sign, anchor, side in regions
                 ],
             }
         )
 
 
-def _bridging(bricks: tuple[Brick, ...], others: list[int]) -> list[Brick]:
-    """The bricks with at least one of the sorted positions ``others`` strictly inside."""
-    return [b for b in bricks if bisect(others, b.lo) != bisect(others, b.hi)]
-
-
-def _sweep(
-    d: BrickDiagram, sign_convention: str
-) -> tuple[tuple[LinkEdge, ...], tuple[Region, ...]]:
-    """Edges and regions, read off one adjacent column pair at a time."""
+def _sweep(d: BrickDiagram) -> tuple[tuple[RawEdge, ...], tuple[RawRegion, ...]]:
+    """Raw edges and regions, read off one adjacent column pair at a time."""
     # only the columns that occur, and only adjacent pairs of them: the
     # cost follows the word, not the strand count
-    occ = d.word.occurrences_by_letter()
-    vertical = (a for ids in d.column_ids.values() for a in ids[:-1])
-    edges = [LinkEdge(a, a + 1, EdgeKind.VERTICAL) for a in vertical]
-    plus_side = Side.LEFT if sign_convention == "left-positive" else Side.RIGHT
-    regions = []
-    for c in occ:
-        if c + 1 not in occ:
+    occ, column_ids = d.occurrences, d.column_ids
+    edges: list[RawEdge] = [(a, a + 1, None) for ids in column_ids.values() for a in ids[:-1]]
+    regions: list[RawRegion] = []
+    for c, lower in occ.items():
+        upper = occ.get(c + 1)
+        if upper is None:
             continue
-        bridging = sorted(
-            _bridging(d.by_column(c), occ[c + 1]) + _bridging(d.by_column(c + 1), occ[c]),
-            key=lambda b: b.lo,
-        )
-        for lower, upper in zip(bridging, bridging[1:]):
-            side = Side.RIGHT if upper.column > lower.column else Side.LEFT
-            a, b = sorted((lower.id, upper.id))
-            edges.append(LinkEdge(a, b, EdgeKind.LATERAL, side))
-        for x, y, z in zip(bridging, bridging[1:], bridging[2:]):
-            side = Side.RIGHT if y.column > x.column else Side.LEFT
-            vertices = tuple(sorted([*range(x.id, z.id + 1), y.id]))
-            regions.append(Region(vertices, 1 if side is plus_side else -1, x.column, side))
-    edges.sort(key=lambda e: (e.a, e.b))
-    regions.sort(key=lambda r: r.vertices)
+        # the brick starting at each run's last letter, lower[i - 1] or
+        # upper[j - 1], with the side the other column lies on; the loop
+        # stops short of the final run, and the run before it is dropped
+        first_c = column_ids.get(c, range(0)).start - 1
+        first_up = column_ids.get(c + 1, range(0)).start - 1
+        bridging: list[tuple[int, Side]] = []
+        i = j = 0
+        n, m = len(lower), len(upper)
+        while i < n and j < m:
+            if lower[i] < upper[j]:
+                while i < n and lower[i] < upper[j]:
+                    i += 1
+                bridging.append((first_c + i, Side.RIGHT))
+            else:
+                while j < m and upper[j] < lower[i]:
+                    j += 1
+                bridging.append((first_up + j, Side.LEFT))
+        del bridging[-1:]
+        for (x, side), (y, _) in zip(bridging, bridging[1:]):
+            edges.append((x, y, side) if side is Side.RIGHT else (y, x, side))
+        for (x, side), (y, _), (z, _) in zip(bridging, bridging[1:], bridging[2:]):
+            if side is Side.RIGHT:
+                regions.append(((*range(x, z + 1), y), side, c))
+            else:
+                regions.append(((y, *range(x, z + 1)), side, c + 1))
+    # pairs (a, b) and cycles are distinct, so no sort compares sides
+    edges.sort()
+    regions.sort()
     return tuple(edges), tuple(regions)
 
 
@@ -216,14 +266,12 @@ def build_graph(
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _graph(d: BrickDiagram, sign_convention: str) -> LinkingGraph:
-    positions = MappingProxyType({b.id: (float(b.column), b.midpoint) for b in d.bricks})
-    edges, regions = _sweep(d, sign_convention)
-    return LinkingGraph(d, edges, positions, regions, sign_convention)
+    return LinkingGraph._compact(d, sign_convention)
 
 
 def is_forest(g: LinkingGraph) -> bool:
     # A plane graph has E - V + C bounded faces, so it is a forest when it has none.
-    return not g.regions
+    return not g.raw_regions
 
 
 def _canonical_rooted(adj: dict[int, set[int]], root: int) -> str:
@@ -260,10 +308,10 @@ def _tree_center(adj: dict[int, set[int]], nodes: list[int]) -> list[int]:
 
 
 def _forest_signature(g: LinkingGraph) -> tuple[str, ...]:
-    adj: dict[int, set[int]] = {b.id: set() for b in g.diagram.bricks}
-    for e in g.edges:
-        adj[e.a].add(e.b)
-        adj[e.b].add(e.a)
+    adj: dict[int, set[int]] = {b: set() for b in range(1, g.diagram.n_bricks + 1)}
+    for a, b, _ in g.raw_edges:
+        adj[a].add(b)
+        adj[b].add(a)
     seen: set[int] = set()
     comps = []
     for v in sorted(adj):

@@ -4,13 +4,15 @@ Generators are the bricks (1-based ids). Every linked pair contributes a
 braid relator, every unlinked pair a commutation relator (including
 diagonals of regions), and every bounded region a cycle relator read
 along the region's stored cyclic order. Only the cycle relators carry
-information beyond the edge set, so every presentation, read off a
-graph or built from relators, is stored as a pair table and its cycle
-relators, and spells its pair relators on each read of ``relators``,
-never storing them. A graph's presentation is built once and kept on
-the (immutable) graph. Relator words are kept as LHS * RHS^-1, freely
-reduced; relator equality means equality of those words, and the word
-alone decides a relator's kind and the region a cycle shift rotates.
+information beyond the edge set, so every presentation is stored as a
+pair table and its cycles, and spells its pair relators on each read of
+``relators``, never storing them. A graph's presentation stores its
+cycles as the regions' vertex tuples, spelling each word (in closed
+form) and each Relator only when read; one built from relators keeps
+them. A graph's presentation is built once and kept on the (immutable)
+graph. Relator words are kept as LHS * RHS^-1, freely reduced; relator
+equality means equality of those words, and the word alone decides a
+relator's kind and the region a cycle shift rotates.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ def _region_of(w: GroupWord) -> tuple[int, ...] | None:
     cycle = tuple(reversed(w[: len(w) // 4 + 1]))
     if len(w) % 4 or len(set(cycle)) < len(cycle) or min(cycle, default=0) < 1:
         return None
-    return cycle if cycle_relator(cycle).word == w else None
+    return cycle if _cycle_word(cycle) == w else None
 
 
 class Presentation:
@@ -109,16 +111,23 @@ class Presentation:
     in lex order, then the cycles. ``Presentation(n, relators)`` reads
     the table off the words, whatever kind they were built with, so the
     order, repeats and provenance of pair relators are not kept; a pair
-    may carry both kinds. Every other relator is kept with kind CYCLE,
-    so each kind a presentation hands out is the one its word has. Equal
-    generator counts, pair tables and cycle words make equal
-    presentations, whatever the cycles' equations and provenance. A
-    letter of a relator's word or equation that names no generator
-    raises PresentationError. ``_lattice`` holds the column lattice once
+    may carry both kinds. Every other relator, and every cycle given to
+    ``from_table``, is kept with kind CYCLE, so each kind a presentation
+    hands out is the one its word has. Equal generator counts, pair
+    tables and cycle words make equal presentations, whatever the
+    cycles' equations and provenance. A letter of a relator's word or
+    equation that names no generator raises PresentationError. A graph's
+    presentation stores ``region_cycles``, each region's vertex tuple
+    (None when relators were given), and spells ``cycle_words`` on first
+    need (equality, hashing, the orbit search) and ``cycles`` on first
+    read, keeping both. ``_lattice`` holds the column lattice once
     invariants has built it.
     """
 
-    __slots__ = ("n_generators", "braid_pairs", "comm_pairs", "cycles", "_lattice")
+    __slots__ = (
+        "n_generators", "braid_pairs", "comm_pairs", "region_cycles", "_cycles", "_words",
+        "_lattice",
+    )
 
     def __init__(self, n_generators: int, relators: tuple[Relator, ...]) -> None:
         braid: set[tuple[int, int]] = set()
@@ -138,11 +147,21 @@ class Presentation:
                 (braid if pair[0] is RelatorKind.BRAID else comm).add(pair[1])
         k = n_generators
         full = not braid & comm and len(braid) + len(comm) == k * (k - 1) // 2
-        self.n_generators = n_generators
-        self.braid_pairs: tuple[tuple[int, int], ...] = tuple(sorted(braid))
-        self.comm_pairs: tuple[tuple[int, int], ...] | None = None if full else tuple(sorted(comm))
-        self.cycles: tuple[Relator, ...] = tuple(cycles)
-        self._lattice = None
+        comm_pairs = None if full else tuple(sorted(comm))
+        self._store(n_generators, tuple(sorted(braid)), comm_pairs, None, tuple(cycles))
+
+    def _store(self, n_generators, braid_pairs, comm_pairs, region_cycles, cycles=None) -> None:
+        self.n_generators, self.braid_pairs = n_generators, braid_pairs
+        self.comm_pairs, self.region_cycles, self._cycles = comm_pairs, region_cycles, cycles
+        self._words = self._lattice = None
+
+    @classmethod
+    def _stored(cls, *table) -> Presentation:
+        """The presentation of a generator count, braid pairs, comm pairs,
+        region cycles and cycle relators, stored as given."""
+        p = cls.__new__(cls)
+        p._store(*table)
+        return p
 
     @classmethod
     def from_table(
@@ -153,14 +172,10 @@ class Presentation:
         comm_pairs: tuple[tuple[int, int], ...] | None = None,
     ) -> Presentation:
         """Braid relators on braid_pairs (i < j), commutation on comm_pairs
-        (lex order; None for every other pair), and the cycle relators."""
-        p = cls.__new__(cls)
-        p.n_generators = n_generators
-        p.braid_pairs = tuple(sorted(braid_pairs))
-        p.comm_pairs = comm_pairs
-        p.cycles = tuple(cycles)
-        p._lattice = None
-        return p
+        (lex order; None for every other pair), and the cycle relators,
+        each kept with kind CYCLE."""
+        kept = tuple(replace(r, kind=RelatorKind.CYCLE) for r in cycles)
+        return cls._stored(n_generators, tuple(sorted(braid_pairs)), comm_pairs, None, kept)
 
     def pair_table(self) -> Iterator[tuple[int, int, RelatorKind]]:
         """(i, j, BRAID | COMM) per pair relator; lex order when comm_pairs is None."""
@@ -178,6 +193,24 @@ class Presentation:
             yield i, j, RelatorKind.COMM
 
     @property
+    def cycles(self) -> tuple[Relator, ...]:
+        """The cycle relators; a region's is built on first read, with
+        provenance ("region", its index)."""
+        if self._cycles is None:
+            regions = enumerate(self.region_cycles)
+            self._cycles = tuple(cycle_relator(cycle, ("region", i)) for i, cycle in regions)
+        return self._cycles
+
+    @property
+    def cycle_words(self) -> tuple[GroupWord, ...]:
+        """The cycle relators' words; a region's is spelled on first need."""
+        if self._words is None:
+            regions = self.region_cycles
+            words = map(_cycle_word, regions) if regions else (r.word for r in self.cycles)
+            self._words = tuple(words)
+        return self._words
+
+    @property
     def relators(self) -> tuple[Relator, ...]:
         return (
             tuple(braid_relator(i, j) for i, j in self.braid_pairs)
@@ -188,8 +221,7 @@ class Presentation:
         )
 
     def _content(self) -> tuple:
-        cycle_words = tuple(r.word for r in self.cycles)
-        return self.n_generators, self.braid_pairs, self.comm_pairs, cycle_words
+        return self.n_generators, self.braid_pairs, self.comm_pairs, self.cycle_words
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Presentation):
@@ -232,27 +264,31 @@ def cycle_equation(cycle: tuple[int, ...]) -> tuple[GroupWord, GroupWord]:
     return lhs, rhs
 
 
-def cycle_relator(cycle: tuple[int, ...], provenance: tuple = ()) -> Relator:
-    """The relator lhs * rhs^-1 of a cycle of distinct generators.
+def _cycle_word(cycle: tuple[int, ...]) -> GroupWord:
+    """lhs * rhs^-1 of the cycle relation in closed form, i_n .. i_1 i_n ..
+    i_3 i_2^-1 .. i_n^-1 i_1^-1 .. i_{n-1}^-1: freely reduced for distinct
+    generators, as lhs ends with i_3 and rhs^-1 starts with i_2^-1."""
+    rev = cycle[::-1]
+    neg = tuple(-x for x in cycle)
+    return rev + rev[:-2] + neg[1:] + neg[:-1]
 
-    The word is already freely reduced: both sides are positive, and lhs
-    ends with i_3 while rhs^-1 starts with i_2^-1.
-    """
+
+def cycle_relator(cycle: tuple[int, ...], provenance: tuple = ()) -> Relator:
+    """The relator of a cycle of distinct generators: its closed-form word
+    and its equation."""
     lhs, rhs = cycle_equation(cycle)
-    return Relator(
-        RelatorKind.CYCLE, lhs + invert_word(rhs), lhs, rhs, provenance or ("region", cycle)
-    )
+    provenance = provenance or ("region", cycle)
+    return Relator(RelatorKind.CYCLE, _cycle_word(cycle), lhs, rhs, provenance)
 
 
 def presentation_of(g: LinkingGraph) -> Presentation:
-    """Braid relator per edge, commutation per non-edge, cycle per region;
-    built on the first call and kept on the graph for every later one."""
+    """Braid relator per edge, commutation per non-edge, cycle per region:
+    the graph's pair table and region cycles, stored on the first call
+    and kept on the graph for every later one."""
     if g._presentation is None:
-        cycles = tuple(
-            cycle_relator(region.vertices, ("region", idx))
-            for idx, region in enumerate(g.regions)
-        )
-        p = Presentation.from_table(len(g.diagram.bricks), ((e.a, e.b) for e in g.edges), cycles)
+        pairs = tuple((a, b) for a, b, _ in g.raw_edges)
+        regions = tuple(cycle for cycle, _, _ in g.raw_regions)
+        p = Presentation._stored(g.diagram.n_bricks, pairs, None, regions)
         object.__setattr__(g, "_presentation", p)
     return g._presentation
 
@@ -271,7 +307,7 @@ def relabels_onto(src: Presentation, dst: Presentation, sigma: list[int]) -> boo
 
 def cycle_relator_shift(p: Presentation, region_index: int, shift: int) -> GroupWord:
     """The cycle relator word with the region's tuple rotated left by shift."""
-    return shifted_cycle_presentation(p, region_index, shift).cycles[region_index].word
+    return shifted_cycle_presentation(p, region_index, shift).cycle_words[region_index]
 
 
 def shifted_cycle_presentation(
@@ -280,17 +316,23 @@ def shifted_cycle_presentation(
     """The presentation with p.cycles[region_index] replaced by the cycle
     relator of its region's tuple rotated left by shift; the pair table is
     kept. A word that is no region's cycle relator raises PresentationError."""
-    if not 0 <= region_index < len(p.cycles):
-        raise IndexError(f"presentation has {len(p.cycles)} cycle relators")
-    cycles = list(p.cycles)
-    r = cycles[region_index]
-    cycle = _region_of(r.word)
+    regions = p.region_cycles
+    count = len(p.cycles if regions is None else regions)
+    if not 0 <= region_index < count:
+        raise IndexError(f"presentation has {count} cycle relators")
+    cycle = _region_of(p.cycles[region_index].word) if regions is None else regions[region_index]
     if cycle is None:
         t = sum(1 for _ in p.pair_table()) + region_index
         raise PresentationError(f"relator {t} is not the cycle relator of a region")
     k = shift % len(cycle)
-    cycles[region_index] = cycle_relator(cycle[k:] + cycle[:k], r.provenance)
-    return Presentation.from_table(p.n_generators, p.braid_pairs, tuple(cycles), p.comm_pairs)
+    rotated = cycle[k:] + cycle[:k]
+    table = p.n_generators, p.braid_pairs, p.comm_pairs
+    if regions is not None:
+        regions = regions[:region_index] + (rotated,) + regions[region_index + 1 :]
+        return Presentation._stored(*table, regions)
+    cycles = list(p.cycles)
+    cycles[region_index] = cycle_relator(rotated, cycles[region_index].provenance)
+    return Presentation._stored(*table, None, tuple(cycles))
 
 
 def _word_plain(word: GroupWord) -> str:

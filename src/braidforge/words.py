@@ -60,13 +60,13 @@ class BraidWord:
         """1-based positions of sigma_column, in increasing order."""
         return tuple(p for p, i in enumerate(self.letters, start=1) if i == column)
 
-    def occurrences_by_letter(self) -> dict[int, list[int]]:
+    def occurrences_by_letter(self) -> dict[int, tuple[int, ...]]:
         """occurrences() of each letter that occurs, in increasing letter
         order, from one pass over the word."""
         occ: dict[int, list[int]] = {}
         for p, i in enumerate(self.letters, start=1):
             occ.setdefault(i, []).append(p)
-        return dict(sorted(occ.items()))
+        return {i: tuple(occ[i]) for i in sorted(occ)}
 
     def to_json(self) -> str:
         return json.dumps({"strands": self.strands, "letters": list(self.letters)})

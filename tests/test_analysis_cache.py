@@ -11,7 +11,10 @@ the invariants of the paper's main theorem stay fixed; each of those
 words goes through the caches, so this also tests them end to end.
 Answers along move chains are the same with every cache warm and with
 every cache cleared, a presentation that fails its lattice fails again,
-and no cache keeps a table's spelled pair relators alive.
+and no cache keeps a table's spelled pair relators alive. The
+``invariants`` and ``verify`` commands build no Brick, LinkEdge, Region
+or Relator object (counted by wrapping their constructors), and a
+graph's lattice reads no cycle word.
 """
 
 import contextlib
@@ -636,3 +639,67 @@ def test_invariants_commands_keep_no_spelled_pair_relator(capsys):
         if isinstance(o, Relator) and o.kind is RelatorKind.COMM and id(o) not in kept
     ]
     assert alive == []
+
+
+def counted_constructions(monkeypatch) -> Counter:
+    """Constructions of each per-word view class from here on, by class name."""
+    built: Counter = Counter()
+    for cls in (bricks.Brick, linking.LinkEdge, linking.Region, Relator):
+        real = cls.__init__
+
+        def counted(self, *args, _real=real, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+def test_invariants_above_every_cap_builds_no_view(monkeypatch, capsys):
+    # 60 letters on 5 strands: 56 bricks, past every generator cap, so
+    # nothing but the lattice reads the analysis
+    rng = random.Random(60)
+    letters = tuple(rng.randint(1, 4) for _ in range(60))
+    clear_caches()
+    built = counted_constructions(monkeypatch)
+    assert cli.main(["invariants", " ".join(map(str, letters)), "--strands", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["skipped_targets"] == ["S3", "S4"]
+    assert built == Counter()
+    g = build_graph(build_bricks(BraidWord(5, letters)))
+    spelled = Counter(
+        Brick=len(g.diagram.bricks), LinkEdge=len(g.edges), Region=len(g.regions),
+        Relator=len(presentation_of(g).cycles),
+    )
+    assert spelled["Brick"] == 56 and spelled["Region"] > 30
+    assert built == spelled
+
+
+def test_counts_and_verify_within_the_caps_build_no_view(monkeypatch, capsys):
+    # hom counts read the pair table and the cycle words; verify also
+    # compares graph signatures at every neutral move
+    clear_caches()
+    built = counted_constructions(monkeypatch)
+    for argv in (
+        ["invariants", "1 2 3 1 2 2 3 1 2 1", "--strands", "4", "--up-to-conjugacy"],
+        ["verify", "1 2 1 3 2 1 3 3 2", "--strands", "4", "--moves", "20", "--seed", "3"],
+    ):
+        assert cli.main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload.get("skipped_targets") == [] or payload.get("stable") is True
+    assert built == Counter()
+
+
+def test_graph_lattice_reads_no_cycle_word(monkeypatch):
+    def spelled(self):
+        raise AssertionError("cycle words spelled")
+
+    clear_caches()
+    monkeypatch.setattr(Presentation, "cycles", property(spelled))
+    monkeypatch.setattr(Presentation, "cycle_words", property(spelled))
+    for text in WORDS:
+        p = presentation_for(parse_word(text))
+        assert p.region_cycles is not None
+        assert abelianization(p).rank == ColumnLattice.of(p).n_components
+        if p.region_cycles:
+            shifted = shifted_cycle_presentation(p, 0, 1)
+            assert ColumnLattice.of(shifted).component == ColumnLattice.of(p).component

@@ -3,7 +3,10 @@ and of what a presentation no braid word yields does instead.
 
 The references (conftest) take sympy's Smith normal decomposition of the
 dense exponent matrix spelled from the relator words: the abelianization
-from its diagonal, and lattice membership from its row transform.
+from its diagonal, and lattice membership from its row transform. A
+graph's lattice joins each region's i_n and i_2 without spelling its
+word; a hand-built copy of the same presentation sums its cycle words,
+and the two must have the same components.
 """
 
 import os
@@ -93,6 +96,29 @@ def test_fast_path_agrees_with_snf(case):
         member = snf_membership(exponent_matrix(p))
         for v in probe_vectors(p, rng):
             assert (not any(lattice.project(v))) == member(v), v
+
+
+wide_words = st.integers(2, 9).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n - 1), max_size=60))
+)
+
+
+@SETTINGS
+@given(wide_words)
+def test_region_joins_match_summed_cycle_words(case):
+    n, letters = case
+    base = presentation_of(build_graph(build_bricks(BraidWord(n, tuple(letters)))))
+    bad = Relator.from_equation(RelatorKind.CYCLE, (1, 1), (), ())
+    for p in variants(base):
+        assert p.region_cycles is not None
+        copy = Presentation.from_table(p.n_generators, p.braid_pairs, p.cycles)
+        assert copy.region_cycles is None and copy == p
+        assert ColumnLattice(p).component == ColumnLattice(copy).component
+        if p.n_generators:
+            broken = Presentation.from_table(p.n_generators, p.braid_pairs, p.cycles + (bad,))
+            message = rf"^relator {len(p.relators)} has exponent sums s1\^2,"
+            with pytest.raises(PresentationError, match=message):
+                ColumnLattice(broken)
 
 
 def test_non_incidence_columns_raise():

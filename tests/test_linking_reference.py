@@ -6,13 +6,18 @@ keeps those of positive signed area and reads each one's anchor column,
 side and cycle off its boundary, as build_graph did before regions were
 read off bridging bricks. The two must agree on edges, on regions (order,
 cycles, signs, anchors and sides) and on the presentation read off them.
+The views a diagram and a graph spell from their compact form (bricks,
+id ranges, edges, regions, positions, JSON and the combinatorial
+signature) must equal those built eagerly from a direct scan of the word
+and from the face tracer.
 """
 
+import json
 import math
 
 from hypothesis import given, settings, strategies as st
 
-from braidforge.bricks import BrickDiagram, build_bricks
+from braidforge.bricks import Brick, BrickDiagram, build_bricks
 from braidforge.linking import (
     SIGN_CONVENTIONS,
     EdgeKind,
@@ -20,6 +25,7 @@ from braidforge.linking import (
     LinkingGraph,
     Region,
     Side,
+    _graph,
     build_graph,
 )
 from braidforge.presentations import presentation_of
@@ -130,3 +136,85 @@ def test_sweep_matches_face_tracer(case):
         assert g.regions == regions
         reference = LinkingGraph(d, edges, g.positions, regions, convention)
         assert presentation_of(g) == presentation_of(reference)
+
+
+wide_words = st.integers(2, 9).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n - 1), max_size=60))
+)
+
+
+def reference_bricks(w: BraidWord) -> tuple[Brick, ...]:
+    """Bricks by direct scan, column by column, bottom to top."""
+    bricks = []
+    for column in range(1, w.strands):
+        occ = [p for p, i in enumerate(w.letters, start=1) if i == column]
+        for lo, hi in zip(occ, occ[1:]):
+            bricks.append(Brick(len(bricks) + 1, column, lo, hi))
+    return tuple(bricks)
+
+
+def eager_signature(g: LinkingGraph) -> tuple:
+    """combinatorial_signature read off the graph's views."""
+    d = g.diagram
+    verts = tuple((b.id,) + d.column_rank(b.id) for b in d.bricks)
+    edges = tuple((e.a, e.b, e.kind.value, e.side.value if e.side else None) for e in g.edges)
+    regions = tuple((r.vertices, r.sign, r.anchor_column, r.side.value) for r in g.regions)
+    return (verts, edges, regions)
+
+
+def eager_json(g: LinkingGraph) -> dict:
+    """The graph's JSON document, read off its views."""
+    word = {"strands": g.diagram.word.strands, "letters": list(g.diagram.word.letters)}
+    return {
+        "word": word,
+        "sign_convention": g.sign_convention,
+        "vertices": [
+            {"id": b.id, "column": b.column, "lo": b.lo, "hi": b.hi,
+             "x": g.positions[b.id][0], "y": g.positions[b.id][1]}
+            for b in g.diagram.bricks
+        ],
+        "edges": [
+            {"a": e.a, "b": e.b, "kind": e.kind.value, "side": e.side.value if e.side else None}
+            for e in g.edges
+        ],
+        "regions": [
+            {"vertices": list(r.vertices), "sign": r.sign, "anchor_column": r.anchor_column,
+             "side": r.side.value}
+            for r in g.regions
+        ],
+    }
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(wide_words)
+def test_views_match_eager_references(case):
+    n, letters = case
+    w = BraidWord(n, tuple(letters))
+    d = build_bricks(w)
+    bricks = reference_bricks(w)
+    word = {"strands": n, "letters": list(letters)}
+    columns: dict[int, list[int]] = {}
+    for b in bricks:
+        columns.setdefault(b.column, []).append(b.id)
+    assert json.loads(d.to_json()) == {
+        "word": word,
+        "bricks": [{"id": b.id, "column": b.column, "lo": b.lo, "hi": b.hi} for b in bricks],
+    }
+    assert d.n_bricks == len(bricks)
+    assert {c: list(ids) for c, ids in d.column_ids.items()} == columns
+    assert d.bricks == bricks
+    edges = reference_edges(d)
+    positions = {b.id: (float(b.column), b.midpoint) for b in bricks}
+    for convention in SIGN_CONVENTIONS:
+        # a graph no other caller has read: its signature and JSON come
+        # before any view is spelled
+        g = _graph.__wrapped__(d, convention)
+        signature, document = g.combinatorial_signature(), json.loads(g.to_json())
+        regions = reference_regions(d, edges, convention)
+        reference = LinkingGraph(d, edges, positions, regions, convention)
+        assert g == reference
+        assert g.edges == reference.edges
+        assert g.regions == reference.regions
+        assert g.positions == reference.positions
+        assert signature == eager_signature(reference)
+        assert document == eager_json(reference)

@@ -3,7 +3,7 @@ not parse, negative move counts, and the ``python -m braidforge`` entry.
 
 A hand-built presentation reads its pair table off its relator words, so
 a relator's kind or equation cannot impose a relation its word does not
-state. A setting that does not parse, or a cap that is not positive,
+state; one built from a table keeps its cycles with the kind CYCLE. A setting that does not parse, or a cap that is not positive,
 names its key, and its file when it came from BRAIDFORGE_CONFIG.
 """
 
@@ -83,6 +83,24 @@ def test_hand_built_relators_print_what_their_words_say(relator, plain):
     [r] = json.loads(serialize(p, "json"))["relators"]
     assert r["word"] == list(relator.word)
     assert r["kind"] == ("comm" if plain.startswith("[") else "cycle")
+
+
+@pytest.mark.parametrize(
+    "lhs, plain",
+    [
+        # a commutation kind on two letters printed another group's relator
+        ((1, 2), "s1 s2 = s3 s1"),
+        # a commutation kind on three letters crashed plain output
+        ((1, 2, 3), "s1 s2 s3 = s3 s1"),
+    ],
+)
+def test_table_cycles_print_what_their_words_say(lhs, plain):
+    relator = Relator.from_equation(RelatorKind.COMM, lhs, (3, 1), ())
+    p = Presentation.from_table(3, [], (relator,))
+    assert [r.kind for r in p.cycles] == [RelatorKind.CYCLE]
+    assert serialize(p, "plain").endswith(f", {plain}>")
+    gap = "*".join(f"F.{x}" if x > 0 else f"F.{-x}^-1" for x in relator.word)
+    assert serialize(p, "gap-style").endswith(f", {gap}];")
 
 
 def test_hand_built_table_keeps_standard_pair_relators():

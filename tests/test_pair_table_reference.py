@@ -8,8 +8,11 @@ columns join, its abelianization and hom sets must be those of the eager relator
 words, and check_map's relabeling shortcut on two tables must give the
 verdict of the relator word-set comparison, on graphs and on hand-built
 relators. A hand-built presentation hands out each relator with the kind
-its word has. The eager relators are never made into a Presentation:
-that would be a table too.
+its word has. A graph's presentation, which stores region tuples and
+spells words and relators only when read, must serialize, compare and
+hash as the presentation given the eager relators does; apart from that
+comparison the eager relators are never made into a Presentation, which
+would be a table too.
 """
 
 import random
@@ -22,7 +25,7 @@ from braidforge.errors import ResourceCapError
 from braidforge.finite_groups import builtin_targets
 from braidforge.invariants import ColumnLattice, abelianization, enumerate_homs
 from braidforge.isomaps import GeneratorMap, check_map
-from braidforge.linking import build_graph
+from braidforge.linking import SIGN_CONVENTIONS, build_graph
 from braidforge.presentations import (
     Presentation,
     Relator,
@@ -35,6 +38,7 @@ from braidforge.presentations import (
     free_reduce,
     presentation_of,
     relabels_onto,
+    serialize,
     shifted_cycle_presentation,
 )
 from braidforge.words import BraidWord, MoveKind, apply_move, enumerate_moves
@@ -138,6 +142,29 @@ def test_table_matches_eager_relators(case):
         assert homs is None or homs == reference_homs(k, want, TARGETS[name])
     # words last: reading them spells the table's pair relators
     assert got.relators == want
+
+
+wide_words = st.integers(2, 9).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n - 1), max_size=60))
+)
+
+
+@SETTINGS
+@given(wide_words)
+def test_spelled_presentation_matches_eager_relators(case):
+    n, letters = case
+    d = build_bricks(BraidWord(n, tuple(letters)))
+    for convention in SIGN_CONVENTIONS:
+        g = build_graph(d, convention)
+        got = presentation_of(g)
+        want = reference_relators(g)
+        eager = Presentation(got.n_generators, want)
+        assert eager.region_cycles is None and got.region_cycles is not None
+        assert got.cycle_words == tuple(r.word for r in want if r.kind is RelatorKind.CYCLE)
+        assert got == eager and hash(got) == hash(eager)
+        for fmt in ("json", "plain", "gap-style"):
+            assert serialize(got, fmt) == serialize(eager, fmt)
+        assert got.relators == want
 
 
 @SETTINGS
