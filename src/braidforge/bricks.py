@@ -118,5 +118,4 @@ def _bricks(w: BraidWord) -> BrickDiagram:
 
 
 def brick_count(w: BraidWord) -> int:
-    # each letter that occurs has one brick fewer than occurrences
-    return len(w.letters) - len(set(w.letters))
+    return build_bricks(w).n_bricks

@@ -86,12 +86,9 @@ class Region:
         return len(self.vertices)
 
 
-RawEdge = tuple[int, int, Side | None]
-RawRegion = tuple[tuple[int, ...], Side, int]
-
-
-def _sign(side: Side, sign_convention: str) -> int:
-    return 1 if (side is Side.LEFT) == (sign_convention == "left-positive") else -1
+# the fields of a LinkEdge and of a Region, in order
+RawEdge = tuple[int, int, EdgeKind, Side | None]
+RawRegion = tuple[tuple[int, ...], int, int, Side]
 
 
 @dataclass(frozen=True, init=False)
@@ -99,13 +96,14 @@ class LinkingGraph:
     """A diagram's edges and regions in compact form, and their views.
 
     ``LinkingGraph(diagram, edges, positions, regions, convention)``
-    builds a graph from its views and keeps them as given. Graphs are
-    equal when their diagrams, compact forms and conventions are.
+    builds a graph from its views and keeps them as given, order, kinds
+    and signs included. Graphs are equal when their diagrams, compact
+    forms and conventions are.
     """
 
     diagram: BrickDiagram
-    raw_edges: tuple[RawEdge, ...]  # (a, b, side) per edge, side None when vertical
-    raw_regions: tuple[RawRegion, ...]  # (cycle, side, anchor column) per region
+    raw_edges: tuple[RawEdge, ...]  # (a, b, kind, side) per edge, side None when vertical
+    raw_regions: tuple[RawRegion, ...]  # (cycle, sign, anchor column, side) per region
     sign_convention: str = DEFAULT_SIGN_CONVENTION
     # set once by presentations.presentation_of; no part of the graph's value
     _presentation: object = field(default=None, repr=False, compare=False)
@@ -116,8 +114,8 @@ class LinkingGraph:
         sign_convention: str = DEFAULT_SIGN_CONVENTION,
     ) -> None:
         edges, regions = tuple(edges), tuple(regions)
-        raw_edges = tuple((e.a, e.b, e.side) for e in edges)
-        raw_regions = tuple((r.vertices, r.side, r.anchor_column) for r in regions)
+        raw_edges = tuple((e.a, e.b, e.kind, e.side) for e in edges)
+        raw_regions = tuple((r.vertices, r.sign, r.anchor_column, r.side) for r in regions)
         self.__dict__.update(
             diagram=diagram, raw_edges=raw_edges, raw_regions=raw_regions,
             sign_convention=sign_convention, edges=edges, regions=regions,
@@ -127,7 +125,7 @@ class LinkingGraph:
     @classmethod
     def _compact(cls, diagram: BrickDiagram, sign_convention: str) -> LinkingGraph:
         g = cls.__new__(cls)
-        raw_edges, raw_regions = _sweep(diagram)
+        raw_edges, raw_regions = _sweep(diagram, sign_convention)
         g.__dict__.update(
             diagram=diagram, raw_edges=raw_edges, raw_regions=raw_regions,
             sign_convention=sign_convention,
@@ -136,17 +134,11 @@ class LinkingGraph:
 
     @cached_property
     def edges(self) -> tuple[LinkEdge, ...]:
-        return tuple(
-            LinkEdge(a, b, EdgeKind.LATERAL if side else EdgeKind.VERTICAL, side)
-            for a, b, side in self.raw_edges
-        )
+        return tuple(LinkEdge(*e) for e in self.raw_edges)
 
     @cached_property
     def regions(self) -> tuple[Region, ...]:
-        return tuple(
-            Region(cycle, _sign(side, self.sign_convention), anchor, side)
-            for cycle, side, anchor in self.raw_regions
-        )
+        return tuple(Region(*r) for r in self.raw_regions)
 
     @cached_property
     def positions(self) -> Mapping[int, tuple[float, float]]:
@@ -154,8 +146,8 @@ class LinkingGraph:
         return MappingProxyType({b: (float(c), (lo + hi) / 2.0) for b, c, lo, hi in spans})
 
     def neighbors(self, brick_id: int) -> list[int]:
-        out = [b for a, b, _ in self.raw_edges if a == brick_id]
-        out += [a for a, b, _ in self.raw_edges if b == brick_id]
+        out = [b for a, b, _, _ in self.raw_edges if a == brick_id]
+        out += [a for a, b, _, _ in self.raw_edges if b == brick_id]
         return sorted(out)
 
     def edge_between(self, a: int, b: int) -> LinkEdge | None:
@@ -178,13 +170,10 @@ class LinkingGraph:
             for rank, b in enumerate(ids, start=1)
         )
         edges = tuple(
-            (a, b, EdgeKind.LATERAL.value, side.value) if side
-            else (a, b, EdgeKind.VERTICAL.value, None)
-            for a, b, side in self.raw_edges
+            (a, b, kind.value, side.value if side else None) for a, b, kind, side in self.raw_edges
         )
         regions = tuple(
-            (cycle, _sign(side, self.sign_convention), anchor, side.value)
-            for cycle, side, anchor in self.raw_regions
+            (cycle, sign, anchor, side.value) for cycle, sign, anchor, side in self.raw_regions
         )
         return (verts, edges, regions)
 
@@ -208,12 +197,18 @@ class LinkingGraph:
         )
 
 
-def _sweep(d: BrickDiagram) -> tuple[tuple[RawEdge, ...], tuple[RawRegion, ...]]:
+def _sweep(
+    d: BrickDiagram, sign_convention: str
+) -> tuple[tuple[RawEdge, ...], tuple[RawRegion, ...]]:
     """Raw edges and regions, read off one adjacent column pair at a time."""
     # only the columns that occur, and only adjacent pairs of them: the
     # cost follows the word, not the strand count
     occ, column_ids = d.occurrences, d.column_ids
-    edges: list[RawEdge] = [(a, a + 1, None) for ids in column_ids.values() for a in ids[:-1]]
+    vertical, lateral = EdgeKind.VERTICAL, EdgeKind.LATERAL
+    edges: list[RawEdge] = [
+        (a, a + 1, vertical, None) for ids in column_ids.values() for a in ids[:-1]
+    ]
+    right_sign = -1 if sign_convention == "left-positive" else 1
     regions: list[RawRegion] = []
     for c, lower in occ.items():
         upper = occ.get(c + 1)
@@ -238,13 +233,13 @@ def _sweep(d: BrickDiagram) -> tuple[tuple[RawEdge, ...], tuple[RawRegion, ...]]
                 bridging.append((first_up + j, Side.LEFT))
         del bridging[-1:]
         for (x, side), (y, _) in zip(bridging, bridging[1:]):
-            edges.append((x, y, side) if side is Side.RIGHT else (y, x, side))
+            edges.append((x, y, lateral, side) if side is Side.RIGHT else (y, x, lateral, side))
         for (x, side), (y, _), (z, _) in zip(bridging, bridging[1:], bridging[2:]):
             if side is Side.RIGHT:
-                regions.append(((*range(x, z + 1), y), side, c))
+                regions.append(((*range(x, z + 1), y), right_sign, c, side))
             else:
-                regions.append(((y, *range(x, z + 1)), side, c + 1))
-    # pairs (a, b) and cycles are distinct, so no sort compares sides
+                regions.append(((y, *range(x, z + 1)), -right_sign, c + 1, side))
+    # pairs (a, b) and cycles are distinct, so no sort compares kinds or sides
     edges.sort()
     regions.sort()
     return tuple(edges), tuple(regions)
@@ -309,7 +304,7 @@ def _tree_center(adj: dict[int, set[int]], nodes: list[int]) -> list[int]:
 
 def _forest_signature(g: LinkingGraph) -> tuple[str, ...]:
     adj: dict[int, set[int]] = {b: set() for b in range(1, g.diagram.n_bricks + 1)}
-    for a, b, _ in g.raw_edges:
+    for a, b, _, _ in g.raw_edges:
         adj[a].add(b)
         adj[b].add(a)
     seen: set[int] = set()

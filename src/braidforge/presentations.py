@@ -286,8 +286,10 @@ def presentation_of(g: LinkingGraph) -> Presentation:
     the graph's pair table and region cycles, stored on the first call
     and kept on the graph for every later one."""
     if g._presentation is None:
-        pairs = tuple((a, b) for a, b, _ in g.raw_edges)
-        regions = tuple(cycle for cycle, _, _ in g.raw_regions)
+        # a swept graph's edges are in lex order; one built from views
+        # keeps the order it was given
+        pairs = tuple(sorted([(a, b) for a, b, _, _ in g.raw_edges]))
+        regions = tuple(cycle for cycle, _, _, _ in g.raw_regions)
         p = Presentation._stored(g.diagram.n_bricks, pairs, None, regions)
         object.__setattr__(g, "_presentation", p)
     return g._presentation
@@ -316,23 +318,18 @@ def shifted_cycle_presentation(
     """The presentation with p.cycles[region_index] replaced by the cycle
     relator of its region's tuple rotated left by shift; the pair table is
     kept. A word that is no region's cycle relator raises PresentationError."""
-    regions = p.region_cycles
-    count = len(p.cycles if regions is None else regions)
-    if not 0 <= region_index < count:
-        raise IndexError(f"presentation has {count} cycle relators")
-    cycle = _region_of(p.cycles[region_index].word) if regions is None else regions[region_index]
+    words = p.cycle_words
+    if not 0 <= region_index < len(words):
+        raise IndexError(f"presentation has {len(words)} cycle relators")
+    cycle = _region_of(words[region_index])
     if cycle is None:
         t = sum(1 for _ in p.pair_table()) + region_index
         raise PresentationError(f"relator {t} is not the cycle relator of a region")
     k = shift % len(cycle)
     rotated = cycle[k:] + cycle[:k]
-    table = p.n_generators, p.braid_pairs, p.comm_pairs
-    if regions is not None:
-        regions = regions[:region_index] + (rotated,) + regions[region_index + 1 :]
-        return Presentation._stored(*table, regions)
     cycles = list(p.cycles)
     cycles[region_index] = cycle_relator(rotated, cycles[region_index].provenance)
-    return Presentation._stored(*table, None, tuple(cycles))
+    return Presentation._stored(p.n_generators, p.braid_pairs, p.comm_pairs, None, tuple(cycles))
 
 
 def _word_plain(word: GroupWord) -> str:

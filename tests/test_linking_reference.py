@@ -9,7 +9,9 @@ cycles, signs, anchors and sides) and on the presentation read off them.
 The views a diagram and a graph spell from their compact form (bricks,
 id ranges, edges, regions, positions, JSON and the combinatorial
 signature) must equal those built eagerly from a direct scan of the word
-and from the face tracer.
+and from the face tracer. A graph built from shuffled views with flipped
+signs reads its signature and JSON off what it was given, and its
+presentation still lists braid pairs in lex order.
 """
 
 import json
@@ -218,3 +220,29 @@ def test_views_match_eager_references(case):
         assert g.positions == reference.positions
         assert signature == eager_signature(reference)
         assert document == eager_json(reference)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(wide_words, st.randoms(use_true_random=False))
+def test_view_built_graph_keeps_given_order_and_signs(case, rnd):
+    n, letters = case
+    d = build_bricks(BraidWord(n, tuple(letters)))
+    for convention in SIGN_CONVENTIONS:
+        g = build_graph(d, convention)
+        edges, regions = list(g.edges), list(g.regions)
+        rnd.shuffle(edges)
+        rnd.shuffle(regions)
+        flipped = [Region(r.vertices, -r.sign, r.anchor_column, r.side) for r in regions]
+        shuffled = LinkingGraph(d, edges, g.positions, flipped, convention)
+        assert shuffled.edges == tuple(edges)
+        assert shuffled.regions == tuple(flipped)
+        assert shuffled.combinatorial_signature() == eager_signature(shuffled)
+        assert json.loads(shuffled.to_json()) == eager_json(shuffled)
+        # the presentation lists braid pairs in lex order, whatever the
+        # edges' order, and its cycles in the regions' given order
+        same_regions = LinkingGraph(d, edges, g.positions, g.regions, convention)
+        p = presentation_of(same_regions)
+        assert list(p.braid_pairs) == sorted(p.braid_pairs)
+        assert p == presentation_of(g)
+        assert hash(p) == hash(presentation_of(g))
+        assert p.relators == presentation_of(g).relators
