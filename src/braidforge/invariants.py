@@ -17,21 +17,29 @@ reading and raises PresentationError on every call.
 
 Homomorphisms into small finite groups are found by one orbit search per
 presentation content and target: pruned backtracking over the
-generators in id order, in which each pair relator becomes a
-compatibility bitmask intersected when its larger generator is assigned
-(a pair carrying both kinds gets both masks), each cycle relator is
-evaluated when its largest generator is assigned, and an orderly rule
-(Read 1978; McKay 1998) keeps only the least member of each orbit under
-simultaneous conjugation in the target. Per target element v, cent[v]
-is the mask of conjugators fixing v and lower[v] of those sending it to
-a smaller index; the search carries stab, the centralizer of the images
-so far, tries v only if stab & lower[v] == 0, and descends with stab &
-cent[v]. A leaf's orbit has |G| / |stab| members. The count, the orbit
-count and the orbit representatives are read off that one result, and
-images are a hom iff their least conjugate (least_conjugate) is one of
-those representatives. The full hom list is expanded only on request,
-every representative by every conjugator, in lexicographic order of
-image tuples. Id order is what keeps the search narrow: brick ids run
+generators in id order, in which pair relators become compatibility
+bitmasks ANDed when the larger generator is assigned, each cycle
+relator is evaluated when its largest generator is assigned, and an
+orderly rule (Read 1978; McKay 1998) keeps only the least member of each
+orbit under simultaneous conjugation in the target. When every pair off
+the braid pairs commutes (comm_pairs None, every graph's presentation),
+every generator before step j's least braid-linked one, start[j],
+commutes with j: the search keeps a running commutant per depth,
+prefix[s + 1] = prefix[s] & comm[image of s], ANDs prefix[start[j]]
+once, and reads a braid or commutation mask per pair only in the window
+[start[j], j), so it never walks the k(k-1)/2 pairs. An explicit table
+has start 0 and masks for its listed pairs (a pair carrying both kinds
+gets both). Cycle words are evaluated through a signed letter table,
+value[x] the image of letter x for x in -k..k. Per target element v,
+cent[v] is the mask of conjugators fixing v and lower[v] of those
+sending it to a smaller index; the search carries stab, the centralizer
+of the images so far, tries v only if stab & lower[v] == 0, and descends
+with stab & cent[v]. A leaf's orbit has |G| / |stab| members. The count,
+the orbit count and the orbit representatives are read off that one
+result, and images are a hom iff their least conjugate
+(least_conjugate) is one of those representatives. The full hom list is
+expanded only on request, every representative by every conjugator, in
+lexicographic order of image tuples. Id order is what keeps the search narrow: brick ids run
 column by column and each region's bricks lie in two adjacent
 columns, so a cycle relator is tested soon after its first generator is
 assigned and a dead branch is cut near the top (variable order sets the
@@ -46,12 +54,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .bricks import CACHE_SIZE
 from .errors import PresentationError, ResourceCapError
 from .finite_groups import FiniteTarget
-from .presentations import GroupWord, Presentation, RelatorKind, exponent_sums
+from .presentations import GroupWord, Presentation, exponent_sums
 
 DEFAULT_GENERATOR_CAPS = {"S3": 14, "S4": 10, "S5": 8, "*": 10}
 
@@ -176,7 +184,8 @@ class _Tables(NamedTuple):
     commutation relation; cent[v]: the conjugators c with c v c^-1 = v;
     lower[v]: the conjugators sending v to a smaller index; conj[c]: the
     map x -> c x c^-1. least maps a conjugator mask stab to the values v
-    with stab & lower[v] == 0, filled as searches meet each stab.
+    with stab & lower[v] == 0, and values an allowed mask to its values
+    in increasing order, both filled as searches meet each mask.
     """
 
     braid: list[int]
@@ -185,6 +194,7 @@ class _Tables(NamedTuple):
     lower: list[int]
     conj: list[tuple[int, ...]]
     least: dict[int, int]
+    values: dict[int, tuple[int, ...]]
 
 
 # Keyed by the table itself: two targets may share a name (load_table's
@@ -209,14 +219,7 @@ def _target_tables(t: FiniteTarget) -> _Tables:
     for v in range(n):
         cent.append(sum(1 << c for c in range(n) if conj[c][v] == v))
         lower.append(sum(1 << c for c in range(n) if conj[c][v] < v))
-    return _Tables(braid, comm, cent, lower, conj, {})
-
-
-def _iter_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    return _Tables(braid, comm, cent, lower, conj, {}, {})
 
 
 def generator_cap(t: FiniteTarget, caps: dict[str, int] | None = None) -> int:
@@ -233,6 +236,41 @@ class _Orbits(NamedTuple):
     count: int
 
 
+def _pair_windows(
+    p: Presentation, tables: _Tables
+) -> tuple[list[int], list[list[tuple[int, list[int]]]]]:
+    """Per step j (0-based): start[j], such that every generator before it
+    commutes with j, and window[j], a (letter, mask table) pair per pair
+    relator on j and an earlier generator from start[j] on.
+
+    With comm_pairs None, start[j] is j's least braid-linked earlier
+    generator (j if none) and the window names every generator from
+    there to j - 1, with the braid or the commutation masks; the search
+    covers the generators before start[j] by its running commutant. An
+    explicit table has start 0 and names its listed pairs, a pair
+    carrying both kinds once with each.
+    """
+    k = p.n_generators
+    braid, comm = tables.braid, tables.comm
+    if p.comm_pairs is not None:
+        window: list[list[tuple[int, list[int]]]] = [[] for _ in range(k)]
+        for i, j in p.braid_pairs:
+            window[j - 1].append((i, braid))
+        for i, j in p.comm_pairs:
+            window[j - 1].append((i, comm))
+        return [0] * k, window
+    linked: list[set[int]] = [set() for _ in range(k)]
+    for i, j in p.braid_pairs:
+        if 0 < i < j <= k:
+            linked[j - 1].add(i)
+    start = [min(ls, default=j + 1) - 1 for j, ls in enumerate(linked)]
+    window = [
+        [(i, braid if i in ls else comm) for i in range(s + 1, j + 1)]
+        for j, (s, ls) in enumerate(zip(start, linked))
+    ]
+    return start, window
+
+
 def _assignments(p: Presentation, t: FiniteTarget) -> _Orbits:
     """One relator-satisfying assignment per orbit under simultaneous
     conjugation in the target, found by an orderly search.
@@ -247,59 +285,76 @@ def _assignments(p: Presentation, t: FiniteTarget) -> _Orbits:
     lower[v] == 0), which keeps exactly the least member of each orbit.
     At a leaf stab is the centralizer of the whole image, so the orbit
     has |G| / |stab| members.
+
+    The loop is flat, so word length is not bounded by the recursion
+    limit: per depth it keeps stab, the running commutant prefix (the
+    values commuting with every image so far), the values to try and the
+    next one's index. value[x] is the image of letter x for x in -k..k.
     """
     k = p.n_generators
     n = t.size
     tables = _target_tables(t)
-    cent, lower, least = tables.cent, tables.lower, tables.least
-    # links[j - 1]: (i - 1, mask table) per pair relator on i < j, so a
-    # pair carrying both kinds is tested against both masks;
-    # closing[g - 1]: the cycle words whose largest generator is g.
-    links: list[list[tuple[int, list[int]]]] = [[] for _ in range(k)]
-    for i, j, kind in p.pair_table():
-        links[j - 1].append((i - 1, tables.braid if kind is RelatorKind.BRAID else tables.comm))
+    comm, cent, lower = tables.comm, tables.cent, tables.lower
+    least, values = tables.least, tables.values
+    start, window = _pair_windows(p, tables)
+    # closing[g - 1]: the cycle words whose largest generator is g
     closing: list[list[GroupWord]] = [[] for _ in range(k)]
     for word in p.cycle_words:
         if word:
             closing[max(map(abs, word)) - 1].append(word)
 
-    images = [0] * k
-    ident = t.identity
+    if k == 0:
+        return _Orbits(((),), (1,), 1)
+    table, inverse, ident = t.table, t.inverse, t.identity
+    full = (1 << n) - 1
+    value = [ident] * (2 * k + 1)
+    stab = [full] * k
+    prefix = [full] * k
+    tries: list[tuple[int, ...]] = [()] * k
+    nxt = [0] * k
     reps: list[tuple[int, ...]] = []
     sizes: list[int] = []
 
-    # Depth-first with an explicit stack, so word length is not bounded by
-    # the recursion limit: per assigned generator, its stab and its values left.
-    stack: list[tuple[int, Iterator[int]]] = []
-
-    def descend(stab: int) -> None:
-        """Record a leaf, or push the values to try for the next generator."""
-        step = len(stack)
-        if step == k:
-            reps.append(tuple(images))
-            sizes.append(n // stab.bit_count())
-            return
-        allowed = least.get(stab)
-        if allowed is None:
-            allowed = least[stab] = sum(1 << v for v in range(n) if not stab & lower[v])
-        for i, masks in links[step]:
-            allowed &= masks[images[i]]
-            if not allowed:
+    step, vals, i = 0, None, 0
+    while True:
+        if vals is None:  # step just entered: its allowed values
+            s = stab[step]
+            allowed = least.get(s)
+            if allowed is None:
+                allowed = least[s] = sum(1 << v for v in range(n) if not s & lower[v])
+            allowed &= prefix[start[step]]
+            for g, masks in window[step]:
+                if not allowed:
+                    break
+                allowed &= masks[value[g]]
+            vals = values.get(allowed)
+            if vals is None:
+                vals = values[allowed] = tuple(v for v in range(n) if allowed >> v & 1)
+            i = 0
+        if i == len(vals):
+            if not step:
+                return _Orbits(tuple(reps), tuple(sizes), sum(sizes))
+            step -= 1
+            vals, i = tries[step], nxt[step]
+            continue
+        v = vals[i]
+        i += 1
+        value[step + 1], value[-step - 1] = v, inverse[v]
+        for word in closing[step]:
+            acc = ident
+            for x in word:
+                acc = table[acc][value[x]]
+            if acc != ident:
                 break
-        stack.append((stab, _iter_bits(allowed)))
-
-    descend((1 << n) - 1)
-    while stack:
-        step = len(stack) - 1
-        stab, values = stack[-1]
-        val = next(values, None)
-        if val is None:
-            stack.pop()
         else:
-            images[step] = val
-            if all(evaluate_word(t, images, word) == ident for word in closing[step]):
-                descend(stab & cent[val])
-    return _Orbits(tuple(reps), tuple(sizes), sum(sizes))
+            s = stab[step] & cent[v]
+            if step + 1 == k:
+                reps.append(tuple(value[1 : k + 1]))
+                sizes.append(n // s.bit_count())
+            else:
+                tries[step], nxt[step] = vals, i
+                step += 1
+                stab[step], prefix[step], vals = s, prefix[step - 1] & comm[v], None
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -432,8 +432,20 @@ _Spelled = Callable[[Presentation], tuple[Relator, ...]]
 def _pull_back(
     t: FiniteTarget, hom: tuple[int, ...], images: tuple[GroupWord, ...]
 ) -> tuple[int, ...]:
-    """Generator images of hom after the map whose generator images are given."""
-    return tuple(evaluate_word(t, hom, w) for w in images)
+    """Generator images of hom after the map whose generator images are given.
+
+    value[x] is hom's image of letter x for every x in -k..k (negative
+    indices from the end), built once and read by every image word.
+    """
+    table, ident, inverse = t.table, t.identity, t.inverse
+    value = [ident, *hom, *(inverse[h] for h in reversed(hom))]
+    pulled = []
+    for word in images:
+        acc = ident
+        for x in word:
+            acc = table[acc][value[x]]
+        pulled.append(acc)
+    return tuple(pulled)
 
 
 def _violation(

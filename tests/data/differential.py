@@ -10,8 +10,10 @@ commands: ``isocheck --moves`` scripts of 1-5 moves checked against
 S3, S4, D4, D6 and Q8, ``invariants --up-to-conjugacy``,
 ``verify --moves 20``, and the Garside commands ``conj``, ``moveseq``,
 ``summit --full`` and ``halftwist`` on 3-6-strand words with and without
-a half twist, paired with walked conjugates or random words; over 1,300
-commands in all. Each tree runs the
+a half twist, paired with walked conjugates or random words, and, with
+generator caps lifted, ``invariants --up-to-conjugacy`` and ``isocheck
+--moves`` against S3, D4 and Q8 on 2-3-strand words of 20-60 letters;
+1,429 commands in all. Each tree runs the
 whole corpus in one child interpreter, in-process through
 ``braidforge.cli.main``, under its own address-space limit. Every argv
 whose exit code, stdout or stderr differ is printed, and the exit code
@@ -113,6 +115,23 @@ def corpus(seed: int) -> list[list[str]]:
             words = [a, BraidWord(n, tuple(rng.randint(1, n - 1) for _ in a.letters))]
         extra = ["--full"] if command == "summit" else []
         cmds.append([command, *(text(w.letters) for w in words), "--strands", str(n), *extra])
+    # caps lifted: 2-3-strand words of 20-60 letters reach wide pair windows
+    lifted = ["--targets", "S3,D4,Q8", "--caps.generators", "S3=64,*=64"]
+    for i in range(60):
+        n = 3 if i % 4 == 3 else rng.randint(2, 3)
+        w = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(20, 60))))
+        if i % 4 != 3:
+            cmds.append(["invariants", text(w.letters), "--strands", str(n), "--up-to-conjugacy",
+                         *lifted])
+            continue
+        moves, v = [], w
+        for _ in range(rng.randint(1, 3)):
+            m = rng.choice([m for m in enumerate_moves(v) if m.kind not in MARKOV])
+            moves.append(m)
+            v = apply_move(v, m)
+        script = ", ".join(f"{m.kind.value}@{m.position}" for m in moves)
+        cmds.append(["isocheck", text(w.letters), text(v.letters), "--strands", str(n),
+                     "--moves", script, *lifted])
     return cmds
 
 

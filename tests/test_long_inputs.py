@@ -20,7 +20,7 @@ from braidforge.cli import main
 from braidforge.finite_groups import builtin_targets
 from braidforge.invariants import hom_count
 from braidforge.linking import build_graph, graphs_isomorphic_as_trees
-from braidforge.presentations import presentation_of
+from braidforge.presentations import Presentation, presentation_of
 from braidforge.words import BraidWord, parse_word
 
 from test_orbit_search_reference import reference_assignments
@@ -42,6 +42,22 @@ def test_hom_search_on_a_long_word_is_exact(capsys):
     )
     assert code == 0
     assert json.loads(capsys.readouterr().out)["hom_counts"] == {"S3": 6}
+
+
+def test_hom_search_on_a_graph_presentation_reads_no_pair_table(monkeypatch):
+    # every pair off the braid pairs commutes: one running commutant stands
+    # for them, so 2,999 generators take k small windows, not k^2 / 2 pairs
+    p = presentation_of(build_graph(build_bricks(BraidWord(2, (1,) * 3000))))
+    assert p.n_generators == 2999
+
+    def refused(self):
+        raise AssertionError("the search read the full pair table")
+
+    monkeypatch.setattr(Presentation, "pair_table", refused)
+    invariants._memo.cache_clear()
+    start = time.perf_counter()
+    assert hom_count(p, S3, {"S3": 10**6}).count == 6
+    assert time.perf_counter() - start < 1.0
 
 
 _rng = random.Random(12)
