@@ -2,8 +2,10 @@
 
 Every map is built by maps_along_moves (move_map is a sequence of one
 move): each move becomes one step read off brick diagrams and checked
-as apply_move checks it, the steps compose in one fold, forward images
-right to left and inverse images left to right, so each step maps only
+as apply_move checks it. A step's images are computed one way; its
+inverse images are the images of its inverse move, read back from the
+step's destination diagram. The steps, and the inverse steps last
+first, each compose in one fold right to left, so each step maps only
 its own short images, and only the first and last words get
 presentations. For an elementary conjugation moving a letter of column
 i, the top brick of that column wraps around to the bottom; its
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from .bricks import BrickDiagram, build_bricks
 from .errors import MoveError, ResourceCapError
@@ -162,23 +164,20 @@ def _budgeted(images: _Images, direction: str) -> _Images:
     return images
 
 
-def _fold(steps: list[tuple[_Images, _Images]]) -> tuple[_Images, _Images]:
-    """Images both ways of a chain of maps, each given as (images, inverse
-    images) and applied first to last; ResourceCapError once either
-    direction totals more than IMAGE_LETTERS letters.
+def _fold(steps: list[_Images], direction: str) -> _Images:
+    """Images of a chain of maps, each given by its images and applied
+    first to last; ResourceCapError once the fold totals more than
+    IMAGE_LETTERS letters. A chain's inverse images are the fold of its
+    steps' inverse images, last step first.
 
-    Forward images fold right to left and inverse images left to right, so
-    each step maps only its own images, mostly single letters, through
-    what has accumulated; an accumulated image is copied, never mapped
-    letter by letter again.
+    The chain folds right to left, so each step maps only its own images,
+    mostly single letters, through what has accumulated; an accumulated
+    image is copied, never mapped letter by letter again.
     """
-    images = _budgeted(steps[-1][0], "images")
-    for step_images, _ in reversed(steps[:-1]):
-        images = _budgeted(_through(step_images, images), "images")
-    inverse = _budgeted(steps[0][1], "inverse images")
-    for _, step_inverse in steps[1:]:
-        inverse = _budgeted(_through(step_inverse, inverse), "inverse images")
-    return images, inverse
+    images = _budgeted(steps[-1], direction)
+    for step in reversed(steps[:-1]):
+        images = _budgeted(_through(step, images), direction)
+    return images
 
 
 def compose_maps(m1: GeneratorMap, m2: GeneratorMap) -> GeneratorMap:
@@ -186,10 +185,12 @@ def compose_maps(m1: GeneratorMap, m2: GeneratorMap) -> GeneratorMap:
     if m1.target != m2.source:
         raise ValueError(f"the target of {m1.label!r} is not the source of {m2.label!r}")
     label = f"{m1.label};{m2.label}" if m1.label or m2.label else ""
-    images, inverse = _fold([(m.images, m.inverse_images) for m in (m1, m2)])
+    images = _fold([m1.images, m2.images], "images")
+    inverse = _fold([m2.inverse_images, m1.inverse_images], "inverse images")
     return GeneratorMap(m1.source, m2.target, images, inverse, label)
 
 
+@cache
 def _identity(k: int) -> _Images:
     return tuple((g,) for g in range(1, k + 1))
 
@@ -199,22 +200,13 @@ def identity_map(p: Presentation) -> GeneratorMap:
     return GeneratorMap(p, p, gens, gens, "identity")
 
 
-class _Step(NamedTuple):
-    """A move read at brick level: the last diagram and images both ways."""
-
-    target: BrickDiagram
-    images: _Images  # per source brick, word in target bricks
-    inverse_images: _Images  # per target brick, word in source bricks
-    label: str
-
-
 def _rotate(
     acc: list[GroupWord], d: BrickDiagram, columns: Iterable[int], top_wraps: bool,
     letters: int,
 ) -> None:
     """Substitute acc, in place, into the images of rotations moving a
     letter of each of the columns in turn between the ends of d's word:
-    each a conjR's images when top_wraps, its inverse images otherwise.
+    each a conjR's images when top_wraps, a conjL's otherwise.
     letters is acc's total length, kept per rotation: ResourceCapError as
     soon as it passes IMAGE_LETTERS, before the rest is spelled.
 
@@ -248,16 +240,6 @@ def _rotate(
         _charge(letters, "rotated images")
 
 
-def _conj_images(d: BrickDiagram, column: int) -> tuple[_Images, _Images]:
-    """Images both ways across moving a letter of the column from the top
-    of d's word to the bottom."""
-    ident = _identity(d.n_bricks)
-    images, inverse = list(ident), list(ident)
-    _rotate(images, d, [column], top_wraps=True, letters=len(images))
-    _rotate(inverse, d, [column], top_wraps=False, letters=len(inverse))
-    return tuple(images), tuple(inverse)
-
-
 def _braid_top_images(
     sd: BrickDiagram, dd: BrickDiagram, i: int
 ) -> tuple[_Images, _Images]:
@@ -278,71 +260,63 @@ def _braid_top_images(
     return tuple(images), tuple(inverse)
 
 
-def _braid_step(d: BrickDiagram, position: int) -> _Step:
-    """A braid relation with the word's tail letters above it: the map of
-    the chain of tail conjR moves bringing it to the top, the braid move
-    there, and tail conjL moves bringing the letters back. At the top the
-    tail is empty and the chain is the braid move alone.
+# the move whose images, read back from a step's destination, are the
+# step's inverse images: the conjugations swap ends, and every other move
+# undoes itself or, for Markov moves, relabels nothing either way
+_INVERSE_KIND = {
+    MoveKind.ELEM_CONJ_RIGHT: MoveKind.ELEM_CONJ_LEFT,
+    MoveKind.ELEM_CONJ_LEFT: MoveKind.ELEM_CONJ_RIGHT,
+}
 
-    Rotations of columns other than the relation's two commute with the
-    braid move and with each other and cancel in pairs (their bricks keep
-    their ids across the braid move), so only the two columns rotate.
-    Only d and the destination get diagrams: each half of the chain
-    numbers its bricks as its end word does.
+
+def _images(d: BrickDiagram, dd: BrickDiagram, kind: MoveKind, position: int) -> _Images:
+    """Images across a valid move of the kind at position from d's word to
+    dd's: per brick of d, a word in dd's bricks.
+
+    A conjugation rotates the moved letter's column. A braid relation folds
+    its chain right to left: the tail conjL moves on dd, last first, the
+    braid move at the top, then the tail conjR moves on d, last first. The
+    other columns' rotations commute with the braid move and cancel in
+    pairs (their bricks keep their ids), so only the relation's two rotate.
+    Far commutativity and Markov moves keep every column's bricks in order.
     """
+    if kind not in (MoveKind.ELEM_CONJ_RIGHT, MoveKind.ELEM_CONJ_LEFT, MoveKind.BRAID_REL):
+        return _identity(d.n_bricks)
+    letters = d.word.letters
+    images = list(_identity(d.n_bricks))
+    if kind is MoveKind.BRAID_REL:
+        i, j = letters[position - 1 : position + 1]
+        # the mirror move, shifting a brick from column i down to column j,
+        # is the inverse situation
+        top = _braid_top_images(d, dd, i)[0] if j == i + 1 else _braid_top_images(dd, d, j)[1]
+        rotated = [c for c in letters[position + 2 :] if c in (i, j)]
+        _rotate(images, dd, reversed(rotated), top_wraps=False, letters=len(images))
+        images = list(_through(top, images))
+        _rotate(images, d, rotated, top_wraps=True, letters=sum(map(len, images)))
+    else:
+        right = kind is MoveKind.ELEM_CONJ_RIGHT
+        column = letters[-1] if right else letters[0]
+        _rotate(images, d, [column], top_wraps=right, letters=len(images))
+    return tuple(images)
+
+
+def _move_step(d: BrickDiagram, m: WordMove) -> tuple[BrickDiagram, str]:
+    """One move at brick level, validated as apply_move validates it: the
+    destination's diagram and the step's label."""
     w = d.word
     top = len(w.letters) - 2
-    m = WordMove(MoveKind.BRAID_REL, position)
-    if 1 <= position < top and not move_applies(w, m):
+    if m.kind is MoveKind.ELEM_CONJ_RIGHT and not w.letters:
+        raise MoveError("elementary conjugation needs a nonempty word")
+    if m.kind is MoveKind.BRAID_REL and 1 <= m.position < top and not move_applies(w, m):
         # the chain's error: the relation fails at the top of the rotated word
         raise MoveError(f"braid does not apply at position {top}")
     dd = build_bricks(apply_move(w, m))
-    i, j = w.letters[position - 1 : position + 1]
-    if j == i + 1:
-        braid_images, braid_inverse = _braid_top_images(d, dd, i)
-        top_label = "braidTop"
-    else:
-        # the mirror move, shifting a brick from column i down to column j,
-        # is the inverse situation
-        braid_inverse, braid_images = _braid_top_images(dd, d, j)
-        top_label = "inverse(braidTop)"
-    rotated = [c for c in w.letters[position + 2 :] if c in (i, j)]
-    # forward images fold right to left: the conjL moves, last first, the
-    # braid move, then the conjR moves, last first
-    images = list(_identity(d.n_bricks))
-    _rotate(images, dd, reversed(rotated), top_wraps=False, letters=len(images))
-    images = list(_through(braid_images, images))
-    _rotate(images, d, rotated, top_wraps=True, letters=sum(map(len, images)))
-    # inverse images fold left to right
-    inverse = list(_identity(d.n_bricks))
-    _rotate(inverse, d, reversed(rotated), top_wraps=False, letters=len(inverse))
-    inverse = list(_through(braid_inverse, inverse))
-    _rotate(inverse, dd, rotated, top_wraps=True, letters=sum(map(len, inverse)))
-    label = f"braid@{position}" if position < top else top_label
-    return _Step(dd, tuple(images), tuple(inverse), label)
-
-
-def _move_step(d: BrickDiagram, m: WordMove) -> _Step:
-    """One move at brick level, validated as apply_move validates it."""
-    w = d.word
-    if m.kind is MoveKind.ELEM_CONJ_RIGHT:
-        if not w.letters:
-            raise MoveError("elementary conjugation needs a nonempty word")
-        dd = build_bricks(apply_move(w, m))
-        return _Step(dd, *_conj_images(d, w.letters[-1]), "conjR")
-    if m.kind is MoveKind.ELEM_CONJ_LEFT:
-        # the right conjugation from the moved word, directions swapped
-        dd = build_bricks(apply_move(w, m))
-        images, inverse = _conj_images(d, w.letters[0])
-        return _Step(dd, inverse, images, "inverse(conjR)")
-    if m.kind in (MoveKind.FAR_COMM, MoveKind.MARKOV_STAB, MoveKind.MARKOV_DESTAB):
-        # every column keeps its bricks in order, so ids are unchanged
-        dd = build_bricks(apply_move(w, m))
-        ident = _identity(d.n_bricks)
-        return _Step(dd, ident, ident, m.kind.value)
-    if m.kind is MoveKind.BRAID_REL:
-        return _braid_step(d, m.position)
-    raise MoveError(f"no generator map for move kind {m.kind}")
+    if m.kind is not MoveKind.BRAID_REL:
+        # conjL is the right conjugation from the moved word, inverted
+        return dd, "inverse(conjR)" if m.kind is MoveKind.ELEM_CONJ_LEFT else m.kind.value
+    i, j = w.letters[m.position - 1 : m.position + 1]
+    label = "braidTop" if j == i + 1 else "inverse(braidTop)"
+    return dd, f"braid@{m.position}" if m.position < top else label
 
 
 def conjugation_map(w: BraidWord, end: str = "right") -> GeneratorMap:
@@ -378,13 +352,17 @@ def maps_along_moves(w: BraidWord, moves: list[WordMove]) -> GeneratorMap:
     source = d = build_bricks(w)
     if not moves:
         return identity_map(presentation_of(build_graph(source)))
-    steps: list[_Step] = []
+    steps, inverse_steps, labels = [], [], []  # inverse steps: the inverse moves' images
     for m in moves:
-        steps.append(_move_step(d, m))
-        d = steps[-1].target
-    images, inverse = _fold([(s.images, s.inverse_images) for s in steps])
+        dd, label = _move_step(d, m)
+        steps.append(_images(d, dd, m.kind, m.position))
+        inverse_steps.append(_images(dd, d, _INVERSE_KIND.get(m.kind, m.kind), m.position))
+        labels.append(label)
+        d = dd
+    images = _fold(steps, "images")
+    inverse = _fold(inverse_steps[::-1], "inverse images")
     src, dst = (presentation_of(build_graph(e)) for e in (source, d))
-    return GeneratorMap(src, dst, images, inverse, ";".join(s.label for s in steps))
+    return GeneratorMap(src, dst, images, inverse, ";".join(labels))
 
 
 # -- checking ----------------------------------------------------------------

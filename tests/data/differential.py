@@ -12,12 +12,14 @@ S3, S4, D4, D6 and Q8, ``invariants --up-to-conjugacy``,
 ``summit --full`` and ``halftwist`` on 3-6-strand words with and without
 a half twist, paired with walked conjugates or random words, and, with
 generator caps lifted, ``invariants --up-to-conjugacy`` and ``isocheck
---moves`` against S3, D4 and Q8 on 2-3-strand words of 20-60 letters;
-1,429 commands in all. Each tree runs the
-whole corpus in one child interpreter, in-process through
-``braidforge.cli.main``, under its own address-space limit. Every argv
-whose exit code, stdout or stderr differ is printed, and the exit code
-is 1 if any do, 0 otherwise.
+--moves`` against S3, D4 and Q8 on 2-3-strand words of 20-60 letters.
+Last come ``isocheck --moves`` scripts of 6-12 moves, against the five
+targets, mixing conjugations at both ends, braid relations and far
+commutations on 3-4-strand words of 8-16 letters; 1,469 commands in
+all. Each tree runs the whole corpus in one child interpreter,
+in-process through ``braidforge.cli.main``, under its own address-space
+limit. Every argv whose exit code, stdout or stderr differ is printed,
+and the exit code is 1 if any do, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -132,6 +134,24 @@ def corpus(seed: int) -> list[list[str]]:
         script = ", ".join(f"{m.kind.value}@{m.position}" for m in moves)
         cmds.append(["isocheck", text(w.letters), text(v.letters), "--strands", str(n),
                      "--moves", script, *lifted])
+    # long move scripts: each move's kind drawn evenly from the kinds that
+    # apply, so conjugations at both ends, braid relations at every height
+    # and far commutations mix along one map
+    for _ in range(40):
+        n = rng.randint(3, 4)
+        w = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(8, 16))))
+        moves, v = [], w
+        for _ in range(rng.randint(6, 12)):
+            by_kind: dict[MoveKind, list] = {}
+            for m in enumerate_moves(v):
+                if m.kind not in MARKOV:
+                    by_kind.setdefault(m.kind, []).append(m)
+            m = rng.choice(by_kind[rng.choice(list(by_kind))])
+            moves.append(m)
+            v = apply_move(v, m)
+        script = ", ".join(f"{m.kind.value}@{m.position}" for m in moves)
+        cmds.append(["isocheck", text(w.letters), text(v.letters), "--strands", str(n),
+                     "--moves", script, "--targets", TARGETS])
     return cmds
 
 
