@@ -31,7 +31,8 @@ class PresentationError(BraidForgeError, ValueError):
 
 class ResourceCapError(BraidForgeError):
     """A limit was exceeded, a configured cap or a fixed budget such as
-    isomaps.IMAGE_LETTERS; never a wrong answer."""
+    isomaps.IMAGE_LETTERS or invariants.HOM_SEARCH_VALUES; never a wrong
+    answer."""
 
 
 class GarsideInvariantError(BraidForgeError):

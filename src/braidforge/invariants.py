@@ -7,13 +7,15 @@ region's cycle (i_1, ..., i_n) has the column e_{i_n} - e_{i_2}, read
 off its vertex tuple, so only cycles given as words are summed, once.
 Every relator a linking graph yields has exponent sums zero or
 e_i - e_j, so the generator-by-relator exponent matrix is a graph
-incidence matrix and totally unimodular: union-find over the (+1, -1)
-pairs gives the abelianization Z^c (c components, every other invariant
-factor 1), and a vector's image in Z^c is its sum on each component
+incidence matrix and totally unimodular: the components of the graph of
+the (+1, -1) pairs, labelled by linking.components, give the
+abelianization Z^c (c components, every other invariant factor 1), and a
+vector's image in Z^c is its sum on each component
 (ColumnLattice.project), zero iff the vector lies in the column lattice
-(vectors are sparse: generator -> coefficient). The lattice is built once per presentation and kept on
-it. A hand-built presentation with any other column shape has no such
-reading and raises PresentationError on every call.
+(vectors are sparse: generator -> coefficient). The lattice is built
+once per presentation and kept on it. A hand-built presentation with any
+other column shape has no such reading and raises PresentationError on
+every call.
 
 Homomorphisms into small finite groups are found by one orbit search per
 presentation content and target: pruned backtracking over the
@@ -45,9 +47,14 @@ columns, so a cycle relator is tested soon after its first generator is
 assigned and a dead branch is cut near the top (variable order sets the
 width of a backtracking search: Freuder 1982; Dechter 2003). Exceeding
 a configured generator cap raises, never guesses: the cap test runs
-before any cache lookup. Search results are memoized per process for
-the CACHE_SIZE most recent presentations, per target table; equal
-presentations (generator count, pair table, cycle words) share them.
+before any cache lookup. The cap bounds k, not the work (k pairwise
+commuting generators make every commuting k-tuple a hom), so a search
+also refuses its target with ResourceCapError once it has tried
+HOM_SEARCH_VALUES values; a result keeps its count and is tested against
+the budget before the cache answers. Search results are memoized per
+process for the CACHE_SIZE most recent presentations, per target table;
+equal presentations (generator count, pair table, cycle words) share
+them.
 """
 
 from __future__ import annotations
@@ -59,9 +66,12 @@ from typing import Mapping, NamedTuple, Sequence
 from .bricks import CACHE_SIZE
 from .errors import PresentationError, ResourceCapError
 from .finite_groups import FiniteTarget
+from .linking import components
 from .presentations import GroupWord, Presentation, exponent_sums
 
 DEFAULT_GENERATOR_CAPS = {"S3": 14, "S4": 10, "S5": 8, "*": 10}
+# values one orbit search may try before it refuses its target
+HOM_SEARCH_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -95,34 +105,19 @@ class ColumnLattice:
     e_{i_n} - e_{i_2}, so the braid pairs and the regions are joined as
     they stand and only cycles given as words are summed; a summed
     column other than zero or e_i - e_j raises PresentationError naming
-    its relator. The span is
-    the kernel of project, the map onto Z^c, so the per-presentation
-    work is one union-find, done here: ``component`` labels each
-    generator 0..n_components-1. ``ColumnLattice.of`` keeps it on the
-    presentation.
+    its relator. The span is the kernel of project, the map onto Z^c, so
+    the per-presentation work is one labelling of the joined pairs' graph
+    by linking.components, done here: ``component`` labels each generator
+    0..n_components-1, in order of each component's least generator.
+    ``ColumnLattice.of`` keeps it on the presentation.
     """
 
     __slots__ = ("component", "n_components")
 
     def __init__(self, p: Presentation) -> None:
-        parent = list(range(p.n_generators))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def join(a: int, b: int) -> None:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        for i, j in p.braid_pairs:
-            join(i - 1, j - 1)
+        pairs = [(i - 1, j - 1) for i, j in p.braid_pairs]
         regions = p.region_cycles
-        for cycle in regions or ():
-            join(cycle[-1] - 1, cycle[1] - 1)
+        pairs += [(cycle[-1] - 1, cycle[1] - 1) for cycle in regions or ()]
         for c, word in enumerate(p.cycle_words if regions is None else ()):
             col = exponent_sums(word)
             if not col:
@@ -136,10 +131,8 @@ class ColumnLattice:
                 raise PresentationError(
                     f"relator {t} has exponent sums {sums}, not zero or e_i - e_j"
                 )
-            join(a, b)
-        labels: dict[int, int] = {}
-        self.component = [labels.setdefault(find(g), len(labels)) for g in range(p.n_generators)]
-        self.n_components = len(labels)
+            pairs.append((a, b))
+        self.component, self.n_components = components(p.n_generators, pairs)
 
     @classmethod
     def of(cls, p: Presentation) -> ColumnLattice:
@@ -229,11 +222,19 @@ def generator_cap(t: FiniteTarget, caps: dict[str, int] | None = None) -> int:
 
 class _Orbits(NamedTuple):
     """The orbit search's result: one hom per orbit, the least in
-    lexicographic order of image tuples, its orbit size, and the hom count."""
+    lexicographic order of image tuples, its orbit size, the hom count,
+    and the number of values the search tried."""
 
     reps: tuple[tuple[int, ...], ...]
     sizes: tuple[int, ...]
     count: int
+    tried: int
+
+
+def _over_budget(t: FiniteTarget) -> ResourceCapError:
+    return ResourceCapError(
+        f"the hom search for target {t.name} tried more than {HOM_SEARCH_VALUES} values"
+    )
 
 
 def _pair_windows(
@@ -290,6 +291,8 @@ def _assignments(p: Presentation, t: FiniteTarget) -> _Orbits:
     limit: per depth it keeps stab, the running commutant prefix (the
     values commuting with every image so far), the values to try and the
     next one's index. value[x] is the image of letter x for x in -k..k.
+    Every value listed for a step is tried, so the search counts them as
+    it lists them and refuses the target once they pass HOM_SEARCH_VALUES.
     """
     k = p.n_generators
     n = t.size
@@ -304,7 +307,7 @@ def _assignments(p: Presentation, t: FiniteTarget) -> _Orbits:
             closing[max(map(abs, word)) - 1].append(word)
 
     if k == 0:
-        return _Orbits(((),), (1,), 1)
+        return _Orbits(((),), (1,), 1, 0)
     table, inverse, ident = t.table, t.inverse, t.identity
     full = (1 << n) - 1
     value = [ident] * (2 * k + 1)
@@ -314,6 +317,7 @@ def _assignments(p: Presentation, t: FiniteTarget) -> _Orbits:
     nxt = [0] * k
     reps: list[tuple[int, ...]] = []
     sizes: list[int] = []
+    budget = left = HOM_SEARCH_VALUES
 
     step, vals, i = 0, None, 0
     while True:
@@ -330,10 +334,13 @@ def _assignments(p: Presentation, t: FiniteTarget) -> _Orbits:
             vals = values.get(allowed)
             if vals is None:
                 vals = values[allowed] = tuple(v for v in range(n) if allowed >> v & 1)
+            left -= len(vals)
+            if left < 0:
+                raise _over_budget(t)
             i = 0
         if i == len(vals):
             if not step:
-                return _Orbits(tuple(reps), tuple(sizes), sum(sizes))
+                return _Orbits(tuple(reps), tuple(sizes), sum(sizes), budget - left)
             step -= 1
             vals, i = tries[step], nxt[step]
             continue
@@ -365,7 +372,8 @@ def _memo(p: Presentation) -> dict:
 
 def _orbits(p: Presentation, t: FiniteTarget, caps: dict[str, int] | None) -> _Orbits:
     """The one orbit search for p and t, after the cap test, so that a cap
-    raises whatever is cached."""
+    raises whatever is cached; a kept result that tried more values than
+    HOM_SEARCH_VALUES allows raises as a fresh search would."""
     k = p.n_generators
     cap = generator_cap(t, caps)
     if k > cap:
@@ -374,6 +382,8 @@ def _orbits(p: Presentation, t: FiniteTarget, caps: dict[str, int] | None) -> _O
     found = memo.get(t)
     if found is None:
         found = memo[t] = _assignments(p, t)
+    elif found.tried > HOM_SEARCH_VALUES:
+        raise _over_budget(t)
     return found
 
 

@@ -302,28 +302,40 @@ def _tree_center(adj: dict[int, set[int]], nodes: list[int]) -> list[int]:
     return layer
 
 
+def components(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Component labels of the graph on 0..n-1 with the given vertex pairs
+    as edges, numbered by each component's least vertex, and their number:
+    one linear pass with an explicit stack (Hopcroft and Tarjan 1973)."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    label, count = [-1] * n, 0
+    for v in range(n):
+        if label[v] < 0:
+            label[v], stack = count, [v]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if label[w] < 0:
+                        label[w] = count
+                        stack.append(w)
+            count += 1
+    return label, count
+
+
 def _forest_signature(g: LinkingGraph) -> tuple[str, ...]:
-    adj: dict[int, set[int]] = {b: set() for b in range(1, g.diagram.n_bricks + 1)}
+    n = g.diagram.n_bricks
+    adj: dict[int, set[int]] = {b: set() for b in range(1, n + 1)}
     for a, b, _, _ in g.raw_edges:
         adj[a].add(b)
         adj[b].add(a)
-    seen: set[int] = set()
-    comps = []
-    for v in sorted(adj):
-        if v in seen:
-            continue
-        stack, nodes = [v], []
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            nodes.append(u)
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        centers = _tree_center(adj, nodes)
-        comps.append(min(_canonical_rooted(adj, c) for c in centers))
-    return tuple(sorted(comps))
+    label, count = components(n, ((a - 1, b - 1) for a, b, _, _ in g.raw_edges))
+    trees: list[list[int]] = [[] for _ in range(count)]
+    for b, c in enumerate(label, start=1):
+        trees[c].append(b)
+    return tuple(
+        sorted(min(_canonical_rooted(adj, c) for c in _tree_center(adj, nodes)) for nodes in trees)
+    )
 
 
 def graphs_isomorphic_as_trees(g1: LinkingGraph, g2: LinkingGraph) -> bool:

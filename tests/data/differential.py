@@ -13,10 +13,12 @@ S3, S4, D4, D6 and Q8, ``invariants --up-to-conjugacy``,
 a half twist, paired with walked conjugates or random words, and, with
 generator caps lifted, ``invariants --up-to-conjugacy`` and ``isocheck
 --moves`` against S3, D4 and Q8 on 2-3-strand words of 20-60 letters.
-Last come ``isocheck --moves`` scripts of 6-12 moves, against the five
+Then come ``isocheck --moves`` scripts of 6-12 moves, against the five
 targets, mixing conjugations at both ends, braid relations and far
-commutations on 3-4-strand words of 8-16 letters; 1,469 commands in
-all. Each tree runs the whole corpus in one child interpreter,
+commutations on 3-4-strand words of 8-16 letters, and last, with
+generator caps lifted, ``invariants --up-to-conjugacy`` against S3, S4
+and D6 on words of 3-7 pairwise commuting bricks, every third with one
+linked pair; 1,489 commands in all. Each tree runs the whole corpus in one child interpreter,
 in-process through ``braidforge.cli.main``, under its own address-space
 limit. Every argv whose exit code, stdout or stderr differ is printed,
 and the exit code is 1 if any do, 0 otherwise.
@@ -152,6 +154,28 @@ def corpus(seed: int) -> list[list[str]]:
         script = ", ".join(f"{m.kind.value}@{m.position}" for m in moves)
         cmds.append(["isocheck", text(w.letters), text(v.letters), "--strands", str(n),
                      "--moves", script, "--targets", TARGETS])
+    # caps lifted: 3-7 bricks in columns two or more apart commute pairwise,
+    # so every commuting tuple is a hom and D6 with 7 of them tries about
+    # 2 * 10^5 values, the growth the search budget bounds; every third
+    # word links one pair, laterally (c c+1 c c+1) or vertically (c c c)
+    for i in range(20):
+        k = rng.randint(3, 7)
+        linked = i % 3 == 2
+        columns, c = [], 0
+        for _ in range(k - linked):
+            c += rng.randint(2, 3)
+            columns.append(c)
+        runs = [[c, c] for c in columns]
+        if linked:
+            top = runs[-1][0]
+            runs[-1] = [top, top + 1, top, top + 1] if rng.random() < 0.5 else [top] * 3
+        letters = []
+        while runs:  # interleave the columns' runs, each kept in order
+            run = rng.choice(runs)
+            letters.append(run.pop(0))
+            runs = [r for r in runs if r]
+        cmds.append(["invariants", text(letters), "--up-to-conjugacy", "--targets", "S3,S4,D6",
+                     "--caps.generators", "S3=64,S4=64,*=64"])
     return cmds
 
 
