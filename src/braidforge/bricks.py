@@ -4,9 +4,10 @@ A brick lives between two consecutive occurrences of the same letter
 within a column. Bricks are numbered canonically: column-major
 ascending, bottom to top within a column; ids are 1-based so they double
 as presentation generator indices. So each column's bricks are one id
-range, ``BrickDiagram.column_ids``: the one per-column index. A diagram
-is its word read once, into each letter's occurrences and the id
-ranges; the ``Brick`` objects are spelled from those on first read of
+range, ``BrickDiagram.column_ids``: the one per-column index. The one
+constructor, ``BrickDiagram(word)``, reads the word once into each
+letter's occurrences and the id ranges, so equal words hold equal
+data; the ``Brick`` objects are spelled from those on first read of
 ``bricks`` and kept. Each process keeps the diagrams of its CACHE_SIZE
 most recent words.
 """
@@ -44,15 +45,28 @@ class Brick:
         return (self.lo + self.hi) / 2.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BrickDiagram:
     """A word, the 1-based positions of each letter that occurs (in
     letter order, read-only) and the id range of each column that has
-    bricks, bottom to top (read-only); equal words make equal diagrams."""
+    bricks, bottom to top (read-only). ``BrickDiagram(word)`` derives
+    both from the word, so equal words make equal diagrams."""
 
     word: BraidWord
     occurrences: Mapping[int, tuple[int, ...]] = field(compare=False, repr=False)
     column_ids: Mapping[int, range] = field(compare=False, repr=False)
+
+    def __init__(self, word: BraidWord) -> None:
+        occ = word.occurrences_by_letter()
+        ids: dict[int, range] = {}
+        first = 1
+        for column, positions in occ.items():
+            if len(positions) > 1:
+                ids[column] = range(first, first + len(positions) - 1)
+                first = ids[column].stop
+        self.__dict__.update(
+            word=word, occurrences=MappingProxyType(occ), column_ids=MappingProxyType(ids)
+        )
 
     def __hash__(self) -> int:  # the word decides the bricks
         return hash(self.word)
@@ -105,16 +119,7 @@ def build_bricks(w: BraidWord) -> BrickDiagram:
     return _bricks(w)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _bricks(w: BraidWord) -> BrickDiagram:
-    occ = w.occurrences_by_letter()
-    ids: dict[int, range] = {}
-    first = 1
-    for column, positions in occ.items():
-        if len(positions) > 1:
-            ids[column] = range(first, first + len(positions) - 1)
-            first = ids[column].stop
-    return BrickDiagram(w, MappingProxyType(occ), MappingProxyType(ids))
+_bricks = lru_cache(maxsize=CACHE_SIZE)(BrickDiagram)
 
 
 def brick_count(w: BraidWord) -> int:

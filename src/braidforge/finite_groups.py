@@ -4,7 +4,9 @@ Built-in targets are the symmetric groups S3..S5, the dihedral groups of
 the square, pentagon and hexagon, and the quaternion group. Custom
 targets load from a table file: first line |G|, then |G| rows of |G|
 indices, identity at index 0. Tables are validated on load. Built-in
-tables are immutable and built once per process, on first use.
+tables are immutable and built once per process, on first use. Every
+target comes from the one constructor, ``FiniteTarget(name, table,
+identity)``, which derives the inverses from the table.
 """
 
 from __future__ import annotations
@@ -17,14 +19,30 @@ from typing import Callable
 
 @dataclass(frozen=True)
 class FiniteTarget:
+    """A group as its multiplication table and each element's inverse.
+
+    ``FiniteTarget(name, table, identity)`` reads the table into tuples
+    of rows and derives the inverses; an element without an inverse
+    raises ValueError. Targets are equal by name, table and identity.
+    """
+
     name: str
     table: tuple[tuple[int, ...], ...]
     identity: int = 0
-    inverse: tuple[int, ...] = field(default=(), compare=False)
+    inverse: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        table = tuple(map(tuple, self.table))
+        try:
+            inverse = tuple(row.index(self.identity) for row in table)
+        except ValueError:
+            raise ValueError(
+                f"group table {self.name!r} has an element without inverse"
+            ) from None
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "inverse", inverse)
         # caches key on targets: the table (14 400 entries for S5) is hashed once
-        object.__setattr__(self, "_hash", hash((self.name, self.table, self.identity)))
+        object.__setattr__(self, "_hash", hash((self.name, table, self.identity)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -38,19 +56,6 @@ class FiniteTarget:
 
     def inv(self, a: int) -> int:
         return self.inverse[a]
-
-
-def _with_inverses(name: str, table: list[list[int]], identity: int = 0) -> FiniteTarget:
-    n = len(table)
-    inverse = [-1] * n
-    for a in range(n):
-        for b in range(n):
-            if table[a][b] == identity:
-                inverse[a] = b
-                break
-    if any(i < 0 for i in inverse):
-        raise ValueError(f"group table {name!r} has an element without inverse")
-    return FiniteTarget(name, tuple(tuple(r) for r in table), identity, tuple(inverse))
 
 
 def validate_target(t: FiniteTarget) -> None:
@@ -84,7 +89,7 @@ def symmetric_group(m: int) -> FiniteTarget:
     table = [
         [index[tuple(b[a[i]] for i in range(m))] for b in elems] for a in elems
     ]
-    return _with_inverses(f"S{m}", table)
+    return FiniteTarget(f"S{m}", table)
 
 
 @cache
@@ -98,7 +103,7 @@ def dihedral_group(m: int) -> FiniteTarget:
         return f * m + a
 
     table = [[mul(x, y) for y in range(2 * m)] for x in range(2 * m)]
-    return _with_inverses(f"D{m}", table)
+    return FiniteTarget(f"D{m}", table)
 
 
 @cache
@@ -118,7 +123,7 @@ def quaternion_group() -> FiniteTarget:
 
     index = {q: i for i, q in enumerate(units)}
     table = [[index[hamilton(p, q)] for q in units] for p in units]
-    return _with_inverses("Q8", table)
+    return FiniteTarget("Q8", table)
 
 
 BUILTIN_TARGETS: dict[str, Callable[[], FiniteTarget]] = {
@@ -147,7 +152,7 @@ def load_table(text: str, name: str = "custom") -> FiniteTarget:
     if len(values) != n * n:
         raise ValueError(f"expected {n * n} table entries, got {len(values)}")
     table = [values[i * n : (i + 1) * n] for i in range(n)]
-    target = _with_inverses(name, table, identity=0)
+    target = FiniteTarget(name, table, identity=0)
     validate_target(target)
     return target
 
@@ -163,4 +168,4 @@ def direct_product(t1: FiniteTarget, t2: FiniteTarget) -> FiniteTarget:
         for a1 in range(n1)
         for a2 in range(n2)
     ]
-    return _with_inverses(f"{t1.name}x{t2.name}", table, identity=0)
+    return FiniteTarget(f"{t1.name}x{t2.name}", table, identity=0)

@@ -22,13 +22,14 @@ configurable convention, the region's sign. With the default
 ``left-positive`` convention right-side regions are negative (drawn
 shaded) and left-side regions positive; ``right-positive`` flips the
 sign labels only, so cycles, and hence all derived relators, do not
-depend on the convention. A graph stores its edges and regions in
-compact form (``raw_edges``, ``raw_regions``) and spells ``edges``,
-``regions`` and ``positions`` on first read. Each process keeps the
-CACHE_SIZE most recent graphs, keyed on the brick diagram and the
-convention; a cached graph is immutable (read-only positions) and
-carries its presentation once presentations.presentation_of has built
-it.
+depend on the convention. The one constructor,
+``LinkingGraph(diagram, sign_convention)``, sweeps the diagram, so a
+graph holds only its diagram's edges and regions, in compact form
+(``raw_edges``, ``raw_regions``), and spells ``edges``, ``regions`` and
+``positions`` on first read. Each process keeps the CACHE_SIZE most
+recent graphs, keyed on the brick diagram and the convention; a cached
+graph is immutable (read-only positions) and carries its presentation
+once presentations.presentation_of has built it.
 """
 
 from __future__ import annotations
@@ -95,10 +96,10 @@ RawRegion = tuple[tuple[int, ...], int, int, Side]
 class LinkingGraph:
     """A diagram's edges and regions in compact form, and their views.
 
-    ``LinkingGraph(diagram, edges, positions, regions, convention)``
-    builds a graph from its views and keeps them as given, order, kinds
-    and signs included. Graphs are equal when their diagrams, compact
-    forms and conventions are.
+    ``LinkingGraph(diagram, sign_convention)`` sweeps the diagram, edges
+    and regions in lex order; an unknown convention raises ValueError.
+    Graphs are equal when their diagrams, compact forms and conventions
+    are.
     """
 
     diagram: BrickDiagram
@@ -109,28 +110,15 @@ class LinkingGraph:
     _presentation: object = field(default=None, repr=False, compare=False)
 
     def __init__(
-        self, diagram: BrickDiagram, edges: Iterable[LinkEdge],
-        positions: Mapping[int, tuple[float, float]], regions: Iterable[Region],
-        sign_convention: str = DEFAULT_SIGN_CONVENTION,
+        self, diagram: BrickDiagram, sign_convention: str = DEFAULT_SIGN_CONVENTION
     ) -> None:
-        edges, regions = tuple(edges), tuple(regions)
-        raw_edges = tuple((e.a, e.b, e.kind, e.side) for e in edges)
-        raw_regions = tuple((r.vertices, r.sign, r.anchor_column, r.side) for r in regions)
-        self.__dict__.update(
-            diagram=diagram, raw_edges=raw_edges, raw_regions=raw_regions,
-            sign_convention=sign_convention, edges=edges, regions=regions,
-            positions=MappingProxyType(dict(positions)),
-        )
-
-    @classmethod
-    def _compact(cls, diagram: BrickDiagram, sign_convention: str) -> LinkingGraph:
-        g = cls.__new__(cls)
+        if sign_convention not in SIGN_CONVENTIONS:
+            raise ValueError(f"unknown sign convention {sign_convention!r}")
         raw_edges, raw_regions = _sweep(diagram, sign_convention)
-        g.__dict__.update(
+        self.__dict__.update(
             diagram=diagram, raw_edges=raw_edges, raw_regions=raw_regions,
             sign_convention=sign_convention,
         )
-        return g
 
     @cached_property
     def edges(self) -> tuple[LinkEdge, ...]:
@@ -144,18 +132,6 @@ class LinkingGraph:
     def positions(self) -> Mapping[int, tuple[float, float]]:
         spans = self.diagram.spans()
         return MappingProxyType({b: (float(c), (lo + hi) / 2.0) for b, c, lo, hi in spans})
-
-    def neighbors(self, brick_id: int) -> list[int]:
-        out = [b for a, b, _, _ in self.raw_edges if a == brick_id]
-        out += [a for a, b, _, _ in self.raw_edges if b == brick_id]
-        return sorted(out)
-
-    def edge_between(self, a: int, b: int) -> LinkEdge | None:
-        a, b = min(a, b), max(a, b)
-        for e in self.edges:
-            if (e.a, e.b) == (a, b):
-                return e
-        return None
 
     def combinatorial_signature(self) -> tuple:
         """Labeled structure (ids, columns, edges, signed regions), footprint-free,
@@ -254,18 +230,15 @@ def build_graph(
     convention while it is among the CACHE_SIZE most recent; it is
     immutable, positions being a read-only mapping.
     """
-    if sign_convention not in SIGN_CONVENTIONS:
-        raise ValueError(f"unknown sign convention {sign_convention!r}")
     return _graph(d, sign_convention)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def _graph(d: BrickDiagram, sign_convention: str) -> LinkingGraph:
-    return LinkingGraph._compact(d, sign_convention)
+_graph = lru_cache(maxsize=CACHE_SIZE)(LinkingGraph)
 
 
 def is_forest(g: LinkingGraph) -> bool:
-    # A plane graph has E - V + C bounded faces, so it is a forest when it has none.
+    # A plane graph has E - V + C bounded faces, so it is a forest when it
+    # has none; a graph is swept from its diagram, so its regions are those.
     return not g.raw_regions
 
 

@@ -286,9 +286,7 @@ def presentation_of(g: LinkingGraph) -> Presentation:
     the graph's pair table and region cycles, stored on the first call
     and kept on the graph for every later one."""
     if g._presentation is None:
-        # a swept graph's edges are in lex order; one built from views
-        # keeps the order it was given
-        pairs = tuple(sorted([(a, b) for a, b, _, _ in g.raw_edges]))
+        pairs = tuple((a, b) for a, b, _, _ in g.raw_edges)  # swept in lex order
         regions = tuple(cycle for cycle, _, _, _ in g.raw_regions)
         p = Presentation._stored(g.diagram.n_bricks, pairs, None, regions)
         object.__setattr__(g, "_presentation", p)

@@ -18,10 +18,18 @@ targets, mixing conjugations at both ends, braid relations and far
 commutations on 3-4-strand words of 8-16 letters, and last, with
 generator caps lifted, ``invariants --up-to-conjugacy`` against S3, S4
 and D6 on words of 3-7 pairwise commuting bricks, every third with one
-linked pair; 1,489 commands in all. Each tree runs the whole corpus in one child interpreter,
-in-process through ``braidforge.cli.main``, under its own address-space
-limit. Every argv whose exit code, stdout or stderr differ is printed,
-and the exit code is 1 if any do, 0 otherwise.
+linked pair. Then the constructors' outputs: ``bricks`` (json and
+plain), ``graph`` (json and dot), ``present`` (plain, gap-style and
+json) in both sign conventions, ``render --dot`` and ``render --svg
+--what both`` on 2-8-strand words of 0-40 letters, the empty word and
+words without bricks among them; and last ``invariants --tables`` over
+table files written to one temporary directory that both trees read: a
+relabelled S3, D4 (shadowing the built-in), and a table with an element
+without an inverse; 1,629 commands in all. Each tree runs the whole
+corpus in one child interpreter, in-process through
+``braidforge.cli.main``, under its own address-space limit. Every argv
+whose exit code, stdout or stderr differ is printed, and the exit code
+is 1 if any do, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -59,9 +67,11 @@ json.dump(results, sys.stdout)
 """
 
 
-def corpus(seed: int) -> list[list[str]]:
-    """Every golden argv, then the seeded commands."""
+def corpus(seed: int, tables: Path) -> list[list[str]]:
+    """Every golden argv, then the seeded commands; the table files the
+    commands read are written into tables."""
     sys.path.insert(0, str(ROOT / "src"))
+    from braidforge.finite_groups import dihedral_group, symmetric_group
     from braidforge.words import BraidWord, MoveKind, apply_move, enumerate_moves
 
     MARKOV = (MoveKind.MARKOV_STAB, MoveKind.MARKOV_DESTAB)
@@ -176,6 +186,42 @@ def corpus(seed: int) -> list[list[str]]:
             runs = [r for r in runs if r]
         cmds.append(["invariants", text(letters), "--up-to-conjugacy", "--targets", "S3,S4,D6",
                      "--caps.generators", "S3=64,S4=64,*=64"])
+    # one form per command, in turn: 2-8-strand words of 0-40 letters, every
+    # tenth the empty word and every tenth after it a word without bricks
+    conventions = [["--sign-convention", c] for c in ("left-positive", "right-positive")]
+    forms = [["bricks"], ["bricks", "--format", "plain"]]
+    for convention in conventions:
+        forms += [["graph", *convention], ["graph", "--format", "dot", *convention]]
+        forms += [["present", "--format", f, *convention] for f in ("plain", "gap-style", "json")]
+    forms += [["render", "--dot"], ["render", "--svg", "--what", "both"]]
+    for i in range(120):
+        n = rng.randint(2, 8)
+        if i % 10 == 0:
+            letters = ()
+        elif i % 10 == 1:
+            letters = tuple(rng.sample(range(1, n), rng.randint(1, n - 1)))
+        else:
+            letters = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 40)))
+        command, *flags = forms[i % len(forms)]
+        cmds.append([command, text(letters), "--strands", str(n), *flags])
+    # table files: S3 with its elements renamed (identity kept at 0), D4
+    # shadowing the built-in, and a table whose element 1 has no inverse
+    rename = [0, *rng.sample(range(1, 6), 5)]
+    s3 = symmetric_group(3).table
+    renamed = [[0] * 6 for _ in range(6)]
+    for a in range(6):
+        for b in range(6):
+            renamed[rename[a]][rename[b]] = rename[s3[a][b]]
+    files = {"S3r": renamed, "D4": dihedral_group(4).table, "noinverse": [[0, 1], [1, 1]]}
+    for name, table in files.items():
+        rows = "".join(" ".join(map(str, row)) + "\n" for row in table)
+        (tables / f"{name}.txt").write_text(f"{len(table)}\n{rows}", encoding="utf-8")
+    good = ",".join(str(tables / f"{name}.txt") for name in ("S3r", "D4"))
+    for i in range(20):
+        w = word(rng, 1, 12)
+        paths = f"{good},{tables / 'noinverse.txt'}" if i % 5 == 4 else good
+        cmds.append(["invariants", text(w.letters), "--strands", str(w.strands),
+                     "--tables", paths, "--targets", "S3r,D4,S3"])
     return cmds
 
 
@@ -202,11 +248,11 @@ def main() -> int:
     parser.add_argument("rev", help="git revision to compare the working tree against")
     parser.add_argument("--seed", type=int, default=20261019)
     args = parser.parse_args()
-    cmds = corpus(args.seed)
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tables, tempfile.TemporaryDirectory() as tmp:
+        cmds = corpus(args.seed, Path(tables))
         export(args.rev, Path(tmp))
         before = run_tree(Path(tmp), cmds)
-    after = run_tree(ROOT, cmds)
+        after = run_tree(ROOT, cmds)
     differ = 0
     for argv, old, new in zip(cmds, before, after):
         if old != new:

@@ -34,7 +34,7 @@ from hypothesis import given, settings, strategies as st
 from braidforge import bricks, cli, invariants, isomaps, linking
 from braidforge.bricks import build_bricks
 from braidforge.errors import PresentationError, ResourceCapError
-from braidforge.finite_groups import _with_inverses, builtin_targets, load_table, symmetric_group
+from braidforge.finite_groups import FiniteTarget, builtin_targets, load_table, symmetric_group
 from braidforge.garside import conjugacy_move_sequence_detailed, delta_word
 from braidforge.invariants import (
     ColumnLattice,
@@ -108,7 +108,7 @@ def relabeled(t, name, perm):
     for a in range(n):
         for b in range(n):
             table[perm[a]][perm[b]] = perm[t.mul(a, b)]
-    return _with_inverses(name, table, identity=perm[t.identity])
+    return FiniteTarget(name, table, identity=perm[t.identity])
 
 
 def conjugates(t, h):

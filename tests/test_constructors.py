@@ -1,0 +1,160 @@
+"""One constructor per cached value.
+
+A brick diagram, a linking graph and a finite target are each built only
+from their input: ``BrickDiagram(word)``, ``LinkingGraph(diagram,
+sign_convention)`` and ``FiniteTarget(name, table, identity)`` derive
+everything else they hold. So a value equal to another holds the same
+data, and no hand-built value can stand in a cache for the real one:
+a diagram with empty occurrences, a target with wrong inverses, or a
+graph carrying an edge that is not its diagram's are refused at
+construction. The guard at the end keeps the defect class out of every
+dataclass in the package: no field left out of equality may be a
+constructor parameter.
+"""
+
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+import random
+from types import MappingProxyType
+
+import networkx
+import pytest
+
+import braidforge
+from braidforge.bricks import BrickDiagram, build_bricks
+from braidforge.finite_groups import (
+    BUILTIN_TARGETS,
+    FiniteTarget,
+    load_table,
+    symmetric_group,
+)
+from braidforge.invariants import abelianization, hom_count
+from braidforge.linking import (
+    SIGN_CONVENTIONS,
+    EdgeKind,
+    LinkEdge,
+    LinkingGraph,
+    build_graph,
+    is_forest,
+)
+from braidforge.presentations import presentation_of
+from braidforge.words import BraidWord, parse_word
+
+
+def seeded_words(seed: int, count: int, max_strands: int = 8, max_len: int = 40):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(2, max_strands)
+        yield BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, max_len))))
+
+
+def test_hand_built_diagram_is_refused_and_the_answer_stays():
+    w = parse_word("1 2 1 1 2 1")
+    with pytest.raises(TypeError):
+        BrickDiagram(w, MappingProxyType({}), MappingProxyType({}))
+    assert str(abelianization(presentation_of(build_graph(build_bricks(w))))) == "Z"
+
+
+def test_hand_built_target_is_refused_and_the_answer_stays():
+    s3 = symmetric_group(3)
+    with pytest.raises(TypeError):
+        FiniteTarget("S3", s3.table, 0, tuple(range(6)))
+    p = presentation_of(build_graph(build_bricks(parse_word("1 2 1 1 2 1"))))
+    assert hom_count(p, s3).count == 12
+
+
+def test_graph_with_a_foreign_edge_is_refused():
+    d = build_bricks(parse_word("1 1 1 1"))
+    g = build_graph(d)
+    edges = (*g.edges, LinkEdge(1, 3, EdgeKind.VERTICAL))
+    with pytest.raises(TypeError):
+        LinkingGraph(d, edges, g.positions, (), "left-positive")
+    assert [(a, b) for a, b, _, _ in g.raw_edges] == [(1, 2), (2, 3)]
+    assert is_forest(g)
+
+
+def test_diagram_constructor_matches_the_cache():
+    for w in seeded_words(1, 300):
+        d = BrickDiagram(w)
+        cached = build_bricks(w)
+        assert d == cached and hash(d) == hash(cached)
+        assert d.occurrences == cached.occurrences
+        assert d.column_ids == cached.column_ids
+        assert d.bricks == cached.bricks
+
+
+def test_graph_constructor_matches_the_cache():
+    for w in seeded_words(2, 300):
+        d = build_bricks(w)
+        for convention in SIGN_CONVENTIONS:
+            g = LinkingGraph(d, convention)
+            cached = build_graph(d, convention)
+            assert g == cached and hash(g) == hash(cached)
+            assert g.edges == cached.edges and g.regions == cached.regions
+            assert presentation_of(g) == presentation_of(cached)
+    assert LinkingGraph(d) == build_graph(d)
+
+
+def test_unknown_sign_convention_is_named():
+    d = build_bricks(parse_word("1 2 1 1 2 1"))
+    for build in (LinkingGraph, build_graph):
+        with pytest.raises(ValueError, match="'up'"):
+            build(d, "up")
+
+
+def test_target_constructor_derives_inverses():
+    for name, make in BUILTIN_TARGETS.items():
+        t = make()
+        rebuilt = FiniteTarget(name, t.table)
+        assert rebuilt == t and hash(rebuilt) == hash(t)
+        assert rebuilt.inverse == t.inverse
+        for a in range(t.size):
+            assert t.mul(a, t.inv(a)) == t.identity == t.mul(t.inv(a), a)
+    listed = FiniteTarget("S3", [list(row) for row in symmetric_group(3).table])
+    assert listed == symmetric_group(3) and listed.inverse == symmetric_group(3).inverse
+
+
+def test_element_without_inverse_keeps_the_load_message():
+    message = "group table 'bad' has an element without inverse"
+    with pytest.raises(ValueError, match=message):
+        FiniteTarget("bad", ((0, 1), (1, 1)))
+    with pytest.raises(ValueError, match=message):
+        load_table("2\n0 1\n1 1\n", "bad")
+
+
+def test_forest_test_matches_networkx():
+    # the face count is zero exactly when the graph has no cycle
+    forests = 0
+    for w in seeded_words(3, 600):
+        g = build_graph(build_bricks(w))
+        nxg = networkx.Graph()
+        nxg.add_nodes_from(range(1, g.diagram.n_bricks + 1))
+        nxg.add_edges_from((a, b) for a, b, _, _ in g.raw_edges)
+        # networkx rejects the null graph as pointless; it is a forest
+        assert is_forest(g) == (not nxg or networkx.is_forest(nxg))
+        forests += is_forest(g)
+    assert 0 < forests < 600
+
+
+def package_dataclasses():
+    for info in pkgutil.iter_modules(braidforge.__path__, "braidforge."):
+        if info.name == "braidforge.__main__":  # runs the command line
+            continue
+        module = importlib.import_module(info.name)
+        for _, cls in inspect.getmembers(module, inspect.isclass):
+            if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls):
+                yield cls
+
+
+def test_no_field_outside_equality_is_a_constructor_parameter():
+    classes = list(package_dataclasses())
+    assert {BrickDiagram, LinkingGraph, FiniteTarget} <= set(classes)
+    offenders = [
+        f"{cls.__qualname__}.{f.name}"
+        for cls in classes
+        for f in dataclasses.fields(cls)
+        if not f.compare and f.name in inspect.signature(cls).parameters
+    ]
+    assert offenders == []

@@ -9,9 +9,7 @@ cycles, signs, anchors and sides) and on the presentation read off them.
 The views a diagram and a graph spell from their compact form (bricks,
 id ranges, edges, regions, positions, JSON and the combinatorial
 signature) must equal those built eagerly from a direct scan of the word
-and from the face tracer. A graph built from shuffled views with flipped
-signs reads its signature and JSON off what it was given, and its
-presentation still lists braid pairs in lex order.
+and from the face tracer.
 """
 
 import json
@@ -24,13 +22,18 @@ from braidforge.linking import (
     SIGN_CONVENTIONS,
     EdgeKind,
     LinkEdge,
-    LinkingGraph,
     Region,
     Side,
     _graph,
     build_graph,
 )
-from braidforge.presentations import presentation_of
+from braidforge.presentations import (
+    Presentation,
+    braid_relator,
+    comm_relator,
+    cycle_relator,
+    presentation_of,
+)
 from braidforge.words import BraidWord
 
 words = st.integers(2, 8).flatmap(
@@ -125,6 +128,17 @@ def reference_regions(d: BrickDiagram, edges, sign_convention: str) -> tuple[Reg
     return tuple(regions)
 
 
+def reference_presentation(n: int, edges, regions) -> Presentation:
+    """Braid relator per edge, commutation per other pair, cycle per region,
+    read by the relator constructor."""
+    linked = {(e.a, e.b) for e in edges}
+    pairs = ((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+    relators = tuple(
+        braid_relator(i, j) if (i, j) in linked else comm_relator(i, j) for i, j in pairs
+    )
+    return Presentation(n, relators + tuple(cycle_relator(r.vertices) for r in regions))
+
+
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(words)
 def test_sweep_matches_face_tracer(case):
@@ -136,8 +150,7 @@ def test_sweep_matches_face_tracer(case):
         regions = reference_regions(d, edges, convention)
         assert g.edges == edges
         assert g.regions == regions
-        reference = LinkingGraph(d, edges, g.positions, regions, convention)
-        assert presentation_of(g) == presentation_of(reference)
+        assert presentation_of(g) == reference_presentation(d.n_bricks, edges, regions)
 
 
 wide_words = st.integers(2, 9).flatmap(
@@ -155,34 +168,36 @@ def reference_bricks(w: BraidWord) -> tuple[Brick, ...]:
     return tuple(bricks)
 
 
-def eager_signature(g: LinkingGraph) -> tuple:
-    """combinatorial_signature read off the graph's views."""
-    d = g.diagram
-    verts = tuple((b.id,) + d.column_rank(b.id) for b in d.bricks)
-    edges = tuple((e.a, e.b, e.kind.value, e.side.value if e.side else None) for e in g.edges)
-    regions = tuple((r.vertices, r.sign, r.anchor_column, r.side.value) for r in g.regions)
-    return (verts, edges, regions)
+def eager_signature(bricks, edges, regions) -> tuple:
+    """combinatorial_signature read off reference bricks, edges and regions."""
+    ranks: dict[int, int] = {}
+    verts = []
+    for b in bricks:
+        ranks[b.column] = ranks.get(b.column, 0) + 1
+        verts.append((b.id, b.column, ranks[b.column]))
+    edges = tuple((e.a, e.b, e.kind.value, e.side.value if e.side else None) for e in edges)
+    regions = tuple((r.vertices, r.sign, r.anchor_column, r.side.value) for r in regions)
+    return (tuple(verts), edges, regions)
 
 
-def eager_json(g: LinkingGraph) -> dict:
-    """The graph's JSON document, read off its views."""
-    word = {"strands": g.diagram.word.strands, "letters": list(g.diagram.word.letters)}
+def eager_json(w: BraidWord, convention, bricks, edges, regions, positions) -> dict:
+    """The graph's JSON document, read off reference lists."""
     return {
-        "word": word,
-        "sign_convention": g.sign_convention,
+        "word": {"strands": w.strands, "letters": list(w.letters)},
+        "sign_convention": convention,
         "vertices": [
             {"id": b.id, "column": b.column, "lo": b.lo, "hi": b.hi,
-             "x": g.positions[b.id][0], "y": g.positions[b.id][1]}
-            for b in g.diagram.bricks
+             "x": positions[b.id][0], "y": positions[b.id][1]}
+            for b in bricks
         ],
         "edges": [
             {"a": e.a, "b": e.b, "kind": e.kind.value, "side": e.side.value if e.side else None}
-            for e in g.edges
+            for e in edges
         ],
         "regions": [
             {"vertices": list(r.vertices), "sign": r.sign, "anchor_column": r.anchor_column,
              "side": r.side.value}
-            for r in g.regions
+            for r in regions
         ],
     }
 
@@ -213,36 +228,12 @@ def test_views_match_eager_references(case):
         g = _graph.__wrapped__(d, convention)
         signature, document = g.combinatorial_signature(), json.loads(g.to_json())
         regions = reference_regions(d, edges, convention)
-        reference = LinkingGraph(d, edges, positions, regions, convention)
-        assert g == reference
-        assert g.edges == reference.edges
-        assert g.regions == reference.regions
-        assert g.positions == reference.positions
-        assert signature == eager_signature(reference)
-        assert document == eager_json(reference)
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(wide_words, st.randoms(use_true_random=False))
-def test_view_built_graph_keeps_given_order_and_signs(case, rnd):
-    n, letters = case
-    d = build_bricks(BraidWord(n, tuple(letters)))
-    for convention in SIGN_CONVENTIONS:
-        g = build_graph(d, convention)
-        edges, regions = list(g.edges), list(g.regions)
-        rnd.shuffle(edges)
-        rnd.shuffle(regions)
-        flipped = [Region(r.vertices, -r.sign, r.anchor_column, r.side) for r in regions]
-        shuffled = LinkingGraph(d, edges, g.positions, flipped, convention)
-        assert shuffled.edges == tuple(edges)
-        assert shuffled.regions == tuple(flipped)
-        assert shuffled.combinatorial_signature() == eager_signature(shuffled)
-        assert json.loads(shuffled.to_json()) == eager_json(shuffled)
-        # the presentation lists braid pairs in lex order, whatever the
-        # edges' order, and its cycles in the regions' given order
-        same_regions = LinkingGraph(d, edges, g.positions, g.regions, convention)
-        p = presentation_of(same_regions)
-        assert list(p.braid_pairs) == sorted(p.braid_pairs)
-        assert p == presentation_of(g)
-        assert hash(p) == hash(presentation_of(g))
-        assert p.relators == presentation_of(g).relators
+        assert g.raw_edges == tuple((e.a, e.b, e.kind, e.side) for e in edges)
+        assert g.raw_regions == tuple(
+            (r.vertices, r.sign, r.anchor_column, r.side) for r in regions
+        )
+        assert g.edges == edges
+        assert g.regions == regions
+        assert g.positions == positions
+        assert signature == eager_signature(bricks, edges, regions)
+        assert document == eager_json(w, convention, bricks, edges, regions, positions)
