@@ -262,8 +262,7 @@ def _pair_windows(
         return [0] * k, window
     linked: list[set[int]] = [set() for _ in range(k)]
     for i, j in p.braid_pairs:
-        if 0 < i < j <= k:
-            linked[j - 1].add(i)
+        linked[j - 1].add(i)
     start = [min(ls, default=j + 1) - 1 for j, ls in enumerate(linked)]
     window = [
         [(i, braid if i in ls else comm) for i in range(s + 1, j + 1)]

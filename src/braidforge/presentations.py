@@ -1,4 +1,4 @@
-"""Group presentations read off a linking graph.
+"""Group presentations, read off relator words or swept from a linking graph.
 
 Generators are the bricks (1-based ids). Every linked pair contributes a
 braid relator, every unlinked pair a commutation relator (including
@@ -6,13 +6,15 @@ diagonals of regions), and every bounded region a cycle relator read
 along the region's stored cyclic order. Only the cycle relators carry
 information beyond the edge set, so every presentation is stored as a
 pair table and its cycles, and spells its pair relators on each read of
-``relators``, never storing them. A graph's presentation stores its
-cycles as the regions' vertex tuples, spelling each word (in closed
-form) and each Relator only when read; one built from relators keeps
-them. A graph's presentation is built once and kept on the (immutable)
-graph. Relator words are kept as LHS * RHS^-1, freely reduced; relator
-equality means equality of those words, and the word alone decides a
-relator's kind and the region a cycle shift rotates.
+``relators``, never storing them. A presentation has two ways in:
+``Presentation(n, relators)`` reads the table off the words and keeps
+the cycle relators, and ``presentation_of(graph)`` stores the sweep's
+table and its cycles as the regions' vertex tuples, spelling each word
+(in closed form) and each Relator only when read; it is built once and
+kept on the (immutable) graph. A cycle shift is read back through
+``Presentation(n, relators)``. Relator words are kept as LHS * RHS^-1,
+freely reduced; relator equality means equality of those words, and the
+word alone decides a relator's kind and the region a cycle shift rotates.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import PresentationError
 from .linking import LinkingGraph
@@ -92,10 +94,12 @@ def _pair_of(w: GroupWord) -> tuple[RelatorKind, tuple[int, int]] | None:
 
 
 def _region_of(w: GroupWord) -> tuple[int, ...] | None:
-    """The cycle of distinct generators (i_1, ..., i_n) whose cycle
-    relator has the word w, read off its first n of 4n - 4 letters."""
+    """The cycle of n >= 3 distinct generators (i_1, ..., i_n) whose cycle
+    relator has the word w, read off its first n of 4n - 4 letters. A
+    region has at least three vertices; a two-vertex cycle's word rotates
+    to a commutation relator, which the pair table holds."""
     cycle = tuple(reversed(w[: len(w) // 4 + 1]))
-    if len(w) % 4 or len(set(cycle)) < len(cycle) or min(cycle, default=0) < 1:
+    if len(w) % 4 or len(w) < 8 or len(set(cycle)) < len(cycle) or min(cycle) < 1:
         return None
     return cycle if _cycle_word(cycle) == w else None
 
@@ -103,6 +107,8 @@ def _region_of(w: GroupWord) -> tuple[int, ...] | None:
 class Presentation:
     """Generators 1..n_generators, pair relators as a table, and the rest.
 
+    There are two ways in: ``Presentation(n, relators)``, and
+    ``presentation_of(graph)``, which stores the graph's sweep.
     ``braid_pairs`` and ``comm_pairs`` list, in lex order, the pairs
     i < j that carry a braid or a commutation relator; ``comm_pairs`` is
     None when that is every other pair and no more, as on every graph's
@@ -111,17 +117,17 @@ class Presentation:
     in lex order, then the cycles. ``Presentation(n, relators)`` reads
     the table off the words, whatever kind they were built with, so the
     order, repeats and provenance of pair relators are not kept; a pair
-    may carry both kinds. Every other relator, and every cycle given to
-    ``from_table``, is kept with kind CYCLE, so each kind a presentation
-    hands out is the one its word has. Equal generator counts, pair
-    tables and cycle words make equal presentations, whatever the
-    cycles' equations and provenance. A letter of a relator's word or
-    equation that names no generator raises PresentationError. A graph's
-    presentation stores ``region_cycles``, each region's vertex tuple
-    (None when relators were given), and spells ``cycle_words`` on first
-    need (equality, hashing, the orbit search) and ``cycles`` on first
-    read, keeping both. ``_lattice`` holds the column lattice once
-    invariants has built it.
+    may carry both kinds. Every other relator is kept with kind CYCLE,
+    so each kind a presentation hands out is the one its word has. Equal
+    generator counts, pair tables and cycle words make equal
+    presentations, whatever the cycles' equations and provenance. A
+    letter of a relator's word or equation that names no generator
+    raises PresentationError. A graph's presentation stores
+    ``region_cycles``, each region's vertex tuple (None when relators
+    were given), and spells ``cycle_words`` on first need (equality,
+    hashing, the orbit search) and ``cycles`` on first read, keeping
+    both. ``_lattice`` holds the column lattice once invariants has
+    built it.
     """
 
     __slots__ = (
@@ -154,28 +160,6 @@ class Presentation:
         self.n_generators, self.braid_pairs = n_generators, braid_pairs
         self.comm_pairs, self.region_cycles, self._cycles = comm_pairs, region_cycles, cycles
         self._words = self._lattice = None
-
-    @classmethod
-    def _stored(cls, *table) -> Presentation:
-        """The presentation of a generator count, braid pairs, comm pairs,
-        region cycles and cycle relators, stored as given."""
-        p = cls.__new__(cls)
-        p._store(*table)
-        return p
-
-    @classmethod
-    def from_table(
-        cls,
-        n_generators: int,
-        braid_pairs: Iterable[tuple[int, int]],
-        cycles: tuple[Relator, ...],
-        comm_pairs: tuple[tuple[int, int], ...] | None = None,
-    ) -> Presentation:
-        """Braid relators on braid_pairs (i < j), commutation on comm_pairs
-        (lex order; None for every other pair), and the cycle relators,
-        each kept with kind CYCLE."""
-        kept = tuple(replace(r, kind=RelatorKind.CYCLE) for r in cycles)
-        return cls._stored(n_generators, tuple(sorted(braid_pairs)), comm_pairs, None, kept)
 
     def pair_table(self) -> Iterator[tuple[int, int, RelatorKind]]:
         """(i, j, BRAID | COMM) per pair relator; lex order when comm_pairs is None."""
@@ -288,7 +272,8 @@ def presentation_of(g: LinkingGraph) -> Presentation:
     if g._presentation is None:
         pairs = tuple((a, b) for a, b, _, _ in g.raw_edges)  # swept in lex order
         regions = tuple(cycle for cycle, _, _, _ in g.raw_regions)
-        p = Presentation._stored(g.diagram.n_bricks, pairs, None, regions)
+        p = Presentation.__new__(Presentation)
+        p._store(g.diagram.n_bricks, pairs, None, regions)
         object.__setattr__(g, "_presentation", p)
     return g._presentation
 
@@ -314,20 +299,21 @@ def shifted_cycle_presentation(
     p: Presentation, region_index: int, shift: int
 ) -> Presentation:
     """The presentation with p.cycles[region_index] replaced by the cycle
-    relator of its region's tuple rotated left by shift; the pair table is
-    kept. A word that is no region's cycle relator raises PresentationError."""
+    relator of its region's tuple rotated left by shift, keeping its
+    provenance, read back through Presentation(n, relators) from p's
+    relators; so the pair table and every other cycle are kept. A word
+    that is no region's cycle relator raises PresentationError."""
     words = p.cycle_words
     if not 0 <= region_index < len(words):
         raise IndexError(f"presentation has {len(words)} cycle relators")
+    relators = list(p.relators)
+    t = len(relators) - len(words) + region_index
     cycle = _region_of(words[region_index])
     if cycle is None:
-        t = sum(1 for _ in p.pair_table()) + region_index
         raise PresentationError(f"relator {t} is not the cycle relator of a region")
     k = shift % len(cycle)
-    rotated = cycle[k:] + cycle[:k]
-    cycles = list(p.cycles)
-    cycles[region_index] = cycle_relator(rotated, cycles[region_index].provenance)
-    return Presentation._stored(p.n_generators, p.braid_pairs, p.comm_pairs, None, tuple(cycles))
+    relators[t] = cycle_relator(cycle[k:] + cycle[:k], relators[t].provenance)
+    return Presentation(p.n_generators, tuple(relators))
 
 
 def _word_plain(word: GroupWord) -> str:

@@ -33,7 +33,14 @@ from braidforge.garside import (
     perm_mul,
     tau_pow,
 )
-from braidforge.presentations import GroupWord, Presentation, Relator, RelatorKind
+from braidforge.presentations import (
+    GroupWord,
+    Presentation,
+    Relator,
+    RelatorKind,
+    braid_relator,
+    comm_relator,
+)
 from braidforge.words import BraidWord
 
 
@@ -202,6 +209,20 @@ def relator_words(p: Presentation) -> tuple[GroupWord, ...]:
 
 def by_kind(p: Presentation, kind: RelatorKind) -> tuple[Relator, ...]:
     return tuple(r for r in p.relators if r.kind is kind)
+
+
+def table_presentation(k: int, braid_pairs, cycles) -> Presentation:
+    """Braid relators on braid_pairs, commutation relators on every other
+    pair of 1..k, then the cycles, read through Presentation(k, relators)."""
+    linked = {(min(pair), max(pair)) for pair in braid_pairs}
+    relators = [braid_relator(i, j) for i, j in sorted(linked)]
+    relators += [
+        comm_relator(i, j)
+        for i in range(1, k + 1)
+        for j in range(i + 1, k + 1)
+        if (i, j) not in linked
+    ]
+    return Presentation(k, (*relators, *cycles))
 
 
 # -- Garside oracles ---------------------------------------------------------

@@ -61,7 +61,7 @@ from braidforge.presentations import (
 )
 from braidforge.words import BraidWord, MoveKind, apply_move, enumerate_moves, parse_word
 
-from conftest import brute_hom_count
+from conftest import brute_hom_count, table_presentation
 from test_check_map_reference import WORDS, corrupted, presentation_for, reference_check_map
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -215,7 +215,7 @@ def test_check_map_never_lists_homs(monkeypatch):
 def test_presentations_differing_in_commutation_pairs_or_cycles_are_kept_apart():
     braid, comm = braid_relator(1, 2), comm_relator(1, 2)
     base = presentation(3, (1, 2, 1, 1, 2, 1))
-    recycled = Presentation.from_table(4, base.braid_pairs, (cycle_relator((1, 3, 2, 4)),))
+    recycled = table_presentation(4, base.braid_pairs, (cycle_relator((1, 3, 2, 4)),))
     cases = [Presentation(2, relators) for relators in ((braid,), (braid, comm), (comm,))]
     for t in (S3, S4):
         counts = []
@@ -252,7 +252,7 @@ def test_cycles_rebuilt_from_their_vertices_give_an_equal_presentation(monkeypat
     g = build_graph(build_bricks(BraidWord(4, (1, 2, 1, 3, 2, 1, 2, 3, 2, 1))))
     p = presentation_of(g)
     cycles = tuple(cycle_relator(region.vertices) for region in g.regions)
-    rebuilt = Presentation.from_table(p.n_generators, p.braid_pairs, cycles)
+    rebuilt = table_presentation(p.n_generators, p.braid_pairs, cycles)
     assert len(cycles) >= 2 and rebuilt.cycles != p.cycles
     assert rebuilt == p and hash(rebuilt) == hash(p)
     searches = []
@@ -266,8 +266,8 @@ def test_cycles_rebuilt_from_their_vertices_give_an_equal_presentation(monkeypat
     assert hom_orbits(rebuilt, S3) == hom_orbits(p, S3) and searches == ["S3"]
     # another word, or another pair table, is another presentation
     reworded = cycles[:-1] + (cycle_relator(g.regions[-1].vertices[::-1]),)
-    assert Presentation.from_table(p.n_generators, p.braid_pairs, reworded) != p
-    assert Presentation.from_table(p.n_generators, p.braid_pairs[1:], cycles) != p
+    assert table_presentation(p.n_generators, p.braid_pairs, reworded) != p
+    assert table_presentation(p.n_generators, p.braid_pairs[1:], cycles) != p
 
 
 @SETTINGS
@@ -579,7 +579,7 @@ def test_equality_and_hash_follow_the_relator_tuples(first, second):
     found = []
     for n, letters, _ in (first, second):
         p = presentation(n, letters)
-        table = Presentation.from_table(p.n_generators, p.braid_pairs, p.cycles)
+        table = table_presentation(p.n_generators, p.braid_pairs, p.cycles)
         found += [p, table, Presentation(p.n_generators, p.relators)]
         if p.cycles:
             found.append(shifted_cycle_presentation(p, 0, 1))

@@ -6,7 +6,8 @@ against networkx.is_isomorphic on seeded forests, and the column lattice
 against networkx.connected_components of the graph with one edge per
 nonzero relator column, summed here from the spelled relator words, on
 presentations whose cycles are given as words: hand-built with
-Presentation(n, relators) and Presentation.from_table, and shifted with
+Presentation(n, relators), from shuffled relators and from a pair table
+(conftest.table_presentation), and shifted with
 shifted_cycle_presentation.
 """
 
@@ -32,6 +33,8 @@ from braidforge.presentations import (
     shifted_cycle_presentation,
 )
 from braidforge.words import BraidWord
+
+from conftest import table_presentation
 
 
 def forest_word(rng: random.Random) -> BraidWord:
@@ -124,7 +127,7 @@ def hand_built(rng: random.Random) -> list[Presentation]:
     rng.shuffle(relators)
     return [
         Presentation(k, tuple(relators)),
-        Presentation.from_table(k, braid, tuple(cycles)),
+        table_presentation(k, braid, tuple(cycles)),
     ]
 
 
@@ -137,7 +140,7 @@ def test_column_lattice_partition_matches_networkx():
         base = presentation_of(build_graph(build_bricks(w)))
         for index, words in enumerate(base.cycle_words[:2]):
             cases += [shifted_cycle_presentation(base, index, s) for s in (1, len(words) // 4)]
-        hand = Presentation.from_table(base.n_generators, base.braid_pairs, base.cycles)
+        hand = table_presentation(base.n_generators, base.braid_pairs, base.cycles)
         if hand.cycles:
             cases.append(shifted_cycle_presentation(hand, len(hand.cycles) - 1, 1))
     assert sum(p.region_cycles is None for p in cases) == len(cases) > 400

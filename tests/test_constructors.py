@@ -3,13 +3,17 @@
 A brick diagram, a linking graph and a finite target are each built only
 from their input: ``BrickDiagram(word)``, ``LinkingGraph(diagram,
 sign_convention)`` and ``FiniteTarget(name, table, identity)`` derive
-everything else they hold. So a value equal to another holds the same
-data, and no hand-built value can stand in a cache for the real one:
-a diagram with empty occurrences, a target with wrong inverses, or a
-graph carrying an edge that is not its diagram's are refused at
-construction. The guard at the end keeps the defect class out of every
-dataclass in the package: no field left out of equality may be a
-constructor parameter.
+everything else they hold. A ``Presentation`` is read off its relator
+words by ``Presentation(n_generators, relators)``, or stored from a
+graph's sweep by ``presentation_of``, and has no other public way in. So
+a value equal to another holds the same data, and no hand-built value
+can stand in a cache for the real one: a diagram with empty occurrences,
+a target with wrong inverses, a graph carrying an edge that is not its
+diagram's, or a pair table naming a reversed pair or a letter outside
+the generators are refused at construction. The guards at the end keep
+the defect class out: no field of a package dataclass left out of
+equality may be a constructor parameter, and no public classmethod or
+staticmethod may build a Presentation.
 """
 
 import dataclasses
@@ -21,6 +25,8 @@ from types import MappingProxyType
 
 import networkx
 import pytest
+
+from conftest import brute_hom_count, relator_words
 
 import braidforge
 from braidforge.bricks import BrickDiagram, build_bricks
@@ -39,7 +45,8 @@ from braidforge.linking import (
     build_graph,
     is_forest,
 )
-from braidforge.presentations import presentation_of
+from braidforge.errors import PresentationError
+from braidforge.presentations import Presentation, braid_relator, comm_relator, presentation_of
 from braidforge.words import BraidWord, parse_word
 
 
@@ -158,3 +165,26 @@ def test_no_field_outside_equality_is_a_constructor_parameter():
         if not f.compare and f.name in inspect.signature(cls).parameters
     ]
     assert offenders == []
+
+
+def test_presentation_has_no_public_constructor_but_its_reader():
+    builders = [
+        name
+        for name, attr in vars(Presentation).items()
+        if not name.startswith("_")
+        and isinstance(attr, (classmethod, staticmethod))
+        and inspect.signature(attr.__func__).return_annotation
+        in (Presentation, "Presentation", inspect.Signature.empty)
+    ]
+    assert builders == []
+    # the relators a table with the reversed pair (2, 1) spelled: the
+    # search reads them as the reader does, 18 homs into S3, not 48
+    s3 = symmetric_group(3)
+    commuting = (comm_relator(1, 2), comm_relator(1, 3), comm_relator(2, 3))
+    p = Presentation(3, (braid_relator(2, 1), *commuting))
+    assert (p.braid_pairs, p.comm_pairs) == (((1, 2),), ((1, 2), (1, 3), (2, 3)))
+    assert hom_count(p, s3).count == brute_hom_count(relator_words(p), 3, s3) == 18
+    # a table naming a letter outside 1..3 cannot be built
+    for letter in (5, 0):
+        with pytest.raises(PresentationError, match=f"has the letter {letter}; the generators"):
+            Presentation(3, (braid_relator(1, letter),))

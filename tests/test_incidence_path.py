@@ -36,7 +36,7 @@ from braidforge.presentations import (
 )
 from braidforge.words import BraidWord
 
-from conftest import exponent_matrix, snf_abelianization, snf_membership
+from conftest import exponent_matrix, snf_abelianization, snf_membership, table_presentation
 
 SETTINGS = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -109,12 +109,12 @@ def test_region_joins_match_summed_cycle_words(case):
     n, letters = case
     p = presentation_of(build_graph(build_bricks(BraidWord(n, tuple(letters)))))
     assert p.region_cycles is not None
-    copy = Presentation.from_table(p.n_generators, p.braid_pairs, p.cycles)
+    copy = table_presentation(p.n_generators, p.braid_pairs, p.cycles)
     assert copy.region_cycles is None and copy == p
     assert ColumnLattice(p).component == ColumnLattice(copy).component
     if p.n_generators:
         bad = Relator.from_equation(RelatorKind.CYCLE, (1, 1), (), ())
-        broken = Presentation.from_table(p.n_generators, p.braid_pairs, p.cycles + (bad,))
+        broken = table_presentation(p.n_generators, p.braid_pairs, p.cycles + (bad,))
         message = rf"^relator {len(p.relators)} has exponent sums s1\^2,"
         with pytest.raises(PresentationError, match=message):
             ColumnLattice(broken)
@@ -153,7 +153,7 @@ def test_bad_column_index_counts_the_pair_table(monkeypatch, k):
     # of the bad one is counted off the table, spelling no relator
     power = Relator.from_equation(RelatorKind.CYCLE, (1, 1), (), ())
     cycles = (cycle_relator((1, 2, 3)), power)
-    p = Presentation.from_table(k, [(i, i + 1) for i in range(1, k)], cycles)
+    p = table_presentation(k, [(i, i + 1) for i in range(1, k)], cycles)
 
     def spelled(self):
         raise AssertionError("relators spelled")

@@ -129,6 +129,19 @@ def test_cycle_shifts_read_the_region_off_the_word():
         cycle_relator_shift(q, 0, 1)
 
 
+def test_two_vertex_cycle_is_no_region():
+    # no region has two vertices; rotating that cycle's word would give the
+    # commutation relator of its pair, which the pair table holds
+    two = cycle_relator((1, 2))
+    assert two.word == (2, 1, -2, -1)
+    pairs = (braid_relator(1, 2), comm_relator(1, 3), comm_relator(2, 3))
+    p = Presentation(3, pairs + (two,))
+    assert p.cycles == (two,)
+    for shift in (cycle_relator_shift, shifted_cycle_presentation):
+        with pytest.raises(PresentationError, match="^relator 3 is not the cycle relator of"):
+            shift(p, 0, 1)
+
+
 def test_shifted_pair_table_stays_a_table():
     rng = random.Random(20261019)
     for _ in range(60):

@@ -30,7 +30,7 @@ from braidforge.presentations import (
     serialize,
 )
 
-from conftest import brute_hom_count, relator_words
+from conftest import brute_hom_count, relator_words, table_presentation
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -96,7 +96,7 @@ def test_hand_built_relators_print_what_their_words_say(relator, plain):
 )
 def test_table_cycles_print_what_their_words_say(lhs, plain):
     relator = Relator.from_equation(RelatorKind.COMM, lhs, (3, 1), ())
-    p = Presentation.from_table(3, [], (relator,))
+    p = table_presentation(3, [], (relator,))
     assert [r.kind for r in p.cycles] == [RelatorKind.CYCLE]
     assert serialize(p, "plain").endswith(f", {plain}>")
     gap = "*".join(f"F.{x}" if x > 0 else f"F.{-x}^-1" for x in relator.word)

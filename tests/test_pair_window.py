@@ -26,8 +26,9 @@ from braidforge.invariants import (
     hom_count,
     hom_orbits,
 )
-from braidforge.presentations import Presentation, cycle_relator
+from braidforge.presentations import cycle_relator
 
+from conftest import table_presentation
 from test_analysis_cache import presentation
 from test_orbit_search_reference import TARGETS, reference_assignments, reference_reps
 
@@ -86,7 +87,7 @@ def test_interleaved_window_is_no_wider_than_the_pairs_it_replaces():
     ],
 )
 def test_hand_built_tables_take_the_prefix_path(k, braid_pairs, cycles):
-    p = Presentation.from_table(k, braid_pairs, tuple(cycle_relator(c) for c in cycles))
+    p = table_presentation(k, braid_pairs, tuple(cycle_relator(c) for c in cycles))
     assert p.comm_pairs is None
     assert_window_matches_reference(p)
 
@@ -99,7 +100,7 @@ def test_random_hand_built_tables_take_the_prefix_path(seed):
     cycles = [
         tuple(rng.sample(range(1, k + 1), rng.randint(3, 4))) for _ in range(rng.randint(1, 3))
     ]
-    p = Presentation.from_table(k, pairs, tuple(map(cycle_relator, cycles)))
+    p = table_presentation(k, pairs, tuple(map(cycle_relator, cycles)))
     assert_window_matches_reference(p)
 
 

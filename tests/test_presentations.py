@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from braidforge.bricks import build_bricks
@@ -7,6 +9,7 @@ from braidforge.linking import build_graph
 from braidforge.presentations import (
     GroupWord,
     Presentation,
+    Relator,
     RelatorKind,
     braid_relator,
     comm_relator,
@@ -20,7 +23,7 @@ from braidforge.presentations import (
     serialize,
     shifted_cycle_presentation,
 )
-from braidforge.words import parse_word
+from braidforge.words import BraidWord, parse_word
 
 from conftest import by_kind, random_word
 
@@ -221,6 +224,47 @@ def test_pair_relators_closed_form():
             assert braid_relator(i, j).rhs == (hi, lo, hi)
             assert comm_relator(i, j).lhs == (lo, hi)
             assert comm_relator(i, j).rhs == (hi, lo)
+
+
+def test_shift_keeps_the_table_and_every_other_cycle():
+    rng = random.Random(34)
+    cases = []
+    for _ in range(120):
+        n = rng.randint(3, 6)
+        w = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(6, 30))))
+        p = presentation_of(build_graph(build_bricks(w)))
+        cases += [(p, index) for index in range(min(2, len(p.cycle_words)))]
+    # a partial table carrying both kinds on (1, 2), and a cycle relator
+    # that is no region's beside two that are
+    hand = Presentation(
+        4,
+        (
+            braid_relator(1, 2),
+            comm_relator(1, 2),
+            comm_relator(3, 4),
+            cycle_relator((1, 3, 2), ("hand", 0)),
+            Relator.from_equation(RelatorKind.CYCLE, (1, 1, 2), (3,), ("hand", 1)),
+            cycle_relator((2, 4, 3, 1), ("hand", 2)),
+        ),
+    )
+    assert (hand.braid_pairs, hand.comm_pairs) == (((1, 2),), ((1, 2), (3, 4)))
+    cases += [(hand, 0), (hand, 2)]
+    assert len(cases) > 150
+    for p, index in cases:
+        for shift in (0, 1, 3):
+            q = shifted_cycle_presentation(p, index, shift)
+            assert (q.n_generators, q.braid_pairs, q.comm_pairs) == (
+                p.n_generators,
+                p.braid_pairs,
+                p.comm_pairs,
+            )
+            assert len(q.cycles) == len(p.cycles)
+            for j, (old, new) in enumerate(zip(p.cycles, q.cycles)):
+                assert new.kind is RelatorKind.CYCLE and new.provenance == old.provenance
+                if j != index:
+                    assert (new.word, new.lhs, new.rhs) == (old.word, old.lhs, old.rhs)
+            assert q.cycle_words[index] == cycle_relator_shift(p, index, shift)
+            assert (q == p) == (shift % (len(p.cycle_words[index]) // 4 + 1) == 0)
 
 
 def test_cycle_shift_helpers_agree(rng):
