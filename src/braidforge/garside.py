@@ -766,6 +766,7 @@ def conjugacy_move_sequence_detailed(
         raise MoveError(
             "conjugate words without a half twist: move realization not guaranteed"
         )
+    capped = None
     try:
         moves, cur = _realize_summit_chain(a, nfa, rep_a, ops_a, caps)
         moves_b, word_b = _realize_summit_chain(b, nfb, rep_b, ops_b, caps)
@@ -779,22 +780,18 @@ def conjugacy_move_sequence_detailed(
                 "summit hops did not reach the second representative"
             )
         moves.extend(_invert_move_path(b, moves_b))
-        result = MoveSequenceResult(tuple(moves), "procedure-found")
-    except ResourceCapError:
-        path = _bfs_moves(a, b, conjugations=True, cap=caps.word_search)
-        if path is None:
-            raise
-        result = MoveSequenceResult(tuple(path), "search-found")
-    try:
-        replays = replay(a, list(result.moves)) == b
-    except MoveError:
-        replays = False
-    if not replays:
-        path = _bfs_moves(a, b, conjugations=True, cap=caps.word_search)
-        if path is None:
-            raise ResourceCapError("move search exceeded the configured cap")
-        result = MoveSequenceResult(tuple(path), "search-found")
-    return result
+    except ResourceCapError as exc:
+        capped = exc
+    else:
+        try:
+            if replay(a, moves) == b:
+                return MoveSequenceResult(tuple(moves), "procedure-found")
+        except MoveError:
+            pass  # the moves do not replay: search instead
+    path = _bfs_moves(a, b, conjugations=True, cap=caps.word_search)
+    if path is None:
+        raise capped or ResourceCapError("move search exceeded the configured cap")
+    return MoveSequenceResult(tuple(path), "search-found")
 
 
 def conjugacy_move_sequence(

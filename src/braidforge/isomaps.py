@@ -240,24 +240,26 @@ def _rotate(
         _charge(letters, "rotated images")
 
 
-def _braid_top_images(
-    sd: BrickDiagram, dd: BrickDiagram, i: int
-) -> tuple[_Images, _Images]:
+def _braid_top_images(sd: BrickDiagram, dd: BrickDiagram, i: int, inverse: bool) -> _Images:
     """Images across sigma_i sigma_{i+1} sigma_i -> sigma_{i+1} sigma_i sigma_{i+1}
-    at the top, read off column ranges alone: sd and dd may be any
-    rotations of the words before and after the move. Brick top, the last
-    of column i, becomes shifted, the last of column i+1; the ids between
-    close up by one, and the brick below top, if in column i, is conjugated.
+    at the top, or its inverse images when inverse, read off column ranges
+    alone: sd and dd may be any rotations of the words before and after
+    the move. Brick top, the last of column i, becomes shifted, the last of
+    column i+1; the ids between close up by one, and the brick below top,
+    if in column i, is conjugated.
     """
     top = sd.column_ids[i][-1]
     shifted = dd.column_ids[i + 1][-1]
     ident = _identity(sd.n_bricks)
-    images = [*ident[: top - 1], (shifted,), *ident[top - 1 : shifted - 1], *ident[shifted:]]
-    inverse = [*ident[: top - 1], *ident[top:shifted], (top,), *ident[shifted:]]
+    if inverse:
+        images = [*ident[: top - 1], *ident[top:shifted], (top,), *ident[shifted:]]
+        below = (top, top - 1, -top)
+    else:
+        images = [*ident[: top - 1], (shifted,), *ident[top - 1 : shifted - 1], *ident[shifted:]]
+        below = (-shifted, top - 1, shifted)
     if top - 1 in sd.column_ids[i]:
-        images[top - 2] = (-shifted, top - 1, shifted)
-        inverse[top - 2] = (top, top - 1, -top)
-    return tuple(images), tuple(inverse)
+        images[top - 2] = below
+    return tuple(images)
 
 
 # the move whose images, read back from a step's destination, are the
@@ -288,7 +290,8 @@ def _images(d: BrickDiagram, dd: BrickDiagram, kind: MoveKind, position: int) ->
         i, j = letters[position - 1 : position + 1]
         # the mirror move, shifting a brick from column i down to column j,
         # is the inverse situation
-        top = _braid_top_images(d, dd, i)[0] if j == i + 1 else _braid_top_images(dd, d, j)[1]
+        up = j == i + 1
+        top = _braid_top_images(d, dd, i, False) if up else _braid_top_images(dd, d, j, True)
         rotated = [c for c in letters[position + 2 :] if c in (i, j)]
         _rotate(images, dd, reversed(rotated), top_wraps=False, letters=len(images))
         images = list(_through(top, images))

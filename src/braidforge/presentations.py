@@ -12,15 +12,17 @@ the cycle relators, and ``presentation_of(graph)`` stores the sweep's
 table and its cycles as the regions' vertex tuples, spelling each word
 (in closed form) and each Relator only when read; it is built once and
 kept on the (immutable) graph. A cycle shift is read back through
-``Presentation(n, relators)``. Relator words are kept as LHS * RHS^-1,
-freely reduced; relator equality means equality of those words, and the
-word alone decides a relator's kind and the region a cycle shift rotates.
+``Presentation(n, relators)``. A relator is built from its equation
+alone, ``Relator(lhs, rhs, provenance)``: the equation decides the word,
+LHS * RHS^-1 freely reduced, and the word the kind. Presentation
+equality means equality of those words, and the word decides the region
+a cycle shift rotates.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator
 
@@ -57,19 +59,22 @@ def concat(*words: GroupWord) -> GroupWord:
 
 @dataclass(frozen=True, slots=True)
 class Relator:
-    """A relator with its display equation and provenance."""
+    """The relation lhs = rhs, with its provenance. Its word, lhs * rhs^-1
+    freely reduced, and its kind are derived: BRAID or COMM when the word
+    is that relator of a pair i < j, CYCLE otherwise. So a relator prints
+    the relation it counts."""
 
-    kind: RelatorKind
-    word: GroupWord  # freely reduced lhs * rhs^-1
     lhs: GroupWord
     rhs: GroupWord
     provenance: tuple
+    word: GroupWord = field(init=False)
+    kind: RelatorKind = field(init=False)
 
-    @staticmethod
-    def from_equation(
-        kind: RelatorKind, lhs: GroupWord, rhs: GroupWord, provenance: tuple
-    ) -> Relator:
-        return Relator(kind, concat(lhs, invert_word(rhs)), lhs, rhs, provenance)
+    def __post_init__(self) -> None:
+        word = free_reduce(self.lhs + invert_word(self.rhs))
+        pair = _pair_of(word)
+        object.__setattr__(self, "word", word)
+        object.__setattr__(self, "kind", RelatorKind.CYCLE if pair is None else pair[0])
 
 
 def exponent_sums(word: GroupWord) -> dict[int, int]:
@@ -83,7 +88,7 @@ def exponent_sums(word: GroupWord) -> dict[int, int]:
 
 def _pair_of(w: GroupWord) -> tuple[RelatorKind, tuple[int, int]] | None:
     """The kind and pair i < j whose braid or commutation relator has the
-    word w; the word decides, not the kind or equation it was built with."""
+    word w, or None."""
     if len(w) in (4, 6) and 0 < w[0] < w[1]:
         i, j = w[0], w[1]
         if w == (i, j, i, -j, -i, -j):
@@ -115,14 +120,13 @@ class Presentation:
     presentation. ``cycles`` holds every other relator, in the order
     given. ``relators`` spells braid pairs, then commutation pairs, each
     in lex order, then the cycles. ``Presentation(n, relators)`` reads
-    the table off the words, whatever kind they were built with, so the
-    order, repeats and provenance of pair relators are not kept; a pair
-    may carry both kinds. Every other relator is kept with kind CYCLE,
-    so each kind a presentation hands out is the one its word has. Equal
-    generator counts, pair tables and cycle words make equal
-    presentations, whatever the cycles' equations and provenance. A
-    letter of a relator's word or equation that names no generator
-    raises PresentationError. A graph's presentation stores
+    the table off the BRAID and COMM relators, whose kinds their words
+    decide, so the order, repeats, equations and provenance of pair
+    relators are not kept; a pair may carry both kinds. Every CYCLE
+    relator is kept as given. Equal generator counts, pair tables and
+    cycle words make equal presentations, whatever the cycles' equations
+    and provenance. A letter of a relator's word or equation that names
+    no generator raises PresentationError. A graph's presentation stores
     ``region_cycles``, each region's vertex tuple (None when relators
     were given), and spells ``cycle_words`` on first need (equality,
     hashing, the orbit search) and ``cycles`` on first read, keeping
@@ -146,11 +150,10 @@ class Presentation:
                     f"relator {index} has the letter {bad[0]}; "
                     f"the generators are 1..{n_generators}"
                 )
-            pair = _pair_of(r.word)
-            if pair is None:
-                cycles.append(replace(r, kind=RelatorKind.CYCLE))
+            if r.kind is RelatorKind.CYCLE:
+                cycles.append(r)
             else:
-                (braid if pair[0] is RelatorKind.BRAID else comm).add(pair[1])
+                (braid if r.kind is RelatorKind.BRAID else comm).add(r.word[:2])
         k = n_generators
         full = not braid & comm and len(braid) + len(comm) == k * (k - 1) // 2
         comm_pairs = None if full else tuple(sorted(comm))
@@ -219,20 +222,15 @@ class Presentation:
         return f"Presentation(n_generators={self.n_generators}, relators={self.relators!r})"
 
 
-# For distinct generators i < j the pair relators are already freely
-# reduced, so their words are written out in closed form.
 def braid_relator(i: int, j: int, provenance: tuple = ()) -> Relator:
     i, j = min(i, j), max(i, j)
-    return Relator(
-        RelatorKind.BRAID, (i, j, i, -j, -i, -j), (i, j, i), (j, i, j),
-        provenance or ("edge", (i, j)),
-    )
+    return Relator((i, j, i), (j, i, j), provenance or ("edge", (i, j)))
 
 
 def comm_relator(i: int, j: int, provenance: tuple = ()) -> Relator:
     pair = min(i, j), max(i, j)
     i, j = pair
-    return Relator(RelatorKind.COMM, (i, j, -i, -j), pair, (j, i), provenance or ("pair", pair))
+    return Relator(pair, (j, i), provenance or ("pair", pair))
 
 
 def cycle_equation(cycle: tuple[int, ...]) -> tuple[GroupWord, GroupWord]:
@@ -258,11 +256,9 @@ def _cycle_word(cycle: tuple[int, ...]) -> GroupWord:
 
 
 def cycle_relator(cycle: tuple[int, ...], provenance: tuple = ()) -> Relator:
-    """The relator of a cycle of distinct generators: its closed-form word
-    and its equation."""
+    """The relator of a cycle's equation."""
     lhs, rhs = cycle_equation(cycle)
-    provenance = provenance or ("region", cycle)
-    return Relator(RelatorKind.CYCLE, _cycle_word(cycle), lhs, rhs, provenance)
+    return Relator(lhs, rhs, provenance or ("region", cycle))
 
 
 def presentation_of(g: LinkingGraph) -> Presentation:

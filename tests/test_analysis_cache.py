@@ -564,7 +564,7 @@ def test_answers_along_move_chains_agree_warm_and_cold(case):
 
 
 def test_a_failed_lattice_is_not_kept():
-    power = Relator.from_equation(RelatorKind.CYCLE, (1, 1), (), ("power", 1))
+    power = Relator((1, 1), (), ("power", 1))
     p = Presentation(3, (braid_relator(1, 2), comm_relator(2, 3), power))
     for _ in range(2):
         for call in (abelianization, ColumnLattice.of):

@@ -25,7 +25,6 @@ from braidforge.linking import build_graph, components, graphs_isomorphic_as_tre
 from braidforge.presentations import (
     Presentation,
     Relator,
-    RelatorKind,
     braid_relator,
     comm_relator,
     cycle_relator,
@@ -111,7 +110,7 @@ def word_cycle(rng: random.Random, k: int) -> Relator:
         a, b = rng.sample(range(1, k + 1), 2)
         word += [a, -b]
     rng.shuffle(word)
-    return Relator.from_equation(RelatorKind.CYCLE, tuple(word), (), ("word",))
+    return Relator(tuple(word), (), ("word",))
 
 
 def hand_built(rng: random.Random) -> list[Presentation]:

@@ -5,15 +5,18 @@ from their input: ``BrickDiagram(word)``, ``LinkingGraph(diagram,
 sign_convention)`` and ``FiniteTarget(name, table, identity)`` derive
 everything else they hold. A ``Presentation`` is read off its relator
 words by ``Presentation(n_generators, relators)``, or stored from a
-graph's sweep by ``presentation_of``, and has no other public way in. So
-a value equal to another holds the same data, and no hand-built value
-can stand in a cache for the real one: a diagram with empty occurrences,
-a target with wrong inverses, a graph carrying an edge that is not its
-diagram's, or a pair table naming a reversed pair or a letter outside
-the generators are refused at construction. The guards at the end keep
-the defect class out: no field of a package dataclass left out of
-equality may be a constructor parameter, and no public classmethod or
-staticmethod may build a Presentation.
+graph's sweep by ``presentation_of``, and has no other public way in. A
+``Relator`` is built from its equation alone, ``Relator(lhs, rhs,
+provenance)``, and derives its word and kind. So a value equal to
+another holds the same data, and no hand-built value can stand in a
+cache for the real one: a diagram with empty occurrences, a target with
+wrong inverses, a graph carrying an edge that is not its diagram's, a
+pair table naming a reversed pair or a letter outside the generators,
+or a relator whose word is not its equation's are refused at
+construction. The guards at the end keep the defect class out: no field
+of a package dataclass left out of equality may be a constructor
+parameter, and no public classmethod or staticmethod may build a
+Presentation or a Relator.
 """
 
 import dataclasses
@@ -46,7 +49,17 @@ from braidforge.linking import (
     is_forest,
 )
 from braidforge.errors import PresentationError
-from braidforge.presentations import Presentation, braid_relator, comm_relator, presentation_of
+from braidforge.presentations import (
+    Presentation,
+    Relator,
+    RelatorKind,
+    braid_relator,
+    comm_relator,
+    free_reduce,
+    invert_word,
+    presentation_of,
+    serialize,
+)
 from braidforge.words import BraidWord, parse_word
 
 
@@ -167,16 +180,20 @@ def test_no_field_outside_equality_is_a_constructor_parameter():
     assert offenders == []
 
 
-def test_presentation_has_no_public_constructor_but_its_reader():
-    builders = [
+def public_builders(cls) -> list[str]:
+    """The public classmethods and staticmethods that may return a cls."""
+    return [
         name
-        for name, attr in vars(Presentation).items()
+        for name, attr in vars(cls).items()
         if not name.startswith("_")
         and isinstance(attr, (classmethod, staticmethod))
         and inspect.signature(attr.__func__).return_annotation
-        in (Presentation, "Presentation", inspect.Signature.empty)
+        in (cls, cls.__name__, inspect.Signature.empty)
     ]
-    assert builders == []
+
+
+def test_presentation_has_no_public_constructor_but_its_reader():
+    assert public_builders(Presentation) == []
     # the relators a table with the reversed pair (2, 1) spelled: the
     # search reads them as the reader does, 18 homs into S3, not 48
     s3 = symmetric_group(3)
@@ -188,3 +205,48 @@ def test_presentation_has_no_public_constructor_but_its_reader():
     for letter in (5, 0):
         with pytest.raises(PresentationError, match=f"has the letter {letter}; the generators"):
             Presentation(3, (braid_relator(1, letter),))
+
+
+def test_relator_is_built_from_its_equation_alone():
+    assert list(inspect.signature(Relator).parameters) == ["lhs", "rhs", "provenance"]
+    assert public_builders(Relator) == []
+
+
+def read_letters(tokens, prefix: str) -> tuple:
+    """Signed generators of tokens such as s2 and s2^-1 (prefix "s")."""
+    n = len(prefix)
+    return tuple(-int(t[n:-3]) if t.endswith("^-1") else int(t[n:]) for t in tokens)
+
+
+def plain_words(text: str) -> list[tuple]:
+    """The words of the one relation that plain output prints, lhs then rhs."""
+    relation = text.split(" | ")[1].removesuffix(">")
+    sides = relation.split(" = ")
+    return [read_letters([t for t in side.split() if t != "1"], "s") for side in sides]
+
+
+def gap_word(text: str) -> tuple:
+    """The one relator word that gap-style output prints."""
+    word = text.split("rels := [")[1].removesuffix("];")
+    return () if word == "One(F)" else read_letters(word.split("*"), "F.")
+
+
+# Each relator once took its word apart from its equation: s1 = s2 with
+# the empty word, or with the word s1 s2 s1^-1 s2^-1 s1, and s1 s1^-1 = s2
+# with its unreduced word s1 s1^-1 s2 s2^-1. Plain output printed the
+# equation while hom counts and abelianization read the word.
+@pytest.mark.parametrize(
+    "word, lhs, rhs",
+    [((), (1,), (2,)), ((1, 2, -1, -2, 1), (1,), (2,)), ((1, -1, 2, -2), (1, -1), (2,))],
+    ids=["empty-word", "other-word", "unreduced-word"],
+)
+def test_a_relator_counts_the_equation_it_prints(word, lhs, rhs):
+    with pytest.raises(TypeError):
+        Relator(RelatorKind.CYCLE, word, lhs, rhs, ())
+    p = Presentation(2, (Relator(lhs, rhs, ()),))
+    s3 = symmetric_group(3)
+    assert hom_count(p, s3).count == brute_hom_count([lhs + invert_word(rhs)], 2, s3) == 6
+    printed_lhs, printed_rhs = plain_words(serialize(p, "plain"))
+    assert (printed_lhs, printed_rhs) == (lhs, rhs)
+    printed_word = free_reduce(printed_lhs + invert_word(printed_rhs))
+    assert gap_word(serialize(p, "gap-style")) == printed_word

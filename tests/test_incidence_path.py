@@ -113,7 +113,7 @@ def test_region_joins_match_summed_cycle_words(case):
     assert copy.region_cycles is None and copy == p
     assert ColumnLattice(p).component == ColumnLattice(copy).component
     if p.n_generators:
-        bad = Relator.from_equation(RelatorKind.CYCLE, (1, 1), (), ())
+        bad = Relator((1, 1), (), ())
         broken = table_presentation(p.n_generators, p.braid_pairs, p.cycles + (bad,))
         message = rf"^relator {len(p.relators)} has exponent sums s1\^2,"
         with pytest.raises(PresentationError, match=message):
@@ -122,8 +122,8 @@ def test_region_joins_match_summed_cycle_words(case):
 
 def test_non_incidence_columns_raise():
     # Columns 2*e1 and e2 + e3 belong to no graph's incidence matrix.
-    power = Relator.from_equation(RelatorKind.CYCLE, (1, 1), (), ("power", 1))
-    total = Relator.from_equation(RelatorKind.CYCLE, (2, 3), (), ("sum", 2))
+    power = Relator((1, 1), (), ("power", 1))
+    total = Relator((2, 3), (), ("sum", 2))
     pairs = (braid_relator(1, 2), comm_relator(2, 3))
     target = Presentation(3, pairs)
     for relators, message in (
@@ -142,7 +142,7 @@ def test_non_incidence_columns_raise():
                 call()
     # Other shapes that are not e_i - e_j: e1 + e2, e1 - e2 + e3, 2 e2 - 2 e1, e3.
     for word in ((1, 2), (1, -2, 3), (-1, -1, 2, 2), (3,)):
-        shape = Relator.from_equation(RelatorKind.CYCLE, word, (), ("shape", 3))
+        shape = Relator(word, (), ("shape", 3))
         with pytest.raises(PresentationError, match="relator 3 "):
             ColumnLattice(Presentation(3, pairs + (comm_relator(1, 3), shape)))
 
@@ -151,7 +151,7 @@ def test_non_incidence_columns_raise():
 def test_bad_column_index_counts_the_pair_table(monkeypatch, k):
     # the cycles follow k(k-1)/2 pair relators on a full table; the index
     # of the bad one is counted off the table, spelling no relator
-    power = Relator.from_equation(RelatorKind.CYCLE, (1, 1), (), ())
+    power = Relator((1, 1), (), ())
     cycles = (cycle_relator((1, 2, 3)), power)
     p = table_presentation(k, [(i, i + 1) for i in range(1, k)], cycles)
 
@@ -168,11 +168,11 @@ def test_presentation_errors_hold_under_optimize_flag():
     script = (
         "from braidforge.errors import PresentationError\n"
         "from braidforge.invariants import abelianization\n"
-        "from braidforge.presentations import Presentation, Relator, RelatorKind\n"
+        "from braidforge.presentations import Presentation, Relator\n"
         "assert False, 'asserts must be stripped'\n"
-        "power = Relator.from_equation(RelatorKind.CYCLE, (1, 1), (), ())\n"
+        "power = Relator((1, 1), (), ())\n"
         "for build in (lambda: abelianization(Presentation(1, (power,))),\n"
-        "              lambda: Presentation(1, (Relator(RelatorKind.CYCLE, (0, 1), (0,), (1,), ()),))):\n"
+        "              lambda: Presentation(1, (Relator((0,), (1,), ()),))):\n"
         "    try:\n"
         "        build()\n"
         "    except PresentationError as e:\n"

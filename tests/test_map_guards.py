@@ -113,14 +113,14 @@ def test_cycle_shifts_check_the_region_index(index):
 def test_cycle_shifts_read_the_region_off_the_word():
     # s1^3 is no region's cycle relator: rotating its equation would give
     # another group's relator, so the shift raises, naming the relator
-    power = Relator.from_equation(RelatorKind.CYCLE, (1, 1, 1), (), ())
+    power = Relator((1, 1, 1), (), ())
     p = Presentation(3, (power,))
     for shift in (cycle_relator_shift, shifted_cycle_presentation):
         with pytest.raises(PresentationError, match="^relator 0 is not the cycle relator of"):
             shift(p, 0, 1)
-    # a region's word is one whatever its kind; indices count every cycle
-    # relator, and the error counts the three pair relators before them
-    region = Relator(RelatorKind.BRAID, cycle_relator((1, 3, 2)).word, (), (), ())
+    # a region's word is one whatever its equation; indices count every
+    # cycle relator, and the error counts the three pair relators before them
+    region = Relator(cycle_relator((1, 3, 2)).word, (), ())
     pairs = (braid_relator(1, 2), comm_relator(1, 3), comm_relator(2, 3))
     q = Presentation(3, pairs + (power, region))
     assert cycle_relator_shift(q, 1, 1) == cycle_relator((3, 2, 1)).word

@@ -229,9 +229,7 @@ def _relators(k):
     word = st.lists(letter, min_size=1, max_size=5)
     torsion = st.tuples(st.integers(1, k), st.integers(2, 3)).map(lambda ge: [ge[0]] * ge[1])
     kinds = [
-        st.one_of(word, torsion).map(
-            lambda w: Relator(RelatorKind.CYCLE, tuple(w), tuple(w), (), ("word",))
-        )
+        st.one_of(word, torsion).map(lambda w: Relator(tuple(w), (), ("word",)))
     ]
     if k > 1:
         pair = st.lists(st.integers(1, k), min_size=2, max_size=2, unique=True)

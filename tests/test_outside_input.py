@@ -45,13 +45,13 @@ def run(capsys, *argv):
     "k, relator, expected",
     [
         # lhs = rhs: the word is empty and the group free of rank 2
-        (2, Relator.from_equation(RelatorKind.BRAID, (1, 2, 1), (1, 2, 1), ()), 36),
+        (2, Relator((1, 2, 1), (1, 2, 1), ()), 36),
         # a braid-shaped equation that is not the braid relation
-        (3, Relator.from_equation(RelatorKind.BRAID, (1, 2, 3), (3, 2, 1), ()), 108),
+        (3, Relator((1, 2, 3), (3, 2, 1), ()), 108),
         # a commutation-shaped equation that is not the commutator
-        (3, Relator.from_equation(RelatorKind.COMM, (1, 2), (3, 1), ()), 36),
-        # the braid relation spelled as a cycle still is the braid relation
-        (2, Relator(RelatorKind.CYCLE, braid_relator(1, 2).word, (), (), ()), 12),
+        (3, Relator((1, 2), (3, 1), ()), 36),
+        # the braid relation's word as one side still is the braid relation
+        (2, Relator(braid_relator(1, 2).word, (), ()), 12),
     ],
 )
 def test_hand_built_pair_table_reads_words(k, relator, expected):
@@ -67,13 +67,13 @@ def test_hand_built_pair_table_reads_words(k, relator, expected):
     "relator, plain",
     [
         # a commutation-shaped equation that is not the commutator
-        (Relator.from_equation(RelatorKind.COMM, (1, 2), (3, 1), ()), "s1 s2 = s3 s1"),
-        # a commutation kind with three letters on the left
-        (Relator.from_equation(RelatorKind.COMM, (1, 2, 3), (3, 1), ()), "s1 s2 s3 = s3 s1"),
+        (Relator((1, 2), (3, 1), ()), "s1 s2 = s3 s1"),
+        # a commutation-shaped equation with three letters on the left
+        (Relator((1, 2, 3), (3, 1), ()), "s1 s2 s3 = s3 s1"),
         # an empty side prints as the identity
-        (Relator.from_equation(RelatorKind.BRAID, (1, 1), (), ()), "s1 s1 = 1"),
-        # the commutator's word files it as its pair, whatever its kind
-        (Relator.from_equation(RelatorKind.CYCLE, (1, 3), (3, 1), ()), "[s1,s3] = 1"),
+        (Relator((1, 1), (), ()), "s1 s1 = 1"),
+        # the commutator's word files it as its pair, whatever its equation
+        (Relator((1, 3), (3, 1), ()), "[s1,s3] = 1"),
     ],
     ids=["comm-equation", "comm-three-letters", "empty-side", "cycle-commutator"],
 )
@@ -88,14 +88,14 @@ def test_hand_built_relators_print_what_their_words_say(relator, plain):
 @pytest.mark.parametrize(
     "lhs, plain",
     [
-        # a commutation kind on two letters printed another group's relator
+        # a commutation-shaped equation on two letters printed another group's relator
         ((1, 2), "s1 s2 = s3 s1"),
-        # a commutation kind on three letters crashed plain output
+        # a commutation-shaped equation on three letters crashed plain output
         ((1, 2, 3), "s1 s2 s3 = s3 s1"),
     ],
 )
 def test_table_cycles_print_what_their_words_say(lhs, plain):
-    relator = Relator.from_equation(RelatorKind.COMM, lhs, (3, 1), ())
+    relator = Relator(lhs, (3, 1), ())
     p = table_presentation(3, [], (relator,))
     assert [r.kind for r in p.cycles] == [RelatorKind.CYCLE]
     assert serialize(p, "plain").endswith(f", {plain}>")
@@ -113,7 +113,7 @@ def test_hand_built_table_keeps_standard_pair_relators():
 def test_relabeling_a_full_table_onto_a_pair_shaped_cycle():
     # (2, 1, -2, -1) is no canonical pair word, so it stays a cycle; the
     # swap carries it onto the commutator of 1 and 2, and that onto it
-    w = Relator(RelatorKind.CYCLE, (2, 1, -2, -1), (2, 1), (1, 2), ())
+    w = Relator((2, 1), (1, 2), ())
     p = Presentation(2, (comm_relator(1, 2), w))
     assert (p.comm_pairs, p.cycles) == (None, (w,))
     assert relabels_onto(p, p, [2, 1])

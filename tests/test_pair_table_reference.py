@@ -230,8 +230,7 @@ def hand_built(rng: random.Random, k: int) -> list:
             cycle_relator(tuple(rng.sample(range(1, k + 1), n))).word,
             free_reduce(tuple(rng.choice((1, -1)) * rng.randint(1, k) for _ in range(5))),
         ])
-        kind = rng.choice(list(RelatorKind))
-        relators.append(Relator(kind, word, word, (), ()))
+        relators.append(Relator(word, (), ()))
     relators += rng.sample(relators, min(1, len(relators)))
     rng.shuffle(relators)
     return relators
@@ -240,7 +239,7 @@ def hand_built(rng: random.Random, k: int) -> list:
 def _renamed(relators: list, perm: list) -> list:
     rename = [0, *perm]
     words = (tuple(rename[x] if x > 0 else -rename[-x] for x in r.word) for r in relators)
-    return [Relator.from_equation(r.kind, w, (), ()) for r, w in zip(relators, words)]
+    return [Relator(w, (), ()) for w in words]
 
 
 @SETTINGS

@@ -243,7 +243,7 @@ def test_shift_keeps_the_table_and_every_other_cycle():
             comm_relator(1, 2),
             comm_relator(3, 4),
             cycle_relator((1, 3, 2), ("hand", 0)),
-            Relator.from_equation(RelatorKind.CYCLE, (1, 1, 2), (3,), ("hand", 1)),
+            Relator((1, 1, 2), (3,), ("hand", 1)),
             cycle_relator((2, 4, 3, 1), ("hand", 2)),
         ),
     )
