@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from .finite_groups import BUILTIN_TARGETS, FiniteTarget, load_table
 from .garside import GarsideCaps
@@ -41,10 +41,6 @@ class Config:
         for target, cap in self.generator_caps.items():
             if cap <= 0:
                 raise ValueError(f"caps.generators: {target} must be positive, got {cap}")
-        for f in fields(self.garside_caps):
-            cap = getattr(self.garside_caps, f.name)
-            if cap is not None and cap <= 0:
-                raise ValueError(f"caps.{f.name}: must be positive, got {cap}")
 
     def resolve_targets(self) -> list[FiniteTarget]:
         """The configured targets; a table file shadows a built-in name.

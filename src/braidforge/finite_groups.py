@@ -3,10 +3,10 @@
 Built-in targets are the symmetric groups S3..S5, the dihedral groups of
 the square, pentagon and hexagon, and the quaternion group. Custom
 targets load from a table file: first line |G|, then |G| rows of |G|
-indices, identity at index 0. Tables are validated on load. Built-in
-tables are immutable and built once per process, on first use. Every
-target comes from the one constructor, ``FiniteTarget(name, table,
-identity)``, which derives the inverses from the table.
+indices, identity at index 0. Built-in tables are immutable and built
+once per process, on first use. Every target comes from the one
+constructor, ``FiniteTarget(name, table, identity)``, which derives the
+inverses from the table and refuses any table that is not a group.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import permutations
+from operator import itemgetter
 from typing import Callable
 
 
@@ -22,8 +23,9 @@ class FiniteTarget:
     """A group as its multiplication table and each element's inverse.
 
     ``FiniteTarget(name, table, identity)`` reads the table into tuples
-    of rows and derives the inverses; an element without an inverse
-    raises ValueError. Targets are equal by name, table and identity.
+    of rows and derives the inverses; a table that is not a group raises
+    ValueError naming the element, row, column or triple where it fails.
+    Targets are equal by name, table and identity.
     """
 
     name: str
@@ -39,6 +41,7 @@ class FiniteTarget:
             raise ValueError(
                 f"group table {self.name!r} has an element without inverse"
             ) from None
+        _check_group(self.name, table, self.identity)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "inverse", inverse)
         # caches key on targets: the table (14 400 entries for S5) is hashed once
@@ -58,28 +61,35 @@ class FiniteTarget:
         return self.inverse[a]
 
 
-def validate_target(t: FiniteTarget) -> None:
-    """Identity, latin-square, inverse, and full associativity checks."""
-    n = t.size
-    if not 0 <= t.identity < n:
-        raise ValueError("identity index out of range")
+def _check_group(name: str, table: tuple[tuple[int, ...], ...], e: int) -> None:
+    """Two-sided identity, Latin square, then Light's associativity test on
+    generators A found by closing {e} under right multiplication, adding each
+    element not yet reached: the a with (xa)y = x(ay) for all x, y are closed
+    under products. O(n^2 |A|)."""
+    n = len(table)
+    full = set(range(n))
+    if e not in full or any(len(row) != n for row in table):
+        raise ValueError(f"{name}: the table is not square or identity {e!r} is no element")
+    for a, row, column in zip(range(n), table, zip(*table)):
+        if table[e][a] != a or column[e] != a:
+            raise ValueError(f"{name}: identity fails at {a}")
+        for kind, line in (("row", row), ("column", column)):
+            if set(line) != full:
+                raise ValueError(f"{name}: {kind} {a} is not a permutation")
+    reached, order, generators = {e}, [e], []
     for a in range(n):
-        if t.mul(t.identity, a) != a or t.mul(a, t.identity) != a:
-            raise ValueError(f"{t.name}: identity fails at {a}")
-        if sorted(t.table[a]) != list(range(n)):
-            raise ValueError(f"{t.name}: row {a} is not a permutation")
-        if sorted(t.table[b][a] for b in range(n)) != list(range(n)):
-            raise ValueError(f"{t.name}: column {a} is not a permutation")
-        if t.mul(a, t.inv(a)) != t.identity:
-            raise ValueError(f"{t.name}: inverse fails at {a}")
-    for a in range(n):
-        for b in range(n):
-            ab = t.mul(a, b)
-            row_a = t.table[a]
-            row_ab = t.table[ab]
-            for c in range(n):
-                if row_ab[c] != row_a[t.table[b][c]]:
-                    raise ValueError(f"{t.name}: associativity fails at {a},{b},{c}")
+        if a not in reached:
+            generators.append(a)
+            for x in order:  # order grows as new products are reached
+                new = {table[x][g] for g in generators} - reached
+                reached |= new
+                order += new
+    for a in generators:  # n >= 2 here, so the getter returns a tuple
+        times_a_row = itemgetter(*table[a])
+        for x, row in enumerate(table):
+            if table[row[a]] != times_a_row(row):
+                y = next(y for y in range(n) if table[row[a]][y] != row[table[a][y]])
+                raise ValueError(f"{name}: associativity fails at {x},{a},{y}")
 
 
 @cache
@@ -143,7 +153,7 @@ def builtin_targets() -> dict[str, FiniteTarget]:
 
 
 def load_table(text: str, name: str = "custom") -> FiniteTarget:
-    """Parse the multiplication-table file format and validate."""
+    """Parse the multiplication-table file format into a target."""
     tokens = text.split()
     if not tokens:
         raise ValueError("empty table file")
@@ -152,9 +162,7 @@ def load_table(text: str, name: str = "custom") -> FiniteTarget:
     if len(values) != n * n:
         raise ValueError(f"expected {n * n} table entries, got {len(values)}")
     table = [values[i * n : (i + 1) * n] for i in range(n)]
-    target = FiniteTarget(name, table, identity=0)
-    validate_target(target)
-    return target
+    return FiniteTarget(name, table, identity=0)
 
 
 def direct_product(t1: FiniteTarget, t2: FiniteTarget) -> FiniteTarget:

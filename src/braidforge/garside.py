@@ -50,6 +50,7 @@ from .errors import (
     MoveError,
     ResourceCapError,
     StrandMismatchError,
+    WordError,
 )
 from .words import (
     BraidWord,
@@ -162,11 +163,26 @@ def delta_word(n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class NormalForm:
-    """Left normal form Delta^k p1...pl; equal braids have equal forms."""
+    """Left normal form Delta^k p1...pl; equal braids have equal forms.
+
+    The constructor raises WordError on input that is no left normal form;
+    the forms garside derives skip that check (see _normalized)."""
 
     strands: int
     delta_power: int
     factors: tuple[Perm, ...]
+
+    def __post_init__(self) -> None:
+        n, k, factors = self.strands, self.delta_power, tuple(map(tuple, self.factors))
+        if not (isinstance(n, int) and n >= 2 and isinstance(k, int)):
+            raise WordError(f"need int strands >= 2 and an int delta power, got {n!r}, {k!r}")
+        for j, p in enumerate(factors):
+            if sorted(p) != list(range(n)) or p in (identity_perm(n), delta_perm(n)):
+                raise WordError(f"factor {p} is 1, Delta or no permutation of range({n})")
+            pair = factors[j - 1 : j + 1]  # normal iff left-weighting keeps it
+            if j and _normalize_factors(n, pair) != (0, pair):
+                raise WordError(f"factors {pair[0]} {p} are not left-weighted")
+        object.__setattr__(self, "factors", factors)
 
     @property
     def canonical_length(self) -> int:
@@ -265,8 +281,16 @@ def normal_form(w: BraidWord) -> NormalForm:
         p[x], p[y] = i, i - 1
     if w.letters:
         runs.append(tuple(p))
-    k, factors = _normalize_factors(n, runs)
-    return NormalForm(n, k, factors)
+    return _normalized(n, 0, runs)
+
+
+def _normalized(n: int, k: int, perms: list[Perm]) -> NormalForm:
+    """The form of Delta^k perms, left-weighted. It skips the constructor's
+    check: the forms garside derives are normal by construction."""
+    d, factors = _normalize_factors(n, perms)
+    nf = object.__new__(NormalForm)
+    nf.__dict__.update(strands=n, delta_power=k + d, factors=factors)
+    return nf
 
 
 def nf_word(nf: NormalForm) -> BraidWord:
@@ -291,11 +315,16 @@ def words_equal_as_braids(a: BraidWord, b: BraidWord) -> bool:
 
 @dataclass(frozen=True)
 class GarsideCaps:
-    """Search limits; exceeding one raises ResourceCapError."""
+    """Positive search limits; exceeding one raises ResourceCapError."""
 
     summit_set: int = 100_000
     cycling: int | None = None  # default: word length x N^2
     word_search: int = 1_000_000
+
+    def __post_init__(self) -> None:
+        for name, cap in vars(self).items():
+            if cap is not None and cap <= 0:
+                raise ValueError(f"caps.{name}: must be positive, got {cap}")
 
     def cycling_limit(self, word_length: int, strands: int) -> int:
         if self.cycling is not None:
@@ -319,28 +348,23 @@ def conjugate_nf(nf: NormalForm, c: Perm) -> NormalForm:
         return nf
     cprime = left_complement(c)  # c^-1 = Delta^-1 * c'
     seq = [tau_pow(cprime, nf.delta_power)] + list(nf.factors) + [c]
-    d, factors = _normalize_factors(n, seq)
-    return NormalForm(n, nf.delta_power - 1 + d, factors)
+    return _normalized(n, nf.delta_power - 1, seq)
 
 
 def cycling(nf: NormalForm) -> NormalForm:
     """Conjugate by the first factor (Delta-twisted); identity when l = 0."""
     if not nf.factors:
         return nf
-    n = nf.strands
     x = tau_pow(nf.factors[0], nf.delta_power)
-    d, factors = _normalize_factors(n, list(nf.factors[1:]) + [x])
-    return NormalForm(n, nf.delta_power + d, factors)
+    return _normalized(nf.strands, nf.delta_power, list(nf.factors[1:]) + [x])
 
 
 def decycling(nf: NormalForm) -> NormalForm:
     """Conjugate by the inverse of the last factor; identity when l = 0."""
     if not nf.factors:
         return nf
-    n = nf.strands
     seq = [tau_pow(nf.factors[-1], nf.delta_power)] + list(nf.factors[:-1])
-    d, factors = _normalize_factors(n, seq)
-    return NormalForm(n, nf.delta_power + d, factors)
+    return _normalized(nf.strands, nf.delta_power, seq)
 
 
 # A summit representative and the cycle/decycle log that reached it.
@@ -685,7 +709,7 @@ def _realize_step(
     """
     if nf.delta_power < 1:
         raise MoveError("realization step needs a positive half twist")
-    rest = nf_word(NormalForm(nf.strands, nf.delta_power - 1, nf.factors)).letters
+    rest = nf_word(_normalized(nf.strands, nf.delta_power - 1, nf.factors)).letters
     moves, shifted = _stage_and_conjugate(
         cur, perm_word(conj), perm_word(right_complement(conj)) + rest,
         MoveKind.ELEM_CONJ_LEFT, caps,
@@ -710,7 +734,7 @@ def _realize_summit_chain(
             moved, kept, kind = tau_pow(factors[0], k), factors[1:], MoveKind.ELEM_CONJ_LEFT
         else:
             moved, kept, kind = factors[-1], factors[:-1], MoveKind.ELEM_CONJ_RIGHT
-        rest = nf_word(NormalForm(nf.strands, k, kept)).letters
+        rest = nf_word(_normalized(nf.strands, k, kept)).letters
         step, cur = _stage_and_conjugate(cur, perm_word(moved), rest, kind, caps)
         moves.extend(step)
         nf = cycling(nf) if op == "cycle" else decycling(nf)

@@ -6,8 +6,9 @@ all assignments, the brick oracle re-scans the word, the lattice
 oracles take sympy's Smith normal decomposition of the dense exponent
 matrix spelled from the relator words, the Garside oracles
 left-weight letter by letter in whole-list passes until nothing moves
-and close super summit sets under all n! - 1 permutation braids. They
-stay dumb so the fast implementations can be checked against them.
+and close super summit sets under all n! - 1 permutation braids, and
+the group-table oracle tests associativity on every triple. They stay
+dumb so the fast implementations can be checked against them.
 """
 
 from __future__ import annotations
@@ -42,6 +43,30 @@ from braidforge.presentations import (
     comm_relator,
 )
 from braidforge.words import BraidWord
+
+
+def oracle_group_table(name: str, table, identity: int = 0) -> None:
+    """Identity, Latin-square, inverse and full O(n^3) associativity checks
+    of a multiplication table; raises ValueError at the first that fails."""
+    n = len(table)
+    if not 0 <= identity < n:
+        raise ValueError("identity index out of range")
+    for a in range(n):
+        if sorted(table[a]) != list(range(n)):
+            raise ValueError(f"{name}: row {a} is not a permutation")
+    for a in range(n):
+        if table[identity][a] != a or table[a][identity] != a:
+            raise ValueError(f"{name}: identity fails at {a}")
+        if sorted(table[b][a] for b in range(n)) != list(range(n)):
+            raise ValueError(f"{name}: column {a} is not a permutation")
+        if identity not in table[a]:
+            raise ValueError(f"{name}: inverse fails at {a}")
+    for a in range(n):
+        for b in range(n):
+            row_a, row_ab = table[a], table[table[a][b]]
+            for c in range(n):
+                if row_ab[c] != row_a[table[b][c]]:
+                    raise ValueError(f"{name}: associativity fails at {a},{b},{c}")
 
 
 def rewriting_class(w: BraidWord) -> frozenset[tuple[int, ...]]:

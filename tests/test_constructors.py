@@ -3,9 +3,13 @@
 A brick diagram, a linking graph and a finite target are each built only
 from their input: ``BrickDiagram(word)``, ``LinkingGraph(diagram,
 sign_convention)`` and ``FiniteTarget(name, table, identity)`` derive
-everything else they hold. A ``Presentation`` is read off its relator
-words by ``Presentation(n_generators, relators)``, or stored from a
-graph's sweep by ``presentation_of``, and has no other public way in. A
+everything else they hold, and a ``FiniteTarget`` refuses a table that
+is not a group. A ``NormalForm(strands, delta_power, factors)`` refuses
+input that is no left normal form; the forms garside derives itself
+take one private, unchecked path, and each of them passes the check. A
+``Presentation`` is read off its relator words by
+``Presentation(n_generators, relators)``, or stored from a graph's
+sweep by ``presentation_of``, and has no other public way in. A
 ``Relator`` is built from its equation alone, ``Relator(lhs, rhs,
 provenance)``, and derives its word and kind. So a value equal to
 another holds the same data, and no hand-built value can stand in a
@@ -13,26 +17,47 @@ cache for the real one: a diagram with empty occurrences, a target with
 wrong inverses, a graph carrying an edge that is not its diagram's, a
 pair table naming a reversed pair or a letter outside the generators,
 or a relator whose word is not its equation's are refused at
-construction. The guards at the end keep the defect class out: no field
-of a package dataclass left out of equality may be a constructor
+construction, and so are a table that is no group (a non-Latin square
+or a non-associative loop) and a normal form with a factor out of range,
+a power that is no int, one strand, or a pair not left-weighted, also
+under ``python -O``. The guards at the end keep the defect class out: no
+field of a package dataclass left out of equality may be a constructor
 parameter, and no public classmethod or staticmethod may build a
-Presentation or a Relator.
+Presentation, a Relator, a NormalForm or a FiniteTarget.
 """
 
 import dataclasses
 import importlib
 import inspect
+import json
+import os
 import pkgutil
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 from types import MappingProxyType
 
 import networkx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import brute_hom_count, relator_words
 
 import braidforge
 from braidforge.bricks import BrickDiagram, build_bricks
+from braidforge.errors import BraidForgeError, ResourceCapError
+from braidforge.garside import (
+    GarsideCaps,
+    NormalForm,
+    conjugate_nf,
+    cycling,
+    decycling,
+    letter_perm,
+    normal_form,
+    summit,
+)
 from braidforge.finite_groups import (
     BUILTIN_TARGETS,
     FiniteTarget,
@@ -250,3 +275,93 @@ def test_a_relator_counts_the_equation_it_prints(word, lhs, rhs):
     assert (printed_lhs, printed_rhs) == (lhs, rhs)
     printed_word = free_reduce(printed_lhs + invert_word(printed_rhs))
     assert gap_word(serialize(p, "gap-style")) == printed_word
+
+
+def test_normal_form_and_target_have_no_public_builder():
+    assert public_builders(NormalForm) == []
+    assert public_builders(FiniteTarget) == []
+
+
+# Each case once answered, or failed with an error that named no input:
+# IndexError, GarsideInvariantError, TypeError from abs(), a summit of a
+# one-strand braid, a form unequal to normal_form("1 2") of the same
+# braid, and two tables that built although they are no group (the first
+# gave hom_count 2 for 1 2 1 1 2 1). Each is now refused, naming the
+# factor, pair, power, strand count, row, or triple where it fails.
+REPRODUCTIONS = {
+    "factor-out-of-range": ("cycling(NormalForm(3, 0, ((5, 0, 2),)))", r"\(5, 0, 2\)"),
+    "repeated-image": ("summit(NormalForm(3, 0, ((0, 0, 2),)))", r"\(0, 0, 2\)"),
+    "power-not-int": ("summit(NormalForm(3, 'x', ()))", "'x'"),
+    "one-strand": ("summit(NormalForm(1, 0, ()))", "got 1"),
+    "not-left-weighted": (
+        "NormalForm(3, 0, (letter_perm(3, 1), letter_perm(3, 2)))",
+        r"\(1, 0, 2\) \(0, 2, 1\) are not left-weighted",
+    ),
+    "not-latin": ("FiniteTarget('Z', ((0, 1, 2), (1, 0, 0), (2, 0, 0)))", "Z: row 1 "),
+    "loop": (
+        "FiniteTarget('loop', ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),"
+        " (3, 2, 4, 0, 1), (4, 3, 1, 2, 0)))",
+        r"loop: associativity fails at \d,\d,\d",
+    ),
+}
+NAMES = {
+    "NormalForm": NormalForm, "FiniteTarget": FiniteTarget, "cycling": cycling,
+    "summit": summit, "letter_perm": letter_perm,
+}
+
+
+@pytest.mark.parametrize("case", REPRODUCTIONS)
+def test_bad_forms_and_tables_are_refused_naming_the_input(case):
+    source, message = REPRODUCTIONS[case]
+    with pytest.raises((BraidForgeError, ValueError), match=message):
+        eval(source, dict(NAMES))
+
+
+def test_bad_forms_and_tables_are_refused_under_optimize_flag():
+    script = (
+        "import json, sys\n"
+        "from braidforge.finite_groups import FiniteTarget\n"
+        "from braidforge.garside import NormalForm, cycling, letter_perm, summit\n"
+        "assert False, 'asserts must be stripped'\n"
+        "out = []\n"
+        "for source in json.loads(sys.argv[1]):\n"
+        "    try:\n"
+        "        eval(source)\n"
+        "        out.append(None)\n"
+        "    except Exception as exc:\n"
+        "        out.append([type(exc).__name__, str(exc)])\n"
+        "print(json.dumps(out))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(braidforge.__file__).resolve().parents[1]))
+    sources = [source for source, _ in REPRODUCTIONS.values()]
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script, json.dumps(sources)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    for (source, message), refused in zip(REPRODUCTIONS.values(), json.loads(out.stdout)):
+        assert refused is not None, source
+        kind, text = refused
+        assert kind in ("WordError", "ValueError") and re.search(message, text), refused
+
+
+@st.composite
+def words_up_to_sixty(draw):
+    n = draw(st.integers(2, 7))
+    return BraidWord(n, tuple(draw(st.lists(st.integers(1, n - 1), max_size=60))))
+
+
+# Summit sets of some 7-strand words run to 15 000 members; past the cap
+# the summit part of an example is left out.
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(words_up_to_sixty())
+def test_every_derived_form_passes_the_checked_constructor(w):
+    nf = normal_form(w)
+    n = w.strands
+    forms = [nf, cycling(nf), decycling(nf)]
+    forms += [conjugate_nf(nf, letter_perm(n, i)) for i in range(1, n)]
+    try:
+        forms += summit(nf, GarsideCaps(summit_set=500)).summit_set
+    except ResourceCapError:
+        pass
+    for form in forms:
+        assert NormalForm(form.strands, form.delta_power, form.factors) == form

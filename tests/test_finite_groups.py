@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,19 +8,25 @@ import pytest
 
 import braidforge
 from braidforge.finite_groups import (
+    FiniteTarget,
     builtin_targets,
     dihedral_group,
     direct_product,
     load_table,
     quaternion_group,
     symmetric_group,
-    validate_target,
 )
+
+from conftest import oracle_group_table
+
+# A loop of order 5 (identity 0, every row and column a permutation)
+# that is not associative: (1*1)*2 = 2 but 1*(1*2) = 4.
+LOOP5 = ((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3), (3, 2, 4, 0, 1), (4, 3, 1, 2, 0))
 
 
 def test_builtins_validate():
     for name, t in builtin_targets().items():
-        validate_target(t)
+        oracle_group_table(name, t.table, t.identity)
         assert t.name == name
 
 
@@ -101,8 +108,89 @@ def test_direct_product():
     s3 = symmetric_group(3)
     q8 = quaternion_group()
     prod = direct_product(s3, q8)
-    validate_target(prod)
+    oracle_group_table(prod.name, prod.table, prod.identity)
     assert prod.size == 48
+
+
+def random_loop(rng: random.Random, n: int) -> list[list[int]]:
+    """A random Latin square of order n whose row and column 0 are 0..n-1,
+    filled cell by cell in random order of symbols with backtracking."""
+    table = [[r if c == 0 or r == 0 else None for c in range(n)] for r in range(n)]
+    table[0] = list(range(n))
+    cells = [(r, c) for r in range(1, n) for c in range(1, n)]
+
+    def fill(i: int) -> bool:
+        if i == len(cells):
+            return True
+        r, c = cells[i]
+        used = set(table[r][:c]) | {table[x][c] for x in range(r)}
+        symbols = [s for s in range(n) if s not in used]
+        rng.shuffle(symbols)
+        for s in symbols:
+            table[r][c] = s
+            if fill(i + 1):
+                return True
+        table[r][c] = None
+        return False
+
+    assert fill(0)
+    return table
+
+
+def relabel(table, identity: int, perm: list[int]) -> tuple[list[list[int]], int]:
+    """The table with element a renamed perm[a], and its identity renamed."""
+    n = len(table)
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out, perm[identity]
+
+
+def product(t1, t2) -> list[list[int]]:
+    """The direct product of two tables with identity 0, pairs (a, b) as a*|t2| + b."""
+    n1, n2 = len(t1), len(t2)
+    return [
+        [t1[a1][b1] * n2 + t2[a2][b2] for b1 in range(n1) for b2 in range(n2)]
+        for a1 in range(n1)
+        for a2 in range(n2)
+    ]
+
+
+def test_constructor_accepts_exactly_the_tables_the_oracle_accepts():
+    rng = random.Random(37)
+    sizes = [1, 2, 3] + [rng.randint(4, 7) for _ in range(400)]
+    cases = [(random_loop(rng, n), 0) for n in sizes]
+    cases += [(t.table, t.identity) for t in builtin_targets().values()]
+    for t in builtin_targets().values():
+        perm = list(range(t.size))
+        rng.shuffle(perm)
+        cases.append(relabel(t.table, t.identity, perm))
+    small = [t.table for t in builtin_targets().values() if t.size <= 8]
+    cases += [(product(a, b), 0) for a in small for b in small]
+    cases += [(product(LOOP5, small[0]), 0), (LOOP5, 0)]
+    cases += [(((0, 1, 2), (1, 0, 0), (2, 0, 0)), 0), (((1, 0), (0, 1)), 0)]
+    verdicts = []
+    for index, (table, identity) in enumerate(cases):
+        name = f"table{index}"
+        try:
+            oracle_group_table(name, table, identity)
+        except ValueError:
+            expected = False
+        else:
+            expected = True
+        try:
+            FiniteTarget(name, table, identity)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == expected, (table, identity)
+        verdicts.append(expected)
+    # most random loops are not associative; the built-ins, their
+    # relabellings and their products are groups, and nothing else is
+    assert sum(verdicts[: len(sizes)]) < len(sizes) // 2
+    assert sum(verdicts[len(sizes) :]) == 7 + 7 + len(small) ** 2
 
 
 def test_builtin_tables_built_once_on_first_use():
