@@ -111,7 +111,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--caps.generators", metavar="CAPS_GENERATORS")
     p.add_argument("--caps.summit-set", metavar="CAPS_SUMMIT", type=int)
-    p.add_argument("--caps.cycling", metavar="CAPS_CYCLING", type=int)
     p.add_argument("--caps.word-search", metavar="CAPS_WORD_SEARCH", type=int)
 
 
@@ -233,7 +232,7 @@ def _cmd_halftwist(args, cfg: Config, w: BraidWord) -> int:
         json.dumps(
             {
                 "word": _word_json(w),
-                "contains_half_twist": contains_half_twist(w, cfg.garside_caps),
+                "contains_half_twist": contains_half_twist(w),
             }
         )
     )

@@ -34,6 +34,11 @@ class FiniteTarget:
     inverse: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.table, (tuple, list)):
+            raise ValueError(f"{self.name}: the table {self.table!r} is no sequence of rows")
+        for a, row in enumerate(self.table):
+            if not isinstance(row, (tuple, list)):
+                raise ValueError(f"{self.name}: row {a} is no sequence of elements: {row!r}")
         table = tuple(map(tuple, self.table))
         try:
             inverse = tuple(row.index(self.identity) for row in table)

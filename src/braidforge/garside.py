@@ -13,7 +13,9 @@ until one is already left-weighted.
 
 Conjugacy is decided through the super summit set: cycling raises the
 Delta exponent to its conjugacy-class maximum (the summit power),
-decycling lowers the canonical length, and the super summit set is the
+decycling lowers the canonical length, each improving within
+||Delta|| = n(n-1)/2 steps whenever it can (Elrifai and Morton; Birman,
+Ko and Lee), and the super summit set is the
 closure of the converged representative under conjugation by minimal
 simple elements: for each member and each generator sigma_i, the least
 permutation braid above sigma_i that keeps the conjugate in the set
@@ -173,10 +175,15 @@ class NormalForm:
     factors: tuple[Perm, ...]
 
     def __post_init__(self) -> None:
-        n, k, factors = self.strands, self.delta_power, tuple(map(tuple, self.factors))
+        n, k = self.strands, self.delta_power
         if not (isinstance(n, int) and n >= 2 and isinstance(k, int)):
             raise WordError(f"need int strands >= 2 and an int delta power, got {n!r}, {k!r}")
+        if not isinstance(self.factors, (tuple, list)):
+            raise WordError(f"factors {self.factors!r} are no tuple of factors")
+        factors = tuple(tuple(p) if isinstance(p, (tuple, list)) else p for p in self.factors)
         for j, p in enumerate(factors):
+            if not (isinstance(p, tuple) and all(isinstance(x, int) for x in p)):
+                raise WordError(f"factor {p!r} is no tuple of ints")
             if sorted(p) != list(range(n)) or p in (identity_perm(n), delta_perm(n)):
                 raise WordError(f"factor {p} is 1, Delta or no permutation of range({n})")
             pair = factors[j - 1 : j + 1]  # normal iff left-weighting keeps it
@@ -318,18 +325,14 @@ class GarsideCaps:
     """Positive search limits; exceeding one raises ResourceCapError."""
 
     summit_set: int = 100_000
-    cycling: int | None = None  # default: word length x N^2
     word_search: int = 1_000_000
 
     def __post_init__(self) -> None:
         for name, cap in vars(self).items():
-            if cap is not None and cap <= 0:
+            if not isinstance(cap, int):
+                raise ValueError(f"caps.{name}: must be an int, got {cap!r}")
+            if cap <= 0:
                 raise ValueError(f"caps.{name}: must be positive, got {cap}")
-
-    def cycling_limit(self, word_length: int, strands: int) -> int:
-        if self.cycling is not None:
-            return self.cycling
-        return max(64, word_length * strands * strands)
 
 
 DEFAULT_CAPS = GarsideCaps()
@@ -371,47 +374,38 @@ def decycling(nf: NormalForm) -> NormalForm:
 _Converged = tuple[NormalForm, list[str]]
 
 
-def _summit_representative(nf: NormalForm, caps: GarsideCaps) -> _Converged:
+def _summit_representative(nf: NormalForm) -> _Converged:
     """Converge to the super summit set; returns the committed operation log.
 
-    Cycling is iterated until the Delta power stops improving over one
-    orbit, then decycling until the canonical length stops improving;
-    orbit repetition without improvement is the stopping criterion.
+    Cycling is iterated until the Delta power stops improving, then
+    decycling until the canonical length stops improving. If cycling can
+    raise inf, it does so within ||Delta|| = n(n-1)/2 cyclings, and if
+    decycling can lower sup, within ||Delta|| decyclings (Elrifai and
+    Morton, Quart. J. Math. 45, 1994; Birman, Ko and Lee, Adv. Math. 164,
+    2001), so a phase gives up after that many steps, or sooner when its
+    orbit repeats. Each improvement raises inf or lowers sup, so the
+    loop ends.
     """
-    half_twist = nf.strands * (nf.strands - 1) // 2
-    word_length = abs(nf.delta_power) * half_twist + sum(map(perm_length, nf.factors))
-    limit = caps.cycling_limit(max(word_length, 1), nf.strands)
-    steps = 0
+    bound = nf.strands * (nf.strands - 1) // 2
     ops: list[str] = []
+    phases = (
+        ("cycle", cycling, lambda a, b: a.delta_power > b.delta_power),
+        ("decycle", decycling, lambda a, b: a.canonical_length < b.canonical_length),
+    )
     while True:
-        improved = False
-        for op, fn, better in (
-            ("cycle", cycling, lambda a, b: a.delta_power > b.delta_power),
-            ("decycle", decycling, lambda a, b: a.canonical_length < b.canonical_length),
-        ):
+        for op, fn, better in phases:
             seen = {nf.key()}
             cur = nf
-            trail: list[str] = []
-            while True:
-                steps += 1
-                if steps > limit:
-                    raise ResourceCapError(
-                        f"cycling limit {limit} exceeded while converging"
-                    )
-                nxt = fn(cur)
-                trail.append(op)
-                if better(nxt, nf):
-                    nf = nxt
-                    ops.extend(trail)
-                    improved = True
+            for steps in range(1, bound + 1):
+                cur = fn(cur)
+                if better(cur, nf) or cur.key() in seen:
                     break
-                if nxt.key() in seen:
-                    break
-                seen.add(nxt.key())
-                cur = nxt
-            if improved:
+                seen.add(cur.key())
+            if better(cur, nf):
+                nf = cur
+                ops += [op] * steps
                 break
-        if not improved:
+        else:
             return nf, ops
 
 
@@ -558,7 +552,7 @@ def _summit_closure(
 
 def summit(nf: NormalForm, caps: GarsideCaps = DEFAULT_CAPS) -> SummitData:
     """Summit power and super summit set of the conjugacy class."""
-    rep, _ = _summit_representative(nf, caps)
+    rep, _ = _summit_representative(nf)
     members, _ = _summit_closure(rep, caps)
     return SummitData(rep.delta_power, frozenset(members.values()))
 
@@ -598,8 +592,8 @@ def _conjugacy(
     """
     if _cycle_type(nfa) != _cycle_type(nfb):
         return None
-    rep_a, ops_a = _summit_representative(nfa, caps)
-    rep_b, ops_b = _summit_representative(nfb, caps)
+    rep_a, ops_a = _summit_representative(nfa)
+    rep_b, ops_b = _summit_representative(nfb)
     if (rep_a.delta_power, rep_a.canonical_length) != (
         rep_b.delta_power,
         rep_b.canonical_length,
@@ -625,12 +619,12 @@ def are_conjugate(
     return nfa == nfb or _conjugacy(nfa, nfb, caps) is not None
 
 
-def contains_half_twist(w: BraidWord, caps: GarsideCaps = DEFAULT_CAPS) -> bool:
+def contains_half_twist(w: BraidWord) -> bool:
     """True iff the summit power is positive."""
     nf = normal_form(w)
     if nf.delta_power >= 1:
         return True
-    rep, _ = _summit_representative(nf, caps)
+    rep, _ = _summit_representative(nf)
     return rep.delta_power >= 1
 
 
@@ -727,8 +721,6 @@ def _realize_summit_chain(
     cur = nf_word(nf)
     moves = _equal_words_moves(w, cur, caps)
     for op in ops:
-        if not nf.factors:
-            break
         k, factors = nf.delta_power, nf.factors
         if op == "cycle":
             moved, kept, kind = tau_pow(factors[0], k), factors[1:], MoveKind.ELEM_CONJ_LEFT

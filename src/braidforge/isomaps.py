@@ -3,11 +3,11 @@
 Every map is built by maps_along_moves (move_map is a sequence of one
 move): each move becomes one step read off brick diagrams and checked
 as apply_move checks it. A step's images are computed one way; its
-inverse images are the images of its inverse move, read back from the
-step's destination diagram. The steps, and the inverse steps last
-first, each compose in one fold right to left, so each step maps only
-its own short images, and only the first and last words get
-presentations. For an elementary conjugation moving a letter of column
+inverse images are the images of its inverse move (words.inverse_move),
+read back from the step's destination diagram. The steps, and the
+inverse steps last first, each compose in one fold right to left, so
+each step maps only its own short images, and only the first and last
+words get presentations. For an elementary conjugation moving a letter of column
 i, the top brick of that column wraps around to the bottom; its
 generator maps to the new bottom generator conjugated by everything
 between them, all other bricks correspond rank by rank. A braid
@@ -75,7 +75,7 @@ from .presentations import (
     presentation_of,
     relabels_onto,
 )
-from .words import BraidWord, MoveKind, WordMove, apply_move, move_applies
+from .words import BraidWord, MoveKind, WordMove, apply_move, inverse_move, move_applies
 
 
 @dataclass(frozen=True)
@@ -262,15 +262,6 @@ def _braid_top_images(sd: BrickDiagram, dd: BrickDiagram, i: int, inverse: bool)
     return tuple(images)
 
 
-# the move whose images, read back from a step's destination, are the
-# step's inverse images: the conjugations swap ends, and every other move
-# undoes itself or, for Markov moves, relabels nothing either way
-_INVERSE_KIND = {
-    MoveKind.ELEM_CONJ_RIGHT: MoveKind.ELEM_CONJ_LEFT,
-    MoveKind.ELEM_CONJ_LEFT: MoveKind.ELEM_CONJ_RIGHT,
-}
-
-
 def _images(d: BrickDiagram, dd: BrickDiagram, kind: MoveKind, position: int) -> _Images:
     """Images across a valid move of the kind at position from d's word to
     dd's: per brick of d, a word in dd's bricks.
@@ -359,7 +350,8 @@ def maps_along_moves(w: BraidWord, moves: list[WordMove]) -> GeneratorMap:
     for m in moves:
         dd, label = _move_step(d, m)
         steps.append(_images(d, dd, m.kind, m.position))
-        inverse_steps.append(_images(dd, d, _INVERSE_KIND.get(m.kind, m.kind), m.position))
+        undo = inverse_move(d.word, m)
+        inverse_steps.append(_images(dd, d, undo.kind, undo.position))
         labels.append(label)
         d = dd
     images = _fold(steps, "images")

@@ -5,8 +5,10 @@ closure explores word moves directly, the hom-count oracle enumerates
 all assignments, the brick oracle re-scans the word, the lattice
 oracles take sympy's Smith normal decomposition of the dense exponent
 matrix spelled from the relator words, the Garside oracles
-left-weight letter by letter in whole-list passes until nothing moves
-and close super summit sets under all n! - 1 permutation braids, and
+left-weight letter by letter in whole-list passes until nothing moves,
+converge to super summit sets by walking whole cycling and decycling
+orbits, and close super summit sets under all n! - 1 permutation
+braids, and
 the group-table oracle tests associativity on every triple. They stay
 dumb so the fast implementations can be checked against them.
 """
@@ -340,3 +342,39 @@ def oracle_summit_closure(rep: NormalForm) -> set[tuple]:
                 seen.add(v.key())
                 queue.append(v)
     return seen
+
+
+def oracle_summit_representative(nf: NormalForm) -> tuple[NormalForm, list[str], list[int]]:
+    """Converge to the super summit set with no bound on a phase: cycling
+    until the Delta power stops improving over a whole orbit, then
+    decycling until the canonical length does. Returns the representative,
+    the committed operation log and, per improvement, the number of steps
+    its phase took."""
+    ops: list[str] = []
+    improvements: list[int] = []
+    while True:
+        improved = False
+        for op, fn, better in (
+            ("cycle", oracle_cycling, lambda a, b: a.delta_power > b.delta_power),
+            ("decycle", oracle_decycling, lambda a, b: a.canonical_length < b.canonical_length),
+        ):
+            seen = {nf.key()}
+            cur = nf
+            trail: list[str] = []
+            while True:
+                nxt = fn(cur)
+                trail.append(op)
+                if better(nxt, nf):
+                    nf = nxt
+                    ops.extend(trail)
+                    improvements.append(len(trail))
+                    improved = True
+                    break
+                if nxt.key() in seen:
+                    break
+                seen.add(nxt.key())
+                cur = nxt
+            if improved:
+                break
+        if not improved:
+            return nf, ops, improvements

@@ -25,7 +25,9 @@ json) in both sign conventions, ``render --dot`` and ``render --svg
 words without bricks among them; and last ``invariants --tables`` over
 table files written to one temporary directory that both trees read: a
 relabelled S3, D4 (shadowing the built-in), and a table with an element
-without an inverse; 1,629 commands in all. Each tree runs the whole
+without an inverse; and last ``halftwist`` on 7-8-strand words of 20-60
+letters, every other one a rotation of a half twist and a tail; 1,689
+commands in all. Each tree runs the whole
 corpus in one child interpreter, in-process through
 ``braidforge.cli.main``, under its own address-space limit. Every argv
 whose exit code, stdout or stderr differ is printed, and the exit code
@@ -222,6 +224,19 @@ def corpus(seed: int, tables: Path) -> list[list[str]]:
         paths = f"{good},{tables / 'noinverse.txt'}" if i % 5 == 4 else good
         cmds.append(["invariants", text(w.letters), "--strands", str(w.strands),
                      "--tables", paths, "--targets", "S3r,D4,S3"])
+    # 7-8-strand words of 20-60 letters, whose cycling and decycling orbits
+    # run past n(n-1)/2 steps: every other one a rotation of a half twist
+    # and a tail, which hides the twist from the normal form
+    for i in range(60):
+        n = rng.randint(7, 8)
+        half: tuple[int, ...] = ()
+        if i % 2:
+            half = tuple(j for top in range(n - 1, 0, -1) for j in range(1, top + 1))
+        tail = rng.randint(20, 60) - len(half)
+        letters = half + tuple(rng.randint(1, n - 1) for _ in range(tail))
+        cut = rng.randint(0, len(letters))
+        letters = letters[cut:] + letters[:cut]
+        cmds.append(["halftwist", text(letters), "--strands", str(n)])
     return cmds
 
 

@@ -27,8 +27,13 @@ CASES = [
     (["invariants", "1 y", "--targets", "NOPE"], 1, "", "error: cannot parse letter 'y'\n"),
     (["summit", "1 2 1", "--caps.summit-set", "0"], 1, "", "error: caps.summit_set: must be positive, got 0\n"),
     (
-        ["summit", "1 2 1", "--caps.cycling", "x"],
-        64, "", "usage error: argument --caps.cycling: invalid int value: 'x'\n",
+        ["summit", "1 2 1", "--caps.word-search", "x"],
+        64, "", "usage error: argument --caps.word-search: invalid int value: 'x'\n",
+    ),
+    # convergence is bounded by ||Delta||, so there is no cycling cap to set
+    (
+        ["summit", "1 2 1", "--caps.cycling", "5"],
+        64, "", "usage error: unrecognized arguments: --caps.cycling 5\n",
     ),
     (
         ["invariants", "1 2 1", "--caps.generators", "S3"],

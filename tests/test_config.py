@@ -21,11 +21,10 @@ def test_validation():
         Config(generator_caps={"S3": 0})
     with pytest.raises(ValueError):
         Config(garside_caps=GarsideCaps(summit_set=-1))
-    for cycling in (0, -3):
+    for word_search in (0, -3, None):
         with pytest.raises(ValueError):
-            Config(garside_caps=GarsideCaps(cycling=cycling))
-    assert Config(garside_caps=GarsideCaps(cycling=1)).garside_caps.cycling == 1
-    assert Config(garside_caps=GarsideCaps(cycling=None)).garside_caps.cycling is None
+            Config(garside_caps=GarsideCaps(word_search=word_search))
+    assert Config(garside_caps=GarsideCaps(word_search=1)).garside_caps.word_search == 1
 
 
 def test_unknown_target_rejected():
@@ -42,7 +41,6 @@ def test_overrides_parsing(tmp_path):
         "targets=S3,Q8\n"
         "caps.generators=S3=9, *=5\n"
         "caps.summit_set=123\n"
-        "caps.cycling=77\n"
         "caps.word_search=99\n"
     )
     cfg = apply_overrides(Config(), load_config_file(str(path)))
@@ -52,7 +50,6 @@ def test_overrides_parsing(tmp_path):
     assert cfg.generator_caps["*"] == 5
     assert cfg.generator_caps["S4"] == 10  # untouched default
     assert cfg.garside_caps.summit_set == 123
-    assert cfg.garside_caps.cycling == 77
     assert cfg.garside_caps.word_search == 99
 
 

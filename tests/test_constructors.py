@@ -285,9 +285,10 @@ def test_normal_form_and_target_have_no_public_builder():
 # Each case once answered, or failed with an error that named no input:
 # IndexError, GarsideInvariantError, TypeError from abs(), a summit of a
 # one-strand braid, a form unequal to normal_form("1 2") of the same
-# braid, and two tables that built although they are no group (the first
-# gave hom_count 2 for 1 2 1 1 2 1). Each is now refused, naming the
-# factor, pair, power, strand count, row, or triple where it fails.
+# braid, two tables that built although they are no group (the first
+# gave hom_count 2 for 1 2 1 1 2 1), and a bare TypeError from a factor,
+# a row or a cap of the wrong type. Each is now refused, naming the
+# factor, pair, power, strand count, row, triple or cap where it fails.
 REPRODUCTIONS = {
     "factor-out-of-range": ("cycling(NormalForm(3, 0, ((5, 0, 2),)))", r"\(5, 0, 2\)"),
     "repeated-image": ("summit(NormalForm(3, 0, ((0, 0, 2),)))", r"\(0, 0, 2\)"),
@@ -303,10 +304,18 @@ REPRODUCTIONS = {
         " (3, 2, 4, 0, 1), (4, 3, 1, 2, 0)))",
         r"loop: associativity fails at \d,\d,\d",
     ),
+    "factors-not-a-tuple": ("NormalForm(3, 0, 5)", "factors 5 are no tuple of factors"),
+    "factor-not-a-tuple": ("NormalForm(3, 0, (1, 2))", "factor 1 is no tuple of ints"),
+    "factor-not-ints": (
+        "NormalForm(3, 0, ((0, 'a', 2),))", r"factor \(0, 'a', 2\) is no tuple of ints",
+    ),
+    "table-not-a-tuple": ("FiniteTarget('x', 5)", "x: the table 5 is no sequence of rows"),
+    "row-not-a-tuple": ("FiniteTarget('x', (1, 2))", "x: row 0 is no sequence of elements: 1"),
+    "cap-not-an-int": ("GarsideCaps(summit_set='5')", "caps.summit_set: must be an int, got '5'"),
 }
 NAMES = {
     "NormalForm": NormalForm, "FiniteTarget": FiniteTarget, "cycling": cycling,
-    "summit": summit, "letter_perm": letter_perm,
+    "summit": summit, "letter_perm": letter_perm, "GarsideCaps": GarsideCaps,
 }
 
 
@@ -321,7 +330,7 @@ def test_bad_forms_and_tables_are_refused_under_optimize_flag():
     script = (
         "import json, sys\n"
         "from braidforge.finite_groups import FiniteTarget\n"
-        "from braidforge.garside import NormalForm, cycling, letter_perm, summit\n"
+        "from braidforge.garside import GarsideCaps, NormalForm, cycling, letter_perm, summit\n"
         "assert False, 'asserts must be stripped'\n"
         "out = []\n"
         "for source in json.loads(sys.argv[1]):\n"

@@ -37,7 +37,7 @@ def assert_minimal_simple_elements_are_least(w):
     """Every simple c above sigma_i with u^c in the super summit set has the
     computed conjugator as a prefix (u the summit representative of w)."""
     n = w.strands
-    rep, _ = garside._summit_representative(normal_form(w), DEFAULT_CAPS)
+    rep, _ = garside._summit_representative(normal_form(w))
     shape = (rep.delta_power, rep.canonical_length)
     good = []
     for c in permutations(range(n)):
@@ -181,8 +181,8 @@ def test_cycle_type_rejection_agrees_with_the_full_closure():
             if k % 3 == 1:  # most random pairs differ in cycle type: redraw
                 while garside._cycle_type(normal_form(b)) != garside._cycle_type(normal_form(a)):
                     b = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(len(a))))
-        rep_a, _ = garside._summit_representative(normal_form(a), DEFAULT_CAPS)
-        rep_b, _ = garside._summit_representative(normal_form(b), DEFAULT_CAPS)
+        rep_a, _ = garside._summit_representative(normal_form(a))
+        rep_b, _ = garside._summit_representative(normal_form(b))
         want = rep_b.key() in _full_closure(rep_a)[0]
         assert are_conjugate(a, b) == want
         same = garside._cycle_type(normal_form(a)) == garside._cycle_type(normal_form(b))

@@ -138,8 +138,8 @@ def test_unparsable_config_value_names_key_and_file(tmp_path, monkeypatch, capsy
 
 
 def test_apply_overrides_names_key_and_source():
-    with pytest.raises(ValueError, match=r"^caps\.cycling: "):
-        apply_overrides(Config(), {"caps.cycling": "often"})
+    with pytest.raises(ValueError, match=r"^caps\.summit_set: "):
+        apply_overrides(Config(), {"caps.summit_set": "often"})
     with pytest.raises(ValueError, match=r"^my\.conf, caps\.word_search: "):
         apply_overrides(Config(), {"caps.word_search": ""}, "my.conf")
 
@@ -148,7 +148,7 @@ def test_apply_overrides_names_key_and_source():
     "flag, value, message",
     [
         ("--caps.summit-set", "0", "caps.summit_set: must be positive, got 0"),
-        ("--caps.cycling", "-3", "caps.cycling: must be positive, got -3"),
+        ("--caps.word-search", "-3", "caps.word_search: must be positive, got -3"),
         ("--caps.word-search", "0", "caps.word_search: must be positive, got 0"),
         ("--caps.generators", "S3=0", "caps.generators: S3 must be positive, got 0"),
         ("--caps.generators", "S4=5,*=-1", "caps.generators: * must be positive, got -1"),
@@ -162,11 +162,11 @@ def test_cap_that_is_not_positive_names_its_key(capsys, monkeypatch, flag, value
 
 def test_config_cap_that_is_not_positive_names_key_and_file(tmp_path, monkeypatch, capsys):
     path = tmp_path / "braidforge.conf"
-    path.write_text("targets=S3\ncaps.cycling=0\n")
+    path.write_text("targets=S3\ncaps.word_search=0\n")
     monkeypatch.setenv("BRAIDFORGE_CONFIG", str(path))
     code, out, err = run(capsys, "summit", "1 2 1 2 2 1")
     assert (code, out) == (1, "")
-    assert err == f"error: {path}, caps.cycling: must be positive, got 0\n"
+    assert err == f"error: {path}, caps.word_search: must be positive, got 0\n"
 
 
 def test_apply_overrides_names_cap_and_source():

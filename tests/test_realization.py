@@ -87,7 +87,7 @@ def test_moves_that_do_not_replay_fall_back_to_search(monkeypatch):
 
 def test_guard_realized_chain_reaches_representative():
     nf = garside.normal_form(HOP_A)
-    rep, ops = garside._summit_representative(nf, garside.DEFAULT_CAPS)
+    rep, ops = garside._summit_representative(nf)
     wrong = NormalForm(rep.strands, rep.delta_power + 1, rep.factors)
     with pytest.raises(GarsideInvariantError, match="summit representative"):
         garside._realize_summit_chain(HOP_A, nf, wrong, ops, garside.DEFAULT_CAPS)

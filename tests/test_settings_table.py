@@ -34,6 +34,16 @@ def test_config_file_rejects_flag_spellings(tmp_path, monkeypatch, capsys, line)
     assert err == f"error: {path}, line 3: unknown config key {line.partition('=')[0]!r}\n"
 
 
+def test_config_file_rejects_the_retired_cycling_cap(tmp_path, monkeypatch, capsys):
+    # convergence is bounded by ||Delta||, so there is no cycling cap to set
+    path = tmp_path / "braidforge.conf"
+    path.write_text("caps.cycling=5\n")
+    monkeypatch.setenv("BRAIDFORGE_CONFIG", str(path))
+    code, out, err = run(capsys, "summit", "1 2 1")
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}, line 1: unknown config key 'caps.cycling'\n"
+
+
 def test_config_line_without_equals_rejected(tmp_path, monkeypatch, capsys):
     path = tmp_path / "braidforge.conf"
     path.write_text("targets=S3\ntargets S3\n")
@@ -64,7 +74,6 @@ def test_every_key_has_a_flag_and_a_field():
         "format": "plain",
         "caps.generators": "S3=9",
         "caps.summit_set": "5",
-        "caps.cycling": "6",
         "caps.word_search": "7",
         "table_files": "a.txt,b.txt",
     }
@@ -75,7 +84,7 @@ def test_every_key_has_a_flag_and_a_field():
     )
     assert cfg.generator_caps["S3"] == 9
     gc = cfg.garside_caps
-    assert (gc.summit_set, gc.cycling, gc.word_search) == (5, 6, 7)
+    assert (gc.summit_set, gc.word_search) == (5, 7)
     assert cfg.table_files == ("a.txt", "b.txt")
 
 

@@ -1,21 +1,19 @@
 """Branches that the rest of the suite never runs.
 
-Conjugacy decided by membership in the super summit closure, an
-explicit cycling cap, the capped-procedure fallback of moveseq, and a
-check_map report that fails on hom counts, serialized.
+Conjugacy decided by membership in the super summit closure, the
+capped-procedure fallback of moveseq, and a check_map report that fails
+on hom counts, serialized. Convergence to the super summit set has no
+cap to exceed: each phase stops within ||Delta|| steps.
 """
 
 import json
 
-import pytest
-
 from braidforge.cli import main
-from braidforge.errors import ResourceCapError
 from braidforge.finite_groups import symmetric_group
-from braidforge.garside import GarsideCaps, are_conjugate, normal_form, summit
+from braidforge.garside import are_conjugate, normal_form, summit
 from braidforge.isomaps import GeneratorMap, check_map
 from braidforge.presentations import Presentation, braid_relator
-from braidforge.words import BraidWord, parse_word
+from braidforge.words import BraidWord
 
 
 def test_same_summit_shape_not_conjugate():
@@ -28,13 +26,6 @@ def test_same_summit_shape_not_conjugate():
     assert sa.summit_set.isdisjoint(sb.summit_set)
     assert not are_conjugate(a, b)
     assert not are_conjugate(b, a)
-
-
-def test_explicit_cycling_cap_stops_convergence():
-    nf = normal_form(parse_word("1 2 2 1"))
-    with pytest.raises(ResourceCapError, match="cycling limit 1 exceeded while converging"):
-        summit(nf, GarsideCaps(cycling=1))
-    assert summit(nf, GarsideCaps(cycling=64)) == summit(nf)
 
 
 def test_moveseq_falls_back_to_search_under_word_search_cap(capsys, monkeypatch):
