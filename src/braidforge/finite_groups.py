@@ -40,13 +40,16 @@ class FiniteTarget:
             if not isinstance(row, (tuple, list)):
                 raise ValueError(f"{self.name}: row {a} is no sequence of elements: {row!r}")
         table = tuple(map(tuple, self.table))
+        e, n = self.identity, len(table)
+        if not (isinstance(e, int) and 0 <= e < n) or any(len(row) != n for row in table):
+            raise ValueError(f"{self.name}: the table is not square or identity {e!r} is no element")
         try:
-            inverse = tuple(row.index(self.identity) for row in table)
+            inverse = tuple(row.index(e) for row in table)
         except ValueError:
             raise ValueError(
                 f"group table {self.name!r} has an element without inverse"
             ) from None
-        _check_group(self.name, table, self.identity)
+        _check_group(self.name, table, e)
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "inverse", inverse)
         # caches key on targets: the table (14 400 entries for S5) is hashed once
@@ -67,14 +70,13 @@ class FiniteTarget:
 
 
 def _check_group(name: str, table: tuple[tuple[int, ...], ...], e: int) -> None:
-    """Two-sided identity, Latin square, then Light's associativity test on
-    generators A found by closing {e} under right multiplication, adding each
-    element not yet reached: the a with (xa)y = x(ay) for all x, y are closed
-    under products. O(n^2 |A|)."""
+    """On a square table with an element e: two-sided identity e, Latin
+    square, then Light's associativity test on generators A found by
+    closing {e} under right multiplication, adding each element not yet
+    reached: the a with (xa)y = x(ay) for all x, y are closed under
+    products. O(n^2 |A|)."""
     n = len(table)
     full = set(range(n))
-    if e not in full or any(len(row) != n for row in table):
-        raise ValueError(f"{name}: the table is not square or identity {e!r} is no element")
     for a, row, column in zip(range(n), table, zip(*table)):
         if table[e][a] != a or column[e] != a:
             raise ValueError(f"{name}: identity fails at {a}")

@@ -22,19 +22,30 @@ permutation braid above sigma_i that keeps the conjugate in the set
 (Franco and Gonzalez-Meneses), grown by division steps y \\ t. Every
 permutation-braid primitive that the closure repeats (division steps,
 tau, complements, lengths, the identity, Delta and letter permutations)
-is memoized per distinct input, each memo bounded by PERM_MEMO entries.
+is memoized per distinct input, and so is perm_word's spelling, each
+memo bounded by PERM_MEMO entries.
 Deciding conjugacy first compares the cycle types of the two braids'
 permutations, which conjugation preserves, and only equal types are
 converged; the deciding closure stops as soon as it discovers the
 second representative, and is skipped when both representatives agree.
 Conjugacy of positive words containing a half twist is also *realized*
 as an explicit sequence of word moves: braid relations, far
-commutativity and elementary conjugations only; its breadth-first
-searches walk letter tuples whose neighbours words.rewrite_sites lists.
-The realization shares one decision with are_conjugate: each normal
-form, summit representative with its operation log, and the one
-closure are built once per call, and the parents of the closure that
-decides conjugacy supply the summit hops: breadth-first order and
+commutativity and elementary conjugations only. Two spellings of one
+braid are joined by the path the normal form gives, with no search:
+each word's path to the form's spelling replays the left-weighting at
+word level, and each letter that moves between factors is first brought
+to the front of its factor's segment by the constructive exchange.
+Inside one permutation braid's reduced words, which braid relations and
+far commutations connect (Matsumoto 1964, Tits 1969), the crossing of
+the two strands at positions i, i+1 walks left past far letters, and an
+adjacent letter closes a triangle whose third crossing the mirror walk
+brings next to it, so one braid relation passes both. Only when the
+realized moves do not replay does a breadth-first search run, over
+letter tuples whose neighbours words.rewrite_sites lists. The
+realization shares one decision with are_conjugate: each normal form,
+summit representative with its operation log, and the one closure are
+built once per call, and the parents of the closure that decides
+conjugacy supply the summit hops: breadth-first order and
 first-discovery parents are those of the full closure.
 Checks that an answer rests on raise GarsideInvariantError, so they
 hold under ``python -O``.
@@ -45,7 +56,9 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import chain
+from typing import Callable
 
 from .errors import (
     GarsideInvariantError,
@@ -58,8 +71,6 @@ from .words import (
     BraidWord,
     MoveKind,
     WordMove,
-    apply_move,
-    inverse_move,
     replay,
     rewrite_sites,
     rewritten,
@@ -140,17 +151,30 @@ def right_complement(c: Perm) -> Perm:
     return tuple(w0[ci[x]] for x in range(len(c)))
 
 
+# perm_word's memo is a dict, not an lru_cache: the lru_caches are the
+# closure's memos, whose set tests/test_garside_kernels.py pins, and
+# spelling is no closure work. The oldest entry leaves past PERM_MEMO.
+_PERM_WORDS: dict[Perm, tuple[int, ...]] = {}
+
+
 def perm_word(p: Perm) -> tuple[int, ...]:
-    """A deterministic reduced positive word spelling the permutation braid."""
+    """A deterministic reduced positive word spelling the permutation braid:
+    the least letter of the starting set, then the rest's word."""
+    word = _PERM_WORDS.get(p)
+    if word is not None:
+        return word
     q = list(p)
-    word = []
+    letters = []
     while True:
         descent = next((i for i in range(1, len(q)) if q[i - 1] > q[i]), None)
         if descent is None:
             break
-        word.append(descent)
+        letters.append(descent)
         q[descent - 1], q[descent] = q[descent], q[descent - 1]
-    return tuple(word)
+    if len(_PERM_WORDS) >= PERM_MEMO:
+        del _PERM_WORDS[next(iter(_PERM_WORDS))]
+    word = _PERM_WORDS[p] = tuple(letters)
+    return word
 
 
 def delta_word(n: int) -> tuple[int, ...]:
@@ -209,20 +233,24 @@ class NormalForm:
 
 
 def _left_weight(
-    n: int, p: list[int], pi: list[int], q: list[int], qi: list[int]
+    n: int, p: list[int], pi: list[int], q: list[int], qi: list[int],
+    on_move: Callable[[int], None] | None = None,
 ) -> bool:
     """Left-weight the pair p | q in place; True iff any letter moved.
 
     Each factor is held as its image list and its inverse. A letter
     sigma_i with i in S(q) but not in F(p) moves from the front of q to
     the end of p by swapping positions i-1, i of q and values i-1, i of
-    p: O(1) per letter. Descents change only next to the swap, so the
-    scan resumes one place to the left; on exit S(q) is a subset of F(p).
+    p: O(1) per letter, and on_move(i), when given, hears it. Descents
+    change only next to the swap, so the scan resumes one place to the
+    left; on exit S(q) is a subset of F(p).
     """
     moved = False
     i = 1
     while i < n:
         if q[i - 1] > q[i] and pi[i - 1] < pi[i]:
+            if on_move is not None:
+                on_move(i)
             a, b = q[i - 1], q[i]
             q[i - 1], q[i] = b, a
             qi[a], qi[b] = i, i - 1
@@ -237,19 +265,23 @@ def _left_weight(
     return moved
 
 
-def _normalize_factors(n: int, perms: list[Perm]) -> tuple[int, tuple[Perm, ...]]:
+def _normalize_factors(
+    n: int, perms: list[Perm], on_move: Callable[[int, int, int], None] | None = None
+) -> tuple[int, tuple[Perm, ...]]:
     """Left-weight a factor sequence; returns (extracted delta power, factors).
 
     Factors are appended one at a time to a left-weighted prefix, and
     pairs are left-weighted leftward from the end until a left factor is
     left unchanged: the prefix before it is then still left-weighted.
-    Only the appended factor can be emptied, and any Delta factors end
-    up at the front.
+    Only the appended factor can be emptied, and then it is dropped; any
+    Delta factors end up at the front. on_move(r, j, i), when given,
+    hears each letter sigma_i that moves from the front of factor j to
+    the end of factor j - 1 while perms[r] is appended.
     """
     ident = list(range(n))
     fw: list[list[int]] = []
     bw: list[list[int]] = []
-    for perm in perms:
+    for r, perm in enumerate(perms):
         q = list(perm)
         qi = [0] * n
         for x, y in enumerate(q):
@@ -257,7 +289,9 @@ def _normalize_factors(n: int, perms: list[Perm]) -> tuple[int, tuple[Perm, ...]
         fw.append(q)
         bw.append(qi)
         j = len(fw) - 1
-        while j and _left_weight(n, fw[j - 1], bw[j - 1], fw[j], bw[j]):
+        while j and _left_weight(
+            n, fw[j - 1], bw[j - 1], fw[j], bw[j], on_move and partial(on_move, r, j)
+        ):
             j -= 1
         if fw[-1] == ident:
             fw.pop()
@@ -269,8 +303,8 @@ def _normalize_factors(n: int, perms: list[Perm]) -> tuple[int, tuple[Perm, ...]
     return k, tuple(tuple(f) for f in fw[k:])
 
 
-def normal_form(w: BraidWord) -> NormalForm:
-    """Left normal form of a positive word, from its maximal simple runs.
+def _simple_runs(w: BraidWord) -> list[Perm]:
+    """The maximal simple runs of w, one permutation braid each.
 
     A run held as image list p and inverse pi stays simple under sigma_i
     iff pi[i-1] < pi[i] (i is not in its finishing set), and then grows
@@ -288,7 +322,12 @@ def normal_form(w: BraidWord) -> NormalForm:
         p[x], p[y] = i, i - 1
     if w.letters:
         runs.append(tuple(p))
-    return _normalized(n, 0, runs)
+    return runs
+
+
+def normal_form(w: BraidWord) -> NormalForm:
+    """Left normal form of a positive word, from its maximal simple runs."""
+    return _normalized(w.strands, 0, _simple_runs(w))
 
 
 def _normalized(n: int, k: int, perms: list[Perm]) -> NormalForm:
@@ -300,16 +339,22 @@ def _normalized(n: int, k: int, perms: list[Perm]) -> NormalForm:
     return nf
 
 
+def _spellings(n: int, k: int, factors: tuple[Perm, ...]) -> list[tuple[int, ...]]:
+    """One word per factor of the left normal form Delta^k factors:
+    delta_word for each Delta, perm_word for the rest."""
+    return [delta_word(n)] * k + [perm_word(p) for p in factors]
+
+
+def _spelled(n: int, k: int, factors: tuple[Perm, ...]) -> tuple[int, ...]:
+    """The letters nf_word gives the left normal form Delta^k factors."""
+    return tuple(chain.from_iterable(_spellings(n, k, factors)))
+
+
 def nf_word(nf: NormalForm) -> BraidWord:
     """A positive word spelling the normal form; requires delta_power >= 0."""
     if nf.delta_power < 0:
         raise ValueError("cannot spell a braid with negative delta power positively")
-    letters: list[int] = []
-    for _ in range(nf.delta_power):
-        letters.extend(delta_word(nf.strands))
-    for p in nf.factors:
-        letters.extend(perm_word(p))
-    return BraidWord(nf.strands, tuple(letters))
+    return BraidWord(nf.strands, _spelled(nf.strands, nf.delta_power, nf.factors))
 
 
 def words_equal_as_braids(a: BraidWord, b: BraidWord) -> bool:
@@ -664,90 +709,211 @@ def _bfs_moves(
     return None
 
 
-def _equal_words_moves(a: BraidWord, b: BraidWord, caps: GarsideCaps) -> list[WordMove]:
-    """Braid relations and far commutativity only; inputs equal as braids."""
-    path = _bfs_moves(a, b, conjugations=False, cap=caps.word_search)
-    if path is None:
-        raise ResourceCapError(
-            f"positive-equality search exceeded {caps.word_search} words"
-        )
-    return path
+def _braid_move(u: list[int], moves: list[WordMove], at: int) -> None:
+    """The braid relation on u[at:at+3], in place; GarsideInvariantError
+    if those letters are no i j i with |i - j| = 1."""
+    i, j = u[at], u[at + 1]
+    if u[at + 2] != i or abs(i - j) != 1:
+        raise GarsideInvariantError(f"no braid relation at position {at + 1}")
+    u[at], u[at + 1], u[at + 2] = j, i, j
+    moves.append(WordMove(MoveKind.BRAID_REL, at + 1))
+
+
+def _crossing(u: list[int], lo: int, hi: int, i: int, walk: int) -> int:
+    """Where in the reduced word u[lo:hi] the two strands cross that stand
+    at positions i, i+1 at its start (walk -1) or at its end (walk +1).
+    Each letter sigma_c swaps positions c, c+1; scanning from the other
+    end, the pair meets at the letter that swaps it."""
+    a, b = i, i + 1
+    t, stop = (lo, hi) if walk < 0 else (hi - 1, lo - 1)
+    while t != stop:
+        c = u[t]
+        if a == c and b == c + 1:
+            return t
+        a = c + 1 if a == c else c if a == c + 1 else a
+        b = c + 1 if b == c else c if b == c + 1 else b
+        t -= walk
+    raise GarsideInvariantError(f"sigma_{i} is no descent of {u[lo:hi]}")
+
+
+def _exchange(u: list[int], moves: list[WordMove], lo: int, hi: int, i: int) -> None:
+    """Respell the reduced word u[lo:hi] in place to start with sigma_i, a
+    letter of its starting set, by braid relations and far commutations
+    appended to moves: the constructive exchange condition.
+
+    The letter where the strands at positions i, i+1 cross walks to the
+    front. A letter two or more apart is passed by a far commutation. An
+    adjacent letter b closes a triangle with a third strand, whose other
+    crossing the prefix before b holds as a letter of its finishing set
+    (each pair crosses at most once in a reduced word): the mirror walk
+    carries it to the end of that prefix, and one braid relation then
+    moves the crossing two places left. Walks wait on an explicit stack
+    of [walk, lo, hi, t] frames, t the walking letter's index; walk -1
+    goes to the front of u[lo:hi], walk +1 to its end.
+    """
+    stack = [[-1, lo, hi, _crossing(u, lo, hi, i, -1)]]
+    while stack:
+        frame = stack[-1]
+        walk, lo, hi, t = frame
+        if t == (lo if walk < 0 else hi - 1):
+            stack.pop()
+            if stack:  # the waiting walk closes its triangle
+                walk, _, _, t = stack[-1]
+                _braid_move(u, moves, t if walk < 0 else t - 2)
+            continue
+        s = t + walk
+        c = u[t]
+        if abs(u[s] - c) >= 2:
+            at = min(s, t)
+            u[at], u[at + 1] = u[at + 1], u[at]
+            moves.append(WordMove(MoveKind.FAR_COMM, at + 1))
+            frame[3] = s
+        else:
+            frame[3] = t + 2 * walk
+            sub = (lo, s) if walk < 0 else (s + 1, hi)
+            stack.append([-walk, *sub, _crossing(u, *sub, c, -walk)])
+
+
+def _form_path(w: BraidWord) -> list[WordMove]:
+    """Braid relations and far commutations carrying w to
+    nf_word(normal_form(w)), read off the left-weighting.
+
+    The word is cut into its maximal simple runs, the segments. While
+    _normalize_factors left-weights them, each letter sigma_i that moves
+    from the front of factor j to the end of factor j - 1 is first
+    brought to the front of j's segment by _exchange; the boundary then
+    moves one letter, which takes no move. Last, each segment is
+    respelled letter by letter to its factor's spelling in nf_word.
+    """
+    n = w.strands
+    u = list(w.letters)
+    moves: list[WordMove] = []
+    runs = _simple_runs(w)
+    cuts = [0]  # where each run starts, then the end of the word
+    for run in runs:
+        cuts.append(cuts[-1] + perm_length(run))
+    starts: list[int] = []  # where each factor's segment starts
+    appended = 0  # runs whose factors have been appended
+
+    def append_through(r: int) -> None:
+        nonlocal appended
+        while appended <= r:
+            if starts and starts[-1] == cuts[appended]:
+                starts.pop()  # the emptied factor was dropped
+            starts.append(cuts[appended])
+            appended += 1
+
+    def moved(r: int, j: int, i: int) -> None:
+        if appended <= r:
+            append_through(r)
+        lo = starts[j]
+        if u[lo] != i:
+            _exchange(u, moves, lo, starts[j + 1] if j + 1 < len(starts) else cuts[r + 1], i)
+        starts[j] = lo + 1
+
+    k, factors = _normalize_factors(n, runs, moved)
+    append_through(len(runs) - 1)
+    if starts and starts[-1] == len(u):
+        starts.pop()
+    spellings = _spellings(n, k, factors)
+    for lo, hi, spelled in zip(starts, starts[1:] + [len(u)], spellings):
+        for at, i in enumerate(spelled, lo):
+            if u[at] != i:
+                _exchange(u, moves, at, hi, i)
+    if u != list(chain.from_iterable(spellings)):
+        raise GarsideInvariantError(f"the path of {w.letters} missed its normal form")
+    return moves
+
+
+def _equal_words_moves(a: BraidWord, b: BraidWord) -> list[WordMove]:
+    """Braid relations and far commutations carrying a to b, inputs equal
+    as braids: a's path to the spelling of their normal form, then b's
+    path reversed, each move its own inverse at the same position.
+
+    Every respelling stays among the reduced words of one permutation,
+    which braid relations and far commutations connect (Matsumoto 1964,
+    Tits 1969); _exchange walks that connection letter by letter, so no
+    search runs and no cap applies.
+    """
+    if a == b:
+        return []
+    return _form_path(a) + _form_path(b)[::-1]
 
 
 def _stage_and_conjugate(
-    cur: BraidWord, moved: tuple[int, ...], rest: tuple[int, ...], kind: MoveKind,
-    caps: GarsideCaps,
+    n: int, moved: tuple[int, ...], rest: tuple[int, ...], kind: MoveKind
 ) -> tuple[list[WordMove], BraidWord]:
-    """Respell cur as moved + rest (conjL) or rest + moved (conjR) by
-    equal-word moves, then carry the moved letters to the other end by
-    len(moved) elementary conjugations of that kind."""
+    """Moves from the canonical spelling of the braid moved * rest to
+    moved + rest (conjL) or rest + moved (conjR), that word's path
+    reversed, then len(moved) elementary conjugations of that kind, which
+    carry the moved letters to the other end; and the word they reach.
+    A decycling stages the last factor where the spelling has it, so
+    rest + moved is that spelling and needs no path."""
     left = kind is MoveKind.ELEM_CONJ_LEFT
-    w = BraidWord(cur.strands, moved + rest if left else rest + moved)
-    moves = _equal_words_moves(cur, w, caps)
-    m = WordMove(kind, 1 if left else len(w.letters))
-    for _ in moved:
-        w = apply_move(w, m)
-        moves.append(m)
-    return moves, w
+    staged, shifted = (moved + rest, rest + moved) if left else (rest + moved, moved + rest)
+    moves = _form_path(BraidWord(n, staged))[::-1] if left else []
+    moves += [WordMove(kind, 1 if left else len(staged))] * len(moved)
+    return moves, BraidWord(n, shifted)
 
 
 def _realize_step(
     cur: BraidWord, nf: NormalForm, target_nf: NormalForm, conj: Perm, caps: GarsideCaps
 ) -> tuple[list[WordMove], BraidWord]:
-    """Moves realizing cur, whose normal form is nf, -> word(target_nf)
+    """Moves realizing cur, the canonical spelling of nf, -> word(target_nf)
     where target = conj^-1 cur conj.
 
     Requires the current braid to contain Delta: rewrite cur to
     (conj)(conj')(rest), shift conj to the back by elementary
     conjugations, then rewrite to the canonical spelling of the target.
+    No search runs, so caps bounds nothing here.
     """
     if nf.delta_power < 1:
         raise MoveError("realization step needs a positive half twist")
-    rest = nf_word(_normalized(nf.strands, nf.delta_power - 1, nf.factors)).letters
+    rest = _spelled(nf.strands, nf.delta_power - 1, nf.factors)
     moves, shifted = _stage_and_conjugate(
-        cur, perm_word(conj), perm_word(right_complement(conj)) + rest,
-        MoveKind.ELEM_CONJ_LEFT, caps,
+        cur.strands, perm_word(conj), perm_word(right_complement(conj)) + rest,
+        MoveKind.ELEM_CONJ_LEFT,
     )
-    spelled = nf_word(target_nf)
-    moves.extend(_equal_words_moves(shifted, spelled, caps))
-    return moves, spelled
+    moves += _form_path(shifted)
+    return moves, nf_word(target_nf)
 
 
 def _realize_summit_chain(
     w: BraidWord, nf: NormalForm, rep: NormalForm, ops: list[str], caps: GarsideCaps
 ) -> tuple[list[WordMove], BraidWord]:
     """Word moves carrying w, whose normal form is nf, along the operation
-    log ops to its summit representative rep (spelled canonically)."""
-    cur = nf_word(nf)
-    moves = _equal_words_moves(w, cur, caps)
+    log ops to its summit representative rep (spelled canonically). Each
+    step starts and ends at a canonical spelling. No search runs, so caps
+    bounds nothing here."""
+    moves = [] if w == nf_word(nf) else _form_path(w)
     for op in ops:
         k, factors = nf.delta_power, nf.factors
         if op == "cycle":
             moved, kept, kind = tau_pow(factors[0], k), factors[1:], MoveKind.ELEM_CONJ_LEFT
         else:
             moved, kept, kind = factors[-1], factors[:-1], MoveKind.ELEM_CONJ_RIGHT
-        rest = nf_word(_normalized(nf.strands, k, kept)).letters
-        step, cur = _stage_and_conjugate(cur, perm_word(moved), rest, kind, caps)
-        moves.extend(step)
+        rest = _spelled(nf.strands, k, kept)  # Delta^k kept is left-weighted
+        step, cur = _stage_and_conjugate(nf.strands, perm_word(moved), rest, kind)
+        moves += step + _form_path(cur)
         nf = cycling(nf) if op == "cycle" else decycling(nf)
     if nf != rep:
         raise GarsideInvariantError(
             "realized cycling and decycling missed the summit representative"
         )
-    spelled = nf_word(rep)
-    moves.extend(_equal_words_moves(cur, spelled, caps))
-    return moves, spelled
+    return moves, nf_word(rep)
 
 
 def _invert_move_path(start: BraidWord, moves: list[WordMove]) -> list[WordMove]:
-    """The inverse sequence, transforming replay(start, moves) back to start."""
-    states = [start]
-    for m in moves:
-        states.append(apply_move(states[-1], m))
-    inverse = []
-    for i in range(len(moves) - 1, -1, -1):
-        inverse.append(inverse_move(states[i], moves[i]))
-    return inverse
+    """The inverse sequence, transforming replay(start, moves) back to start.
+    Realized moves keep the word's length: braid relations and far
+    commutations undo themselves at the same position, and a conjugation
+    at one end is undone by one at the other. The caller replays the
+    whole sequence."""
+    undo = {
+        MoveKind.ELEM_CONJ_LEFT: WordMove(MoveKind.ELEM_CONJ_RIGHT, len(start.letters)),
+        MoveKind.ELEM_CONJ_RIGHT: WordMove(MoveKind.ELEM_CONJ_LEFT, 1),
+    }
+    return [undo.get(m.kind, m) for m in reversed(moves)]
 
 
 def conjugacy_move_sequence_detailed(
@@ -761,8 +927,10 @@ def conjugacy_move_sequence_detailed(
     conjugations (each hop split as Delta = gamma gamma' and shifted by
     elementary conjugations), and undo the second chain. The conjugacy
     decision is the one are_conjugate makes, and its closure supplies
-    the hops. Falls back to a breadth-first search over all moves when
-    the realization is capped out or its moves do not replay from a to b.
+    the hops. Equal words are joined by the path their normal form
+    gives (_equal_words_moves). Falls back to a breadth-first search over
+    all moves, bounded by caps.word_search, when the realized moves do
+    not replay from a to b.
     """
     if a.strands != b.strands:
         raise StrandMismatchError(f"strand counts differ: {a.strands} vs {b.strands}")
@@ -771,7 +939,7 @@ def conjugacy_move_sequence_detailed(
     nfa, nfb = normal_form(a), normal_form(b)
     if nfa == nfb:
         return MoveSequenceResult(
-            tuple(_equal_words_moves(a, b, caps)), "procedure-found"
+            tuple(_equal_words_moves(a, b)), "procedure-found"
         )
     decided = len(a.letters) == len(b.letters) and _conjugacy(nfa, nfb, caps)
     if not decided:
@@ -782,31 +950,26 @@ def conjugacy_move_sequence_detailed(
         raise MoveError(
             "conjugate words without a half twist: move realization not guaranteed"
         )
-    capped = None
+    moves, cur = _realize_summit_chain(a, nfa, rep_a, ops_a, caps)
+    moves_b, word_b = _realize_summit_chain(b, nfb, rep_b, ops_b, caps)
+    nf = rep_a  # the normal form of cur, the canonical spelling of rep_a
+    for target_nf, c in hops:
+        step_moves, cur = _realize_step(cur, nf, target_nf, c, caps)
+        moves.extend(step_moves)
+        nf = target_nf
+    if cur != word_b:
+        raise GarsideInvariantError(
+            "summit hops did not reach the second representative"
+        )
+    moves.extend(_invert_move_path(b, moves_b))
     try:
-        moves, cur = _realize_summit_chain(a, nfa, rep_a, ops_a, caps)
-        moves_b, word_b = _realize_summit_chain(b, nfb, rep_b, ops_b, caps)
-        nf = rep_a  # the normal form of cur, the canonical spelling of rep_a
-        for target_nf, c in hops:
-            step_moves, cur = _realize_step(cur, nf, target_nf, c, caps)
-            moves.extend(step_moves)
-            nf = target_nf
-        if cur != word_b:
-            raise GarsideInvariantError(
-                "summit hops did not reach the second representative"
-            )
-        moves.extend(_invert_move_path(b, moves_b))
-    except ResourceCapError as exc:
-        capped = exc
-    else:
-        try:
-            if replay(a, moves) == b:
-                return MoveSequenceResult(tuple(moves), "procedure-found")
-        except MoveError:
-            pass  # the moves do not replay: search instead
+        if replay(a, moves) == b:
+            return MoveSequenceResult(tuple(moves), "procedure-found")
+    except MoveError:
+        pass  # the moves do not replay: search instead
     path = _bfs_moves(a, b, conjugations=True, cap=caps.word_search)
     if path is None:
-        raise capped or ResourceCapError("move search exceeded the configured cap")
+        raise ResourceCapError("move search exceeded the configured cap")
     return MoveSequenceResult(tuple(path), "search-found")
 
 

@@ -31,7 +31,10 @@ commands in all. Each tree runs the whole
 corpus in one child interpreter, in-process through
 ``braidforge.cli.main``, under its own address-space limit. Every argv
 whose exit code, stdout or stderr differ is printed, and the exit code
-is 1 if any do, 0 otherwise.
+is 1 if any do, 0 otherwise. Before the count, one line per command
+kind, ``moveseq`` and ``isocheck``, sums up its commands that differ:
+on each side the total moves, image letters, exit codes and
+``replay_ok`` values.
 """
 
 from __future__ import annotations
@@ -258,6 +261,37 @@ def export(rev: str, into: Path) -> None:
         raise SystemExit(f"git archive {rev} failed")
 
 
+def move_summary(cmds: list[list[str]], before: list[list], after: list[list]) -> list[str]:
+    """One line per command kind, moveseq and isocheck, over its argvs that
+    differ: on each side the total moves, the total image and inverse
+    image letters, and the counts of exit codes and replay_ok values."""
+    lines = []
+    for kind in ("moveseq", "isocheck"):
+        pairs = [(old, new) for argv, old, new in zip(cmds, before, after)
+                 if argv[0] == kind and old != new]
+        if not pairs:
+            continue
+        sides = []
+        for name, results in (("rev", [p[0] for p in pairs]), ("tree", [p[1] for p in pairs])):
+            moves = letters = 0
+            exits: dict[str, int] = {}
+            replay_ok: dict[str, int] = {}
+            for code, out, _ in results:
+                exits[str(code)] = exits.get(str(code), 0) + 1
+                if code not in (0, 1) or not out:
+                    continue
+                data = json.loads(out)
+                moves += len(data["moves"])
+                letters += sum(map(len, data.get("images", []) + data.get("inverse_images", [])))
+                if "replay_ok" in data:
+                    key = str(data["replay_ok"]).lower()
+                    replay_ok[key] = replay_ok.get(key, 0) + 1
+            sides.append(f"{name}: {moves} moves, {letters} image letters, "
+                         f"exits {json.dumps(exits)}, replay_ok {json.dumps(replay_ok)}")
+        lines.append(f"{kind}, {len(pairs)} differ; " + "; ".join(sides))
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare the working tree against")
@@ -274,6 +308,8 @@ def main() -> int:
             differ += 1
             fields = [name for name, a, b in zip(("exit", "stdout", "stderr"), old, new) if a != b]
             print(json.dumps({"argv": argv, "differ": fields, "rev": old, "tree": new}))
+    for line in move_summary(cmds, before, after):
+        print(line)
     print(f"{len(cmds)} commands, {differ} differ ({args.rev} against the working tree)")
     return 1 if differ else 0
 

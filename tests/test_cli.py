@@ -222,8 +222,8 @@ def test_byte_identical_outputs(capsys):
 def test_exit_codes(capsys):
     code, _ = run(capsys, "parse", "bogus")
     assert code == 1
-    code, _ = run(capsys, "moveseq", "1 2 1 1 2 1", "1 1 2 1 1 2",
-                  "--caps.word-search", "2")
+    # equal words are joined with no search, so the summit cap gives the 2
+    code, _ = run(capsys, "summit", "1 2 1 2 2 1", "--caps.summit-set", "1")
     assert code == 2
     assert main(["parse"]) == 64  # missing required argument
 

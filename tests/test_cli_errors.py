@@ -68,9 +68,16 @@ CASES = [
         ["isocheck", "1 2 1", "2 1 2", "--moves", "conjL"],
         1, "", "error: move script does not transform the first word into the second\n",
     ),
+    # equal words are joined by their normal form's path, which runs no
+    # search: the word-search cap bounds only the fallback search
     (
         ["moveseq", "1 2 1 1 2 1", "1 1 2 1 1 2", "--caps.word-search", "2"],
-        2, "", "resource cap exceeded: positive-equality search exceeded 2 words\n",
+        0,
+        '{"source": {"strands": 3, "letters": [1, 2, 1, 1, 2, 1]}, '
+        '"target": {"strands": 3, "letters": [1, 1, 2, 1, 1, 2]}, "method": "procedure-found", '
+        '"moves": [{"kind": "braid", "position": 4}, {"kind": "braid", "position": 2}], '
+        '"replay_ok": true}\n',
+        "",
     ),
     (
         ["summit", "1 2 1 2 2 1", "--caps.summit-set", "1"],

@@ -18,7 +18,8 @@ wrong inverses, a graph carrying an edge that is not its diagram's, a
 pair table naming a reversed pair or a letter outside the generators,
 or a relator whose word is not its equation's are refused at
 construction, and so are a table that is no group (a non-Latin square
-or a non-associative loop) and a normal form with a factor out of range,
+or a non-associative loop), an identity that is no element of its table,
+named before any inverse is looked for, and a normal form with a factor out of range,
 a power that is no int, one strand, or a pair not left-weighted, also
 under ``python -O``. The guards at the end keep the defect class out: no
 field of a package dataclass left out of equality may be a constructor
@@ -312,6 +313,19 @@ REPRODUCTIONS = {
     "table-not-a-tuple": ("FiniteTarget('x', 5)", "x: the table 5 is no sequence of rows"),
     "row-not-a-tuple": ("FiniteTarget('x', (1, 2))", "x: row 0 is no sequence of elements: 1"),
     "cap-not-an-int": ("GarsideCaps(summit_set='5')", "caps.summit_set: must be an int, got '5'"),
+    # the identity is checked before inverses are derived, so these name it
+    "identity-a-string": (
+        "FiniteTarget('x', ((0, 1), (1, 0)), '0')",
+        "^x: the table is not square or identity '0' is no element$",
+    ),
+    "identity-none": (
+        "FiniteTarget('x', ((0, 1), (1, 0)), None)",
+        "^x: the table is not square or identity None is no element$",
+    ),
+    "identity-out-of-range": (
+        "FiniteTarget('x', ((0, 1), (1, 0)), 5)",
+        "^x: the table is not square or identity 5 is no element$",
+    ),
 }
 NAMES = {
     "NormalForm": NormalForm, "FiniteTarget": FiniteTarget, "cycling": cycling,

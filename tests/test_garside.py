@@ -1,5 +1,6 @@
 import pytest
 
+from braidforge import garside
 from braidforge.errors import MoveError, ResourceCapError, StrandMismatchError
 from braidforge.garside import (
     GarsideCaps,
@@ -27,7 +28,7 @@ from braidforge.garside import (
     tau,
     words_equal_as_braids,
 )
-from braidforge.words import BraidWord, MoveKind, apply_move, enumerate_moves, replay
+from braidforge.words import BraidWord, MoveKind, WordMove, apply_move, enumerate_moves, replay
 
 from conftest import (
     conjugacy_word_class,
@@ -373,11 +374,23 @@ def test_move_sequence_procedure_on_nontrivial_pair():
     assert result.method == "procedure-found"
 
 
-def test_resource_caps_raise():
+def test_resource_caps_raise(monkeypatch):
+    # Equal words are joined by their normal form's path, which runs no
+    # search, so the cap does not stop them.
     caps = GarsideCaps(word_search=3)
     a = BraidWord(3, (1, 2, 1, 1, 2, 1))
     b = BraidWord(3, (1, 1, 2, 1, 1, 2))
-    with pytest.raises(ResourceCapError):
+    result = conjugacy_move_sequence_detailed(a, b, caps)
+    assert result.method == "procedure-found" and len(result.moves) == 2
+    assert replay(a, list(result.moves)) == b
+    # The cap bounds the fallback search, run when realized moves do not replay.
+    real = garside._invert_move_path
+    monkeypatch.setattr(
+        garside, "_invert_move_path",
+        lambda start, moves: real(start, moves) + [WordMove(MoveKind.BRAID_REL, 99)],
+    )
+    a, b = BraidWord(3, (1, 2, 1, 2, 2, 1)), BraidWord(3, (1, 2, 2, 2, 1, 2))
+    with pytest.raises(ResourceCapError, match="^move search exceeded the configured cap$"):
         conjugacy_move_sequence(a, b, caps)
 
 

@@ -166,12 +166,13 @@ def test_single_braid_move_is_refused_while_its_images_are_built(length):
 
 
 def test_image_budget_refuses_a_long_found_sequence_in_bounded_memory():
-    # 60 realized moves: the images grow past 14 million letters unchecked
+    # 62 realized moves: the images pass the budget, at 3,673,788 letters
+    # when they are refused
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1200 << 20, 1200 << 20))\n"
         "from braidforge.cli import main\n"
-        "sys.exit(main(['isocheck', '1 2 3 1 2 1 1 1 1 2 2', '2 3 2 1 2 1 1 1 2 2 1']))\n"
+        "sys.exit(main(['isocheck', '1 2 3 1 2 1 1 2 3 3 2', '2 1 3 2 2 1 2 2 3 3 1']))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     env.pop("BRAIDFORGE_CONFIG", None)
