@@ -111,7 +111,6 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--caps.generators", metavar="CAPS_GENERATORS")
     p.add_argument("--caps.summit-set", metavar="CAPS_SUMMIT", type=int)
-    p.add_argument("--caps.word-search", metavar="CAPS_WORD_SEARCH", type=int)
 
 
 def build_parser() -> _Parser:

@@ -86,7 +86,6 @@ SETTINGS: dict[str, tuple[type, str, Callable[[str], object]]] = {
     "format": (Config, "format", str),
     "caps.generators": (Config, "generator_caps", _parse_generator_caps),
     "caps.summit_set": (GarsideCaps, "summit_set", int),
-    "caps.word_search": (GarsideCaps, "word_search", int),
     "table_files": (Config, "table_files", _names),
 }
 

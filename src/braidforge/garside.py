@@ -39,9 +39,9 @@ Inside one permutation braid's reduced words, which braid relations and
 far commutations connect (Matsumoto 1964, Tits 1969), the crossing of
 the two strands at positions i, i+1 walks left past far letters, and an
 adjacent letter closes a triangle whose third crossing the mirror walk
-brings next to it, so one braid relation passes both. Only when the
-realized moves do not replay does a breadth-first search run, over
-letter tuples whose neighbours words.rewrite_sites lists. The
+brings next to it, so one braid relation passes both. The realized
+moves are replayed from the first word, and a replay that does not
+reach the second raises GarsideInvariantError: no search runs. The
 realization shares one decision with are_conjugate: each normal form,
 summit representative with its operation log, and the one closure are
 built once per call, and the parents of the closure that decides
@@ -67,14 +67,7 @@ from .errors import (
     StrandMismatchError,
     WordError,
 )
-from .words import (
-    BraidWord,
-    MoveKind,
-    WordMove,
-    replay,
-    rewrite_sites,
-    rewritten,
-)
+from .words import BraidWord, MoveKind, WordMove, replay
 
 Perm = tuple[int, ...]
 
@@ -370,7 +363,6 @@ class GarsideCaps:
     """Positive search limits; exceeding one raises ResourceCapError."""
 
     summit_set: int = 100_000
-    word_search: int = 1_000_000
 
     def __post_init__(self) -> None:
         for name, cap in vars(self).items():
@@ -678,35 +670,7 @@ def contains_half_twist(w: BraidWord) -> bool:
 @dataclass(frozen=True)
 class MoveSequenceResult:
     moves: tuple[WordMove, ...]
-    method: str  # "procedure-found" | "search-found"
-
-
-def _bfs_moves(
-    a: BraidWord, b: BraidWord, conjugations: bool, cap: int
-) -> list[WordMove] | None:
-    """Breadth-first search for a move path from a to b; None if capped out.
-    States are letter tuples and neighbours their words.rewrite_sites, in
-    its order; moves are built only for the path returned."""
-    if a == b:
-        return []
-    goal = b.letters
-    parents: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[MoveKind, int]] | None] = {
-        a.letters: None
-    }
-    queue = deque([a.letters])
-    while queue:
-        u = queue.popleft()
-        for kind, p in rewrite_sites(u, conjugations):
-            v = rewritten(u, kind, p)
-            if v in parents:
-                continue
-            if len(parents) >= cap:
-                return None
-            parents[v] = (u, (kind, p))
-            if v == goal:
-                return [WordMove(*site) for _, site in _walk_back(parents, goal)]
-            queue.append(v)
-    return None
+    method: str  # always "procedure-found": every answer is realized
 
 
 def _braid_move(u: list[int], moves: list[WordMove], at: int) -> None:
@@ -857,7 +821,7 @@ def _stage_and_conjugate(
 
 
 def _realize_step(
-    cur: BraidWord, nf: NormalForm, target_nf: NormalForm, conj: Perm, caps: GarsideCaps
+    cur: BraidWord, nf: NormalForm, target_nf: NormalForm, conj: Perm
 ) -> tuple[list[WordMove], BraidWord]:
     """Moves realizing cur, the canonical spelling of nf, -> word(target_nf)
     where target = conj^-1 cur conj.
@@ -879,12 +843,11 @@ def _realize_step(
 
 
 def _realize_summit_chain(
-    w: BraidWord, nf: NormalForm, rep: NormalForm, ops: list[str], caps: GarsideCaps
+    w: BraidWord, nf: NormalForm, rep: NormalForm, ops: list[str]
 ) -> tuple[list[WordMove], BraidWord]:
     """Word moves carrying w, whose normal form is nf, along the operation
     log ops to its summit representative rep (spelled canonically). Each
-    step starts and ends at a canonical spelling. No search runs, so caps
-    bounds nothing here."""
+    step starts and ends at a canonical spelling."""
     moves = [] if w == nf_word(nf) else _form_path(w)
     for op in ops:
         k, factors = nf.delta_power, nf.factors
@@ -928,9 +891,8 @@ def conjugacy_move_sequence_detailed(
     elementary conjugations), and undo the second chain. The conjugacy
     decision is the one are_conjugate makes, and its closure supplies
     the hops. Equal words are joined by the path their normal form
-    gives (_equal_words_moves). Falls back to a breadth-first search over
-    all moves, bounded by caps.word_search, when the realized moves do
-    not replay from a to b.
+    gives (_equal_words_moves). No search runs: if the realized moves do
+    not replay from a to b, GarsideInvariantError names both words.
     """
     if a.strands != b.strands:
         raise StrandMismatchError(f"strand counts differ: {a.strands} vs {b.strands}")
@@ -950,11 +912,11 @@ def conjugacy_move_sequence_detailed(
         raise MoveError(
             "conjugate words without a half twist: move realization not guaranteed"
         )
-    moves, cur = _realize_summit_chain(a, nfa, rep_a, ops_a, caps)
-    moves_b, word_b = _realize_summit_chain(b, nfb, rep_b, ops_b, caps)
+    moves, cur = _realize_summit_chain(a, nfa, rep_a, ops_a)
+    moves_b, word_b = _realize_summit_chain(b, nfb, rep_b, ops_b)
     nf = rep_a  # the normal form of cur, the canonical spelling of rep_a
     for target_nf, c in hops:
-        step_moves, cur = _realize_step(cur, nf, target_nf, c, caps)
+        step_moves, cur = _realize_step(cur, nf, target_nf, c)
         moves.extend(step_moves)
         nf = target_nf
     if cur != word_b:
@@ -962,15 +924,14 @@ def conjugacy_move_sequence_detailed(
             "summit hops did not reach the second representative"
         )
     moves.extend(_invert_move_path(b, moves_b))
+    where = f"realized moves do not carry '{a}' to '{b}'"
     try:
-        if replay(a, moves) == b:
-            return MoveSequenceResult(tuple(moves), "procedure-found")
-    except MoveError:
-        pass  # the moves do not replay: search instead
-    path = _bfs_moves(a, b, conjugations=True, cap=caps.word_search)
-    if path is None:
-        raise ResourceCapError("move search exceeded the configured cap")
-    return MoveSequenceResult(tuple(path), "search-found")
+        end = replay(a, moves)
+    except MoveError as exc:
+        raise GarsideInvariantError(f"{where}: {exc}") from None
+    if end != b:
+        raise GarsideInvariantError(f"{where}: they end at '{end}'")
+    return MoveSequenceResult(tuple(moves), "procedure-found")
 
 
 def conjugacy_move_sequence(

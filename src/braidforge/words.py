@@ -4,8 +4,9 @@ A word is a finite sequence of generator indices 1..N-1 on N strands,
 stored left to right; position 1 is the leftmost letter and the end of
 the sequence is the top of the braid. Moves are the positive braid
 relation, far commutativity, elementary conjugation at either end, and
-positive Markov (de)stabilization. All values are immutable. The sites of
-the moves that keep the strand count are defined once, in rewrite_sites.
+positive Markov (de)stabilization. All values are immutable. Where a
+braid relation or a far commutation applies is tested once, at one
+position, by _site; rewrite_sites enumerates it and move_applies asks it.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ class BraidWord:
     def __post_init__(self) -> None:
         if self.strands < 2:
             raise WordError(f"strand count must be >= 2, got {self.strands}")
-        for pos, i in enumerate(self.letters, start=1):
-            if not 1 <= i <= self.strands - 1:
-                raise WordError(
-                    f"letter {i} at position {pos} out of range 1..{self.strands - 1}"
-                )
+        top = self.strands - 1
+        # min and max read every letter at C speed: a replay builds one word per move
+        if self.letters and not 1 <= min(self.letters) <= max(self.letters) <= top:
+            pos, i = next((p, i) for p, i in enumerate(self.letters, 1) if not 1 <= i <= top)
+            raise WordError(f"letter {i} at position {pos} out of range 1..{top}")
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -116,7 +117,7 @@ def move_applies(w: BraidWord, m: WordMove) -> bool:
     """Whether the move is valid on this word at its position."""
     n, letters, p = len(w.letters), w.letters, m.position
     if m.kind in (MoveKind.BRAID_REL, MoveKind.FAR_COMM):
-        return (m.kind, p) in rewrite_sites(letters)
+        return _site(letters, m.kind, p)
     if m.kind is MoveKind.ELEM_CONJ_LEFT:
         return n >= 1 and p == 1
     if m.kind is MoveKind.ELEM_CONJ_RIGHT:
@@ -163,28 +164,31 @@ def inverse_move(w: BraidWord, m: WordMove) -> WordMove:
     return WordMove(MoveKind.MARKOV_STAB, n)
 
 
-def rewrite_sites(
-    letters: tuple[int, ...], conjugations: bool = False
-) -> Iterator[tuple[MoveKind, int]]:
+def _site(letters: tuple[int, ...], kind: MoveKind, p: int) -> bool:
+    """Whether a braid relation (letters i j i at p with |i - j| = 1) or a
+    far commutation (letters i j at p with |i - j| >= 2) applies at the
+    1-based position p; False outside the word."""
+    if kind is MoveKind.BRAID_REL:
+        return (
+            1 <= p <= len(letters) - 2
+            and letters[p - 1] == letters[p + 1]
+            and abs(letters[p - 1] - letters[p]) == 1
+        )
+    return 1 <= p <= len(letters) - 1 and abs(letters[p - 1] - letters[p]) >= 2
+
+
+def rewrite_sites(letters: tuple[int, ...]) -> Iterator[tuple[MoveKind, int]]:
     """(kind, position) of every braid relation, then every far
-    commutation, each by increasing position, then with conjugations
-    the two elementary conjugations of a nonempty word: the moves that
-    keep the strand count, in enumerate_moves order."""
-    n = len(letters)
-    for p in range(1, n - 1):
-        i = letters[p - 1]
-        if i == letters[p + 1] and abs(i - letters[p]) == 1:
-            yield MoveKind.BRAID_REL, p
-    for p in range(1, n):
-        if abs(letters[p - 1] - letters[p]) >= 2:
-            yield MoveKind.FAR_COMM, p
-    if conjugations and n:
-        yield MoveKind.ELEM_CONJ_LEFT, 1
-        yield MoveKind.ELEM_CONJ_RIGHT, n
+    commutation, each by increasing position: the moves that keep the
+    braid, in enumerate_moves order."""
+    for kind in (MoveKind.BRAID_REL, MoveKind.FAR_COMM):
+        for p in range(1, len(letters)):
+            if _site(letters, kind, p):
+                yield kind, p
 
 
 def rewritten(letters: tuple[int, ...], kind: MoveKind, p: int) -> tuple[int, ...]:
-    """The letters after a move of rewrite_sites at position p."""
+    """The letters after a move at position p that keeps the strand count."""
     if kind is MoveKind.BRAID_REL:
         i, j = letters[p - 1], letters[p]
         return letters[: p - 1] + (j, i, j) + letters[p + 2 :]
@@ -200,7 +204,9 @@ def rewritten(letters: tuple[int, ...], kind: MoveKind, p: int) -> tuple[int, ..
 def enumerate_moves(w: BraidWord) -> list[WordMove]:
     """All valid moves, ordered by kind then position."""
     n = len(w.letters)
-    moves = [WordMove(kind, p) for kind, p in rewrite_sites(w.letters, True)]
+    moves = [WordMove(kind, p) for kind, p in rewrite_sites(w.letters)]
+    if n:
+        moves += [WordMove(MoveKind.ELEM_CONJ_LEFT, 1), WordMove(MoveKind.ELEM_CONJ_RIGHT, n)]
     moves.append(WordMove(MoveKind.MARKOV_STAB, n + 1))
     destab = WordMove(MoveKind.MARKOV_DESTAB, n)
     if move_applies(w, destab):

@@ -195,6 +195,7 @@ def commands() -> list[list[str]]:
         w = BraidWord(4, delta_word(4) + random_letters(rng, 4, rng.randint(0, 6)))
         pair = [text(w.letters), text(walked(w, rng.randint(5, 10)).letters), "--strands", "4"]
         cmds.append(["moveseq" if i % 2 else "isocheck", *pair])
+    # no search runs, so no word-search cap is left to set: a usage error
     cmds.append(["moveseq", "1 2 3 1 2 1 2 2", "1 2 1 3 1 1 2 1", "--caps.word-search", "5"])
 
     # The move-invariance benchmark's sizes: verify --moves 20 on 3-4-strand

@@ -100,7 +100,7 @@ def test_moveseq_json(capsys):
     data = json.loads(out)
     validate(data, "moveseq")
     assert data["replay_ok"] is True
-    assert data["method"] in ("procedure-found", "search-found")
+    assert data["method"] == "procedure-found"
 
 
 def test_invariants_json(capsys):

@@ -27,8 +27,17 @@ CASES = [
     (["invariants", "1 y", "--targets", "NOPE"], 1, "", "error: cannot parse letter 'y'\n"),
     (["summit", "1 2 1", "--caps.summit-set", "0"], 1, "", "error: caps.summit_set: must be positive, got 0\n"),
     (
+        ["summit", "1 2 1", "--caps.summit-set", "x"],
+        64, "", "usage error: argument --caps.summit-set: invalid int value: 'x'\n",
+    ),
+    # no search runs, so there is no word-search cap to set
+    (
         ["summit", "1 2 1", "--caps.word-search", "x"],
-        64, "", "usage error: argument --caps.word-search: invalid int value: 'x'\n",
+        64, "", "usage error: unrecognized arguments: --caps.word-search x\n",
+    ),
+    (
+        ["moveseq", "1 2 1 1 2 1", "1 1 2 1 1 2", "--caps.word-search", "2"],
+        64, "", "usage error: unrecognized arguments: --caps.word-search 2\n",
     ),
     # convergence is bounded by ||Delta||, so there is no cycling cap to set
     (
@@ -68,10 +77,10 @@ CASES = [
         ["isocheck", "1 2 1", "2 1 2", "--moves", "conjL"],
         1, "", "error: move script does not transform the first word into the second\n",
     ),
-    # equal words are joined by their normal form's path, which runs no
-    # search: the word-search cap bounds only the fallback search
+    # equal words are joined by their normal form's path, which builds no
+    # summit set, so the summit-set cap does not stop them
     (
-        ["moveseq", "1 2 1 1 2 1", "1 1 2 1 1 2", "--caps.word-search", "2"],
+        ["moveseq", "1 2 1 1 2 1", "1 1 2 1 1 2", "--caps.summit-set", "1"],
         0,
         '{"source": {"strands": 3, "letters": [1, 2, 1, 1, 2, 1]}, '
         '"target": {"strands": 3, "letters": [1, 1, 2, 1, 1, 2]}, "method": "procedure-found", '

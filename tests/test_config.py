@@ -21,10 +21,12 @@ def test_validation():
         Config(generator_caps={"S3": 0})
     with pytest.raises(ValueError):
         Config(garside_caps=GarsideCaps(summit_set=-1))
-    for word_search in (0, -3, None):
+    for summit_set in (0, -3, None):
         with pytest.raises(ValueError):
-            Config(garside_caps=GarsideCaps(word_search=word_search))
-    assert Config(garside_caps=GarsideCaps(word_search=1)).garside_caps.word_search == 1
+            Config(garside_caps=GarsideCaps(summit_set=summit_set))
+    assert Config(garside_caps=GarsideCaps(summit_set=1)).garside_caps.summit_set == 1
+    with pytest.raises(TypeError):  # no search runs, so no cap bounds one
+        GarsideCaps(word_search=1)
 
 
 def test_unknown_target_rejected():
@@ -41,7 +43,6 @@ def test_overrides_parsing(tmp_path):
         "targets=S3,Q8\n"
         "caps.generators=S3=9, *=5\n"
         "caps.summit_set=123\n"
-        "caps.word_search=99\n"
     )
     cfg = apply_overrides(Config(), load_config_file(str(path)))
     assert cfg.sign_convention == "right-positive"
@@ -50,7 +51,13 @@ def test_overrides_parsing(tmp_path):
     assert cfg.generator_caps["*"] == 5
     assert cfg.generator_caps["S4"] == 10  # untouched default
     assert cfg.garside_caps.summit_set == 123
-    assert cfg.garside_caps.word_search == 99
+
+
+def test_word_search_key_is_unknown(tmp_path):
+    path = tmp_path / "cfg"
+    path.write_text("caps.word_search=99\n")
+    with pytest.raises(ValueError, match=r", line 1: unknown config key 'caps\.word_search'$"):
+        load_config_file(str(path))
 
 
 def test_resolve_builtins():

@@ -1,7 +1,12 @@
 import pytest
 
 from braidforge import garside
-from braidforge.errors import MoveError, ResourceCapError, StrandMismatchError
+from braidforge.errors import (
+    GarsideInvariantError,
+    MoveError,
+    ResourceCapError,
+    StrandMismatchError,
+)
 from braidforge.garside import (
     GarsideCaps,
     NormalForm,
@@ -375,23 +380,26 @@ def test_move_sequence_procedure_on_nontrivial_pair():
 
 
 def test_resource_caps_raise(monkeypatch):
-    # Equal words are joined by their normal form's path, which runs no
-    # search, so the cap does not stop them.
-    caps = GarsideCaps(word_search=3)
+    # Equal words are joined by their normal form's path, which builds no
+    # summit set, so the cap does not stop them.
+    caps = GarsideCaps(summit_set=1)
     a = BraidWord(3, (1, 2, 1, 1, 2, 1))
     b = BraidWord(3, (1, 1, 2, 1, 1, 2))
     result = conjugacy_move_sequence_detailed(a, b, caps)
     assert result.method == "procedure-found" and len(result.moves) == 2
     assert replay(a, list(result.moves)) == b
-    # The cap bounds the fallback search, run when realized moves do not replay.
+    # The cap bounds the closure that decides and realizes a conjugacy.
+    a, b = BraidWord(3, (1, 2, 1, 2, 2, 1)), BraidWord(3, (1, 2, 2, 2, 1, 2))
+    with pytest.raises(ResourceCapError, match="^summit set exceeded the cap 1$"):
+        conjugacy_move_sequence(a, b, caps)
+    # Realized moves that do not replay are a broken invariant, not a cap.
     real = garside._invert_move_path
     monkeypatch.setattr(
         garside, "_invert_move_path",
         lambda start, moves: real(start, moves) + [WordMove(MoveKind.BRAID_REL, 99)],
     )
-    a, b = BraidWord(3, (1, 2, 1, 2, 2, 1)), BraidWord(3, (1, 2, 2, 2, 1, 2))
-    with pytest.raises(ResourceCapError, match="^move search exceeded the configured cap$"):
-        conjugacy_move_sequence(a, b, caps)
+    with pytest.raises(GarsideInvariantError, match="^realized moves do not carry "):
+        conjugacy_move_sequence(a, b)
 
 
 def test_normal_form_invariance_under_moves(rng):

@@ -140,16 +140,15 @@ def test_unparsable_config_value_names_key_and_file(tmp_path, monkeypatch, capsy
 def test_apply_overrides_names_key_and_source():
     with pytest.raises(ValueError, match=r"^caps\.summit_set: "):
         apply_overrides(Config(), {"caps.summit_set": "often"})
-    with pytest.raises(ValueError, match=r"^my\.conf, caps\.word_search: "):
-        apply_overrides(Config(), {"caps.word_search": ""}, "my.conf")
+    with pytest.raises(ValueError, match=r"^my\.conf, caps\.summit_set: "):
+        apply_overrides(Config(), {"caps.summit_set": ""}, "my.conf")
 
 
 @pytest.mark.parametrize(
     "flag, value, message",
     [
         ("--caps.summit-set", "0", "caps.summit_set: must be positive, got 0"),
-        ("--caps.word-search", "-3", "caps.word_search: must be positive, got -3"),
-        ("--caps.word-search", "0", "caps.word_search: must be positive, got 0"),
+        ("--caps.summit-set", "-3", "caps.summit_set: must be positive, got -3"),
         ("--caps.generators", "S3=0", "caps.generators: S3 must be positive, got 0"),
         ("--caps.generators", "S4=5,*=-1", "caps.generators: * must be positive, got -1"),
     ],
@@ -162,11 +161,21 @@ def test_cap_that_is_not_positive_names_its_key(capsys, monkeypatch, flag, value
 
 def test_config_cap_that_is_not_positive_names_key_and_file(tmp_path, monkeypatch, capsys):
     path = tmp_path / "braidforge.conf"
-    path.write_text("targets=S3\ncaps.word_search=0\n")
+    path.write_text("targets=S3\ncaps.summit_set=0\n")
     monkeypatch.setenv("BRAIDFORGE_CONFIG", str(path))
     code, out, err = run(capsys, "summit", "1 2 1 2 2 1")
     assert (code, out) == (1, "")
-    assert err == f"error: {path}, caps.word_search: must be positive, got 0\n"
+    assert err == f"error: {path}, caps.summit_set: must be positive, got 0\n"
+
+
+def test_config_word_search_key_is_unknown(tmp_path, monkeypatch, capsys):
+    # no search runs, so there is no word-search cap to set
+    path = tmp_path / "braidforge.conf"
+    path.write_text("targets=S3\ncaps.word_search=5\n")
+    monkeypatch.setenv("BRAIDFORGE_CONFIG", str(path))
+    code, out, err = run(capsys, "summit", "1 2 1 2 2 1")
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}, line 2: unknown config key 'caps.word_search'\n"
 
 
 def test_apply_overrides_names_cap_and_source():

@@ -73,16 +73,23 @@ HOP_A = BraidWord(3, (1, 2, 1, 2, 2, 1))
 HOP_B = BraidWord(3, (1, 2, 2, 2, 1, 2))
 
 
-def test_moves_that_do_not_replay_fall_back_to_search(monkeypatch):
+def test_moves_that_do_not_replay_raise(monkeypatch):
     real = garside._invert_move_path
-
-    def broken(start, moves):
-        return real(start, moves) + [WordMove(MoveKind.BRAID_REL, 99)]
-
-    monkeypatch.setattr(garside, "_invert_move_path", broken)
-    result = conjugacy_move_sequence_detailed(HOP_A, HOP_B)
-    assert result.method == "search-found"
-    assert replay(HOP_A, list(result.moves)) == HOP_B
+    message = "^realized moves do not carry '1 2 1 2 2 1' to '1 2 2 2 1 2': "
+    # a move that does not apply where it stands
+    monkeypatch.setattr(
+        garside, "_invert_move_path",
+        lambda start, moves: real(start, moves) + [WordMove(MoveKind.BRAID_REL, 99)],
+    )
+    with pytest.raises(GarsideInvariantError, match=message + "braid does not apply"):
+        conjugacy_move_sequence_detailed(HOP_A, HOP_B)
+    # moves that apply but end at another word
+    monkeypatch.setattr(
+        garside, "_invert_move_path",
+        lambda start, moves: real(start, moves) + [WordMove(MoveKind.ELEM_CONJ_LEFT, 1)],
+    )
+    with pytest.raises(GarsideInvariantError, match=message + "they end at '2 2 2 1 2 1'$"):
+        conjugacy_move_sequence_detailed(HOP_A, HOP_B)
 
 
 def test_guard_realized_chain_reaches_representative():
@@ -90,7 +97,7 @@ def test_guard_realized_chain_reaches_representative():
     rep, ops = garside._summit_representative(nf)
     wrong = NormalForm(rep.strands, rep.delta_power + 1, rep.factors)
     with pytest.raises(GarsideInvariantError, match="summit representative"):
-        garside._realize_summit_chain(HOP_A, nf, wrong, ops, garside.DEFAULT_CAPS)
+        garside._realize_summit_chain(HOP_A, nf, wrong, ops)
 
 
 def test_one_closure_and_two_representatives_per_realization(monkeypatch):
@@ -110,7 +117,7 @@ def test_one_closure_and_two_representatives_per_realization(monkeypatch):
 
 
 def test_guard_hops_reach_second_representative(monkeypatch):
-    monkeypatch.setattr(garside, "_realize_step", lambda cur, nf, target, c, caps: ([], cur))
+    monkeypatch.setattr(garside, "_realize_step", lambda cur, nf, target, c: ([], cur))
     with pytest.raises(GarsideInvariantError, match="second representative"):
         conjugacy_move_sequence_detailed(HOP_A, HOP_B)
 

@@ -74,7 +74,6 @@ def test_every_key_has_a_flag_and_a_field():
         "format": "plain",
         "caps.generators": "S3=9",
         "caps.summit_set": "5",
-        "caps.word_search": "7",
         "table_files": "a.txt,b.txt",
     }
     assert set(values) == set(config.SETTINGS)
@@ -83,8 +82,7 @@ def test_every_key_has_a_flag_and_a_field():
         "right-positive", ("S3", "Q8"), "plain",
     )
     assert cfg.generator_caps["S3"] == 9
-    gc = cfg.garside_caps
-    assert (gc.summit_set, gc.word_search) == (5, 7)
+    assert cfg.garside_caps.summit_set == 5
     assert cfg.table_files == ("a.txt", "b.txt")
 
 

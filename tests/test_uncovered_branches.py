@@ -1,8 +1,8 @@
 """Branches that the rest of the suite never runs.
 
-Conjugacy decided by membership in the super summit closure, the
-fallback search of moveseq under its cap, and a check_map report that fails
-on hom counts, serialized. Convergence to the super summit set has no
+Conjugacy decided by membership in the super summit closure, moveseq
+refusing realized moves that do not replay, and a check_map report that
+fails on hom counts, serialized. Convergence to the super summit set has no
 cap to exceed: each phase stops within ||Delta|| steps.
 """
 
@@ -29,42 +29,27 @@ def test_same_summit_shape_not_conjugate():
     assert not are_conjugate(b, a)
 
 
-def broken_inversion(monkeypatch):
-    """Realized moves that no longer replay, as tests/test_realization.py
-    breaks them, so that moveseq falls back to its search."""
+def test_moveseq_reports_moves_that_do_not_replay(capsys, monkeypatch):
+    # tests/test_realization.py::test_moves_that_do_not_replay_raise pins the library's error
+    monkeypatch.delenv("BRAIDFORGE_CONFIG", raising=False)
+    argv = ["moveseq", "1 2 2 2 2 2 2 2", "2 2 2 2 2 2 2 1"]
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["method"] == "procedure-found" and len(out["moves"]) == 19
+    assert out["replay_ok"] is True
+    # realized moves that no longer replay are an error, not an answer
     real = garside._invert_move_path
     monkeypatch.setattr(
         garside, "_invert_move_path",
         lambda start, moves: real(start, moves) + [WordMove(MoveKind.BRAID_REL, 99)],
     )
-
-
-def test_moveseq_falls_back_to_search_under_word_search_cap(capsys, monkeypatch):
-    monkeypatch.delenv("BRAIDFORGE_CONFIG", raising=False)
-    argv = ["moveseq", "1 2 2 2 2 2 2 2", "2 2 2 2 2 2 2 1", "--caps.word-search", "3"]
-    # the procedure runs no search, so the cap does not stop it
-    assert main(argv) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["method"] == "procedure-found" and len(out["moves"]) == 19
-    assert out["replay_ok"] is True
-    # the search under the cap finds the one conjugation
-    broken_inversion(monkeypatch)
-    assert main(argv) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["method"] == "search-found"
-    assert out["moves"] == [{"kind": "conjL", "position": 1}]
-    assert out["replay_ok"] is True
-
-
-def test_word_search_cap_stops_the_fallback_search(capsys, monkeypatch):
-    # tests/test_garside.py::test_resource_caps_raise pins the library's error
-    monkeypatch.delenv("BRAIDFORGE_CONFIG", raising=False)
-    broken_inversion(monkeypatch)
-    assert main(["moveseq", "1 2 1 2 2 1", "1 2 2 2 1 2", "--caps.word-search", "3"]) == 2
+    assert main(argv) == 1
     captured = capsys.readouterr()
-    assert (captured.out, captured.err) == (
-        "", "resource cap exceeded: move search exceeded the configured cap\n"
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: realized moves do not carry '1 2 2 2 2 2 2 2' to '2 2 2 2 2 2 2 1': "
     )
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
 
 def test_check_map_reports_differing_hom_counts():
