@@ -3,13 +3,15 @@
 ``main`` parses the arguments, builds the configuration (the config
 file's settings, then every flag given a non-empty value, each stored
 under its ``config.SETTINGS`` key), reads the command's word or words
-once and passes them to the command. Exit codes: 0 success, 1 domain
-error, 2 resource cap exceeded, 64 usage.
+once and passes them to the command, read by that command's own parser;
+``invariants`` builds a linking graph only for a hom search. Exit codes:
+0 success, 1 domain error, 2 resource cap exceeded, 64 usage.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import random
@@ -26,7 +28,8 @@ from .garside import (
     normal_form,
     summit,
 )
-from .invariants import abelianization, hom_count, hom_count_up_to_conjugacy
+from .invariants import abelianization, diagram_abelianization, within_generator_cap
+from .invariants import hom_count, hom_count_up_to_conjugacy
 from .isomaps import check_map, maps_along_moves
 from .linking import build_graph
 from .presentations import presentation_of, serialize
@@ -113,12 +116,13 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--caps.summit-set", metavar="CAPS_SUMMIT", type=int)
 
 
-def build_parser() -> _Parser:
+def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="braidforge")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, _Parser] = {}
 
     def add(name: str, nwords: int, **kwargs) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, **kwargs)
+        p = commands[name] = sub.add_parser(name, **kwargs)
         for i in range(nwords):
             p.add_argument(f"word{i + 1}" if nwords > 1 else "word")
         _common_flags(p)
@@ -141,7 +145,7 @@ def build_parser() -> _Parser:
     p.add_argument("--what", choices=["bricks", "graph", "both"], default="both")
     p.add_argument("--svg", action="store_true")
     p.add_argument("--dot", action="store_true")
-    return parser
+    return parser, commands
 
 
 def _config_from_args(args: argparse.Namespace) -> Config:
@@ -255,34 +259,33 @@ def _cmd_moveseq(args, cfg: Config, a: BraidWord, b: BraidWord) -> int:
     return 0
 
 
-def _hom_counts(p, targets, caps: dict[str, int], count) -> dict[str, int | None]:
-    """count(p, t, caps).count per target name; None where a cap stops it."""
-    out: dict[str, int | None] = {}
+def _hom_counts(p, targets, caps: dict[str, int], count) -> dict[str, int]:
+    """count(p, t, caps).count per target name that no cap stops."""
+    out: dict[str, int] = {}
     for t in targets:
-        try:
+        with contextlib.suppress(ResourceCapError):
             out[t.name] = count(p, t, caps).count
-        except ResourceCapError:
-            out[t.name] = None
     return out
 
 
 def _cmd_invariants(args, cfg: Config, w: BraidWord) -> int:
-    p = presentation_of(build_graph(build_bricks(w), cfg.sign_convention))
-    ab = abelianization(p)
-    targets = cfg.resolve_targets()
-    counts = _hom_counts(p, targets, cfg.generator_caps, hom_count)
+    d = build_bricks(w)
+    targets, caps = cfg.resolve_targets(), cfg.generator_caps
+    # only a hom search reads the graph: built once, if a cap admits the bricks
+    admitted = [t for t in targets if within_generator_cap(t, d.n_bricks, caps)]
+    p = presentation_of(build_graph(d, cfg.sign_convention)) if admitted else None
+    counts = _hom_counts(p, admitted, caps, hom_count)
+    ab = diagram_abelianization(d)
     payload = {
         "word": _word_json(w),
         "abelianization": list(ab.invariant_factors),
         "rank": ab.rank,
-        "hom_counts": {name: c for name, c in counts.items() if c is not None},
-        "skipped_targets": [t.name for t in targets if counts[t.name] is None],
+        "hom_counts": counts,
+        "skipped_targets": [t.name for t in targets if t.name not in counts],
     }
     if args.up_to_conjugacy:
-        conj = _hom_counts(p, targets, cfg.generator_caps, hom_count_up_to_conjugacy)
-        payload["hom_counts_up_to_conjugacy"] = {
-            name: c for name, c in conj.items() if c is not None
-        }
+        conj = _hom_counts(p, admitted, caps, hom_count_up_to_conjugacy)
+        payload["hom_counts_up_to_conjugacy"] = conj
     _emit(json.dumps(payload))
     return 0
 
@@ -346,8 +349,8 @@ def _cmd_verify(args, cfg: Config, w: BraidWord) -> int:
         if ab != base_ab:
             found.append(("abelianization", f"{base_ab} became {ab}"))
         for name, count in counts.items():
-            base = base_counts[name]
-            if count is not None and base is not None and count != base:
+            base = base_counts.get(name)
+            if base is not None and count != base:
                 found.append((f"hom_count:{name}", f"{base} became {count}"))
         if m.kind in _NEUTRAL and (
             graph.combinatorial_signature() != nxt_graph.combinatorial_signature()
@@ -402,15 +405,21 @@ _COMMANDS = {
 }
 
 
-@functools.cache
+_parsers = functools.cache(build_parser)  # one set per process, built on first use
+
+
 def _parser() -> _Parser:
-    """One parser per process, built on first use."""
-    return build_parser()
+    return _parsers()[0]
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        parser, commands = _parsers()
+        argv = sys.argv[1:] if argv is None else argv
+        if argv and argv[0] in commands:
+            args = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+        else:  # help, and missing or unknown commands
+            args = parser.parse_args(argv)
         cfg = _config_from_args(args)
         texts = [args.word] if "word" in args else [args.word1, args.word2]
         words = [parse_word(text, args.strands) for text in texts]

@@ -118,6 +118,8 @@ def apply_overrides(cfg: Config, values: dict[str, str], source: str = "") -> Co
     """cfg with every SETTINGS key in values parsed into its field; a value
     that does not parse, or a cap that is not positive, raises ValueError
     naming its key and the file it came from, source, if given."""
+    if not values:
+        return cfg
     updates: dict[type, dict] = {Config: {}, GarsideCaps: {}}
     try:
         for key, (owner, name, parse) in SETTINGS.items():

@@ -103,9 +103,9 @@ def _check_group(name: str, table: tuple[tuple[int, ...], ...], e: int) -> None:
 def symmetric_group(m: int) -> FiniteTarget:
     elems = sorted(permutations(range(m)))  # identity is lex-first
     index = {e: i for i, e in enumerate(elems)}
-    table = [
-        [index[tuple(b[a[i]] for i in range(m))] for b in elems] for a in elems
-    ]
+    # row a: each b composed after a, one C-level getter per row (below S2, b)
+    compose = itemgetter if m > 1 else lambda *a: tuple
+    table = [list(map(index.__getitem__, map(compose(*a), elems))) for a in elems]
     return FiniteTarget(f"S{m}", table)
 
 

@@ -13,9 +13,10 @@ abelianization Z^c (c components, every other invariant factor 1), and a
 vector's image in Z^c is its sum on each component
 (ColumnLattice.project), zero iff the vector lies in the column lattice
 (vectors are sparse: generator -> coefficient). The lattice is built
-once per presentation and kept on it. A hand-built presentation with any
-other column shape has no such reading and raises PresentationError on
-every call.
+once per presentation and kept on it. A graph's components are its
+maximal runs of joined adjacent columns, read off the brick diagram by
+diagram_abelianization. A hand-built presentation with any other column
+shape has no such reading and raises PresentationError on every call.
 
 Homomorphisms into small finite groups are found by one orbit search per
 presentation content and target: pruned backtracking over the
@@ -59,11 +60,12 @@ them.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
-from .bricks import CACHE_SIZE
+from .bricks import CACHE_SIZE, BrickDiagram
 from .errors import PresentationError, ResourceCapError
 from .finite_groups import FiniteTarget
 from .linking import components
@@ -159,6 +161,18 @@ def abelianization(p: Presentation) -> Abelianization:
     return Abelianization((1,) * (k - c) + (0,) * c)
 
 
+def diagram_abelianization(d: BrickDiagram) -> Abelianization:
+    """abelianization(presentation_of(build_graph(d))) with no graph: c counts
+    the columns with bricks less the adjacent pairs linked laterally, those in
+    which the column x to occur first recurs inside the other's first and last."""
+    occ, c = d.occurrences, len(d.column_ids)
+    for column in d.column_ids:
+        x, y = sorted((occ[column], occ.get(column + 1, ())))
+        i = bisect_right(x, y[0])
+        c -= i < len(x) and x[i] < y[-1]
+    return Abelianization((1,) * (d.n_bricks - c) + (0,) * c)
+
+
 def evaluate_word(t: FiniteTarget, images: Sequence[int], word: GroupWord) -> int:
     """Image of a group word; images[g - 1] is the image of generator g."""
     acc = t.identity
@@ -218,6 +232,11 @@ def _target_tables(t: FiniteTarget) -> _Tables:
 def generator_cap(t: FiniteTarget, caps: dict[str, int] | None = None) -> int:
     caps = caps or DEFAULT_GENERATOR_CAPS
     return caps.get(t.name, caps.get("*", DEFAULT_GENERATOR_CAPS["*"]))
+
+
+def within_generator_cap(t: FiniteTarget, k: int, caps: dict[str, int] | None = None) -> bool:
+    """Whether t's generator cap admits k generators: every hom search's first test."""
+    return k <= generator_cap(t, caps)
 
 
 class _Orbits(NamedTuple):
@@ -374,8 +393,8 @@ def _orbits(p: Presentation, t: FiniteTarget, caps: dict[str, int] | None) -> _O
     raises whatever is cached; a kept result that tried more values than
     HOM_SEARCH_VALUES allows raises as a fresh search would."""
     k = p.n_generators
-    cap = generator_cap(t, caps)
-    if k > cap:
+    if not within_generator_cap(t, k, caps):
+        cap = generator_cap(t, caps)
         raise ResourceCapError(f"{k} generators exceed the cap {cap} for target {t.name}")
     memo = _memo(p)
     found = memo.get(t)

@@ -6,7 +6,7 @@ the sequence is the top of the braid. Moves are the positive braid
 relation, far commutativity, elementary conjugation at either end, and
 positive Markov (de)stabilization. All values are immutable. Where a
 braid relation or a far commutation applies is tested once, at one
-position, by _site; rewrite_sites enumerates it and move_applies asks it.
+position, by _site; rewrite_sites enumerates it, move_applies and replay ask it.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class BraidWord:
         if self.strands < 2:
             raise WordError(f"strand count must be >= 2, got {self.strands}")
         top = self.strands - 1
-        # min and max read every letter at C speed: a replay builds one word per move
+        # min and max read every letter at C speed
         if self.letters and not 1 <= min(self.letters) <= max(self.letters) <= top:
             pos, i = next((p, i) for p, i in enumerate(self.letters, 1) if not 1 <= i <= top)
             raise WordError(f"letter {i} at position {pos} out of range 1..{top}")
@@ -81,7 +81,8 @@ class WordMove:
     position: int = 1
 
 
-_TOKEN = re.compile(r"^(?:s|σ)?(\d+)$")
+_WORD = re.compile(r"(?:[\s,]*(?:s|σ)?\d+(?=[\s,]|\Z))*[\s,]*")
+_INDEX = re.compile(r"\d+")
 
 
 def parse_word(text: str, strands: int | None = None) -> BraidWord:
@@ -89,23 +90,21 @@ def parse_word(text: str, strands: int | None = None) -> BraidWord:
 
     The strand count is max index + 1 unless given explicitly; an explicit
     count may exceed that (split links are allowed). Empty input requires
-    an explicit count.
+    an explicit count. One match reads the tokens, an optional s or σ and
+    digits each; only a text it refuses is read token by token.
     """
-    tokens = [t for t in re.split(r"[\s,]+", text.strip()) if t]
-    letters = []
-    for tok in tokens:
-        m = _TOKEN.match(tok)
-        if m is None:
-            raise WordError(f"cannot parse letter {tok!r}")
-        i = int(m.group(1))
-        if i <= 0:
-            raise WordError(f"generator index must be positive, got {i}")
-        letters.append(i)
+    letters = tuple(map(int, _INDEX.findall(text))) if _WORD.fullmatch(text) else None
+    if letters is None or 0 in letters:
+        for tok in filter(None, re.split(r"[\s,]+", text)):
+            if not _WORD.fullmatch(tok):
+                raise WordError(f"cannot parse letter {tok!r}")
+            if not int(_INDEX.search(tok)[0]):
+                raise WordError("generator index must be positive, got 0")
     if strands is None:
         if not letters:
             raise WordError("empty word needs an explicit strand count")
         strands = max(letters) + 1
-    return BraidWord(strands, tuple(letters))
+    return BraidWord(strands, letters)
 
 
 def serialize_word(w: BraidWord) -> str:
@@ -164,7 +163,7 @@ def inverse_move(w: BraidWord, m: WordMove) -> WordMove:
     return WordMove(MoveKind.MARKOV_STAB, n)
 
 
-def _site(letters: tuple[int, ...], kind: MoveKind, p: int) -> bool:
+def _site(letters: tuple[int, ...] | list[int], kind: MoveKind, p: int) -> bool:
     """Whether a braid relation (letters i j i at p with |i - j| = 1) or a
     far commutation (letters i j at p with |i - j| >= 2) applies at the
     1-based position p; False outside the word."""
@@ -215,7 +214,18 @@ def enumerate_moves(w: BraidWord) -> list[WordMove]:
 
 
 def replay(w: BraidWord, moves: list[WordMove] | tuple[WordMove, ...]) -> BraidWord:
-    """Apply a move sequence in order."""
+    """apply_move over the moves in order. Braid relations and far commutations
+    are tested by _site and applied in place on one letter list, in O(1)."""
+    letters = list(w.letters)
     for m in moves:
-        w = apply_move(w, m)
-    return w
+        kind, p = m.kind, m.position
+        if kind is not MoveKind.BRAID_REL and kind is not MoveKind.FAR_COMM:
+            w = apply_move(BraidWord(w.strands, tuple(letters)), m)
+            letters = list(w.letters)
+        elif not _site(letters, kind, p):
+            raise MoveError(f"{kind.value} does not apply at position {p}")
+        elif kind is MoveKind.BRAID_REL:
+            letters[p - 1 : p + 2] = letters[p], letters[p - 1], letters[p]
+        else:
+            letters[p - 1], letters[p] = letters[p], letters[p - 1]
+    return BraidWord(w.strands, tuple(letters))

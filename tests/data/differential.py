@@ -26,7 +26,11 @@ words without bricks among them; and last ``invariants --tables`` over
 table files written to one temporary directory that both trees read: a
 relabelled S3, D4 (shadowing the built-in), and a table with an element
 without an inverse; and last ``halftwist`` on 7-8-strand words of 20-60
-letters, every other one a rotation of a half twist and a tail; 1,689
+letters, every other one a rotation of a half twist and a tail; and
+last ``invariants`` on words of 9, 10, 11, 14, 15 and 16 bricks, on both
+sides of the default S3 and S4 caps, each brick count in every
+combination of with or without ``--up-to-conjugacy``, either sign
+convention, and no cap lifted, S4 lifted to 12 or S3 to 16; 1,761
 commands in all. Each tree runs the whole
 corpus in one child interpreter, in-process through
 ``braidforge.cli.main``, under its own address-space limit. Every argv
@@ -240,6 +244,20 @@ def corpus(seed: int, tables: Path) -> list[list[str]]:
         cut = rng.randint(0, len(letters))
         letters = letters[cut:] + letters[:cut]
         cmds.append(["halftwist", text(letters), "--strands", str(n)])
+    # brick counts on both sides of the S3 and S4 caps (14 and 10), with and
+    # without --up-to-conjugacy, in both sign conventions, and with one cap
+    # lifted: the counts that build no linking graph next to those that do
+    lifts = [[], ["--caps.generators", "S4=12"], ["--caps.generators", "S3=16"]]
+    for k in (9, 10, 11, 14, 15, 16):
+        for i in range(12):  # every combination of the three choices
+            n = rng.randint(2, 6)
+            letters, seen = [], set()
+            while len(letters) - len(seen) < k:
+                letters.append(rng.randint(1, n - 1))
+                seen.add(letters[-1])
+            extra = ["--up-to-conjugacy"] if i % 2 else []
+            cmds.append(["invariants", text(letters), "--strands", str(n), *extra,
+                         *conventions[i // 2 % 2], *lifts[i // 4]])
     return cmds
 
 

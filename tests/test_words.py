@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -173,3 +174,40 @@ def test_replay():
     w = BraidWord(3, (1, 2, 1))
     moves = [WordMove(MoveKind.BRAID_REL, 1), WordMove(MoveKind.ELEM_CONJ_RIGHT, 3)]
     assert replay(w, moves).letters == (2, 2, 1)
+
+
+def fold_apply_move(w: BraidWord, moves) -> BraidWord:
+    for m in moves:
+        w = apply_move(w, m)
+    return w
+
+
+def outcome(fn, w, moves):
+    try:
+        return fn(w, moves)
+    except MoveError as exc:
+        return f"MoveError: {exc}"
+
+
+def test_replay_equals_apply_move_folded():
+    # walks of every move kind, every fourth move drawn at random so that
+    # some do not apply: the same word, or the same MoveError text
+    rng = random.Random(20261020)
+    kinds, failures = set(), 0
+    for _ in range(400):
+        w = random_word(rng, max_strands=6, max_len=14)
+        moves, v = [], w
+        for _ in range(rng.randint(0, 30)):
+            if rng.random() < 0.25:
+                m = WordMove(rng.choice(list(MoveKind)), rng.randint(0, len(v.letters) + 2))
+            else:
+                m = rng.choice(enumerate_moves(v))
+            moves.append(m)
+            kinds.add(m.kind)
+            if not move_applies(v, m):
+                break
+            v = apply_move(v, m)
+        want = outcome(fold_apply_move, w, moves)
+        failures += isinstance(want, str)
+        assert outcome(replay, w, moves) == want, (w, moves)
+    assert kinds == set(MoveKind) and failures >= 50
