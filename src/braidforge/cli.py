@@ -4,8 +4,9 @@
 file's settings, then every flag given a non-empty value, each stored
 under its ``config.SETTINGS`` key), reads the command's word or words
 once and passes them to the command, read by that command's own parser;
-``invariants`` builds a linking graph only for a hom search. Exit codes:
-0 success, 1 domain error, 2 resource cap exceeded, 64 usage.
+``invariants`` and ``verify`` build a linking graph only for a hom search
+or a neutral move. Exit codes: 0 success, 1 domain error, 2 resource cap
+exceeded, 64 usage.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .garside import (
     normal_form,
     summit,
 )
-from .invariants import abelianization, diagram_abelianization, within_generator_cap
+from .invariants import diagram_abelianization, within_generator_cap
 from .invariants import hom_count, hom_count_up_to_conjugacy
 from .isomaps import check_map, maps_along_moves
 from .linking import build_graph
@@ -75,7 +76,7 @@ def _parse_move_script(text: str) -> list[tuple[MoveKind, int | None]]:
 
 def _resolve_moves(
     w: BraidWord, script: list[tuple[MoveKind, int | None]]
-) -> list[WordMove]:
+) -> tuple[list[WordMove], BraidWord]:
     out = []
     cur = w
     for kind, pos in script:
@@ -91,7 +92,7 @@ def _resolve_moves(
         m = WordMove(kind, pos)
         out.append(m)
         cur = apply_move(cur, m)
-    return out
+    return out, cur
 
 
 def _move_json(m: WordMove) -> dict:
@@ -259,46 +260,50 @@ def _cmd_moveseq(args, cfg: Config, a: BraidWord, b: BraidWord) -> int:
     return 0
 
 
-def _hom_counts(p, targets, caps: dict[str, int], count) -> dict[str, int]:
-    """count(p, t, caps).count per target name that no cap stops."""
-    out: dict[str, int] = {}
-    for t in targets:
-        with contextlib.suppress(ResourceCapError):
-            out[t.name] = count(p, t, caps).count
-    return out
+def _invariants_of(w: BraidWord, cfg: Config, targets, *counts):
+    """The word's abelianization, read off its brick diagram, and per count
+    function (hom_count, ...) count(p, t, caps).count per target name that
+    no cap stops. Only a hom search reads the graph: it and its presentation
+    p are built once, if some target's cap admits the bricks."""
+    d = build_bricks(w)
+    caps = cfg.generator_caps
+    admitted = [t for t in targets if within_generator_cap(t, d.n_bricks, caps)]
+    p = presentation_of(build_graph(d, cfg.sign_convention)) if admitted else None
+    found: list[dict[str, int]] = [{} for _ in counts]
+    for count, out in zip(counts, found):
+        for t in admitted:
+            with contextlib.suppress(ResourceCapError):
+                out[t.name] = count(p, t, caps).count
+    return diagram_abelianization(d), found
 
 
 def _cmd_invariants(args, cfg: Config, w: BraidWord) -> int:
-    d = build_bricks(w)
-    targets, caps = cfg.resolve_targets(), cfg.generator_caps
-    # only a hom search reads the graph: built once, if a cap admits the bricks
-    admitted = [t for t in targets if within_generator_cap(t, d.n_bricks, caps)]
-    p = presentation_of(build_graph(d, cfg.sign_convention)) if admitted else None
-    counts = _hom_counts(p, admitted, caps, hom_count)
-    ab = diagram_abelianization(d)
+    targets = cfg.resolve_targets()
+    counts = (hom_count, hom_count_up_to_conjugacy) if args.up_to_conjugacy else (hom_count,)
+    ab, (homs, *conj) = _invariants_of(w, cfg, targets, *counts)
     payload = {
         "word": _word_json(w),
         "abelianization": list(ab.invariant_factors),
         "rank": ab.rank,
-        "hom_counts": counts,
-        "skipped_targets": [t.name for t in targets if t.name not in counts],
+        "hom_counts": homs,
+        "skipped_targets": [t.name for t in targets if t.name not in homs],
     }
-    if args.up_to_conjugacy:
-        conj = _hom_counts(p, admitted, caps, hom_count_up_to_conjugacy)
-        payload["hom_counts_up_to_conjugacy"] = conj
+    if conj:
+        payload["hom_counts_up_to_conjugacy"] = conj[0]
     _emit(json.dumps(payload))
     return 0
 
 
 def _cmd_isocheck(args, cfg: Config, a: BraidWord, b: BraidWord) -> int:
     if args.moves:
-        moves = _resolve_moves(a, _parse_move_script(args.moves))
+        moves, end = _resolve_moves(a, _parse_move_script(args.moves))
         method = "given"
     else:
         result = conjugacy_move_sequence_detailed(a, b, cfg.garside_caps)
         moves = list(result.moves)
         method = result.method
-    if replay(a, moves) != b:
+        end = replay(a, moves)
+    if end != b:
         raise BraidForgeError("move script does not transform the first word into the second")
     gmap = maps_along_moves(a, moves)
     report = check_map(gmap, cfg.resolve_targets(), cfg.generator_caps)
@@ -327,13 +332,10 @@ def _cmd_verify(args, cfg: Config, w: BraidWord) -> int:
     rng = random.Random(args.seed)
     targets = cfg.resolve_targets()
 
-    def measure(word: BraidWord):
-        g = build_graph(build_bricks(word), cfg.sign_convention)
-        p = presentation_of(g)
-        counts = _hom_counts(p, targets, cfg.generator_caps, hom_count)
-        return g, abelianization(p).invariant_factors, counts
+    def signature(word: BraidWord):
+        return build_graph(build_bricks(word), cfg.sign_convention).combinatorial_signature()
 
-    graph, base_ab, base_counts = measure(w)
+    base_ab, (base_counts,) = _invariants_of(w, cfg, targets, hom_count)
     failures = []
     cur = w
     applied = 0
@@ -344,23 +346,18 @@ def _cmd_verify(args, cfg: Config, w: BraidWord) -> int:
         m = rng.choice(moves)
         nxt = apply_move(cur, m)
         applied += 1
-        nxt_graph, ab, counts = measure(nxt)
-        found = []  # (check, detail) per failed check
-        if ab != base_ab:
-            found.append(("abelianization", f"{base_ab} became {ab}"))
-        for name, count in counts.items():
-            base = base_counts.get(name)
-            if base is not None and count != base:
-                found.append((f"hom_count:{name}", f"{base} became {count}"))
-        if m.kind in _NEUTRAL and (
-            graph.combinatorial_signature() != nxt_graph.combinatorial_signature()
-        ):
+        ab, (counts,) = _invariants_of(nxt, cfg, targets, hom_count)
+        # (check, base value, value); a base value is None where a cap stopped it
+        values = [("abelianization", base_ab.invariant_factors, ab.invariant_factors)]
+        values += [(f"hom_count:{t}", base_counts.get(t), n) for t, n in counts.items()]
+        found = [(check, f"{x} became {y}") for check, x, y in values if x not in (None, y)]
+        if m.kind in _NEUTRAL and signature(cur) != signature(nxt):
             found.append(("graph-signature", "linking graph changed under a neutral move"))
         failures += [
             {"step": step, "move": _move_json(m), "check": check, "detail": detail}
             for check, detail in found
         ]
-        cur, graph = nxt, nxt_graph
+        cur = nxt
     payload = {
         "word": _word_json(w),
         "seed": args.seed,
@@ -406,10 +403,6 @@ _COMMANDS = {
 
 
 _parsers = functools.cache(build_parser)  # one set per process, built on first use
-
-
-def _parser() -> _Parser:
-    return _parsers()[0]
 
 
 def main(argv: list[str] | None = None) -> int:

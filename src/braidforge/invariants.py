@@ -3,8 +3,8 @@
 The column lattice is the one reader of a presentation's exponent
 columns: a braid relator on i < j has the column e_i - e_j and a
 commutation relator none, so the braid pairs are read as they stand. A
-region's cycle (i_1, ..., i_n) has the column e_{i_n} - e_{i_2}, read
-off its vertex tuple, so only cycles given as words are summed, once.
+graph's region joins only vertices its own edges join, so only cycles
+given as words are summed, once.
 Every relator a linking graph yields has exponent sums zero or
 e_i - e_j, so the generator-by-relator exponent matrix is a graph
 incidence matrix and totally unimodular: the components of the graph of
@@ -103,13 +103,13 @@ class ColumnLattice:
 
     The columns must form a graph incidence matrix. A braid relator on
     i < j has the column e_i - e_j and a commutation relator none, by
-    construction, and a region (i_1, ..., i_n) the column
-    e_{i_n} - e_{i_2}, so the braid pairs and the regions are joined as
-    they stand and only cycles given as words are summed; a summed
-    column other than zero or e_i - e_j raises PresentationError naming
-    its relator. The span is the kernel of project, the map onto Z^c, so
-    the per-presentation work is one labelling of the joined pairs' graph
-    by linking.components, done here: ``component`` labels each generator
+    construction, and a graph's region joins only vertices its own
+    vertical and lateral edges join, so the braid pairs are joined as they
+    stand and only cycles given as words are summed; a summed column other
+    than zero or e_i - e_j raises PresentationError naming its relator.
+    The span is the kernel of project, the map onto Z^c, so the
+    per-presentation work is one labelling of the joined pairs' graph by
+    linking.components, done here: ``component`` labels each generator
     0..n_components-1, in order of each component's least generator.
     ``ColumnLattice.of`` keeps it on the presentation.
     """
@@ -118,9 +118,7 @@ class ColumnLattice:
 
     def __init__(self, p: Presentation) -> None:
         pairs = [(i - 1, j - 1) for i, j in p.braid_pairs]
-        regions = p.region_cycles
-        pairs += [(cycle[-1] - 1, cycle[1] - 1) for cycle in regions or ()]
-        for c, word in enumerate(p.cycle_words if regions is None else ()):
+        for c, word in enumerate(p.cycle_words if p.region_cycles is None else ()):
             col = exponent_sums(word)
             if not col:
                 continue

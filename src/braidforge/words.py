@@ -6,7 +6,8 @@ the sequence is the top of the braid. Moves are the positive braid
 relation, far commutativity, elementary conjugation at either end, and
 positive Markov (de)stabilization. All values are immutable. Where a
 braid relation or a far commutation applies is tested once, at one
-position, by _site; rewrite_sites enumerates it, move_applies and replay ask it.
+position, by _site; rewrite_sites enumerates it, move_applies and replay
+ask it. replay is the one move applier; apply_move replays one move.
 """
 
 from __future__ import annotations
@@ -114,37 +115,36 @@ def serialize_word(w: BraidWord) -> str:
 
 def move_applies(w: BraidWord, m: WordMove) -> bool:
     """Whether the move is valid on this word at its position."""
-    n, letters, p = len(w.letters), w.letters, m.position
-    if m.kind in (MoveKind.BRAID_REL, MoveKind.FAR_COMM):
-        return _site(letters, m.kind, p)
-    if m.kind is MoveKind.ELEM_CONJ_LEFT:
+    return _applies(w.strands, w.letters, m.kind, m.position)
+
+
+def _applies(strands: int, letters: tuple[int, ...] | list[int], kind: MoveKind, p: int) -> bool:
+    """move_applies on a word's strand count and letters, a tuple or list."""
+    if kind is MoveKind.BRAID_REL or kind is MoveKind.FAR_COMM:
+        return _site(letters, kind, p)
+    n = len(letters)
+    if kind is MoveKind.ELEM_CONJ_LEFT:
         return n >= 1 and p == 1
-    if m.kind is MoveKind.ELEM_CONJ_RIGHT:
+    if kind is MoveKind.ELEM_CONJ_RIGHT:
         return n >= 1 and p == n
-    if m.kind is MoveKind.MARKOV_STAB:
+    if kind is MoveKind.MARKOV_STAB:
         return p == n + 1
-    if m.kind is MoveKind.MARKOV_DESTAB:
+    if kind is MoveKind.MARKOV_DESTAB:
         # Single trailing letter sigma_{N-1} that is its only occurrence;
         # destabilizing below two strands is not allowed.
         return (
             n >= 1
             and p == n
-            and w.strands >= 3
-            and letters[-1] == w.strands - 1
-            and letters.count(w.strands - 1) == 1
+            and strands >= 3
+            and letters[-1] == strands - 1
+            and letters.count(strands - 1) == 1
         )
-    raise MoveError(f"unknown move kind {m.kind}")
+    raise MoveError(f"unknown move kind {kind}")
 
 
 def apply_move(w: BraidWord, m: WordMove) -> BraidWord:
     """Apply a move; raises MoveError if it does not apply."""
-    if not move_applies(w, m):
-        raise MoveError(f"{m.kind.value} does not apply at position {m.position}")
-    if m.kind is MoveKind.MARKOV_STAB:
-        return BraidWord(w.strands + 1, w.letters + (w.strands,))
-    if m.kind is MoveKind.MARKOV_DESTAB:
-        return BraidWord(w.strands - 1, w.letters[:-1])
-    return BraidWord(w.strands, rewritten(w.letters, m.kind, m.position))
+    return replay(w, (m,))
 
 
 def inverse_move(w: BraidWord, m: WordMove) -> WordMove:
@@ -186,20 +186,6 @@ def rewrite_sites(letters: tuple[int, ...]) -> Iterator[tuple[MoveKind, int]]:
                 yield kind, p
 
 
-def rewritten(letters: tuple[int, ...], kind: MoveKind, p: int) -> tuple[int, ...]:
-    """The letters after a move at position p that keeps the strand count."""
-    if kind is MoveKind.BRAID_REL:
-        i, j = letters[p - 1], letters[p]
-        return letters[: p - 1] + (j, i, j) + letters[p + 2 :]
-    if kind is MoveKind.FAR_COMM:
-        return letters[: p - 1] + (letters[p], letters[p - 1]) + letters[p + 1 :]
-    if kind is MoveKind.ELEM_CONJ_LEFT:
-        return letters[1:] + letters[:1]
-    if kind is MoveKind.ELEM_CONJ_RIGHT:
-        return letters[-1:] + letters[:-1]
-    raise MoveError(f"{kind.value} changes the strand count")
-
-
 def enumerate_moves(w: BraidWord) -> list[WordMove]:
     """All valid moves, ordered by kind then position."""
     n = len(w.letters)
@@ -214,18 +200,30 @@ def enumerate_moves(w: BraidWord) -> list[WordMove]:
 
 
 def replay(w: BraidWord, moves: list[WordMove] | tuple[WordMove, ...]) -> BraidWord:
-    """apply_move over the moves in order. Braid relations and far commutations
-    are tested by _site and applied in place on one letter list, in O(1)."""
-    letters = list(w.letters)
+    """The word after the moves in order, each tested where it stands and
+    applied in place on one letter list (braid relations and far
+    commutations in O(1)); raises MoveError at the first that does not apply."""
+    strands, letters = w.strands, list(w.letters)
+    braid, far = MoveKind.BRAID_REL, MoveKind.FAR_COMM  # read once: Enum reads are slow
     for m in moves:
         kind, p = m.kind, m.position
-        if kind is not MoveKind.BRAID_REL and kind is not MoveKind.FAR_COMM:
-            w = apply_move(BraidWord(w.strands, tuple(letters)), m)
-            letters = list(w.letters)
-        elif not _site(letters, kind, p):
+        if kind is braid or kind is far:
+            if not _site(letters, kind, p):
+                raise MoveError(f"{kind.value} does not apply at position {p}")
+            if kind is braid:
+                letters[p - 1 : p + 2] = letters[p], letters[p - 1], letters[p]
+            else:
+                letters[p - 1], letters[p] = letters[p], letters[p - 1]
+        elif not _applies(strands, letters, kind, p):
             raise MoveError(f"{kind.value} does not apply at position {p}")
-        elif kind is MoveKind.BRAID_REL:
-            letters[p - 1 : p + 2] = letters[p], letters[p - 1], letters[p]
+        elif kind is MoveKind.ELEM_CONJ_LEFT:
+            letters.append(letters.pop(0))
+        elif kind is MoveKind.ELEM_CONJ_RIGHT:
+            letters.insert(0, letters.pop())
+        elif kind is MoveKind.MARKOV_STAB:
+            letters.append(strands)
+            strands += 1
         else:
-            letters[p - 1], letters[p] = letters[p], letters[p - 1]
-    return BraidWord(w.strands, tuple(letters))
+            letters.pop()
+            strands -= 1
+    return BraidWord(strands, tuple(letters))

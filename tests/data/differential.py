@@ -30,8 +30,12 @@ letters, every other one a rotation of a half twist and a tail; and
 last ``invariants`` on words of 9, 10, 11, 14, 15 and 16 bricks, on both
 sides of the default S3 and S4 caps, each brick count in every
 combination of with or without ``--up-to-conjugacy``, either sign
-convention, and no cap lifted, S4 lifted to 12 or S3 to 16; 1,761
-commands in all. Each tree runs the whole
+convention, and no cap lifted, S4 lifted to 12 or S3 to 16; then
+``verify --moves 20`` on words of the same brick counts, as given, in the
+right-positive convention, with S3 lifted to 16, and against the table
+files; and last ``isocheck --moves`` scripts of 3-8 moves that stabilize
+and destabilize, with no ``--strands``, every fifth against the wrong
+second word; 1,849 commands in all. Each tree runs the whole
 corpus in one child interpreter, in-process through
 ``braidforge.cli.main``, under its own address-space limit. Every argv
 whose exit code, stdout or stderr differ is printed, and the exit code
@@ -258,6 +262,41 @@ def corpus(seed: int, tables: Path) -> list[list[str]]:
             extra = ["--up-to-conjugacy"] if i % 2 else []
             cmds.append(["invariants", text(letters), "--strands", str(n), *extra,
                          *conventions[i // 2 % 2], *lifts[i // 4]])
+    # verify walks on the same brick counts, so steps fall on both sides of
+    # the S3 and S4 caps: as given, in the other sign convention, with S3
+    # lifted to 16, and against the table files
+    variants = [[], conventions[1], lifts[2], ["--tables", good, "--targets", "S3r,D4,S3"]]
+    for k in (9, 10, 11, 14, 15, 16):
+        for i in range(8):
+            n = rng.randint(2, 6)
+            letters, seen = [], set()
+            while len(letters) - len(seen) < k:
+                letters.append(rng.randint(1, n - 1))
+                seen.add(letters[-1])
+            cmds.append(["verify", text(letters), "--strands", str(n), "--moves", "20",
+                         "--seed", str(rng.randrange(1000)), *variants[i % 4]])
+    # move scripts with Markov moves: each word keeps its own strand count,
+    # so no --strands; each move's kind drawn evenly from the kinds that
+    # apply, every other token without its position, and every fifth
+    # script checked against the first word in place of the one it reaches
+    for i in range(40):
+        n = rng.randint(3, 5)
+        w = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(4, 10))) + (n - 1,))
+        while True:
+            tokens, v = [], w
+            for _ in range(rng.randint(3, 8)):
+                by_kind = {}
+                for m in enumerate_moves(v):
+                    by_kind.setdefault(m.kind, []).append(m)
+                m = rng.choice(by_kind[rng.choice(list(by_kind))])
+                positional = m.kind in (MoveKind.BRAID_REL, MoveKind.FAR_COMM) or rng.random() < 0.5
+                tokens.append(f"{m.kind.value}@{m.position}" if positional else m.kind.value)
+                v = apply_move(v, m)
+            kinds = {t.partition("@")[0] for t in tokens}
+            if {"stab", "destab"} <= kinds and max(v.letters, default=0) == v.strands - 1:
+                break
+        b = w if i % 5 == 4 else v
+        cmds.append(["isocheck", text(w.letters), text(b.letters), "--moves", ", ".join(tokens)])
     return cmds
 
 

@@ -307,4 +307,4 @@ def test_main_called_twice_prints_what_fresh_calls_print(capsys, monkeypatch):
         assert (got, captured.out, captured.err) == (
             fresh.returncode, fresh.stdout, fresh.stderr
         ), argv
-    assert cli._parser() is cli._parser()
+    assert cli._parsers()[0] is cli._parsers()[0]

@@ -150,15 +150,15 @@ def test_verify_failure_records_pinned(capsys, monkeypatch):
     # every measurement differs from the last: all three checks fail
     monkeypatch.delenv("BRAIDFORGE_CONFIG", raising=False)
     calls = {"graph": 0, "ab": 0, "hom": 0}
-    real_graph, real_ab, real_hom = cli.build_graph, cli.abelianization, cli.hom_count
+    real_graph, real_ab, real_hom = cli.build_graph, cli.diagram_abelianization, cli.hom_count
 
     def build_graph(d, sign):
         calls["graph"] += 1
         return _Renamed(real_graph(d, sign), calls["graph"])
 
-    def abelianization(p):
+    def diagram_abelianization(d):
         calls["ab"] += 1
-        return Abelianization(real_ab(p).invariant_factors + (calls["ab"],))
+        return Abelianization(real_ab(d).invariant_factors + (calls["ab"],))
 
     def hom_count(p, t, caps):
         found = real_hom(p, t, caps)  # a capped target still raises
@@ -166,7 +166,7 @@ def test_verify_failure_records_pinned(capsys, monkeypatch):
         return HomCount(t.name, found.count + calls["hom"])
 
     monkeypatch.setattr(cli, "build_graph", build_graph)
-    monkeypatch.setattr(cli, "abelianization", abelianization)
+    monkeypatch.setattr(cli, "diagram_abelianization", diagram_abelianization)
     monkeypatch.setattr(cli, "hom_count", hom_count)
     code = main(
         ["verify", "1 3 2 1 3 2", "--moves", "4", "--seed", "6", "--caps.generators", "S4=2"]

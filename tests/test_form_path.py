@@ -26,18 +26,17 @@ from braidforge.garside import (
     normal_form,
     perm_word,
 )
-from braidforge.words import BraidWord, MoveKind, WordMove, replay, rewrite_sites, rewritten
+from braidforge.words import BraidWord, MoveKind, WordMove, apply_move, replay, rewrite_sites
 
 
 def walked(rng: random.Random, w: BraidWord, steps: int) -> BraidWord:
     """w after a random walk of braid relations and far commutations."""
-    letters = w.letters
     for _ in range(steps):
-        sites = list(rewrite_sites(letters))
+        sites = list(rewrite_sites(w.letters))
         if not sites:
             break
-        letters = rewritten(letters, *rng.choice(sites))
-    return BraidWord(w.strands, letters)
+        w = apply_move(w, WordMove(*rng.choice(sites)))
+    return w
 
 
 @st.composite

@@ -3,8 +3,10 @@
 ``main`` hands a named command straight to that command's own parser,
 ``parse_word`` checks the whole text with one match, and ``invariants``
 builds a linking graph only when a generator cap admits the word's
-bricks. Each is checked against the longer way it replaces: the
-top-level parser's dispatch, the per-token reading, and the graph.
+bricks, as does ``verify``, which builds one otherwise only for the two
+words a neutral move joins. Each is checked against the longer way it
+replaces: the top-level parser's dispatch, the per-token reading, and
+the graph.
 """
 
 from __future__ import annotations
@@ -113,6 +115,34 @@ def test_invariants_builds_the_graph_once_for_an_admitted_target(monkeypatch):
     assert list(data["hom_counts_up_to_conjugacy"]) == ["S3"]
     assert data["skipped_targets"] == ["S4"]
     assert data["abelianization"] == golden["abelianization"]
+
+
+@pytest.mark.parametrize("seed, drawn", [(2, "braid braid braid"), (7, "conjL farcomm conjR")])
+def test_verify_past_every_cap_builds_graphs_only_for_a_neutral_move(seed, drawn, monkeypatch):
+    # no hom search runs, so only a far commutation's two words get graphs
+    monkeypatch.delenv("BRAIDFORGE_CONFIG", raising=False)
+    real, built = cli.build_graph, []
+
+    def build_graph(d, sign):
+        built.append(d.word)
+        return real(d, sign)
+
+    def refuse(*args):
+        raise AssertionError("no target admits the word, so no presentation is read")
+
+    monkeypatch.setattr(cli, "build_graph", build_graph)
+    monkeypatch.setattr(cli, "presentation_of", refuse)
+    argv = ["verify", *PAST_CAPS["argv"][1:4], "--moves", "3", "--seed", str(seed)]
+    code, out, err = run(argv)
+    data = json.loads(out)
+    assert (code, err, data["stable"], data["applied_moves"]) == (0, "", True, 3)
+    if "farcomm" not in drawn:
+        assert built == []
+        return
+    before, after = built
+    p = next(i for i, (x, y) in enumerate(zip(before.letters, after.letters)) if x != y)
+    swapped = before.letters[:p] + before.letters[p : p + 2][::-1] + before.letters[p + 2 :]
+    assert swapped == after.letters
 
 
 def token_reading(text: str, strands: int | None = None) -> BraidWord:

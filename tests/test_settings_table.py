@@ -67,7 +67,7 @@ def test_config_file_keys_as_the_flags_set_them(tmp_path, monkeypatch, capsys):
 
 def test_every_key_has_a_flag_and_a_field():
     # every command shares the setting flags, each stored under its key
-    assert set(config.SETTINGS) <= set(vars(cli._parser().parse_args(["parse", "1"])))
+    assert set(config.SETTINGS) <= set(vars(cli._parsers()[0].parse_args(["parse", "1"])))
     values = {
         "sign_convention": "right-positive",
         "targets": "S3, Q8",

@@ -18,6 +18,7 @@ from braidforge.words import (
 )
 
 from conftest import random_word
+from test_word_search_reference import reference_apply, reference_markov_moves, reference_moves
 
 
 def from_json(text: str) -> BraidWord:
@@ -176,9 +177,17 @@ def test_replay():
     assert replay(w, moves).letters == (2, 2, 1)
 
 
-def fold_apply_move(w: BraidWord, moves) -> BraidWord:
+def reference_walk_moves(w: BraidWord) -> list[WordMove]:
+    return reference_moves(w) + reference_markov_moves(w)
+
+
+def fold_reference_apply(w: BraidWord, moves) -> BraidWord:
+    """The moves applied one by one from their definitions, a move that does
+    not apply refused with apply_move's text."""
     for m in moves:
-        w = apply_move(w, m)
+        if m not in reference_walk_moves(w):
+            raise MoveError(f"{m.kind.value} does not apply at position {m.position}")
+        w = reference_apply(w, m)
     return w
 
 
@@ -189,11 +198,12 @@ def outcome(fn, w, moves):
         return f"MoveError: {exc}"
 
 
-def test_replay_equals_apply_move_folded():
+def test_replay_equals_reference_apply_folded():
     # walks of every move kind, every fourth move drawn at random so that
-    # some do not apply: the same word, or the same MoveError text
+    # some do not apply: the same word, or the same MoveError text, which
+    # apply_move, replay of one move, gives too
     rng = random.Random(20261020)
-    kinds, failures = set(), 0
+    kinds, refused = set(), set()
     for _ in range(400):
         w = random_word(rng, max_strands=6, max_len=14)
         moves, v = [], w
@@ -201,13 +211,15 @@ def test_replay_equals_apply_move_folded():
             if rng.random() < 0.25:
                 m = WordMove(rng.choice(list(MoveKind)), rng.randint(0, len(v.letters) + 2))
             else:
-                m = rng.choice(enumerate_moves(v))
+                m = rng.choice(reference_walk_moves(v))
             moves.append(m)
             kinds.add(m.kind)
-            if not move_applies(v, m):
+            if m not in reference_walk_moves(v):
+                refused.add(m.kind)
+                refusal = f"MoveError: {m.kind.value} does not apply at position {m.position}"
+                assert outcome(apply_move, v, m) == refusal
                 break
-            v = apply_move(v, m)
-        want = outcome(fold_apply_move, w, moves)
-        failures += isinstance(want, str)
+            v = reference_apply(v, m)
+        want = outcome(fold_reference_apply, w, moves)
         assert outcome(replay, w, moves) == want, (w, moves)
-    assert kinds == set(MoveKind) and failures >= 50
+    assert kinds == refused == set(MoveKind)
