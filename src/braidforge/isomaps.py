@@ -30,32 +30,35 @@ homomorphism into the configured finite targets, in both directions,
 along with the round-trip words. Reports say "consistent", never
 "isomorphic". The abelianization is decided in each side's Z^c, read off
 its column lattice (a component label per generator): each generator's
-image is summed per component of the other side, one pullback per
-generator, and a relator's nonzero column, e_a - e_b, joins a and b
-within one component, so every relator's image dies iff the pullbacks
-are constant on each component. Each finite target is decided by pulling
-homs back through the map: for every target hom h, h∘φ must be a source
-hom (its least conjugate is a representative of the source's orbit
-search), for every source hom the pullback through φ⁻¹ must be a target
-hom, and both round trips must fix every hom. That is exactly the
-relator-by-relator condition. Both conditions commute with conjugation
-in the target and hom sets are closed under it, so one hom per orbit, as
-the orbit search gives them, decides, exactly. Each representative is
-pulled back once and its pullback back once more for the round trip;
-with equal hom counts the target's representatives decide alone, and a
-failing decision words its violations from those same lists. A relator
-or round trip fails under a hom iff under each of its conjugates, so the
-first failing representative is the first failing hom. A word is spelled
-only for a violation, and a presentation's relators at most once per
-check. Folding a chain of steps refuses, with ResourceCapError, images
-totalling more than IMAGE_LETTERS letters in either direction, and a
-braid step is refused as soon as its rotations' running total does.
+image is summed per component of the other side (a one-letter image is a
+unit vector); a relator's nonzero column, e_a - e_b, joins a and b
+within one component, so every relator's image dies iff those sums are
+constant on each component. With F and B those constants, forward and
+backward, every round trip then dies iff F·B and B·F are the identity.
+Each finite target is decided by pulling homs back through the map: for
+every target hom h, h∘φ must be a source hom (its least conjugate is a
+representative of the source's orbit search), for every source hom the
+pullback through φ⁻¹ must be a target hom, and both round trips must fix
+every hom. That is exactly the relator-by-relator condition. Both
+conditions commute with conjugation in the target and hom sets are
+closed under it, so one hom per orbit, as the orbit search gives them,
+decides, exactly. Each representative is pulled back once and its
+pullback back once more for the round trip; with equal hom counts the
+target's representatives decide alone, and a failing decision words its
+violations from those same lists. A relator or round trip fails under a
+hom iff under each of its conjugates, so the first failing
+representative is the first failing hom. A word is spelled only for a
+violation, and a presentation's relators at most once per check. Folding
+a chain of steps refuses, with ResourceCapError, images totalling more
+than IMAGE_LETTERS letters in either direction, and a braid step is
+refused as soon as its rotations' running total does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import chain
 from typing import Callable, Iterable
 
 from .bricks import BrickDiagram, build_bricks
@@ -97,11 +100,11 @@ class GeneratorMap:
         ):
             if len(words) != n:
                 raise ValueError(f"{direction}s: {len(words)} for {n} generators")
-            for g, w in enumerate(words, start=1):
-                # min and max over abs keep an 800-letter map's check in C
-                if w and not 0 < min(map(abs, w)) <= max(map(abs, w)) <= k:
-                    bad = next(x for x in w if not 0 < abs(x) <= k)
-                    raise ValueError(f"{direction} of s{g}: the letter {bad} is not in 1..{k}")
+            lo = min(map(abs, chain.from_iterable(words)), default=1)  # min and max in C
+            if lo > 0 and max(map(abs, chain.from_iterable(words)), default=k) <= k:
+                continue
+            g, bad = next((g, x) for g, w in enumerate(words, 1) for x in w if not 0 < abs(x) <= k)
+            raise ValueError(f"{direction} of s{g}: the letter {bad} is not in 1..{k}")
 
     def apply(self, word: GroupWord) -> GroupWord:
         return substitute(word, self.images)
@@ -200,6 +203,19 @@ def identity_map(p: Presentation) -> GeneratorMap:
     return GeneratorMap(p, p, gens, gens, "identity")
 
 
+def _join(*words: GroupWord) -> GroupWord:
+    """free_reduce of the words' concatenation, for freely reduced words,
+    which cancel only across their seams."""
+    out: list[int] = []
+    for w in words:
+        n = 0
+        while out and n < len(w) and out[-1] == -w[n]:
+            out.pop()
+            n += 1
+        out += w[n:] if n else w
+    return tuple(out)
+
+
 def _rotate(
     acc: list[GroupWord], d: BrickDiagram, columns: Iterable[int], top_wraps: bool,
     letters: int,
@@ -216,26 +232,28 @@ def _rotate(
     one wrapping to the bottom: its images are x_2 .. x_n and
     x_n .. x_2 x_1 x_2^-1 .. x_n^-1 = P x_1 P^-1, with P = x_n .. x_1;
     its inverse images are P^-1 x_n P and x_1 .. x_{n-1}. Both keep P, so
-    P is reduced once per column and each rotation costs one conjugation.
-    A column with at most one brick rotates as the identity.
+    P and P^-1 are spelled once per column and each rotation costs one
+    conjugation, joined at its seams (_join). A column with at most one
+    brick rotates as the identity.
     """
-    products: dict[int, GroupWord] = {}
+    products: dict[int, tuple[GroupWord, GroupWord]] = {}  # column: P, P^-1
     for c in columns:
         ids = d.column_ids.get(c, range(0))
         if len(ids) < 2:
             continue
         lo, hi = ids[0], ids[-1]
         if c not in products:
-            products[c] = free_reduce(tuple(x for g in reversed(ids) for x in acc[g - 1]))
-        p = products[c]
+            p = _join(*reversed(acc[lo - 1 : hi]))
+            products[c] = p, invert_word(p)
+        p, p_inv = products[c]
         if top_wraps:
             x = acc[lo - 1]
             acc[lo - 1 : hi - 1] = acc[lo:hi]
-            acc[hi - 1] = y = free_reduce(p + x + invert_word(p))
+            acc[hi - 1] = y = _join(p, x, p_inv)
         else:
             x = acc[hi - 1]
             acc[lo:hi] = acc[lo - 1 : hi - 1]
-            acc[lo - 1] = y = free_reduce(invert_word(p) + x + p)
+            acc[lo - 1] = y = _join(p_inv, x, p)
         letters += len(y) - len(x)
         _charge(letters, "rotated images")
 
@@ -405,20 +423,46 @@ _Spelled = Callable[[Presentation], tuple[Relator, ...]]
 def _pull_back(
     t: FiniteTarget, hom: tuple[int, ...], images: tuple[GroupWord, ...]
 ) -> tuple[int, ...]:
-    """Generator images of hom after the map whose generator images are given.
-
-    value[x] is hom's image of letter x for every x in -k..k (negative
-    indices from the end), built once and read by every image word.
-    """
+    """Generator images of hom after the map whose generator images are
+    given: a one-letter positive image reads hom directly, a longer one
+    multiplies its letters' values, a negative letter's inverted."""
     table, ident, inverse = t.table, t.identity, t.inverse
-    value = [ident, *hom, *(inverse[h] for h in reversed(hom))]
     pulled = []
     for word in images:
+        if len(word) == 1 and word[0] > 0:
+            pulled.append(hom[word[0] - 1])
+            continue
         acc = ident
         for x in word:
-            acc = table[acc][value[x]]
+            acc = table[acc][hom[x - 1] if x > 0 else inverse[hom[-x - 1]]]
         pulled.append(acc)
     return tuple(pulled)
+
+
+def _projected(images: _Images, lattice: ColumnLattice) -> list[tuple[int, ...]]:
+    """Each image's exponent sums per component of lattice, the other
+    side's; a one-letter image (h,) is the unit vector of h's component."""
+    c, component = lattice.n_components, lattice.component
+    units = [(0,) * a + (1,) + (0,) * (c - 1 - a) for a in range(c)]
+    pulled = []
+    for w in images:
+        if len(w) == 1 and w[0] > 0:
+            pulled.append(units[component[w[0] - 1]])
+            continue
+        sums = [0] * c
+        for x in w:
+            sums[component[abs(x) - 1]] += 1 if x > 0 else -1
+        pulled.append(tuple(sums))
+    return pulled
+
+
+def _is_inverse(F: list[tuple[int, ...]], B: list[tuple[int, ...]]) -> bool:
+    """Whether F·B is the identity: row a of F, combining B's rows, is e_a."""
+    n = len(F)
+    return all(
+        [sum(f * b[x] for f, b in zip(row, B)) for x in range(n)] == [int(x == a) for x in range(n)]
+        for a, row in enumerate(F)
+    )
 
 
 def _violation(
@@ -495,51 +539,54 @@ def check_map(
 ) -> CheckReport:
     """Verify the map against every relator in quotients and abelianization.
 
-    The map is read through its exponent-sum tables and its hom pullbacks
-    alone; a word is spelled only for the text of a violation.
+    The map is read through its images' per-component sums and its hom
+    pullbacks alone; a word is spelled only for the text of a violation.
     """
     # Exact shortcut: a generator bijection is consistent iff it carries
     # the relator set onto the other relator set.
     if m.is_relabeling() and relabels_onto(m.source, m.target, [w[0] for w in m.images]):
         return CheckReport(True, (), (), (), {}, method="relabeling")
 
-    # Exact abelianization checks in each side's Z^c. With A and B the
-    # exponent-sum tables of the images and the inverse images, fwd[g] is
-    # A's column g summed per target component and bwd[h] B's column h per
-    # source component. A relator's nonzero column is e_a - e_b with a and
-    # b in one component, so every relator's image dies iff fwd is
-    # constant on each source component, and a failing one is a column
-    # joining a and b with fwd[a] != fwd[b]. The round trip at g dies iff
-    # sum_h A[g][h]·bwd[h] is g's own component unit. Backward mirrors both.
+    # Exact abelianization checks in each side's Z^c: fwd[g] is g's image
+    # summed per target component, bwd[h] h's inverse image per source
+    # component; a failing relator is a column e_a - e_b with fwd[a] !=
+    # fwd[b], and backward mirrors it. With both constant per component (F,
+    # B), the round trip at g is F·B's row at g's component. Only when F·B or
+    # B·F is not the identity is each summed from its image's exponent sums.
     violations: list[Violation] = []
-    relators = cache(lambda p: p.relators)
+    spelled: dict[Presentation, tuple[Relator, ...]] = {}
+
+    def relators(p: Presentation) -> tuple[Relator, ...]:
+        return spelled[p] if p in spelled else spelled.setdefault(p, p.relators)
+
     src_lattice, dst_lattice = ColumnLattice.of(m.source), ColumnLattice.of(m.target)
-    image_sums = [exponent_sums(w) for w in m.images]
-    inverse_sums = [exponent_sums(w) for w in m.inverse_images]
-    fwd = [dst_lattice.project(a) for a in image_sums]
-    bwd = [src_lattice.project(b) for b in inverse_sums]
+    fwd, bwd = _projected(m.images, dst_lattice), _projected(m.inverse_images, src_lattice)
     fails = "survives abelianization"
+    constants = []  # F and B, per component
     for direction, p, lattice, pulled in (
         ("forward", m.source, src_lattice, fwd),
         ("backward", m.target, dst_lattice, bwd),
     ):
-        if len(set(zip(lattice.component, pulled))) == lattice.n_components:
+        pairs = set(zip(lattice.component, pulled))
+        if len(pairs) == lattice.n_components:
+            constants.append([v for _, v in sorted(pairs)])
             continue
         for i, r in enumerate(relators(p)):
             if len({pulled[g] for g in exponent_sums(r.word)}) > 1:
                 violations.append(_violation(m, direction, i, "abelianization", fails, relators))
-    for direction, lattice, sums, pulled in (
-        ("roundtrip-source", src_lattice, image_sums, bwd),
-        ("roundtrip-target", dst_lattice, inverse_sums, fwd),
-    ):
-        for g, row in enumerate(sums):
-            trip = [0] * lattice.n_components
-            trip[lattice.component[g]] = -1
-            for h, e in row.items():
-                for x, f in enumerate(pulled[h]):
-                    trip[x] += e * f
-            if any(trip):
-                violations.append(_violation(m, direction, g, "abelianization", fails, relators))
+    if len(constants) < 2 or not (_is_inverse(*constants) and _is_inverse(*constants[::-1])):
+        for direction, lattice, images, pulled in (
+            ("roundtrip-source", src_lattice, m.images, bwd),
+            ("roundtrip-target", dst_lattice, m.inverse_images, fwd),
+        ):
+            for g, w in enumerate(images):
+                trip = [0] * lattice.n_components
+                trip[lattice.component[g]] = -1
+                for h, e in exponent_sums(w).items():
+                    for x, f in enumerate(pulled[h]):
+                        trip[x] += e * f
+                if any(trip):
+                    violations.append(_violation(m, direction, g, "abelianization", fails, relators))
 
     # Finite quotient checks: one hom per conjugation orbit, pulled back
     # once (the target's alone when counts agree), decides and words them.

@@ -131,12 +131,12 @@ class Presentation:
     were given), and spells ``cycle_words`` on first need (equality,
     hashing, the orbit search) and ``cycles`` on first read, keeping
     both. ``_lattice`` holds the column lattice once invariants has
-    built it.
+    built it, and ``_hash`` the hash once it is first asked for.
     """
 
     __slots__ = (
         "n_generators", "braid_pairs", "comm_pairs", "region_cycles", "_cycles", "_words",
-        "_lattice",
+        "_lattice", "_hash",
     )
 
     def __init__(self, n_generators: int, relators: tuple[Relator, ...]) -> None:
@@ -162,7 +162,7 @@ class Presentation:
     def _store(self, n_generators, braid_pairs, comm_pairs, region_cycles, cycles=None) -> None:
         self.n_generators, self.braid_pairs = n_generators, braid_pairs
         self.comm_pairs, self.region_cycles, self._cycles = comm_pairs, region_cycles, cycles
-        self._words = self._lattice = None
+        self._words = self._lattice = self._hash = None
 
     def pair_table(self) -> Iterator[tuple[int, int, RelatorKind]]:
         """(i, j, BRAID | COMM) per pair relator; lex order when comm_pairs is None."""
@@ -216,7 +216,9 @@ class Presentation:
         return self._content() == other._content()
 
     def __hash__(self) -> int:
-        return hash(self._content())
+        if self._hash is None:
+            self._hash = hash(self._content())
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Presentation(n_generators={self.n_generators}, relators={self.relators!r})"

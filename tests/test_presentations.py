@@ -279,3 +279,18 @@ def test_cycle_shift_helpers_agree(rng):
                 assert new.word == cycle_relator_shift(p, idx, shift)
                 assert new.provenance == r.provenance
                 assert shifted.relators[: p.relators.index(r)] == p.relators[: p.relators.index(r)]
+
+
+def test_hash_is_computed_once_and_agrees_across_constructors(monkeypatch):
+    w = parse_word("1 2 1 1 2 1 2 1")
+    stored = presentation_of(build_graph(build_bricks(w)))
+    given = Presentation(stored.n_generators, stored.relators)
+    assert given == stored and hash(given) == hash(stored)
+    reads = []
+    content = Presentation._content
+    monkeypatch.setattr(Presentation, "_content", lambda p: reads.append(p) or content(p))
+    for p in (presentation_of(build_graph(build_bricks(w), "right-positive")), Presentation(2, ())):
+        reads.clear()
+        first = hash(p)
+        assert all(hash(p) == first for _ in range(5))
+        assert reads == [p] and reads[0] is p
