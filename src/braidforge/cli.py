@@ -29,7 +29,7 @@ from .garside import (
     normal_form,
     summit,
 )
-from .invariants import diagram_abelianization, within_generator_cap
+from .invariants import diagram_abelianization, generator_cap
 from .invariants import hom_count, hom_count_up_to_conjugacy
 from .isomaps import check_map, maps_along_moves
 from .linking import build_graph
@@ -267,7 +267,7 @@ def _invariants_of(w: BraidWord, cfg: Config, targets, *counts):
     p are built once, if some target's cap admits the bricks."""
     d = build_bricks(w)
     caps = cfg.generator_caps
-    admitted = [t for t in targets if within_generator_cap(t, d.n_bricks, caps)]
+    admitted = [t for t in targets if d.n_bricks <= generator_cap(t, caps)]
     p = presentation_of(build_graph(d, cfg.sign_convention)) if admitted else None
     found: list[dict[str, int]] = [{} for _ in counts]
     for count, out in zip(counts, found):

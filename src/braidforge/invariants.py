@@ -10,12 +10,10 @@ e_i - e_j, so the generator-by-relator exponent matrix is a graph
 incidence matrix and totally unimodular: the components of the graph of
 the (+1, -1) pairs, labelled by linking.components, give the
 abelianization Z^c (c components, every other invariant factor 1), and a
-vector's image in Z^c is its sum on each component
-(ColumnLattice.project), zero iff the vector lies in the column lattice
-(vectors are sparse: generator -> coefficient). The lattice is built
-once per presentation and kept on it. A graph's components are its
-maximal runs of joined adjacent columns, read off the brick diagram by
-diagram_abelianization. A hand-built presentation with any other column
+vector lies in the column lattice iff its sum on each component is zero.
+The lattice is built once per presentation and kept on it. A graph's
+components are its maximal runs of joined adjacent columns, read off the
+brick diagram by diagram_abelianization. A hand-built presentation with any other column
 shape has no such reading and raises PresentationError on every call.
 
 Homomorphisms into small finite groups are found by one orbit search per
@@ -63,7 +61,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .bricks import CACHE_SIZE, BrickDiagram
 from .errors import PresentationError, ResourceCapError
@@ -107,10 +105,11 @@ class ColumnLattice:
     vertical and lateral edges join, so the braid pairs are joined as they
     stand and only cycles given as words are summed; a summed column other
     than zero or e_i - e_j raises PresentationError naming its relator.
-    The span is the kernel of project, the map onto Z^c, so the
-    per-presentation work is one labelling of the joined pairs' graph by
-    linking.components, done here: ``component`` labels each generator
-    0..n_components-1, in order of each component's least generator.
+    The span is the kernel of the map onto Z^c that sums a vector on each
+    component, so the per-presentation work is one labelling of the joined
+    pairs' graph by linking.components, done here: ``component`` labels
+    each generator 0..n_components-1, in order of each component's least
+    generator.
     ``ColumnLattice.of`` keeps it on the presentation.
     """
 
@@ -140,16 +139,6 @@ class ColumnLattice:
         if p._lattice is None:
             p._lattice = cls(p)
         return p._lattice
-
-    def project(self, vector: Mapping[int, int]) -> tuple[int, ...]:
-        """The vector's image in Z^c, coefficients by 0-based generator
-        (absent ones zero) summed per component: zero iff the vector lies
-        in the span."""
-        sums = [0] * self.n_components
-        component = self.component
-        for g, v in vector.items():
-            sums[component[g]] += v
-        return tuple(sums)
 
 
 def abelianization(p: Presentation) -> Abelianization:
@@ -230,11 +219,6 @@ def _target_tables(t: FiniteTarget) -> _Tables:
 def generator_cap(t: FiniteTarget, caps: dict[str, int] | None = None) -> int:
     caps = caps or DEFAULT_GENERATOR_CAPS
     return caps.get(t.name, caps.get("*", DEFAULT_GENERATOR_CAPS["*"]))
-
-
-def within_generator_cap(t: FiniteTarget, k: int, caps: dict[str, int] | None = None) -> bool:
-    """Whether t's generator cap admits k generators: every hom search's first test."""
-    return k <= generator_cap(t, caps)
 
 
 class _Orbits(NamedTuple):
@@ -391,8 +375,8 @@ def _orbits(p: Presentation, t: FiniteTarget, caps: dict[str, int] | None) -> _O
     raises whatever is cached; a kept result that tried more values than
     HOM_SEARCH_VALUES allows raises as a fresh search would."""
     k = p.n_generators
-    if not within_generator_cap(t, k, caps):
-        cap = generator_cap(t, caps)
+    cap = generator_cap(t, caps)
+    if k > cap:
         raise ResourceCapError(f"{k} generators exceed the cap {cap} for target {t.name}")
     memo = _memo(p)
     found = memo.get(t)

@@ -1,10 +1,11 @@
 """Pin the CLI's error paths: exit code, stdout and stderr, byte for byte.
 
-tests/data/cli_golden.json pins the successful commands' stdout; these
-pin what goes wrong: usage errors (64), domain errors (1), exceeded
-caps (2), which error wins when a command has two, settings that are
-ignored when empty, and the failure records of a ``verify`` run whose
-checks all fail.
+tests/data/cli_corpus.json records the exit code, stdout and stderr of
+every corpus command as the code gave them; these cases are written by
+hand, as a specification independent of that record, and pin what goes
+wrong: usage errors (64), domain errors (1), exceeded caps (2), which
+error wins when a command has two, settings that are ignored when empty,
+and the failure records of a ``verify`` run whose checks all fail.
 """
 
 import json

@@ -11,10 +11,9 @@ the graph.
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -28,10 +27,11 @@ from braidforge.words import BraidWord, parse_word
 
 from test_cli_errors import CASES
 
-GOLDEN = json.loads(
-    (Path(__file__).parent / "data" / "cli_golden.json").read_text(encoding="utf-8")
-)
-ARGVS = [entry["argv"] for entry in GOLDEN] + [list(case[0]) for case in CASES]
+sys.path.insert(0, str(Path(__file__).parent / "data"))
+from cli_corpus import ROOT, entry, load, run  # noqa: E402
+
+CORPUS = load()
+ARGVS = [e["argv"] for e in CORPUS] + [list(case[0]) for case in CASES]
 
 
 def namespace_or_error(parse, argv):
@@ -55,20 +55,16 @@ def test_command_parser_reads_what_the_top_level_parser_reads():
     assert routed == len(ARGVS) - 1  # all but the unknown command
 
 
-def run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return code, out.getvalue(), err.getvalue()
-
-
 def test_main_prints_what_the_top_level_dispatch_prints(monkeypatch):
+    # the corpus record and the error cases are what main prints directly
     monkeypatch.delenv("BRAIDFORGE_CONFIG", raising=False)
-    direct = [run(argv) for argv in ARGVS]
+    monkeypatch.chdir(ROOT)
     parser, _ = cli._parsers()
     monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
-    for argv, want in zip(ARGVS, direct):
-        assert run(argv) == want, argv
+    for e in CORPUS:
+        assert entry(e["argv"], *run(e["argv"])) == e, e["argv"]
+    for argv, *want in CASES:
+        assert run(argv) == tuple(want), argv
 
 
 def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
@@ -78,13 +74,13 @@ def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
     assert capsys.readouterr().out == '{"strands": 3, "letters": [1, 2, 1]}\n'
 
 
-# a golden invariants command whose word is past the default S3 and S4
+# a corpus invariants command whose word is past the default S3 and S4
 # caps (14 and 10 bricks) and within 40 bricks
 PAST_CAPS = next(
-    entry for entry in GOLDEN
-    if entry["argv"][0] == "invariants"
-    and "--caps.generators" not in entry["argv"]
-    and 14 < build_bricks(parse_word(entry["argv"][1])).n_bricks <= 40
+    e for e in CORPUS
+    if e["argv"][0] == "invariants"
+    and "--caps.generators" not in e["argv"]
+    and 14 < build_bricks(parse_word(e["argv"][1])).n_bricks <= 40
 )
 
 
@@ -96,7 +92,7 @@ def test_invariants_past_every_cap_builds_no_graph(monkeypatch):
 
     monkeypatch.setattr(cli, "build_graph", refuse)
     monkeypatch.setattr(cli, "presentation_of", refuse)
-    assert run(PAST_CAPS["argv"]) == (PAST_CAPS["exit"], PAST_CAPS["stdout"], "")
+    assert entry(PAST_CAPS["argv"], *run(PAST_CAPS["argv"])) == PAST_CAPS
 
 
 def test_invariants_builds_the_graph_once_for_an_admitted_target(monkeypatch):
@@ -109,12 +105,14 @@ def test_invariants_builds_the_graph_once_for_an_admitted_target(monkeypatch):
 
     monkeypatch.setattr(cli, "build_graph", build_graph)
     code, out, err = run([*PAST_CAPS["argv"], "--caps.generators", "S3=40"])
-    data, golden = json.loads(out), json.loads(PAST_CAPS["stdout"])
     assert (code, err, len(built)) == (0, "", 1)
+    capped = run(PAST_CAPS["argv"])
+    assert entry(PAST_CAPS["argv"], *capped) == PAST_CAPS
+    data = json.loads(out)
     assert list(data["hom_counts"]) == ["S3"] and data["hom_counts"]["S3"] > 0
     assert list(data["hom_counts_up_to_conjugacy"]) == ["S3"]
     assert data["skipped_targets"] == ["S4"]
-    assert data["abelianization"] == golden["abelianization"]
+    assert data["abelianization"] == json.loads(capped[1])["abelianization"]
 
 
 @pytest.mark.parametrize("seed, drawn", [(2, "braid braid braid"), (7, "conjL farcomm conjR")])
