@@ -1,7 +1,7 @@
 """braidforge: brick diagrams, linking graphs, presentations and Garside conjugacy
 for positive braid words."""
 
-from .bricks import Brick, BrickDiagram, brick_count, build_bricks
+from .bricks import Brick, BrickDiagram, build_bricks
 from .errors import (
     BraidForgeError,
     GarsideInvariantError,
@@ -17,7 +17,6 @@ from .garside import (
     NormalForm,
     SummitData,
     are_conjugate,
-    conjugacy_move_sequence,
     conjugacy_move_sequence_detailed,
     contains_half_twist,
     cycling,
@@ -45,10 +44,7 @@ from .invariants import (
 from .isomaps import (
     CheckReport,
     GeneratorMap,
-    braid_relation_map,
     check_map,
-    compose_maps,
-    conjugation_map,
     maps_along_moves,
     move_map,
 )
@@ -66,7 +62,6 @@ from .presentations import (
     Presentation,
     Relator,
     RelatorKind,
-    cycle_relator_shift,
     presentation_of,
     serialize,
 )

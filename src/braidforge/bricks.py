@@ -120,7 +120,3 @@ def build_bricks(w: BraidWord) -> BrickDiagram:
 
 
 _bricks = lru_cache(maxsize=CACHE_SIZE)(BrickDiagram)
-
-
-def brick_count(w: BraidWord) -> int:
-    return build_bricks(w).n_bricks

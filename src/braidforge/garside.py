@@ -932,9 +932,3 @@ def conjugacy_move_sequence_detailed(
     if end != b:
         raise GarsideInvariantError(f"{where}: they end at '{end}'")
     return MoveSequenceResult(tuple(moves), "procedure-found")
-
-
-def conjugacy_move_sequence(
-    a: BraidWord, b: BraidWord, caps: GarsideCaps = DEFAULT_CAPS
-) -> list[WordMove]:
-    return list(conjugacy_move_sequence_detailed(a, b, caps).moves)

@@ -1,8 +1,12 @@
 """Explicit generator maps across word moves, and their machine checks.
 
-Every map is built by maps_along_moves (move_map is a sequence of one
-move): each move becomes one step read off brick diagrams and checked
-as apply_move checks it. A step's images are computed one way; its
+Every map the library makes is built from moves by maps_along_moves
+(move_map is a sequence of one move, and no moves give the identity):
+apply_move takes each move or refuses it, in its own words, before the
+step is read off the brick diagrams on either side of it. A map is its
+two presentations and its images in both directions, with no label, so
+two maps are equal iff those are; GeneratorMap(...) checks the shape of
+a hand-built one. A step's images are computed one way; its
 inverse images are the images of its inverse move (words.inverse_move),
 read back from the step's destination diagram. The steps, and the
 inverse steps last first, each compose in one fold right to left, so
@@ -62,7 +66,7 @@ from itertools import chain
 from typing import Callable, Iterable
 
 from .bricks import BrickDiagram, build_bricks
-from .errors import MoveError, ResourceCapError
+from .errors import ResourceCapError
 from .finite_groups import FiniteTarget
 from .invariants import ColumnLattice, evaluate_word, hom_orbits, least_conjugate
 from .linking import build_graph
@@ -78,7 +82,7 @@ from .presentations import (
     presentation_of,
     relabels_onto,
 )
-from .words import BraidWord, MoveKind, WordMove, apply_move, inverse_move, move_applies
+from .words import BraidWord, MoveKind, WordMove, apply_move, inverse_move
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,6 @@ class GeneratorMap:
     target: Presentation
     images: tuple[GroupWord, ...]  # per source generator, word in target gens
     inverse_images: tuple[GroupWord, ...]  # per target generator, word in source gens
-    label: str = ""
 
     def __post_init__(self) -> None:
         n_src, n_dst = self.source.n_generators, self.target.n_generators
@@ -105,21 +108,6 @@ class GeneratorMap:
                 continue
             g, bad = next((g, x) for g, w in enumerate(words, 1) for x in w if not 0 < abs(x) <= k)
             raise ValueError(f"{direction} of s{g}: the letter {bad} is not in 1..{k}")
-
-    def apply(self, word: GroupWord) -> GroupWord:
-        return substitute(word, self.images)
-
-    def apply_inverse(self, word: GroupWord) -> GroupWord:
-        return substitute(word, self.inverse_images)
-
-    def inverted(self) -> GeneratorMap:
-        return GeneratorMap(
-            self.target,
-            self.source,
-            self.inverse_images,
-            self.images,
-            label=f"inverse({self.label})" if self.label else "",
-        )
 
     def is_relabeling(self) -> bool:
         """True when both directions are bijective single-generator maps,
@@ -183,24 +171,9 @@ def _fold(steps: list[_Images], direction: str) -> _Images:
     return images
 
 
-def compose_maps(m1: GeneratorMap, m2: GeneratorMap) -> GeneratorMap:
-    """m2 after m1; ValueError unless m1.target == m2.source."""
-    if m1.target != m2.source:
-        raise ValueError(f"the target of {m1.label!r} is not the source of {m2.label!r}")
-    label = f"{m1.label};{m2.label}" if m1.label or m2.label else ""
-    images = _fold([m1.images, m2.images], "images")
-    inverse = _fold([m2.inverse_images, m1.inverse_images], "inverse images")
-    return GeneratorMap(m1.source, m2.target, images, inverse, label)
-
-
 @cache
 def _identity(k: int) -> _Images:
     return tuple((g,) for g in range(1, k + 1))
-
-
-def identity_map(p: Presentation) -> GeneratorMap:
-    gens = _identity(p.n_generators)
-    return GeneratorMap(p, p, gens, gens, "identity")
 
 
 def _join(*words: GroupWord) -> GroupWord:
@@ -312,46 +285,6 @@ def _images(d: BrickDiagram, dd: BrickDiagram, kind: MoveKind, position: int) ->
     return tuple(images)
 
 
-def _move_step(d: BrickDiagram, m: WordMove) -> tuple[BrickDiagram, str]:
-    """One move at brick level, validated as apply_move validates it: the
-    destination's diagram and the step's label."""
-    w = d.word
-    top = len(w.letters) - 2
-    if m.kind is MoveKind.ELEM_CONJ_RIGHT and not w.letters:
-        raise MoveError("elementary conjugation needs a nonempty word")
-    if m.kind is MoveKind.BRAID_REL and 1 <= m.position < top and not move_applies(w, m):
-        # the chain's error: the relation fails at the top of the rotated word
-        raise MoveError(f"braid does not apply at position {top}")
-    dd = build_bricks(apply_move(w, m))
-    if m.kind is not MoveKind.BRAID_REL:
-        # conjL is the right conjugation from the moved word, inverted
-        return dd, "inverse(conjR)" if m.kind is MoveKind.ELEM_CONJ_LEFT else m.kind.value
-    i, j = w.letters[m.position - 1 : m.position + 1]
-    label = "braidTop" if j == i + 1 else "inverse(braidTop)"
-    return dd, f"braid@{m.position}" if m.position < top else label
-
-
-def conjugation_map(w: BraidWord, end: str = "right") -> GeneratorMap:
-    """Generator map across an elementary conjugation at the given end."""
-    if end not in ("left", "right"):
-        raise ValueError("end must be 'left' or 'right'")
-    if end == "left":
-        return move_map(w, WordMove(MoveKind.ELEM_CONJ_LEFT, 1))
-    return move_map(w, WordMove(MoveKind.ELEM_CONJ_RIGHT, len(w.letters)))
-
-
-def braid_relation_map(w: BraidWord, position: int | None = None) -> GeneratorMap:
-    """Generator map across a braid relation at the top of the word.
-
-    The word must end with the pattern sigma_i sigma_{i+1} sigma_i or its
-    mirror (interior positions go through move_map).
-    """
-    top = len(w.letters) - 2
-    if position not in (None, top):
-        raise MoveError("braid_relation_map needs the relation at the top")
-    return move_map(w, WordMove(MoveKind.BRAID_REL, top))
-
-
 def move_map(w: BraidWord, m: WordMove) -> GeneratorMap:
     """The generator map across any single word move."""
     return maps_along_moves(w, [m])
@@ -359,23 +292,22 @@ def move_map(w: BraidWord, m: WordMove) -> GeneratorMap:
 
 def maps_along_moves(w: BraidWord, moves: list[WordMove]) -> GeneratorMap:
     """Composite generator map along a move sequence, the one place a map
-    is built from moves: each step is read off brick diagrams and checked
-    as apply_move checks it, and only the end words get presentations."""
+    is built: apply_move takes or refuses each move, each step is read off
+    the brick diagrams on either side of it, and only the end words get
+    presentations. No moves give the identity map."""
     source = d = build_bricks(w)
-    if not moves:
-        return identity_map(presentation_of(build_graph(source)))
-    steps, inverse_steps, labels = [], [], []  # inverse steps: the inverse moves' images
+    steps, inverse_steps = [], []  # inverse steps: the inverse moves' images
     for m in moves:
-        dd, label = _move_step(d, m)
+        dd = build_bricks(apply_move(d.word, m))
         steps.append(_images(d, dd, m.kind, m.position))
         undo = inverse_move(d.word, m)
         inverse_steps.append(_images(dd, d, undo.kind, undo.position))
-        labels.append(label)
         d = dd
-    images = _fold(steps, "images")
-    inverse = _fold(inverse_steps[::-1], "inverse images")
+    images = inverse = _identity(source.n_bricks)
+    if moves:
+        images, inverse = _fold(steps, "images"), _fold(inverse_steps[::-1], "inverse images")
     src, dst = (presentation_of(build_graph(e)) for e in (source, d))
-    return GeneratorMap(src, dst, images, inverse, ";".join(labels))
+    return GeneratorMap(src, dst, images, inverse)
 
 
 # -- checking ----------------------------------------------------------------
@@ -470,16 +402,15 @@ def _violation(
 ) -> Violation:
     """Check i of a kind, its word spelled: relator i's image (forward,
     backward) or the round trip at generator i + 1."""
-    if direction in ("forward", "backward"):
-        p, apply = (m.source, m.apply) if direction == "forward" else (m.target, m.apply_inverse)
-        r = relators(p)[i]
-        detail = f"image {_word_plain(apply(r.word))} {fails}"
-        return Violation(direction, f"relator {i} ({r.kind.value})", target, detail)
-    there, back = m.apply, m.apply_inverse
-    if direction == "roundtrip-target":
+    there, back = m.images, m.inverse_images
+    if direction in ("backward", "roundtrip-target"):
         there, back = back, there
+    if direction in ("forward", "backward"):
+        r = relators(m.source if direction == "forward" else m.target)[i]
+        detail = f"image {_word_plain(substitute(r.word, there))} {fails}"
+        return Violation(direction, f"relator {i} ({r.kind.value})", target, detail)
     g = i + 1
-    detail = f"round trip {_word_plain(concat(back(there((g,))), (-g,)))} {fails}"
+    detail = f"round trip {_word_plain(concat(substitute(there[i], back), (-g,)))} {fails}"
     return Violation(direction, f"s{g}", target, detail)
 
 

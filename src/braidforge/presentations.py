@@ -288,11 +288,6 @@ def relabels_onto(src: Presentation, dst: Presentation, sigma: list[int]) -> boo
     return renamed == {r.word for r in dst.relators}
 
 
-def cycle_relator_shift(p: Presentation, region_index: int, shift: int) -> GroupWord:
-    """The cycle relator word with the region's tuple rotated left by shift."""
-    return shifted_cycle_presentation(p, region_index, shift).cycle_words[region_index]
-
-
 def shifted_cycle_presentation(
     p: Presentation, region_index: int, shift: int
 ) -> Presentation:

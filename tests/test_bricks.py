@@ -1,4 +1,4 @@
-from braidforge.bricks import brick_count, build_bricks
+from braidforge.bricks import build_bricks
 from braidforge.words import BraidWord, MoveKind, apply_move, enumerate_moves, parse_word
 
 from conftest import brick_pairs_oracle, random_word
@@ -13,7 +13,7 @@ def test_worked_example_bricks():
 
 
 def test_single_letter_no_bricks():
-    assert brick_count(parse_word("1", strands=4)) == 0
+    assert build_bricks(parse_word("1", strands=4)).n_bricks == 0
 
 
 def test_figure_word_counts():
@@ -25,10 +25,10 @@ def test_figure_word_counts():
 
 def test_power_words():
     for n in range(2, 8):
-        assert brick_count(BraidWord(2, (1,) * n)) == n - 1
-    assert brick_count(BraidWord(2, ())) == 0
+        assert build_bricks(BraidWord(2, (1,) * n)).n_bricks == n - 1
+    assert build_bricks(BraidWord(2, ())).n_bricks == 0
     for q in range(1, 6):
-        assert brick_count(BraidWord(3, (1, 2) * q)) == 2 * q - 2
+        assert build_bricks(BraidWord(3, (1, 2) * q)).n_bricks == 2 * q - 2
 
 
 def test_matches_direct_scan_oracle(rng):
@@ -62,4 +62,4 @@ def test_brick_count_invariant_under_neutral_moves(rng):
         w = random_word(rng)
         for m in enumerate_moves(w):
             if m.kind in (MoveKind.FAR_COMM, MoveKind.MARKOV_STAB, MoveKind.MARKOV_DESTAB):
-                assert brick_count(apply_move(w, m)) == brick_count(w)
+                assert build_bricks(apply_move(w, m)).n_bricks == build_bricks(w).n_bricks

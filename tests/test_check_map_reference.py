@@ -26,6 +26,7 @@ from braidforge.isomaps import (
     Violation,
     check_map,
     move_map,
+    substitute,
 )
 from braidforge.linking import build_graph
 from braidforge.presentations import Presentation, braid_relator, concat, presentation_of
@@ -62,8 +63,15 @@ def reference_check_map(m, targets, caps=None):
     checked, skipped = [], []
     hom_counts = {}
 
-    if m.is_relabeling() and m.inverted().is_relabeling():
-        fwd_mapped = {m.apply(r.word) for r in m.source.relators}
+    def mapped(word):
+        return substitute(word, m.images)
+
+    def mapped_back(word):
+        return substitute(word, m.inverse_images)
+
+    inverted = GeneratorMap(m.target, m.source, m.inverse_images, m.images)
+    if m.is_relabeling() and inverted.is_relabeling():
+        fwd_mapped = {mapped(r.word) for r in m.source.relators}
         if fwd_mapped == {r.word for r in m.target.relators}:
             return CheckReport(True, (), (), (), {}, method="relabeling")
 
@@ -71,21 +79,21 @@ def reference_check_map(m, targets, caps=None):
     dst_member = snf_membership(exponent_matrix(m.target))
     k_src, k_dst = m.source.n_generators, m.target.n_generators
     for idx, r in enumerate(m.source.relators):
-        image = m.apply(r.word)
+        image = mapped(r.word)
         if not dst_member(_exp_vector(image, k_dst)):
             violations.append(Violation(
                 "forward", f"relator {idx} ({r.kind.value})", "abelianization",
                 f"image {_word_str(image)} survives abelianization",
             ))
     for idx, r in enumerate(m.target.relators):
-        image = m.apply_inverse(r.word)
+        image = mapped_back(r.word)
         if not src_member(_exp_vector(image, k_src)):
             violations.append(Violation(
                 "backward", f"relator {idx} ({r.kind.value})", "abelianization",
                 f"image {_word_str(image)} survives abelianization",
             ))
-    roundtrip_src = [concat(m.apply_inverse(m.apply((g,))), (-g,)) for g in range(1, k_src + 1)]
-    roundtrip_dst = [concat(m.apply(m.apply_inverse((g,))), (-g,)) for g in range(1, k_dst + 1)]
+    roundtrip_src = [concat(mapped_back(mapped((g,))), (-g,)) for g in range(1, k_src + 1)]
+    roundtrip_dst = [concat(mapped(mapped_back((g,))), (-g,)) for g in range(1, k_dst + 1)]
     for direction, words, member, k in (
         ("roundtrip-source", roundtrip_src, src_member, k_src),
         ("roundtrip-target", roundtrip_dst, dst_member, k_dst),
@@ -112,8 +120,8 @@ def reference_check_map(m, targets, caps=None):
                 f"{len(src_homs)} source vs {len(dst_homs)} target homomorphisms",
             ))
         for direction, relators, apply, homs in (
-            ("forward", m.source.relators, m.apply, dst_homs),
-            ("backward", m.target.relators, m.apply_inverse, src_homs),
+            ("forward", m.source.relators, mapped, dst_homs),
+            ("backward", m.target.relators, mapped_back, src_homs),
         ):
             for idx, r in enumerate(relators):
                 image = apply(r.word)
@@ -154,7 +162,7 @@ def corrupted(m: GeneratorMap, rng: random.Random) -> GeneratorMap:
     n_gens = m.target.n_generators if side is images else m.source.n_generators
     extra = rng.randint(1, n_gens) * rng.choice((1, -1))
     side[i] = side[i] + (extra,) if rng.random() < 0.5 else (extra,)
-    return GeneratorMap(m.source, m.target, tuple(images), tuple(inverse), m.label)
+    return GeneratorMap(m.source, m.target, tuple(images), tuple(inverse))
 
 
 WORDS = [

@@ -23,10 +23,13 @@ named before any inverse is looked for, and a normal form with a factor out of r
 a power that is no int, one strand, or a pair not left-weighted, also
 under ``python -O``. The guards at the end keep the defect class out: no
 field of a package dataclass left out of equality may be a constructor
-parameter, and no public classmethod or staticmethod may build a
-Presentation, a Relator, a NormalForm or a FiniteTarget.
+parameter, no public classmethod or staticmethod may build a
+Presentation, a Relator, a NormalForm or a FiniteTarget, and no function
+of the package but ``maps_along_moves`` calls ``GeneratorMap(...)``, so
+every map the library makes is read off moves.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -281,6 +284,34 @@ def test_a_relator_counts_the_equation_it_prints(word, lhs, rhs):
 def test_normal_form_and_target_have_no_public_builder():
     assert public_builders(NormalForm) == []
     assert public_builders(FiniteTarget) == []
+
+
+def generator_map_builders() -> list[str]:
+    """module.qualname of the function around every GeneratorMap(...) call
+    in the package; a call outside any function names its module alone."""
+    found = []
+    for path in sorted(Path(braidforge.__file__).parent.rglob("*.py")):
+        scope = [path.stem]
+
+        class Calls(ast.NodeVisitor):
+            def visit_scope(self, node):
+                scope.append(node.name)
+                self.generic_visit(node)
+                scope.pop()
+
+            visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_scope
+
+            def visit_Call(self, node):
+                if getattr(node.func, "id", getattr(node.func, "attr", None)) == "GeneratorMap":
+                    found.append(".".join(scope))
+                self.generic_visit(node)
+
+        Calls().visit(ast.parse(path.read_text(), filename=str(path)))
+    return found
+
+
+def test_only_maps_along_moves_builds_a_generator_map():
+    assert generator_map_builders() == ["isomaps.maps_along_moves"]
 
 
 # Each case once answered, or failed with an error that named no input:

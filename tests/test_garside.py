@@ -11,7 +11,6 @@ from braidforge.garside import (
     GarsideCaps,
     NormalForm,
     are_conjugate,
-    conjugacy_move_sequence,
     conjugacy_move_sequence_detailed,
     conjugate_nf,
     contains_half_twist,
@@ -318,7 +317,7 @@ def test_summit_power_invariant_under_moves(rng):
 
 def test_move_sequence_identical_words():
     w = BraidWord(3, (1, 2, 1))
-    assert conjugacy_move_sequence(w, w) == []
+    assert conjugacy_move_sequence_detailed(w, w).moves == ()
 
 
 def test_move_sequence_worked_pair():
@@ -337,9 +336,9 @@ def test_move_sequence_not_conjugate():
     # sigma_1^2 is a pure braid and sigma_1 sigma_2 is not: same length,
     # not conjugate. The conjugacy test comes before the half-twist test.
     with pytest.raises(MoveError, match="not conjugate"):
-        conjugacy_move_sequence(BraidWord(3, (1, 1)), BraidWord(3, (1, 2)))
+        conjugacy_move_sequence_detailed(BraidWord(3, (1, 1)), BraidWord(3, (1, 2)))
     with pytest.raises(MoveError, match="half twist"):
-        conjugacy_move_sequence(BraidWord(3, (1, 1)), BraidWord(3, (2, 2)))
+        conjugacy_move_sequence_detailed(BraidWord(3, (1, 1)), BraidWord(3, (2, 2)))
 
 
 def test_move_sequence_no_half_twist():
@@ -352,7 +351,7 @@ def test_move_sequence_no_half_twist():
     assert not words_equal_as_braids(a, b)
     assert not contains_half_twist(a)
     with pytest.raises(MoveError):
-        conjugacy_move_sequence(a, b)
+        conjugacy_move_sequence_detailed(a, b)
 
 
 def test_move_sequence_random_delta_pairs(rng):
@@ -391,7 +390,7 @@ def test_resource_caps_raise(monkeypatch):
     # The cap bounds the closure that decides and realizes a conjugacy.
     a, b = BraidWord(3, (1, 2, 1, 2, 2, 1)), BraidWord(3, (1, 2, 2, 2, 1, 2))
     with pytest.raises(ResourceCapError, match="^summit set exceeded the cap 1$"):
-        conjugacy_move_sequence(a, b, caps)
+        conjugacy_move_sequence_detailed(a, b, caps)
     # Realized moves that do not replay are a broken invariant, not a cap.
     real = garside._invert_move_path
     monkeypatch.setattr(
@@ -399,7 +398,7 @@ def test_resource_caps_raise(monkeypatch):
         lambda start, moves: real(start, moves) + [WordMove(MoveKind.BRAID_REL, 99)],
     )
     with pytest.raises(GarsideInvariantError, match="^realized moves do not carry "):
-        conjugacy_move_sequence(a, b)
+        conjugacy_move_sequence_detailed(a, b)
 
 
 def test_normal_form_invariance_under_moves(rng):

@@ -1,16 +1,11 @@
 import pytest
 
 from braidforge.bricks import build_bricks
-from braidforge.errors import MoveError
 from braidforge.finite_groups import builtin_targets
 from braidforge.garside import conjugacy_move_sequence_detailed
 from braidforge.isomaps import (
     GeneratorMap,
-    braid_relation_map,
     check_map,
-    compose_maps,
-    conjugation_map,
-    identity_map,
     maps_along_moves,
     move_map,
     substitute,
@@ -36,6 +31,11 @@ def presentation_for(w: BraidWord):
     return presentation_of(build_graph(build_bricks(w)))
 
 
+def conj_right(w: BraidWord):
+    """The map across the elementary conjugation at the word's right end."""
+    return move_map(w, WordMove(MoveKind.ELEM_CONJ_RIGHT, len(w)))
+
+
 def test_substitute_and_free_reduction():
     images = ((2,), (3, 1, -3))
     assert substitute((1, 2), images) == (2, 3, 1, -3)
@@ -45,7 +45,7 @@ def test_substitute_and_free_reduction():
 def test_conjugation_map_degenerate_single_brick():
     # one brick in the moved column: empty conjugator
     w = BraidWord(2, (1, 1))
-    phi = conjugation_map(w, "right")
+    phi = conj_right(w)
     assert phi.images == ((1,),)
     assert phi.inverse_images == ((1,),)
 
@@ -53,7 +53,7 @@ def test_conjugation_map_degenerate_single_brick():
 def test_conjugation_map_no_bricks_in_column():
     # moved letter's column has no bricks: identity relabeling
     w = BraidWord(3, (1, 1, 2))
-    phi = conjugation_map(w, "right")
+    phi = conj_right(w)
     assert phi.is_relabeling()
     report = check_map(phi, CHECK_TARGETS)
     assert report.consistent
@@ -61,7 +61,7 @@ def test_conjugation_map_no_bricks_in_column():
 
 def test_conjugation_map_worked_example():
     w = parse_word("1 2 1 1 2 1")
-    phi = conjugation_map(w, "right")
+    phi = conj_right(w)
     # column 1 has three bricks; the top one wraps to the new bottom brick
     assert phi.images == ((2,), (3,), (3, 2, 1, -2, -3), (4,))
     assert phi.inverse_images == ((-1, -2, 3, 2, 1), (1,), (2,), (4,))
@@ -73,8 +73,8 @@ def test_conjugation_map_worked_example():
 def test_conjugation_map_left_is_inverse():
     w = parse_word("1 2 1 1 2 1")
     v = apply_move(w, WordMove(MoveKind.ELEM_CONJ_RIGHT, 6))
-    left = conjugation_map(v, "left")
-    right = conjugation_map(w, "right")
+    left = move_map(v, WordMove(MoveKind.ELEM_CONJ_LEFT, 1))
+    right = conj_right(w)
     assert left.images == right.inverse_images
     assert left.inverse_images == right.images
 
@@ -109,8 +109,8 @@ def test_corrupted_map_flagged():
 
 
 def test_identity_map_consistent():
-    P = presentation_for(parse_word("1 2 1 1 2 1"))
-    report = check_map(identity_map(P), CHECK_TARGETS)
+    # no moves give the identity map
+    report = check_map(maps_along_moves(parse_word("1 2 1 1 2 1"), []), CHECK_TARGETS)
     assert report.consistent
     assert report.method == "relabeling"
 
@@ -126,14 +126,9 @@ def test_relabeling_shortcut_needs_inverse_images_to_invert():
     assert any(v.direction.startswith("roundtrip") for v in report.violations)
 
 
-def test_braid_relation_map_requires_top():
-    with pytest.raises(MoveError):
-        braid_relation_map(BraidWord(3, (1, 2, 1, 1)), 1)
-
-
 def test_braid_relation_map_top():
     w = BraidWord(3, (1, 1, 2, 1))  # pattern sigma1 sigma2 sigma1 at 2..4
-    phi = braid_relation_map(w, 2)
+    phi = move_map(w, WordMove(MoveKind.BRAID_REL, 2))
     nontrivial = [img for img in phi.images if len(img) != 1]
     assert len(nontrivial) == 1  # only s_{n-1} is conjugated
     report = check_map(phi, CHECK_TARGETS)
@@ -143,17 +138,16 @@ def test_braid_relation_map_top():
 def test_braid_relation_map_mirror():
     # pattern sigma2 sigma1 sigma2 at the top: the mirrored case
     w = BraidWord(3, (1, 2, 1, 2))
-    phi = braid_relation_map(w, 2)
+    phi = move_map(w, WordMove(MoveKind.BRAID_REL, 2))
     report = check_map(phi, CHECK_TARGETS)
     assert report.consistent
 
 
 def test_braid_relation_roundtrip_is_identity():
     w = BraidWord(3, (1, 1, 2, 1))
-    v = apply_move(w, WordMove(MoveKind.BRAID_REL, 2))
-    fwd = braid_relation_map(w, 2)
-    back = braid_relation_map(v, 2)
-    comp = compose_maps(fwd, back)
+    # the relation there and back again
+    comp = maps_along_moves(w, [WordMove(MoveKind.BRAID_REL, 2)] * 2)
+    assert comp.target == comp.source
     for g in range(1, comp.source.n_generators + 1):
         assert comp.images[g - 1] == (g,)
 
@@ -187,7 +181,7 @@ def test_conjugation_map_linking_cases(letters, case):
     # the four ways a neighbouring-column brick can link into the moved
     # column, each checked in quotients and the abelianization
     w = BraidWord(3, letters)
-    phi = conjugation_map(w, "right")
+    phi = conj_right(w)
     report = check_map(phi, CHECK_TARGETS)
     assert report.consistent, (case, report.violations[:2])
 

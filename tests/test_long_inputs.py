@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from braidforge import invariants
-from braidforge.bricks import brick_count, build_bricks
+from braidforge.bricks import build_bricks
 from braidforge.cli import main
 from braidforge.finite_groups import builtin_targets
 from braidforge.invariants import hom_count
@@ -99,7 +99,7 @@ def test_cost_follows_the_word_not_the_strand_count(text):
     p = presentation_of(g)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    assert brick_count(w) == len(d.bricks) == p.n_generators
+    assert d.n_bricks == len(d.bricks) == p.n_generators
     assert (len(g.edges), len(g.regions)) == (0, 0)
     assert len(d.bricks) == (0 if len(w) == 1 else 1)
 

@@ -1,15 +1,13 @@
-"""Maps have their shape and compose_maps needs maps that meet; cycle
-shifts check their region.
+"""Maps have their shape and compose move by move; cycle shifts check
+their region.
 
 A GeneratorMap raises ValueError unless it has one image per source
 generator and one inverse image per target generator, each naming only
-the other side's generators. compose_maps(m1, m2) raises ValueError
-unless m1's target presentation is m2's source. cycle_relator_shift and
-shifted_cycle_presentation take
-the same region indices, 0 up to the number of cycle relators, read the
-region off the relator's word, raising PresentationError for a word that
-is no region's cycle relator, and a shifted pair table stays a pair
-table.
+the other side's generators. The one-move maps along a sequence compose
+to the sequence's map. shifted_cycle_presentation takes region indices
+0 up to the number of cycle relators, reads the region off the
+relator's word, raising PresentationError for a word that is no
+region's cycle relator, and a shifted pair table stays a pair table.
 """
 
 import random
@@ -18,7 +16,7 @@ import pytest
 
 from braidforge.bricks import build_bricks
 from braidforge.errors import PresentationError
-from braidforge.isomaps import GeneratorMap, compose_maps, maps_along_moves, move_map
+from braidforge.isomaps import GeneratorMap, maps_along_moves, move_map, substitute
 from braidforge.linking import build_graph
 from braidforge.presentations import (
     Presentation,
@@ -27,7 +25,6 @@ from braidforge.presentations import (
     braid_relator,
     comm_relator,
     cycle_relator,
-    cycle_relator_shift,
     presentation_of,
     shifted_cycle_presentation,
 )
@@ -64,26 +61,6 @@ def test_maps_name_the_image_that_does_not_fit(images, inverse, message):
         GeneratorMap(p, p, images, inverse)
 
 
-def test_compose_rejects_maps_that_do_not_meet():
-    braid = move_map(parse_word("1 2 1 1 2 2 1"), WordMove(MoveKind.BRAID_REL, 1))
-    conj_w = parse_word("1 1 2 2 1 1 2")
-    conj = move_map(conj_w, WordMove(MoveKind.ELEM_CONJ_RIGHT, len(conj_w)))
-    # same generator count, other relators
-    assert braid.target.n_generators == conj.source.n_generators
-    assert braid.target != conj.source
-    with pytest.raises(ValueError, match="the target of 'braid@1' is not the source of"):
-        compose_maps(braid, conj)
-
-
-def test_compose_rejects_other_generator_counts():
-    first = move_map(parse_word("1 2 1 1"), WordMove(MoveKind.BRAID_REL, 1))
-    other = parse_word("1 1 1 2 2 2 1")
-    second = move_map(other, WordMove(MoveKind.ELEM_CONJ_LEFT, 1))
-    assert first.target.n_generators != second.source.n_generators
-    with pytest.raises(ValueError):
-        compose_maps(first, second)
-
-
 def test_composed_one_move_maps_equal_maps_along_moves():
     rng = random.Random(20261018)
     for _ in range(30):
@@ -96,7 +73,14 @@ def test_composed_one_move_maps_equal_maps_along_moves():
             cur = apply_move(cur, m)
         composed, cur = move_map(w, moves[0]), apply_move(w, moves[0])
         for m in moves[1:]:
-            composed = compose_maps(composed, move_map(cur, m))
+            step = move_map(cur, m)
+            assert step.source == composed.target
+            composed = GeneratorMap(
+                composed.source,
+                step.target,
+                tuple(substitute(x, step.images) for x in composed.images),
+                tuple(substitute(x, composed.inverse_images) for x in step.inverse_images),
+            )
             cur = apply_move(cur, m)
         assert composed == maps_along_moves(w, moves)
 
@@ -105,9 +89,8 @@ def test_composed_one_move_maps_equal_maps_along_moves():
 def test_cycle_shifts_check_the_region_index(index):
     p = presentation(parse_word("1 2 1 1 2 1 1 2"))
     assert len(by_kind(p, RelatorKind.CYCLE)) == 2
-    for shift in (cycle_relator_shift, shifted_cycle_presentation):
-        with pytest.raises(IndexError, match="presentation has 2 cycle relators"):
-            shift(p, index, 1)
+    with pytest.raises(IndexError, match="presentation has 2 cycle relators"):
+        shifted_cycle_presentation(p, index, 1)
 
 
 def test_cycle_shifts_read_the_region_off_the_word():
@@ -115,18 +98,17 @@ def test_cycle_shifts_read_the_region_off_the_word():
     # another group's relator, so the shift raises, naming the relator
     power = Relator((1, 1, 1), (), ())
     p = Presentation(3, (power,))
-    for shift in (cycle_relator_shift, shifted_cycle_presentation):
-        with pytest.raises(PresentationError, match="^relator 0 is not the cycle relator of"):
-            shift(p, 0, 1)
+    with pytest.raises(PresentationError, match="^relator 0 is not the cycle relator of"):
+        shifted_cycle_presentation(p, 0, 1)
     # a region's word is one whatever its equation; indices count every
     # cycle relator, and the error counts the three pair relators before them
     region = Relator(cycle_relator((1, 3, 2)).word, (), ())
     pairs = (braid_relator(1, 2), comm_relator(1, 3), comm_relator(2, 3))
     q = Presentation(3, pairs + (power, region))
-    assert cycle_relator_shift(q, 1, 1) == cycle_relator((3, 2, 1)).word
+    assert shifted_cycle_presentation(q, 1, 1).cycle_words[1] == cycle_relator((3, 2, 1)).word
     assert shifted_cycle_presentation(q, 1, 3) == q
     with pytest.raises(PresentationError, match="^relator 3 is not the cycle relator of"):
-        cycle_relator_shift(q, 0, 1)
+        shifted_cycle_presentation(q, 0, 1)
 
 
 def test_two_vertex_cycle_is_no_region():
@@ -137,9 +119,8 @@ def test_two_vertex_cycle_is_no_region():
     pairs = (braid_relator(1, 2), comm_relator(1, 3), comm_relator(2, 3))
     p = Presentation(3, pairs + (two,))
     assert p.cycles == (two,)
-    for shift in (cycle_relator_shift, shifted_cycle_presentation):
-        with pytest.raises(PresentationError, match="^relator 3 is not the cycle relator of"):
-            shift(p, 0, 1)
+    with pytest.raises(PresentationError, match="^relator 3 is not the cycle relator of"):
+        shifted_cycle_presentation(p, 0, 1)
 
 
 def test_shifted_pair_table_stays_a_table():
@@ -163,7 +144,5 @@ def test_shifted_pair_table_stays_a_table():
                 )
                 assert shifted == explicit
                 assert shifted.relators == explicit.relators
-                assert by_kind(shifted, RelatorKind.CYCLE)[idx].word == cycle_relator_shift(
-                    p, idx, shift
-                )
+                assert by_kind(shifted, RelatorKind.CYCLE)[idx].word == shifted.cycle_words[idx]
                 assert shifted_cycle_presentation(explicit, idx, 0) == explicit

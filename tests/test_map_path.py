@@ -1,12 +1,14 @@
 """Generator maps by one path, and check_map's single pullback pass.
 
-move_map, conjugation_map and braid_relation_map all build their maps
-through maps_along_moves, so a move is validated the same way whichever
-entry point takes it; check_map pulls each orbit representative back
-through the map once and its pullback back once for the round trip,
-and both the decision and the violations read those pullbacks. With
-equal hom counts a passing forward half (the target's representatives)
-decides alone. The abelianization is decided by per-component sums, so
+Every map is built by maps_along_moves (move_map is a sequence of one
+move), which hands each move to apply_move first: a move is refused
+exactly when apply_move refuses it, in apply_move's words, whatever its
+kind or position. A braid relation at the top of the word is one step
+of the relation's own images, with nothing rotated. check_map pulls
+each orbit representative back through the map once and its pullback
+back once for the round trip, and both the decision and the violations
+read those pullbacks. With equal hom counts a passing forward half (the
+target's representatives) decides alone. The abelianization is decided by per-component sums, so
 a consistent map is checked without reading either side's relators, and
 a failing one reads each side's at most once.
 """
@@ -16,12 +18,13 @@ import random
 import pytest
 
 from braidforge import isomaps
+from braidforge.bricks import build_bricks
 from braidforge.errors import MoveError
 from braidforge.finite_groups import builtin_targets
 from braidforge.invariants import hom_orbits
 from braidforge.isomaps import (
     GeneratorMap,
-    braid_relation_map,
+    _braid_top_images,
     check_map,
     maps_along_moves,
     move_map,
@@ -62,7 +65,7 @@ def test_each_representative_pulled_back_twice(pullbacks):
     # one image disturbed: the decision fails, and the violations are
     # worded from the same pullbacks, not from a second pass
     images = (phi.images[0] + (1,),) + phi.images[1:]
-    bad = GeneratorMap(phi.source, phi.target, images, phi.inverse_images, phi.label)
+    bad = GeneratorMap(phi.source, phi.target, images, phi.inverse_images)
     pullbacks.clear()
     report = check_map(bad, [S3])
     assert any(v.target == "S3" for v in report.violations)
@@ -84,18 +87,48 @@ def test_conjugation_away_from_its_end_is_rejected(kind, position):
         assert str(got.value) == str(want.value)
 
 
+def test_a_map_refuses_a_move_exactly_as_apply_move_does():
+    # an interior braid relation that does not apply was refused at the
+    # top of the rotated word, and conjR on the empty word in words of
+    # its own; both now read as apply_move reads them
+    rng = random.Random(20261020)
+    words = [BraidWord(3, ()), BraidWord(4, (1, 2, 3, 1, 2, 1, 3, 2))]
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        words.append(BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 20)))))
+    refused = built = 0
+    for w in words:
+        for kind in MoveKind:
+            for position in range(-1, len(w) + 3):
+                m = WordMove(kind, position)
+                try:
+                    apply_move(w, m)
+                except MoveError as want:
+                    with pytest.raises(MoveError) as got:
+                        maps_along_moves(w, [m])
+                    assert str(got.value) == str(want), (w, m)
+                    refused += 1
+                else:
+                    maps_along_moves(w, [m])
+                    built += 1
+    assert refused > 4000 and built > 300
+
+
 @pytest.mark.parametrize("text", ["1 2 1", "2 1 2", "1 1 2 1 2", "3 1 2 3 2 3", "1 3 2 3 2"])
 def test_braid_relation_map_is_move_map_at_the_top(text):
+    # at the top nothing rotates: the map is the relation's own images,
+    # read for the mirrored pattern as the inverse of the upward move
     w = parse_word(text)
-    got = braid_relation_map(w)
-    want = move_map(w, WordMove(MoveKind.BRAID_REL, len(w) - 2))
-    assert (got.images, got.inverse_images, got.label) == (
-        want.images,
-        want.inverse_images,
-        want.label,
-    )
-    assert got.label in ("braidTop", "inverse(braidTop)")
-    assert got.source == want.source and got.target == want.target
+    m = WordMove(MoveKind.BRAID_REL, len(w) - 2)
+    got = move_map(w, m)
+    d, dd = build_bricks(w), build_bricks(apply_move(w, m))
+    i, j = w.letters[-3:-1]
+    if j == i + 1:
+        want = _braid_top_images(d, dd, i, False), _braid_top_images(d, dd, i, True)
+    else:
+        want = _braid_top_images(dd, d, j, True), _braid_top_images(dd, d, j, False)
+    assert (got.images, got.inverse_images) == want
+    assert sum(len(x) > 1 for x in got.images + got.inverse_images) <= 2
 
 
 def test_relators_are_read_only_for_violations(monkeypatch):
@@ -117,7 +150,7 @@ def test_relators_are_read_only_for_violations(monkeypatch):
             assert reads == []
             consistent += 1
             images = (phi.images[0] + (1,),) + phi.images[1:]
-            bad = GeneratorMap(phi.source, phi.target, images, phi.inverse_images, phi.label)
+            bad = GeneratorMap(phi.source, phi.target, images, phi.inverse_images)
             reads.clear()
             assert not check_map(bad, targets).consistent
             assert len(reads) == len(set(map(id, reads))) <= 2
