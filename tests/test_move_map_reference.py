@@ -344,9 +344,16 @@ def test_found_move_sequences_and_empty_sequence():
 
 EMPTY = BraidWord(3, ())
 W = BraidWord(3, (1, 2, 1, 1))  # braid relation at 1, not at the top
+EMPTIED = (BraidWord(3, (2,)), WordMove(MoveKind.MARKOV_DESTAB, 1))  # destab leaves ()
 
 
 ERROR_CASES = {
+    "conj-right-empty": (
+        "maps_along_moves", EMPTIED[0], [EMPTIED[1], WordMove(MoveKind.ELEM_CONJ_RIGHT, 0)]
+    ),
+    "conj-left-empty": (
+        "maps_along_moves", EMPTIED[0], [EMPTIED[1], WordMove(MoveKind.ELEM_CONJ_LEFT, 1)]
+    ),
     "conjR-empty": ("move_map", EMPTY, WordMove(MoveKind.ELEM_CONJ_RIGHT, 0)),
     "conjL-empty": ("move_map", EMPTY, WordMove(MoveKind.ELEM_CONJ_LEFT, 1)),
     "braid-top-empty": ("move_map", EMPTY, WordMove(MoveKind.BRAID_REL, -2)),
