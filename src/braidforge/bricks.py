@@ -102,10 +102,7 @@ class BrickDiagram:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "word": {
-                    "strands": self.word.strands,
-                    "letters": list(self.word.letters),
-                },
+                "word": self.word.to_dict(),
                 "bricks": [
                     {"id": b, "column": c, "lo": lo, "hi": hi} for b, c, lo, hi in self.spans()
                 ],

@@ -35,10 +35,12 @@ from .isomaps import check_map, maps_along_moves
 from .linking import build_graph
 from .presentations import presentation_of, serialize
 from .words import (
+    NEUTRAL,
     BraidWord,
     MoveKind,
     WordMove,
     apply_move,
+    end_position,
     enumerate_moves,
     parse_word,
     replay,
@@ -80,15 +82,8 @@ def _resolve_moves(
     out = []
     cur = w
     for kind, pos in script:
-        if pos is None:
-            if kind is MoveKind.ELEM_CONJ_LEFT:
-                pos = 1
-            elif kind in (MoveKind.ELEM_CONJ_RIGHT, MoveKind.MARKOV_DESTAB):
-                pos = len(cur.letters)
-            elif kind is MoveKind.MARKOV_STAB:
-                pos = len(cur.letters) + 1
-            else:
-                raise UsageError(f"move {kind.value} needs a position: {kind.value}@p")
+        if pos is None and (pos := end_position(kind, len(cur.letters))) is None:
+            raise UsageError(f"move {kind.value} needs a position: {kind.value}@p")
         m = WordMove(kind, pos)
         out.append(m)
         cur = apply_move(cur, m)
@@ -97,10 +92,6 @@ def _resolve_moves(
 
 def _move_json(m: WordMove) -> dict:
     return {"kind": m.kind.value, "position": m.position}
-
-
-def _word_json(w: BraidWord) -> dict:
-    return {"strands": w.strands, "letters": list(w.letters)}
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -208,7 +199,7 @@ def _cmd_conj(args, cfg: Config, a: BraidWord, b: BraidWord) -> int:
     result = are_conjugate(a, b, cfg.garside_caps)
     _emit(
         json.dumps(
-            {"first": _word_json(a), "second": _word_json(b), "conjugate": result}
+            {"first": a.to_dict(), "second": b.to_dict(), "conjugate": result}
         )
     )
     return 0
@@ -217,7 +208,7 @@ def _cmd_conj(args, cfg: Config, a: BraidWord, b: BraidWord) -> int:
 def _cmd_summit(args, cfg: Config, w: BraidWord) -> int:
     data = summit(normal_form(w), cfg.garside_caps)
     payload = {
-        "word": _word_json(w),
+        "word": w.to_dict(),
         "summit_power": data.summit_power,
         "size": len(data.summit_set),
     }
@@ -235,7 +226,7 @@ def _cmd_halftwist(args, cfg: Config, w: BraidWord) -> int:
     _emit(
         json.dumps(
             {
-                "word": _word_json(w),
+                "word": w.to_dict(),
                 "contains_half_twist": contains_half_twist(w),
             }
         )
@@ -249,8 +240,8 @@ def _cmd_moveseq(args, cfg: Config, a: BraidWord, b: BraidWord) -> int:
     _emit(
         json.dumps(
             {
-                "source": _word_json(a),
-                "target": _word_json(b),
+                "source": a.to_dict(),
+                "target": b.to_dict(),
                 "method": result.method,
                 "moves": [_move_json(m) for m in result.moves],
                 "replay_ok": ok,
@@ -282,7 +273,7 @@ def _cmd_invariants(args, cfg: Config, w: BraidWord) -> int:
     counts = (hom_count, hom_count_up_to_conjugacy) if args.up_to_conjugacy else (hom_count,)
     ab, (homs, *conj) = _invariants_of(w, cfg, targets, *counts)
     payload = {
-        "word": _word_json(w),
+        "word": w.to_dict(),
         "abelianization": list(ab.invariant_factors),
         "rank": ab.rank,
         "hom_counts": homs,
@@ -310,8 +301,8 @@ def _cmd_isocheck(args, cfg: Config, a: BraidWord, b: BraidWord) -> int:
     _emit(
         json.dumps(
             {
-                "source": _word_json(a),
-                "target": _word_json(b),
+                "source": a.to_dict(),
+                "target": b.to_dict(),
                 "method": method,
                 "moves": [_move_json(m) for m in moves],
                 "images": [list(w) for w in gmap.images],
@@ -321,9 +312,6 @@ def _cmd_isocheck(args, cfg: Config, a: BraidWord, b: BraidWord) -> int:
         )
     )
     return 0 if report.consistent else 1
-
-
-_NEUTRAL = (MoveKind.FAR_COMM, MoveKind.MARKOV_STAB, MoveKind.MARKOV_DESTAB)
 
 
 def _cmd_verify(args, cfg: Config, w: BraidWord) -> int:
@@ -351,7 +339,7 @@ def _cmd_verify(args, cfg: Config, w: BraidWord) -> int:
         values = [("abelianization", base_ab.invariant_factors, ab.invariant_factors)]
         values += [(f"hom_count:{t}", base_counts.get(t), n) for t, n in counts.items()]
         found = [(check, f"{x} became {y}") for check, x, y in values if x not in (None, y)]
-        if m.kind in _NEUTRAL and signature(cur) != signature(nxt):
+        if m.kind in NEUTRAL and signature(cur) != signature(nxt):
             found.append(("graph-signature", "linking graph changed under a neutral move"))
         failures += [
             {"step": step, "move": _move_json(m), "check": check, "detail": detail}
@@ -359,7 +347,7 @@ def _cmd_verify(args, cfg: Config, w: BraidWord) -> int:
         ]
         cur = nxt
     payload = {
-        "word": _word_json(w),
+        "word": w.to_dict(),
         "seed": args.seed,
         "requested_moves": args.n_moves,
         "applied_moves": applied,

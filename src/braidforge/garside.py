@@ -67,7 +67,7 @@ from .errors import (
     StrandMismatchError,
     WordError,
 )
-from .words import BraidWord, MoveKind, WordMove, replay
+from .words import BraidWord, MoveKind, WordMove, _site, end_position, replay, undo_move
 
 Perm = tuple[int, ...]
 
@@ -675,11 +675,10 @@ class MoveSequenceResult:
 
 def _braid_move(u: list[int], moves: list[WordMove], at: int) -> None:
     """The braid relation on u[at:at+3], in place; GarsideInvariantError
-    if those letters are no i j i with |i - j| = 1."""
-    i, j = u[at], u[at + 1]
-    if u[at + 2] != i or abs(i - j) != 1:
+    if words._site finds none there."""
+    if not _site(u, MoveKind.BRAID_REL, at + 1):
         raise GarsideInvariantError(f"no braid relation at position {at + 1}")
-    u[at], u[at + 1], u[at + 2] = j, i, j
+    u[at : at + 3] = u[at + 1], u[at], u[at + 1]
     moves.append(WordMove(MoveKind.BRAID_REL, at + 1))
 
 
@@ -726,9 +725,8 @@ def _exchange(u: list[int], moves: list[WordMove], lo: int, hi: int, i: int) -> 
                 _braid_move(u, moves, t if walk < 0 else t - 2)
             continue
         s = t + walk
-        c = u[t]
-        if abs(u[s] - c) >= 2:
-            at = min(s, t)
+        at, c = min(s, t), u[t]
+        if _site(u, MoveKind.FAR_COMM, at + 1):
             u[at], u[at + 1] = u[at + 1], u[at]
             moves.append(WordMove(MoveKind.FAR_COMM, at + 1))
             frame[3] = s
@@ -816,7 +814,7 @@ def _stage_and_conjugate(
     left = kind is MoveKind.ELEM_CONJ_LEFT
     staged, shifted = (moved + rest, rest + moved) if left else (rest + moved, moved + rest)
     moves = _form_path(BraidWord(n, staged))[::-1] if left else []
-    moves += [WordMove(kind, 1 if left else len(staged))] * len(moved)
+    moves += [WordMove(kind, end_position(kind, len(staged)))] * len(moved)
     return moves, BraidWord(n, shifted)
 
 
@@ -867,16 +865,11 @@ def _realize_summit_chain(
 
 
 def _invert_move_path(start: BraidWord, moves: list[WordMove]) -> list[WordMove]:
-    """The inverse sequence, transforming replay(start, moves) back to start.
-    Realized moves keep the word's length: braid relations and far
-    commutations undo themselves at the same position, and a conjugation
-    at one end is undone by one at the other. The caller replays the
-    whole sequence."""
-    undo = {
-        MoveKind.ELEM_CONJ_LEFT: WordMove(MoveKind.ELEM_CONJ_RIGHT, len(start.letters)),
-        MoveKind.ELEM_CONJ_RIGHT: WordMove(MoveKind.ELEM_CONJ_LEFT, 1),
-    }
-    return [undo.get(m.kind, m) for m in reversed(moves)]
+    """The inverse sequence, transforming replay(start, moves) back to start:
+    each move undone by words.undo_move, last first. Realized moves keep
+    the word's length. The caller replays the whole sequence."""
+    n = len(start.letters)
+    return [undo_move(m, n) for m in reversed(moves)]
 
 
 def conjugacy_move_sequence_detailed(

@@ -7,8 +7,9 @@ step is read off the brick diagrams on either side of it. A map is its
 two presentations and its images in both directions, with no label, so
 two maps are equal iff those are; GeneratorMap(...) checks the shape of
 a hand-built one. A step's images are computed one way; its
-inverse images are the images of its inverse move (words.inverse_move),
-read back from the step's destination diagram. The steps, and the
+inverse images are the images of its inverse move, read back from the
+step's destination diagram: words.undo_move gives that move by rule,
+with no second check of the move apply_move took. The steps, and the
 inverse steps last first, each compose in one fold right to left, so
 each step maps only its own short images, and only the first and last
 words get presentations. For an elementary conjugation moving a letter of column
@@ -82,7 +83,7 @@ from .presentations import (
     presentation_of,
     relabels_onto,
 )
-from .words import BraidWord, MoveKind, WordMove, apply_move, inverse_move
+from .words import NEUTRAL, BraidWord, MoveKind, WordMove, apply_move, undo_move
 
 
 @dataclass(frozen=True)
@@ -262,9 +263,9 @@ def _images(d: BrickDiagram, dd: BrickDiagram, kind: MoveKind, position: int) ->
     braid move at the top, then the tail conjR moves on d, last first. The
     other columns' rotations commute with the braid move and cancel in
     pairs (their bricks keep their ids), so only the relation's two rotate.
-    Far commutativity and Markov moves keep every column's bricks in order.
+    The NEUTRAL kinds keep every column's bricks in order.
     """
-    if kind not in (MoveKind.ELEM_CONJ_RIGHT, MoveKind.ELEM_CONJ_LEFT, MoveKind.BRAID_REL):
+    if kind in NEUTRAL:
         return _identity(d.n_bricks)
     letters = d.word.letters
     images = list(_identity(d.n_bricks))
@@ -300,7 +301,7 @@ def maps_along_moves(w: BraidWord, moves: list[WordMove]) -> GeneratorMap:
     for m in moves:
         dd = build_bricks(apply_move(d.word, m))
         steps.append(_images(d, dd, m.kind, m.position))
-        undo = inverse_move(d.word, m)
+        undo = undo_move(m, len(dd.word.letters))
         inverse_steps.append(_images(dd, d, undo.kind, undo.position))
         d = dd
     images = inverse = _identity(source.n_bricks)

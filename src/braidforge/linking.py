@@ -154,11 +154,11 @@ class LinkingGraph:
         return (verts, edges, regions)
 
     def to_json(self) -> str:
-        word, pos = self.diagram.word, self.positions
+        pos = self.positions
         _, edges, regions = self.combinatorial_signature()
         return json.dumps(
             {
-                "word": {"strands": word.strands, "letters": list(word.letters)},
+                "word": self.diagram.word.to_dict(),
                 "sign_convention": self.sign_convention,
                 "vertices": [
                     {"id": b, "column": c, "lo": lo, "hi": hi, "x": pos[b][0], "y": pos[b][1]}

@@ -6,8 +6,12 @@ the sequence is the top of the braid. Moves are the positive braid
 relation, far commutativity, elementary conjugation at either end, and
 positive Markov (de)stabilization. All values are immutable. Where a
 braid relation or a far commutation applies is tested once, at one
-position, by _site; rewrite_sites enumerates it, move_applies and replay
-ask it. replay is the one move applier; apply_move replays one move.
+position, by _site, the one site test: rewrite_sites enumerates it,
+move_applies and replay ask it, and so does garside's realization. The
+end moves follow one rule table: end_position says where each stands,
+undo_move which move undoes an applied move, and NEUTRAL which kinds
+keep every brick in place; no other module restates them. replay is the
+one move applier; apply_move replays one move.
 """
 
 from __future__ import annotations
@@ -70,8 +74,12 @@ class BraidWord:
             occ.setdefault(i, []).append(p)
         return {i: tuple(occ[i]) for i in sorted(occ)}
 
+    def to_dict(self) -> dict:
+        """The word's JSON object, the one spelling of it in any output."""
+        return {"strands": self.strands, "letters": list(self.letters)}
+
     def to_json(self) -> str:
-        return json.dumps({"strands": self.strands, "letters": list(self.letters)})
+        return json.dumps(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -119,27 +127,19 @@ def move_applies(w: BraidWord, m: WordMove) -> bool:
 
 
 def _applies(strands: int, letters: tuple[int, ...] | list[int], kind: MoveKind, p: int) -> bool:
-    """move_applies on a word's strand count and letters, a tuple or list."""
+    """move_applies on a word's strand count and letters, a tuple or list.
+    An end move applies at its end position only; all but stab need a
+    letter, and destab a single trailing sigma_{N-1} that is its only
+    occurrence, on three strands or more."""
     if kind is MoveKind.BRAID_REL or kind is MoveKind.FAR_COMM:
         return _site(letters, kind, p)
-    n = len(letters)
-    if kind is MoveKind.ELEM_CONJ_LEFT:
-        return n >= 1 and p == 1
-    if kind is MoveKind.ELEM_CONJ_RIGHT:
-        return n >= 1 and p == n
-    if kind is MoveKind.MARKOV_STAB:
-        return p == n + 1
+    end = end_position(kind, len(letters))
+    if end is None:
+        raise MoveError(f"unknown move kind {kind}")
     if kind is MoveKind.MARKOV_DESTAB:
-        # Single trailing letter sigma_{N-1} that is its only occurrence;
-        # destabilizing below two strands is not allowed.
-        return (
-            n >= 1
-            and p == n
-            and strands >= 3
-            and letters[-1] == strands - 1
-            and letters.count(strands - 1) == 1
-        )
-    raise MoveError(f"unknown move kind {kind}")
+        top = strands - 1
+        return p == end >= 1 and strands >= 3 and letters[-1] == top and letters.count(top) == 1
+    return p == end and (kind is MoveKind.MARKOV_STAB or len(letters) >= 1)
 
 
 def apply_move(w: BraidWord, m: WordMove) -> BraidWord:
@@ -147,20 +147,41 @@ def apply_move(w: BraidWord, m: WordMove) -> BraidWord:
     return replay(w, (m,))
 
 
+def end_position(kind: MoveKind, n: int) -> int | None:
+    """Where an end move of the kind stands on a word of n letters: conjL
+    at 1, conjR and destab at n, stab at n + 1; None for braid and
+    farcomm, which stand where their letters do."""
+    if kind is MoveKind.ELEM_CONJ_LEFT:
+        return 1
+    if kind is MoveKind.ELEM_CONJ_RIGHT or kind is MoveKind.MARKOV_DESTAB:
+        return n
+    return n + 1 if kind is MoveKind.MARKOV_STAB else None
+
+
+# each end move's inverse kind, in enumerate_moves order
+_UNDO = {
+    MoveKind.ELEM_CONJ_LEFT: MoveKind.ELEM_CONJ_RIGHT,
+    MoveKind.ELEM_CONJ_RIGHT: MoveKind.ELEM_CONJ_LEFT,
+    MoveKind.MARKOV_STAB: MoveKind.MARKOV_DESTAB,
+    MoveKind.MARKOV_DESTAB: MoveKind.MARKOV_STAB,
+}
+
+# the kinds that keep every brick in place: the linking graph is unchanged
+NEUTRAL = frozenset({MoveKind.FAR_COMM, MoveKind.MARKOV_STAB, MoveKind.MARKOV_DESTAB})
+
+
+def undo_move(m: WordMove, n: int) -> WordMove:
+    """The move that undoes m, a move already applied, on the word of n
+    letters it produced; unchecked. Braid relations and far commutations
+    undo themselves; an end move's inverse kind stands at its end position."""
+    kind = _UNDO.get(m.kind)
+    return m if kind is None else WordMove(kind, end_position(kind, n))
+
+
 def inverse_move(w: BraidWord, m: WordMove) -> WordMove:
-    """The move that undoes m; valid on apply_move(w, m)."""
-    if not move_applies(w, m):
-        raise MoveError(f"{m.kind.value} does not apply at position {m.position}")
-    n = len(w.letters)
-    if m.kind in (MoveKind.BRAID_REL, MoveKind.FAR_COMM):
-        return m
-    if m.kind is MoveKind.ELEM_CONJ_LEFT:
-        return WordMove(MoveKind.ELEM_CONJ_RIGHT, n)
-    if m.kind is MoveKind.ELEM_CONJ_RIGHT:
-        return WordMove(MoveKind.ELEM_CONJ_LEFT, 1)
-    if m.kind is MoveKind.MARKOV_STAB:
-        return WordMove(MoveKind.MARKOV_DESTAB, n + 1)
-    return WordMove(MoveKind.MARKOV_STAB, n)
+    """The move that undoes m; valid on apply_move(w, m). Raises MoveError
+    where m does not apply, as apply_move does."""
+    return undo_move(m, len(apply_move(w, m).letters))
 
 
 def _site(letters: tuple[int, ...] | list[int], kind: MoveKind, p: int) -> bool:
@@ -188,14 +209,12 @@ def rewrite_sites(letters: tuple[int, ...]) -> Iterator[tuple[MoveKind, int]]:
 
 def enumerate_moves(w: BraidWord) -> list[WordMove]:
     """All valid moves, ordered by kind then position."""
-    n = len(w.letters)
-    moves = [WordMove(kind, p) for kind, p in rewrite_sites(w.letters)]
-    if n:
-        moves += [WordMove(MoveKind.ELEM_CONJ_LEFT, 1), WordMove(MoveKind.ELEM_CONJ_RIGHT, n)]
-    moves.append(WordMove(MoveKind.MARKOV_STAB, n + 1))
-    destab = WordMove(MoveKind.MARKOV_DESTAB, n)
-    if move_applies(w, destab):
-        moves.append(destab)
+    strands, letters = w.strands, w.letters
+    moves = [WordMove(kind, p) for kind, p in rewrite_sites(letters)]
+    for kind in _UNDO:
+        p = end_position(kind, len(letters))
+        if _applies(strands, letters, kind, p):
+            moves.append(WordMove(kind, p))
     return moves
 
 
