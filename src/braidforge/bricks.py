@@ -8,13 +8,15 @@ range, ``BrickDiagram.column_ids``: the one per-column index. The one
 constructor, ``BrickDiagram(word)``, reads the word once into each
 letter's occurrences and the id ranges, so equal words hold equal
 data; the ``Brick`` objects are spelled from those on first read of
-``bricks`` and kept. Each process keeps the diagrams of its CACHE_SIZE
+``bricks`` and kept; so are its column runs, ``_runs``, the linking
+graph's components. Each process keeps the diagrams of its CACHE_SIZE
 most recent words.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -81,6 +83,23 @@ class BrickDiagram:
         for column, ids in self.column_ids.items():
             occ = self.occurrences[column]
             yield from zip(ids, repeat(column), occ, occ[1:])
+
+    @cached_property
+    def _runs(self) -> tuple[range, ...]:
+        """The id range of each maximal run of columns joined to the next
+        by a lateral edge, in column order, so a run's index labels its
+        bricks as linking.components would. Columns c - 1 and c are joined
+        iff the one to occur first recurs strictly inside the other's first
+        and last occurrence; a column with one occurrence joins nothing."""
+        occ, runs = self.occurrences, []
+        for column, ids in self.column_ids.items():
+            x, y = sorted((occ[column], occ.get(column - 1, ())))
+            i = bisect_right(x, y[0])
+            if i < len(x) and x[i] < y[-1]:
+                runs[-1] = range(runs[-1].start, ids.stop)
+            else:
+                runs.append(ids)
+        return tuple(runs)
 
     @cached_property
     def bricks(self) -> tuple[Brick, ...]:

@@ -1,19 +1,19 @@
 """Presentation-level isomorphism invariants.
 
 The column lattice is the one reader of a presentation's exponent
-columns: a braid relator on i < j has the column e_i - e_j and a
-commutation relator none, so the braid pairs are read as they stand. A
-graph's region joins only vertices its own edges join, so only cycles
-given as words are summed, once.
-Every relator a linking graph yields has exponent sums zero or
+columns. Every relator a linking graph yields has exponent sums zero or
 e_i - e_j, so the generator-by-relator exponent matrix is a graph
 incidence matrix and totally unimodular: the components of the graph of
-the (+1, -1) pairs, labelled by linking.components, give the
-abelianization Z^c (c components, every other invariant factor 1), and a
-vector lies in the column lattice iff its sum on each component is zero.
-The lattice is built once per presentation and kept on it. A graph's
-components are its maximal runs of joined adjacent columns, read off the
-brick diagram by diagram_abelianization. A hand-built presentation with any other column
+the (+1, -1) pairs give the abelianization Z^c (c components, every
+other invariant factor 1), and a vector lies in the column lattice iff
+its sum on each component is zero. The lattice is built once per
+presentation and kept on it. A swept presentation's components are its
+diagram's column runs, the maximal runs of adjacent columns joined by a
+lateral edge (BrickDiagram._runs), so its lattice expands those and
+diagram_abelianization counts them. A presentation read off relator
+words is labelled by linking.components over its braid pairs, a braid
+relator on i < j having the column e_i - e_j and a commutation relator
+none, and its cycle words' summed columns; one with any other column
 shape has no such reading and raises PresentationError on every call.
 
 Homomorphisms into small finite groups are found by one orbit search per
@@ -58,7 +58,6 @@ them.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import NamedTuple, Sequence
@@ -99,25 +98,28 @@ class ColumnLattice:
     """Integer span of a presentation's exponent columns, as the components
     of the graph they join.
 
-    The columns must form a graph incidence matrix. A braid relator on
-    i < j has the column e_i - e_j and a commutation relator none, by
-    construction, and a graph's region joins only vertices its own
-    vertical and lateral edges join, so the braid pairs are joined as they
-    stand and only cycles given as words are summed; a summed column other
-    than zero or e_i - e_j raises PresentationError naming its relator.
-    The span is the kernel of the map onto Z^c that sums a vector on each
-    component, so the per-presentation work is one labelling of the joined
-    pairs' graph by linking.components, done here: ``component`` labels
-    each generator 0..n_components-1, in order of each component's least
-    generator.
-    ``ColumnLattice.of`` keeps it on the presentation.
+    The columns must form a graph incidence matrix. The span is the
+    kernel of the map onto Z^c that sums a vector on each component, so
+    the per-presentation work is one labelling, done here: ``component``
+    labels each generator 0..n_components-1, in order of each
+    component's least generator. A swept presentation's labels are its
+    diagram's column runs, each run an id range. A presentation read off
+    relator words is labelled by linking.components over its braid pairs
+    (a braid relator on i < j has the column e_i - e_j and a commutation
+    relator none) and the summed columns of its cycle words; a summed
+    column other than zero or e_i - e_j raises PresentationError naming
+    its relator. ``ColumnLattice.of`` keeps it on the presentation.
     """
 
     __slots__ = ("component", "n_components")
 
     def __init__(self, p: Presentation) -> None:
+        if p._runs is not None:
+            self.component = [c for c, ids in enumerate(p._runs) for _ in ids]
+            self.n_components = len(p._runs)
+            return
         pairs = [(i - 1, j - 1) for i, j in p.braid_pairs]
-        for c, word in enumerate(p.cycle_words if p.region_cycles is None else ()):
+        for c, word in enumerate(p.cycle_words):
             col = exponent_sums(word)
             if not col:
                 continue
@@ -150,13 +152,8 @@ def abelianization(p: Presentation) -> Abelianization:
 
 def diagram_abelianization(d: BrickDiagram) -> Abelianization:
     """abelianization(presentation_of(build_graph(d))) with no graph: c counts
-    the columns with bricks less the adjacent pairs linked laterally, those in
-    which the column x to occur first recurs inside the other's first and last."""
-    occ, c = d.occurrences, len(d.column_ids)
-    for column in d.column_ids:
-        x, y = sorted((occ[column], occ.get(column + 1, ())))
-        i = bisect_right(x, y[0])
-        c -= i < len(x) and x[i] < y[-1]
+    the diagram's column runs."""
+    c = len(d._runs)
     return Abelianization((1,) * (d.n_bricks - c) + (0,) * c)
 
 

@@ -130,13 +130,14 @@ class Presentation:
     ``region_cycles``, each region's vertex tuple (None when relators
     were given), and spells ``cycle_words`` on first need (equality,
     hashing, the orbit search) and ``cycles`` on first read, keeping
-    both. ``_lattice`` holds the column lattice once invariants has
-    built it, and ``_hash`` the hash once it is first asked for.
+    both, and ``_runs``, its diagram's column runs (None when relators
+    were given). ``_lattice`` holds the column lattice once invariants
+    has built it, and ``_hash`` the hash once it is first asked for.
     """
 
     __slots__ = (
         "n_generators", "braid_pairs", "comm_pairs", "region_cycles", "_cycles", "_words",
-        "_lattice", "_hash",
+        "_runs", "_lattice", "_hash",
     )
 
     def __init__(self, n_generators: int, relators: tuple[Relator, ...]) -> None:
@@ -159,9 +160,12 @@ class Presentation:
         comm_pairs = None if full else tuple(sorted(comm))
         self._store(n_generators, tuple(sorted(braid)), comm_pairs, None, tuple(cycles))
 
-    def _store(self, n_generators, braid_pairs, comm_pairs, region_cycles, cycles=None) -> None:
+    def _store(
+        self, n_generators, braid_pairs, comm_pairs, region_cycles, cycles=None, runs=None
+    ) -> None:
         self.n_generators, self.braid_pairs = n_generators, braid_pairs
         self.comm_pairs, self.region_cycles, self._cycles = comm_pairs, region_cycles, cycles
+        self._runs = runs
         self._words = self._lattice = self._hash = None
 
     def pair_table(self) -> Iterator[tuple[int, int, RelatorKind]]:
@@ -265,13 +269,14 @@ def cycle_relator(cycle: tuple[int, ...], provenance: tuple = ()) -> Relator:
 
 def presentation_of(g: LinkingGraph) -> Presentation:
     """Braid relator per edge, commutation per non-edge, cycle per region:
-    the graph's pair table and region cycles, stored on the first call
-    and kept on the graph for every later one."""
+    the graph's pair table and region cycles, with its diagram's column
+    runs, stored on the first call and kept on the graph for every later
+    one."""
     if g._presentation is None:
         pairs = tuple((a, b) for a, b, _, _ in g.raw_edges)  # swept in lex order
         regions = tuple(cycle for cycle, _, _, _ in g.raw_regions)
         p = Presentation.__new__(Presentation)
-        p._store(g.diagram.n_bricks, pairs, None, regions)
+        p._store(g.diagram.n_bricks, pairs, None, regions, runs=g.diagram._runs)
         object.__setattr__(g, "_presentation", p)
     return g._presentation
 

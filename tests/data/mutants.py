@@ -102,6 +102,39 @@ MUTANTS = [
         "the minimal simple elements above every generator are needed to"
         " connect the super summit set; without sigma_{n-1} members go missing",
     ),
+    Mutant(
+        "summit-closure-repeats-conjugators", "garside.py",
+        "            if c in tried:\n                continue\n",
+        "",
+        "test_garside_kernels.py",
+        "generators often share their minimal simple element, and the closure"
+        " conjugates each member once per distinct one, not once per generator",
+    ),
+    Mutant(
+        "column-runs-linked-pair-unjoined", "bricks.py",
+        "            i = bisect_right(x, y[0])\n",
+        "            i = bisect_right(x, y[0]) + 1\n",
+        "test_column_runs.py",
+        "columns are joined by the first recurrence of the earlier one inside"
+        " the other's span; testing the second leaves 1 2 1 2's columns apart",
+    ),
+    Mutant(
+        "column-runs-label-never-advances", "bricks.py",
+        "            if i < len(x) and x[i] < y[-1]:\n",
+        "            if runs:\n",
+        "test_column_runs.py",
+        "a column not joined to the one before starts a new run; without it"
+        " every brick lands in one component",
+    ),
+    Mutant(
+        "column-runs-inclusive-span", "bricks.py",
+        "            if i < len(x) and x[i] < y[-1]:\n",
+        "            if i < len(x) and x[i] <= y[-1]:\n",
+        "test_column_runs.py",
+        "equivalent: x and y are the positions of two different letters, so"
+        " x[i] == y[-1] never holds and < and <= decide alike",
+        equivalent=True,
+    ),
 ]
 
 

@@ -498,15 +498,16 @@ def test_equal_words_share_bricks_and_graphs_share_presentations():
     assert presentation_of(build_graph(d, "right-positive")) == presentation_of(g)
 
 
-def test_lattice_union_find_runs_once_per_presentation(monkeypatch):
+def test_lattice_built_once_per_presentation(monkeypatch):
     built = []
-    real = ColumnLattice.__init__
+    real = ColumnLattice.of
 
-    def counted(self, p):
-        built.append(id(p))
-        real(self, p)
+    def counted(cls, p):
+        if p._lattice is None:
+            built.append(id(p))
+        return real(p)
 
-    monkeypatch.setattr(ColumnLattice, "__init__", counted)
+    monkeypatch.setattr(ColumnLattice, "of", classmethod(counted))
     clear_caches()
     held = []  # every presentation checked stays alive, so no id is reused
     for _ in range(2):

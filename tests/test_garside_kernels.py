@@ -6,13 +6,14 @@ summit sets use; normal forms built from runs of simple letters against
 the letter-by-letter oracle on 6-10-strand words of 100-500 letters
 (tests/test_garside_oracles.py covers short words); the memos of
 permutation-braid work for their one bound and for answers that do not
-depend on what they hold; and the conjugacy decision, whose closure
-stops at the second representative and which rejects differing cycle
-types first, against a full closure kept here as the reference.
+depend on what they hold; the closure for conjugating each member once
+per distinct minimal simple element; and the conjugacy decision, whose
+closure stops at the second representative and which rejects differing
+cycle types first, against a full closure kept here as the reference.
 """
 
 import random
-from collections import deque
+from collections import Counter, deque
 from itertools import permutations
 
 from braidforge import garside
@@ -189,3 +190,30 @@ def test_cycle_type_rejection_agrees_with_the_full_closure():
         assert same or not want
         kinds["conjugate" if want else "same cycle type" if same else "other cycle type"] += 1
     assert min(kinds.values()) >= 20, kinds
+
+
+def test_closure_conjugates_once_per_distinct_minimal_simple(monkeypatch):
+    # generators often share their least conjugator; each one is applied once
+    rng = random.Random(20261021)
+    formed = Counter()
+    real = garside.conjugate_nf
+
+    def counted(u, c):
+        formed[u.key()] += 1
+        return real(u, c)
+
+    monkeypatch.setattr(garside, "conjugate_nf", counted)
+    shared = 0
+    for k in range(40):
+        n = 3 + k % 4
+        tail = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 6)))
+        rep, _ = garside._summit_representative(normal_form(BraidWord(n, delta_word(n) + tail)))
+        formed.clear()
+        members, _ = garside._summit_closure(rep, DEFAULT_CAPS)
+        distinct = Counter()
+        for key, u in members.items():
+            back = garside._inverse_factors(u)
+            distinct[key] = len({garside._minimal_simple(u, back, i) for i in range(1, n)})
+        assert formed == distinct
+        shared += sum(distinct.values()) < len(members) * (n - 1)
+    assert shared >= 20, shared
