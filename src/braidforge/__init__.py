@@ -39,7 +39,6 @@ from .invariants import (
     abelianization,
     enumerate_homs,
     hom_count,
-    hom_count_up_to_conjugacy,
 )
 from .isomaps import (
     CheckReport,

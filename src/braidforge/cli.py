@@ -29,8 +29,7 @@ from .garside import (
     normal_form,
     summit,
 )
-from .invariants import diagram_abelianization, generator_cap
-from .invariants import hom_count, hom_count_up_to_conjugacy
+from .invariants import diagram_abelianization, generator_cap, hom_count
 from .isomaps import check_map, maps_along_moves
 from .linking import build_graph
 from .presentations import presentation_of, serialize
@@ -251,27 +250,26 @@ def _cmd_moveseq(args, cfg: Config, a: BraidWord, b: BraidWord) -> int:
     return 0
 
 
-def _invariants_of(w: BraidWord, cfg: Config, targets, *counts):
-    """The word's abelianization, read off its brick diagram, and per count
-    function (hom_count, ...) count(p, t, caps).count per target name that
-    no cap stops. Only a hom search reads the graph: it and its presentation
-    p are built once, if some target's cap admits the bricks."""
+def _invariants_of(w: BraidWord, cfg: Config, targets):
+    """The word's abelianization, read off its brick diagram, and the
+    hom_count record of each target that no cap stops. Only a hom search
+    reads the graph: it and its presentation p are built once, if some
+    target's cap admits the bricks."""
     d = build_bricks(w)
     caps = cfg.generator_caps
     admitted = [t for t in targets if d.n_bricks <= generator_cap(t, caps)]
     p = presentation_of(build_graph(d, cfg.sign_convention)) if admitted else None
-    found: list[dict[str, int]] = [{} for _ in counts]
-    for count, out in zip(counts, found):
-        for t in admitted:
-            with contextlib.suppress(ResourceCapError):
-                out[t.name] = count(p, t, caps).count
+    found = []
+    for t in admitted:
+        with contextlib.suppress(ResourceCapError):
+            found.append(hom_count(p, t, caps))
     return diagram_abelianization(d), found
 
 
 def _cmd_invariants(args, cfg: Config, w: BraidWord) -> int:
     targets = cfg.resolve_targets()
-    counts = (hom_count, hom_count_up_to_conjugacy) if args.up_to_conjugacy else (hom_count,)
-    ab, (homs, *conj) = _invariants_of(w, cfg, targets, *counts)
+    ab, found = _invariants_of(w, cfg, targets)
+    homs = {h.target: h.count for h in found}
     payload = {
         "word": w.to_dict(),
         "abelianization": list(ab.invariant_factors),
@@ -279,8 +277,8 @@ def _cmd_invariants(args, cfg: Config, w: BraidWord) -> int:
         "hom_counts": homs,
         "skipped_targets": [t.name for t in targets if t.name not in homs],
     }
-    if conj:
-        payload["hom_counts_up_to_conjugacy"] = conj[0]
+    if args.up_to_conjugacy:
+        payload["hom_counts_up_to_conjugacy"] = {h.target: len(h.reps) for h in found}
     _emit(json.dumps(payload))
     return 0
 
@@ -323,7 +321,8 @@ def _cmd_verify(args, cfg: Config, w: BraidWord) -> int:
     def signature(word: BraidWord):
         return build_graph(build_bricks(word), cfg.sign_convention).combinatorial_signature()
 
-    base_ab, (base_counts,) = _invariants_of(w, cfg, targets, hom_count)
+    base_ab, base = _invariants_of(w, cfg, targets)
+    base_counts = {h.target: h.count for h in base}
     failures = []
     cur = w
     applied = 0
@@ -334,7 +333,8 @@ def _cmd_verify(args, cfg: Config, w: BraidWord) -> int:
         m = rng.choice(moves)
         nxt = apply_move(cur, m)
         applied += 1
-        ab, (counts,) = _invariants_of(nxt, cfg, targets, hom_count)
+        ab, found = _invariants_of(nxt, cfg, targets)
+        counts = {h.target: h.count for h in found}
         # (check, base value, value); a base value is None where a cap stopped it
         values = [("abelianization", base_ab.invariant_factors, ab.invariant_factors)]
         values += [(f"hom_count:{t}", base_counts.get(t), n) for t, n in counts.items()]

@@ -71,7 +71,10 @@ def _parse_generator_caps(text: str) -> dict[str, int]:
         if not item:
             continue
         key, _, value = item.partition("=")
-        caps[key.strip()] = int(value)
+        key = key.strip()
+        if not key:
+            raise ValueError(f"{item!r} names no target")
+        caps[key] = int(value)
     return caps
 
 

@@ -23,7 +23,7 @@ permutation braid above sigma_i that keeps the conjugate in the set
 permutation-braid primitive that the closure repeats (division steps,
 tau, complements, lengths, the identity, Delta and letter permutations)
 is memoized per distinct input, and so is perm_word's spelling, each
-memo bounded by PERM_MEMO entries.
+by an lru_cache of PERM_MEMO entries.
 Deciding conjugacy first compares the cycle types of the two braids'
 permutations, which conjugation preserves, and only equal types are
 converged; the deciding closure stops as soon as it discovers the
@@ -144,18 +144,10 @@ def right_complement(c: Perm) -> Perm:
     return tuple(w0[ci[x]] for x in range(len(c)))
 
 
-# perm_word's memo is a dict, not an lru_cache: the lru_caches are the
-# closure's memos, whose set tests/test_garside_kernels.py pins, and
-# spelling is no closure work. The oldest entry leaves past PERM_MEMO.
-_PERM_WORDS: dict[Perm, tuple[int, ...]] = {}
-
-
+@lru_cache(maxsize=PERM_MEMO)
 def perm_word(p: Perm) -> tuple[int, ...]:
     """A deterministic reduced positive word spelling the permutation braid:
     the least letter of the starting set, then the rest's word."""
-    word = _PERM_WORDS.get(p)
-    if word is not None:
-        return word
     q = list(p)
     letters = []
     while True:
@@ -164,10 +156,7 @@ def perm_word(p: Perm) -> tuple[int, ...]:
             break
         letters.append(descent)
         q[descent - 1], q[descent] = q[descent], q[descent - 1]
-    if len(_PERM_WORDS) >= PERM_MEMO:
-        del _PERM_WORDS[next(iter(_PERM_WORDS))]
-    word = _PERM_WORDS[p] = tuple(letters)
-    return word
+    return tuple(letters)
 
 
 def delta_word(n: int) -> tuple[int, ...]:

@@ -35,9 +35,11 @@ value[x] the image of letter x for x in -k..k. Per target element v,
 cent[v] is the mask of conjugators fixing v and lower[v] of those
 sending it to a smaller index; the search carries stab, the centralizer
 of the images so far, tries v only if stab & lower[v] == 0, and descends
-with stab & cent[v]. A leaf's orbit has |G| / |stab| members. The count,
-the orbit count and the orbit representatives are read off that one
-result, and images are a hom iff their least conjugate
+with stab & cent[v]. A leaf's orbit has |G| / |stab| members. That one
+search's record, a HomCount, is the one answer hom_count returns: its
+representatives, their orbit sizes, the values tried, and the count,
+the sizes summed; the count up to conjugacy is the number of
+representatives, and images are a hom iff their least conjugate
 (least_conjugate) is one of those representatives. The full hom list is
 expanded only on request, every representative by every conjugator, in
 lexicographic order of image tuples. Id order is what keeps the search narrow: brick ids run
@@ -49,16 +51,16 @@ a configured generator cap raises, never guesses: the cap test runs
 before any cache lookup. The cap bounds k, not the work (k pairwise
 commuting generators make every commuting k-tuple a hom), so a search
 also refuses its target with ResourceCapError once it has tried
-HOM_SEARCH_VALUES values; a result keeps its count and is tested against
-the budget before the cache answers. Search results are memoized per
-process for the CACHE_SIZE most recent presentations, per target table;
-equal presentations (generator count, pair table, cycle words) share
-them.
+HOM_SEARCH_VALUES values; a record keeps the values it tried and is
+tested against the budget before the cache answers. Records are
+memoized per process for the CACHE_SIZE most recent presentations, per
+target table; equal presentations (generator count, pair table, cycle
+words) share them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, lru_cache
 from typing import NamedTuple, Sequence
 
@@ -90,8 +92,20 @@ class Abelianization:
 
 @dataclass(frozen=True)
 class HomCount:
+    """The orbit search's answer for one presentation and target: one hom
+    per orbit under simultaneous conjugation in the target, the least of
+    each in lexicographic order of image tuples, in the order the search
+    found them; each orbit's size; the number of values the search tried;
+    and count, the hom count, which is the sizes summed."""
+
     target: str
-    count: int
+    reps: tuple[tuple[int, ...], ...]
+    sizes: tuple[int, ...]
+    tried: int
+    count: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "count", sum(self.sizes))
 
 
 class ColumnLattice:
@@ -218,17 +232,6 @@ def generator_cap(t: FiniteTarget, caps: dict[str, int] | None = None) -> int:
     return caps.get(t.name, caps.get("*", DEFAULT_GENERATOR_CAPS["*"]))
 
 
-class _Orbits(NamedTuple):
-    """The orbit search's result: one hom per orbit, the least in
-    lexicographic order of image tuples, its orbit size, the hom count,
-    and the number of values the search tried."""
-
-    reps: tuple[tuple[int, ...], ...]
-    sizes: tuple[int, ...]
-    count: int
-    tried: int
-
-
 def _over_budget(t: FiniteTarget) -> ResourceCapError:
     return ResourceCapError(
         f"the hom search for target {t.name} tried more than {HOM_SEARCH_VALUES} values"
@@ -269,7 +272,7 @@ def _pair_windows(
     return start, window
 
 
-def _assignments(p: Presentation, t: FiniteTarget) -> _Orbits:
+def _assignments(p: Presentation, t: FiniteTarget) -> HomCount:
     """One relator-satisfying assignment per orbit under simultaneous
     conjugation in the target, found by an orderly search.
 
@@ -304,7 +307,7 @@ def _assignments(p: Presentation, t: FiniteTarget) -> _Orbits:
             closing[max(map(abs, word)) - 1].append(word)
 
     if k == 0:
-        return _Orbits(((),), (1,), 1, 0)
+        return HomCount(t.name, ((),), (1,), 0)
     table, inverse, ident = t.table, t.inverse, t.identity
     full = (1 << n) - 1
     value = [ident] * (2 * k + 1)
@@ -337,7 +340,7 @@ def _assignments(p: Presentation, t: FiniteTarget) -> _Orbits:
             i = 0
         if i == len(vals):
             if not step:
-                return _Orbits(tuple(reps), tuple(sizes), sum(sizes), budget - left)
+                return HomCount(t.name, tuple(reps), tuple(sizes), budget - left)
             step -= 1
             vals, i = tries[step], nxt[step]
             continue
@@ -363,14 +366,21 @@ def _assignments(p: Presentation, t: FiniteTarget) -> _Orbits:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _memo(p: Presentation) -> dict:
-    """Orbit search results of one presentation (and those equal to it), by target."""
+    """Orbit search records of one presentation (and those equal to it), by target."""
     return {}
 
 
-def _orbits(p: Presentation, t: FiniteTarget, caps: dict[str, int] | None) -> _Orbits:
-    """The one orbit search for p and t, after the cap test, so that a cap
-    raises whatever is cached; a kept result that tried more values than
-    HOM_SEARCH_VALUES allows raises as a fresh search would."""
+def hom_count(
+    p: Presentation, t: FiniteTarget, caps: dict[str, int] | None = None
+) -> HomCount:
+    """The orbit search's record for p and t, from which the hom count and
+    the count up to conjugacy (the number of representatives) are read;
+    no hom beyond one per orbit is ever built.
+
+    The cap test runs first, so that a cap raises whatever is cached; a
+    kept record that tried more values than HOM_SEARCH_VALUES allows
+    raises as a fresh search would.
+    """
     k = p.n_generators
     cap = generator_cap(t, caps)
     if k > cap:
@@ -384,14 +394,6 @@ def _orbits(p: Presentation, t: FiniteTarget, caps: dict[str, int] | None) -> _O
     return found
 
 
-def hom_count(
-    p: Presentation, t: FiniteTarget, caps: dict[str, int] | None = None
-) -> HomCount:
-    """Exact number of homomorphisms into the target: the orbit sizes of the
-    orbit search summed; no hom beyond one per orbit is ever built."""
-    return HomCount(t.name, _orbits(p, t, caps).count)
-
-
 def enumerate_homs(
     p: Presentation, t: FiniteTarget, caps: dict[str, int] | None = None
 ) -> list[tuple[int, ...]]:
@@ -402,29 +404,11 @@ def enumerate_homs(
     under every conjugator, sorted.
     """
     conj = _target_tables(t).conj
-    return sorted({tuple(map(c.__getitem__, h)) for h in _orbits(p, t, caps).reps for c in conj})
-
-
-def hom_orbits(
-    p: Presentation, t: FiniteTarget, caps: dict[str, int] | None = None
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """One homomorphism per orbit under conjugation in the target, the least
-    of each in lexicographic order of image tuples, and the orbit sizes:
-    the orbit search's own result, in the order it found them."""
-    found = _orbits(p, t, caps)
-    return found.reps, found.sizes
-
-
-def hom_count_up_to_conjugacy(
-    p: Presentation, t: FiniteTarget, caps: dict[str, int] | None = None
-) -> HomCount:
-    """Number of homomorphisms up to simultaneous target conjugacy: the
-    number of orbit search representatives."""
-    return HomCount(t.name, len(_orbits(p, t, caps).reps))
+    return sorted({tuple(map(c.__getitem__, h)) for h in hom_count(p, t, caps).reps for c in conj})
 
 
 def least_conjugate(t: FiniteTarget, images: tuple[int, ...]) -> tuple[int, ...]:
     """The least of the images' conjugates in t, in lexicographic order of
     image tuples: the images satisfy p's relators iff it is one of
-    hom_orbits(p, t)'s representatives, the least member of each orbit."""
+    hom_count(p, t)'s representatives, the least member of each orbit."""
     return min(tuple(map(c.__getitem__, images)) for c in _target_tables(t).conj)

@@ -69,7 +69,7 @@ from typing import Callable, Iterable
 from .bricks import BrickDiagram, build_bricks
 from .errors import ResourceCapError
 from .finite_groups import FiniteTarget
-from .invariants import ColumnLattice, evaluate_word, hom_orbits, least_conjugate
+from .invariants import ColumnLattice, HomCount, evaluate_word, hom_count, least_conjugate
 from .linking import build_graph
 from .presentations import (
     GroupWord,
@@ -357,19 +357,11 @@ def _pull_back(
     t: FiniteTarget, hom: tuple[int, ...], images: tuple[GroupWord, ...]
 ) -> tuple[int, ...]:
     """Generator images of hom after the map whose generator images are
-    given: a one-letter positive image reads hom directly, a longer one
-    multiplies its letters' values, a negative letter's inverted."""
-    table, ident, inverse = t.table, t.identity, t.inverse
-    pulled = []
-    for word in images:
-        if len(word) == 1 and word[0] > 0:
-            pulled.append(hom[word[0] - 1])
-            continue
-        acc = ident
-        for x in word:
-            acc = table[acc][hom[x - 1] if x > 0 else inverse[hom[-x - 1]]]
-        pulled.append(acc)
-    return tuple(pulled)
+    given: a one-letter positive image reads hom directly, any other is
+    evaluated under hom."""
+    return tuple(
+        [hom[w[0] - 1] if len(w) == 1 and w[0] > 0 else evaluate_word(t, hom, w) for w in images]
+    )
 
 
 def _projected(images: _Images, lattice: ColumnLattice) -> list[tuple[int, ...]]:
@@ -416,10 +408,10 @@ def _violation(
 
 
 def _finite_violations(
-    m: GeneratorMap, t: FiniteTarget, src: tuple, dst: tuple, relators: _Spelled
+    m: GeneratorMap, t: FiniteTarget, src: HomCount, dst: HomCount, relators: _Spelled
 ) -> list[Violation]:
     """The violations under t, from one pass over the orbit representatives
-    of hom_orbits' src and dst.
+    of hom_count's records src and dst.
 
     Each representative h is pulled back through the map once and that
     pullback back again once; a pullback is a hom iff its least conjugate
@@ -435,16 +427,16 @@ def _finite_violations(
     check's targets, spells each presentation once.
     """
     pulls, holds = [], True  # per direction: each h, its pullback q, and the round trip
-    for (reps, _), homs, there, back in (
-        (dst, set(src[0]), m.images, m.inverse_images),
-        (src, set(dst[0]), m.inverse_images, m.images),
+    for reps, homs, there, back in (
+        (dst.reps, set(src.reps), m.images, m.inverse_images),
+        (src.reps, set(dst.reps), m.inverse_images, m.images),
     ):
         pulled = [_pull_back(t, h, there) for h in reps]
         pulls.append([(h, q, _pull_back(t, q, back)) for h, q in zip(reps, pulled)])
         holds = holds and all(
             (q in homs or least_conjugate(t, q) in homs) and trip == h for h, q, trip in pulls[-1]
         )
-        if holds and (len(pulls) == 2 or sum(src[1]) == sum(dst[1])):
+        if holds and (len(pulls) == 2 or src.count == dst.count):
             return []
     fwd, bwd = pulls
     kinds = (("forward", m.source, fwd), ("backward", m.target, bwd))
@@ -527,21 +519,20 @@ def check_map(
     hom_counts: dict[str, tuple[int, int]] = {}
     for t in targets:
         try:
-            src, dst = hom_orbits(m.source, t, caps), hom_orbits(m.target, t, caps)
+            src, dst = hom_count(m.source, t, caps), hom_count(m.target, t, caps)
         except ResourceCapError:
             skipped.append(t.name)
             continue
         checked.append(t.name)
-        n_src, n_dst = sum(src[1]), sum(dst[1])
-        hom_counts[t.name] = (n_src, n_dst)
-        if n_src != n_dst:
+        hom_counts[t.name] = (src.count, dst.count)
+        if src.count != dst.count:
             # no isomorphism can exist between the presented groups
             violations.append(
                 Violation(
                     "counts",
                     "hom-count",
                     t.name,
-                    f"{n_src} source vs {n_dst} target homomorphisms",
+                    f"{src.count} source vs {dst.count} target homomorphisms",
                 )
             )
         violations += _finite_violations(m, t, src, dst, relators)

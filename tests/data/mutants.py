@@ -135,6 +135,38 @@ MUTANTS = [
         " x[i] == y[-1] never holds and < and <= decide alike",
         equivalent=True,
     ),
+    Mutant(
+        "emit-trailing-space", "cli.py",
+        "    sys.stdout.write(text)\n",
+        "    sys.stdout.write(text + \" \")\n",
+        "test_cli_golden.py",
+        "stdout is a contract byte for byte: one space after the text changes"
+        " every command that exits 0",
+    ),
+    Mutant(
+        "cap-error-misspelt", "cli.py",
+        'print(f"resource cap exceeded: {exc}", file=sys.stderr)',
+        'print(f"resource cap exceedad: {exc}", file=sys.stderr)',
+        "test_cli_golden.py",
+        "stderr is a contract too: the corpus's capped commands record the"
+        " cap error's text",
+    ),
+    Mutant(
+        "up-to-conjugacy-prints-count", "cli.py",
+        "{h.target: len(h.reps) for h in found}",
+        "{h.target: h.count for h in found}",
+        "test_cli_errors.py",
+        "the count up to conjugacy is the number of orbit representatives,"
+        " fewer than the hom count whenever some orbit has two members",
+    ),
+    Mutant(
+        "hom-count-counts-orbits", "invariants.py",
+        'object.__setattr__(self, "count", sum(self.sizes))',
+        'object.__setattr__(self, "count", len(self.sizes))',
+        "test_invariants.py",
+        "the hom count is the orbit sizes summed; counting orbits gives the"
+        " count up to conjugacy",
+    ),
 ]
 
 

@@ -13,8 +13,9 @@ Answers along move chains are the same with every cache warm and with
 every cache cleared, a presentation that fails its lattice fails again,
 and no cache keeps a table's spelled pair relators alive. The
 ``invariants`` and ``verify`` commands build no Brick, LinkEdge, Region
-or Relator object (counted by wrapping their constructors), and a
-graph's lattice reads no cycle word.
+or Relator object (counted by wrapping their constructors), a graph's
+lattice reads no cycle word, and ``invariants --up-to-conjugacy`` reads
+both counts off one lookup of each admitted target's record.
 """
 
 import contextlib
@@ -44,8 +45,6 @@ from braidforge.invariants import (
     enumerate_homs,
     evaluate_word,
     hom_count,
-    hom_count_up_to_conjugacy,
-    hom_orbits,
 )
 from braidforge.isomaps import GeneratorMap, _finite_violations, check_map, move_map
 from braidforge.linking import build_graph
@@ -97,7 +96,7 @@ def full_pullback_holds(m, t, src_homs, dst_homs):
 
 def orbit_pullback_holds(m, t):
     """The library's decision: one pass over the orbit representatives."""
-    src, dst = hom_orbits(m.source, t), hom_orbits(m.target, t)
+    src, dst = hom_count(m.source, t), hom_count(m.target, t)
     return not _finite_violations(m, t, src, dst, lambda p: p.relators)
 
 
@@ -143,7 +142,7 @@ def test_cached_answers_equal_the_uncached_search(case):
     p = presentation(n, letters)
     for t in (S3, S4):
         if p.n_generators > invariants.generator_cap(t):
-            for call in (hom_count, enumerate_homs, hom_orbits):
+            for call in (hom_count, enumerate_homs):
                 with pytest.raises(ResourceCapError):
                     call(p, t)
             continue
@@ -154,10 +153,10 @@ def test_cached_answers_equal_the_uncached_search(case):
         assert enumerate_homs(presentation(n, letters), t) == homs
         assert hom_count(p, t).count == want.count == len(homs) == len(set(homs))
         assert set(homs) == set().union(*(conjugates(t, h) for h in want.reps))
-        assert hom_orbits(p, t) == (want.reps, want.sizes)
+        assert (hom_count(p, t).reps, hom_count(p, t).sizes) == (want.reps, want.sizes)
         assert list(want.reps) == first_of_each_orbit(t, homs)
         assert list(want.sizes) == [len(conjugates(t, h)) for h in want.reps]
-        assert hom_count_up_to_conjugacy(p, t).count == len(want.reps)
+        assert len(hom_count(p, t).reps) == len(want.reps)
         assert all(evaluate_word(t, h, r.word) == t.identity for h in homs for r in p.relators)
 
 
@@ -174,16 +173,34 @@ def test_each_hom_set_searched_once_and_counts_keep_no_list(monkeypatch):
     want = hom_count(p, S3).count
     assert searches == ["S3"]
     assert hom_count(presentation(3, (1, 2, 1, 1, 2, 1, 2)), S3).count == want
-    up_to = hom_count_up_to_conjugacy(p, S3).count
-    reps, sizes = hom_orbits(p, S3)
-    assert len(enumerate_homs(p, S3)) == want == sum(sizes)
+    found = hom_count(p, S3)
+    assert len(enumerate_homs(p, S3)) == want == sum(found.sizes)
     # the search kept one hom per orbit, never the list
-    assert len(reps) == up_to < want
+    assert len(found.reps) < want
     assert searches == ["S3"]
     # a listing first, for another target: still one search
     assert len(enumerate_homs(p, S4)) == hom_count(p, S4).count
-    hom_orbits(p, S4), hom_count_up_to_conjugacy(p, S4), enumerate_homs(p, S3)
+    hom_count(p, S4), enumerate_homs(p, S3)
     assert searches == ["S3", "S4"]
+
+
+def test_up_to_conjugacy_reads_both_counts_off_one_lookup(monkeypatch, capsys):
+    # S4 is capped before any lookup; S3's record answers both counts
+    monkeypatch.delenv("BRAIDFORGE_CONFIG", raising=False)
+    lookups = []
+    memo = invariants._memo
+
+    def counted(p):
+        lookups.append(p.n_generators)
+        return memo(p)
+
+    monkeypatch.setattr(invariants, "_memo", counted)
+    argv = ["invariants", "1 2 1 1 2 1", "--up-to-conjugacy", "--caps.generators", "S4=3"]
+    assert cli.main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["hom_counts"] == {"S3": 12}
+    assert payload["hom_counts_up_to_conjugacy"] == {"S3": 4}
+    assert lookups == [4]
 
 
 def test_check_map_never_lists_homs(monkeypatch):
@@ -242,8 +259,8 @@ def test_shuffled_and_repeated_relators_give_the_graph_presentation(monkeypatch)
 
     monkeypatch.setattr(invariants, "_assignments", counted)
     invariants._memo.cache_clear()
-    want = hom_orbits(p, S3)
-    assert hom_orbits(hand, S3) == want and searches == ["S3"]
+    want = hom_count(p, S3)
+    assert hom_count(hand, S3) == want and searches == ["S3"]
 
 
 def test_cycles_rebuilt_from_their_vertices_give_an_equal_presentation(monkeypatch):
@@ -263,7 +280,7 @@ def test_cycles_rebuilt_from_their_vertices_give_an_equal_presentation(monkeypat
 
     monkeypatch.setattr(invariants, "_assignments", counted)
     invariants._memo.cache_clear()
-    assert hom_orbits(rebuilt, S3) == hom_orbits(p, S3) and searches == ["S3"]
+    assert hom_count(rebuilt, S3) == hom_count(p, S3) and searches == ["S3"]
     # another word, or another pair table, is another presentation
     reworded = cycles[:-1] + (cycle_relator(g.regions[-1].vertices[::-1]),)
     assert table_presentation(p.n_generators, p.braid_pairs, reworded) != p
@@ -279,7 +296,7 @@ def test_orbit_count_is_burnsides(case):
         if p.n_generators > invariants.generator_cap(t):
             continue
         homs = enumerate_homs(p, t)
-        assert hom_count_up_to_conjugacy(p, t).count == burnside_orbits(t, homs)
+        assert len(hom_count(p, t).reps) == burnside_orbits(t, homs)
 
 
 @SETTINGS
@@ -341,9 +358,9 @@ def test_cap_raises_after_counting_under_lifted_caps():
     assert p.n_generators > invariants.generator_cap(S3)
     lifted = {"S3": 100, "*": 100}
     count = hom_count(p, S3, lifted).count
-    assert enumerate_homs(p, S3, lifted) and hom_orbits(p, S3, lifted)
+    assert enumerate_homs(p, S3, lifted) and hom_count(p, S3, lifted).reps
     assert hom_count(p, S3, lifted).count == count
-    for call in (hom_count, enumerate_homs, hom_orbits, hom_count_up_to_conjugacy):
+    for call in (hom_count, enumerate_homs):
         with pytest.raises(ResourceCapError):
             call(p, S3)
     report = check_map(move_map(w, enumerate_moves(w)[0]), [S3])
@@ -373,10 +390,11 @@ def test_tables_sharing_a_name_never_share_hom_data():
         for t in (first, second, third, first):
             want = brute_hom_count([r.word for r in p.relators], p.n_generators, t)
             homs = enumerate_homs(p, t)
-            assert hom_count(p, t).count == want == len(homs) == sum(hom_orbits(p, t)[1])
+            found = hom_count(p, t)
+            assert found.count == want == len(homs) == sum(found.sizes)
             reps = first_of_each_orbit(t, homs)
-            assert list(hom_orbits(p, t)[0]) == reps
-            assert hom_count_up_to_conjugacy(p, t).count == burnside_orbits(t, homs) == len(reps)
+            assert list(found.reps) == reps
+            assert len(found.reps) == burnside_orbits(t, homs) == len(reps)
         assert hom_count(p, first).count != hom_count(p, second).count
         assert hom_count(p, first).count == hom_count(p, third).count
 
@@ -439,7 +457,7 @@ ANSWERS = """
 import json
 from braidforge.bricks import build_bricks
 from braidforge.finite_groups import builtin_targets
-from braidforge.invariants import enumerate_homs, hom_count, hom_count_up_to_conjugacy
+from braidforge.invariants import enumerate_homs, hom_count
 from braidforge.isomaps import check_map, move_map
 from braidforge.linking import build_graph
 from braidforge.presentations import (
@@ -458,8 +476,8 @@ for n, letters in ((3, (1, 2, 1, 1, 2, 1)), (4, (1, 2, 3, 2, 1, 2, 3)), (3, (1, 
         p = presentation_of(build_graph(build_bricks(w)))
         for t in targets:
             try:
-                out.append([hom_count(p, t).count, hom_count_up_to_conjugacy(p, t).count,
-                            enumerate_homs(p, t)[:5]])
+                found = hom_count(p, t)
+                out.append([found.count, len(found.reps), enumerate_homs(p, t)[:5]])
             except Exception as exc:
                 out.append(type(exc).__name__)
         out += [check_map(move_map(w, m), targets).to_dict() for m in enumerate_moves(w)]

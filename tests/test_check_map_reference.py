@@ -18,7 +18,7 @@ import pytest
 from braidforge.bricks import build_bricks
 from braidforge.errors import ResourceCapError
 from braidforge.finite_groups import builtin_targets
-from braidforge.invariants import enumerate_homs, hom_orbits
+from braidforge.invariants import enumerate_homs, hom_count
 from braidforge import isomaps
 from braidforge.isomaps import (
     CheckReport,
@@ -261,7 +261,7 @@ def test_pullbacks_off_the_representatives_go_through_least_conjugate(monkeypatc
                 report = check_map(m, targets)
                 assert report == reference_check_map(m, targets)
                 for t, least in calls:
-                    reps = {h for p in (m.source, m.target) for h in hom_orbits(p, t)[0]}
+                    reps = {h for p in (m.source, m.target) for h in hom_count(p, t).reps}
                     if least in reps:
                         held += 1
                         continue

@@ -164,7 +164,8 @@ def test_verify_failure_records_pinned(capsys, monkeypatch):
     def hom_count(p, t, caps):
         found = real_hom(p, t, caps)  # a capped target still raises
         calls["hom"] += 1
-        return HomCount(t.name, found.count + calls["hom"])
+        # one more orbit, of calls["hom"] homs: the count grows by that much
+        return HomCount(t.name, found.reps, found.sizes + (calls["hom"],), found.tried)
 
     monkeypatch.setattr(cli, "build_graph", build_graph)
     monkeypatch.setattr(cli, "diagram_abelianization", diagram_abelianization)

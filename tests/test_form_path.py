@@ -101,18 +101,18 @@ def test_perm_word_memo_is_bounded():
     # Every permutation of S_7 is more inputs than the memo holds.
     perms = list(permutations(range(7)))
     assert len(perms) > garside.PERM_MEMO
-    garside._PERM_WORDS.clear()
+    perm_word.cache_clear()
     for p in perms:
         word = perm_word(p)
-        assert isinstance(word, tuple) and len(garside._PERM_WORDS) <= garside.PERM_MEMO
+        assert isinstance(word, tuple) and perm_word.cache_info().currsize <= garside.PERM_MEMO
         q = list(p)
         for i in word:  # each letter undoes one inversion of p: reduced, and spells p
             assert q[i - 1] > q[i]
             q[i - 1], q[i] = q[i], q[i - 1]
         assert q == list(range(7))
-    assert len(garside._PERM_WORDS) == garside.PERM_MEMO
+    assert perm_word.cache_info().currsize == garside.PERM_MEMO
     warm = [perm_word(p) for p in perms[:50]]
-    garside._PERM_WORDS.clear()
+    perm_word.cache_clear()
     assert [perm_word(p) for p in perms[:50]] == warm
     assert perm_word(perms[0]) is perm_word(perms[0])
 

@@ -93,7 +93,7 @@ def test_division_memo_does_not_change_answers():
     memos = {name: f for name, f in vars(garside).items() if hasattr(f, "cache_clear")}
     assert set(memos) == {
         "identity_perm", "delta_perm", "letter_perm", "perm_length",
-        "tau", "left_complement", "right_complement", "_under",
+        "tau", "left_complement", "right_complement", "_under", "perm_word",
     }
     for memo in memos.values():
         assert memo.cache_info().maxsize == garside.PERM_MEMO

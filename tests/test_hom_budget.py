@@ -23,7 +23,7 @@ from braidforge import invariants
 from braidforge.bricks import build_bricks
 from braidforge.errors import ResourceCapError
 from braidforge.finite_groups import builtin_targets
-from braidforge.invariants import hom_count, hom_count_up_to_conjugacy, hom_orbits
+from braidforge.invariants import enumerate_homs, hom_count
 from braidforge.linking import build_graph
 from braidforge.presentations import presentation_of
 from braidforge.words import parse_word
@@ -70,7 +70,7 @@ def presentation(text):
 def answers(p, t):
     """What each orbit-search reader gives, or None for each refusal."""
     out = []
-    for call in (hom_count, hom_count_up_to_conjugacy, hom_orbits):
+    for call in (hom_count, enumerate_homs):
         try:
             out.append(call(p, t, {"*": 64}))
         except ResourceCapError:
@@ -97,6 +97,6 @@ def test_memoized_and_fresh_searches_agree_under_every_budget(monkeypatch, text,
         warm = answers(p, t)
         invariants._memo.cache_clear()
         fresh = answers(p, t)
-        assert warm == fresh == (want if budget >= tried else [None] * 3), budget
+        assert warm == fresh == (want if budget >= tried else [None] * 2), budget
         # a refused search keeps nothing
         assert (t in invariants._memo(p)) == (budget >= tried)

@@ -21,7 +21,7 @@ from braidforge import isomaps
 from braidforge.bricks import build_bricks
 from braidforge.errors import MoveError
 from braidforge.finite_groups import builtin_targets
-from braidforge.invariants import hom_orbits
+from braidforge.invariants import hom_count
 from braidforge.isomaps import (
     GeneratorMap,
     _braid_top_images,
@@ -57,11 +57,11 @@ def pullbacks(monkeypatch):
 
 def test_each_representative_pulled_back_twice(pullbacks):
     phi = move_map(parse_word("1 2 1 1 2 2 1"), WordMove(MoveKind.BRAID_REL, 1))
-    reps = len(hom_orbits(phi.source, S3)[0]) + len(hom_orbits(phi.target, S3)[0])
+    reps = len(hom_count(phi.source, S3).reps) + len(hom_count(phi.target, S3).reps)
     assert reps == 6
     assert check_map(phi, [S3]).consistent
     # equal counts: the target's 3 representatives, there and back, decide
-    assert len(pullbacks) == 2 * len(hom_orbits(phi.target, S3)[0]) == reps
+    assert len(pullbacks) == 2 * len(hom_count(phi.target, S3).reps) == reps
     # one image disturbed: the decision fails, and the violations are
     # worded from the same pullbacks, not from a second pass
     images = (phi.images[0] + (1,),) + phi.images[1:]

@@ -3,8 +3,10 @@ not parse, negative move counts, and the ``python -m braidforge`` entry.
 
 A hand-built presentation reads its pair table off its relator words, so
 a relator's kind or equation cannot impose a relation its word does not
-state; one built from a table keeps its cycles with the kind CYCLE. A setting that does not parse, or a cap that is not positive,
-names its key, and its file when it came from BRAIDFORGE_CONFIG.
+state; one built from a table keeps its cycles with the kind CYCLE. A
+setting that does not parse, a cap that is not positive, or a cap that
+names no target, names its key, and its file when it came from
+BRAIDFORGE_CONFIG.
 """
 
 import json
@@ -183,6 +185,18 @@ def test_apply_overrides_names_cap_and_source():
         apply_overrides(Config(), {"caps.summit_set": "0"})
     with pytest.raises(ValueError, match=r"^my\.conf, caps\.generators: S3 must be positive"):
         apply_overrides(Config(), {"caps.generators": "S3=0"}, "my.conf")
+
+
+def test_cap_that_names_no_target_is_refused(tmp_path, monkeypatch, capsys):
+    # no target is named "", so such a cap would bind nothing
+    monkeypatch.delenv("BRAIDFORGE_CONFIG", raising=False)
+    code, out, err = run(capsys, "invariants", "1 2 1", "--caps.generators", "=5")
+    assert (code, out, err) == (1, "", "error: caps.generators: '=5' names no target\n")
+    path = tmp_path / "braidforge.conf"
+    path.write_text("caps.generators==5\n")
+    monkeypatch.setenv("BRAIDFORGE_CONFIG", str(path))
+    code, out, err = run(capsys, "invariants", "1 2 1")
+    assert (code, out, err) == (1, "", f"error: {path}, caps.generators: '=5' names no target\n")
 
 
 def test_verify_rejects_negative_move_count(capsys, monkeypatch):
