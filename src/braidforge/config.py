@@ -43,7 +43,8 @@ class Config:
                 raise ValueError(f"caps.generators: {target} must be positive, got {cap}")
 
     def resolve_targets(self) -> list[FiniteTarget]:
-        """The configured targets; a table file shadows a built-in name.
+        """The configured targets, each name once in first-named order; a
+        table file shadows a built-in name.
 
         Every table file is loaded and validated; built-in tables are
         built only when named.
@@ -54,7 +55,7 @@ class Config:
                 name = os.path.splitext(os.path.basename(path))[0]
                 tables[name] = load_table(fh.read(), name)
         out = []
-        for name in self.targets:
+        for name in dict.fromkeys(self.targets):
             if name in tables:
                 out.append(tables[name])
             elif name in BUILTIN_TARGETS:

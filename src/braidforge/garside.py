@@ -43,10 +43,13 @@ brings next to it, so one braid relation passes both. The realized
 moves are replayed from the first word, and a replay that does not
 reach the second raises GarsideInvariantError: no search runs. The
 realization shares one decision with are_conjugate: each normal form,
-summit representative with its operation log, and the one closure are
-built once per call, and the parents of the closure that decides
-conjugacy supply the summit hops: breadth-first order and
-first-discovery parents are those of the full closure.
+summit representative and the one closure are built once per call. Each
+representative's log holds every cycling and decycling step with the
+form it was taken from, and the parents of the closure that decides
+conjugacy supply the summit hops (breadth-first order and
+first-discovery parents are those of the full closure). Every such step
+is a conjugation by a simple element, and one function realizes them
+all from the forms the decision computed, none computed again.
 Checks that an answer rests on raise GarsideInvariantError, so they
 hold under ``python -O``.
 """
@@ -396,8 +399,9 @@ def decycling(nf: NormalForm) -> NormalForm:
     return _normalized(nf.strands, nf.delta_power, seq)
 
 
-# A summit representative and the cycle/decycle log that reached it.
-_Converged = tuple[NormalForm, list[str]]
+# A summit representative and its committed log: each cycle or decycle
+# step with the form it was taken from.
+_Converged = tuple[NormalForm, list[tuple[str, NormalForm]]]
 
 
 def _summit_representative(nf: NormalForm) -> _Converged:
@@ -413,7 +417,7 @@ def _summit_representative(nf: NormalForm) -> _Converged:
     loop ends.
     """
     bound = nf.strands * (nf.strands - 1) // 2
-    ops: list[str] = []
+    log: list[tuple[str, NormalForm]] = []
     phases = (
         ("cycle", cycling, lambda a, b: a.delta_power > b.delta_power),
         ("decycle", decycling, lambda a, b: a.canonical_length < b.canonical_length),
@@ -421,18 +425,19 @@ def _summit_representative(nf: NormalForm) -> _Converged:
     while True:
         for op, fn, better in phases:
             seen = {nf.key()}
-            cur = nf
-            for steps in range(1, bound + 1):
-                cur = fn(cur)
+            trail = [nf]  # the forms each step of the phase is taken from
+            for _ in range(bound):
+                cur = fn(trail[-1])
                 if better(cur, nf) or cur.key() in seen:
                     break
                 seen.add(cur.key())
+                trail.append(cur)
             if better(cur, nf):
                 nf = cur
-                ops += [op] * steps
+                log += [(op, f) for f in trail]
                 break
         else:
-            return nf, ops
+            return nf, log
 
 
 def perm_join(a: Perm, b: Perm) -> Perm:
@@ -725,9 +730,9 @@ def _exchange(u: list[int], moves: list[WordMove], lo: int, hi: int, i: int) -> 
             stack.append([-walk, *sub, _crossing(u, *sub, c, -walk)])
 
 
-def _form_path(w: BraidWord) -> list[WordMove]:
+def _form_path(w: BraidWord) -> tuple[list[WordMove], BraidWord]:
     """Braid relations and far commutations carrying w to
-    nf_word(normal_form(w)), read off the left-weighting.
+    nf_word(normal_form(w)), read off the left-weighting; and that word.
 
     The word is cut into its maximal simple runs, the segments. While
     _normalize_factors left-weights them, each letter sigma_i that moves
@@ -773,7 +778,7 @@ def _form_path(w: BraidWord) -> list[WordMove]:
                 _exchange(u, moves, at, hi, i)
     if u != list(chain.from_iterable(spellings)):
         raise GarsideInvariantError(f"the path of {w.letters} missed its normal form")
-    return moves
+    return moves, BraidWord(n, tuple(u))
 
 
 def _equal_words_moves(a: BraidWord, b: BraidWord) -> list[WordMove]:
@@ -788,69 +793,52 @@ def _equal_words_moves(a: BraidWord, b: BraidWord) -> list[WordMove]:
     """
     if a == b:
         return []
-    return _form_path(a) + _form_path(b)[::-1]
+    return _form_path(a)[0] + _form_path(b)[0][::-1]
 
 
-def _stage_and_conjugate(
-    n: int, moved: tuple[int, ...], rest: tuple[int, ...], kind: MoveKind
-) -> tuple[list[WordMove], BraidWord]:
-    """Moves from the canonical spelling of the braid moved * rest to
-    moved + rest (conjL) or rest + moved (conjR), that word's path
-    reversed, then len(moved) elementary conjugations of that kind, which
-    carry the moved letters to the other end; and the word they reach.
-    A decycling stages the last factor where the spelling has it, so
-    rest + moved is that spelling and needs no path."""
-    left = kind is MoveKind.ELEM_CONJ_LEFT
-    staged, shifted = (moved + rest, rest + moved) if left else (rest + moved, moved + rest)
-    moves = _form_path(BraidWord(n, staged))[::-1] if left else []
-    moves += [WordMove(kind, end_position(kind, len(staged)))] * len(moved)
-    return moves, BraidWord(n, shifted)
+# A conjugation by a simple element, at word level: the elementary
+# conjugation that carries the moved letters across, the moved letters,
+# and the rest of the word.
+_Step = tuple[MoveKind, tuple[int, ...], tuple[int, ...]]
 
 
-def _realize_step(
-    cur: BraidWord, nf: NormalForm, target_nf: NormalForm, conj: Perm
-) -> tuple[list[WordMove], BraidWord]:
-    """Moves realizing cur, the canonical spelling of nf, -> word(target_nf)
-    where target = conj^-1 cur conj.
-
-    Requires the current braid to contain Delta: rewrite cur to
-    (conj)(conj')(rest), shift conj to the back by elementary
-    conjugations, then rewrite to the canonical spelling of the target.
-    No search runs, so caps bounds nothing here.
-    """
-    if nf.delta_power < 1:
-        raise MoveError("realization step needs a positive half twist")
-    rest = _spelled(nf.strands, nf.delta_power - 1, nf.factors)
-    moves, shifted = _stage_and_conjugate(
-        cur.strands, perm_word(conj), perm_word(right_complement(conj)) + rest,
-        MoveKind.ELEM_CONJ_LEFT,
-    )
-    moves += _form_path(shifted)
-    return moves, nf_word(target_nf)
-
-
-def _realize_summit_chain(
-    w: BraidWord, nf: NormalForm, rep: NormalForm, ops: list[str]
-) -> tuple[list[WordMove], BraidWord]:
-    """Word moves carrying w, whose normal form is nf, along the operation
-    log ops to its summit representative rep (spelled canonically). Each
-    step starts and ends at a canonical spelling."""
-    moves = [] if w == nf_word(nf) else _form_path(w)
-    for op in ops:
-        k, factors = nf.delta_power, nf.factors
-        if op == "cycle":
-            moved, kept, kind = tau_pow(factors[0], k), factors[1:], MoveKind.ELEM_CONJ_LEFT
+def _log_steps(log: list[tuple[str, NormalForm]]) -> list[_Step]:
+    """The steps of a cycle/decycle log, read off the logged forms Delta^k
+    x_1...x_l: cycling moves tau^k(x_1) from the front to the end (conjL),
+    decycling moves x_l from the end to the front (conjR)."""
+    steps = []
+    for op, nf in log:
+        n, k, x = nf.strands, nf.delta_power, nf.factors
+        if op == "cycle":  # Delta^k x_2...x_l is left-weighted, so spelled as is
+            steps.append((MoveKind.ELEM_CONJ_LEFT, perm_word(tau_pow(x[0], k)), _spelled(n, k, x[1:])))
         else:
-            moved, kept, kind = factors[-1], factors[:-1], MoveKind.ELEM_CONJ_RIGHT
-        rest = _spelled(nf.strands, k, kept)  # Delta^k kept is left-weighted
-        step, cur = _stage_and_conjugate(nf.strands, perm_word(moved), rest, kind)
-        moves += step + _form_path(cur)
-        nf = cycling(nf) if op == "cycle" else decycling(nf)
-    if nf != rep:
-        raise GarsideInvariantError(
-            "realized cycling and decycling missed the summit representative"
-        )
-    return moves, nf_word(rep)
+            steps.append((MoveKind.ELEM_CONJ_RIGHT, perm_word(x[-1]), _spelled(n, k, x[:-1])))
+    return steps
+
+
+def _realize(w: BraidWord, steps: list[_Step]) -> tuple[list[WordMove], BraidWord]:
+    """Word moves carrying w through steps of simple conjugations, and the
+    canonical spelling they reach. No search runs.
+
+    w first walks its path to its canonical spelling. Each step starts
+    at the canonical spelling of moved + rest (conjL), which that word's
+    path reversed stages, or of rest + moved (conjR), which is that
+    spelling already: its moved letters are the last factor. len(moved)
+    elementary conjugations carry the moved letters to the other end,
+    and the word they reach walks its path to its canonical spelling.
+    """
+    n = w.strands
+    moves, w = _form_path(w)
+    for kind, moved, rest in steps:
+        if kind is MoveKind.ELEM_CONJ_LEFT:
+            staged, shifted = moved + rest, rest + moved
+            moves += _form_path(BraidWord(n, staged))[0][::-1]
+        else:
+            staged, shifted = rest + moved, moved + rest
+        moves += [WordMove(kind, end_position(kind, len(staged)))] * len(moved)
+        path, w = _form_path(BraidWord(n, shifted))
+        moves += path
+    return moves, w
 
 
 def _invert_move_path(start: BraidWord, moves: list[WordMove]) -> list[WordMove]:
@@ -866,15 +854,15 @@ def conjugacy_move_sequence_detailed(
 ) -> MoveSequenceResult:
     """An explicit move sequence from a to b, replay-verified.
 
-    Follows the constructive route: converge both words into the super
-    summit set by cycling and decycling realized at word level, walk the
-    summit set between the two representatives by permutation-braid
-    conjugations (each hop split as Delta = gamma gamma' and shifted by
-    elementary conjugations), and undo the second chain. The conjugacy
-    decision is the one are_conjugate makes, and its closure supplies
-    the hops. Equal words are joined by the path their normal form
-    gives (_equal_words_moves). No search runs: if the realized moves do
-    not replay from a to b, GarsideInvariantError names both words.
+    Follows the constructive route as two lists of simple conjugations,
+    each realized by _realize: a's cycling and decycling steps into the
+    super summit set, then the summit hops to b's representative (each
+    hop by c staged as Delta = c c'), and b's cycling and decycling
+    steps, undone. The conjugacy decision is the one are_conjugate
+    makes; its logs and closure supply every step. Equal words are
+    joined by the path their normal form gives (_equal_words_moves). No
+    search runs: if the two chains do not meet at b's representative,
+    or the moves do not replay from a to b, GarsideInvariantError says so.
     """
     if a.strands != b.strands:
         raise StrandMismatchError(f"strand counts differ: {a.strands} vs {b.strands}")
@@ -888,22 +876,23 @@ def conjugacy_move_sequence_detailed(
     decided = len(a.letters) == len(b.letters) and _conjugacy(nfa, nfb, caps)
     if not decided:
         raise MoveError("words are not conjugate")
-    (rep_a, ops_a), (rep_b, ops_b), hops = decided
+    (rep_a, log_a), (rep_b, log_b), hops = decided
     # cycling and decycling never lower inf, so this is the summit power
     if rep_a.delta_power < 1:
         raise MoveError(
             "conjugate words without a half twist: move realization not guaranteed"
         )
-    moves, cur = _realize_summit_chain(a, nfa, rep_a, ops_a)
-    moves_b, word_b = _realize_summit_chain(b, nfb, rep_b, ops_b)
-    nf = rep_a  # the normal form of cur, the canonical spelling of rep_a
-    for target_nf, c in hops:
-        step_moves, cur = _realize_step(cur, nf, target_nf, c)
-        moves.extend(step_moves)
-        nf = target_nf
-    if cur != word_b:
+    # each hop from u = Delta^k x_1...x_l by c: Delta = c c' staged in front
+    steps, u = _log_steps(log_a), rep_a
+    for v, c in hops:
+        rest = perm_word(right_complement(c)) + _spelled(u.strands, u.delta_power - 1, u.factors)
+        steps.append((MoveKind.ELEM_CONJ_LEFT, perm_word(c), rest))
+        u = v
+    moves, end_a = _realize(a, steps)
+    moves_b, end_b = _realize(b, _log_steps(log_b))
+    if not end_a == end_b == nf_word(rep_b):
         raise GarsideInvariantError(
-            "summit hops did not reach the second representative"
+            "the realized conjugations do not meet at the second summit representative"
         )
     moves.extend(_invert_move_path(b, moves_b))
     where = f"realized moves do not carry '{a}' to '{b}'"

@@ -136,6 +136,22 @@ MUTANTS = [
         equivalent=True,
     ),
     Mutant(
+        "summit-log-form-reached", "garside.py",
+        "                log += [(op, f) for f in trail]\n",
+        "                log += [(op, f) for f in trail[1:] + [cur]]\n",
+        "test_garside_oracles.py",
+        "each logged step holds the form it is taken from; the form it"
+        " reaches is the next step's, so realizing from it skips a step",
+    ),
+    Mutant(
+        "hop-rest-full-delta-power", "garside.py",
+        "_spelled(u.strands, u.delta_power - 1, u.factors)",
+        "_spelled(u.strands, u.delta_power, u.factors)",
+        "test_realization.py",
+        "a hop by c stages Delta = c c', so the rest holds one half twist"
+        " fewer than u; with all of them the staged word is too long",
+    ),
+    Mutant(
         "emit-trailing-space", "cli.py",
         "    sys.stdout.write(text)\n",
         "    sys.stdout.write(text + \" \")\n",

@@ -50,7 +50,8 @@ def words_and_walks(draw):
 @given(words_and_walks())
 def test_path_reaches_the_spelling_and_joins_equal_words(case):
     w, v = case
-    assert replay(w, _form_path(w)) == nf_word(normal_form(w))
+    moves, end = _form_path(w)
+    assert replay(w, moves) == end == nf_word(normal_form(w))
     assert replay(w, _equal_words_moves(w, v)) == v
     assert replay(v, _equal_words_moves(v, w)) == w
 
@@ -74,7 +75,8 @@ def test_no_search_runs_and_no_cap_applies():
 
 def test_a_canonical_spelling_has_the_empty_path():
     for w, _ in seeded_pairs(200):
-        assert _form_path(nf_word(normal_form(w))) == []
+        spelled = nf_word(normal_form(w))
+        assert _form_path(spelled) == ([], spelled)
 
 
 def test_long_half_twist_joins_its_spelling_without_recursion():

@@ -110,7 +110,14 @@ def test_summit_representative_matches_unbounded_oracle(w):
     # within ||Delta|| = n(n-1)/2 steps, so stopping there loses nothing
     nf = normal_form(w)
     rep, ops, improvements = oracle_summit_representative(nf)
-    assert garside._summit_representative(nf) == (rep, ops)
+    got, log = garside._summit_representative(nf)
+    assert got == rep and [op for op, _ in log] == ops
+    # each logged form is the one its step is taken from: the first is
+    # nf, each stepped by its op gives the next, the last gives rep
+    step = {"cycle": oracle_cycling, "decycle": oracle_decycling}
+    forms = [form for _, form in log] + [rep]
+    assert forms[0] == nf
+    assert all(step[op](form) == after for (op, form), after in zip(log, forms[1:]))
     assert all(steps <= w.strands * (w.strands - 1) // 2 for steps in improvements)
 
 

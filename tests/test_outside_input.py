@@ -199,6 +199,24 @@ def test_cap_that_names_no_target_is_refused(tmp_path, monkeypatch, capsys):
     assert (code, out, err) == (1, "", f"error: {path}, caps.generators: '=5' names no target\n")
 
 
+def test_target_named_twice_is_compared_once(tmp_path, monkeypatch, capsys):
+    # each target once, in the order first named, from the flag and the file
+    monkeypatch.delenv("BRAIDFORGE_CONFIG", raising=False)
+    code, out, _ = run(capsys, "isocheck", "1 2 1 1", "2 1 2 1", "--targets", "S3,S3")
+    assert code == 0
+    assert json.loads(out)["report"]["checked_targets"] == ["S3"]
+    code, out, _ = run(capsys, "verify", "--moves", "3", "1 2 1 1", "--targets", "S4,S3,S4")
+    assert (code, json.loads(out)["targets"]) == (0, ["S4", "S3"])
+    path = tmp_path / "braidforge.conf"
+    path.write_text("targets=S3,S3\n")
+    monkeypatch.setenv("BRAIDFORGE_CONFIG", str(path))
+    code, out, _ = run(capsys, "verify", "--moves", "3", "1 2 1 1")
+    assert (code, json.loads(out)["targets"]) == (0, ["S3"])
+    code, out, _ = run(capsys, "isocheck", "1 2 1 1", "2 1 2 1")
+    assert code == 0
+    assert json.loads(out)["report"]["checked_targets"] == ["S3"]
+
+
 def test_verify_rejects_negative_move_count(capsys, monkeypatch):
     monkeypatch.delenv("BRAIDFORGE_CONFIG", raising=False)
     code, out, err = run(capsys, "verify", "--moves", "-5", "1 2 1")

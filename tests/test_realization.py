@@ -92,12 +92,16 @@ def test_moves_that_do_not_replay_raise(monkeypatch):
         conjugacy_move_sequence_detailed(HOP_A, HOP_B)
 
 
-def test_guard_realized_chain_reaches_representative():
-    nf = garside.normal_form(HOP_A)
-    rep, ops = garside._summit_representative(nf)
-    wrong = NormalForm(rep.strands, rep.delta_power + 1, rep.factors)
-    with pytest.raises(GarsideInvariantError, match="summit representative"):
-        garside._realize_summit_chain(HOP_A, nf, wrong, ops)
+MISSED = "^the realized conjugations do not meet at the second summit representative$"
+
+
+def test_guard_realized_chain_reaches_representative(monkeypatch):
+    # both words decycle to their representatives, which agree: no hops
+    a, b = word(DECYCLE_PAIRS[1][0]), word(DECYCLE_PAIRS[1][1])
+    real = garside._log_steps
+    monkeypatch.setattr(garside, "_log_steps", lambda log: real(log[:-1]))
+    with pytest.raises(GarsideInvariantError, match=MISSED):
+        conjugacy_move_sequence_detailed(a, b)
 
 
 def test_one_closure_and_two_representatives_per_realization(monkeypatch):
@@ -116,9 +120,48 @@ def test_one_closure_and_two_representatives_per_realization(monkeypatch):
     assert calls == {"_summit_closure": 1, "_summit_representative": 2}
 
 
+def test_realization_adds_no_cycling(monkeypatch):
+    # the realization reads the forms the decision's logs hold, so every
+    # cycling and decycling of a realization is one of the decision's
+    calls = {"cycling": 0, "decycling": 0}
+    for name in calls:
+        real = getattr(garside, name)
+
+        def counted(nf, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(nf)
+
+        monkeypatch.setattr(garside, name, counted)
+
+    def made(run):
+        before = dict(calls)
+        result = run()
+        return result, {name: calls[name] - before[name] for name in calls}
+
+    rng = random.Random(53)
+    pairs = 0
+    while pairs < 25:
+        a = BraidWord(4, delta_word(4) + tuple(rng.randint(1, 3) for _ in range(rng.randint(0, 6))))
+        b = a
+        for _ in range(rng.randint(1, 12)):
+            b = apply_move(b, rng.choice([m for m in enumerate_moves(b) if m.kind in WALK_KINDS]))
+        nfa, nfb = garside.normal_form(a), garside.normal_form(b)
+        if nfa == nfb:
+            continue
+        logs, deciding = made(lambda: [garside._summit_representative(nf)[1] for nf in (nfa, nfb)])
+        if not any(logs):
+            continue
+        result, realizing = made(lambda: conjugacy_move_sequence_detailed(a, b))
+        assert replay(a, list(result.moves)) == b
+        assert realizing == deciding
+        pairs += 1
+
+
 def test_guard_hops_reach_second_representative(monkeypatch):
-    monkeypatch.setattr(garside, "_realize_step", lambda cur, nf, target, c: ([], cur))
-    with pytest.raises(GarsideInvariantError, match="second representative"):
+    # HOP_A's steps are one summit hop, HOP_B's none
+    real = garside._realize
+    monkeypatch.setattr(garside, "_realize", lambda w, steps: real(w, steps[:-1]))
+    with pytest.raises(GarsideInvariantError, match=MISSED):
         conjugacy_move_sequence_detailed(HOP_A, HOP_B)
 
 
