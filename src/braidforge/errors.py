@@ -24,9 +24,9 @@ class NotAForestError(BraidForgeError, ValueError):
 
 
 class PresentationError(BraidForgeError, ValueError):
-    """A hand-built presentation that no braid word yields: a letter
-    outside the generators, or an exponent column other than zero or
-    e_i - e_j."""
+    """A hand-built presentation that no braid word yields: a generator
+    count that is no int >= 0, a letter outside the generators, or an
+    exponent column other than zero or e_i - e_j."""
 
 
 class ResourceCapError(BraidForgeError):

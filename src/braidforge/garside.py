@@ -24,17 +24,20 @@ permutation-braid primitive that the closure repeats (division steps,
 tau, complements, lengths, the identity, Delta and letter permutations)
 is memoized per distinct input, and so is perm_word's spelling, each
 by an lru_cache of PERM_MEMO entries.
-Deciding conjugacy first compares the cycle types of the two braids'
-permutations, which conjugation preserves, and only equal types are
-converged; the deciding closure stops as soon as it discovers the
-second representative, and is skipped when both representatives agree.
+One function decides conjugacy for every pair of normal forms. Equal
+forms are their own representatives; otherwise it first compares the
+cycle types of the two braids' permutations, which conjugation
+preserves, and only equal types are converged; the deciding closure
+stops as soon as it discovers the second representative, and is
+skipped when both representatives agree.
 Conjugacy of positive words containing a half twist is also *realized*
 as an explicit sequence of word moves: braid relations, far
-commutativity and elementary conjugations only. Two spellings of one
-braid are joined by the path the normal form gives, with no search:
-each word's path to the form's spelling replays the left-weighting at
-word level, and each letter that moves between factors is first brought
-to the front of its factor's segment by the constructive exchange.
+commutativity and elementary conjugations only. Each word walks the
+path its normal form gives to the form's spelling, with no search: the
+path replays the left-weighting at word level, and each letter that
+moves between factors is first brought to the front of its factor's
+segment by the constructive exchange. Two spellings of one braid take
+that path and no conjugation step, so they need no half twist.
 Inside one permutation braid's reduced words, which braid relations and
 far commutations connect (Matsumoto 1964, Tits 1969), the crossing of
 the two strands at positions i, i+1 walks left past far letters, and an
@@ -611,7 +614,7 @@ def _cycle_type(nf: NormalForm) -> tuple[int, ...]:
 def _conjugacy(
     nfa: NormalForm, nfb: NormalForm, caps: GarsideCaps
 ) -> tuple[_Converged, _Converged, list[tuple[NormalForm, Perm]]] | None:
-    """Decide conjugacy of two braids with different normal forms.
+    """Decide conjugacy of two braids given by their normal forms.
 
     Returns None when they are not conjugate: when their permutations'
     cycle types differ, or their summit representatives' shapes, or the
@@ -620,7 +623,11 @@ def _conjugacy(
     and the hops from the first representative to the second:
     (member, conjugator) pairs read off the parents of the closure that
     decided it, stopped once it discovered the second representative.
+    Equal forms are their own representatives, with empty logs and no
+    hops.
     """
+    if nfa == nfb:
+        return (nfa, []), (nfb, []), []
     if _cycle_type(nfa) != _cycle_type(nfb):
         return None
     rep_a, ops_a = _summit_representative(nfa)
@@ -646,8 +653,7 @@ def are_conjugate(
         raise StrandMismatchError(f"strand counts differ: {a.strands} vs {b.strands}")
     if len(a.letters) != len(b.letters):
         return False  # conjugation preserves positive word length
-    nfa, nfb = normal_form(a), normal_form(b)
-    return nfa == nfb or _conjugacy(nfa, nfb, caps) is not None
+    return _conjugacy(normal_form(a), normal_form(b), caps) is not None
 
 
 def contains_half_twist(w: BraidWord) -> bool:
@@ -781,21 +787,6 @@ def _form_path(w: BraidWord) -> tuple[list[WordMove], BraidWord]:
     return moves, BraidWord(n, tuple(u))
 
 
-def _equal_words_moves(a: BraidWord, b: BraidWord) -> list[WordMove]:
-    """Braid relations and far commutations carrying a to b, inputs equal
-    as braids: a's path to the spelling of their normal form, then b's
-    path reversed, each move its own inverse at the same position.
-
-    Every respelling stays among the reduced words of one permutation,
-    which braid relations and far commutations connect (Matsumoto 1964,
-    Tits 1969); _exchange walks that connection letter by letter, so no
-    search runs and no cap applies.
-    """
-    if a == b:
-        return []
-    return _form_path(a)[0] + _form_path(b)[0][::-1]
-
-
 # A conjugation by a simple element, at word level: the elementary
 # conjugation that carries the moved letters across, the moved letters,
 # and the rest of the word.
@@ -859,26 +850,22 @@ def conjugacy_move_sequence_detailed(
     super summit set, then the summit hops to b's representative (each
     hop by c staged as Delta = c c'), and b's cycling and decycling
     steps, undone. The conjugacy decision is the one are_conjugate
-    makes; its logs and closure supply every step. Equal words are
-    joined by the path their normal form gives (_equal_words_moves). No
-    search runs: if the two chains do not meet at b's representative,
-    or the moves do not replay from a to b, GarsideInvariantError says so.
+    makes; its logs and closure supply every step. Words equal as braids
+    take no step: each walks the path its normal form gives. No search
+    runs: if the two chains do not meet at b's representative, or the
+    moves do not replay from a to b, GarsideInvariantError says so.
     """
     if a.strands != b.strands:
         raise StrandMismatchError(f"strand counts differ: {a.strands} vs {b.strands}")
     if a == b:
         return MoveSequenceResult((), "procedure-found")
-    nfa, nfb = normal_form(a), normal_form(b)
-    if nfa == nfb:
-        return MoveSequenceResult(
-            tuple(_equal_words_moves(a, b)), "procedure-found"
-        )
-    decided = len(a.letters) == len(b.letters) and _conjugacy(nfa, nfb, caps)
+    decided = len(a.letters) == len(b.letters) and _conjugacy(normal_form(a), normal_form(b), caps)
     if not decided:
         raise MoveError("words are not conjugate")
     (rep_a, log_a), (rep_b, log_b), hops = decided
-    # cycling and decycling never lower inf, so this is the summit power
-    if rep_a.delta_power < 1:
+    # cycling and decycling never lower inf, so this is the summit power;
+    # a step is realized exactly when the forms differ
+    if (log_a or log_b or hops) and rep_a.delta_power < 1:
         raise MoveError(
             "conjugate words without a half twist: move realization not guaranteed"
         )

@@ -125,8 +125,9 @@ class Presentation:
     relators are not kept; a pair may carry both kinds. Every CYCLE
     relator is kept as given. Equal generator counts, pair tables and
     cycle words make equal presentations, whatever the cycles' equations
-    and provenance. A letter of a relator's word or equation that names
-    no generator raises PresentationError. A graph's presentation stores
+    and provenance. A generator count that is no int >= 0, or a letter
+    of a relator's word or equation that names no generator, raises
+    PresentationError. A graph's presentation stores
     ``region_cycles``, each region's vertex tuple (None when relators
     were given), and spells ``cycle_words`` on first need (equality,
     hashing, the orbit search) and ``cycles`` on first read, keeping
@@ -141,6 +142,8 @@ class Presentation:
     )
 
     def __init__(self, n_generators: int, relators: tuple[Relator, ...]) -> None:
+        if type(n_generators) is not int or n_generators < 0:
+            raise PresentationError(f"the generator count {n_generators!r} is no int >= 0")
         braid: set[tuple[int, int]] = set()
         comm: set[tuple[int, int]] = set()
         cycles = []

@@ -183,6 +183,31 @@ MUTANTS = [
         "the hom count is the orbit sizes summed; counting orbits gives the"
         " count up to conjugacy",
     ),
+    Mutant(
+        "equal-forms-not-conjugate", "garside.py",
+        "    if nfa == nfb:\n        return (nfa, []), (nfb, []), []\n",
+        "    if nfa == nfb:\n        return None\n",
+        "test_form_path.py",
+        "equal normal forms are one braid, conjugate to itself; the one"
+        " decision must say so, as are_conjugate and moveseq ask only it",
+    ),
+    Mutant(
+        "half-twist-refusal-without-steps", "garside.py",
+        "    if (log_a or log_b or hops) and rep_a.delta_power < 1:",
+        "    if rep_a.delta_power < 1:",
+        "test_form_path.py",
+        "two spellings of one braid take no conjugation step, so they are"
+        " joined with or without a half twist; refusing them refuses words"
+        " the path of their normal form joins",
+    ),
+    Mutant(
+        "presentation-negative-count", "presentations.py",
+        "if type(n_generators) is not int or n_generators < 0:",
+        "if type(n_generators) is not int:",
+        "test_constructors.py",
+        "a negative generator count names no generators: it answered"
+        " abelianization 1 and failed later in hom_count",
+    ),
 ]
 
 

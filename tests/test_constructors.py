@@ -236,6 +236,15 @@ def test_presentation_has_no_public_constructor_but_its_reader():
             Presentation(3, (braid_relator(1, letter),))
 
 
+def test_presentation_refuses_a_generator_count_that_is_no_int_at_least_zero():
+    # -1 answered abelianization 1 and raised IndexError in hom_count;
+    # 2.0 was built and raised TypeError later, "2" at once
+    for count in (-1, 2.0, "2", True, None):
+        with pytest.raises(PresentationError, match=rf"^the generator count {count!r} is no int >= 0$"):
+            Presentation(count, ())
+    assert Presentation(0, ()).n_generators == 0
+
+
 def test_relator_is_built_from_its_equation_alone():
     assert list(inspect.signature(Relator).parameters) == ["lhs", "rhs", "provenance"]
     assert public_builders(Relator) == []

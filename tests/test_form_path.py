@@ -1,15 +1,17 @@
 """Equal positive words joined by the path their normal form gives.
 
 garside._form_path(w) carries w to nf_word(normal_form(w)) by braid
-relations and far commutations read off the left-weighting, and
-garside._equal_words_moves(a, b) is a's path followed by b's reversed.
-These tests replay both on seeded and generated words, check that the
-path takes no cap, that a 48-strand half twist spelled backwards joins its
-spelling with no RecursionError, and that the memo of perm_word, which
-every respelling reads, keeps its bound.
+relations and far commutations read off the left-weighting. Two words
+equal as braids take conjugacy_move_sequence_detailed's one route with
+no conjugation step: a's path followed by b's undone, which is b's path
+reversed. These tests replay both on seeded and generated words, check
+that the route takes no cap, that a 48-strand half twist spelled
+backwards joins its spelling with no RecursionError, and that the memo
+of perm_word, which every respelling reads, keeps its bound. Equal forms
+reach the decision once through garside._conjugacy, and their route
+keeps its replay guard.
 """
 
-import inspect
 import random
 from itertools import permutations
 
@@ -19,8 +21,10 @@ from hypothesis import given, settings, strategies as st
 from braidforge import garside
 from braidforge.errors import GarsideInvariantError
 from braidforge.garside import (
-    _equal_words_moves,
+    GarsideCaps,
     _form_path,
+    are_conjugate,
+    conjugacy_move_sequence_detailed,
     delta_word,
     nf_word,
     normal_form,
@@ -52,8 +56,8 @@ def test_path_reaches_the_spelling_and_joins_equal_words(case):
     w, v = case
     moves, end = _form_path(w)
     assert replay(w, moves) == end == nf_word(normal_form(w))
-    assert replay(w, _equal_words_moves(w, v)) == v
-    assert replay(v, _equal_words_moves(v, w)) == w
+    assert replay(w, conjugacy_move_sequence_detailed(w, v).moves) == v
+    assert replay(v, conjugacy_move_sequence_detailed(v, w).moves) == w
 
 
 def seeded_pairs(count: int):
@@ -65,12 +69,13 @@ def seeded_pairs(count: int):
 
 
 def test_no_search_runs_and_no_cap_applies():
-    assert list(inspect.signature(_equal_words_moves).parameters) == ["a", "b"]
+    # a closure of one member: equal forms never reach it
+    caps = GarsideCaps(summit_set=1)
     for w, v in seeded_pairs(400):
-        moves = _equal_words_moves(w, v)
+        moves = conjugacy_move_sequence_detailed(w, v, caps).moves
         assert replay(w, moves) == v
         assert all(m.kind in (MoveKind.BRAID_REL, MoveKind.FAR_COMM) for m in moves)
-        assert _equal_words_moves(w, w) == []
+        assert conjugacy_move_sequence_detailed(w, w, caps).moves == ()
 
 
 def test_a_canonical_spelling_has_the_empty_path():
@@ -85,7 +90,7 @@ def test_long_half_twist_joins_its_spelling_without_recursion():
     w = BraidWord(n, delta_word(n)[::-1])
     target = nf_word(normal_form(w))
     assert target.letters == delta_word(n)
-    moves = _equal_words_moves(w, target)
+    moves = conjugacy_move_sequence_detailed(w, target).moves
     letters = list(w.letters)
     for m in moves:  # replay in place, each site tested where it stands
         p = m.position - 1
@@ -128,3 +133,37 @@ def test_an_unreplayable_braid_relation_is_refused():
     u = [2, 1, 2]
     garside._braid_move(u, moves, 0)
     assert u == [1, 2, 1] and moves == [WordMove(MoveKind.BRAID_REL, 1)]
+
+
+def test_equal_forms_are_decided_once_by_the_one_decision(monkeypatch):
+    calls = []
+    real = garside._conjugacy
+    monkeypatch.setattr(
+        garside, "_conjugacy", lambda *args: calls.append(args) or real(*args)
+    )
+    pairs = [(w, v) for w, v in seeded_pairs(60) if w != v]
+    assert len(pairs) >= 40
+    for w, v in pairs:
+        nf = normal_form(w)
+        assert nf == normal_form(v)
+        calls.clear()
+        assert are_conjugate(w, v)
+        assert calls == [(nf, nf, garside.DEFAULT_CAPS)]
+        calls.clear()
+        assert replay(w, conjugacy_move_sequence_detailed(w, v).moves) == v
+        assert calls == [(nf, nf, garside.DEFAULT_CAPS)]
+
+
+def test_equal_forms_keep_the_replay_guard(monkeypatch):
+    real = garside._invert_move_path
+    monkeypatch.setattr(garside, "_invert_move_path", lambda start, moves: real(start, moves)[:-1])
+    checked = 0
+    for w, v in seeded_pairs(60):
+        if w == v or not _form_path(v)[0]:
+            continue
+        with pytest.raises(
+            GarsideInvariantError, match=rf"^realized moves do not carry '{w}' to '{v}': they end at "
+        ):
+            conjugacy_move_sequence_detailed(w, v)
+        checked += 1
+    assert checked >= 30
