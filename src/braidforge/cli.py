@@ -17,6 +17,7 @@ import functools
 import json
 import random
 import sys
+from collections.abc import Iterable
 
 from . import render as render_mod
 from .bricks import build_bricks
@@ -32,7 +33,7 @@ from .garside import (
 from .invariants import diagram_abelianization, generator_cap, hom_count
 from .isomaps import check_map, maps_along_moves
 from .linking import build_graph
-from .presentations import presentation_of, serialize
+from .presentations import presentation_of, serialize_pieces
 from .words import (
     NEUTRAL,
     BraidWord,
@@ -146,9 +147,17 @@ def _config_from_args(args: argparse.Namespace) -> Config:
 
 
 def _emit(text: str) -> None:
-    sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+    _emit_pieces((text,))
+
+
+def _emit_pieces(pieces: Iterable[str]) -> None:
+    """Each piece written as it comes, then a newline unless the last piece
+    ends with one."""
+    write, last = sys.stdout.write, ""
+    for last in pieces:
+        write(last)
+    if not last.endswith("\n"):
+        write("\n")
 
 
 def _cmd_parse(args, cfg: Config, w: BraidWord) -> int:
@@ -180,7 +189,7 @@ def _cmd_graph(args, cfg: Config, w: BraidWord) -> int:
 def _cmd_present(args, cfg: Config, w: BraidWord) -> int:
     p = presentation_of(build_graph(build_bricks(w), cfg.sign_convention))
     fmt = cfg.format if cfg.format in ("plain", "gap-style", "json") else "json"
-    _emit(serialize(p, fmt))
+    _emit_pieces(serialize_pieces(p, fmt))
     return 0
 
 

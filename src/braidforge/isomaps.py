@@ -349,7 +349,8 @@ class CheckReport:
         }
 
 
-# p -> p.relators, read at most once per check: a table spells them on each read
+# p -> p.relators as a tuple, spelled at most once per check: the view
+# spells a relator on each read of it
 _Spelled = Callable[[Presentation], tuple[Relator, ...]]
 
 
@@ -481,7 +482,7 @@ def check_map(
     spelled: dict[Presentation, tuple[Relator, ...]] = {}
 
     def relators(p: Presentation) -> tuple[Relator, ...]:
-        return spelled[p] if p in spelled else spelled.setdefault(p, p.relators)
+        return spelled[p] if p in spelled else spelled.setdefault(p, tuple(p.relators))
 
     src_lattice, dst_lattice = ColumnLattice.of(m.source), ColumnLattice.of(m.target)
     fwd, bwd = _projected(m.images, dst_lattice), _projected(m.inverse_images, src_lattice)

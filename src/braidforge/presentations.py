@@ -5,26 +5,30 @@ braid relator, every unlinked pair a commutation relator (including
 diagonals of regions), and every bounded region a cycle relator read
 along the region's stored cyclic order. Only the cycle relators carry
 information beyond the edge set, so every presentation is stored as a
-pair table and its cycles, and spells its pair relators on each read of
-``relators``, never storing them. A presentation has two ways in:
-``Presentation(n, relators)`` reads the table off the words and keeps
-the cycle relators, and ``presentation_of(graph)`` stores the sweep's
-table and its cycles as the regions' vertex tuples, spelling each word
-(in closed form) and each Relator only when read; it is built once and
-kept on the (immutable) graph. A cycle shift is read back through
-``Presentation(n, relators)``. A relator is built from its equation
-alone, ``Relator(lhs, rhs, provenance)``: the equation decides the word,
-LHS * RHS^-1 freely reduced, and the word the kind. Presentation
-equality means equality of those words, and the word decides the region
-a cycle shift rotates.
+pair table and its cycles. Its ``relators`` are a sized, read-only
+sequence over them: the length comes from the table, and a pair relator
+is spelled each time it is read, never stored, so ``serialize_pieces``
+streams all k(k-1)/2 while holding one piece's worth. A presentation
+has two ways in: ``Presentation(n, relators)`` reads the table off the
+words and keeps the cycle relators, and ``presentation_of(graph)``
+stores the sweep's table and its cycles as the regions' vertex tuples,
+spelling each word (in closed form) and each Relator only when read; it
+is built once and kept on the (immutable) graph. A cycle shift is read
+back through ``Presentation(n, relators)``. A relator is built from its
+equation alone, ``Relator(lhs, rhs, provenance)``: the equation decides
+the word, LHS * RHS^-1 freely reduced, and the word the kind.
+Presentation equality means equality of those words, and the word
+decides the region a cycle shift rotates.
 """
 
 from __future__ import annotations
 
 import json
+import operator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from itertools import islice
 
 from .errors import PresentationError
 from .linking import LinkingGraph
@@ -118,16 +122,18 @@ class Presentation:
     i < j that carry a braid or a commutation relator; ``comm_pairs`` is
     None when that is every other pair and no more, as on every graph's
     presentation. ``cycles`` holds every other relator, in the order
-    given. ``relators`` spells braid pairs, then commutation pairs, each
-    in lex order, then the cycles. ``Presentation(n, relators)`` reads
-    the table off the BRAID and COMM relators, whose kinds their words
-    decide, so the order, repeats, equations and provenance of pair
-    relators are not kept; a pair may carry both kinds. Every CYCLE
-    relator is kept as given. Equal generator counts, pair tables and
-    cycle words make equal presentations, whatever the cycles' equations
-    and provenance. A generator count that is no int >= 0, or a letter
-    of a relator's word or equation that names no generator, raises
-    PresentationError. A graph's presentation stores
+    given. ``relators`` is a Relators view: braid pairs, then commutation
+    pairs, each in lex order, then the cycles, read as that tuple would
+    be, but sized without spelling and spelled one relator at a time.
+    ``Presentation(n, relators)`` reads the table off the BRAID and COMM
+    relators, whose kinds their words decide, so the order, repeats,
+    equations and provenance of pair relators are not kept; a pair may
+    carry both kinds. Every CYCLE relator is kept as given. Equal
+    generator counts, pair tables and cycle words make equal
+    presentations, whatever the cycles' equations and provenance. A
+    generator count that is no int >= 0, or a letter of a relator's word
+    or equation that names no generator, raises PresentationError. A
+    graph's presentation stores
     ``region_cycles``, each region's vertex tuple (None when relators
     were given), and spells ``cycle_words`` on first need (equality,
     hashing, the orbit search) and ``cycles`` on first read, keeping
@@ -205,14 +211,8 @@ class Presentation:
         return self._words
 
     @property
-    def relators(self) -> tuple[Relator, ...]:
-        return (
-            tuple(braid_relator(i, j) for i, j in self.braid_pairs)
-            + tuple(
-                comm_relator(i, j) for i, j, kind in self.pair_table() if kind is RelatorKind.COMM
-            )
-            + self.cycles
-        )
+    def relators(self) -> Relators:
+        return Relators(self)
 
     def _content(self) -> tuple:
         return self.n_generators, self.braid_pairs, self.comm_pairs, self.cycle_words
@@ -229,6 +229,84 @@ class Presentation:
 
     def __repr__(self) -> str:
         return f"Presentation(n_generators={self.n_generators}, relators={self.relators!r})"
+
+
+class Relators(Sequence):
+    """A presentation's relators as a read-only sequence: braid pairs, then
+    commutation pairs, each in lex order, then the cycles. Its length comes
+    from the table, spelling nothing; a pair relator is spelled, through
+    braid_relator or comm_relator, each time it is read, and none is kept.
+    Indexing, slices (tuples), equality with a tuple, hashing and repr read
+    as the tuple of its relators would."""
+
+    __slots__ = ("_p",)
+
+    def __init__(self, p: Presentation) -> None:
+        self._p = p
+
+    def _counts(self) -> tuple[int, int]:
+        """The number of braid relators, and of pair relators."""
+        p = self._p
+        k, braid = p.n_generators, len(p.braid_pairs)
+        return braid, k * (k - 1) // 2 if p.comm_pairs is None else braid + len(p.comm_pairs)
+
+    def __len__(self) -> int:
+        p = self._p
+        cycles = p._cycles if p.region_cycles is None else p.region_cycles
+        return self._counts()[1] + len(cycles)
+
+    def __iter__(self) -> Iterator[Relator]:
+        p = self._p
+        for i, j in p.braid_pairs:
+            yield braid_relator(i, j)
+        for i, j, kind in p.pair_table():
+            if kind is RelatorKind.COMM:
+                yield comm_relator(i, j)
+        yield from p.cycles
+
+    def __getitem__(self, index):
+        n = len(self)
+        if isinstance(index, slice):
+            r = range(*index.indices(n))
+            if not r:
+                return ()
+            lo = min(r)
+            return tuple(islice(self, lo, max(r) + 1))[r.start - lo :: r.step]
+        i = operator.index(index)
+        if not -n <= i < n:
+            raise IndexError("tuple index out of range")
+        i %= n
+        p = self._p
+        braid, pairs = self._counts()
+        if i < braid:
+            return braid_relator(*p.braid_pairs[i])
+        if i >= pairs:
+            return p.cycles[i - pairs]
+        m = i - braid
+        if p.comm_pairs is not None:
+            return comm_relator(*p.comm_pairs[m])
+        # the m-th pair in lex order without a braid relator: step m past
+        # each braid pair at or before it, then read it off its row
+        k = p.n_generators
+        for a, b in p.braid_pairs:
+            if (a - 1) * (2 * k - a) // 2 + b - a - 1 > m:
+                break
+            m += 1
+        a = 1
+        while m >= k - a:
+            m, a = m - (k - a), a + 1
+        return comm_relator(a, a + 1 + m)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, Relators)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 def braid_relator(i: int, j: int, provenance: tuple = ()) -> Relator:
@@ -336,32 +414,60 @@ def _word_gap(word: GroupWord) -> str:
 
 def serialize(p: Presentation, format: str = "plain") -> str:
     """Render as plain text, gap-style source, or JSON."""
-    if format == "plain":
-        gens = ",".join(f"s{i}" for i in range(1, p.n_generators + 1))
-        rels = ", ".join(_relator_plain(r) for r in p.relators)
-        return f"<{gens} | {rels}>" if rels else f"<{gens} | >"
-    if format == "gap-style":
-        lines = [f"F := FreeGroup({p.n_generators});;"]
-        rels = ", ".join(_word_gap(r.word) for r in p.relators)
-        lines.append(f"rels := [{rels}];")
-        return "\n".join(lines)
-    if format == "json":
-        return json.dumps(
-            {
-                "generators": p.n_generators,
-                "relators": [
-                    {
-                        "kind": r.kind.value,
-                        "word": list(r.word),
-                        "lhs": list(r.lhs),
-                        "rhs": list(r.rhs),
-                        "provenance": _provenance_json(r.provenance),
-                    }
-                    for r in p.relators
-                ],
-            }
-        )
-    raise ValueError(f"unknown format {format!r}")
+    return "".join(serialize_pieces(p, format))
+
+
+def serialize_pieces(p: Presentation, format: str = "plain") -> Iterator[str]:
+    """serialize(p, format) in pieces, each spelled as it is asked for and
+    none holding more than _PIECE_RELATORS relators; an unknown format
+    raises ValueError here, before any piece."""
+    if format not in _PIECES:
+        raise ValueError(f"unknown format {format!r}")
+    return _PIECES[format](p)
+
+
+_PIECE_RELATORS = 256
+
+
+def _joined(p: Presentation, text: Callable[[list[Relator]], str]) -> Iterator[str]:
+    """The pieces of ", ".join over p's relators, text spelling each batch."""
+    relators, comma = iter(p.relators), ""
+    while batch := list(islice(relators, _PIECE_RELATORS)):
+        yield comma + text(batch)
+        comma = ", "
+
+
+def _plain_pieces(p: Presentation) -> Iterator[str]:
+    gens = ",".join(f"s{i}" for i in range(1, p.n_generators + 1))
+    yield f"<{gens} | "
+    yield from _joined(p, lambda batch: ", ".join(map(_relator_plain, batch)))
+    yield ">"
+
+
+def _gap_pieces(p: Presentation) -> Iterator[str]:
+    yield f"F := FreeGroup({p.n_generators});;\nrels := ["
+    yield from _joined(p, lambda batch: ", ".join(_word_gap(r.word) for r in batch))
+    yield "];"
+
+
+def _json_pieces(p: Presentation) -> Iterator[str]:
+    # a batch's list, as json.dumps spells it, without its brackets
+    yield f'{{"generators": {p.n_generators}, "relators": ['
+    yield from _joined(p, lambda batch: json.dumps(list(map(_relator_json, batch)))[1:-1])
+    yield "]}"
+
+
+def _relator_json(r: Relator) -> dict:
+    return {
+        "kind": r.kind.value,
+        "word": list(r.word),
+        "lhs": list(r.lhs),
+        "rhs": list(r.rhs),
+        "provenance": _provenance_json(r.provenance),
+    }
+
+
+_PIECES = {"plain": _plain_pieces, "gap-style": _gap_pieces, "json": _json_pieces}
 
 
 def _provenance_json(prov: tuple):

@@ -153,11 +153,11 @@ MUTANTS = [
     ),
     Mutant(
         "emit-trailing-space", "cli.py",
-        "    sys.stdout.write(text)\n",
-        "    sys.stdout.write(text + \" \")\n",
+        "        write(last)\n",
+        "        write(last + \" \")\n",
         "test_cli_golden.py",
-        "stdout is a contract byte for byte: one space after the text changes"
-        " every command that exits 0",
+        "stdout is a contract byte for byte: one space after each piece of"
+        " text changes every command that exits 0",
     ),
     Mutant(
         "cap-error-misspelt", "cli.py",
@@ -199,6 +199,22 @@ MUTANTS = [
         "two spellings of one braid take no conjugation step, so they are"
         " joined with or without a half twist; refusing them refuses words"
         " the path of their normal form joins",
+    ),
+    Mutant(
+        "relators-len-without-cycles", "presentations.py",
+        "        return self._counts()[1] + len(cycles)\n",
+        "        return self._counts()[1]\n",
+        "test_relator_view.py",
+        "a presentation's relators are its pair relators and then its cycle"
+        " relators; a length without the cycles cuts every read short",
+    ),
+    Mutant(
+        "check-map-respells", "isomaps.py",
+        "spelled.setdefault(p, tuple(p.relators))",
+        "spelled.setdefault(p, p.relators)",
+        "test_analysis_cache.py",
+        "the view spells a relator on each read, so a check that keeps it"
+        " spells each relator again for every target and every violation",
     ),
     Mutant(
         "presentation-negative-count", "presentations.py",

@@ -719,3 +719,24 @@ def test_graph_lattice_reads_no_cycle_word(monkeypatch):
         p = presentation_for(parse_word(text))
         assert p.region_cycles is not None
         assert abelianization(p).rank == ColumnLattice.of(p).n_components
+
+
+def test_check_map_builds_each_relator_at_most_once_per_check(monkeypatch):
+    """The failing maps of the test above, counted by Relator
+    constructions: a view kept for a check would spell its relators again
+    for every target and for every violation it words."""
+    rng = random.Random(17)
+    maps = []
+    for text in WORDS:
+        w = parse_word(text)
+        for move in enumerate_moves(w):
+            for _ in range(4):
+                maps.append(corrupted(move_map(w, move), rng))
+    many = [m for m in maps if len(check_map(m, [S3, S4]).violations) >= 20]
+    assert len(many) >= 3
+    built = counted_constructions(monkeypatch)
+    for m in many:
+        bound = len(m.source.relators) + len(m.target.relators)
+        built.clear()
+        check_map(m, [S3, S4])
+        assert 0 < built["Relator"] <= bound
